@@ -92,9 +92,10 @@ type response struct {
 // actor is the engine-owner goroutine (the serving subsystem's core): it
 // serializes every graph mutation, query registration and subscription
 // change onto the single-threaded MultiEngine, so any number of
-// connections can drive it concurrently. Matches reported by the engines
-// during an update are buffered in pending and fanned out to that query's
-// subscribers — in emission order — before the update is acknowledged.
+// connections can drive it concurrently. A match reported by an engine is
+// rendered once, at emission, and copied into the outbox of every
+// connection subscribed to its query — in emission order — before the
+// update is acknowledged.
 type actor struct {
 	host    engineHost
 	durable *turboflux.DurableMultiEngine // nil in memory-only mode
@@ -117,9 +118,12 @@ type actor struct {
 	stop  chan struct{} // closed by Shutdown once connections are done
 	done  chan struct{} // closed by run after drain + store close
 
-	subs    map[string][]*subscriber
-	pending []event
-	seq     uint64 // global update sequence number (acked to clients)
+	subs  map[string]*subList // one list per registered query
+	burst *subList            // the query whose rendered lines line holds
+	line  []byte              // scratch: the burst's event lines
+	ends  []int               // end offset of each line in line
+	dirty []*outbox           // outboxes that took bytes during this request
+	seq   uint64              // global update sequence number (acked to clients)
 
 	// Counters surfaced by STATS; owned by the actor goroutine.
 	updates   uint64
@@ -147,7 +151,7 @@ func newActor(host engineHost, durable *turboflux.DurableMultiEngine, vdict, edi
 		reqCh:   make(chan request, 128),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
-		subs:    make(map[string][]*subscriber),
+		subs:    make(map[string]*subList),
 		lat:     stats.NewLatency(0),
 		conns:   conns,
 
@@ -162,7 +166,6 @@ func newActor(host engineHost, durable *turboflux.DurableMultiEngine, vdict, edi
 	a.boundary = func(int) {
 		a.seq++
 		a.updates++
-		a.flushPending(a.seq)
 	}
 	return a
 }
@@ -199,9 +202,9 @@ func (a *actor) shutdown() {
 		}
 		break
 	}
-	//tf:unordered-ok closing subscriptions; per-queue event order is preserved by the pumps
-	for _, subs := range a.subs {
-		for _, s := range subs {
+	//tf:unordered-ok closing subscriptions; each outbox keeps its own order
+	for _, l := range a.subs {
+		for _, s := range l.subs {
 			s.close()
 		}
 	}
@@ -220,22 +223,16 @@ func (a *actor) shutdown() {
 func (a *actor) handle(req request) {
 	var resp response
 	switch req.kind {
-	case reqApply:
+	case reqApply, reqBatch:
 		if a.role == roleFollower {
 			resp.err = errFollowerReadOnly
 			break
 		}
-		resp.seq, resp.counts, resp.err = a.applyOne(req.u)
-		//tf:unordered-ok summing counts is order-independent
-		for _, n := range resp.counts {
-			resp.total += n
+		if req.kind == reqApply {
+			resp.seq, resp.counts, resp.err = a.applyOne(req.u)
+		} else {
+			resp.seq, resp.counts, resp.err = a.applyBatch(req.ups)
 		}
-	case reqBatch:
-		if a.role == roleFollower {
-			resp.err = errFollowerReadOnly
-			break
-		}
-		resp.seq, resp.counts, resp.err = a.applyBatch(req.ups)
 		//tf:unordered-ok summing counts is order-independent
 		for _, n := range resp.counts {
 			resp.total += n
@@ -247,11 +244,12 @@ func (a *actor) handle(req request) {
 			resp.err = fmt.Errorf("server: query %q is not registered", req.name)
 			break
 		}
-		// Terminate the query's subscriptions; their pumps drain what is
-		// already queued and then send the *EVICTED notice.
-		for _, s := range a.subs[req.name] {
-			s.evicted.Store(true)
-			s.close()
+		// Evict the query's subscribers. The list dies with the query's
+		// OnMatch hook; a re-registration gets a fresh one.
+		for _, s := range a.subs[req.name].subs {
+			if s.evict() {
+				a.touch(s.ob)
+			}
 		}
 		delete(a.subs, req.name)
 	case reqQueries:
@@ -263,40 +261,21 @@ func (a *actor) handle(req request) {
 		}
 		resp.label = d.Intern(req.arg)
 	case reqSubscribe:
-		if !a.registered(req.name) {
+		l := a.subs[req.name]
+		if l == nil {
 			resp.err = fmt.Errorf("server: query %q is not registered", req.name)
 			break
 		}
-		a.subs[req.name] = append(a.subs[req.name], req.sub)
+		l.subs = append(l.subs, req.sub)
 		resp.seq = a.seq
 	case reqUnsubscribe:
-		subs := a.subs[req.name]
-		live := subs[:0]
-		removed := false
-		for _, s := range subs {
-			if s.connID == req.connID {
-				s.close()
-				removed = true
-			} else {
-				live = append(live, s)
-			}
-		}
-		a.subs[req.name] = live
-		if !removed {
+		if l := a.subs[req.name]; l == nil || !l.dropConn(req.connID) {
 			resp.err = fmt.Errorf("server: no subscription for query %q on this connection", req.name)
 		}
 	case reqDropConn:
-		//tf:unordered-ok removal; per-queue event order is unaffected
-		for q, subs := range a.subs {
-			live := subs[:0]
-			for _, s := range subs {
-				if s.connID == req.connID {
-					s.close()
-				} else {
-					live = append(live, s)
-				}
-			}
-			a.subs[q] = live
+		//tf:unordered-ok removal; event order is unaffected
+		for _, l := range a.subs {
+			l.dropConn(req.connID)
 		}
 		a.dropRepl(req.connID)
 	case reqStats:
@@ -322,53 +301,156 @@ func (a *actor) handle(req request) {
 	default:
 		resp.err = fmt.Errorf("server: unknown request kind %d", req.kind)
 	}
+	a.flushBurst()
+	a.wakeWriters()
 	if req.reply != nil {
 		req.reply <- resp
 	}
 }
 
+// subList is one registered query's subscribers. The query's OnMatch hook
+// holds the pointer, so emission does no name lookup, and the list lives
+// exactly as long as the registration: a hook left over from an
+// unregistered query can never reach a later query of the same name.
+type subList struct {
+	query string
+	subs  []*subscriber
+
+	head    []byte // "*EVENT <query> <headSeq> ", rendered once per update
+	headSeq uint64
+}
+
+// dropConn closes and removes connID's subscription, reporting whether
+// there was one.
+func (l *subList) dropConn(connID uint64) (removed bool) {
+	for _, s := range l.subs {
+		if s.connID == connID {
+			s.close()
+			removed = true
+		}
+	}
+	l.prune()
+	return removed
+}
+
+// prune forgets the finished subscriptions.
+func (l *subList) prune() {
+	live := l.subs[:0]
+	for _, s := range l.subs {
+		if !s.finished() {
+			live = append(live, s)
+		}
+	}
+	l.subs = live
+}
+
 // register parses the pattern through the server's dictionaries and
-// registers the query with an OnMatch hook that buffers events for
-// fan-out. Parsing happens here, not in the connection goroutine, because
-// qlang interns labels into the shared dictionaries.
+// registers the query with an OnMatch hook that delivers to the query's
+// subscriber list. Parsing happens here, not in the connection goroutine,
+// because qlang interns labels into the shared dictionaries.
 func (a *actor) register(name, pattern string) error {
 	q, _, err := qlang.Parse(pattern, a.vdict, a.edict)
 	if err != nil {
 		return err
 	}
-	return a.host.Register(name, q, turboflux.Options{OnMatch: a.onMatchFunc(name)})
-}
-
-// onMatchFunc returns the per-query OnMatch hook. The engine reuses the
-// mapping slice across calls, so the hook copies it into the event.
-func (a *actor) onMatchFunc(name string) func(bool, []graph.VertexID) {
-	return func(positive bool, m []graph.VertexID) {
-		cp := make([]graph.VertexID, len(m))
-		copy(cp, m)
-		a.pending = append(a.pending, event{query: name, positive: positive, mapping: cp})
+	l := &subList{query: name}
+	onMatch := func(positive bool, m []graph.VertexID) { a.emit(l, positive, m) }
+	if err := a.host.Register(name, q, turboflux.Options{OnMatch: onMatch}); err != nil {
+		return err
 	}
+	a.subs[name] = l
+	return nil
 }
 
-func (a *actor) registered(name string) bool {
-	for _, n := range a.host.Queries() {
-		if n == name {
-			return true
+// emit takes one match from an engine and renders its *EVENT line, once,
+// onto the burst the actor is collecting for this query. Engines call it on
+// the actor goroutine while the update is applied — applyOne, the batch
+// boundary and the follower's replicated chunks all advance seq only after
+// an update's emissions — so that update's number is seq+1. The per-match
+// step: no allocation, map lookup, lock or channel operation; consecutive
+// matches of a query share one trip through the policy (flushBurst).
+//
+//tf:hotpath
+func (a *actor) emit(l *subList, positive bool, m []graph.VertexID) {
+	if len(l.subs) == 0 {
+		return
+	}
+	if a.burst != l || len(a.line) >= burstBytes {
+		a.flushBurst()
+		a.burst = l
+	}
+	if seq := a.seq + 1; l.headSeq != seq {
+		l.head, l.headSeq = appendEventHead(l.head[:0], l.query, seq), seq
+	}
+	a.line = append(appendEventBody(append(a.line, l.head...), positive, m), '\n')
+	a.ends = append(a.ends, len(a.line))
+}
+
+// burstBytes bounds the rendered lines the actor collects before it
+// delivers them; a burst also ends when another query emits and when the
+// request ends, so per-connection order is emission order.
+const burstBytes = 4 << 10
+
+// flushBurst delivers the collected lines to every live subscriber of
+// their query, under the slow-consumer policy: N subscribers cost one
+// render and N copies.
+//
+//tf:hotpath
+func (a *actor) flushBurst() {
+	l := a.burst
+	if l == nil {
+		return
+	}
+	gone := false
+	for _, s := range l.subs {
+		p := s.push(a.line, a.ends, a.policy)
+		a.events += uint64(p.queued)
+		a.drops += uint64(p.dropped)
+		if p.evicted {
+			a.evictions++
 		}
+		if p.queued > 0 || p.evicted {
+			a.touch(s.ob)
+		}
+		gone = gone || p.evicted || p.gone
 	}
-	return false
+	if gone {
+		l.prune()
+	}
+	a.burst, a.line, a.ends = nil, a.line[:0], a.ends[:0]
 }
 
-// applyOne assigns the next sequence number, applies (journaling first in
-// durable mode) and fans the resulting matches out to subscribers. On an
-// engine error (e.g. a per-query work budget) the update may have been
-// partially evaluated; matches reported before the error are still
-// delivered, which is exactly what a single-threaded replay would emit.
+// touch queues ob for the end-of-request wake.
+func (a *actor) touch(ob *outbox) {
+	if !ob.dirty {
+		ob.dirty = true
+		a.dirty = append(a.dirty, ob)
+	}
+}
+
+// wakeWriters wakes, once per request, the writer of every connection
+// that took bytes while it was handled.
+func (a *actor) wakeWriters() {
+	for i, ob := range a.dirty {
+		ob.dirty = false
+		ob.mu.Lock()
+		ob.wakeWriter()
+		ob.mu.Unlock()
+		a.dirty[i] = nil
+	}
+	a.dirty = a.dirty[:0]
+}
+
+// applyOne applies one update (journaling first in durable mode; its
+// matches reach subscribers through emit) and assigns it the next sequence
+// number. On an engine error (e.g. a per-query work budget) the update may
+// have been partially evaluated; matches reported before the error are
+// still delivered, which is exactly what a single-threaded replay would emit.
 func (a *actor) applyOne(u stream.Update) (uint64, map[string]int64, error) {
 	start := time.Now()
 	counts, err := a.host.Apply(u)
 	a.seq++
 	a.updates++
-	a.flushPending(a.seq)
 	a.lat.Observe(time.Since(start))
 	return a.seq, counts, err
 }
@@ -377,9 +459,9 @@ func (a *actor) applyOne(u stream.Update) (uint64, map[string]int64, error) {
 // batched pipeline (journaling the frame as one log write in durable
 // mode) and returns the sequence number of its first update. The
 // boundary hook preserves the per-update serving contract: it fires once
-// per batch index, after that update's matches have been replayed into
-// pending and before any later update's, so each event is stamped with
-// its own update's sequence number and delivered before the next
+// per batch index, after that update's matches have been emitted and
+// before any later update's, so each event is stamped with its own
+// update's sequence number and delivered before the next
 // update's events — the same interleaving a client driving updates
 // one at a time would observe. Unlike the pre-batching loop, an engine
 // error on one update no longer abandons the rest of the frame: every
@@ -394,58 +476,14 @@ func (a *actor) applyBatch(ups []stream.Update) (uint64, map[string]int64, error
 	return first, counts, err
 }
 
-// flushPending delivers the matches buffered during one update to their
-// queries' subscribers, preserving emission order per query. This is the
-// per-match fan-out step: no allocations besides the lazy compaction of
-// subscriber lists when one closed.
-//
-//tf:hotpath
-func (a *actor) flushPending(seq uint64) {
-	for i := range a.pending {
-		a.pending[i].seq = seq
-		ev := a.pending[i]
-		subs := a.subs[ev.query]
-		anyClosed := false
-		for _, s := range subs {
-			if s.closed() {
-				anyClosed = true
-				continue
-			}
-			if s.enqueue(ev, a.policy) {
-				a.events++
-				continue
-			}
-			switch a.policy {
-			case PolicyDrop:
-				a.drops++
-			case PolicyEvict:
-				if s.evicted.Load() {
-					a.evictions++
-					anyClosed = true
-				}
-			}
-		}
-		if anyClosed {
-			live := subs[:0]
-			for _, s := range subs {
-				if !s.closed() {
-					live = append(live, s)
-				}
-			}
-			a.subs[ev.query] = live
-		}
-	}
-	a.pending = a.pending[:0]
-}
-
 // statsLines renders the STATS payload: one server line, one apply-latency
 // line, an optional WAL line, then one line per registered query and one
 // per live subscription, in deterministic order.
 func (a *actor) statsLines() []string {
 	var subCount int
 	//tf:unordered-ok counting
-	for _, subs := range a.subs {
-		subCount += len(subs)
+	for _, l := range a.subs {
+		subCount += len(l.subs)
 	}
 	lines := make([]string, 0, 3+len(a.subs)+subCount)
 	lines = append(lines, fmt.Sprintf(
@@ -471,7 +509,7 @@ func (a *actor) statsLines() []string {
 	for _, name := range a.host.Queries() {
 		st := engStats[name]
 		lines = append(lines, fmt.Sprintf("query %s pos=%d neg=%d dcg_edges=%d bytes=%d subs=%d",
-			name, st.PositiveMatches, st.NegativeMatches, st.DCGEdges, st.IntermediateBytes, len(a.subs[name])))
+			name, st.PositiveMatches, st.NegativeMatches, st.DCGEdges, st.IntermediateBytes, len(a.subs[name].subs)))
 	}
 	names := make([]string, 0, len(a.subs))
 	//tf:unordered-ok keys are sorted before emission
@@ -480,10 +518,13 @@ func (a *actor) statsLines() []string {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		for _, s := range a.subs[name] {
+		for _, s := range a.subs[name].subs {
+			s.ob.mu.Lock()
+			depth := s.queued()
+			s.ob.mu.Unlock()
 			lines = append(lines, fmt.Sprintf(
 				"sub %s conn=%d depth=%d cap=%d enqueued=%d dropped=%d max_depth=%d",
-				name, s.connID, len(s.ch), cap(s.ch), s.enqueued, s.dropped, s.maxDepth))
+				name, s.connID, depth, s.cap, s.enqueued, s.dropped, s.maxDepth))
 		}
 	}
 	for i, l := range lines {

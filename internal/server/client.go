@@ -61,6 +61,7 @@ type Client struct {
 
 	resp   chan respMsg
 	events chan Event
+	onPush func(line []byte, more bool) // DialOptions.OnPush
 
 	done     chan struct{} // closed by Close
 	dead     chan struct{} // closed when the read loop exits
@@ -88,6 +89,13 @@ type DialOptions struct {
 	// EventBuf is the Events channel capacity (0 = Dial's default 256;
 	// negative = unbuffered).
 	EventBuf int
+	// OnPush, when non-nil, is handed every pushed ('*'-prefixed) line as
+	// it arrived — terminator included, valid only during the call — on
+	// the read-loop goroutine, in place of parsing it into Events (which
+	// then only closes when the connection ends). more reports that
+	// further input is already buffered, so a forwarder can hold its
+	// flush. The shard coordinator relays subscriptions through it.
+	OnPush func(line []byte, more bool)
 }
 
 // Dial connects to a TurboFlux server with the default event buffer.
@@ -121,6 +129,7 @@ func DialWith(addr string, opt DialOptions) (*Client, error) {
 		reqTimeout: opt.RequestTimeout,
 		resp:       make(chan respMsg), //tf:unbuffered-ok request/response rendezvous; one exchange in flight by design
 		events:     make(chan Event, eventBuf),
+		onPush:     opt.OnPush,
 		done:       make(chan struct{}),
 		dead:       make(chan struct{}),
 	}
@@ -159,8 +168,12 @@ func (c *Client) readLoop() {
 			c.setErr(err)
 			return
 		}
+		if b[0] == '*' && c.onPush != nil {
+			c.onPush(b, br.Buffered() > 0)
+			continue
+		}
 		line := strings.TrimRight(string(b), "\r\n")
-		if strings.HasPrefix(line, "*") {
+		if b[0] == '*' {
 			ev, err := parseEvent(line)
 			if err != nil {
 				c.setErr(err)

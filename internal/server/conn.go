@@ -1,88 +1,43 @@
 package server
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"net"
-	"sort"
-	"strings"
 	"sync"
 
 	"turboflux/internal/stream"
 )
 
-// conn is one client connection. The reader goroutine (serve) owns br and
-// the subs map; responses and subscription events share the socket through
-// wmu, one full line per critical section, so pushes never interleave
-// mid-line with replies.
+// conn is one client connection. The reader goroutine (serve) owns the
+// Wire's read side, the subs map and out; replies and the writer
+// goroutine's push buffers share the socket through the Wire's write side.
 type conn struct {
+	*Wire
 	srv *Server
 	a   *actor
 	nc  net.Conn
 	id  uint64
 
-	br *bufio.Reader
-
-	wmu  sync.Mutex
-	bw   *bufio.Writer
-	werr error // sticky first write error
-
-	subs  map[string]*subscriber // this connection's subscriptions, by query
-	pumps sync.WaitGroup
+	subs    map[string]*subscriber // this connection's subscriptions, by query
+	out     *outbox                // push stream; made with its writer at the first SUBSCRIBE
+	writers sync.WaitGroup         // the outbox writer, or the replication pump
 }
 
 func newConn(srv *Server, nc net.Conn, id uint64) *conn {
 	return &conn{
+		Wire: NewWire(nc),
 		srv:  srv,
 		a:    srv.actor,
 		nc:   nc,
 		id:   id,
-		br:   bufio.NewReaderSize(nc, MaxLineBytes),
-		bw:   bufio.NewWriterSize(nc, 32*1024),
 		subs: make(map[string]*subscriber),
 	}
 }
 
-// serve runs the request loop until the peer disconnects, QUITs, sends an
-// unrecoverable frame, or the server shuts the connection down.
+// serve runs the request loop, then tears the connection down.
 func (c *conn) serve() {
 	defer c.teardown()
-	for {
-		line, err := c.readLine()
-		if err != nil {
-			return
-		}
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
-			continue
-		}
-		req, err := ParseRequest(line)
-		if err != nil {
-			if c.writeErr(err) != nil {
-				return
-			}
-			continue
-		}
-		if !c.dispatch(req) {
-			return
-		}
-	}
-}
-
-// readLine reads one LF-terminated line (LF stripped). Lines longer than
-// MaxLineBytes are a framing error: the stream cannot be resynchronized,
-// so the connection drops.
-func (c *conn) readLine() (string, error) {
-	b, err := c.br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		c.writeErr(fmt.Errorf("server: request line exceeds %d bytes", MaxLineBytes)) //tf:unchecked-ok dropping the conn either way
-		return "", err
-	}
-	if err != nil {
-		return "", err
-	}
-	return string(b[:len(b)-1]), nil
+	c.Serve(c.dispatch)
 }
 
 // dispatch executes one parsed request. It returns false when the
@@ -90,9 +45,9 @@ func (c *conn) readLine() (string, error) {
 func (c *conn) dispatch(req Request) bool {
 	switch req.Kind {
 	case KindPing:
-		return c.writeLine("+OK pong") == nil
+		return c.WriteLine("+OK pong") == nil
 	case KindQuit:
-		c.writeLine("+OK bye") //tf:unchecked-ok closing anyway
+		c.WriteLine("+OK bye") //tf:unchecked-ok closing anyway
 		return false
 	case KindUpdate:
 		resp, err := c.a.call(request{kind: reqApply, u: req.Update})
@@ -100,25 +55,16 @@ func (c *conn) dispatch(req Request) bool {
 			return false
 		}
 		if resp.err != nil {
-			return c.writeErr(resp.err) == nil
+			return c.WriteErr(resp.err) == nil
 		}
-		return c.writeAck(resp) == nil
-	case KindBatch:
-		ups, ferr, perr := c.readBatchText(req.Count)
+		return c.WriteAck(resp.seq, resp.total, resp.counts) == nil
+	case KindBatch, KindBatchBin:
+		ups, ferr, perr := c.ReadBatch(req)
 		if ferr != nil {
 			return false
 		}
 		if perr != nil {
-			return c.writeErr(perr) == nil
-		}
-		return c.finishBatch(ups)
-	case KindBatchBin:
-		ups, ferr, perr := c.readBatchBinary(req.Count)
-		if ferr != nil {
-			return false
-		}
-		if perr != nil {
-			return c.writeErr(perr) == nil
+			return c.WriteErr(perr) == nil
 		}
 		return c.finishBatch(ups)
 	case KindRegister:
@@ -130,19 +76,13 @@ func (c *conn) dispatch(req Request) bool {
 		if err != nil {
 			return false
 		}
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "+OK %d", len(resp.names))
-		for _, n := range resp.names {
-			sb.WriteByte(' ')
-			sb.WriteString(n)
-		}
-		return c.writeLine(sb.String()) == nil
+		return c.WriteNames(resp.names) == nil
 	case KindLabel:
 		resp, err := c.a.call(request{kind: reqLabel, name: req.Name, arg: req.Arg})
 		if err != nil {
 			return false
 		}
-		return c.writeLine(fmt.Sprintf("+OK %d", resp.label)) == nil
+		return c.WriteLine(fmt.Sprintf("+OK %d", resp.label)) == nil
 	case KindSubscribe:
 		return c.subscribe(req.Name)
 	case KindUnsubscribe:
@@ -152,23 +92,15 @@ func (c *conn) dispatch(req Request) bool {
 	case KindPromote:
 		return c.promote()
 	case KindShardStats:
-		return c.writeErr(fmt.Errorf("server: SHARDSTATS requires a coordinator (turboflux-shard)")) == nil
+		return c.WriteErr(fmt.Errorf("server: SHARDSTATS requires a coordinator (turboflux-shard)")) == nil
 	case KindStats:
 		resp, err := c.a.call(request{kind: reqStats})
 		if err != nil {
 			return false
 		}
-		if werr := c.writeLine(fmt.Sprintf("+DATA %d", len(resp.lines))); werr != nil {
-			return false
-		}
-		for _, l := range resp.lines {
-			if werr := c.writeLine(l); werr != nil {
-				return false
-			}
-		}
-		return true
+		return c.WriteData(resp.lines) == nil
 	default:
-		return c.writeErr(fmt.Errorf("server: unhandled request kind %d", req.Kind)) == nil
+		return c.WriteErr(fmt.Errorf("server: unhandled request kind %d", req.Kind)) == nil
 	}
 }
 
@@ -179,56 +111,9 @@ func (c *conn) simpleCall(req request) bool {
 		return false
 	}
 	if resp.err != nil {
-		return c.writeErr(resp.err) == nil
+		return c.WriteErr(resp.err) == nil
 	}
-	return c.writeLine("+OK") == nil
-}
-
-// readBatchText reads n stream-text records. A framing (I/O) error is
-// fatal; a parse error is reported to the client after the whole body has
-// been consumed, so the protocol stays in sync. Nothing is applied unless
-// every record parses.
-func (c *conn) readBatchText(n int) (ups []stream.Update, framing, parse error) {
-	ups = make([]stream.Update, 0, n)
-	for i := 0; i < n; i++ {
-		line, err := c.readLine()
-		if err != nil {
-			return nil, err, nil
-		}
-		if parse != nil {
-			continue // consume remaining body
-		}
-		u, err := stream.ParseLine(strings.TrimSuffix(line, "\r"))
-		if err != nil {
-			parse = fmt.Errorf("server: batch record %d: %w", i+1, err)
-			continue
-		}
-		ups = append(ups, u)
-	}
-	if parse != nil {
-		return nil, nil, parse
-	}
-	return ups, nil, nil
-}
-
-// readBatchBinary reads n bytes of binary-codec records.
-func (c *conn) readBatchBinary(n int) (ups []stream.Update, framing, parse error) {
-	body := make([]byte, n)
-	if _, err := io.ReadFull(c.br, body); err != nil {
-		return nil, err, nil
-	}
-	for len(body) > 0 {
-		u, used, err := stream.DecodeBinary(body)
-		if err != nil {
-			return nil, nil, fmt.Errorf("server: batch record %d: %w", len(ups)+1, err)
-		}
-		ups = append(ups, u)
-		body = body[used:]
-	}
-	if len(ups) == 0 {
-		return nil, nil, fmt.Errorf("server: empty binary batch")
-	}
-	return ups, nil, nil
+	return c.WriteLine("+OK") == nil
 }
 
 func (c *conn) finishBatch(ups []stream.Update) bool {
@@ -237,164 +122,87 @@ func (c *conn) finishBatch(ups []stream.Update) bool {
 		return false
 	}
 	if resp.err != nil {
-		return c.writeErr(resp.err) == nil
+		return c.WriteErr(resp.err) == nil
 	}
-	return c.writeLine(fmt.Sprintf("+OK %d %d %d", resp.seq, len(ups), resp.total)) == nil
+	return c.WriteLine(fmt.Sprintf("+OK %d %d %d", resp.seq, len(ups), resp.total)) == nil
 }
 
-// writeAck renders an update acknowledgment: sequence number, total match
-// count, then per-query counts sorted by name for a deterministic wire
-// image.
-func (c *conn) writeAck(resp response) error {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "+OK %d %d", resp.seq, resp.total)
-	if len(resp.counts) > 0 {
-		names := make([]string, 0, len(resp.counts))
-		//tf:unordered-ok keys are sorted before emission
-		for n := range resp.counts {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(&sb, " %s=%d", n, resp.counts[n])
-		}
-	}
-	return c.writeLine(sb.String())
-}
-
+// subscribe registers a subscription with the actor. A subscription the
+// server finished (eviction, unregistration) counts as absent, so the
+// client can subscribe again after *EVICTED.
 func (c *conn) subscribe(name string) bool {
-	if _, dup := c.subs[name]; dup {
-		return c.writeErr(fmt.Errorf("server: already subscribed to %q", name)) == nil
+	if old := c.subs[name]; old != nil && !old.finished() {
+		return c.WriteErr(fmt.Errorf("server: already subscribed to %q", name)) == nil
 	}
-	sub := newSubscriber(name, c.id, c.srv.opt.QueueDepth)
+	if c.out == nil {
+		c.out = newOutbox()
+		c.writers.Add(1)
+		//tf:goroutine conn-writer
+		go c.writeLoop(c.out)
+	}
+	sub := newSubscriber(name, c.id, c.srv.opt.QueueDepth, c.out)
 	resp, err := c.a.call(request{kind: reqSubscribe, name: name, sub: sub})
 	if err != nil {
 		return false
 	}
 	if resp.err != nil {
-		return c.writeErr(resp.err) == nil
+		return c.WriteErr(resp.err) == nil
 	}
 	c.subs[name] = sub
-	c.pumps.Add(1)
-	//tf:goroutine sub-pump
-	go c.pump(sub)
-	return c.writeLine(fmt.Sprintf("+OK %d", resp.seq)) == nil
+	return c.WriteLine(fmt.Sprintf("+OK %d", resp.seq)) == nil
 }
 
 func (c *conn) unsubscribe(name string) bool {
-	sub, ok := c.subs[name]
-	if !ok {
-		return c.writeErr(fmt.Errorf("server: not subscribed to %q", name)) == nil
-	}
+	sub := c.subs[name]
 	delete(c.subs, name)
+	if sub == nil || sub.finished() {
+		return c.WriteErr(fmt.Errorf("server: not subscribed to %q", name)) == nil
+	}
 	sub.close()
 	resp, err := c.a.call(request{kind: reqUnsubscribe, name: name, connID: c.id})
 	if err != nil {
 		return false
 	}
 	if resp.err != nil {
-		return c.writeErr(resp.err) == nil
+		return c.WriteErr(resp.err) == nil
 	}
-	return c.writeLine("+OK") == nil
+	return c.WriteLine("+OK") == nil
 }
 
-// pump drains one subscription's bounded queue onto the socket. When the
-// subscription finishes (unsubscribe, eviction, unregistration, teardown)
-// it flushes the events already queued — the graceful-shutdown "flush
-// subscriber queues" step — and sends the *EVICTED notice if the server
-// cancelled the stream. Write errors are sticky in writeBytes, so a dead
-// peer degrades this loop to a fast drain that releases the actor.
-func (c *conn) pump(sub *subscriber) {
-	defer c.pumps.Done()
-	var buf []byte
+// writeLoop is the connection's one push writer: it swaps the outbox's
+// filling buffer for its spare and writes it in one piece, one lock per
+// buffer. Once the outbox is shut (teardown, Shutdown) it drains what was
+// accepted — the graceful "flush subscriber queues" step — and exits. Write
+// errors are sticky in the Wire, so a dead peer degrades this loop to a
+// fast drain that still releases a blocked actor.
+func (c *conn) writeLoop(ob *outbox) {
+	defer c.writers.Done()
+	var spare []byte
 	for {
-		select {
-		case ev := <-sub.ch:
-			buf = c.writeEvent(buf, ev, len(sub.ch) == 0)
-		case <-sub.done:
-			for {
-				select {
-				case ev := <-sub.ch:
-					buf = c.writeEvent(buf, ev, len(sub.ch) == 0)
-				default:
-					if sub.evicted.Load() {
-						c.writeLine("*EVICTED " + sub.query) //tf:unchecked-ok peer may be gone
-					}
-					return
-				}
-			}
+		buf, ok := ob.take(spare)
+		if !ok {
+			return
 		}
+		c.WriteFrame(buf, nil, true) //tf:unchecked-ok sticky error; the loop keeps draining
+		spare = buf
 	}
-}
-
-// writeEvent renders ev into the reusable scratch buffer and writes it,
-// flushing only when the queue is momentarily empty so bursts coalesce
-// into fewer syscalls.
-func (c *conn) writeEvent(scratch []byte, ev event, flush bool) []byte {
-	scratch = appendEventLine(scratch[:0], ev)
-	scratch = append(scratch, '\n')
-	c.writeBytes(scratch, flush) //tf:unchecked-ok sticky error; pump keeps draining
-	return scratch
-}
-
-func (c *conn) writeLine(line string) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.werr != nil {
-		return c.werr
-	}
-	if _, err := c.bw.WriteString(line); err != nil {
-		c.werr = err
-		return err
-	}
-	if err := c.bw.WriteByte('\n'); err != nil {
-		c.werr = err
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.werr = err
-		return err
-	}
-	return nil
-}
-
-func (c *conn) writeBytes(b []byte, flush bool) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.werr != nil {
-		return
-	}
-	if _, err := c.bw.Write(b); err != nil {
-		c.werr = err
-		return
-	}
-	if flush {
-		if err := c.bw.Flush(); err != nil {
-			c.werr = err
-		}
-	}
-}
-
-// writeErr reports a request failure on one line.
-func (c *conn) writeErr(err error) error {
-	msg := strings.NewReplacer("\r", " ", "\n", " ").Replace(err.Error())
-	return c.writeLine("-ERR " + msg)
 }
 
 // teardown ends the connection: it finishes this connection's
 // subscriptions (releasing any actor blocked on a full queue), tells the
-// actor to forget them, waits for the pumps to flush what was queued,
+// actor to forget them, waits for the writer to flush what was accepted,
 // and closes the socket.
 func (c *conn) teardown() {
-	//tf:unordered-ok closing subscriptions; per-queue order is preserved by the pumps
+	//tf:unordered-ok closing subscriptions; the outbox keeps emission order
 	for _, sub := range c.subs {
 		sub.close()
 	}
 	c.a.send(request{kind: reqDropConn, connID: c.id}) //tf:unchecked-ok best-effort after shutdown
-	c.pumps.Wait()
-	c.wmu.Lock()
-	c.bw.Flush() //tf:unchecked-ok closing
-	c.wmu.Unlock()
-	c.nc.Close() //tf:unchecked-ok closing
+	if c.out != nil {
+		c.out.shut()
+	}
+	c.writers.Wait()
+	c.WriteFrame(nil, nil, true) //tf:unchecked-ok closing
+	c.nc.Close()                 //tf:unchecked-ok closing
 	c.srv.removeConn(c)
 }

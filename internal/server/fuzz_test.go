@@ -1,8 +1,11 @@
 package server
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"turboflux"
 )
 
 // FuzzParseRequest holds the request parser to its contract: malformed
@@ -65,6 +68,52 @@ func FuzzParseRequest(f *testing.F) {
 		}
 		if req.Kind == KindBatchBin && (req.Count <= 0 || req.Count > MaxBatchBytes) {
 			t.Fatalf("ParseRequest(%q) accepted batch byte count %d", line, req.Count)
+		}
+	})
+}
+
+// FuzzParseEvent holds the push grammar to its contract from both ends:
+// parseEvent never panics on a '*'-prefixed line of any shape, and what
+// the server renders for an event parses back to that event.
+func FuzzParseEvent(f *testing.F) {
+	// Lines from the e2e transcripts, then malformed shapes.
+	for _, s := range []string{
+		"*EVENT knows2 17 + 3 9",
+		"*EVENT knows3 204 - 1 10 4",
+		"*EVENT q 18446744073709551615 + 4294967295",
+		"*EVENT social 4 +",
+		"*EVICTED knows2",
+		"*EVICTED",
+		"*EVENT",
+		"*EVENT q",
+		"*EVENT q 1",
+		"*EVENT q x + 1",
+		"*EVENT q 1 * 1",
+		"*EVENT q 1 + -1",
+		"*EVENT q 1 + 4294967296",
+		"*RPING 7",
+		"*",
+		"* ",
+		"*\x00EVENT q 1 + 1",
+	} {
+		f.Add(s, "q", uint64(1), true, []byte{1, 2})
+	}
+	f.Fuzz(func(t *testing.T, line, query string, seq uint64, positive bool, raw []byte) {
+		if strings.HasPrefix(line, "*") {
+			parseEvent(line) //tf:unchecked-ok only panics matter
+		}
+		if checkName(query) != nil {
+			return // the server renders registered (validated) names only
+		}
+		want := Event{Query: query, Seq: seq, Positive: positive, Mapping: []turboflux.VertexID{}}
+		for i := 0; i+4 <= len(raw); i += 4 {
+			v := uint32(raw[i]) | uint32(raw[i+1])<<8 | uint32(raw[i+2])<<16 | uint32(raw[i+3])<<24
+			want.Mapping = append(want.Mapping, turboflux.VertexID(v))
+		}
+		rendered := string(appendEventLine(nil, want.Query, want.Seq, want.Positive, want.Mapping))
+		got, err := parseEvent(rendered)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("parseEvent(%q) = %+v, %v; want %+v", rendered, got, err, want)
 		}
 	})
 }

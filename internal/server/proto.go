@@ -56,6 +56,11 @@
 //	*EVICTED <query>              this subscription was dropped by the
 //	                              slow-consumer policy
 //
+// Pushes reach a connection in emission order: one total order per
+// connection across all its subscriptions — update by update, and within
+// an update query by query in registration order — with *EVICTED in-band,
+// after the last event the subscription accepted.
+//
 // Update acks carry the assigned sequence number and per-query match
 // counts ("+OK <seq> <total> [name=n ...]"), so a client fleet can
 // reconstruct the server's total update order and replay it offline —
@@ -67,6 +72,7 @@ import (
 	"strconv"
 	"strings"
 
+	"turboflux/internal/graph"
 	"turboflux/internal/stream"
 )
 
@@ -289,21 +295,48 @@ func clip(s string) string {
 }
 
 // appendEventLine renders one match event as its wire line (without the
-// trailing newline) into dst — append-based so the per-subscriber pump
-// can reuse one scratch buffer instead of formatting through fmt.
-func appendEventLine(dst []byte, ev event) []byte {
+// trailing newline) into dst.
+func appendEventLine(dst []byte, query string, seq uint64, positive bool, mapping []graph.VertexID) []byte {
+	return appendEventBody(appendEventHead(dst, query, seq), positive, mapping)
+}
+
+// appendEventHead renders "*EVENT <query> <seq> ", the part of the line
+// all matches of one update and query share; the actor renders it once
+// per update and query.
+func appendEventHead(dst []byte, query string, seq uint64) []byte {
 	dst = append(dst, "*EVENT "...)
-	dst = append(dst, ev.query...)
+	dst = append(dst, query...)
 	dst = append(dst, ' ')
-	dst = strconv.AppendUint(dst, ev.seq, 10)
-	if ev.positive {
-		dst = append(dst, " +"...)
+	dst = strconv.AppendUint(dst, seq, 10)
+	return append(dst, ' ')
+}
+
+// appendEventBody renders the sign and the mapping after an event head.
+// This is the actor's per-match formatting, append-based so every match
+// goes into one scratch buffer instead of through fmt.
+func appendEventBody(dst []byte, positive bool, mapping []graph.VertexID) []byte {
+	if positive {
+		dst = append(dst, '+')
 	} else {
-		dst = append(dst, " -"...)
+		dst = append(dst, '-')
 	}
-	for _, v := range ev.mapping {
+	for _, v := range mapping {
 		dst = append(dst, ' ')
-		dst = strconv.AppendUint(dst, uint64(v), 10)
+		dst = appendVertex(dst, v)
 	}
 	return dst
+}
+
+// appendVertex appends v in decimal: strconv.AppendUint's job without its
+// base dispatch, which costs a fifth of the actor's per-match time — vertex
+// ids are most of an event line.
+func appendVertex(dst []byte, v graph.VertexID) []byte {
+	var b [10]byte
+	i := len(b) - 1
+	for ; v >= 10; v /= 10 {
+		b[i] = byte('0' + v%10)
+		i--
+	}
+	b[i] = byte('0' + v)
+	return append(dst, b[i:]...)
 }

@@ -90,14 +90,11 @@ func TestParseRequest(t *testing.T) {
 }
 
 func TestAppendEventLine(t *testing.T) {
-	ev := event{query: "pay", seq: 42, positive: true, mapping: []graph.VertexID{1, 20, 3}}
-	got := string(appendEventLine(nil, ev))
+	got := string(appendEventLine(nil, "pay", 42, true, []graph.VertexID{1, 20, 3}))
 	if got != "*EVENT pay 42 + 1 20 3" {
 		t.Fatalf("event line = %q", got)
 	}
-	ev.positive = false
-	ev.mapping = nil
-	got = string(appendEventLine(nil, ev))
+	got = string(appendEventLine(nil, "pay", 42, false, nil))
 	if got != "*EVENT pay 42 -" {
 		t.Fatalf("negative event line = %q", got)
 	}

@@ -267,25 +267,25 @@ func (a *actor) replStatsLines(lines []string) []string {
 // semantics like dispatch: the connection closes when replication ends.
 func (c *conn) replicate(req Request) bool {
 	if len(c.subs) > 0 {
-		return c.writeErr(fmt.Errorf("server: REPLICATE not allowed on a connection with subscriptions")) == nil
+		return c.WriteErr(fmt.Errorf("server: REPLICATE not allowed on a connection with subscriptions")) == nil
 	}
 	resp, err := c.a.call(request{kind: reqReplicate, connID: c.id, lsn: req.LSN, addr: c.nc.RemoteAddr().String()})
 	if err != nil {
 		return false
 	}
 	if resp.err != nil {
-		return c.writeErr(resp.err) == nil
+		return c.WriteErr(resp.err) == nil
 	}
-	if c.writeLine(fmt.Sprintf("+OK %d", resp.seq)) != nil {
+	if c.WriteLine(fmt.Sprintf("+OK %d", resp.seq)) != nil {
 		return false
 	}
-	c.pumps.Add(1)
+	c.writers.Add(1)
 	//tf:goroutine repl-pump
 	go c.replPump(resp.plan, resp.feed)
 
 	// Replication-mode read loop: only RACK and QUIT are meaningful.
 	for {
-		line, err := c.readLine()
+		line, err := c.ReadLine()
 		if err != nil {
 			return false
 		}
@@ -296,7 +296,7 @@ func (c *conn) replicate(req Request) bool {
 		case replica.IsAck(trimmed):
 			lsn, perr := replica.ParseAck(trimmed)
 			if perr != nil {
-				if c.writeErr(perr) != nil {
+				if c.WriteErr(perr) != nil {
 					return false
 				}
 				continue
@@ -305,10 +305,10 @@ func (c *conn) replicate(req Request) bool {
 				return false
 			}
 		case trimmed == "QUIT":
-			c.writeLine("+OK bye") //tf:unchecked-ok closing anyway
+			c.WriteLine("+OK bye") //tf:unchecked-ok closing anyway
 			return false
 		default:
-			if c.writeErr(fmt.Errorf("server: connection is replicating; only RACK and QUIT accepted")) != nil {
+			if c.WriteErr(fmt.Errorf("server: connection is replicating; only RACK and QUIT accepted")) != nil {
 				return false
 			}
 		}
@@ -321,7 +321,7 @@ func (c *conn) replicate(req Request) bool {
 // catch-up fails; a failed or overrun stream force-closes the socket so
 // the reader loop tears the connection down and the follower reconnects.
 func (c *conn) replPump(plan *durable.Plan, feed *replica.Feed) {
-	defer c.pumps.Done()
+	defer c.writers.Done()
 	lastShipped, cerr := c.streamCatchup(plan)
 	// Release the compaction pin whether or not catch-up succeeded.
 	c.a.send(request{kind: reqReplCaughtUp, connID: c.id}) //tf:unchecked-ok best-effort after shutdown
@@ -343,10 +343,10 @@ func (c *conn) replPump(plan *durable.Plan, feed *replica.Feed) {
 				return
 			}
 			scratch = replica.AppendFramesHeader(scratch[:0], ch.First, ch.Count, len(ch.Data))
-			c.writeFrame(scratch, ch.Data, len(feed.Chunks()) == 0) //tf:unchecked-ok sticky error; reader loop notices the dead peer
+			c.WriteFrame(scratch, ch.Data, len(feed.Chunks()) == 0) //tf:unchecked-ok sticky error; reader loop notices the dead peer
 			lastShipped = ch.Last()
 		case <-ticker.C:
-			c.writeBytes(replica.AppendPing(scratch[:0], lastShipped), true)
+			c.WriteFrame(replica.AppendPing(scratch[:0], lastShipped), nil, true) //tf:unchecked-ok sticky error; reader loop notices the dead peer
 		}
 	}
 }
@@ -369,45 +369,20 @@ func (c *conn) streamCatchup(plan *durable.Plan) (uint64, error) {
 			return shipped, err
 		}
 		scratch = replica.AppendSnapHeader(scratch[:0], plan.SnapLSN, len(data))
-		if err := c.writeFrame(scratch, data, true); err != nil {
+		if err := c.WriteFrame(scratch, data, true); err != nil {
 			return shipped, err
 		}
 		shipped = plan.SnapLSN
 	}
 	err := replica.ChunkSegments(plan.Segments, shipped, func(ch replica.Chunk) error {
 		scratch = replica.AppendFramesHeader(scratch[:0], ch.First, ch.Count, len(ch.Data))
-		if err := c.writeFrame(scratch, ch.Data, true); err != nil {
+		if err := c.WriteFrame(scratch, ch.Data, true); err != nil {
 			return err
 		}
 		shipped = ch.Last()
 		return nil
 	})
 	return shipped, err
-}
-
-// writeFrame writes a push header and its raw body as one atomic wire
-// unit (no other line can interleave between them).
-func (c *conn) writeFrame(header, body []byte, flush bool) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.werr != nil {
-		return c.werr
-	}
-	if _, err := c.bw.Write(header); err != nil {
-		c.werr = err
-		return err
-	}
-	if _, err := c.bw.Write(body); err != nil {
-		c.werr = err
-		return err
-	}
-	if flush {
-		if err := c.bw.Flush(); err != nil {
-			c.werr = err
-			return err
-		}
-	}
-	return nil
 }
 
 // promote handles PROMOTE: stop the replication link first (on this

@@ -74,9 +74,9 @@ type Options struct {
 
 // Server is the TurboFlux network server: one engine-owner goroutine (the
 // actor) serializing all mutation and evaluation of a shared MultiEngine,
-// an acceptor, and one reader goroutine plus one pump goroutine per
-// subscription on every connection. See the package comment for the wire
-// protocol and DESIGN.md §10 for the architecture.
+// an acceptor, and per connection one reader goroutine plus, once it
+// subscribes, one writer goroutine for its pushes. See the package comment
+// for the wire protocol and DESIGN.md §10 for the architecture.
 type Server struct {
 	opt   Options
 	actor *actor
@@ -306,10 +306,10 @@ func (s *Server) removeConn(c *conn) {
 }
 
 // Shutdown stops the server gracefully: stop accepting, wake every
-// connection reader so in-flight requests finish, wait for the pumps to
-// flush the subscriber queues, then stop the actor — which drains the
+// connection reader so in-flight requests finish, wait for the writers to
+// flush the outboxes, then stop the actor — which drains the
 // requests already accepted and closes the WAL cleanly. If ctx expires
-// first, remaining connections are force-closed (their pumps then drain
+// first, remaining connections are force-closed (their writers then drain
 // to a dead socket, so nothing blocks) and shutdown still completes;
 // ctx's error is reported after the store is closed.
 func (s *Server) Shutdown(ctx context.Context) error {

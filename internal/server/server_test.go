@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -52,13 +53,49 @@ func prepareSocial(t *testing.T, a *actor, n int) turboflux.Label {
 	return knows
 }
 
+// subscribeOutbox subscribes a writer-less outbox to query; the test plays
+// the connection writer with takeEvents.
+func subscribeOutbox(t *testing.T, a *actor, query string, depth int) *subscriber {
+	t.Helper()
+	sub := newSubscriber(query, 1, depth, newOutbox())
+	if resp, err := a.call(request{kind: reqSubscribe, name: query, sub: sub}); err != nil || resp.err != nil {
+		t.Fatalf("subscribe: %v %v", err, resp.err)
+	}
+	return sub
+}
+
+// takeEvents swaps the outbox's filling buffer out, as the writer would
+// (releasing a blocked actor), and parses its lines.
+func takeEvents(t *testing.T, ob *outbox) []Event {
+	t.Helper()
+	buf, ok := ob.take(nil)
+	if !ok {
+		t.Fatal("outbox shut")
+	}
+	var evs []Event
+	for _, line := range strings.Split(strings.TrimSuffix(string(buf), "\n"), "\n") {
+		ev, err := parseEvent(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
+func statsText(t *testing.T, a *actor) string {
+	t.Helper()
+	resp, err := a.call(request{kind: reqStats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Join(resp.lines, "\n")
+}
+
 func TestActorPolicyDrop(t *testing.T) {
 	a := newTestActor(t, PolicyDrop, 1)
 	knows := prepareSocial(t, a, 4)
-	sub := newSubscriber("social", 1, 1)
-	if resp, err := a.call(request{kind: reqSubscribe, name: "social", sub: sub}); err != nil || resp.err != nil {
-		t.Fatalf("subscribe: %v %v", err, resp.err)
-	}
+	sub := subscribeOutbox(t, a, "social", 1)
 	// Three matches into a capacity-1 queue nobody drains: one queued, two
 	// dropped, ingest never stalls.
 	for i := 0; i < 3; i++ {
@@ -71,15 +108,10 @@ func TestActorPolicyDrop(t *testing.T) {
 			t.Fatalf("insert %d: total = %d", i, resp.total)
 		}
 	}
-	resp, err := a.call(request{kind: reqStats})
-	if err != nil {
-		t.Fatal(err)
+	if joined := statsText(t, a); !strings.Contains(joined, "dropped=2") || !strings.Contains(joined, " depth=1 cap=1 ") {
+		t.Fatalf("STATS missing dropped=2 / depth=1 cap=1:\n%s", joined)
 	}
-	joined := strings.Join(resp.lines, "\n")
-	if !strings.Contains(joined, "dropped=2") {
-		t.Fatalf("STATS missing dropped=2:\n%s", joined)
-	}
-	if sub.closed() {
+	if sub.finished() {
 		t.Fatal("drop policy must not close the subscription")
 	}
 	// Stop the actor (happens-before via done) and check the counters.
@@ -88,21 +120,18 @@ func TestActorPolicyDrop(t *testing.T) {
 	if sub.enqueued != 1 || sub.dropped != 2 {
 		t.Fatalf("enqueued=%d dropped=%d, want 1/2", sub.enqueued, sub.dropped)
 	}
-	if len(sub.ch) != 1 {
-		t.Fatalf("queue depth = %d", len(sub.ch))
+	if d := sub.queued(); d != 1 {
+		t.Fatalf("queue depth = %d", d)
 	}
-	if ev := <-sub.ch; ev.seq == 0 || !ev.positive {
-		t.Fatalf("queued event = %+v", ev)
+	if evs := takeEvents(t, sub.ob); len(evs) != 1 || evs[0].Seq == 0 || !evs[0].Positive {
+		t.Fatalf("queued events = %+v", evs)
 	}
 }
 
 func TestActorPolicyEvict(t *testing.T) {
 	a := newTestActor(t, PolicyEvict, 1)
 	knows := prepareSocial(t, a, 3)
-	sub := newSubscriber("social", 1, 1)
-	if resp, err := a.call(request{kind: reqSubscribe, name: "social", sub: sub}); err != nil || resp.err != nil {
-		t.Fatalf("subscribe: %v %v", err, resp.err)
-	}
+	sub := subscribeOutbox(t, a, "social", 1)
 	// First match fills the queue; the second overflows and cancels the
 	// subscription instead of stalling or dropping silently.
 	for i := 0; i < 2; i++ {
@@ -111,34 +140,24 @@ func TestActorPolicyEvict(t *testing.T) {
 			t.Fatalf("insert %d: %v %v", i, err, resp.err)
 		}
 	}
-	if !sub.closed() {
+	if !sub.finished() {
 		t.Fatal("overflow must close the subscription")
 	}
-	if !sub.evicted.Load() {
-		t.Fatal("overflow must mark the subscription evicted")
-	}
-	resp, err := a.call(request{kind: reqStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(resp.lines, "\n")
-	if !strings.Contains(joined, "evicted=1") {
+	if joined := statsText(t, a); !strings.Contains(joined, "evicted=1") {
 		t.Fatalf("STATS missing evicted=1:\n%s", joined)
 	}
-	// The event queued before eviction is still there for the pump to
-	// flush.
-	if len(sub.ch) != 1 {
-		t.Fatalf("queue depth = %d", len(sub.ch))
+	// The event accepted before eviction is still there for the writer to
+	// flush, followed in-band by the notice.
+	evs := takeEvents(t, sub.ob)
+	if len(evs) != 2 || evs[0].Evicted || evs[0].Seq != 4 || !evs[1].Evicted || evs[1].Query != "social" {
+		t.Fatalf("outbox = %+v, want one event then *EVICTED", evs)
 	}
 }
 
 func TestActorPolicyBlock(t *testing.T) {
 	a := newTestActor(t, PolicyBlock, 1)
 	knows := prepareSocial(t, a, 3)
-	sub := newSubscriber("social", 1, 1)
-	if resp, err := a.call(request{kind: reqSubscribe, name: "social", sub: sub}); err != nil || resp.err != nil {
-		t.Fatalf("subscribe: %v %v", err, resp.err)
-	}
+	sub := subscribeOutbox(t, a, "social", 1)
 	if resp, err := a.call(request{kind: reqApply, u: stream.Insert(1, knows, 2)}); err != nil || resp.err != nil {
 		t.Fatalf("insert: %v %v", err, resp.err)
 	}
@@ -158,9 +177,9 @@ func TestActorPolicyBlock(t *testing.T) {
 	}
 	// Three vertex declarations preceded the inserts, so the first match
 	// carries sequence number 4.
-	ev := <-sub.ch // drain one slot; the actor unblocks
-	if ev.seq != 4 || !ev.positive {
-		t.Fatalf("first event = %+v", ev)
+	evs := takeEvents(t, sub.ob) // the writer's swap; the actor unblocks
+	if len(evs) != 1 || evs[0].Seq != 4 || !evs[0].Positive {
+		t.Fatalf("first events = %+v", evs)
 	}
 	select {
 	case resp := <-ack:
@@ -170,8 +189,8 @@ func TestActorPolicyBlock(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("update still blocked after drain")
 	}
-	if ev := <-sub.ch; ev.seq != 5 {
-		t.Fatalf("second event = %+v", ev)
+	if evs := takeEvents(t, sub.ob); len(evs) != 1 || evs[0].Seq != 5 {
+		t.Fatalf("second events = %+v", evs)
 	}
 	// A blocked actor must also release when the subscription closes (the
 	// connection-teardown path).
@@ -188,6 +207,99 @@ func TestActorPolicyBlock(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("closing the subscription did not release the actor")
 	}
+}
+
+// TestActorPolicyBurst: one update emits five matches into a capacity-2
+// queue. Block makes progress through the writer's swaps, never holding
+// more than cap events per buffer; drop discards the newest three and
+// counts each; evict delivers the two accepted events, then the notice.
+func TestActorPolicyBurst(t *testing.T) {
+	const fan, depth = 5, 2
+	setup := func(t *testing.T, policy SlowPolicy) (*actor, *subscriber, stream.Update) {
+		a := newTestActor(t, policy, depth)
+		knows := prepareSocial(t, a, fan+2)
+		if resp, err := a.call(request{kind: reqRegister, name: "path", arg: "(a:Person)-[:knows]->(b:Person), (b)-[:knows]->(c:Person)"}); err != nil || resp.err != nil {
+			t.Fatalf("register: %v %v", err, resp.err)
+		}
+		for i := 0; i < fan; i++ {
+			u := stream.Insert(2, knows, graph.VertexID(i+3))
+			if resp, err := a.call(request{kind: reqApply, u: u}); err != nil || resp.err != nil {
+				t.Fatalf("insert: %v %v", err, resp.err)
+			}
+		}
+		// Inserting 1->2 now completes fan 2-paths at once.
+		return a, subscribeOutbox(t, a, "path", depth), stream.Insert(1, knows, 2)
+	}
+	check := func(t *testing.T, resp response, err error) response {
+		t.Helper()
+		if err != nil || resp.err != nil || resp.counts["path"] != fan {
+			t.Fatalf("burst: %v %+v", err, resp)
+		}
+		return resp
+	}
+	apply := func(t *testing.T, a *actor, u stream.Update) {
+		t.Helper()
+		resp, err := a.call(request{kind: reqApply, u: u})
+		check(t, resp, err)
+	}
+
+	t.Run("block", func(t *testing.T) {
+		a, sub, u := setup(t, PolicyBlock)
+		ack := make(chan response, 1)
+		go func() {
+			resp, err := a.call(request{kind: reqApply, u: u})
+			if err != nil {
+				resp.err = err
+			}
+			ack <- resp
+		}()
+		var seqs []uint64
+		for len(seqs) < fan {
+			select {
+			case resp := <-ack:
+				t.Fatalf("acked with %d/%d events taken: %+v", len(seqs), fan, resp)
+			default:
+			}
+			evs := takeEvents(t, sub.ob)
+			if len(evs) > depth {
+				t.Fatalf("one buffer held %d events, cap %d", len(evs), depth)
+			}
+			for _, ev := range evs {
+				seqs = append(seqs, ev.Seq)
+			}
+		}
+		resp := check(t, <-ack, nil)
+		for _, seq := range seqs {
+			if seq != resp.seq {
+				t.Fatalf("event seqs %v, ack seq %d", seqs, resp.seq)
+			}
+		}
+		if joined := statsText(t, a); !strings.Contains(joined, fmt.Sprintf("enqueued=%d dropped=0 max_depth=%d", fan, depth)) {
+			t.Fatalf("STATS:\n%s", joined)
+		}
+	})
+	t.Run("drop", func(t *testing.T) {
+		a, sub, u := setup(t, PolicyDrop)
+		apply(t, a, u)
+		if joined := statsText(t, a); !strings.Contains(joined, fmt.Sprintf("events=%d dropped=%d ", depth, fan-depth)) ||
+			!strings.Contains(joined, fmt.Sprintf("depth=%d cap=%d enqueued=%d dropped=%d max_depth=%d", depth, depth, depth, fan-depth, depth)) {
+			t.Fatalf("STATS:\n%s", joined)
+		}
+		if evs := takeEvents(t, sub.ob); len(evs) != depth {
+			t.Fatalf("outbox = %+v, want the first %d events", evs, depth)
+		}
+	})
+	t.Run("evict", func(t *testing.T) {
+		a, sub, u := setup(t, PolicyEvict)
+		apply(t, a, u)
+		if joined := statsText(t, a); !strings.Contains(joined, fmt.Sprintf("events=%d dropped=0 evicted=1", depth)) {
+			t.Fatalf("STATS:\n%s", joined)
+		}
+		evs := takeEvents(t, sub.ob)
+		if len(evs) != depth+1 || evs[0].Evicted || evs[1].Evicted || !evs[depth].Evicted {
+			t.Fatalf("outbox = %+v, want %d events then *EVICTED", evs, depth)
+		}
+	})
 }
 
 // startServer runs a server on a loopback port and tears it down with the

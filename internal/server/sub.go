@@ -3,9 +3,6 @@ package server
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-
-	"turboflux/internal/graph"
 )
 
 // SlowPolicy selects what the engine-owner does when a subscriber's
@@ -55,31 +52,20 @@ func (p SlowPolicy) String() string {
 	}
 }
 
-// event is one match delivery: the query it belongs to, the server's
-// global update sequence number that produced it, the sign, and a private
-// copy of the query-vertex -> data-vertex mapping.
-type event struct {
-	query    string
-	seq      uint64
-	positive bool
-	mapping  []graph.VertexID
-}
-
-// subscriber is one (connection, query) match stream: a bounded queue
-// filled by the engine-owner goroutine and drained by the connection's
-// pump goroutine. All counter fields are owned by the actor goroutine
-// (written during enqueue, read during STATS); the pump only receives
-// from ch and waits on done.
+// subscriber is one (connection, query) match stream. Its events live as
+// rendered bytes in its connection's outbox; the subscriber keeps the
+// event-granular accounting the slow-consumer policy and STATS need. depth,
+// epoch and closed are guarded by ob.mu (the writer's swap resets depth,
+// any goroutine may close); the counters are owned by the actor goroutine.
 type subscriber struct {
 	query  string
 	connID uint64
-	ch     chan event
-	done   chan struct{} // closed exactly once: unsubscribe, eviction, conn teardown or shutdown
-	once   sync.Once
-	// evicted is set by the actor when the policy cancels the
-	// subscription and read by the pump after done closes; atomic because
-	// a concurrent connection teardown can race the eviction.
-	evicted atomic.Bool
+	ob     *outbox
+	cap    int // queue capacity in events
+
+	depth  int    // events in ob.fill, valid while epoch == ob.epoch
+	epoch  uint64 // ob.epoch at the last accepted event
+	closed bool   // finished: unsubscribe, eviction, conn teardown or shutdown
 
 	// Actor-owned lag counters, surfaced by STATS.
 	enqueued uint64
@@ -87,68 +73,178 @@ type subscriber struct {
 	maxDepth int
 }
 
-func newSubscriber(query string, connID uint64, depth int) *subscriber {
-	if depth <= 0 {
-		depth = defaultQueueDepth
-	}
-	return &subscriber{
-		query:  query,
-		connID: connID,
-		ch:     make(chan event, depth),
-		done:   make(chan struct{}),
-	}
+func newSubscriber(query string, connID uint64, depth int, ob *outbox) *subscriber {
+	return &subscriber{query: query, connID: connID, ob: ob, cap: depth}
 }
 
-// close marks the subscription finished. Safe to call from any goroutine,
-// any number of times.
-func (s *subscriber) close() { s.once.Do(s.closeDone) }
-
-func (s *subscriber) closeDone() { close(s.done) }
-
-// closed reports whether the subscription has finished (nonblocking).
-func (s *subscriber) closed() bool {
-	select {
-	case <-s.done:
-		return true
-	default:
+// end finishes the subscription (ob.mu held), releasing an actor blocked
+// on it; with notice, the *EVICTED line follows, in the same byte stream,
+// the events accepted so far. It reports whether the subscription was live.
+func (s *subscriber) end(notice bool) bool {
+	if s.closed {
 		return false
 	}
-}
-
-// enqueue delivers ev under the given policy and reports whether the
-// event was queued. Called only by the engine-owner goroutine; this is
-// the per-match fan-out step, so it must not allocate.
-//
-//tf:hotpath
-func (s *subscriber) enqueue(ev event, policy SlowPolicy) bool {
-	switch policy {
-	case PolicyBlock:
-		select {
-		case s.ch <- ev:
-		case <-s.done:
-			return false
-		}
-	case PolicyDrop:
-		select {
-		case s.ch <- ev:
-		default:
-			s.dropped++
-			return false
-		}
-	case PolicyEvict:
-		select {
-		case s.ch <- ev:
-		default:
-			s.evicted.Store(true)
-			s.close()
-			return false
-		}
-	default:
-		return false
-	}
-	s.enqueued++
-	if d := len(s.ch); d > s.maxDepth {
-		s.maxDepth = d
+	s.closed = true
+	s.ob.drained.Broadcast()
+	if notice {
+		s.ob.fill = append(append(append(s.ob.fill, "*EVICTED "...), s.query...), '\n')
 	}
 	return true
+}
+
+// close finishes the subscription silently (unsubscribe, teardown,
+// shutdown). Safe to call from any goroutine, any number of times.
+func (s *subscriber) close() {
+	s.ob.mu.Lock()
+	s.end(false)
+	s.ob.mu.Unlock()
+}
+
+// evict finishes a live subscription with the *EVICTED notice.
+func (s *subscriber) evict() bool {
+	s.ob.mu.Lock()
+	defer s.ob.mu.Unlock()
+	return s.end(true)
+}
+
+// finished reports whether the subscription has ended.
+func (s *subscriber) finished() bool {
+	s.ob.mu.Lock()
+	defer s.ob.mu.Unlock()
+	return s.closed
+}
+
+// queued returns how many of this subscription's events wait in the
+// filling buffer (ob.mu held).
+func (s *subscriber) queued() int {
+	if s.epoch != s.ob.epoch {
+		return 0
+	}
+	return s.depth
+}
+
+// pushed is what the slow-consumer policy did with a burst of events.
+type pushed struct {
+	queued  int  // accepted into the outbox
+	dropped int  // discarded by PolicyDrop
+	evicted bool // PolicyEvict cancelled the subscription on an overflow
+	gone    bool // the subscription finished; the rest was discarded
+}
+
+// push offers a burst of rendered event lines — block, with ends[i] the
+// offset just past line i — and copies what the slow-consumer policy
+// accepts into the connection's outbox, counting in events. Actor
+// goroutine only, once per burst and subscriber: no allocation once the
+// buffers have grown, no wake-up unless the writer is parked past wakeBytes.
+//
+//tf:hotpath
+func (s *subscriber) push(block []byte, ends []int, policy SlowPolicy) (p pushed) {
+	ob := s.ob
+	ob.mu.Lock()
+	defer ob.mu.Unlock()
+	for off := 0; p.queued < len(ends); {
+		if s.closed {
+			p.gone = true
+			return p
+		}
+		d := s.queued()
+		if d >= s.cap {
+			switch policy {
+			case PolicyDrop:
+				p.dropped = len(ends) - p.queued
+				s.dropped += uint64(p.dropped)
+				return p
+			case PolicyEvict:
+				p.evicted = s.end(true)
+				return p
+			}
+			// PolicyBlock: wait for the writer to take the filling buffer.
+			// It is woken first, so a burst larger than cap makes progress;
+			// closing the subscription releases the wait.
+			ob.wakeWriter()
+			ob.drained.Wait()
+			continue
+		}
+		k := min(s.cap-d, len(ends)-p.queued)
+		end := ends[p.queued+k-1]
+		ob.fill = append(ob.fill, block[off:end]...)
+		off = end
+		p.queued += k
+		s.epoch, s.depth = ob.epoch, d+k
+		s.enqueued += uint64(k)
+		if s.depth > s.maxDepth {
+			s.maxDepth = s.depth
+		}
+		if len(ob.fill) >= wakeBytes {
+			ob.wakeWriter()
+		}
+	}
+	return p
+}
+
+// wakeBytes is the filling-buffer size past which the actor wakes a parked
+// writer mid-request, so a long BATCH pipelines engine and socket instead
+// of buffering its whole output.
+const wakeBytes = 64 << 10
+
+// outbox is one connection's outgoing push stream: rendered *EVENT and
+// *EVICTED lines in emission order. The actor appends to fill; the
+// connection's writer goroutine swaps fill for its spare buffer and writes
+// it, so at most two buffers exist and, with every subscription capped on
+// its share of fill, at most 2 x cap events per subscription are held.
+type outbox struct {
+	mu      sync.Mutex
+	wake    sync.Cond // the writer waits here for bytes or shut
+	drained sync.Cond // a blocked actor waits here for a swap or a close
+	fill    []byte
+	epoch   uint64 // bumped by every swap; invalidates subscriber depths
+	parked  bool   // the writer is in wake.Wait and has not been signalled
+	closing bool   // shut: the writer exits once fill is empty
+
+	dirty bool // actor-owned: queued for the end-of-request wake
+}
+
+func newOutbox() *outbox {
+	ob := &outbox{}
+	ob.wake.L = &ob.mu
+	ob.drained.L = &ob.mu
+	return ob
+}
+
+// wakeWriter signals a writer parked while bytes wait, once per park
+// (ob.mu held).
+func (ob *outbox) wakeWriter() {
+	if ob.parked && len(ob.fill) > 0 {
+		ob.parked = false
+		ob.wake.Signal()
+	}
+}
+
+// take blocks until the filling buffer holds bytes, swaps it for spare
+// and returns it; ok is false once the outbox is shut and empty. The swap
+// empties every subscription's queue, which releases a blocked actor.
+func (ob *outbox) take(spare []byte) (buf []byte, ok bool) {
+	ob.mu.Lock()
+	defer ob.mu.Unlock()
+	for len(ob.fill) == 0 {
+		if ob.closing {
+			return nil, false
+		}
+		ob.parked = true
+		ob.wake.Wait()
+	}
+	buf, ob.fill = ob.fill, spare[:0]
+	ob.epoch++
+	ob.drained.Broadcast()
+	return buf, true
+}
+
+// shut tells the writer to exit after draining what was accepted. The
+// connection closes its subscriptions first, so nothing is appended later.
+func (ob *outbox) shut() {
+	ob.mu.Lock()
+	ob.closing = true
+	ob.parked = false
+	ob.wake.Signal()
+	ob.mu.Unlock()
 }

@@ -1,99 +1,59 @@
 package shard
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"turboflux"
 	"turboflux/internal/server"
-	"turboflux/internal/stream"
 )
 
-// cconn is one client connection to the coordinator. It mirrors the
-// server's connection discipline: the reader goroutine owns br and the
-// subs map; replies and relayed subscription events share the socket
-// through wmu, one full line per critical section.
+// cconn is one client connection to the coordinator, over the server's
+// own connection layer (server.Wire): the reader goroutine owns the read
+// side and the subs map; replies and relayed subscription events share
+// the socket through the write side, whole lines per critical section.
 type cconn struct {
+	*server.Wire
 	co *Coordinator
 	r  *router
 	nc net.Conn
 	id uint64
-
-	br *bufio.Reader
-
-	wmu  sync.Mutex
-	bw   *bufio.Writer
-	werr error // sticky first write error
 
 	subs   map[string]*relaySub
 	relays sync.WaitGroup
 }
 
 // relaySub is one delegated subscription: a dedicated client connection
-// to the owning shard whose *EVENT stream is relayed verbatim.
+// to the owning shard whose pushed lines are forwarded verbatim.
 type relaySub struct {
+	c          *cconn
 	query      string
 	cli        *server.Client
 	closedByUs atomic.Bool // set before a deliberate close, so the relay
 	// does not report a clean unsubscribe as an eviction
+	evicted chan struct{} // closed by forward on the shard's own *EVICTED
+	ended   atomic.Bool   // evicted or shard died: the subs entry is stale
 }
 
 func newCConn(co *Coordinator, nc net.Conn, id uint64) *cconn {
 	return &cconn{
+		Wire: server.NewWire(nc),
 		co:   co,
 		r:    co.router,
 		nc:   nc,
 		id:   id,
-		br:   bufio.NewReaderSize(nc, server.MaxLineBytes),
-		bw:   bufio.NewWriterSize(nc, 32*1024),
 		subs: make(map[string]*relaySub),
 	}
 }
 
-// serve runs the request loop until the peer disconnects, QUITs, sends
-// an unrecoverable frame, or the coordinator shuts the connection down.
+// serve runs the request loop, then tears the connection down.
 func (c *cconn) serve() {
 	defer c.teardown()
-	for {
-		line, err := c.readLine()
-		if err != nil {
-			return
-		}
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
-			continue
-		}
-		req, err := server.ParseRequest(line)
-		if err != nil {
-			if c.writeErr(err) != nil {
-				return
-			}
-			continue
-		}
-		if !c.dispatch(req) {
-			return
-		}
-	}
-}
-
-func (c *cconn) readLine() (string, error) {
-	b, err := c.br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		c.writeErr(fmt.Errorf("shard: request line exceeds %d bytes", server.MaxLineBytes)) //tf:unchecked-ok dropping the conn either way
-		return "", err
-	}
-	if err != nil {
-		return "", err
-	}
-	return string(b[:len(b)-1]), nil
+	c.Serve(c.dispatch)
 }
 
 // dispatch executes one parsed request. It returns false when the
@@ -101,9 +61,9 @@ func (c *cconn) readLine() (string, error) {
 func (c *cconn) dispatch(req server.Request) bool {
 	switch req.Kind {
 	case server.KindPing:
-		return c.writeLine("+OK pong") == nil
+		return c.WriteLine("+OK pong") == nil
 	case server.KindQuit:
-		c.writeLine("+OK bye") //tf:unchecked-ok closing anyway
+		c.WriteLine("+OK bye") //tf:unchecked-ok closing anyway
 		return false
 	case server.KindUpdate:
 		resp, err := c.r.call(rreq{kind: rApply, u: req.Update})
@@ -111,22 +71,13 @@ func (c *cconn) dispatch(req server.Request) bool {
 			return false
 		}
 		return c.writeApplyReply(resp.seq, resp.pend.collect()) == nil
-	case server.KindBatch:
-		ups, ferr, perr := c.readBatchText(req.Count)
+	case server.KindBatch, server.KindBatchBin:
+		ups, ferr, perr := c.ReadBatch(req)
 		if ferr != nil {
 			return false
 		}
 		if perr != nil {
-			return c.writeErr(perr) == nil
-		}
-		return c.finishBatch(ups)
-	case server.KindBatchBin:
-		ups, ferr, perr := c.readBatchBinary(req.Count)
-		if ferr != nil {
-			return false
-		}
-		if perr != nil {
-			return c.writeErr(perr) == nil
+			return c.WriteErr(perr) == nil
 		}
 		return c.finishBatch(ups)
 	case server.KindRegister:
@@ -137,34 +88,28 @@ func (c *cconn) dispatch(req server.Request) bool {
 			return false
 		}
 		if resp.err != nil {
-			return c.writeErr(resp.err) == nil
+			return c.WriteErr(resp.err) == nil
 		}
 		// The placement is gone either way; an exec error just means the
 		// owner died and was marked down.
 		resp.reg.collect()
-		return c.writeLine("+OK") == nil
+		return c.WriteLine("+OK") == nil
 	case server.KindQueries:
 		resp, err := c.r.call(rreq{kind: rQueries})
 		if err != nil {
 			return false
 		}
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "+OK %d", len(resp.names))
-		for _, n := range resp.names {
-			sb.WriteByte(' ')
-			sb.WriteString(n)
-		}
-		return c.writeLine(sb.String()) == nil
+		return c.WriteNames(resp.names) == nil
 	case server.KindLabel:
 		resp, err := c.r.call(rreq{kind: rLabel, name: req.Name, arg: req.Arg})
 		if err != nil {
 			return false
 		}
 		if resp.err != nil {
-			return c.writeErr(resp.err) == nil
+			return c.WriteErr(resp.err) == nil
 		}
 		resp.pend.collect() // sync failures mark the shard down
-		return c.writeLine(fmt.Sprintf("+OK %d", resp.label)) == nil
+		return c.WriteLine(fmt.Sprintf("+OK %d", resp.label)) == nil
 	case server.KindSubscribe:
 		return c.subscribe(req.Name)
 	case server.KindUnsubscribe:
@@ -174,9 +119,9 @@ func (c *cconn) dispatch(req server.Request) bool {
 	case server.KindShardStats:
 		return c.writeData(rShardStats)
 	case server.KindReplicate, server.KindPromote:
-		return c.writeErr(errors.New("shard: coordinators do not replicate; connect to the shard servers directly")) == nil
+		return c.WriteErr(errors.New("shard: coordinators do not replicate; connect to the shard servers directly")) == nil
 	default:
-		return c.writeErr(fmt.Errorf("shard: unhandled request kind %d", req.Kind)) == nil
+		return c.WriteErr(fmt.Errorf("shard: unhandled request kind %d", req.Kind)) == nil
 	}
 }
 
@@ -184,64 +129,7 @@ func (c *cconn) dispatch(req server.Request) bool {
 // "+DATA <n>" framing (STATS, SHARDSTATS).
 func (c *cconn) writeData(kind rkind) bool {
 	resp, err := c.r.call(rreq{kind: kind})
-	if err != nil {
-		return false
-	}
-	if werr := c.writeLine(fmt.Sprintf("+DATA %d", len(resp.lines))); werr != nil {
-		return false
-	}
-	for _, l := range resp.lines {
-		if werr := c.writeLine(l); werr != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// readBatchText reads n stream-text records (same framing discipline as
-// the server: framing errors are fatal, parse errors are reported after
-// the body is consumed).
-func (c *cconn) readBatchText(n int) (ups []turboflux.Update, framing, parse error) {
-	ups = make([]turboflux.Update, 0, n)
-	for i := 0; i < n; i++ {
-		line, err := c.readLine()
-		if err != nil {
-			return nil, err, nil
-		}
-		if parse != nil {
-			continue // consume remaining body
-		}
-		u, err := stream.ParseLine(strings.TrimSuffix(line, "\r"))
-		if err != nil {
-			parse = fmt.Errorf("shard: batch record %d: %w", i+1, err)
-			continue
-		}
-		ups = append(ups, u)
-	}
-	if parse != nil {
-		return nil, nil, parse
-	}
-	return ups, nil, nil
-}
-
-// readBatchBinary reads n bytes of binary-codec records.
-func (c *cconn) readBatchBinary(n int) (ups []turboflux.Update, framing, parse error) {
-	body := make([]byte, n)
-	if _, err := io.ReadFull(c.br, body); err != nil {
-		return nil, err, nil
-	}
-	for len(body) > 0 {
-		u, used, err := stream.DecodeBinary(body)
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard: batch record %d: %w", len(ups)+1, err)
-		}
-		ups = append(ups, u)
-		body = body[used:]
-	}
-	if len(ups) == 0 {
-		return nil, nil, fmt.Errorf("shard: empty binary batch")
-	}
-	return ups, nil, nil
+	return err == nil && c.WriteData(resp.lines) == nil
 }
 
 func (c *cconn) finishBatch(ups []turboflux.Update) bool {
@@ -267,9 +155,9 @@ func (c *cconn) finishBatch(ups []turboflux.Update) bool {
 		if firstErr == nil {
 			firstErr = errors.New("shard: no alive shards")
 		}
-		return c.writeErr(firstErr) == nil
+		return c.WriteErr(firstErr) == nil
 	}
-	return c.writeLine(fmt.Sprintf("+OK %d %d %d", resp.seq, len(ups), total)) == nil
+	return c.WriteLine(fmt.Sprintf("+OK %d %d %d", resp.seq, len(ups), total)) == nil
 }
 
 // writeApplyReply merges the per-shard update acknowledgments into one
@@ -291,6 +179,7 @@ func (c *cconn) writeApplyReply(seq uint64, results []taskResult) error {
 		}
 		okCount++
 		total += res.ack.Total
+		//tf:unordered-ok summing into a map; WriteAck sorts the names
 		for name, n := range res.ack.Counts {
 			counts[name] += n
 		}
@@ -299,22 +188,9 @@ func (c *cconn) writeApplyReply(seq uint64, results []taskResult) error {
 		if firstErr == nil {
 			firstErr = errors.New("shard: no alive shards")
 		}
-		return c.writeErr(firstErr)
+		return c.WriteErr(firstErr)
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "+OK %d %d", seq, total)
-	if len(counts) > 0 {
-		names := make([]string, 0, len(counts))
-		//tf:unordered-ok keys are sorted before emission
-		for n := range counts {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(&sb, " %s=%d", n, counts[n])
-		}
-	}
-	return c.writeLine(sb.String())
+	return c.WriteAck(seq, total, counts)
 }
 
 // register runs the two-stage registration: label sync to every shard,
@@ -326,161 +202,114 @@ func (c *cconn) register(name, pattern string) bool {
 		return false
 	}
 	if resp.err != nil {
-		return c.writeErr(resp.err) == nil
+		return c.WriteErr(resp.err) == nil
 	}
 	resp.pend.collect() // label sync; failures mark shards down
 	reg := resp.reg.collect()[0]
 	if reg.err != nil {
 		c.r.send(rreq{kind: rUnassign, name: name}) //tf:unchecked-ok rollback is moot once the router stopped
-		return c.writeErr(reg.err) == nil
+		return c.WriteErr(reg.err) == nil
 	}
-	return c.writeLine("+OK") == nil
+	return c.WriteLine("+OK") == nil
 }
 
 // subscribe opens the delegated subscription: a dedicated client to the
-// owning shard, relayed by one goroutine for the life of the
-// subscription.
+// owning shard whose read loop forwards the pushes, watched by one relay
+// goroutine for the life of the subscription. An entry whose relay ended
+// (eviction, shard death) counts as absent, as on a plain server.
 func (c *cconn) subscribe(name string) bool {
-	if _, dup := c.subs[name]; dup {
-		return c.writeErr(fmt.Errorf("shard: already subscribed to %q", name)) == nil
+	if old := c.subs[name]; old != nil {
+		if !old.ended.Load() {
+			return c.WriteErr(fmt.Errorf("shard: already subscribed to %q", name)) == nil
+		}
+		old.cli.Close() //tf:unchecked-ok dropping a finished subscription's connection
+		delete(c.subs, name)
 	}
 	resp, err := c.r.call(rreq{kind: rSubscribe, name: name})
 	if err != nil {
 		return false
 	}
 	if resp.err != nil {
-		return c.writeErr(resp.err) == nil
+		return c.WriteErr(resp.err) == nil
 	}
-	cli, err := server.DialWith(resp.addr, server.DialOptions{Timeout: c.co.opt.DialTimeout})
+	sub := &relaySub{c: c, query: name, evicted: make(chan struct{})}
+	cli, err := server.DialWith(resp.addr, server.DialOptions{Timeout: c.co.opt.DialTimeout, OnPush: sub.forward})
 	if err != nil {
 		c.r.send(rreq{kind: rSubRelease, name: name}) //tf:unchecked-ok reservation dies with the router
-		return c.writeErr(fmt.Errorf("shard: dialing shard for %q: %w", name, err)) == nil
+		return c.WriteErr(fmt.Errorf("shard: dialing shard for %q: %w", name, err)) == nil
 	}
 	seq, err := cli.Subscribe(name)
 	if err != nil {
 		cli.Close()                                   //tf:unchecked-ok abandoning a failed subscription
 		c.r.send(rreq{kind: rSubRelease, name: name}) //tf:unchecked-ok reservation dies with the router
-		return c.writeErr(err) == nil
+		return c.WriteErr(err) == nil
 	}
-	sub := &relaySub{query: name, cli: cli}
+	sub.cli = cli
 	c.subs[name] = sub
 	c.relays.Add(1)
 	//tf:goroutine sub-relay
 	go c.relay(sub)
-	return c.writeLine(fmt.Sprintf("+OK %d", seq)) == nil
+	return c.WriteLine(fmt.Sprintf("+OK %d", seq)) == nil
 }
 
 func (c *cconn) unsubscribe(name string) bool {
-	sub, ok := c.subs[name]
-	if !ok {
-		return c.writeErr(fmt.Errorf("shard: not subscribed to %q", name)) == nil
-	}
+	sub := c.subs[name]
 	delete(c.subs, name)
-	sub.closedByUs.Store(true)
-	sub.cli.Close() //tf:unchecked-ok closing a delegated subscription
-	return c.writeLine("+OK") == nil
+	if sub != nil {
+		sub.closedByUs.Store(true)
+		sub.cli.Close() //tf:unchecked-ok closing a delegated subscription
+	}
+	if sub == nil || sub.ended.Load() {
+		return c.WriteErr(fmt.Errorf("shard: not subscribed to %q", name)) == nil
+	}
+	return c.WriteLine("+OK") == nil
 }
 
-// relay pumps one delegated subscription's events onto the client
-// socket, verbatim: the shard's per-query order and sequence numbers
-// are the cluster's. It ends when the shard connection closes — clean
-// unsubscribe or teardown (silent), shard-side eviction (*EVICTED
-// relayed), or shard death (*EVICTED synthesized, since the stream can
-// never resume).
+// forward is the delegated connection's push callback: it runs on that
+// client's read loop and copies each pushed line to the client socket as
+// it came — the shard's order and sequence numbers are the cluster's —
+// flushing once the shard connection's read buffer is drained. The
+// shard's own *EVICTED ends the relay; the entry is marked stale before
+// the notice goes out, so the client may subscribe again at once.
+func (s *relaySub) forward(line []byte, more bool) {
+	if bytes.HasPrefix(line, []byte("*EVENT ")) {
+		s.c.co.events.Add(1)
+		s.c.WriteFrame(line, nil, !more) //tf:unchecked-ok sticky error; the shard connection keeps draining
+		return
+	}
+	if bytes.HasPrefix(line, []byte("*EVICTED")) && !s.ended.Swap(true) {
+		close(s.evicted)
+	}
+	s.c.WriteFrame(line, nil, true) //tf:unchecked-ok peer may be gone
+}
+
+// relay watches one delegated subscription to its end: the shard's own
+// *EVICTED (forwarded already), or the shard connection closing — a clean
+// unsubscribe or teardown (silent), or shard death (*EVICTED synthesized,
+// since the stream can never resume).
 func (c *cconn) relay(sub *relaySub) {
 	defer c.relays.Done()
 	defer c.r.send(rreq{kind: rSubRelease, name: sub.query}) //tf:unchecked-ok reservation dies with the router
-	var scratch []byte
-	events := sub.cli.Events()
-	for ev := range events {
-		if ev.Evicted {
-			c.writeLine("*EVICTED " + sub.query) //tf:unchecked-ok peer may be gone
-			return
-		}
-		c.co.events.Add(1)
-		scratch = appendEventLine(scratch[:0], ev)
-		scratch = append(scratch, '\n')
-		c.writeBytes(scratch, len(events) == 0) //tf:unchecked-ok sticky error; relay keeps draining
-	}
-	if !sub.closedByUs.Load() {
-		c.writeLine("*EVICTED " + sub.query) //tf:unchecked-ok peer may be gone
-	}
-}
-
-// appendEventLine renders one relayed match event back into its wire
-// form (without the trailing newline).
-func appendEventLine(dst []byte, ev server.Event) []byte {
-	dst = append(dst, "*EVENT "...)
-	dst = append(dst, ev.Query...)
-	dst = append(dst, ' ')
-	dst = strconv.AppendUint(dst, ev.Seq, 10)
-	if ev.Positive {
-		dst = append(dst, " +"...)
-	} else {
-		dst = append(dst, " -"...)
-	}
-	for _, v := range ev.Mapping {
-		dst = append(dst, ' ')
-		dst = strconv.AppendUint(dst, uint64(v), 10)
-	}
-	return dst
-}
-
-func (c *cconn) writeLine(line string) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.werr != nil {
-		return c.werr
-	}
-	if _, err := c.bw.WriteString(line); err != nil {
-		c.werr = err
-		return err
-	}
-	if err := c.bw.WriteByte('\n'); err != nil {
-		c.werr = err
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.werr = err
-		return err
-	}
-	return nil
-}
-
-func (c *cconn) writeBytes(b []byte, flush bool) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.werr != nil {
+	select {
+	case <-sub.evicted:
 		return
+	case <-sub.cli.Events(): // carries nothing under OnPush; closes with the connection
 	}
-	if _, err := c.bw.Write(b); err != nil {
-		c.werr = err
-		return
+	if !sub.closedByUs.Load() && !sub.ended.Swap(true) {
+		c.WriteLine("*EVICTED " + sub.query) //tf:unchecked-ok peer may be gone
 	}
-	if flush {
-		if err := c.bw.Flush(); err != nil {
-			c.werr = err
-		}
-	}
-}
-
-func (c *cconn) writeErr(err error) error {
-	msg := strings.NewReplacer("\r", " ", "\n", " ").Replace(err.Error())
-	return c.writeLine("-ERR " + msg)
 }
 
 // teardown ends the connection: close every delegated subscription
-// (their relays drain and exit), flush, close the socket.
+// (their relays exit), flush, close the socket.
 func (c *cconn) teardown() {
-	//tf:unordered-ok closing delegated subscriptions; per-query order is preserved by the relays
+	//tf:unordered-ok closing delegated subscriptions; order does not matter
 	for _, sub := range c.subs {
 		sub.closedByUs.Store(true)
 		sub.cli.Close() //tf:unchecked-ok closing
 	}
 	c.relays.Wait()
-	c.wmu.Lock()
-	c.bw.Flush() //tf:unchecked-ok closing
-	c.wmu.Unlock()
-	c.nc.Close() //tf:unchecked-ok closing
+	c.WriteFrame(nil, nil, true) //tf:unchecked-ok closing
+	c.nc.Close()                 //tf:unchecked-ok closing
 	c.co.removeConn(c)
 }

@@ -502,3 +502,57 @@ func TestBatchThroughCoordinator(t *testing.T) {
 		t.Fatalf("binary batch ack = %+v, want {4 1 1}", back)
 	}
 }
+
+// TestResubscribeAfterEviction: once a delegated subscription has ended —
+// here the owning shard evicts it on UNREGISTER — the same client
+// connection can subscribe to the query again through the coordinator, as
+// it can on a plain server, and the new relay delivers.
+func TestResubscribeAfterEviction(t *testing.T) {
+	addr, _, _ := startCluster(t, 2, Options{})
+	c := dialTest(t, addr)
+	if err := c.Register("q", "(a:P)-[:e]->(b:P)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Subscribe("q"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Unregister("q"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ev := <-c.Events():
+		if !ev.Evicted || ev.Query != "q" {
+			t.Fatalf("push = %+v, want *EVICTED q", ev)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no *EVICTED after UNREGISTER")
+	}
+	if err := c.Unsubscribe("q"); err == nil {
+		t.Fatal("UNSUBSCRIBE of an evicted subscription must fail")
+	}
+	if err := c.Register("q", "(a:P)-[:e]->(b:P)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Subscribe("q"); err != nil {
+		t.Fatalf("re-SUBSCRIBE after eviction: %v", err)
+	}
+	p, _ := c.Label("vertex", "P")
+	e, _ := c.Label("edge", "e")
+	for v := turboflux.VertexID(1); v <= 2; v++ {
+		if _, err := c.DeclareVertex(v, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ack, err := c.Insert(1, e, 2)
+	if err != nil || ack.Total != 1 {
+		t.Fatalf("insert: %+v %v", ack, err)
+	}
+	select {
+	case ev := <-c.Events():
+		if ev.Evicted || ev.Query != "q" || ev.Seq != ack.Seq {
+			t.Fatalf("event = %+v, want q at seq %d", ev, ack.Seq)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no event on the re-subscription")
+	}
+}
