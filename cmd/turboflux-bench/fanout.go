@@ -42,7 +42,7 @@ type fanoutReport struct {
 	Rows       []fanoutRow `json:"rows"`
 	// Speedup8q4w is the headline acceptance number: disjoint-mode
 	// fan-out throughput at 8 registered queries with 4 workers over the
-	// same workload with workers=1 (the legacy sequential path).
+	// same workload with workers=1 (every task inline on the caller).
 	Speedup8q4w float64 `json:"speedup_8q_4w_vs_1w_disjoint"`
 }
 

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,27 +26,10 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	durOut := flag.String("durability-out", "BENCH_durability.json", "report path for -exp durability")
 	durRecords := flag.Int("durability-records", 200000, "WAL record count for -exp durability")
-	serveOut := flag.String("serve-out", "BENCH_serve.json", "report path for -exp serve")
-	serveClients := flag.Int("serve-clients", 4, "concurrent writer clients for -exp serve")
-	serveQueries := flag.Int("serve-queries", 4, "registered queries for -exp serve")
-	serveUpdates := flag.Int("serve-updates", 5000, "updates per client for -exp serve")
 	fanoutOut := flag.String("fanout-out", "BENCH_fanout.json", "report path for -exp fanout")
 	fanoutUpdates := flag.Int("fanout-updates", 100000, "updates per grid cell for -exp fanout")
-	layoutOut := flag.String("layout-out", "BENCH_layout.json", "report path for -exp layout")
-	layoutUpdates := flag.Int("layout-updates", 100000, "updates per grid cell for -exp layout")
-	layoutBaseline := flag.String("layout-baseline", "", "baseline layout report to compute speedups against for -exp layout")
-	layoutQuick := flag.Bool("layout-quick", false, "reduced grid for -exp layout (CI smoke)")
-	batchOut := flag.String("batch-out", "BENCH_batch.json", "report path for -exp batch")
-	batchUpdates := flag.Int("batch-updates", 50000, "updates per grid cell for -exp batch")
-	batchRecords := flag.Int("batch-records", 200000, "WAL record count for the -exp batch recovery row")
 	replicaOut := flag.String("replica-out", "BENCH_replica.json", "report path for -exp replica")
 	replicaSamples := flag.Int("replica-samples", 500, "delivery samples per grid cell for -exp replica")
-	shardOut := flag.String("shard-out", "BENCH_shard.json", "report path for -exp shard")
-	shardUpdates := flag.Int("shard-updates", 24000, "updates per shard-count cell for -exp shard")
-	shardBatch := flag.Int("shard-batch", 240, "BATCH frame size for -exp shard")
-	mqoOut := flag.String("mqo-out", "BENCH_mqo.json", "report path for -exp mqo")
-	mqoUpdates := flag.Int("mqo-updates", 20000, "updates per grid cell for -exp mqo")
-	mqoQuick := flag.Bool("mqo-quick", false, "reduced grid for -exp mqo (CI smoke)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this path")
 	flag.IntVar(&cfg.Users, "users", cfg.Users, "LSBench scale factor (#users)")
 	flag.IntVar(&cfg.Hosts, "hosts", cfg.Hosts, "Netflow host count")
@@ -78,13 +62,8 @@ func main() {
 	if *list {
 		fmt.Println(strings.Join(harness.Experiments(), "\n"))
 		fmt.Println("durability")
-		fmt.Println("serve")
 		fmt.Println("fanout")
-		fmt.Println("layout")
-		fmt.Println("batch")
 		fmt.Println("replica")
-		fmt.Println("shard")
-		fmt.Println("mqo")
 		return
 	}
 	if *exp == "" {
@@ -100,15 +79,6 @@ func main() {
 		fmt.Fprintf(os.Stdout, "\n[durability completed in %s]\n", time.Since(start).Round(time.Millisecond))
 		return
 	}
-	if *exp == "serve" {
-		start := time.Now()
-		if err := runServe(*serveOut, *serveClients, *serveQueries, *serveUpdates); err != nil {
-			fmt.Fprintln(os.Stderr, "turboflux-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stdout, "\n[serve completed in %s]\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
 	if *exp == "fanout" {
 		start := time.Now()
 		if err := runFanout(*fanoutOut, *fanoutUpdates); err != nil {
@@ -118,24 +88,6 @@ func main() {
 		fmt.Fprintf(os.Stdout, "\n[fanout completed in %s]\n", time.Since(start).Round(time.Millisecond))
 		return
 	}
-	if *exp == "layout" {
-		start := time.Now()
-		if err := runLayout(*layoutOut, *layoutBaseline, *layoutUpdates, *layoutQuick); err != nil {
-			fmt.Fprintln(os.Stderr, "turboflux-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stdout, "\n[layout completed in %s]\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *exp == "batch" {
-		start := time.Now()
-		if err := runBatch(*batchOut, *batchUpdates, *batchRecords); err != nil {
-			fmt.Fprintln(os.Stderr, "turboflux-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stdout, "\n[batch completed in %s]\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
 	if *exp == "replica" {
 		start := time.Now()
 		if err := runReplica(*replicaOut, *replicaSamples); err != nil {
@@ -143,24 +95,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stdout, "\n[replica completed in %s]\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *exp == "shard" {
-		start := time.Now()
-		if err := runShard(*shardOut, *shardUpdates, *shardBatch); err != nil {
-			fmt.Fprintln(os.Stderr, "turboflux-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stdout, "\n[shard completed in %s]\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *exp == "mqo" {
-		start := time.Now()
-		if err := runMQO(*mqoOut, *mqoUpdates, *mqoQuick); err != nil {
-			fmt.Fprintln(os.Stderr, "turboflux-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stdout, "\n[mqo completed in %s]\n", time.Since(start).Round(time.Millisecond))
 		return
 	}
 	start := time.Now()
@@ -176,4 +110,18 @@ func main() {
 		fmt.Fprintf(os.Stdout, "[csv written to %s]\n", *csvDir)
 	}
 	fmt.Fprintf(os.Stdout, "\n[%s completed in %s]\n", *exp, time.Since(start).Round(time.Millisecond))
+}
+
+// writeJSON writes an experiment's report document to path.
+func writeJSON(path string, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	b = append(b, '\n')
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("[report written to %s]\n", path)
+	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -262,4 +263,10 @@ func replicaCell(nFollowers, nSubs, samples int) (replicaRow, error) {
 	row.DeliveryP95Us = float64(qs[1].Nanoseconds()) / 1e3
 	row.DeliveryP99Us = float64(qs[2].Nanoseconds()) / 1e3
 	return row, nil
+}
+
+func shutdownServer(srv *server.Server) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	return srv.Shutdown(ctx)
 }

@@ -47,7 +47,7 @@ func main() {
 	graphPath := flag.String("graph", "", "optional initial graph file (text stream format; seeds a fresh store)")
 	numeric := flag.Bool("numeric-labels", false, "pre-intern labels 0..255 so numeric label names map to themselves")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout before connections are force-closed")
-	workers := flag.Int("fanout-workers", 0, "multi-query fan-out worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+	workers := flag.Int("fanout-workers", 0, "multi-query fan-out worker pool size (0 = GOMAXPROCS, 1 = evaluate inline)")
 	follow := flag.String("follow", "", "follower mode: replicate from the leader at this address (requires -data-dir)")
 	flag.Parse()
 

@@ -64,18 +64,50 @@ type RecoveryInfo struct {
 // engine reports the same matches for the same subsequent updates as one
 // that never crashed (see TestDurableTranscriptEquivalence).
 type DurableEngine struct {
-	store *durable.Store
-	eng   *Engine
-	rec   RecoveryInfo
+	journal
+	eng *Engine
 }
 
 // OpenDurable opens (or creates) the durable store in dir, recovers the
 // data graph from its newest valid snapshot plus the journaled tail, and
 // builds a matching engine for q over the recovered graph.
 func OpenDurable(dir string, q *Query, opt DurableOptions) (*DurableEngine, error) {
-	pol, err := durable.ParsePolicy(opt.Fsync)
+	j, err := openStore(dir, DurableMultiOptions{
+		Fsync:         opt.Fsync,
+		FsyncInterval: opt.FsyncInterval,
+		SegmentSize:   opt.SegmentSize,
+		ReplayBatch:   opt.ReplayBatch,
+		VertexLabels:  opt.VertexLabels,
+		EdgeLabels:    opt.EdgeLabels,
+		Bootstrap:     opt.Bootstrap,
+	})
 	if err != nil {
 		return nil, err
+	}
+	eng, err := NewEngine(j.store.Graph(), q, opt.Options)
+	if err != nil {
+		j.store.Close() //tf:unchecked-ok already failing
+		return nil, err
+	}
+	return &DurableEngine{journal: j, eng: eng}, nil
+}
+
+// journal is the durable half DurableEngine and DurableMultiEngine share:
+// the write-ahead store and what opening it found on disk.
+type journal struct {
+	store *durable.Store
+	rec   RecoveryInfo
+}
+
+// openStore is the open sequence of both durable engines: open (or
+// create) the store in dir, merge the recovered label dictionaries into
+// the caller's, and journal + apply the bootstrap history when the store
+// is fresh. It reads only opt's store fields (everything but
+// FanOutWorkers).
+func openStore(dir string, opt DurableMultiOptions) (journal, error) {
+	pol, err := durable.ParsePolicy(opt.Fsync)
+	if err != nil {
+		return journal{}, err
 	}
 	st, err := durable.Open(dir, durable.Options{
 		Fsync:        pol,
@@ -86,47 +118,58 @@ func OpenDurable(dir string, q *Query, opt DurableOptions) (*DurableEngine, erro
 		EdgeLabels:   opt.EdgeLabels,
 	})
 	if err != nil {
-		return nil, err
+		return journal{}, err
 	}
 	vd, err := adoptDict(opt.VertexLabels, st.VertexLabels(), "vertex")
 	if err != nil {
 		st.Close() //tf:unchecked-ok already failing
-		return nil, err
+		return journal{}, err
 	}
 	ed, err := adoptDict(opt.EdgeLabels, st.EdgeLabels(), "edge")
 	if err != nil {
 		st.Close() //tf:unchecked-ok already failing
-		return nil, err
+		return journal{}, err
 	}
 	st.SetDicts(vd, ed)
 
-	if st.Recovery().Fresh {
+	rec := st.Recovery()
+	if rec.Fresh {
 		for _, u := range opt.Bootstrap {
 			if _, err := st.Append(u); err != nil {
 				st.Close() //tf:unchecked-ok already failing
-				return nil, err
+				return journal{}, err
 			}
 			u.Apply(st.Graph())
 		}
 	}
-
-	eng, err := NewEngine(st.Graph(), q, opt.Options)
-	if err != nil {
-		st.Close() //tf:unchecked-ok already failing
-		return nil, err
-	}
-	rec := st.Recovery()
-	return &DurableEngine{
-		store: st,
-		eng:   eng,
-		rec: RecoveryInfo{
-			SnapshotLSN:    rec.SnapshotLSN,
-			Replayed:       rec.Replayed,
-			TruncatedBytes: rec.TruncatedBytes,
-			Fresh:          rec.Fresh,
-		},
-	}, nil
+	return journal{store: st, rec: RecoveryInfo{
+		SnapshotLSN:    rec.SnapshotLSN,
+		Replayed:       rec.Replayed,
+		TruncatedBytes: rec.TruncatedBytes,
+		Fresh:          rec.Fresh,
+	}}, nil
 }
+
+// Recovery returns what opening the store found on disk.
+func (j *journal) Recovery() RecoveryInfo { return j.rec }
+
+// Compact writes a fresh snapshot covering the whole journaled history
+// and drops the log segments it makes obsolete, bounding both recovery
+// time and disk usage.
+func (j *journal) Compact() error { return j.store.Compact() }
+
+// Sync forces journaled updates to stable storage regardless of the
+// fsync policy.
+func (j *journal) Sync() error { return j.store.Sync() }
+
+// LSN returns the log position of the last journaled update.
+func (j *journal) LSN() uint64 { return j.store.LSN() }
+
+// VertexLabels returns the live vertex-label dictionary.
+func (j *journal) VertexLabels() *Dict { return j.store.VertexLabels() }
+
+// EdgeLabels returns the live edge-label dictionary.
+func (j *journal) EdgeLabels() *Dict { return j.store.EdgeLabels() }
 
 // adoptDict merges the recovered dictionary names into the caller's
 // dictionary (when one was supplied) and returns the dictionary the
@@ -147,9 +190,6 @@ func adoptDict(user, recovered *Dict, kind string) (*Dict, error) {
 	}
 	return user, nil
 }
-
-// Recovery returns what OpenDurable found on disk.
-func (d *DurableEngine) Recovery() RecoveryInfo { return d.rec }
 
 // InitialMatches reports every match present in the recovered graph
 // through OnMatch and returns their count. Call it at most once, before
@@ -207,30 +247,12 @@ func (d *DurableEngine) ApplyBatch(ups []Update) (int64, error) {
 	return d.eng.ApplyBatch(ups)
 }
 
-// Compact writes a fresh snapshot covering the whole journaled history
-// and drops the log segments it makes obsolete, bounding both recovery
-// time and disk usage.
-func (d *DurableEngine) Compact() error { return d.store.Compact() }
-
-// Sync forces journaled updates to stable storage regardless of the
-// fsync policy.
-func (d *DurableEngine) Sync() error { return d.store.Sync() }
-
 // Close syncs and closes the journal. The engine is unusable afterwards;
 // reopen the directory with OpenDurable to resume.
 func (d *DurableEngine) Close() error { return d.store.Close() }
 
-// LSN returns the log position of the last journaled update.
-func (d *DurableEngine) LSN() uint64 { return d.store.LSN() }
-
 // Graph returns the engine's data graph. Treat it as read-only.
 func (d *DurableEngine) Graph() *Graph { return d.eng.Graph() }
-
-// VertexLabels returns the live vertex-label dictionary.
-func (d *DurableEngine) VertexLabels() *Dict { return d.store.VertexLabels() }
-
-// EdgeLabels returns the live edge-label dictionary.
-func (d *DurableEngine) EdgeLabels() *Dict { return d.store.EdgeLabels() }
 
 // Explain renders the engine's execution plan for diagnostics.
 func (d *DurableEngine) Explain() string { return d.eng.Explain() }

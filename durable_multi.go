@@ -33,7 +33,7 @@ type DurableMultiOptions struct {
 	Bootstrap []Update
 
 	// FanOutWorkers sizes the multi-query fan-out worker pool (default
-	// GOMAXPROCS; 1 selects the sequential path). See
+	// GOMAXPROCS; 1 runs every evaluation inline on the caller). See
 	// MultiEngine.SetFanOutWorkers.
 	FanOutWorkers int
 }
@@ -54,70 +54,22 @@ type DurableMultiOptions struct {
 //
 //tf:actor-owned
 type DurableMultiEngine struct {
-	store *durable.Store
-	m     *MultiEngine
-	rec   RecoveryInfo
+	journal
+	m *MultiEngine
 }
 
 // OpenDurableMulti opens (or creates) the durable store in dir, recovers
 // the data graph from its newest valid snapshot plus the journaled tail,
 // and wraps it in an empty MultiEngine ready for Register calls.
 func OpenDurableMulti(dir string, opt DurableMultiOptions) (*DurableMultiEngine, error) {
-	pol, err := durable.ParsePolicy(opt.Fsync)
+	j, err := openStore(dir, opt)
 	if err != nil {
 		return nil, err
 	}
-	st, err := durable.Open(dir, durable.Options{
-		Fsync:        pol,
-		FsyncEvery:   opt.FsyncInterval,
-		SegmentSize:  opt.SegmentSize,
-		ReplayBatch:  opt.ReplayBatch,
-		VertexLabels: opt.VertexLabels,
-		EdgeLabels:   opt.EdgeLabels,
-	})
-	if err != nil {
-		return nil, err
-	}
-	vd, err := adoptDict(opt.VertexLabels, st.VertexLabels(), "vertex")
-	if err != nil {
-		st.Close() //tf:unchecked-ok already failing
-		return nil, err
-	}
-	ed, err := adoptDict(opt.EdgeLabels, st.EdgeLabels(), "edge")
-	if err != nil {
-		st.Close() //tf:unchecked-ok already failing
-		return nil, err
-	}
-	st.SetDicts(vd, ed)
-
-	if st.Recovery().Fresh {
-		for _, u := range opt.Bootstrap {
-			if _, err := st.Append(u); err != nil {
-				st.Close() //tf:unchecked-ok already failing
-				return nil, err
-			}
-			u.Apply(st.Graph())
-		}
-	}
-
-	m := NewMultiEngine(st.Graph())
+	m := NewMultiEngine(j.store.Graph())
 	m.SetFanOutWorkers(opt.FanOutWorkers)
-
-	rec := st.Recovery()
-	return &DurableMultiEngine{
-		store: st,
-		m:     m,
-		rec: RecoveryInfo{
-			SnapshotLSN:    rec.SnapshotLSN,
-			Replayed:       rec.Replayed,
-			TruncatedBytes: rec.TruncatedBytes,
-			Fresh:          rec.Fresh,
-		},
-	}, nil
+	return &DurableMultiEngine{journal: j, m: m}, nil
 }
-
-// Recovery returns what OpenDurableMulti found on disk.
-func (d *DurableMultiEngine) Recovery() RecoveryInfo { return d.rec }
 
 // Register adds a continuous query under the given name, building its DCG
 // over the current (recovered) graph state. Registrations are not
@@ -163,8 +115,8 @@ func (d *DurableMultiEngine) Apply(u Update) (map[string]int64, error) {
 }
 
 // ApplyBatch journals the whole batch as one log write, then evaluates it
-// through the batched fan-out pipeline (MultiEngine.ApplyBatch). A
-// journaling failure aborts before any update is applied.
+// through the run scheduler (MultiEngine.ApplyBatch). A journaling
+// failure aborts before any update is applied.
 func (d *DurableMultiEngine) ApplyBatch(ups []Update) (map[string]int64, error) {
 	return d.ApplyBatchFunc(ups, nil)
 }
@@ -178,14 +130,6 @@ func (d *DurableMultiEngine) ApplyBatchFunc(ups []Update, boundary func(i int)) 
 	return d.m.ApplyBatchFunc(ups, boundary)
 }
 
-// Compact writes a fresh snapshot covering the whole journaled history and
-// drops the log segments it makes obsolete.
-func (d *DurableMultiEngine) Compact() error { return d.store.Compact() }
-
-// Sync forces journaled updates to stable storage regardless of the fsync
-// policy.
-func (d *DurableMultiEngine) Sync() error { return d.store.Sync() }
-
 // Close releases the fan-out worker pool, then syncs and closes the
 // journal. The engine is unusable afterwards; reopen the directory with
 // OpenDurableMulti to resume.
@@ -193,9 +137,6 @@ func (d *DurableMultiEngine) Close() error {
 	d.m.Close() //tf:unchecked-ok pool release never fails
 	return d.store.Close()
 }
-
-// LSN returns the log position of the last journaled update.
-func (d *DurableMultiEngine) LSN() uint64 { return d.store.LSN() }
 
 // Store exposes the underlying durable store for replication plumbing
 // (append taps, catch-up plans, snapshot access). Callers must respect
@@ -225,12 +166,6 @@ func (d *DurableMultiEngine) Reseed(data []byte) error {
 
 // Graph returns the shared data graph. Treat it as read-only.
 func (d *DurableMultiEngine) Graph() *Graph { return d.m.Graph() }
-
-// VertexLabels returns the live vertex-label dictionary.
-func (d *DurableMultiEngine) VertexLabels() *Dict { return d.store.VertexLabels() }
-
-// EdgeLabels returns the live edge-label dictionary.
-func (d *DurableMultiEngine) EdgeLabels() *Dict { return d.store.EdgeLabels() }
 
 // Stats returns a per-query snapshot of engine counters, keyed by name.
 func (d *DurableMultiEngine) Stats() map[string]Stats { return d.m.Stats() }

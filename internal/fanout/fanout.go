@@ -1,14 +1,15 @@
 // Package fanout implements the parallel multi-query fan-out layer: a
-// persistent worker pool that evaluates one update against many engines
-// concurrently, and the per-engine emission buffers that make the
-// parallel window invisible to OnMatch observers.
+// persistent worker pool that evaluates one run of updates against many
+// engines concurrently, and the per-engine emission buffers that make
+// the parallel window invisible to OnMatch observers.
 //
-// The contract (DESIGN.md §11): graph mutation stays serial per update,
-// engines only read the shared data graph during evaluation (the
-// frozen-graph window, machine-checked by turboflux-vet's eval-readonly
-// analyzer), and every OnMatch emission produced inside the window is
-// buffered per engine and replayed in registration order after the
-// barrier — so transcripts are byte-identical to the sequential path.
+// The contract (DESIGN.md §11): graph mutation stays serial, engines only
+// read the shared data graph during evaluation (the frozen-graph window,
+// machine-checked by turboflux-vet's eval-readonly analyzer), and every
+// OnMatch emission produced inside the window is buffered per engine and
+// replayed in (update, registration) order after the barrier — so
+// transcripts are byte-identical to evaluating every engine on every
+// update in turn.
 package fanout
 
 import (
@@ -179,31 +180,16 @@ type Emission struct {
 // EmissionBuffer captures OnMatch deliveries produced during the
 // parallel window so the coordinator can replay them in registration
 // order after the barrier. Each buffer is written by exactly one worker
-// per update (the one evaluating its engine) and read by the
-// coordinator after the barrier, so no locking is needed.
+// per run (the one evaluating its engine, for the one update the run
+// engaged it with) and read by the coordinator after the barrier, so no
+// locking is needed.
 //
-// Mapping storage is recycled across updates: Record copies the
+// Mapping storage is recycled across runs: Record copies the
 // engine-owned mapping slice (engines reuse it between emissions), and
-// Reset keeps the backing arrays for the next update.
-//
-// For batch evaluation a buffer additionally tags emissions with the
-// batch update index that produced them: the worker calls BeginUpdate
-// before evaluating each of its updates, and the coordinator replays one
-// update's emissions at a time with ReplayMark, merging buffers across
-// engines in (update index, registration order). Mark storage is
-// recycled exactly like emission storage.
+// Reset keeps the backing arrays for the next run.
 type EmissionBuffer struct {
-	ems   []Emission
-	n     int
-	marks []mark
-	nm    int
-}
-
-// mark tags the emissions recorded after one BeginUpdate call with the
-// batch update index they belong to.
-type mark struct {
-	idx   int32 // batch update index
-	start int32 // position of the mark's first emission
+	ems []Emission
+	n   int
 }
 
 // Record appends one emission, copying the mapping.
@@ -230,42 +216,8 @@ func (b *EmissionBuffer) Replay(fn func(positive bool, mapping []graph.VertexID)
 	}
 }
 
-// BeginUpdate records that every emission from here to the next
-// BeginUpdate (or Reset) belongs to batch update idx. Called by the
-// worker evaluating the buffer's engine, before each of its updates.
-func (b *EmissionBuffer) BeginUpdate(idx int) {
-	if b.nm < len(b.marks) {
-		b.marks[b.nm] = mark{idx: int32(idx), start: int32(b.n)}
-	} else {
-		b.marks = append(b.marks, mark{idx: int32(idx), start: int32(b.n)})
-	}
-	b.nm++
-}
-
-// Marks reports the number of BeginUpdate calls since the last Reset.
-func (b *EmissionBuffer) Marks() int { return b.nm }
-
-// MarkIndex returns the batch update index the k-th mark was tagged with.
-func (b *EmissionBuffer) MarkIndex(k int) int { return int(b.marks[k].idx) }
-
-// ReplayMark invokes fn for the emissions recorded under the k-th
-// BeginUpdate mark, in record order, with the same mapping ownership
-// rules as Replay.
-func (b *EmissionBuffer) ReplayMark(k int, fn func(positive bool, mapping []graph.VertexID)) {
-	if k < 0 || k >= b.nm {
-		return
-	}
-	end := b.n
-	if k+1 < b.nm {
-		end = int(b.marks[k+1].start)
-	}
-	for i := int(b.marks[k].start); i < end; i++ {
-		fn(b.ems[i].Positive, b.ems[i].Mapping)
-	}
-}
-
-// Reset forgets the recorded emissions and marks but keeps their storage.
-func (b *EmissionBuffer) Reset() { b.n, b.nm = 0, 0 }
+// Reset forgets the recorded emissions but keeps their storage.
+func (b *EmissionBuffer) Reset() { b.n = 0 }
 
 // Len reports the number of buffered emissions.
 func (b *EmissionBuffer) Len() int { return b.n }

@@ -52,9 +52,9 @@ type Options struct {
 	Bootstrap []turboflux.Update
 
 	// FanOutWorkers sizes the engine's multi-query fan-out worker pool
-	// (default GOMAXPROCS; 1 forces the sequential evaluation path). The
-	// actor still serializes updates — the pool parallelizes the
-	// per-update evaluation across registered queries.
+	// (default GOMAXPROCS; 1 runs every evaluation inline on the actor).
+	// The actor still serializes updates — the pool parallelizes each
+	// run's evaluations across registered queries.
 	FanOutWorkers int
 
 	// Follow, when non-empty, starts the server as a read-only follower

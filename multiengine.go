@@ -18,38 +18,32 @@ import (
 // field meanings.
 type FanOutStats = fanout.Stats
 
-// mslot is one registered query's fan-out state. count/err are the
-// result cells of the parallel window: each is written by exactly one
-// pool worker (the one evaluating this engine) and read by the
-// coordinator after the barrier.
+// mslot is one registered query's evaluation state. A run engages a slot
+// with at most one update (scheduleRun ends the run otherwise), so the
+// run cells are scalars: runN/runErr are written by exactly one pool
+// worker (the one evaluating this engine) inside the run window and read
+// by the coordinator after the barrier.
 type mslot struct {
 	name      string
 	eng       *core.Engine
 	user      core.MatchFunc           // caller's OnMatch, nil if none
 	labels    map[graph.Label]struct{} // edge labels the query mentions
-	task      func()                   // persistent pool task: eval this slot
 	buf       fanout.EmissionBuffer
-	buffering bool // true inside the parallel window; routes OnMatch to buf
-	count     int64
-	err       error
+	buffering bool // true inside the run window; routes OnMatch to buf
 
-	// Batch-run state (ApplyBatch). pos is the slot's index in the
-	// registration order, addressing the coordinator's routing bitset.
-	// runIdx is the slot's sub-sequence of the current run: the batch
-	// update indices it must evaluate, walked in order by batchTask with
-	// per-update results in runN/runErr (parallel slices, written by the
-	// worker inside the run window, read by the coordinator after the
-	// barrier). All three are reused scratch.
-	pos       int
-	batchTask func() // persistent pool task: walk runIdx against the batch
-	runIdx    []int32
-	runN      []int64
-	runErr    []error
+	// pos is the slot's index in the registration order, addressing the
+	// coordinator's routing bitset. runIdx is the batch index of the update
+	// the current run engaged the slot with; runTask evaluates it.
+	pos     int
+	runTask func() // persistent pool task: evaluate batch[runIdx]
+	runIdx  int32
+	runN    int64
+	runErr  error
 
 	// sub is the slot's refcounted sub-pattern (DESIGN.md §17), nil when
-	// the query's options are unshareable or sharing is disabled. While
-	// the sub-pattern has a single member the slot's engine stays private;
-	// at two members it is promoted to shared-DCG evaluation.
+	// the query's options are unshareable. While the sub-pattern has a
+	// single member the slot's engine stays private; at two members it is
+	// promoted to shared-DCG evaluation.
 	sub *subpat
 }
 
@@ -72,29 +66,6 @@ type subpat struct {
 	// the sub-pattern: the updates that actually transition the shared
 	// DCG. Dense by label, built at promotion.
 	treeLabels []bool
-
-	// task is the persistent pool task of the parallel window: maintain
-	// plus replay the engaged members, sequenced per update direction.
-	task func()
-
-	// Scratch of the current dispatch: the members engaged by the update,
-	// valid when engEpoch matches the coordinator's epoch (uint64 so it
-	// never wraps into a stale match).
-	engagedMembers []*mslot
-	engEpoch       uint64
-	runMark        uint32 // batch-run epoch: maintenance already scheduled
-}
-
-// anyMemberMentions reports whether any member's query mentions edge
-// label l (i.e. whether the sub-pattern will be engaged by an update
-// carrying it). Only used off the common path.
-func (sp *subpat) anyMemberMentions(l graph.Label) bool {
-	for _, s := range sp.members {
-		if _, ok := s.labels[l]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 // treeRelevant reports whether label l transitions this sub-pattern's
@@ -108,17 +79,20 @@ func (sp *subpat) treeRelevant(l graph.Label) bool {
 // MultiEngine runs several continuous queries over one shared data graph,
 // the deployment shape of the paper's motivating applications (a fraud
 // team monitors many ring patterns, an IDS many attack signatures). Each
-// registered query maintains its own DCG; the data graph is mutated once
-// per update and every engine evaluates against it.
+// registered query maintains its own DCG (or shares one with the queries
+// of the same spanning-tree shape, DESIGN.md §17); the data graph is
+// mutated once per update and every relevant engine evaluates against it.
 //
-// Fan-out is parallel by default: a persistent worker pool (size
-// SetFanOutWorkers, default GOMAXPROCS; 1 selects the sequential path)
-// evaluates the engines relevant to each update concurrently against the
-// frozen post-mutation graph, with OnMatch emissions buffered per engine
-// and replayed in registration order after the barrier — so observable
-// behavior (transcripts, counts, errors) is identical to sequential
-// evaluation. Engines whose queries cannot mention the updated edge's
-// label are skipped entirely (their evaluation is a structural no-op).
+// There is one evaluation path (DESIGN.md §11): updates are scheduled
+// into runs of consecutive updates that engage disjoint engines, each
+// run's evaluations share one frozen-graph window on a persistent worker
+// pool (size SetFanOutWorkers, default GOMAXPROCS), and the OnMatch
+// emissions buffered per engine inside the window are replayed in
+// (update, registration) order after the barrier — so transcripts, counts
+// and errors are those of evaluating every engine on every update in
+// turn. A single Insert/Delete/Apply is a run of one. Engines whose
+// queries cannot mention the updated edge's label are skipped entirely
+// (their evaluation would be a structural no-op).
 //
 // MultiEngine is not safe for concurrent use, matching Engine. The
 // network server serializes all access through its engine-owner
@@ -129,86 +103,68 @@ func (sp *subpat) treeRelevant(l graph.Label) bool {
 type MultiEngine struct {
 	g     *Graph
 	slots map[string]*mslot
-	order []*mslot // registration order, for deterministic fan-out
+	order []*mslot // registration order, for deterministic replay
 	pool  *fanout.Pool
 
 	// byLabel indexes the slots whose queries mention each edge label, in
 	// registration order — the routing decision for an update is then one
 	// slice index instead of a scan over every registered query. Labels are
-	// dense small ints, so a slice beats a map on the hot path. Rebuilt on
-	// Register/Unregister.
+	// dense small ints, so a slice beats a map on the hot path. Maintained
+	// on Register/Unregister.
 	byLabel [][]*mslot
 
 	evals   uint64 // engine evaluations run
 	skipped uint64 // evaluations elided by label-relevance routing
 
-	// Reused scratch for the parallel window (no per-update allocation).
-	tasks []func()
-	errs  []error
+	// one is the batch Insert/Delete/Apply hand to the run scheduler: a
+	// single update is a run of one, with no path of its own.
+	one [1]stream.Update
 
-	// The pending update's edge plus two persistent eval thunks over it;
-	// curEval points at insEval or delEval for the current update, so the
-	// hot path never allocates a closure.
-	pending Edge
-	insEval func(*core.Engine) (int64, error)
-	delEval func(*core.Engine) (int64, error)
-	curEval func(*core.Engine) (int64, error)
-
-	// Batch pipeline state (ApplyBatch): the batch being evaluated (read
-	// by the slots' batchTask thunks) and reused per-run scheduling
-	// scratch — see DESIGN.md §12. engaged is the routing bitset over
-	// registration positions; runEdges detects same-edge conflicts via an
-	// epoch so it is never cleared on the hot path; runPairs lists the
-	// (update index, slot) evaluations of the current run in batch order;
-	// runDels holds the run's deletions, applied to the graph after the
-	// barrier (Algorithm 2: deletions evaluate before removal).
+	// Run scheduler state: the batch being evaluated (read by the slots'
+	// runTask thunks) and reused per-run scratch — see DESIGN.md §11.
+	// engaged is the routing bitset over registration positions; runEdges
+	// detects same-edge conflicts via an epoch so it is never cleared on
+	// the hot path; runSlots lists the run's engaged slots in (update,
+	// registration) order — the replay order; runDels holds the run's
+	// deletions, applied to the graph after the barrier (Algorithm 2:
+	// deletions evaluate before removal). batchErrs[k] is the k-th
+	// evaluation error of the batch, raised by the update at batchErrAt[k].
 	batch       []stream.Update
 	engaged     []uint64
 	runEdges    map[Edge]uint32
 	edgeEpoch   uint32
-	runPairs    []runPair
 	runSlots    []*mslot
 	runDels     []Edge
+	tasks       []func()
 	batchCounts map[string]int64
 	batchErrs   []error
+	batchErrAt  []int32
 
 	// shardTasks are prebuilt per-worker composite tasks: shard k walks
-	// runSlots[k], runSlots[k+W], ... calling each slot's batchTask. When
+	// runSlots[k], runSlots[k+W], ... calling each slot's runTask. When
 	// a run engages more slots than the pool has workers, dispatching one
 	// shard per worker instead of one task per slot caps the barrier at
 	// W-1 channel handoffs per run. Rebuilt when the pool is resized.
 	shardTasks []func()
 
 	// Multi-query optimization state (DESIGN.md §17): the sub-pattern
-	// registry, the promoted (maintainer-owning) sub-patterns in promotion
-	// order, and the dispatch epoch stamping subpat scratch. sharing gates
-	// whether future registrations participate; runSubs lists the batch
-	// run's scheduled maintenance (sub-pattern, update index) pairs.
+	// registry and the promoted (maintainer-owning) sub-patterns in
+	// promotion order; runSubs lists the current run's scheduled
+	// maintenance (sub-pattern, update index) pairs.
 	reg          *mqo.Registry
 	subs         []*subpat
-	unitEpoch    uint64
-	sharing      bool
-	pendingPos   bool // direction of the pending single update
 	runSubs      []runSub
 	maintEvals   uint64 // maintainer evaluations run
 	savedEvals   uint64 // member maintenance evaluations avoided by sharing
 	sharedRelays uint64 // member replays against a shared DCG
 }
 
-// runSub schedules one maintenance evaluation of a batch run: sp's
-// maintainer processes the update at idx (before member replays for
-// insertions, after them for deletions).
+// runSub schedules one maintenance evaluation of a run: sp's maintainer
+// processes the update at idx (before member replays for insertions,
+// after them for deletions).
 type runSub struct {
 	sp  *subpat
 	idx int32
-}
-
-// runPair is one scheduled evaluation of a run: slot evaluates the batch
-// update at idx, whose results land in the slot's k-th run cells.
-type runPair struct {
-	idx  int32
-	k    int32
-	slot *mslot
 }
 
 // NewMultiEngine wraps the initial data graph g0. The MultiEngine takes
@@ -220,21 +176,14 @@ func NewMultiEngine(g0 *Graph) *MultiEngine {
 		pool:     fanout.New(0),
 		runEdges: make(map[Edge]uint32, 64),
 		reg:      mqo.NewRegistry(),
-		sharing:  true,
-	}
-	m.insEval = func(e *core.Engine) (int64, error) {
-		return e.EvalInsertedEdge(m.pending.From, m.pending.Label, m.pending.To)
-	}
-	m.delEval = func(e *core.Engine) (int64, error) {
-		return e.EvalBeforeDelete(m.pending.From, m.pending.Label, m.pending.To)
 	}
 	m.buildShards()
 	return m
 }
 
-// buildShards rebuilds the per-worker composite batch tasks for the
+// buildShards rebuilds the per-worker composite run tasks for the
 // current pool size. Each engaged slot belongs to exactly one shard, so
-// its emission buffer and run scratch stay single-writer.
+// its emission buffer and run cells stay single-writer.
 func (m *MultiEngine) buildShards() {
 	w := m.pool.Workers()
 	m.shardTasks = m.shardTasks[:0]
@@ -242,16 +191,17 @@ func (m *MultiEngine) buildShards() {
 		k := k
 		m.shardTasks = append(m.shardTasks, func() {
 			for j := k; j < len(m.runSlots); j += w {
-				m.runSlots[j].batchTask()
+				m.runSlots[j].runTask()
 			}
 		})
 	}
 }
 
 // SetFanOutWorkers resizes the fan-out worker pool; n <= 0 means
-// GOMAXPROCS and 1 selects the sequential path (today's behavior,
-// evaluating every engine inline with direct OnMatch delivery). Safe to
-// call between updates, not during one.
+// GOMAXPROCS. The pool size changes only where a run's tasks execute:
+// with n == 1 every task runs inline on the caller's goroutine, through
+// the same routing, buffering and replay as any other size. Safe to call
+// between updates, not during one.
 func (m *MultiEngine) SetFanOutWorkers(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -283,13 +233,6 @@ func (m *MultiEngine) Close() error {
 	return nil
 }
 
-// SetSharing enables or disables sub-pattern sharing (DESIGN.md §17) for
-// FUTURE registrations; already-registered queries keep their mode. On
-// by default. Disabling before registering anything yields the pre-MQO
-// private-DCG-per-query behavior — the baseline the equivalence tests
-// and the mqo benchmark compare against.
-func (m *MultiEngine) SetSharing(on bool) { m.sharing = on }
-
 // Register adds a continuous query under the given name. The query's
 // spanning tree is canonicalized into a sub-pattern key: the first
 // registration of a shape builds a private DCG over the current graph
@@ -307,9 +250,9 @@ func (m *MultiEngine) Register(name string, q *Query, opt Options) error {
 	copt.Search = opt.Search
 	copt.WorkBudget = opt.WorkBudget
 	if s.user != nil {
-		// Inside the parallel window emissions go to the slot's buffer
-		// (written only by the worker evaluating this engine); otherwise
-		// straight through, preserving the sequential path exactly.
+		// Inside the run window emissions go to the slot's buffer (written
+		// only by the worker evaluating this engine); outside it — the
+		// InitialMatches walk — straight through.
 		copt.OnMatch = func(positive bool, mapping []graph.VertexID) {
 			if s.buffering {
 				s.buf.Record(positive, mapping)
@@ -322,7 +265,7 @@ func (m *MultiEngine) Register(name string, q *Query, opt Options) error {
 	if err != nil {
 		return err
 	}
-	if m.sharing && core.OptionsShareable(copt) {
+	if core.OptionsShareable(copt) {
 		ent, created := m.reg.Acquire(mqo.KeyOf(q, tree))
 		if created {
 			// First member of this shape: private DCG until a second joins.
@@ -358,20 +301,12 @@ func (m *MultiEngine) Register(name string, q *Query, opt Options) error {
 		}
 		s.eng = eng
 	}
-	s.task = func() { s.count, s.err = m.curEval(s.eng) }
-	s.batchTask = func() {
-		for _, idx := range s.runIdx {
-			u := m.batch[idx]
-			s.buf.BeginUpdate(int(idx))
-			var n int64
-			var err error
-			if u.Op == stream.OpInsert {
-				n, err = s.eng.EvalInsertedEdge(u.Edge.From, u.Edge.Label, u.Edge.To)
-			} else {
-				n, err = s.eng.EvalBeforeDelete(u.Edge.From, u.Edge.Label, u.Edge.To)
-			}
-			s.runN = append(s.runN, n)
-			s.runErr = append(s.runErr, err)
+	s.runTask = func() {
+		u := m.batch[s.runIdx]
+		if u.Op == stream.OpInsert {
+			s.runN, s.runErr = s.eng.EvalInsertedEdge(u.Edge.From, u.Edge.Label, u.Edge.To)
+		} else {
+			s.runN, s.runErr = s.eng.EvalBeforeDelete(u.Edge.From, u.Edge.Label, u.Edge.To)
 		}
 	}
 	m.slots[name] = s
@@ -401,7 +336,6 @@ func (m *MultiEngine) promote(sp *subpat) {
 		}
 		sp.treeLabels[l] = true
 	}
-	sp.task = func() { m.runSubUnit(sp) }
 	m.subs = append(m.subs, sp)
 }
 
@@ -412,7 +346,6 @@ func (m *MultiEngine) promote(sp *subpat) {
 func (m *MultiEngine) demote(sp *subpat) {
 	sp.members[0].eng.UnshareDCG()
 	sp.maint = nil
-	sp.task = nil
 	sp.treeLabels = sp.treeLabels[:0]
 	for i, t := range m.subs {
 		if t == sp {
@@ -526,90 +459,48 @@ func (m *MultiEngine) InitialMatches() map[string]int64 {
 }
 
 // Insert applies one edge insertion to the shared graph and evaluates
-// every registered query. It returns per-query positive-match counts
-// (only non-zero entries). Duplicate insertions are no-ops.
+// the registered queries against it. It returns per-query positive-match
+// counts (only non-zero entries). Duplicate insertions are no-ops.
 //
 // If any engine fails (e.g. exhausts its work budget), the remaining
-// engines are still evaluated and the errors are aggregated; see fanOut.
+// engines are still evaluated and the errors are aggregated; see Apply.
 func (m *MultiEngine) Insert(from VertexID, l Label, to VertexID) (map[string]int64, error) {
-	newFrom := !m.g.HasVertex(from)
-	newTo := to != from && !m.g.HasVertex(to)
-	if !m.g.InsertEdge(from, l, to) {
-		return nil, nil
-	}
-	var created [2]VertexID
-	nc := 0
-	if newFrom {
-		created[nc] = from
-		nc++
-	}
-	if newTo {
-		created[nc] = to
-		nc++
-	}
-	m.pending = Edge{From: from, Label: l, To: to}
-	m.curEval = m.insEval
-	m.pendingPos = true
-	return m.fanOut(l, created[:nc])
+	return m.Apply(stream.Insert(from, l, to))
 }
 
 // Delete applies one edge deletion: every engine reports its negative
 // matches first, then the edge is removed from the shared graph. As for
-// Insert, an engine failure does not stop the fan-out, and the edge is
+// Insert, an engine failure does not stop the evaluation, and the edge is
 // removed regardless so the graph never diverges from the stream.
 func (m *MultiEngine) Delete(from VertexID, l Label, to VertexID) (map[string]int64, error) {
-	if !m.g.HasEdge(from, l, to) {
-		return nil, nil
-	}
-	m.pending = Edge{From: from, Label: l, To: to}
-	m.curEval = m.delEval
-	m.pendingPos = false
-	counts, err := m.fanOut(l, nil)
-	m.g.DeleteEdge(from, l, to)
-	return counts, err
+	return m.Apply(stream.Delete(from, l, to))
 }
 
-// Apply applies one stream update.
+// Apply applies one stream update: a batch of one through the run
+// scheduler, with ApplyBatch's failure semantics. Every relevant engine is
+// evaluated even when an earlier one fails, partial counts are returned,
+// and the per-query errors are aggregated with errors.Join, each wrapped
+// as `query "name"`, so errors.Is still detects ErrWorkBudget. A
+// budget-aborted engine has rolled back its own DCG transition for this
+// update — its standing matches for this edge may be stale until a later
+// update touches the same region — but every other engine and the graph
+// itself stay exactly in sync with the stream.
 func (m *MultiEngine) Apply(u Update) (map[string]int64, error) {
-	switch u.Op {
-	case stream.OpInsert:
-		return m.Insert(u.Edge.From, u.Edge.Label, u.Edge.To)
-	case stream.OpDelete:
-		return m.Delete(u.Edge.From, u.Edge.Label, u.Edge.To)
-	case stream.OpVertex:
-		if !m.g.HasVertex(u.Vertex) {
-			m.g.EnsureVertex(u.Vertex, u.Labels...)
-			m.notifyVertexAdded(u.Vertex)
-		}
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("turboflux: unknown update op %d", u.Op)
-	}
-}
-
-// notifyVertexAdded routes root-candidate bookkeeping for a new vertex:
-// every slot (shared members no-op — their DCG is not theirs to touch)
-// plus every maintainer, which settles the vertex once per shared
-// sub-pattern instead of once per member.
-func (m *MultiEngine) notifyVertexAdded(v VertexID) {
-	for _, s := range m.order {
-		s.eng.NotifyVertexAdded(v)
-	}
-	for _, sp := range m.subs {
-		sp.maint.NotifyVertexAdded(v)
-	}
+	m.one[0] = u
+	counts := m.evalBatch(m.one[:], nil)
+	return counts, errors.Join(m.batchErrs...)
 }
 
 // ApplyBatch applies a whole batch of stream updates with batched
 // evaluation: label routing, worker dispatch and the ordered emission
 // replay are amortized over runs of consecutive updates instead of paid
-// per update (DESIGN.md §12). Observable behavior — the OnMatch
+// per update (DESIGN.md §11). Observable behavior — the OnMatch
 // transcript of every query, the aggregated per-query counts, and the
 // final graph — is byte-identical to applying the batch one update at a
-// time with Apply, with one exception: a failing update does not stop
-// the batch. Every update is applied and evaluated, and the per-update
-// errors are aggregated with errors.Join, each wrapped as `update i`
-// (plus the query name), so errors.Is still detects ErrWorkBudget.
+// time with Apply. A failing update does not stop the batch: every
+// update is applied and evaluated, and the per-update errors are
+// aggregated with errors.Join, each wrapped as `update i: query "name"`,
+// so errors.Is still detects ErrWorkBudget.
 //
 // The returned counts map aggregates per-query match counts over the
 // whole batch (non-zero entries only).
@@ -622,36 +513,40 @@ func (m *MultiEngine) ApplyBatch(ups []stream.Update) (map[string]int64, error) 
 // ascending order, after every OnMatch emission of that update has been
 // delivered and before any emission of a later update — the hook a
 // caller needs to stamp per-update sequence numbers onto emissions (the
-// network server does exactly that). A batch of one delegates to the
-// per-update path.
+// network server does exactly that).
 //
 //tf:hotpath
 func (m *MultiEngine) ApplyBatchFunc(ups []stream.Update, boundary func(i int)) (map[string]int64, error) {
-	if len(ups) == 0 {
-		return nil, nil
+	counts := m.evalBatch(ups, boundary)
+	for k, err := range m.batchErrs {
+		m.batchErrs[k] = fmt.Errorf("update %d: %w", m.batchErrAt[k], err) //tf:alloc-ok error path
 	}
-	if len(ups) == 1 {
-		counts, err := m.Apply(ups[0])
-		if err != nil {
-			err = fmt.Errorf("update 0: %w", err) //tf:alloc-ok error path
-		}
-		if boundary != nil {
-			boundary(0)
-		}
-		return counts, err
-	}
+	return counts, errors.Join(m.batchErrs...)
+}
+
+// evalBatch runs ups through the run scheduler and returns the aggregated
+// counts; the evaluation errors are left in batchErrs/batchErrAt for the
+// entry point to word (errors.Join copies, so the scratch is reused by
+// the next batch).
+//
+//tf:hotpath
+func (m *MultiEngine) evalBatch(ups []stream.Update, boundary func(i int)) map[string]int64 {
 	m.batch = ups
-	m.batchCounts = nil
 	m.batchErrs = m.batchErrs[:0]
+	m.batchErrAt = m.batchErrAt[:0]
 	for i := 0; i < len(ups); {
 		i = m.scheduleRun(i, boundary)
 	}
 	m.batch = nil
 	counts := m.batchCounts
 	m.batchCounts = nil
-	errs := m.batchErrs
-	m.batchErrs = errs[:0] // errors.Join copies; keep the backing array
-	return counts, errors.Join(errs...)
+	return counts
+}
+
+// fail records an evaluation error raised by the batch update at idx.
+func (m *MultiEngine) fail(idx int, err error) {
+	m.batchErrs = append(m.batchErrs, err)
+	m.batchErrAt = append(m.batchErrAt, int32(idx))
 }
 
 // maxRunEdges caps the size of the epoch-keyed conflict map; past it the
@@ -668,10 +563,10 @@ const maxRunEdges = 1 << 15
 // can share one frozen-graph window and one pool dispatch. Edge
 // insertions are pre-applied in batch order as the run is built;
 // deletions evaluate inside the window and mutate the graph after it
-// (the paper's Algorithm 2 order). Updates that create vertices (fresh
-// declarations, inserts auto-creating an endpoint) run solo through the
-// per-update path so engine vertex notifications keep their exact
-// sequential position. No-ops (duplicate inserts, absent deletes,
+// (the paper's Algorithm 2 order). An update that creates vertices (a
+// fresh declaration, an insert auto-creating an endpoint) is a run of one,
+// so the engines it does not engage are notified of the new vertices in
+// exact sequential position. No-ops (duplicate inserts, absent deletes,
 // re-declarations) are detected exactly, because any update whose edge
 // was already touched in the run forces the run to flush first.
 //
@@ -687,12 +582,6 @@ func (m *MultiEngine) scheduleRun(start int, boundary func(i int)) int {
 	if m.edgeEpoch == 0 || len(m.runEdges) > maxRunEdges {
 		m.runEdges = make(map[Edge]uint32, 64)
 		m.edgeEpoch = 1
-		// The sub-pattern run marks are keyed by the same epoch; a stale
-		// mark equal to the restarted epoch would silently skip a
-		// maintenance evaluation.
-		for _, sp := range m.subs {
-			sp.runMark = 0
-		}
 	}
 	i := start
 loop:
@@ -701,20 +590,13 @@ loop:
 		switch u.Op {
 		case stream.OpInsert:
 			e := u.Edge
-			if m.runEdges[e] == m.edgeEpoch {
+			if i > start && m.runEdges[e] == m.edgeEpoch {
 				break loop // same-edge conflict: next run re-examines it
 			}
 			newFrom := !m.g.HasVertex(e.From)
 			newTo := e.To != e.From && !m.g.HasVertex(e.To)
-			if newFrom || newTo {
-				if i > start {
-					break loop
-				}
-				// Solo per-update path: Insert notifies non-relevant
-				// engines of the created vertices in sequential position.
-				counts, err := m.Insert(e.From, e.Label, e.To)
-				m.mergeBatch(i, counts, err, boundary)
-				return i + 1
+			if (newFrom || newTo) && i > start {
+				break loop
 			}
 			rel := m.relevant(e.Label)
 			if m.anyEngaged(rel) {
@@ -724,12 +606,21 @@ loop:
 				i++ // duplicate: sequential no-op
 				continue
 			}
-			m.runEdges[e] = m.edgeEpoch
+			m.touchEdge(e, i)
 			m.engageRun(i, rel)
 			i++
+			if newFrom {
+				m.notifyVertexAdded(e.From)
+			}
+			if newTo {
+				m.notifyVertexAdded(e.To)
+			}
+			if newFrom || newTo {
+				break loop
+			}
 		case stream.OpDelete:
 			e := u.Edge
-			if m.runEdges[e] == m.edgeEpoch {
+			if i > start && m.runEdges[e] == m.edgeEpoch {
 				break loop
 			}
 			if !m.g.HasEdge(e.From, e.Label, e.To) {
@@ -740,7 +631,7 @@ loop:
 			if m.anyEngaged(rel) {
 				break loop
 			}
-			m.runEdges[e] = m.edgeEpoch
+			m.touchEdge(e, i)
 			m.engageRun(i, rel)
 			m.runDels = append(m.runDels, e)
 			i++
@@ -752,37 +643,55 @@ loop:
 			if i > start {
 				break loop
 			}
-			// Solo: declare and notify every engine, sequential position.
 			m.g.EnsureVertex(u.Vertex, u.Labels...)
 			m.notifyVertexAdded(u.Vertex)
-			if boundary != nil {
-				boundary(i)
-			}
-			return i + 1
+			i++
+			break loop
 		default:
-			m.batchErrs = append(m.batchErrs,
-				fmt.Errorf("update %d: unknown update op %d", i, u.Op)) //tf:alloc-ok error path
-			i++ // no effects; keeps its boundary slot in the flush walk
+			// No effects; the update keeps its boundary slot in the flush walk.
+			m.fail(i, fmt.Errorf("turboflux: unknown update op %d", u.Op)) //tf:alloc-ok error path
+			i++
 		}
 	}
 	m.flushRun(start, i, boundary)
 	return i
 }
 
-// mergeBatch folds a solo update's counts and error into the batch
-// accumulators and fires its boundary.
-func (m *MultiEngine) mergeBatch(idx int, counts map[string]int64, err error, boundary func(i int)) {
-	for name, n := range counts { //tf:unordered-ok merging into a map
-		if m.batchCounts == nil {
-			m.batchCounts = make(map[string]int64)
+// notifyVertexAdded routes root-candidate bookkeeping for a vertex the
+// current run of one just created to the engines that run does not
+// evaluate: every slot it has not engaged (shared members no-op — their
+// DCG is not theirs to touch) plus every maintainer it has not scheduled,
+// which settles the vertex once per shared sub-pattern instead of once
+// per member. Engaged engines settle the new endpoints themselves.
+// Vertex creation is rare at steady state, so the scans stay off the
+// common path.
+func (m *MultiEngine) notifyVertexAdded(v VertexID) {
+	for _, s := range m.order {
+		if !m.isEngaged(s) {
+			s.eng.NotifyVertexAdded(v)
 		}
-		m.batchCounts[name] += n
 	}
-	if err != nil {
-		m.batchErrs = append(m.batchErrs, fmt.Errorf("update %d: %w", idx, err))
+next:
+	for _, sp := range m.subs {
+		for _, rs := range m.runSubs {
+			if rs.sp == sp {
+				continue next
+			}
+		}
+		sp.maint.NotifyVertexAdded(v)
 	}
-	if boundary != nil {
-		boundary(idx)
+}
+
+// touchEdge records that the batch update at idx applied or scheduled e in
+// the current run, so that a later update of the same edge ends the run.
+// The batch's last update has no later update to stop — which keeps the
+// map out of single-update traffic altogether (scheduleRun likewise skips
+// the lookup for a run's first update, which nothing can precede).
+//
+//tf:hotpath
+func (m *MultiEngine) touchEdge(e Edge, idx int) {
+	if idx+1 < len(m.batch) {
+		m.runEdges[e] = m.edgeEpoch
 	}
 }
 
@@ -795,13 +704,21 @@ func (m *MultiEngine) relevant(l Label) []*mslot {
 	return nil
 }
 
+// isEngaged reports whether the current run has engaged slot s (the
+// routing bitset over registration positions).
+//
+//tf:hotpath
+func (m *MultiEngine) isEngaged(s *mslot) bool {
+	return m.engaged[s.pos>>6]&(1<<(uint(s.pos)&63)) != 0
+}
+
 // anyEngaged reports whether any of rel is already engaged in the
-// current run (the routing bitset over registration positions).
+// current run.
 //
 //tf:hotpath
 func (m *MultiEngine) anyEngaged(rel []*mslot) bool {
 	for _, s := range rel {
-		if m.engaged[s.pos>>6]&(1<<(uint(s.pos)&63)) != 0 {
+		if m.isEngaged(s) {
 			return true
 		}
 	}
@@ -809,31 +726,24 @@ func (m *MultiEngine) anyEngaged(rel []*mslot) bool {
 }
 
 // engageRun schedules the batch update at idx onto every relevant slot:
-// marks the slots engaged, appends idx to their run sub-sequences and
-// records the (idx, slot) pairs in batch order for the ordered replay.
-// Mirrors the per-update routing counters.
+// marks the slots engaged and appends them to the run in (update,
+// registration) order. None of rel is engaged yet — scheduleRun ends the
+// run first — so each slot carries exactly one update per run. The
+// routing and sharing counters are counted here and nowhere else.
 //
 //tf:hotpath
 func (m *MultiEngine) engageRun(idx int, rel []*mslot) {
 	l := m.batch[idx].Edge.Label
 	for _, s := range rel {
-		if m.engaged[s.pos>>6]&(1<<(uint(s.pos)&63)) == 0 {
-			m.engaged[s.pos>>6] |= 1 << (uint(s.pos) & 63)
-			s.runIdx = s.runIdx[:0]
-			s.runN = s.runN[:0]
-			s.runErr = s.runErr[:0]
-			s.buf.Reset()
-			m.runSlots = append(m.runSlots, s)
-		}
-		s.runIdx = append(s.runIdx, int32(idx))
-		m.runPairs = append(m.runPairs, runPair{idx: int32(idx), k: int32(len(s.runIdx) - 1), slot: s})
+		m.engaged[s.pos>>6] |= 1 << (uint(s.pos) & 63)
+		s.runIdx = int32(idx)
+		m.runSlots = append(m.runSlots, s)
 		// A tree-relevant update transitions the sub-pattern's shared DCG:
-		// schedule exactly one maintenance evaluation for it. (Such an
-		// update engages every member, so the conflict rule above already
-		// guarantees it is this sub-pattern's only update in the run;
-		// non-tree-relevant updates touch no shared state and need none.)
-		if sp := s.sub; sp != nil && sp.maint != nil && sp.treeRelevant(l) && sp.runMark != m.edgeEpoch {
-			sp.runMark = m.edgeEpoch
+		// schedule exactly one maintenance evaluation for it, at the first
+		// member. (Such an update engages every member, so it is this
+		// sub-pattern's only update in the run; non-tree-relevant updates
+		// touch no shared state and need none.)
+		if sp := s.sub; sp != nil && sp.maint != nil && s == sp.members[0] && sp.treeRelevant(l) {
 			m.runSubs = append(m.runSubs, runSub{sp: sp, idx: int32(idx)})
 			m.maintEvals++
 			m.savedEvals += uint64(len(sp.members) - 1)
@@ -844,11 +754,12 @@ func (m *MultiEngine) engageRun(idx int, rel []*mslot) {
 	m.skipped += uint64(len(m.order) - len(rel))
 }
 
-// flushRun executes the scheduled run: one pool dispatch over the
-// engaged slots (each walking its own sub-sequence of the batch against
-// the frozen graph), then one ordered replay merging the buffered
-// emissions by (update index, registration order) with per-update
-// boundaries interleaved, then the deferred deletions leave the graph.
+// flushRun executes the scheduled run — maintain the shared DCGs, then
+// SubgraphSearch, the paper's Algorithm 2 per update: one pool dispatch
+// over the engaged slots (each evaluating its one update against the
+// frozen graph), then one ordered replay of the buffered emissions in
+// (update index, registration order) with per-update boundaries
+// interleaved, then the deferred deletions leave the graph.
 //
 //tf:hotpath
 func (m *MultiEngine) flushRun(start, end int, boundary func(i int)) {
@@ -863,59 +774,46 @@ func (m *MultiEngine) flushRun(start, end int, boundary func(i int)) {
 			rs.sp.maint.MaintainInsertedEdge(u.Edge.From, u.Edge.Label, u.Edge.To)
 		}
 	}
-	if len(m.runSlots) > 0 {
+	for _, s := range m.runSlots {
+		s.buf.Reset()
+		s.buffering = true
+	}
+	tasks := m.tasks[:0]
+	if len(m.runSlots) > len(m.shardTasks) {
+		// More engaged engines than workers: one composite shard per
+		// worker instead of one task per slot keeps the barrier at
+		// W-1 handoffs however many engines the run engaged.
+		tasks = append(tasks, m.shardTasks...)
+	} else {
 		for _, s := range m.runSlots {
-			s.buffering = true
-		}
-		tasks := m.tasks[:0]
-		if len(m.runSlots) > len(m.shardTasks) {
-			// More engaged engines than workers: one composite shard per
-			// worker instead of one task per slot keeps the barrier at
-			// W-1 handoffs however many engines the run engaged.
-			tasks = append(tasks, m.shardTasks...)
-		} else {
-			for _, s := range m.runSlots {
-				tasks = append(tasks, s.batchTask)
-			}
-		}
-		m.tasks = tasks[:0]
-		m.pool.Run(tasks)
-		for _, s := range m.runSlots {
-			s.buffering = false
+			tasks = append(tasks, s.runTask)
 		}
 	}
+	m.tasks = tasks[:0]
+	m.pool.Run(tasks)
 	next := start
-	for p := 0; p < len(m.runPairs); {
-		idx := int(m.runPairs[p].idx)
-		for ; next < idx; next++ {
-			if boundary != nil {
+	for _, s := range m.runSlots {
+		s.buffering = false
+		if boundary != nil {
+			for ; next < int(s.runIdx); next++ {
 				boundary(next)
 			}
 		}
-		for ; p < len(m.runPairs) && int(m.runPairs[p].idx) == idx; p++ {
-			pr := m.runPairs[p]
-			s := pr.slot
-			if s.user != nil {
-				s.buf.ReplayMark(int(pr.k), s.user)
-			}
-			if n := s.runN[pr.k]; n != 0 {
-				if m.batchCounts == nil {
-					m.batchCounts = make(map[string]int64)
-				}
-				m.batchCounts[s.name] += n
-			}
-			if err := s.runErr[pr.k]; err != nil {
-				m.batchErrs = append(m.batchErrs,
-					fmt.Errorf("update %d query %q: %w", idx, s.name, err)) //tf:alloc-ok error path
-			}
+		if s.user != nil {
+			s.buf.Replay(s.user)
 		}
-		if boundary != nil {
-			boundary(next)
+		if s.runN != 0 {
+			if m.batchCounts == nil {
+				m.batchCounts = make(map[string]int64)
+			}
+			m.batchCounts[s.name] += s.runN
 		}
-		next++
+		if s.runErr != nil {
+			m.fail(int(s.runIdx), fmt.Errorf("query %q: %w", s.name, s.runErr)) //tf:alloc-ok error path
+		}
 	}
-	for ; next < end; next++ {
-		if boundary != nil {
+	if boundary != nil {
+		for ; next < end; next++ {
 			boundary(next)
 		}
 	}
@@ -924,253 +822,22 @@ func (m *MultiEngine) flushRun(start, end int, boundary func(i int)) {
 	// edges leave the graph (Algorithm 2's evaluate-before-remove order);
 	// shared members then re-sample their matching orders against the
 	// post-clearing DCG, where a private engine would have adjusted.
-	if len(m.runSubs) > 0 {
-		for _, rs := range m.runSubs {
-			if u := m.batch[rs.idx]; u.Op == stream.OpDelete {
-				rs.sp.maint.MaintainBeforeDelete(u.Edge.From, u.Edge.Label, u.Edge.To)
-			}
+	for _, rs := range m.runSubs {
+		if u := m.batch[rs.idx]; u.Op == stream.OpDelete {
+			rs.sp.maint.MaintainBeforeDelete(u.Edge.From, u.Edge.Label, u.Edge.To)
 		}
 	}
-	for _, pr := range m.runPairs {
-		if m.batch[pr.idx].Op == stream.OpDelete && pr.slot.eng.SharedMember() {
-			pr.slot.eng.AdjustOrderDeferred()
+	for _, s := range m.runSlots {
+		if m.batch[s.runIdx].Op == stream.OpDelete && s.eng.SharedMember() {
+			s.eng.AdjustOrderDeferred()
 		}
 	}
 	for _, e := range m.runDels {
 		m.g.DeleteEdge(e.From, e.Label, e.To)
 	}
-	// Leave every engaged buffer empty: the per-update parallel path
-	// (used by solo updates) replays whole buffers and relies on them
-	// starting clean.
-	for _, s := range m.runSlots {
-		s.buf.Reset()
-	}
 	m.runDels = m.runDels[:0]
 	m.runSlots = m.runSlots[:0]
-	m.runPairs = m.runPairs[:0]
 	m.runSubs = m.runSubs[:0]
-}
-
-// runSubUnit is a promoted sub-pattern's persistent pool task for the
-// single-update parallel window: the maintainer applies the update's DCG
-// transitions exactly once and the engaged members replay read-only,
-// sequenced by direction — maintenance first for insertions (members
-// gate on the final state), last for deletions (members search the
-// still-intact state, then the maintainer clears and the members
-// re-sample their matching orders against the post-clearing DCG, the
-// state a private engine would have adjusted on).
-func (m *MultiEngine) runSubUnit(sp *subpat) {
-	p := m.pending
-	if m.pendingPos {
-		sp.maint.MaintainInsertedEdge(p.From, p.Label, p.To)
-		for _, s := range sp.engagedMembers {
-			s.count, s.err = m.curEval(s.eng)
-		}
-	} else {
-		for _, s := range sp.engagedMembers {
-			s.count, s.err = m.curEval(s.eng)
-		}
-		sp.maint.MaintainBeforeDelete(p.From, p.Label, p.To)
-		for _, s := range sp.engagedMembers {
-			s.eng.AdjustOrderDeferred()
-		}
-	}
-}
-
-// fanOut evaluates the already-applied (insert) or not-yet-removed
-// (delete) edge update against the registered engines using m.curEval.
-//
-// Failure semantics (both modes): every engine is evaluated even when an
-// earlier one fails, partial counts are returned, and the per-query
-// errors are aggregated with errors.Join (each wrapped as `query "name"`,
-// so errors.Is still detects ErrWorkBudget). A budget-aborted engine has
-// rolled back its own DCG transition for this update — its standing
-// matches for this edge may be stale until a later update touches the
-// same region — but every other engine and the graph itself stay exactly
-// in sync with the stream.
-//
-// With workers > 1 the relevant engines (label routing: the update's
-// label occurs in the query) evaluate concurrently against the frozen
-// graph; created lists vertices this update added, which skipped engines
-// are notified of so their root-candidate bookkeeping stays complete.
-func (m *MultiEngine) fanOut(l Label, created []VertexID) (map[string]int64, error) {
-	if m.pool.Workers() <= 1 {
-		return m.fanOutSeq()
-	}
-	return m.fanOutParallel(l, created)
-}
-
-// fanOutSeq is the sequential path: every engine, registration order,
-// direct OnMatch delivery. Shared sub-patterns are maintained once per
-// update — before the member replays for insertions (members gate on the
-// post-maintenance state), after them for deletions (members replay
-// against the still-intact state, then the maintainer clears and the
-// members re-sample their matching orders).
-func (m *MultiEngine) fanOutSeq() (map[string]int64, error) {
-	if m.pendingPos {
-		m.maintainAll(true)
-	}
-	var counts map[string]int64
-	errs := m.errs[:0]
-	for _, s := range m.order {
-		m.evals++
-		n, err := m.curEval(s.eng)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("query %q: %w", s.name, err))
-		}
-		if n != 0 {
-			if counts == nil {
-				counts = make(map[string]int64)
-			}
-			counts[s.name] = n
-		}
-	}
-	if !m.pendingPos {
-		m.maintainAll(false)
-	}
-	m.errs = errs[:0]
-	return counts, errors.Join(errs...)
-}
-
-// maintainAll runs every promoted sub-pattern's maintainer for the
-// pending update (the sequential path evaluates every member, so every
-// shared DCG must be maintained; a label the tree never mentions costs
-// two cached root probes). Deletions additionally re-run each member's
-// deferred matching-order check against the post-clearing state.
-func (m *MultiEngine) maintainAll(positive bool) {
-	p := m.pending
-	for _, sp := range m.subs {
-		if positive {
-			sp.maint.MaintainInsertedEdge(p.From, p.Label, p.To)
-		} else {
-			sp.maint.MaintainBeforeDelete(p.From, p.Label, p.To)
-			for _, s := range sp.members {
-				s.eng.AdjustOrderDeferred()
-			}
-		}
-		m.maintEvals++
-		m.savedEvals += uint64(len(sp.members) - 1)
-		m.sharedRelays += uint64(len(sp.members))
-	}
-}
-
-// fanOutParallel routes the update to the engines whose queries mention
-// label l and runs them on the pool, then replays each engine's buffered
-// emissions in registration order. Tasks are keyed by sub-pattern, not
-// query: a promoted sub-pattern's engaged members ride ONE pool task
-// with their maintainer (maintain → replay members for insertions,
-// replay → maintain → re-sample orders for deletions), keeping the
-// shared DCG single-writer inside the window while distinct sub-patterns
-// and private slots parallelize. Single-relevant-engine updates run
-// inline (no barrier, no buffering) — the common case for disjoint
-// workloads.
-func (m *MultiEngine) fanOutParallel(l Label, created []VertexID) (map[string]int64, error) {
-	var rel []*mslot
-	if int(l) < len(m.byLabel) {
-		rel = m.byLabel[l]
-	}
-	m.skipped += uint64(len(m.order) - len(rel))
-	if len(created) > 0 {
-		// The skipped evaluation's only structural effect would have been
-		// root-candidate bookkeeping for vertices this insert created.
-		// Inserts that create vertices are rare at steady state, so the
-		// full scan stays off the common path. Maintainers whose
-		// sub-pattern has no relevant member will not run this update and
-		// are notified instead (an engaged maintainer settles the new
-		// endpoints itself through ensureRootEdge).
-		for _, s := range m.order {
-			if _, ok := s.labels[l]; ok {
-				continue
-			}
-			for _, v := range created {
-				s.eng.NotifyVertexAdded(v)
-			}
-		}
-		for _, sp := range m.subs {
-			if !sp.anyMemberMentions(l) {
-				for _, v := range created {
-					sp.maint.NotifyVertexAdded(v)
-				}
-			}
-		}
-	}
-	m.evals += uint64(len(rel))
-
-	switch len(rel) {
-	case 0:
-		return nil, nil
-	case 1:
-		s := rel[0]
-		var n int64
-		var err error
-		if sp := s.sub; sp != nil && sp.maint != nil {
-			p := m.pending
-			if m.pendingPos {
-				sp.maint.MaintainInsertedEdge(p.From, p.Label, p.To)
-				n, err = m.curEval(s.eng)
-			} else {
-				n, err = m.curEval(s.eng)
-				sp.maint.MaintainBeforeDelete(p.From, p.Label, p.To)
-				s.eng.AdjustOrderDeferred()
-			}
-			m.maintEvals++
-			m.sharedRelays++
-		} else {
-			n, err = m.curEval(s.eng)
-		}
-		if err != nil {
-			err = fmt.Errorf("query %q: %w", s.name, err)
-		}
-		var counts map[string]int64
-		if n != 0 {
-			counts = map[string]int64{s.name: n}
-		}
-		return counts, err
-	}
-
-	m.unitEpoch++
-	tasks := m.tasks[:0]
-	for _, s := range rel {
-		s.buffering = true
-		s.count, s.err = 0, nil
-		if sp := s.sub; sp != nil && sp.maint != nil {
-			if sp.engEpoch != m.unitEpoch {
-				sp.engEpoch = m.unitEpoch
-				sp.engagedMembers = sp.engagedMembers[:0]
-				tasks = append(tasks, sp.task)
-				m.maintEvals++
-			} else {
-				m.savedEvals++
-			}
-			sp.engagedMembers = append(sp.engagedMembers, s)
-			m.sharedRelays++
-		} else {
-			tasks = append(tasks, s.task)
-		}
-	}
-	m.tasks = tasks[:0]
-	m.pool.Run(tasks)
-
-	var counts map[string]int64
-	errs := m.errs[:0]
-	for _, s := range rel {
-		s.buffering = false
-		if s.user != nil {
-			s.buf.Replay(s.user)
-		}
-		s.buf.Reset()
-		if s.err != nil {
-			errs = append(errs, fmt.Errorf("query %q: %w", s.name, s.err))
-		}
-		if s.count != 0 {
-			if counts == nil {
-				counts = make(map[string]int64)
-			}
-			counts[s.name] = s.count
-		}
-	}
-	m.errs = errs[:0]
-	return counts, errors.Join(errs...)
 }
 
 // Graph returns the shared data graph. Treat it as read-only.

@@ -59,10 +59,11 @@ func allocGuardSetup(t *testing.T, workers int) (*MultiEngine, []Update, []Updat
 	return m, ins, dels
 }
 
-// TestApplyThunkPathAllocs guards the per-update fan-out: once warm, an
-// insert/delete cycle dispatched through the prebuilt eval thunks must
-// not allocate on the coordinator side at all.
-func TestApplyThunkPathAllocs(t *testing.T) {
+// TestApplySingleRunAllocs guards the run of one: once warm, an
+// insert/delete cycle applied one update at a time — each a one-update
+// batch through the run scheduler, both engines pooled — must not
+// allocate on the coordinator side at all.
+func TestApplySingleRunAllocs(t *testing.T) {
 	m, ins, dels := allocGuardSetup(t, 4)
 	cycle := func() {
 		for _, u := range ins {
@@ -78,7 +79,7 @@ func TestApplyThunkPathAllocs(t *testing.T) {
 	}
 	cycle() // warm the pool, scratch slices and adjacency capacities
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Fatalf("per-update thunk path: %v allocs per insert/delete cycle, want 0", avg)
+		t.Fatalf("single-update runs: %v allocs per insert/delete cycle, want 0", avg)
 	}
 }
 

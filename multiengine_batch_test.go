@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"turboflux/internal/stream"
 )
 
 // randomBatchStream extends randomStream with the update shapes the
@@ -64,103 +62,13 @@ func randomBatchStream(rng *rand.Rand, nUpdates int) []Update {
 	return ups
 }
 
-// registerBatchSpecs registers the specs' queries on m, all writing into
-// one shared transcript so inter-query emission order (registration
-// order within an update) is part of the compared bytes.
-func registerBatchSpecs(t *testing.T, m *MultiEngine, specs []parallelQuerySpec, b *strings.Builder) {
-	t.Helper()
-	for i, s := range specs {
-		name := fmt.Sprintf("q%d", i)
-		q, opt := s.build()
-		opt.OnMatch = func(positive bool, mapping []VertexID) {
-			sign := byte('+')
-			if !positive {
-				sign = '-'
-			}
-			fmt.Fprintf(b, "%s%c%v;", name, sign, mapping)
-		}
-		if err := m.Register(name, q, opt); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// runBatchSequential is the reference run: per-update Apply with a
-// boundary marker written after each update's emissions.
-func runBatchSequential(t *testing.T, specs []parallelQuerySpec, ups []Update) (string, map[string]int64) {
-	t.Helper()
-	m := NewMultiEngine(NewGraph())
-	defer m.Close() //tf:unchecked-ok test teardown
-	m.SetFanOutWorkers(1)
-	var b strings.Builder
-	registerBatchSpecs(t, m, specs, &b)
-	totals := map[string]int64{}
-	for i, u := range ups {
-		counts, err := m.Apply(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, n := range counts {
-			totals[name] += n
-		}
-		fmt.Fprintf(&b, "|%d;", i)
-	}
-	return b.String(), totals
-}
-
-// runBatchStream applies ups through ApplyBatchFunc in chunks of
-// batchSize, writing the same boundary markers through the hook.
-func runBatchStream(t *testing.T, workers, batchSize int, specs []parallelQuerySpec, ups []Update) (string, map[string]int64) {
-	t.Helper()
-	m := NewMultiEngine(NewGraph())
-	defer m.Close() //tf:unchecked-ok test teardown
-	m.SetFanOutWorkers(workers)
-	var b strings.Builder
-	registerBatchSpecs(t, m, specs, &b)
-	totals := map[string]int64{}
-	off := 0
-	for _, chunk := range stream.Batches(ups, batchSize) {
-		base := off
-		counts, err := m.ApplyBatchFunc(chunk, func(i int) {
-			fmt.Fprintf(&b, "|%d;", base+i)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, n := range counts {
-			totals[name] += n
-		}
-		off += len(chunk)
-	}
-	return b.String(), totals
-}
-
-// firstDiff returns a window around the first byte where got and want
-// diverge, for readable failure output.
-func firstDiff(got, want string) string {
-	i := 0
-	for i < len(got) && i < len(want) && got[i] == want[i] {
-		i++
-	}
-	lo := i - 60
-	if lo < 0 {
-		lo = 0
-	}
-	end := func(s string) int {
-		if i+60 < len(s) {
-			return i + 60
-		}
-		return len(s)
-	}
-	return fmt.Sprintf("at byte %d:\n  got:  …%s\n  want: …%s", i, got[lo:end(got)], want[lo:end(want)])
-}
-
 // TestBatchEquivalence is the tentpole property: for random streams
 // (including mid-stream vertex creation and no-op updates) and random
-// query mixes, ApplyBatchFunc produces a byte-identical interleaved
-// transcript — emissions tagged by query, in registration order within
-// each update, with per-update boundary markers — to sequential
-// per-update evaluation, across batch sizes and worker counts.
+// query mixes, Apply (batch 0) and ApplyBatchFunc produce a
+// byte-identical interleaved transcript — emissions tagged by query, in
+// registration order within each update, with per-update boundary
+// markers — to the independent per-query reference, across batch sizes
+// and worker counts.
 func TestBatchEquivalence(t *testing.T) {
 	nUpdates := 600
 	if testing.Short() {
@@ -172,27 +80,7 @@ func TestBatchEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			specs := randomQuerySpecs(rng)
 			ups := randomBatchStream(rng, nUpdates)
-			wantTr, wantTot := runBatchSequential(t, specs, ups)
-			for _, workers := range []int{1, 4, 8} {
-				for _, bs := range []int{1, 16, 256, 4096} {
-					gotTr, gotTot := runBatchStream(t, workers, bs, specs, ups)
-					if gotTr != wantTr {
-						t.Fatalf("workers=%d batch=%d: transcript diverged %s",
-							workers, bs, firstDiff(gotTr, wantTr))
-					}
-					for name, want := range wantTot {
-						if got := gotTot[name]; got != want {
-							t.Fatalf("workers=%d batch=%d query %s: counts %d != sequential %d",
-								workers, bs, name, got, want)
-						}
-					}
-					for name := range gotTot {
-						if _, ok := wantTot[name]; !ok {
-							t.Fatalf("workers=%d batch=%d: unexpected counts for %s", workers, bs, name)
-						}
-					}
-				}
-			}
+			checkEquivalence(t, specs, ups, false, []int{1, 4, 8}, []int{0, 1, 16, 256, 4096}, nil)
 		})
 	}
 }
@@ -241,7 +129,7 @@ func TestBatchErrorEvaluatesAll(t *testing.T) {
 			if !errors.Is(err, ErrWorkBudget) {
 				t.Fatalf("err = %v, want ErrWorkBudget", err)
 			}
-			for _, frag := range []string{`update 2 query "starved"`, `update 3 query "starved"`, `update 4 query "starved"`} {
+			for _, frag := range []string{`update 2: query "starved"`, `update 3: query "starved"`, `update 4: query "starved"`} {
 				if !strings.Contains(err.Error(), frag) {
 					t.Fatalf("err = %v, want fragment %q", err, frag)
 				}
@@ -260,51 +148,151 @@ func TestBatchErrorEvaluatesAll(t *testing.T) {
 	}
 }
 
-// TestBatchRoutingStats checks that batch evaluation accounts evals and
-// label-routing skips exactly like the per-update parallel path, so the
-// serving STATS counters stay meaningful under BATCH frames.
+// TestErrorWording pins the one wording of evaluation errors: whatever
+// shape carried the failing update — a batch of one, a longer batch, an
+// update that created its endpoint vertices — ApplyBatch reports
+// `update i: query "name": cause`, and Apply/Insert/Delete report the same
+// error without the update index (the server's -ERR text for single
+// lines). Unknown ops are worded the same way. (Insertions carry the
+// failures: a starved engine rolled its insert transitions back, so the
+// matching deletions find nothing to spend budget on.)
+func TestErrorWording(t *testing.T) {
+	starved := fmt.Sprintf("query %q: %v", "starved", ErrWorkBudget)
+	at := func(i int, msg string) string { return fmt.Sprintf("update %d: %s", i, msg) }
+	const unknown = "turboflux: unknown update op 99"
+	for _, tc := range []struct {
+		name string
+		run  func(m *MultiEngine) error
+		want string
+	}{
+		{"batch of one", func(m *MultiEngine) error {
+			_, err := m.ApplyBatch([]Update{Insert(2, 0, 3)})
+			return err
+		}, at(0, starved)},
+		{"longer batch", func(m *MultiEngine) error {
+			_, err := m.ApplyBatch([]Update{Insert(2, 0, 3), Insert(4, 0, 1)})
+			return err
+		}, at(0, starved) + "\n" + at(1, starved)},
+		{"vertex-creating updates", func(m *MultiEngine) error {
+			_, err := m.ApplyBatch([]Update{Insert(5, 0, 6), Insert(7, 0, 1)})
+			return err
+		}, at(0, starved) + "\n" + at(1, starved)},
+		{"Apply", func(m *MultiEngine) error {
+			_, err := m.Apply(Insert(2, 0, 3))
+			return err
+		}, starved},
+		{"Insert creating vertices", func(m *MultiEngine) error {
+			_, err := m.Insert(5, 0, 6)
+			return err
+		}, starved},
+		{"unknown op, Apply", func(m *MultiEngine) error {
+			_, err := m.Apply(Update{Op: 99})
+			return err
+		}, unknown},
+		{"unknown op, batch of one", func(m *MultiEngine) error {
+			_, err := m.ApplyBatch([]Update{{Op: 99}})
+			return err
+		}, at(0, unknown)},
+		{"unknown op, longer batch", func(m *MultiEngine) error {
+			_, err := m.ApplyBatch([]Update{Insert(1, 0, 2), {Op: 99}})
+			return err
+		}, at(1, unknown)},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMultiEngine(NewGraph())
+			defer m.Close() //tf:unchecked-ok test teardown
+			// Unlabeled query vertices: auto-created endpoints are candidates,
+			// so a vertex-creating insert reaches the starved engine's search.
+			q := NewQuery(2)
+			_ = q.AddEdge(0, 0, 1)
+			if err := m.Register("starved", q, Options{WorkBudget: 1}); err != nil {
+				t.Fatal(err)
+			}
+			// Budget 1 registers against the empty graph but fails every edge
+			// evaluation, set-up included.
+			if _, err := m.ApplyBatch([]Update{Insert(1, 0, 2), Insert(3, 0, 4)}); !errors.Is(err, ErrWorkBudget) {
+				t.Fatalf("set-up err = %v, want ErrWorkBudget", err)
+			}
+			err := tc.run(m)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("err = %q, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestBatchRoutingStats checks that the routing and sharing counters mean
+// one thing: the same stream applied one update at a time and in batches
+// of 256, at workers 1 and 4, yields identical FanOutStats (Evals,
+// Skipped) and MQOStats, so the serving STATS `fanout`/`mqo` lines read
+// the same under single-line traffic, BATCH frames and any
+// -fanout-workers.
 func TestBatchRoutingStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	specs := []parallelQuerySpec{
 		{shape: 0, elabels: [3]Label{0, 0, 0}},
 		{shape: 0, elabels: [3]Label{2, 2, 2}},
+		// Two members of one shape: a promoted unit, so MQOStats move.
+		{shape: 1, elabels: [3]Label{1, 2, 0}},
+		{shape: 1, elabels: [3]Label{1, 2, 0}, semantics: Isomorphism},
 	}
-	ups := randomStream(rng, 300)
+	ups := randomBatchStream(rng, 300)
 
-	stats := func(batch int) (uint64, uint64) {
-		m := NewMultiEngine(NewGraph())
-		defer m.Close() //tf:unchecked-ok test teardown
-		m.SetFanOutWorkers(4)
-		for i, s := range specs {
-			q, opt := s.build()
-			if err := m.Register(fmt.Sprintf("q%d", i), q, opt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if batch == 0 {
-			for _, u := range ups {
-				if _, err := m.Apply(u); err != nil {
-					t.Fatal(err)
-				}
-			}
-		} else {
-			for _, chunk := range stream.Batches(ups, batch) {
-				if _, err := m.ApplyBatch(chunk); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		fs := m.FanOutStats()
-		return fs.Evals, fs.Skipped
-	}
-
-	wantEvals, wantSkipped := stats(0)
-	gotEvals, gotSkipped := stats(64)
-	if gotEvals != wantEvals || gotSkipped != wantSkipped {
-		t.Fatalf("batch evals=%d skipped=%d, per-update evals=%d skipped=%d",
-			gotEvals, gotSkipped, wantEvals, wantSkipped)
-	}
-	if gotSkipped == 0 {
+	want := runMulti(t, 4, 0, specs, ups, false)
+	if want.fanout.Skipped == 0 {
 		t.Fatal("Skipped = 0: routing never engaged on a disjoint-label mix")
 	}
+	if want.mqo.MaintainRuns == 0 || want.mqo.SavedEvals == 0 || want.mqo.SharedReplays == 0 {
+		t.Fatalf("sharing never engaged: %+v", want.mqo)
+	}
+	for _, workers := range []int{1, 4} {
+		for _, batch := range []int{0, 256} {
+			got := runMulti(t, workers, batch, specs, ups, false)
+			if got.fanout.Evals != want.fanout.Evals || got.fanout.Skipped != want.fanout.Skipped {
+				t.Fatalf("workers=%d batch=%d: evals=%d skipped=%d, want evals=%d skipped=%d", workers, batch,
+					got.fanout.Evals, got.fanout.Skipped, want.fanout.Evals, want.fanout.Skipped)
+			}
+			if got.mqo != want.mqo {
+				t.Fatalf("workers=%d batch=%d: mqo %+v, want %+v", workers, batch, got.mqo, want.mqo)
+			}
+		}
+	}
+}
+
+// TestBatchVertexCreationRouting pins the vertex-notification routing the
+// run scheduler owns: an insert that auto-creates its endpoints sits
+// mid-batch while a promoted shared unit (two members of one shape) and a
+// private query are registered whose labels the insert does not carry.
+// Their engines are not evaluated for it, so the scheduler must settle
+// the new vertices in the private DCG and — once, through the maintainer
+// — in the shared one: the per-query DCG sizes checkEquivalence compares
+// catch a missed notification even where lazy root settling would hide
+// it from the transcript.
+func TestBatchVertexCreationRouting(t *testing.T) {
+	specs := []parallelQuerySpec{
+		{shape: 1, anyVertex: true},                         // shared unit, label 0
+		{shape: 1, anyVertex: true, semantics: Isomorphism}, // its second member
+		{shape: 0, anyVertex: true, elabels: [3]Label{2}},   // private, label 2
+		{shape: 0, anyVertex: true, elabels: [3]Label{1}},   // the only query the creating insert engages
+	}
+	ups := []Update{
+		DeclareVertex(1, 0),
+		DeclareVertex(2, 0),
+		Insert(1, 0, 2),
+		DeclareVertex(3, 0), // a declaration mid-batch: every engine notified
+		Insert(7, 1, 8),     // creates 7 and 8, candidates of every (unlabeled) query vertex
+		Insert(2, 0, 7),
+		Insert(7, 0, 8), // 3-paths 1→2→7 and 2→7→8 through the created vertices
+		Insert(8, 2, 7),
+		Delete(7, 1, 8),
+	}
+	checkEquivalence(t, specs, ups, false, []int{1, 4}, []int{0, 1, 256}, func(cfg string, got runResult) {
+		if got.mqo.SharedSubPatterns != 1 {
+			t.Fatalf("%s: shared unit not promoted: %+v", cfg, got.mqo)
+		}
+		if got.transcript == "" || got.totals["q0"] == 0 {
+			t.Fatalf("%s: nothing matched through the created vertices: %v", cfg, got.totals)
+		}
+	})
 }

@@ -65,8 +65,7 @@ func churnStream(rng *rand.Rand, waves int) []Update {
 // layout overhaul (DESIGN.md §16): under delete-heavy churn that
 // exercises slot release, epoch recycling, adjacency-bucket compaction
 // and vertex re-creation on recycled slots, every worker count and batch
-// size must reproduce the single-worker per-update transcript byte for
-// byte.
+// size must reproduce the independent per-query reference byte for byte.
 func TestDeleteHeavyChurnEquivalence(t *testing.T) {
 	waves := 6
 	if testing.Short() {
@@ -78,22 +77,7 @@ func TestDeleteHeavyChurnEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			specs := randomQuerySpecs(rng)
 			ups := churnStream(rng, waves)
-			wantTr, wantTot := runBatchSequential(t, specs, ups)
-			for _, workers := range []int{1, 4, 8} {
-				for _, batch := range []int{1, 256} {
-					gotTr, gotTot := runBatchStream(t, workers, batch, specs, ups)
-					if gotTr != wantTr {
-						t.Fatalf("workers=%d batch=%d: transcript diverged %s",
-							workers, batch, firstDiff(gotTr, wantTr))
-					}
-					for name, want := range wantTot {
-						if got := gotTot[name]; got != want {
-							t.Fatalf("workers=%d batch=%d query %s: counts %d != %d",
-								workers, batch, name, got, want)
-						}
-					}
-				}
-			}
+			checkEquivalence(t, specs, ups, false, []int{1, 4, 8}, []int{1, 256}, nil)
 		})
 	}
 }

@@ -1,0 +1,265 @@
+package turboflux
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"turboflux/internal/stream"
+)
+
+// The equivalence suites compare MultiEngine against a reference that
+// shares no code with it: one single-query Engine per spec, each over its
+// own clone of the stream's graph, driven update by update in
+// registration order. Both sides write the same interleaved transcript —
+// `q<i>±[mapping];` per emission, `|<idx>;` after each update — so
+// emission order across queries (registration order within an update) and
+// the position of every update boundary are part of the compared bytes.
+
+// streamTarget is what driveStream feeds: the reference or a MultiEngine.
+type streamTarget interface {
+	register(i int)   // (re-)register spec i against the current graph
+	unregister(i int) // drop spec i's query
+	apply(seg []Update, off int)
+}
+
+// driveStream registers every spec and applies ups. With churn, the first
+// and last queries are unregistered a third of the way in and
+// re-registered (against the then-current graph) at two thirds,
+// exercising refcount release, demotion, re-promotion and mid-stream
+// shared-DCG adoption on the MultiEngine side.
+func driveStream(tg streamTarget, nSpecs int, ups []Update, churn bool) {
+	for i := 0; i < nSpecs; i++ {
+		tg.register(i)
+	}
+	if !churn {
+		tg.apply(ups, 0)
+		return
+	}
+	cut1, cut2 := len(ups)/3, 2*len(ups)/3
+	churned := []int{0, nSpecs - 1}
+	tg.apply(ups[:cut1], 0)
+	for _, i := range churned {
+		tg.unregister(i)
+	}
+	tg.apply(ups[cut1:cut2], cut1)
+	for _, i := range churned {
+		tg.register(i)
+	}
+	tg.apply(ups[cut2:], cut2)
+}
+
+// runResult is what one drive of a stream produced.
+type runResult struct {
+	transcript string
+	totals     map[string]int64 // summed per-query counts, non-zero only
+	dcgEdges   map[string]int   // per-query DCG size after the stream
+	fanout     FanOutStats      // MultiEngine runs only
+	mqo        MQOStats         // MultiEngine runs only
+}
+
+// transcriptHook returns the OnMatch hook writing query name's emissions.
+func transcriptHook(b *strings.Builder, name string) func(bool, []VertexID) {
+	return func(positive bool, mapping []VertexID) {
+		sign := byte('+')
+		if !positive {
+			sign = '-'
+		}
+		fmt.Fprintf(b, "%s%c%v;", name, sign, mapping)
+	}
+}
+
+// refTarget is the reference: independent single-query engines.
+type refTarget struct {
+	t      *testing.T
+	specs  []parallelQuerySpec
+	g      *Graph // the stream applied so far; registrations clone it
+	names  []string
+	engs   []*Engine // parallel to names, registration order
+	b      strings.Builder
+	totals map[string]int64
+}
+
+func (r *refTarget) register(i int) {
+	name := fmt.Sprintf("q%d", i)
+	q, opt := r.specs[i].build()
+	opt.OnMatch = transcriptHook(&r.b, name)
+	eng, err := NewEngine(r.g.Clone(), q, opt)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.names = append(r.names, name)
+	r.engs = append(r.engs, eng)
+}
+
+func (r *refTarget) unregister(i int) {
+	name := fmt.Sprintf("q%d", i)
+	for k, n := range r.names {
+		if n == name {
+			r.names = append(r.names[:k], r.names[k+1:]...)
+			r.engs = append(r.engs[:k], r.engs[k+1:]...)
+			return
+		}
+	}
+	r.t.Fatalf("%s was not registered", name)
+}
+
+func (r *refTarget) apply(seg []Update, off int) {
+	for i, u := range seg {
+		for k, eng := range r.engs {
+			n, err := eng.Apply(u)
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			if n != 0 {
+				r.totals[r.names[k]] += n
+			}
+		}
+		u.Apply(r.g)
+		fmt.Fprintf(&r.b, "|%d;", off+i)
+	}
+}
+
+// runReference drives the stream through the reference engines.
+func runReference(t *testing.T, specs []parallelQuerySpec, ups []Update, churn bool) runResult {
+	t.Helper()
+	r := &refTarget{t: t, specs: specs, g: NewGraph(), totals: map[string]int64{}}
+	driveStream(r, len(specs), ups, churn)
+	res := runResult{transcript: r.b.String(), totals: r.totals, dcgEdges: map[string]int{}}
+	for k, eng := range r.engs {
+		res.dcgEdges[r.names[k]] = eng.Stats().DCGEdges
+	}
+	return res
+}
+
+// multiTarget is the code under test: one MultiEngine. batch == 0 applies
+// one update at a time with Apply; otherwise the stream goes through
+// ApplyBatchFunc in chunks of batch.
+type multiTarget struct {
+	t      *testing.T
+	specs  []parallelQuerySpec
+	m      *MultiEngine
+	batch  int
+	b      strings.Builder
+	totals map[string]int64
+}
+
+func (mt *multiTarget) register(i int) {
+	name := fmt.Sprintf("q%d", i)
+	q, opt := mt.specs[i].build()
+	opt.OnMatch = transcriptHook(&mt.b, name)
+	if err := mt.m.Register(name, q, opt); err != nil {
+		mt.t.Fatal(err)
+	}
+}
+
+func (mt *multiTarget) unregister(i int) {
+	if !mt.m.Unregister(fmt.Sprintf("q%d", i)) {
+		mt.t.Fatalf("q%d was not registered", i)
+	}
+}
+
+func (mt *multiTarget) apply(seg []Update, off int) {
+	merge := func(counts map[string]int64, err error) {
+		if err != nil {
+			mt.t.Fatal(err)
+		}
+		for name, n := range counts {
+			mt.totals[name] += n
+		}
+	}
+	if mt.batch == 0 {
+		for i, u := range seg {
+			merge(mt.m.Apply(u))
+			fmt.Fprintf(&mt.b, "|%d;", off+i)
+		}
+		return
+	}
+	for _, chunk := range stream.Batches(seg, mt.batch) {
+		base := off
+		merge(mt.m.ApplyBatchFunc(chunk, func(i int) {
+			fmt.Fprintf(&mt.b, "|%d;", base+i)
+		}))
+		off += len(chunk)
+	}
+}
+
+// runMulti drives the stream through a fresh MultiEngine.
+func runMulti(t *testing.T, workers, batch int, specs []parallelQuerySpec, ups []Update, churn bool) runResult {
+	t.Helper()
+	m := NewMultiEngine(NewGraph())
+	defer m.Close() //tf:unchecked-ok test teardown
+	m.SetFanOutWorkers(workers)
+	if got := m.FanOutWorkers(); got != workers {
+		t.Fatalf("FanOutWorkers = %d, want %d", got, workers)
+	}
+	mt := &multiTarget{t: t, specs: specs, m: m, batch: batch, totals: map[string]int64{}}
+	driveStream(mt, len(specs), ups, churn)
+	res := runResult{
+		transcript: mt.b.String(),
+		totals:     mt.totals,
+		dcgEdges:   map[string]int{},
+		fanout:     m.FanOutStats(),
+		mqo:        m.MQOStats(),
+	}
+	for name, st := range m.Stats() {
+		res.dcgEdges[name] = st.DCGEdges
+	}
+	return res
+}
+
+// checkEquivalence is the property every suite asserts: under each
+// (workers, batch) configuration MultiEngine's transcript, summed counts
+// and final per-query DCG sizes equal the reference's, byte for byte.
+// each, when non-nil, sees every MultiEngine result for extra assertions.
+func checkEquivalence(t *testing.T, specs []parallelQuerySpec, ups []Update, churn bool,
+	workers, batches []int, each func(cfg string, got runResult)) {
+	t.Helper()
+	want := runReference(t, specs, ups, churn)
+	for _, w := range workers {
+		for _, bs := range batches {
+			cfg := fmt.Sprintf("workers=%d batch=%d", w, bs)
+			got := runMulti(t, w, bs, specs, ups, churn)
+			if got.transcript != want.transcript {
+				t.Fatalf("%s: transcript diverged from the per-query reference %s",
+					cfg, firstDiff(got.transcript, want.transcript))
+			}
+			if len(got.totals) != len(want.totals) {
+				t.Fatalf("%s: counts %v, reference %v", cfg, got.totals, want.totals)
+			}
+			for name, n := range want.totals {
+				if got.totals[name] != n {
+					t.Fatalf("%s query %s: counts %d != reference %d", cfg, name, got.totals[name], n)
+				}
+			}
+			for name, n := range want.dcgEdges {
+				if got.dcgEdges[name] != n {
+					t.Fatalf("%s query %s: %d DCG edges != reference %d", cfg, name, got.dcgEdges[name], n)
+				}
+			}
+			if each != nil {
+				each(cfg, got)
+			}
+		}
+	}
+}
+
+// firstDiff returns a window around the first byte where got and want
+// diverge, for readable failure output.
+func firstDiff(got, want string) string {
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	lo := i - 60
+	if lo < 0 {
+		lo = 0
+	}
+	end := func(s string) int {
+		if i+60 < len(s) {
+			return i + 60
+		}
+		return len(s)
+	}
+	return fmt.Sprintf("at byte %d:\n  got:  …%s\n  want: …%s", i, got[lo:end(got)], want[lo:end(want)])
+}

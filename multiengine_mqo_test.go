@@ -3,10 +3,7 @@ package turboflux
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
-
-	"turboflux/internal/stream"
 )
 
 // mqoOverlapSpecs builds a query mix with deliberate overlap: a few base
@@ -43,79 +40,12 @@ func mqoOverlapSpecs(rng *rand.Rand) []parallelQuerySpec {
 	return specs
 }
 
-// runMQOStream runs the specs over ups with sub-pattern sharing on or
-// off, all queries writing one interleaved transcript (registration
-// order within an update is part of the compared bytes, exactly as in
-// runBatchStream). With churn, the first and last queries are
-// unregistered a third of the way in and re-registered (against the
-// then-current graph) at two thirds, exercising refcount release,
-// demotion, re-promotion and mid-stream shared-DCG adoption.
-func runMQOStream(t *testing.T, sharing bool, workers, batchSize int, specs []parallelQuerySpec, ups []Update, churn bool) (string, map[string]int64, MQOStats) {
-	t.Helper()
-	m := NewMultiEngine(NewGraph())
-	defer m.Close() //tf:unchecked-ok test teardown
-	m.SetSharing(sharing)
-	m.SetFanOutWorkers(workers)
-	var b strings.Builder
-	reg := func(i int) {
-		name := fmt.Sprintf("q%d", i)
-		q, opt := specs[i].build()
-		opt.OnMatch = func(positive bool, mapping []VertexID) {
-			sign := byte('+')
-			if !positive {
-				sign = '-'
-			}
-			fmt.Fprintf(&b, "%s%c%v;", name, sign, mapping)
-		}
-		if err := m.Register(name, q, opt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range specs {
-		reg(i)
-	}
-	totals := map[string]int64{}
-	apply := func(seg []Update, off int) {
-		for _, chunk := range stream.Batches(seg, batchSize) {
-			base := off
-			counts, err := m.ApplyBatchFunc(chunk, func(i int) {
-				fmt.Fprintf(&b, "|%d;", base+i)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, n := range counts {
-				totals[name] += n
-			}
-			off += len(chunk)
-		}
-	}
-	if !churn {
-		apply(ups, 0)
-		return b.String(), totals, m.MQOStats()
-	}
-	cut1, cut2 := len(ups)/3, 2*len(ups)/3
-	churned := []int{0, len(specs) - 1}
-	apply(ups[:cut1], 0)
-	for _, i := range churned {
-		if !m.Unregister(fmt.Sprintf("q%d", i)) {
-			t.Fatalf("q%d was not registered", i)
-		}
-	}
-	apply(ups[cut1:cut2], cut1)
-	for _, i := range churned {
-		reg(i)
-	}
-	apply(ups[cut2:], cut2)
-	return b.String(), totals, m.MQOStats()
-}
-
 // TestMQOEquivalence is the acceptance property of the shared-evaluation
 // layer (DESIGN.md §17): for overlapping query mixes and random streams
 // (including mid-stream vertex creation and no-op updates), shared
 // sub-pattern evaluation emits byte-identical transcripts and counts to
-// the private-DCG-per-query baseline, for every worker count and batch
-// size.
+// the independent per-query reference — every query its own engine and
+// its own DCG — for every worker count and batch size.
 func TestMQOEquivalence(t *testing.T) {
 	nUpdates := 300
 	if testing.Short() {
@@ -127,25 +57,11 @@ func TestMQOEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			specs := mqoOverlapSpecs(rng)
 			ups := randomBatchStream(rng, nUpdates)
-			wantTr, wantTot, _ := runMQOStream(t, false, 1, 1, specs, ups, false)
-			for _, workers := range []int{1, 4, 8} {
-				for _, batch := range []int{1, 256} {
-					gotTr, gotTot, st := runMQOStream(t, true, workers, batch, specs, ups, false)
-					if st.SharedSubPatterns == 0 || st.MaintainRuns == 0 || st.SavedEvals == 0 {
-						t.Fatalf("workers=%d batch=%d: sharing never engaged: %+v", workers, batch, st)
-					}
-					if gotTr != wantTr {
-						t.Fatalf("workers=%d batch=%d: transcript diverged from private baseline %s",
-							workers, batch, firstDiff(gotTr, wantTr))
-					}
-					for name, want := range wantTot {
-						if got := gotTot[name]; got != want {
-							t.Fatalf("workers=%d batch=%d query %s: counts %d != %d",
-								workers, batch, name, got, want)
-						}
-					}
+			checkEquivalence(t, specs, ups, false, []int{1, 4, 8}, []int{1, 256}, func(cfg string, got runResult) {
+				if st := got.mqo; st.SharedSubPatterns == 0 || st.MaintainRuns == 0 || st.SavedEvals == 0 {
+					t.Fatalf("%s: sharing never engaged: %+v", cfg, st)
 				}
-			}
+			})
 		})
 	}
 }
@@ -154,7 +70,8 @@ func TestMQOEquivalence(t *testing.T) {
 // delete-heavy churn stream: sub-patterns demote and re-promote
 // mid-stream, re-registered members adopt the maintained shared DCG in
 // place of a fresh build, and released slots recycle — all without the
-// transcript drifting a byte from the private baseline.
+// transcript drifting a byte from the reference, whose re-registered
+// engines are rebuilt from the then-current graph.
 func TestMQOChurnEquivalence(t *testing.T) {
 	waves := 4
 	if testing.Short() {
@@ -166,25 +83,11 @@ func TestMQOChurnEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			specs := mqoOverlapSpecs(rng)
 			ups := churnStream(rng, waves)
-			wantTr, wantTot, _ := runMQOStream(t, false, 1, 1, specs, ups, true)
-			for _, workers := range []int{1, 4, 8} {
-				for _, batch := range []int{1, 256} {
-					gotTr, gotTot, st := runMQOStream(t, true, workers, batch, specs, ups, true)
-					if st.MaintainRuns == 0 {
-						t.Fatalf("workers=%d batch=%d: sharing never engaged: %+v", workers, batch, st)
-					}
-					if gotTr != wantTr {
-						t.Fatalf("workers=%d batch=%d: transcript diverged from private baseline %s",
-							workers, batch, firstDiff(gotTr, wantTr))
-					}
-					for name, want := range wantTot {
-						if got := gotTot[name]; got != want {
-							t.Fatalf("workers=%d batch=%d query %s: counts %d != %d",
-								workers, batch, name, got, want)
-						}
-					}
+			checkEquivalence(t, specs, ups, true, []int{1, 4, 8}, []int{1, 256}, func(cfg string, got runResult) {
+				if got.mqo.MaintainRuns == 0 {
+					t.Fatalf("%s: sharing never engaged: %+v", cfg, got.mqo)
 				}
-			}
+			})
 		})
 	}
 }
