@@ -99,6 +99,10 @@ type journal struct {
 	rec   RecoveryInfo
 }
 
+// bootstrapWindow is how many bootstrap records openStore journals per
+// write.
+const bootstrapWindow = 4096
+
 // openStore is the open sequence of both durable engines: open (or
 // create) the store in dir, merge the recovered label dictionaries into
 // the caller's, and journal + apply the bootstrap history when the store
@@ -134,12 +138,18 @@ func openStore(dir string, opt DurableMultiOptions) (journal, error) {
 
 	rec := st.Recovery()
 	if rec.Fresh {
-		for _, u := range opt.Bootstrap {
-			if _, err := st.Append(u); err != nil {
+		// Journal the bootstrap a window at a time, then apply the window:
+		// one write per window instead of one per record, the same frames.
+		for ups := opt.Bootstrap; len(ups) > 0; {
+			n := min(len(ups), bootstrapWindow)
+			if _, _, err := st.AppendBatch(ups[:n]); err != nil {
 				st.Close() //tf:unchecked-ok already failing
 				return journal{}, err
 			}
-			u.Apply(st.Graph())
+			for _, u := range ups[:n] {
+				u.Apply(st.Graph())
+			}
+			ups = ups[n:]
 		}
 	}
 	return journal{store: st, rec: RecoveryInfo{

@@ -1,7 +1,14 @@
 package turboflux
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"turboflux/internal/durable"
 )
 
 // socialQuery builds the two-Person knows query used across these tests.
@@ -138,4 +145,127 @@ func TestDurableMultiBadFsync(t *testing.T) {
 	if _, err := OpenDurableMulti(t.TempDir(), DurableMultiOptions{Fsync: "sometimes"}); err == nil {
 		t.Fatal("bad fsync policy must fail")
 	}
+}
+
+// bootstrapHistory is a bootstrap long enough to span several journaling
+// windows: labeled declarations, inserts and a few deletes.
+func bootstrapHistory(n int) []Update {
+	ups := make([]Update, 0, n)
+	for v := VertexID(0); len(ups) < n/3; v++ {
+		ups = append(ups, DeclareVertex(v, Label(v%3), Label(3+v%2)))
+	}
+	verts := VertexID(len(ups))
+	for i := 0; len(ups) < n; i++ {
+		from, to := VertexID(i)%verts, VertexID(i*7+1)%verts
+		if i%10 == 9 {
+			ups = append(ups, Delete((from-3)%verts, Label((i-3)%4), (to-21)%verts)) // the edge inserted three steps back
+		} else {
+			ups = append(ups, Insert(from, Label(i%4), to))
+		}
+	}
+	return ups
+}
+
+// TestBootstrapJournaledInWindows: a fresh store journals its bootstrap in
+// windows of bootstrapWindow records; what that leaves on disk must be
+// what journaling record by record leaves — the same files byte for byte
+// while the history fits one segment, the same frames and last LSN when
+// segments rotate (a window ends a segment later than a record does) —
+// and reopening either directory must recover the same graph.
+func TestBootstrapJournaledInWindows(t *testing.T) {
+	boot := bootstrapHistory(2*bootstrapWindow + 1500)
+	for _, segSize := range []int64{0, 16 << 10} {
+		byRecord, byWindow := t.TempDir(), t.TempDir()
+
+		st, err := durable.Open(byRecord, durable.Options{Fsync: durable.FsyncNone, SegmentSize: segSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range boot {
+			if _, err := st.Append(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantLSN := st.LSN()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		opt := DurableMultiOptions{Fsync: "none", SegmentSize: segSize}
+		opt.Bootstrap = boot
+		d, err := OpenDurableMulti(byWindow, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.LSN() != wantLSN {
+			t.Fatalf("segment size %d: last LSN %d, record by record %d", segSize, d.LSN(), wantLSN)
+		}
+		want := d.Graph().Clone()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		a, b := readDir(t, byRecord), readDir(t, byWindow)
+		if segSize == 0 {
+			if len(a.names) != len(b.names) || strings.Join(a.names, " ") != strings.Join(b.names, " ") {
+				t.Fatalf("directories differ: %v vs %v", a.names, b.names)
+			}
+		} else if len(a.names) < 3 || len(b.names) < 3 {
+			t.Fatalf("segment size %d: expected rotation, got %v and %v", segSize, a.names, b.names)
+		}
+		if !bytes.Equal(a.bytes, b.bytes) {
+			t.Fatalf("segment size %d: journaled bytes differ (%d vs %d)", segSize, len(a.bytes), len(b.bytes))
+		}
+
+		opt.Bootstrap = nil
+		for _, dir := range []string{byRecord, byWindow} {
+			r, err := OpenDurableMulti(dir, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := r.Graph()
+			if r.Recovery().Fresh || r.LSN() != wantLSN || got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
+				t.Fatalf("reopen %s: recovery %+v, LSN %d, %d vertices, %d edges; want LSN %d, %d vertices, %d edges",
+					dir, r.Recovery(), r.LSN(), got.NumVertices(), got.NumEdges(), wantLSN, want.NumVertices(), want.NumEdges())
+			}
+			for _, e := range want.Edges() {
+				if !got.HasEdge(e.From, e.Label, e.To) {
+					t.Fatalf("reopen %s: edge %v lost", dir, e)
+				}
+			}
+			want.ForEachVertex(func(v VertexID) {
+				if fmt.Sprint(got.Labels(v)) != fmt.Sprint(want.Labels(v)) {
+					t.Fatalf("reopen %s: vertex %d labels %v, want %v", dir, v, got.Labels(v), want.Labels(v))
+				}
+			})
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// dirContent is a directory's file names, sorted, and their concatenated
+// contents (WAL segments sort by first LSN, so that is the frame stream).
+type dirContent struct {
+	names []string
+	bytes []byte
+}
+
+func readDir(t *testing.T, dir string) dirContent {
+	t.Helper()
+	entries, err := os.ReadDir(dir) // sorted by name
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c dirContent
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.names = append(c.names, e.Name())
+		c.bytes = append(c.bytes, b...)
+	}
+	return c
 }

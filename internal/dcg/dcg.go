@@ -14,35 +14,40 @@
 // NULL edges are never stored. Edges whose label is the root u_s emanate
 // from the artificial source v*_s, represented here by graph.NoVertex.
 //
-// Data layout (DESIGN.md §16): the DCG is a dense slot-interned structure
-// with no hash maps anywhere on the update/eval path, mirroring the flat
-// vector + edge-index layout of the reference C++ implementations. A
-// vertex interner maps each participating data vertex to a compact slot;
-// deleted slots are recycled through a free list with an epoch stamp so
-// future cross-query caches can detect stale slot references. Each slot
-// owns, per query-vertex label u':
+// Data layout (DESIGN.md §16): the DCG is pointer-free. A vertex interner
+// maps each participating data vertex to a compact slot (slots of vertices
+// that lost their last edge are recycled through a free list), and two
+// flat cell tables indexed slot*nq+u' hold, per slot and query-vertex
+// label u':
 //
-//   - a sorted in-edge list (parent, state) searched by binary search —
-//     ascending parent order also makes every parent enumeration
-//     deterministic without per-call sorting;
-//   - a sorted explicit-children array (the candidate list SubgraphSearch
-//     enumerates), maintained by binary-search insert/remove. Keeping it
-//     sorted makes candidate enumeration a pure function of the DCG
-//     *state*, independent of the insertion/deletion history that
-//     produced it — the property the multi-query layer relies on when
-//     several queries share one DCG and each must reproduce, byte for
-//     byte, the transcript a private DCG (with a different history)
-//     would have produced (DESIGN.md §17).
+//   - the in-edge list (parent, state), sorted by parent and searched by
+//     binary search — ascending parent order also makes every parent
+//     enumeration deterministic without per-call sorting;
+//   - the explicit-children list (the candidate list SubgraphSearch
+//     enumerates), sorted by child. Keeping it sorted makes candidate
+//     enumeration a pure function of the DCG *state*, independent of the
+//     insertion/deletion history that produced it — the property the
+//     multi-query layer relies on when several queries share one DCG and
+//     each must reproduce, byte for byte, the transcript a private DCG
+//     (with a different history) would have produced (DESIGN.md §17).
+//
+// A cell is 8 bytes. Most lists are empty and almost all others hold one
+// entry, which lives in the cell itself; a longer list is a power-of-two
+// block of one of two per-DCG arenas (pool), recycled through per-class
+// free lists. No slot and no list is a heap object of its own, so the
+// collector has nothing to trace here and churn allocates nothing.
 //
 // The per-label explicit-out count — the paper's bitmap bit — is simply
-// the length of the explicit-children array, so MatchAllChildren stays
+// the length of the explicit-children list, so MatchAllChildren stays
 // O(|Children(u)|) integer tests.
 package dcg
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
+	"unsafe"
 
 	"turboflux/internal/graph"
 	"turboflux/internal/query"
@@ -77,13 +82,13 @@ func (s State) String() string {
 // EdgeBytes is the accounting cost of one stored DCG edge, used for the
 // intermediate-result-size comparisons (Figures 6b, 7b, 8b, 9b): parent
 // vertex ID, child vertex ID, query-vertex label and state, plus index
-// overhead.
+// overhead. HeldBytes reports what the process actually holds.
 const EdgeBytes = 16
 
 // inEdge is one stored incoming DCG edge of a vertex: the parent data
 // vertex (graph.NoVertex for root edges) and the edge state. The
 // parent-side explicit-children entry is found by binary search over the
-// sorted children array when the edge leaves Explicit.
+// sorted children list when the edge leaves Explicit.
 type inEdge struct {
 	parent graph.VertexID
 	state  State
@@ -108,48 +113,137 @@ func searchIn(l []inEdge, p graph.VertexID) (int, bool) {
 	return lo, lo < len(l) && l[lo].parent == p
 }
 
-// searchOut returns the position of child v in the sorted explicit-
-// children list l and whether it is present; an absent child maps to its
-// insertion position.
-//
-//tf:hotpath
-func searchOut(l []graph.VertexID, v graph.VertexID) (int, bool) {
-	lo, hi := 0, len(l)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if l[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(l) && l[lo] == v
+// cell is the header of one list: n packs len<<7 | class<<2 | state.
+// Class 0 is the inline form (len <= 1): a holds the single parent or
+// child, and for an in-cell the low bits hold its state. Class k >= 1 is
+// a block of capacity 1<<k at arena offset a, holding len >= 2 entries.
+// a is an array so that an inline child can be returned as a slice.
+type cell struct {
+	a [1]graph.VertexID
+	n uint32
 }
 
-// inShrinkMin is the smallest in-edge backing-array capacity delete
-// compaction bothers with; inKeepEmpty is the largest backing array a
-// fully drained list retains for alloc-free churn around zero (same
-// policy as the graph's adjacency lists).
 const (
-	inShrinkMin = 16
-	inKeepEmpty = 4
+	stateMask  = 3
+	classShift = 2
+	classMask  = 31
+	lenShift   = 7
+	maxClass   = 31 - lenShift // a full block of the top class still fits the 25-bit length
+	shrinkMin  = 4             // smallest class (capacity 16) that moves down when three quarters empty
 )
 
-// node holds the per-slot DCG storage of one participating data vertex.
-// A released slot keeps its (emptied) per-label arrays so recycling it
-// for a new vertex allocates nothing.
-type node struct {
-	// in[u'] lists the stored incoming edges labeled u', sorted by parent.
-	in [][]inEdge
-	// out[u'] holds this vertex's EXPLICIT children labeled u', for the
-	// forward enumeration of SubgraphSearch (candidates come straight from
-	// the DCG, never by filtering data-graph adjacency). len(out[u']) is
-	// the paper's bitmap bit / explicit-out counter.
-	out [][]graph.VertexID
-	// inTotal/outTotal track total stored in-edges and explicit children
-	// across labels; the slot is recycled when both reach zero.
-	inTotal  int32
-	outTotal int32
+func (c cell) len() int      { return int(c.n >> lenShift) }
+func (c cell) class() uint32 { return c.n >> classShift & classMask }
+
+func inlineCell(x graph.VertexID, s State) cell {
+	return cell{a: [1]graph.VertexID{x}, n: 1<<lenShift | uint32(s)}
+}
+
+func blockCell(off uint32, n int, k uint32) cell {
+	return cell{a: [1]graph.VertexID{graph.VertexID(off)}, n: uint32(n)<<lenShift | k<<classShift}
+}
+
+// pool is the arena behind the lists of one direction: blocks of
+// capacity 1<<k carved from data, released blocks kept on free[k]. A
+// list moves up a class when its block is full and down a class when a
+// block of capacity >= 16 is three quarters empty (the 4-to-1 trigger
+// against the 2-to-1 new capacity keeps churn around a stable length from
+// thrashing); a list that drains to one entry goes back into its cell.
+type pool[T any] struct {
+	data []T
+	free [maxClass + 1][]uint32
+}
+
+// list returns the entries of block cell c.
+//
+//tf:hotpath
+func (p *pool[T]) list(c cell) []T {
+	off, n := int(c.a[0]), c.len()
+	return p.data[off : off+n : off+n]
+}
+
+//tf:hotpath
+func (p *pool[T]) alloc(k uint32) uint32 {
+	if k > maxClass {
+		panic("dcg: a list outgrew 1<<24 entries")
+	}
+	if f := p.free[k]; len(f) > 0 {
+		p.free[k] = f[:len(f)-1]
+		return f[len(f)-1]
+	}
+	off := len(p.data)
+	if uint64(off)+1<<k > math.MaxUint32 {
+		panic("dcg: an arena outgrew its 32-bit offsets")
+	}
+	p.data = append(p.data, make([]T, 1<<k)...)
+	return uint32(off)
+}
+
+//tf:hotpath
+func (p *pool[T]) release(off, k uint32) { p.free[k] = append(p.free[k], off) }
+
+// insert puts x at position idx of c's non-empty list. inl is the entry
+// an inline c holds, which only the caller can unpack.
+//
+//tf:hotpath
+func (p *pool[T]) insert(c *cell, idx int, x, inl T) {
+	n, k := c.len(), c.class()
+	if k == 0 {
+		off := p.alloc(1)
+		p.data[int(off)+idx], p.data[int(off)+1-idx] = x, inl
+		*c = blockCell(off, 2, 1)
+		return
+	}
+	off := uint32(c.a[0])
+	if n == 1<<k {
+		to := p.alloc(k + 1)
+		copy(p.data[to:], p.data[off:int(off)+idx])
+		copy(p.data[int(to)+idx+1:], p.data[int(off)+idx:int(off)+n])
+		p.release(off, k)
+		off, k = to, k+1
+	} else {
+		l := p.data[off : int(off)+n+1]
+		copy(l[idx+1:], l[idx:])
+	}
+	p.data[int(off)+idx] = x
+	*c = blockCell(off, n+1, k)
+}
+
+// remove deletes position idx of block cell c. When one entry is left the
+// block is released and the entry returned for the caller to pack inline.
+//
+//tf:hotpath
+func (p *pool[T]) remove(c *cell, idx int) (last T, inline bool) {
+	n, k, off := c.len(), c.class(), uint32(c.a[0])
+	l := p.data[off : int(off)+n]
+	copy(l[idx:], l[idx+1:])
+	n--
+	switch {
+	case n == 1:
+		p.release(off, k)
+		return l[0], true
+	case k >= shrinkMin && n*4 <= 1<<k:
+		to := p.alloc(k - 1)
+		copy(p.data[to:], p.data[off:int(off)+n])
+		p.release(off, k)
+		off, k = to, k-1
+	}
+	*c = blockCell(off, n, k)
+	return last, false
+}
+
+// heldBytes returns the bytes of the arena and its free lists.
+func (p *pool[T]) heldBytes() int64 {
+	b := sliceBytes(p.data)
+	for _, f := range p.free {
+		b += sliceBytes(f)
+	}
+	return b
+}
+
+func sliceBytes[T any](s []T) int64 {
+	var z T
+	return int64(cap(s)) * int64(unsafe.Sizeof(z))
 }
 
 // DCG is the data-centric graph for one query tree. The zero value is not
@@ -160,9 +254,17 @@ type DCG struct {
 
 	slotOf []int32          // data vertex -> interner slot, -1 when absent
 	vids   []graph.VertexID // slot -> data vertex, NoVertex when free
-	epoch  []uint32         // slot -> epoch, bumped each time the slot is recycled
-	nodes  []node           // slot-indexed storage
+	load   []uint32         // slot -> stored in-edges + explicit children; the slot is recycled at zero
 	free   []uint32         // recycled slots (LIFO)
+
+	// in[s*nq+u'] lists slot s's stored incoming edges labeled u', sorted
+	// by parent. out[s*nq+u'] lists its EXPLICIT children labeled u', for
+	// the forward enumeration of SubgraphSearch (candidates come straight
+	// from the DCG, never by filtering data-graph adjacency); its length is
+	// the paper's bitmap bit / explicit-out counter.
+	in, out []cell
+	ins     pool[inEdge]
+	outs    pool[graph.VertexID]
 
 	numEdges    int     // stored (implicit + explicit) edges
 	numExplicit int     // stored explicit edges
@@ -192,21 +294,15 @@ func (d *DCG) slot(v graph.VertexID) int32 {
 	return -1
 }
 
-// ensureSlot returns v's slot, interning it if absent: recycled slots are
-// reused (bumping nothing — the epoch was stamped at release), otherwise a
-// fresh slot is appended.
+// ensureSlot returns v's slot, interning it if absent: a recycled slot is
+// reused, otherwise a fresh one is appended with nq empty cells per
+// direction.
 func (d *DCG) ensureSlot(v graph.VertexID) int32 {
-	if int(v) >= len(d.slotOf) {
-		n := int(v) + 1
-		if n < 2*len(d.slotOf) {
-			n = 2 * len(d.slotOf) // amortize repeated growth
+	if old := len(d.slotOf); int(v) >= old {
+		d.slotOf = append(d.slotOf, make([]int32, int(v)+1-old)...) // append amortizes repeated growth
+		for i := old; i < len(d.slotOf); i++ {
+			d.slotOf[i] = -1
 		}
-		ns := make([]int32, n)
-		copy(ns, d.slotOf)
-		for i := len(d.slotOf); i < n; i++ {
-			ns[i] = -1
-		}
-		d.slotOf = ns
 	}
 	if s := d.slotOf[v]; s >= 0 {
 		return s
@@ -216,31 +312,68 @@ func (d *DCG) ensureSlot(v graph.VertexID) int32 {
 		s = int32(d.free[n-1])
 		d.free = d.free[:n-1]
 	} else {
-		s = int32(len(d.nodes))
-		d.nodes = append(d.nodes, node{
-			in:  make([][]inEdge, d.nq),
-			out: make([][]graph.VertexID, d.nq),
-		})
+		s = int32(len(d.vids))
 		d.vids = append(d.vids, graph.NoVertex)
-		d.epoch = append(d.epoch, 0)
+		d.load = append(d.load, 0)
+		d.in = append(d.in, make([]cell, d.nq)...)
+		d.out = append(d.out, make([]cell, d.nq)...)
 	}
 	d.vids[s] = v
 	d.slotOf[v] = s
 	return s
 }
 
-// maybeRelease recycles slot s when its vertex no longer stores any
-// in-edge or explicit child: the slot goes on the free list with a bumped
-// epoch, invalidating any (slot, epoch) reference a cache may hold.
-func (d *DCG) maybeRelease(s int32) {
-	n := &d.nodes[s]
-	if n.inTotal != 0 || n.outTotal != 0 || d.vids[s] == graph.NoVertex {
-		return
+// unload takes one stored entry off slot s and recycles the slot when it
+// was the last: every cell of a free slot is empty, so reuse costs nothing.
+func (d *DCG) unload(s int32) {
+	d.load[s]--
+	if d.load[s] == 0 {
+		d.slotOf[d.vids[s]] = -1
+		d.vids[s] = graph.NoVertex
+		d.free = append(d.free, uint32(s))
 	}
-	d.slotOf[d.vids[s]] = -1
-	d.vids[s] = graph.NoVertex
-	d.epoch[s]++
-	d.free = append(d.free, uint32(s))
+}
+
+// inList returns the in-edges of cell c; one backs the inline form.
+//
+//tf:hotpath
+func (d *DCG) inList(c cell, one *[1]inEdge) []inEdge {
+	if c.class() != 0 {
+		return d.ins.list(c)
+	}
+	one[0] = inEdge{parent: c.a[0], state: State(c.n & stateMask)}
+	return one[:c.len()]
+}
+
+// inCell returns v2's in-cell for label u, or the empty cell.
+//
+//tf:hotpath
+func (d *DCG) inCell(v2, u graph.VertexID) cell {
+	if s := d.slot(v2); s >= 0 {
+		return d.in[int(s)*d.nq+int(u)]
+	}
+	return cell{}
+}
+
+// outCell returns v's explicit-children cell for label u, or nil.
+//
+//tf:hotpath
+func (d *DCG) outCell(v, u graph.VertexID) *cell {
+	if s := d.slot(v); s >= 0 {
+		return &d.out[int(s)*d.nq+int(u)]
+	}
+	return nil
+}
+
+// children returns the explicit children of cell c; an inline child is
+// returned as a slice into the cell table.
+//
+//tf:hotpath
+func (d *DCG) children(c *cell) []graph.VertexID {
+	if c.class() != 0 {
+		return d.outs.list(*c)
+	}
+	return c.a[:c.len()]
 }
 
 // GetState returns the state of DCG edge (v, u, v2). Use graph.NoVertex as
@@ -248,11 +381,16 @@ func (d *DCG) maybeRelease(s int32) {
 //
 //tf:hotpath
 func (d *DCG) GetState(v graph.VertexID, u graph.VertexID, v2 graph.VertexID) State {
-	s := d.slot(v2)
-	if s < 0 {
+	c := d.inCell(v2, u)
+	if c.class() == 0 {
+		// An empty cell is all zero, so a chance match of v against it
+		// still reads Null.
+		if c.a[0] == v {
+			return State(c.n & stateMask)
+		}
 		return Null
 	}
-	l := d.nodes[s].in[u]
+	l := d.ins.list(c)
 	if i, ok := searchIn(l, v); ok {
 		return l[i].state
 	}
@@ -266,96 +404,85 @@ func (d *DCG) GetState(v graph.VertexID, u graph.VertexID, v2 graph.VertexID) St
 //
 //tf:hotpath
 func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.VertexID, target State) bool {
-	s2 := d.slot(v2)
-	idx := 0
+	var one [1]inEdge
+	l := d.inList(d.inCell(v2, u), &one)
+	idx, ok := searchIn(l, v)
 	cur := Null
-	if s2 >= 0 {
-		var ok bool
-		idx, ok = searchIn(d.nodes[s2].in[u], v)
-		if ok {
-			cur = d.nodes[s2].in[u][idx].state
-		}
+	if ok {
+		cur = l[idx].state
 	}
 	if cur == target {
 		return false
 	}
 
 	// Leaving Explicit: remove v2 from the parent's sorted explicit-
-	// children array, preserving ascending order so candidate enumeration
+	// children list, preserving ascending order so candidate enumeration
 	// stays a pure function of the DCG state (see the package comment).
 	if cur == Explicit {
 		d.numExplicit--
 		d.explByLabel[u]--
 		if v != graph.NoVertex {
-			pn := &d.nodes[d.slot(v)] // parent owns an out entry, so it has a slot
-			list := pn.out[u]
-			op, _ := searchOut(list, v2)
-			copy(list[op:], list[op+1:])
-			pn.out[u] = list[:len(list)-1]
-			pn.outTotal--
+			ps := d.slot(v) // the parent owns an out entry, so it has a slot
+			c := &d.out[int(ps)*d.nq+int(u)]
+			if c.class() == 0 {
+				*c = cell{}
+			} else {
+				op, _ := slices.BinarySearch(d.outs.list(*c), v2)
+				if last, inline := d.outs.remove(c, op); inline {
+					*c = inlineCell(last, Null)
+				}
+			}
+			d.unload(ps)
 		}
 	}
 
 	// Update v2's in-edge storage.
 	switch {
 	case target == Null: // cur != Null: remove, keeping the list sorted
-		n := &d.nodes[s2]
-		l := n.in[u]
-		copy(l[idx:], l[idx+1:])
-		l = l[:len(l)-1]
-		switch {
-		case len(l) == 0 && cap(l) > inKeepEmpty:
-			n.in[u] = nil
-		case cap(l) >= inShrinkMin && len(l)*4 <= cap(l):
-			nl := make([]inEdge, len(l), cap(l)/2)
-			copy(nl, l)
-			n.in[u] = nl
-		default:
-			n.in[u] = l
+		s2 := d.slot(v2)
+		c := &d.in[int(s2)*d.nq+int(u)]
+		if c.class() == 0 {
+			*c = cell{}
+		} else if last, inline := d.ins.remove(c, idx); inline {
+			*c = inlineCell(last.parent, last.state)
 		}
-		n.inTotal--
 		d.numEdges--
+		d.unload(s2)
 	case cur == Null: // insert at the sorted position
-		if s2 < 0 {
-			s2 = d.ensureSlot(v2)
-			idx = 0
+		s2 := d.ensureSlot(v2)
+		c := &d.in[int(s2)*d.nq+int(u)]
+		if c.len() == 0 {
+			*c = inlineCell(v, target)
+		} else {
+			d.ins.insert(c, idx, inEdge{parent: v, state: target}, one[0])
 		}
-		n := &d.nodes[s2]
-		l := append(n.in[u], inEdge{})
-		copy(l[idx+1:], l[idx:])
-		l[idx] = inEdge{parent: v, state: target}
-		n.in[u] = l
-		n.inTotal++
+		d.load[s2]++
 		d.numEdges++
 	default: // Implicit <-> Explicit: in place
-		d.nodes[s2].in[u][idx].state = target
+		c := &d.in[int(d.slot(v2))*d.nq+int(u)]
+		if c.class() == 0 {
+			c.n = c.n&^stateMask | uint32(target)
+		} else {
+			l[idx].state = target
+		}
 	}
 
 	// Entering Explicit: insert v2 into the parent's explicit-children
-	// array at its sorted position. ensureSlot may grow d.nodes, so slot
-	// pointers are re-resolved after it.
+	// list at its sorted position.
 	if target == Explicit {
 		d.numExplicit++
 		d.explByLabel[u]++
 		if v != graph.NoVertex {
 			ps := d.ensureSlot(v)
-			pn := &d.nodes[ps]
-			list := append(pn.out[u], graph.NoVertex)
-			op, _ := searchOut(list[:len(list)-1], v2)
-			copy(list[op+1:], list[op:])
-			list[op] = v2
-			pn.out[u] = list
-			pn.outTotal++
+			c := &d.out[int(ps)*d.nq+int(u)]
+			if c.len() == 0 {
+				*c = inlineCell(v2, Null)
+			} else {
+				op, _ := slices.BinarySearch(d.children(c), v2)
+				d.outs.insert(c, op, v2, c.a[0])
+			}
+			d.load[ps]++
 		}
-	}
-
-	// Recycle emptied slots: v2 after an in-edge removal, the parent after
-	// losing its last explicit child.
-	if cur == Explicit && target != Explicit && v != graph.NoVertex {
-		d.maybeRelease(d.slot(v))
-	}
-	if target == Null {
-		d.maybeRelease(s2)
 	}
 	return true
 }
@@ -365,25 +492,7 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 //
 //tf:hotpath
 func (d *DCG) InDegree(v2 graph.VertexID, u graph.VertexID) int {
-	s := d.slot(v2)
-	if s < 0 {
-		return 0
-	}
-	return len(d.nodes[s].in[u])
-}
-
-// ForEachInEdge calls fn for every stored incoming edge (parent, u, v2) in
-// ascending parent order (root edges from graph.NoVertex last). fn must
-// not mutate the DCG for edges labeled u of v2; engines that need to
-// mutate during iteration snapshot the parents first (see AppendInParents).
-func (d *DCG) ForEachInEdge(v2 graph.VertexID, u graph.VertexID, fn func(parent graph.VertexID, s State)) {
-	s := d.slot(v2)
-	if s < 0 {
-		return
-	}
-	for _, e := range d.nodes[s].in[u] {
-		fn(e.parent, e.state)
-	}
+	return d.inCell(v2, u).len()
 }
 
 // AppendInParents appends the parents of v2's stored incoming edges
@@ -396,24 +505,14 @@ func (d *DCG) ForEachInEdge(v2 graph.VertexID, u graph.VertexID, fn func(parent 
 //
 //tf:hotpath
 func (d *DCG) AppendInParents(dst []graph.VertexID, v2 graph.VertexID, u graph.VertexID, explicitOnly bool) []graph.VertexID {
-	s := d.slot(v2)
-	if s < 0 {
-		return dst
-	}
-	for _, e := range d.nodes[s].in[u] {
+	var one [1]inEdge
+	for _, e := range d.inList(d.inCell(v2, u), &one) {
 		if explicitOnly && e.state != Explicit {
 			continue
 		}
 		dst = append(dst, e.parent)
 	}
 	return dst
-}
-
-// InParents returns a freshly allocated snapshot of the parents of v2's
-// stored incoming edges labeled u, in ascending vertex order. Hot paths
-// use AppendInParents with a reused buffer instead.
-func (d *DCG) InParents(v2 graph.VertexID, u graph.VertexID, explicitOnly bool) []graph.VertexID {
-	return d.AppendInParents(nil, v2, u, explicitOnly)
 }
 
 // HasInLabel reports whether v has at least one stored incoming edge
@@ -424,36 +523,19 @@ func (d *DCG) HasInLabel(v graph.VertexID, u graph.VertexID) bool {
 	return d.InDegree(v, u) > 0
 }
 
-// InLabels returns the set U of query vertices u such that v has at least
-// one stored incoming edge labeled u, in ascending label order.
-func (d *DCG) InLabels(v graph.VertexID) []graph.VertexID {
-	s := d.slot(v)
-	if s < 0 {
-		return nil
-	}
-	var out []graph.VertexID
-	for u, l := range d.nodes[s].in {
-		if len(l) > 0 {
-			out = append(out, graph.VertexID(u))
-		}
-	}
-	return out
-}
-
 // ExplicitOut returns the number of outgoing EXPLICIT edges of v labeled u.
 //
 //tf:hotpath
 func (d *DCG) ExplicitOut(v graph.VertexID, u graph.VertexID) int32 {
-	s := d.slot(v)
-	if s < 0 {
-		return 0
+	if c := d.outCell(v, u); c != nil {
+		return int32(c.len())
 	}
-	return int32(len(d.nodes[s].out[u]))
+	return 0
 }
 
 // MatchAllChildren reports whether, for every child u' of u in the query
 // tree, v has an outgoing EXPLICIT edge labeled u' (Algorithm 4). O(1) per
-// child via the explicit-children array lengths.
+// child via the explicit-children list lengths.
 //
 //tf:hotpath
 func (d *DCG) MatchAllChildren(v graph.VertexID, u graph.VertexID) bool {
@@ -462,52 +544,29 @@ func (d *DCG) MatchAllChildren(v graph.VertexID, u graph.VertexID) bool {
 	if s < 0 {
 		return len(children) == 0
 	}
-	n := &d.nodes[s]
+	out := d.out[int(s)*d.nq:]
 	for _, c := range children {
-		if len(n.out[c]) == 0 {
+		if out[c].len() == 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// ExplicitChildren enumerates the explicit out-neighbors of v labeled u:
-// the data vertices v' with GetState(v, u, v') == Explicit. This is the
-// candidate enumeration used by SubgraphSearch (Algorithm 7, Line 15).
-// Candidates come straight from the DCG's explicit-children arrays — never
-// by filtering data-graph neighbors — which keeps the search cost
-// proportional to the number of candidates, not the vertex degree.
-//
-//tf:hotpath
-func (d *DCG) ExplicitChildren(v graph.VertexID, u graph.VertexID, fn func(v2 graph.VertexID) bool) {
-	if u == d.tree.Root {
-		// Root candidates come from the artificial source; enumerate stored
-		// root edges instead (only valid when v == graph.NoVertex).
-		panic("dcg: ExplicitChildren must not be called for the root label")
-	}
-	s := d.slot(v)
-	if s < 0 {
-		return
-	}
-	for _, v2 := range d.nodes[s].out[u] {
-		if !fn(v2) {
-			return
-		}
-	}
-}
-
 // ExplicitChildrenList returns the explicit out-neighbors of v labeled u
+// — the data vertices v' with GetState(v, u, v') == Explicit, ascending —
 // as a slice owned by the DCG: callers must not mutate it and must not
-// hold it across transitions. Used by the worst-case-optimal search to
-// pick the smallest candidate list before intersecting.
+// hold it across transitions. This is the candidate enumeration of
+// SubgraphSearch (Algorithm 7, Line 15): candidates come straight from
+// the DCG, never by filtering data-graph neighbors, which keeps the search
+// cost proportional to the number of candidates, not the vertex degree.
 //
 //tf:hotpath
 func (d *DCG) ExplicitChildrenList(v graph.VertexID, u graph.VertexID) []graph.VertexID {
-	s := d.slot(v)
-	if s < 0 {
-		return nil
+	if c := d.outCell(v, u); c != nil {
+		return d.children(c)
 	}
-	return d.nodes[s].out[u]
+	return nil
 }
 
 // RootCandidates returns the data vertices v_s whose root edge
@@ -517,13 +576,12 @@ func (d *DCG) ExplicitChildrenList(v graph.VertexID, u graph.VertexID) []graph.V
 // emission.
 func (d *DCG) RootCandidates(explicitOnly bool) []graph.VertexID {
 	var out []graph.VertexID
-	us := d.tree.Root
-	for s := range d.nodes {
-		v := d.vids[s]
+	var one [1]inEdge
+	for s, v := range d.vids {
 		if v == graph.NoVertex {
 			continue // recycled slot
 		}
-		l := d.nodes[s].in[us]
+		l := d.inList(d.in[s*d.nq+int(d.tree.Root)], &one)
 		// Root edges come from graph.NoVertex, the maximum VertexID, so a
 		// stored root edge is always the last in-edge.
 		if len(l) == 0 || l[len(l)-1].parent != graph.NoVertex {
@@ -553,28 +611,83 @@ func (d *DCG) ExplicitCount(u graph.VertexID) int64 { return d.explByLabel[u] }
 // comparisons: stored edges times EdgeBytes.
 func (d *DCG) SizeBytes() int64 { return int64(d.numEdges) * EdgeBytes }
 
+// HeldBytes returns the heap bytes the DCG holds: the capacity of the
+// interner, the cell tables and both arenas with their free lists. The
+// DCG owns no other heap object, so this is its real footprint
+// (TestFootprint holds it against the runtime's own count).
+func (d *DCG) HeldBytes() int64 {
+	return int64(unsafe.Sizeof(*d)) +
+		sliceBytes(d.slotOf) + sliceBytes(d.vids) + sliceBytes(d.load) + sliceBytes(d.free) +
+		sliceBytes(d.in) + sliceBytes(d.out) + sliceBytes(d.explByLabel) +
+		d.ins.heldBytes() + d.outs.heldBytes()
+}
+
 // slotStats returns interner occupancy: slots ever allocated and slots
 // currently on the free list. Tests use it to pin recycling behavior.
 func (d *DCG) slotStats() (slots, free int) {
-	return len(d.nodes), len(d.free)
+	return len(d.vids), len(d.free)
+}
+
+// span is one arena block as Validate accounts for it.
+type span struct{ off, size uint32 }
+
+// validate checks that owned (the blocks cells point at) and the free
+// lists tile the arena exactly: every block owned once or free once, no
+// overlap, nothing lost.
+func (p *pool[T]) validate(name string, owned []span) error {
+	for k, f := range p.free {
+		for _, off := range f {
+			owned = append(owned, span{off, 1 << k})
+		}
+	}
+	slices.SortFunc(owned, func(a, b span) int { return cmp.Compare(a.off, b.off) })
+	next := uint64(0)
+	for _, b := range owned {
+		if uint64(b.off) != next {
+			return fmt.Errorf("dcg: %s arena: block [%d,+%d) where offset %d was due (overlap, double ownership or leak)", name, b.off, b.size, next)
+		}
+		next += uint64(b.size)
+	}
+	if next != uint64(len(p.data)) {
+		return fmt.Errorf("dcg: %s arena: owned + free blocks end at %d, arena at %d", name, next, len(p.data))
+	}
+	return nil
+}
+
+// validateCell checks the header invariants of one cell and returns its
+// block, if it owns one.
+func validateCell(c cell) (span, error) {
+	n, k := c.len(), c.class()
+	switch {
+	case k == 0 && n > 1:
+		return span{}, fmt.Errorf("inline cell of length %d", n)
+	case k == 0 && n == 0 && c != (cell{}):
+		return span{}, fmt.Errorf("empty cell not zeroed: %+v", c)
+	case k > maxClass || k != 0 && (n < 2 || n > 1<<k):
+		return span{}, fmt.Errorf("block cell of class %d holds %d entries", k, n)
+	case k != 0:
+		return span{uint32(c.a[0]), 1 << k}, nil
+	}
+	return span{}, nil
 }
 
 // Validate checks internal consistency: the sorted-in-edge invariant, the
-// explicit-children arrays with their outPos back-indexes, the interner
-// (slotOf/vids agreement, free-list hygiene), and the per-label and total
-// counters must all agree with the stored edges. It returns the first
-// inconsistency found. Tests and the failure-injection suite call this
-// after every update.
+// explicit-children lists against the in-edge states, the interner
+// (slotOf/vids agreement, free-list hygiene), the cell headers and the
+// arenas (every block owned by exactly one cell or on exactly one free
+// list), and the per-slot, per-label and total counters must all agree
+// with the stored edges. It returns the first inconsistency found. Tests
+// and the failure-injection suite call this after every update.
 //
 //tf:map-ok test-support invariant checker, never on the eval path
 func (d *DCG) Validate() error {
-	if len(d.vids) != len(d.nodes) || len(d.epoch) != len(d.nodes) {
-		return fmt.Errorf("dcg: interner arrays out of sync: %d nodes, %d vids, %d epochs",
-			len(d.nodes), len(d.vids), len(d.epoch))
+	if len(d.load) != len(d.vids) || len(d.in) != len(d.vids)*d.nq || len(d.out) != len(d.in) {
+		return fmt.Errorf("dcg: interner arrays out of sync: %d vids, %d loads, %d in-cells, %d out-cells (nq=%d)",
+			len(d.vids), len(d.load), len(d.in), len(d.out), d.nq)
 	}
 	onFree := make(map[int32]bool, len(d.free))
 	for _, s := range d.free {
-		if int(s) >= len(d.nodes) {
+		if int(s) >= len(d.vids) {
 			return fmt.Errorf("dcg: free slot %d out of range", s)
 		}
 		if onFree[int32(s)] {
@@ -586,7 +699,7 @@ func (d *DCG) Validate() error {
 		if s < 0 {
 			continue
 		}
-		if int(s) >= len(d.nodes) {
+		if int(s) >= len(d.vids) {
 			return fmt.Errorf("dcg: slotOf[%d]=%d out of range", v, s)
 		}
 		if d.vids[s] != graph.VertexID(v) {
@@ -595,40 +708,52 @@ func (d *DCG) Validate() error {
 	}
 	edges, explicit := 0, 0
 	explByLabel := make([]int64, d.nq)
-	for s := range d.nodes {
-		n := &d.nodes[s]
-		v2 := d.vids[s]
+	var inBlocks, outBlocks []span
+	var one [1]inEdge
+	for s, v2 := range d.vids {
 		if v2 == graph.NoVertex {
 			if !onFree[int32(s)] {
 				return fmt.Errorf("dcg: slot %d has no vertex but is not on the free list", s)
 			}
-			if n.inTotal != 0 || n.outTotal != 0 {
-				return fmt.Errorf("dcg: free slot %d has inTotal=%d outTotal=%d", s, n.inTotal, n.outTotal)
+			if d.load[s] != 0 {
+				return fmt.Errorf("dcg: free slot %d has load %d", s, d.load[s])
 			}
-			for u := 0; u < d.nq; u++ {
-				if len(n.in[u]) != 0 || len(n.out[u]) != 0 {
-					return fmt.Errorf("dcg: free slot %d stores edges under label %d", s, u)
-				}
+		} else {
+			if onFree[int32(s)] {
+				return fmt.Errorf("dcg: live slot %d (vertex %d) is on the free list", s, v2)
 			}
-			continue
+			if int(v2) >= len(d.slotOf) || d.slotOf[v2] != int32(s) {
+				return fmt.Errorf("dcg: vids[%d]=%d but slotOf does not point back", s, v2)
+			}
+			if d.load[s] == 0 {
+				return fmt.Errorf("dcg: empty slot %d (vertex %d) was not recycled", s, v2)
+			}
 		}
-		if onFree[int32(s)] {
-			return fmt.Errorf("dcg: live slot %d (vertex %d) is on the free list", s, v2)
-		}
-		if int(v2) >= len(d.slotOf) || d.slotOf[v2] != int32(s) {
-			return fmt.Errorf("dcg: vids[%d]=%d but slotOf does not point back", s, v2)
-		}
-		inTotal, outTotal := int32(0), int32(0)
+		load := 0
 		for u := 0; u < d.nq; u++ {
-			l := n.in[u]
-			inTotal += int32(len(l))
-			outTotal += int32(len(n.out[u]))
+			ic, oc := d.in[s*d.nq+u], &d.out[s*d.nq+u]
+			ib, err := validateCell(ic)
+			if err != nil {
+				return fmt.Errorf("dcg: slot %d in-cell u%d: %v", s, u, err)
+			}
+			ob, err := validateCell(*oc)
+			if err != nil {
+				return fmt.Errorf("dcg: slot %d out-cell u%d: %v", s, u, err)
+			}
+			if ib.size != 0 {
+				inBlocks = append(inBlocks, ib)
+			}
+			if ob.size != 0 {
+				outBlocks = append(outBlocks, ob)
+			}
+			l := d.inList(ic, &one)
+			load += len(l) + oc.len()
 			for i, e := range l {
 				if i > 0 && l[i-1].parent >= e.parent {
 					return fmt.Errorf("dcg: in-edges of (%d, u%d) not strictly sorted at %d", v2, u, i)
 				}
-				if e.state == Null {
-					return fmt.Errorf("dcg: stored NULL edge (%d,%d,%d)", e.parent, u, v2)
+				if e.state != Implicit && e.state != Explicit {
+					return fmt.Errorf("dcg: stored edge (%d,%d,%d) in state %d", e.parent, u, v2, e.state)
 				}
 				edges++
 				if e.state != Explicit {
@@ -639,36 +764,29 @@ func (d *DCG) Validate() error {
 				if e.parent == graph.NoVertex {
 					continue
 				}
-				ps := d.slot(e.parent)
-				if ps < 0 {
-					return fmt.Errorf("dcg: explicit edge (%d,%d,%d) but parent has no slot", e.parent, u, v2)
-				}
-				plist := d.nodes[ps].out[u]
-				if _, ok := searchOut(plist, v2); !ok {
+				if _, ok := slices.BinarySearch(d.ExplicitChildrenList(e.parent, graph.VertexID(u)), v2); !ok {
 					return fmt.Errorf("dcg: explicit edge (%d,%d,%d) missing from parent's children", e.parent, u, v2)
 				}
 			}
-			for i, c := range n.out[u] {
-				if i > 0 && n.out[u][i-1] >= c {
+			kids := d.children(oc)
+			for i, c := range kids {
+				if i > 0 && kids[i-1] >= c {
 					return fmt.Errorf("dcg: explicit children of (%d, u%d) not strictly sorted at %d", v2, u, i)
 				}
-				cs := d.slot(c)
-				if cs < 0 {
-					return fmt.Errorf("dcg: explicit child (%d,%d,%d) has no slot", v2, u, c)
-				}
-				cl := d.nodes[cs].in[u]
-				j, ok := searchIn(cl, v2)
-				if !ok || cl[j].state != Explicit {
+				if d.GetState(v2, graph.VertexID(u), c) != Explicit {
 					return fmt.Errorf("dcg: out-adjacency (%d,%d,%d) not explicit", v2, u, c)
 				}
 			}
 		}
-		if inTotal != n.inTotal || outTotal != n.outTotal {
-			return fmt.Errorf("dcg: slot %d totals in=%d/%d out=%d/%d", s, n.inTotal, inTotal, n.outTotal, outTotal)
+		if load != int(d.load[s]) {
+			return fmt.Errorf("dcg: slot %d load=%d, stored=%d", s, d.load[s], load)
 		}
-		if inTotal == 0 && outTotal == 0 {
-			return fmt.Errorf("dcg: empty slot %d (vertex %d) was not recycled", s, v2)
-		}
+	}
+	if err := d.ins.validate("in-edge", inBlocks); err != nil {
+		return err
+	}
+	if err := d.outs.validate("children", outBlocks); err != nil {
+		return err
 	}
 	if edges != d.numEdges {
 		return fmt.Errorf("dcg: numEdges=%d, stored=%d", d.numEdges, edges)
@@ -697,18 +815,13 @@ type SnapEdge struct {
 // canonicalization. Used by the oracle-equivalence and determinism tests.
 func (d *DCG) Snapshot() []SnapEdge {
 	out := make([]SnapEdge, 0, d.numEdges)
-	for s := range d.nodes {
-		v2 := d.vids[s]
-		if v2 == graph.NoVertex {
-			continue // recycled slot
-		}
-		for u, l := range d.nodes[s].in {
-			for _, e := range l {
-				out = append(out, SnapEdge{
-					Key:   EdgeKey{From: e.parent, QV: graph.VertexID(u), To: v2},
-					State: e.state,
-				})
-			}
+	var one [1]inEdge
+	for i, c := range d.in {
+		for _, e := range d.inList(c, &one) {
+			out = append(out, SnapEdge{
+				Key:   EdgeKey{From: e.parent, QV: graph.VertexID(i % d.nq), To: d.vids[i/d.nq]},
+				State: e.state,
+			})
 		}
 	}
 	slices.SortFunc(out, func(a, b SnapEdge) int {

@@ -185,25 +185,21 @@ func TestInLabelsAndParents(t *testing.T) {
 	d := New(tr)
 	d.MakeTransition(0, 1, 2, Implicit)
 	d.MakeTransition(5, 1, 2, Explicit) // hypothetical second parent
-	ls := d.InLabels(2)
-	if len(ls) != 1 || ls[0] != 1 {
-		t.Fatalf("InLabels = %v", ls)
-	}
 	if !d.HasInLabel(2, 1) || d.HasInLabel(2, 2) {
 		t.Fatal("HasInLabel wrong")
 	}
-	all := d.InParents(2, 1, false)
-	if len(all) != 2 {
-		t.Fatalf("InParents all = %v", all)
+	for _, e := range d.Snapshot() {
+		if e.Key.QV != 1 || e.Key.To != 2 {
+			t.Fatalf("Snapshot stores %v, want only in-edges of v2 labeled u1", e.Key)
+		}
 	}
-	expl := d.InParents(2, 1, true)
+	all := d.AppendInParents(nil, 2, 1, false)
+	if len(all) != 2 || all[0] != 0 || all[1] != 5 {
+		t.Fatalf("AppendInParents all = %v, want [0 5]", all)
+	}
+	expl := d.AppendInParents(all[:0], 2, 1, true)
 	if len(expl) != 1 || expl[0] != 5 {
-		t.Fatalf("InParents explicit = %v", expl)
-	}
-	n := 0
-	d.ForEachInEdge(2, 1, func(p graph.VertexID, s State) { n++ })
-	if n != 2 {
-		t.Fatalf("ForEachInEdge visited %d, want 2", n)
+		t.Fatalf("AppendInParents explicit = %v", expl)
 	}
 }
 
@@ -213,32 +209,20 @@ func TestExplicitChildrenEnumeration(t *testing.T) {
 	d := New(tr)
 	d.MakeTransition(2, 2, 4, Explicit)
 	d.MakeTransition(2, 2, 5, Implicit)
-	var got []graph.VertexID
-	d.ExplicitChildren(2, 2, func(v graph.VertexID) bool {
-		got = append(got, v)
-		return true
-	})
-	if len(got) != 1 || got[0] != 4 {
-		t.Fatalf("ExplicitChildren = %v, want [4]", got)
+	if got := d.ExplicitChildrenList(2, 2); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("ExplicitChildrenList = %v, want [4]", got)
 	}
-	// Early stop.
 	d.MakeTransition(2, 2, 5, Explicit)
-	n := 0
-	d.ExplicitChildren(2, 2, func(graph.VertexID) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early-stop enumeration visited %d, want 1", n)
+	if got := d.ExplicitChildrenList(2, 2); len(got) != 2 || got[0] != 4 || got[1] != 5 {
+		t.Fatalf("ExplicitChildrenList = %v, want [4 5]", got)
 	}
-	// No explicit out: must not even scan.
-	d.ExplicitChildren(0, 2, func(graph.VertexID) bool {
-		t.Fatal("vertex without explicit out must enumerate nothing")
-		return true
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ExplicitChildren on root label must panic")
-		}
-	}()
-	d.ExplicitChildren(0, tr.Root, func(graph.VertexID) bool { return true })
+	// A vertex without explicit out, with and without a slot.
+	if got := d.ExplicitChildrenList(4, 2); len(got) != 0 {
+		t.Fatalf("ExplicitChildrenList of a childless vertex = %v", got)
+	}
+	if got := d.ExplicitChildrenList(0, 2); got != nil {
+		t.Fatalf("ExplicitChildrenList of a vertex outside the DCG = %v", got)
+	}
 }
 
 func TestSizeAccounting(t *testing.T) {

@@ -8,9 +8,9 @@ import (
 )
 
 // TestSlotRecycling pins the interner contract of DESIGN.md §16: a vertex
-// whose last DCG edge is nulled releases its slot, the epoch stamp is
-// bumped, and a later re-creation of the same (or another) vertex reuses
-// the freed slot instead of growing the node table.
+// whose last DCG edge is nulled releases its slot, and a later re-creation
+// of the same (or another) vertex reuses the freed slot instead of growing
+// the cell tables.
 func TestSlotRecycling(t *testing.T) {
 	g := paperData(t)
 	tr := paperTree(t, g)
@@ -28,8 +28,6 @@ func TestSlotRecycling(t *testing.T) {
 	if slots < n {
 		t.Fatalf("slots = %d after %d root edges", slots, n)
 	}
-	epochBefore := make([]uint32, len(d.epoch))
-	copy(epochBefore, d.epoch)
 
 	// Null every root edge: each vertex loses its last DCG edge and must
 	// release its slot.
@@ -43,15 +41,6 @@ func TestSlotRecycling(t *testing.T) {
 	}
 	if free2 != n {
 		t.Fatalf("free = %d after nulling %d vertices", free2, n)
-	}
-	bumped := 0
-	for s := range d.epoch {
-		if d.epoch[s] != epochBefore[s] {
-			bumped++
-		}
-	}
-	if bumped != n {
-		t.Fatalf("%d epochs bumped, want %d", bumped, n)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
@@ -78,9 +67,8 @@ func TestSlotRecycling(t *testing.T) {
 	}
 }
 
-// TestSlotRecyclingAllocFree pins the reason released slots keep their
-// per-label arrays: steady-state churn of a vertex's last edge (release,
-// recycle, release, ...) must not allocate.
+// TestSlotRecyclingAllocFree: steady-state churn of a vertex's last edge
+// (release, recycle, release, ...) must not allocate.
 func TestSlotRecyclingAllocFree(t *testing.T) {
 	g := paperData(t)
 	tr := paperTree(t, g)
@@ -90,7 +78,7 @@ func TestSlotRecyclingAllocFree(t *testing.T) {
 		d.MakeTransition(graph.NoVertex, 0, v, Implicit)
 		d.MakeTransition(graph.NoVertex, 0, v, Null)
 	}
-	cycle() // warm: first creation sizes the slot's arrays
+	cycle() // warm: first creation appends the slot
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Fatalf("recycle cycle allocates %v per run, want 0", avg)
 	}

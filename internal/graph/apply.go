@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Applier streams mutations into a Graph with batch-amortized
 // bookkeeping, the recovery-replay counterpart of the engine's batched
 // evaluation pipeline (DESIGN.md §12). Compared to calling InsertEdge /
@@ -7,8 +9,8 @@ package graph
 //
 //   - fuses the duplicate/existence probe with the mutation, so the
 //     label bucket is located once per edge instead of twice;
-//   - skips the redundant endpoint-existence checks InsertEdge pays via
-//     EnsureVertex;
+//   - checks that the endpoints exist once, not once for the probe and
+//     again for the mutation;
 //   - defers the per-label edge counters and the global edge count into
 //     scratch deltas merged once per Flush.
 //
@@ -42,74 +44,34 @@ func (a *Applier) bump(l Label, d int) {
 	a.edgeDelta[l] += d
 }
 
-// ensureData returns the vertex data for v, creating an unlabeled vertex
-// if absent (the InsertEdge auto-create rule).
-func (a *Applier) ensureData(v VertexID) *vertexData {
-	g := a.g
-	if int(v) < len(g.verts) {
-		if vd := g.verts[v]; vd != nil {
-			return vd
-		}
-	}
-	g.grow(v)
-	vd := &vertexData{}
-	g.verts[v] = vd
-	g.numVerts++
-	return vd
-}
-
 // InsertEdge adds edge (from, l, to), creating missing endpoints as
 // unlabeled vertices, and reports whether the edge was newly inserted.
 // Counter updates are deferred to Flush.
 //
 //tf:hotpath
 func (a *Applier) InsertEdge(from VertexID, l Label, to VertexID) bool {
-	fd := a.ensureData(from)
-	td := fd
-	if to != from {
-		// ensureData only grows g.verts; fd's buckets stay valid.
-		td = a.ensureData(to)
-	}
-	bi := fd.out.find(l)
-	ti := td.in.find(l)
+	a.g.EnsureVertex(from)
+	a.g.EnsureVertex(to)
+	fd, td := &a.g.verts[from], &a.g.verts[to] // taken after both exist: creating one may move the table
+	bi, ti := fd.out.find(l), td.in.find(l)
 	var out, in []VertexID
 	if bi >= 0 {
-		out = fd.out.lists[bi]
+		out = fd.out[bi].list
 	}
 	if ti >= 0 {
-		in = td.in.lists[ti]
+		in = td.in[ti].list
 	}
 	// Duplicate probe on the shorter mirror, as in Graph.HasEdge.
 	if len(in) < len(out) {
-		for _, x := range in {
-			if x == from {
-				return false
-			}
+		if slices.Contains(in, from) {
+			return false
 		}
-	} else {
-		for _, x := range out {
-			if x == to {
-				return false
-			}
-		}
+	} else if slices.Contains(out, to) {
+		return false
 	}
-	if bi >= 0 {
-		fd.out.lists[bi] = append(out, to)
-	} else {
-		nl := make([]VertexID, 1, 4)
-		nl[0] = to
-		fd.out.labels = append(fd.out.labels, l)
-		fd.out.lists = append(fd.out.lists, nl)
-	}
+	fd.out.addAt(bi, l, to)
 	fd.outDeg++
-	if ti >= 0 {
-		td.in.lists[ti] = append(in, from)
-	} else {
-		nl := make([]VertexID, 1, 4)
-		nl[0] = from
-		td.in.labels = append(td.in.labels, l)
-		td.in.lists = append(td.in.lists, nl)
-	}
+	td.in.addAt(ti, l, from)
 	td.inDeg++
 	a.bump(l, 1)
 	a.edges++
@@ -123,15 +85,15 @@ func (a *Applier) InsertEdge(from VertexID, l Label, to VertexID) bool {
 //tf:hotpath
 func (a *Applier) DeleteEdge(from VertexID, l Label, to VertexID) bool {
 	g := a.g
-	if int(from) >= len(g.verts) || g.verts[from] == nil {
+	if !g.HasVertex(from) {
 		return false
 	}
-	fd := g.verts[from]
+	fd := &g.verts[from]
 	if !fd.out.remove(l, to) {
 		return false
 	}
 	fd.outDeg--
-	td := g.verts[to]
+	td := &g.verts[to]
 	td.in.remove(l, from)
 	td.inDeg--
 	a.bump(l, -1)

@@ -44,12 +44,12 @@ func TestAdjacencyCompaction(t *testing.T) {
 	// The in-side singleton buckets are small: they stay, emptied, with
 	// their tiny backing arrays ready for reuse.
 	for i := 1; i <= n; i++ {
-		in := &g.verts[1+i].in
+		in := g.verts[1+i].in
 		bi := in.find(0)
 		if bi < 0 {
 			t.Fatalf("vertex %d dropped its small in-bucket", 1+i)
 		}
-		if l := in.lists[bi]; len(l) != 0 || cap(l) > adjKeepEmpty {
+		if l := in[bi].list; len(l) != 0 || cap(l) > adjKeepEmpty {
 			t.Fatalf("vertex %d in-bucket len=%d cap=%d, want empty cap<=%d", 1+i, len(l), cap(l), adjKeepEmpty)
 		}
 	}

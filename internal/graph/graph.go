@@ -12,13 +12,16 @@
 // scanning.
 //
 // Data layout (DESIGN.md §16): every hot-path structure is a dense slice.
-// Per-vertex adjacency is label-bucketed — a short parallel pair of
-// (label, neighbor-slice) arrays scanned linearly, since a vertex touches
-// few distinct edge labels — and the per-label vertex index and edge
-// counters are flat slices indexed by the interned Label. No hash map is
-// touched anywhere on the insert/delete/enumerate path, and iteration
-// order is deterministic (a property the emission-determinism contract
-// leans on; Go map iteration is randomized by design).
+// Vertex records are stored by value in one table; a vertex's label set
+// is an index into a table of interned sets (streams have a handful of
+// distinct ones). Per-vertex adjacency is label-bucketed — a short array
+// of (label, neighbor-slice) buckets scanned linearly, since a vertex
+// touches few distinct edge labels — and the per-label vertex index and
+// edge counters are flat slices indexed by the interned Label. No hash map
+// is touched anywhere on the insert/delete/enumerate path (declaring a
+// vertex looks its label set up in one), and iteration order is
+// deterministic (a property the emission-determinism contract leans on;
+// Go map iteration is randomized by design).
 //
 // Vertex labels are fixed once the vertex is created: this matches the RDF
 // datasets used by the paper (LSBench, Netflow), where the type of an entity
@@ -27,7 +30,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // VertexID identifies a data or query vertex. IDs are dense small integers
@@ -59,23 +63,26 @@ func (e Edge) Reverse() Edge {
 	return Edge{From: e.To, Label: e.Label, To: e.From}
 }
 
-// halfAdj is one direction of a vertex's adjacency, bucketed by edge
-// label: lists[i] holds the neighbors reachable through labels[i]. The
-// bucket array is unordered and scanned linearly — a vertex touches few
-// distinct edge labels, so the scan is a handful of 2-byte compares in
-// one cache line, cheaper than hashing into a map. An emptied bucket is
-// swap-removed so long-gone labels never lengthen the scan.
-type halfAdj struct {
-	labels []Label
-	lists  [][]VertexID
+// bucket holds the neighbors a vertex reaches through one edge label in
+// one direction.
+type bucket struct {
+	label Label
+	list  []VertexID
 }
+
+// adj is one direction of a vertex's adjacency, bucketed by edge label.
+// The bucket array is unordered and scanned linearly — a vertex touches
+// few distinct edge labels, so the scan is a handful of compares, cheaper
+// than hashing into a map. An emptied bucket is swap-removed so long-gone
+// labels never lengthen the scan.
+type adj []bucket
 
 // find returns the bucket index of label l, or -1.
 //
 //tf:hotpath
-func (a *halfAdj) find(l Label) int {
-	for i, bl := range a.labels {
-		if bl == l {
+func (a adj) find(l Label) int {
+	for i := range a {
+		if a[i].label == l {
 			return i
 		}
 	}
@@ -85,26 +92,25 @@ func (a *halfAdj) find(l Label) int {
 // neighbors returns the neighbor slice for label l (nil if no bucket).
 //
 //tf:hotpath
-func (a *halfAdj) neighbors(l Label) []VertexID {
+func (a adj) neighbors(l Label) []VertexID {
 	if i := a.find(l); i >= 0 {
-		return a.lists[i]
+		return a[i].list
 	}
 	return nil
 }
 
-// add appends neighbor v to the bucket for label l, creating the bucket
-// on first use.
+// addAt appends neighbor v to bucket bi, or to a new bucket for label l
+// when bi is -1.
 //
 //tf:hotpath
-func (a *halfAdj) add(l Label, v VertexID) {
-	if i := a.find(l); i >= 0 {
-		a.lists[i] = append(a.lists[i], v)
+func (a *adj) addAt(bi int, l Label, v VertexID) {
+	if bi >= 0 {
+		(*a)[bi].list = append((*a)[bi].list, v)
 		return
 	}
-	a.labels = append(a.labels, l)
 	nl := make([]VertexID, 1, 4) // headroom: most vertices grow past 1 neighbor
 	nl[0] = v
-	a.lists = append(a.lists, nl)
+	*a = append(*a, bucket{label: l, list: nl})
 }
 
 // adjShrinkMin is the smallest backing-array capacity delete compaction
@@ -113,7 +119,7 @@ const adjShrinkMin = 16
 
 // adjKeepEmpty is the largest backing-array capacity an emptied bucket
 // retains for reuse; a larger one is dropped to release its memory.
-// Matches the capacity add gives a fresh bucket, so churn around degree
+// Matches the capacity addAt gives a fresh bucket, so churn around degree
 // zero settles into one retained 4-slot array per touched label.
 const adjKeepEmpty = 4
 
@@ -131,12 +137,13 @@ const adjKeepEmpty = 4
 // cannot thrash between shrinking and regrowing.
 //
 //tf:hotpath
-func (a *halfAdj) remove(l Label, v VertexID) bool {
+func (a *adj) remove(l Label, v VertexID) bool {
 	bi := a.find(l)
 	if bi < 0 {
 		return false
 	}
-	s := a.lists[bi]
+	bs := *a
+	s := bs[bi].list
 	for i, x := range s {
 		if x != v {
 			continue
@@ -147,30 +154,38 @@ func (a *halfAdj) remove(l Label, v VertexID) bool {
 		case len(s) == 0 && cap(s) > adjKeepEmpty:
 			// Drop the bucket: swap-remove keeps the scan short and the
 			// backing array is released.
-			last := len(a.labels) - 1
-			a.labels[bi] = a.labels[last]
-			a.lists[bi] = a.lists[last]
-			a.labels = a.labels[:last]
-			a.lists[last] = nil
-			a.lists = a.lists[:last]
+			last := len(bs) - 1
+			bs[bi] = bs[last]
+			bs[last] = bucket{}
+			*a = bs[:last]
 		case cap(s) >= adjShrinkMin && len(s)*4 <= cap(s):
 			ns := make([]VertexID, len(s), cap(s)/2)
 			copy(ns, s)
-			a.lists[bi] = ns
+			bs[bi].list = ns
 		default:
-			a.lists[bi] = s
+			bs[bi].list = s
 		}
 		return true
 	}
 	return false
 }
 
+// clone deep-copies one adjacency direction.
+func (a adj) clone() adj {
+	c := slices.Clone(a)
+	for i := range c {
+		c[i].list = slices.Clone(c[i].list)
+	}
+	return c
+}
+
+// vertexData is one vertex's record, stored by value in Graph.verts.
 type vertexData struct {
-	labels []Label // sorted, deduplicated; empty means "unlabeled vertex"
-	out    halfAdj
-	in     halfAdj
-	outDeg int
-	inDeg  int
+	out, in       adj
+	outDeg, inDeg int32
+	// set is the vertex's label set as an index into Graph.labelSets;
+	// 0 means the vertex is absent (the zero record), 1 the empty set.
+	set uint32
 }
 
 // Graph is a dynamic labeled directed multigraph. The zero value is not
@@ -179,16 +194,21 @@ type vertexData struct {
 // Graph is not safe for concurrent mutation; the paper's system (and every
 // baseline) is single-threaded per stream, and so are we.
 type Graph struct {
-	verts     []*vertexData // indexed by VertexID; nil slot = vertex absent
-	byLabel   [][]VertexID  // vertex label -> vertices carrying it (append-only), indexed by Label
-	edgeCount []int         // edge label -> live edge count, indexed by Label
+	verts     []vertexData      // indexed by VertexID
+	labelSets [][]Label         // interned label sets, each sorted and deduplicated
+	setIndex  map[string]uint32 // label set (2 bytes a label) -> index into labelSets
+	byLabel   [][]VertexID      // vertex label -> vertices carrying it (append-only), indexed by Label
+	edgeCount []int             // edge label -> live edge count, indexed by Label
 	numVerts  int
 	numEdges  int
 }
 
+// unlabeled is the labelSets index of the empty set.
+const unlabeled = 1
+
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{}
+	return &Graph{labelSets: make([][]Label, unlabeled+1), setIndex: map[string]uint32{}}
 }
 
 // NumVertices reports the number of live vertices.
@@ -199,7 +219,7 @@ func (g *Graph) NumEdges() int { return g.numEdges }
 
 // HasVertex reports whether v exists.
 func (g *Graph) HasVertex(v VertexID) bool {
-	return int(v) < len(g.verts) && g.verts[v] != nil
+	return int(v) < len(g.verts) && g.verts[v].set != 0
 }
 
 // AddVertex creates vertex v with the given labels. Labels are sorted and
@@ -211,13 +231,12 @@ func (g *Graph) AddVertex(v VertexID, labels ...Label) error {
 		return fmt.Errorf("graph: vertex %d already exists", v)
 	}
 	g.grow(v)
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	ls = dedupLabels(ls)
 	// Adjacency buckets are allocated lazily by the first incident edge:
 	// vertex-heavy streams (bulk declarations, WAL replay) pay nothing
-	// per vertex beyond the vertexData itself.
-	g.verts[v] = &vertexData{labels: ls}
+	// per vertex beyond its record in the table.
+	set := g.internLabels(labels)
+	g.verts[v].set = set
+	ls := g.labelSets[set]
 	g.numVerts++
 	for _, l := range ls {
 		if int(l) >= len(g.byLabel) {
@@ -240,29 +259,41 @@ func (g *Graph) EnsureVertex(v VertexID, labels ...Label) {
 }
 
 func (g *Graph) grow(v VertexID) {
-	if int(v) >= len(g.verts) {
-		n := int(v) + 1
-		if n < 2*len(g.verts) {
-			n = 2 * len(g.verts) // amortize repeated growth
-		}
-		nv := make([]*vertexData, n)
-		copy(nv, g.verts)
-		g.verts = nv
+	if n := int(v) + 1; n > len(g.verts) {
+		g.verts = append(g.verts, make([]vertexData, n-len(g.verts))...) // append amortizes repeated growth
 	}
 }
 
-func dedupLabels(ls []Label) []Label {
-	if len(ls) < 2 {
-		return ls
+// internLabels returns the labelSets index of the set labels denotes,
+// interning it on first sight. Streams carry few distinct sets, already
+// sorted, so the common call copies and allocates nothing.
+//
+//tf:map-ok one lookup per vertex declaration, not per edge update
+func (g *Graph) internLabels(labels []Label) uint32 {
+	if len(labels) == 0 {
+		return unlabeled
 	}
-	w := 1
-	for i := 1; i < len(ls); i++ {
-		if ls[i] != ls[i-1] {
-			ls[w] = ls[i]
-			w++
-		}
+	sorted := true
+	for i := 1; i < len(labels); i++ {
+		sorted = sorted && labels[i-1] < labels[i]
 	}
-	return ls[:w]
+	if !sorted {
+		labels = slices.Clone(labels)
+		slices.Sort(labels)
+		labels = slices.Compact(labels)
+	}
+	var buf [32]byte
+	key := buf[:0]
+	for _, l := range labels {
+		key = append(key, byte(l), byte(l>>8))
+	}
+	if set, ok := g.setIndex[string(key)]; ok {
+		return set
+	}
+	set := uint32(len(g.labelSets))
+	g.labelSets = append(g.labelSets, slices.Clone(labels))
+	g.setIndex[string(key)] = set
+	return set
 }
 
 // Labels returns the sorted label set of v (nil if v is absent or
@@ -271,7 +302,7 @@ func (g *Graph) Labels(v VertexID) []Label {
 	if !g.HasVertex(v) {
 		return nil
 	}
-	return g.verts[v].labels
+	return g.labelSets[g.verts[v].set]
 }
 
 // HasLabel reports whether v carries label l.
@@ -279,9 +310,8 @@ func (g *Graph) HasLabel(v VertexID, l Label) bool {
 	if !g.HasVertex(v) {
 		return false
 	}
-	ls := g.verts[v].labels
-	i := sort.Search(len(ls), func(i int) bool { return ls[i] >= l })
-	return i < len(ls) && ls[i] == l
+	_, ok := slices.BinarySearch(g.labelSets[g.verts[v].set], l)
+	return ok
 }
 
 // HasAllLabels reports whether required ⊆ labels(v). An empty required set
@@ -290,7 +320,7 @@ func (g *Graph) HasAllLabels(v VertexID, required []Label) bool {
 	if !g.HasVertex(v) {
 		return false
 	}
-	ls := g.verts[v].labels
+	ls := g.labelSets[g.verts[v].set]
 	i := 0
 	for _, r := range required {
 		for i < len(ls) && ls[i] < r {
@@ -356,10 +386,10 @@ func (g *Graph) InsertEdge(from VertexID, l Label, to VertexID) bool {
 	}
 	g.EnsureVertex(from)
 	g.EnsureVertex(to)
-	fd, td := g.verts[from], g.verts[to]
-	fd.out.add(l, to)
+	fd, td := &g.verts[from], &g.verts[to] // taken after both exist: creating one may move the table
+	fd.out.addAt(fd.out.find(l), l, to)
 	fd.outDeg++
-	td.in.add(l, from)
+	td.in.addAt(td.in.find(l), l, from)
 	td.inDeg++
 	g.bumpEdgeCount(l, 1)
 	g.numEdges++
@@ -374,7 +404,7 @@ func (g *Graph) DeleteEdge(from VertexID, l Label, to VertexID) bool {
 	if !g.HasVertex(from) || !g.HasVertex(to) {
 		return false
 	}
-	fd, td := g.verts[from], g.verts[to]
+	fd, td := &g.verts[from], &g.verts[to]
 	if !fd.out.remove(l, to) {
 		return false
 	}
@@ -441,7 +471,7 @@ func (g *Graph) OutDegree(v VertexID) int {
 	if !g.HasVertex(v) {
 		return 0
 	}
-	return g.verts[v].outDeg
+	return int(g.verts[v].outDeg)
 }
 
 // InDegree returns the total in-degree of v across all labels.
@@ -449,7 +479,7 @@ func (g *Graph) InDegree(v VertexID) int {
 	if !g.HasVertex(v) {
 		return 0
 	}
-	return g.verts[v].inDeg
+	return int(g.verts[v].inDeg)
 }
 
 // Degree returns in-degree + out-degree of v.
@@ -470,10 +500,9 @@ func (g *Graph) ForEachOutLabel(v VertexID, fn func(l Label, nbrs []VertexID)) {
 	if !g.HasVertex(v) {
 		return
 	}
-	a := &g.verts[v].out
-	for i, l := range a.labels {
-		if len(a.lists[i]) > 0 {
-			fn(l, a.lists[i])
+	for _, b := range g.verts[v].out {
+		if len(b.list) > 0 {
+			fn(b.label, b.list)
 		}
 	}
 }
@@ -484,10 +513,9 @@ func (g *Graph) ForEachInLabel(v VertexID, fn func(l Label, nbrs []VertexID)) {
 	if !g.HasVertex(v) {
 		return
 	}
-	a := &g.verts[v].in
-	for i, l := range a.labels {
-		if len(a.lists[i]) > 0 {
-			fn(l, a.lists[i])
+	for _, b := range g.verts[v].in {
+		if len(b.list) > 0 {
+			fn(b.label, b.list)
 		}
 	}
 }
@@ -496,13 +524,10 @@ func (g *Graph) ForEachInLabel(v VertexID, fn func(l Label, nbrs []VertexID)) {
 // insertion) order — deterministic for a given update history, which the
 // snapshot/serialization cold paths rely on. fn must not mutate the graph.
 func (g *Graph) ForEachEdge(fn func(Edge)) {
-	for id, vd := range g.verts {
-		if vd == nil {
-			continue
-		}
-		for i, l := range vd.out.labels {
-			for _, to := range vd.out.lists[i] {
-				fn(Edge{From: VertexID(id), Label: l, To: to})
+	for id := range g.verts {
+		for _, b := range g.verts[id].out {
+			for _, to := range b.list {
+				fn(Edge{From: VertexID(id), Label: b.label, To: to})
 			}
 		}
 	}
@@ -517,42 +542,24 @@ func (g *Graph) Edges() []Edge {
 
 // ForEachVertex calls fn for every live vertex.
 func (g *Graph) ForEachVertex(fn func(VertexID)) {
-	for id, vd := range g.verts {
-		if vd != nil {
+	for id := range g.verts {
+		if g.verts[id].set != 0 {
 			fn(VertexID(id))
 		}
 	}
-}
-
-// cloneHalf deep-copies one adjacency direction.
-func cloneHalf(a *halfAdj) halfAdj {
-	c := halfAdj{
-		labels: append([]Label(nil), a.labels...),
-		lists:  make([][]VertexID, len(a.lists)),
-	}
-	for i, nbrs := range a.lists {
-		c.lists[i] = append([]VertexID(nil), nbrs...)
-	}
-	return c
 }
 
 // Clone returns a deep copy of the graph. Used by snapshot-based baselines
 // (IncIsoMat, naive recompute) to evaluate "before" and "after" states.
 func (g *Graph) Clone() *Graph {
 	c := New()
-	c.verts = make([]*vertexData, len(g.verts))
-	for id, vd := range g.verts {
-		if vd == nil {
-			continue
-		}
-		c.verts[id] = &vertexData{
-			labels: vd.labels, // immutable: safe to share
-			out:    cloneHalf(&vd.out),
-			in:     cloneHalf(&vd.in),
-			outDeg: vd.outDeg,
-			inDeg:  vd.inDeg,
-		}
+	c.verts = slices.Clone(g.verts)
+	for id := range c.verts {
+		vd := &c.verts[id]
+		vd.out, vd.in = vd.out.clone(), vd.in.clone()
 	}
+	c.labelSets = slices.Clone(g.labelSets) // the sets are immutable: safe to share
+	c.setIndex = maps.Clone(g.setIndex)
 	c.numVerts = g.numVerts
 	c.numEdges = g.numEdges
 	c.byLabel = make([][]VertexID, len(g.byLabel))

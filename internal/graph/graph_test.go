@@ -29,6 +29,58 @@ func TestAddVertexAndLabels(t *testing.T) {
 	}
 }
 
+// TestLabelSetInterning: vertices declared with the same label set, in any
+// order and with repeats, share one interned slice; absent and unlabeled
+// vertices stay apart; a set interned on a clone does not reach the
+// original; a set longer than the stack key buffer still interns.
+func TestLabelSetInterning(t *testing.T) {
+	g := New()
+	_ = g.AddVertex(1, 5, 3, 5, 1)
+	_ = g.AddVertex(2, 1, 3, 5)
+	_ = g.AddVertex(3, 3, 1, 5, 1)
+	_ = g.AddVertex(4)
+	_ = g.AddVertex(9, 7)
+	for _, v := range []VertexID{2, 3} {
+		if a, b := g.Labels(1), g.Labels(v); len(b) != 3 || &a[0] != &b[0] {
+			t.Fatalf("vertices 1 and %d do not share a label set: %v / %v", v, a, b)
+		}
+	}
+	if n := len(g.labelSets); n != unlabeled+3 {
+		t.Fatalf("%d interned sets, want absent, empty, {1,3,5} and {7}", n)
+	}
+	if !g.HasVertex(4) || g.Labels(4) != nil || !g.HasAllLabels(4, nil) {
+		t.Fatal("unlabeled vertex 4 must exist and match the empty requirement")
+	}
+	for _, v := range []VertexID{0, 5, 100} {
+		if g.HasVertex(v) || g.Labels(v) != nil || g.HasAllLabels(v, nil) || g.HasLabel(v, 1) {
+			t.Fatalf("absent vertex %d is visible", v)
+		}
+	}
+
+	c := g.Clone()
+	_ = c.AddVertex(5, 8, 2)
+	_ = g.AddVertex(5, 6)
+	if got := c.Labels(5); len(got) != 2 || got[0] != 2 || got[1] != 8 {
+		t.Fatalf("clone Labels(5) = %v, want [2 8]", got)
+	}
+	if got := g.Labels(5); len(got) != 1 || got[0] != 6 {
+		t.Fatalf("original Labels(5) = %v, want [6]", got)
+	}
+	if got := c.Labels(2); len(got) != 3 || !c.HasLabel(2, 3) {
+		t.Fatalf("clone lost Labels(2): %v", got)
+	}
+
+	var wide []Label
+	for l := Label(40); l > 0; l-- {
+		wide = append(wide, l*300)
+	}
+	_ = g.AddVertex(6, wide...)
+	_ = g.AddVertex(7, wide...)
+	if a, b := g.Labels(6), g.Labels(7); len(a) != 40 || &a[0] != &b[0] || a[0] != 300 || !g.HasAllLabels(7, a) {
+		t.Fatalf("wide label set not interned: %v", a)
+	}
+}
+
 func TestHasAllLabels(t *testing.T) {
 	g := New()
 	if err := g.AddVertex(0, 2, 4, 6); err != nil {

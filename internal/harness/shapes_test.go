@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"turboflux/internal/query"
 	"turboflux/internal/workload"
 )
 
@@ -58,16 +59,29 @@ func TestPaperShapes(t *testing.T) {
 	if len(big.Stream) > len(small.Stream) {
 		rcBig.Stream = big.Stream[:len(small.Stream)]
 	}
+	// Each cost below is a single short run's wall clock, and a ratio of
+	// ratios of four of them: one descheduled run among the four (other
+	// packages' tests run beside this one) flips the verdict. Take the
+	// fastest of three.
+	fastest := func(kind Kind, ds *workload.Dataset, q *query.Graph, rc RunConfig) Result {
+		best := RunQuery(kind, ds, q, rc)
+		for i := 0; i < 2 && !best.TimedOut; i++ {
+			if r := RunQuery(kind, ds, q, rc); r.TimedOut || r.Cost < best.Cost {
+				best = r
+			}
+		}
+		return best
+	}
 	q := qs[0]
-	tfSmall := RunQuery(TurboFlux, small, q, rc)
-	gfSmall := RunQuery(Graphflow, small, q, rc)
+	tfSmall := fastest(TurboFlux, small, q, rc)
+	gfSmall := fastest(Graphflow, small, q, rc)
 	// Regenerate a comparable query for the big dataset (same seed recipe).
 	bigQs := selectQueries(big, big.TreeQueries(18, 6, 7), 1, rcBig)
 	if len(bigQs) == 0 {
 		t.Skip("no usable query at 4x scale")
 	}
-	tfBig := RunQuery(TurboFlux, big, bigQs[0], rcBig)
-	gfBig := RunQuery(Graphflow, big, bigQs[0], rcBig)
+	tfBig := fastest(TurboFlux, big, bigQs[0], rcBig)
+	gfBig := fastest(Graphflow, big, bigQs[0], rcBig)
 	if tfSmall.TimedOut || gfSmall.TimedOut || tfBig.TimedOut || gfBig.TimedOut {
 		t.Skip("censoring at this scale; skip growth-shape check")
 	}

@@ -508,8 +508,8 @@ func (a *actor) statsLines() []string {
 	engStats := a.host.Stats()
 	for _, name := range a.host.Queries() {
 		st := engStats[name]
-		lines = append(lines, fmt.Sprintf("query %s pos=%d neg=%d dcg_edges=%d bytes=%d subs=%d",
-			name, st.PositiveMatches, st.NegativeMatches, st.DCGEdges, st.IntermediateBytes, len(a.subs[name].subs)))
+		lines = append(lines, fmt.Sprintf("query %s pos=%d neg=%d dcg_edges=%d bytes=%d held=%d subs=%d",
+			name, st.PositiveMatches, st.NegativeMatches, st.DCGEdges, st.IntermediateBytes, st.HeldBytes, len(a.subs[name].subs)))
 	}
 	names := make([]string, 0, len(a.subs))
 	//tf:unordered-ok keys are sorted before emission

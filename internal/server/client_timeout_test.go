@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"turboflux"
 )
 
 // TestClientRequestTimeout holds DialWith's RequestTimeout to its
@@ -121,6 +123,32 @@ func TestStatsInfoStandalone(t *testing.T) {
 	}
 	if info.Queries[0].Subs != 1 || info.Queries[0].Shard != -1 {
 		t.Fatalf("query stat = %+v, want subs=1 shard=-1", info.Queries[0])
+	}
+	// An empty DCG still holds its own header; stored edges add to it.
+	empty := info.Queries[0].Held
+	if empty <= 0 {
+		t.Fatalf("query stat = %+v, want held > 0", info.Queries[0])
+	}
+	person, err := c.Label("vertex", "P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, err := c.Label("edge", "e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []turboflux.Update{
+		turboflux.DeclareVertex(1, person), turboflux.DeclareVertex(2, person), turboflux.Insert(1, edge, 2),
+	} {
+		if _, err := c.Apply(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if info, err = c.StatsInfo(); err != nil {
+		t.Fatal(err)
+	}
+	if info.Queries[0].Pos != 1 || info.Queries[0].Held <= empty {
+		t.Fatalf("query stat = %+v after a match, want pos=1 and held > %d", info.Queries[0], empty)
 	}
 }
 

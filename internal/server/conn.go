@@ -140,7 +140,7 @@ func (c *conn) subscribe(name string) bool {
 		//tf:goroutine conn-writer
 		go c.writeLoop(c.out)
 	}
-	sub := newSubscriber(name, c.id, c.srv.opt.QueueDepth, c.out)
+	sub := newSubscriber(name, c.id, c.srv.queueDepth, c.out)
 	resp, err := c.a.call(request{kind: reqSubscribe, name: name, sub: sub})
 	if err != nil {
 		return false

@@ -78,9 +78,9 @@ type Options struct {
 // subscribes, one writer goroutine for its pushes. See the package comment
 // for the wire protocol and DESIGN.md §10 for the architecture.
 type Server struct {
-	opt   Options
-	actor *actor
-	host  engineHost
+	queueDepth int // Options.QueueDepth, defaulted
+	actor      *actor
+	host       engineHost
 
 	ln   net.Listener
 	link *replica.Link // follower mode; nil on a born leader
@@ -143,11 +143,13 @@ func New(opt Options) (*Server, error) {
 		m.SetFanOutWorkers(opt.FanOutWorkers) //tf:actor-ok construction precedes actor start
 		host = m
 	}
+	// The server keeps the one option it reads later, not the Options:
+	// those hold the decoded bootstrap, garbage once the store is open.
 	s := &Server{
-		opt:      opt,
-		host:     host,
-		conns:    make(map[*conn]struct{}),
-		stopping: make(chan struct{}),
+		queueDepth: opt.QueueDepth,
+		host:       host,
+		conns:      make(map[*conn]struct{}),
+		stopping:   make(chan struct{}),
 	}
 	s.actor = newActor(host, durable, vdict, edict, opt.Slow, opt.QueueDepth, &s.connCount)
 	if opt.ReplFeedDepth > 0 {

@@ -94,13 +94,15 @@ type ShardStat struct {
 	SavedEvals  uint64
 }
 
-// QueryStat is one "query ..." line. A server reports match counters; a
-// coordinator reports the shard placement (Shard is -1 when the payload
-// has no placement, i.e. on a plain server).
+// QueryStat is one "query ..." line. A server reports match counters and
+// the heap bytes the query's DCG holds; a coordinator reports the shard
+// placement (Shard is -1 when the payload has no placement, i.e. on a
+// plain server).
 type QueryStat struct {
 	Name  string
 	Pos   int64
 	Neg   int64
+	Held  int64
 	Subs  int
 	Shard int
 }
@@ -205,6 +207,7 @@ func ParseStats(lines []string) (StatsInfo, error) {
 				Name:  fields[1],
 				Pos:   p.int("pos"),
 				Neg:   p.int("neg"),
+				Held:  p.int("held"),
 				Subs:  int(p.uint("subs")),
 				Shard: -1,
 			}

@@ -123,16 +123,14 @@ type MultiEngine struct {
 	// Run scheduler state: the batch being evaluated (read by the slots'
 	// runTask thunks) and reused per-run scratch — see DESIGN.md §11.
 	// engaged is the routing bitset over registration positions; runEdges
-	// detects same-edge conflicts via an epoch so it is never cleared on
-	// the hot path; runSlots lists the run's engaged slots in (update,
+	// detects same-edge conflicts; runSlots lists the run's engaged slots in (update,
 	// registration) order — the replay order; runDels holds the run's
 	// deletions, applied to the graph after the barrier (Algorithm 2:
 	// deletions evaluate before removal). batchErrs[k] is the k-th
 	// evaluation error of the batch, raised by the update at batchErrAt[k].
 	batch       []stream.Update
 	engaged     []uint64
-	runEdges    map[Edge]uint32
-	edgeEpoch   uint32
+	runEdges    edgeSet
 	runSlots    []*mslot
 	runDels     []Edge
 	tasks       []func()
@@ -171,11 +169,10 @@ type runSub struct {
 // ownership of g0: route every mutation through it.
 func NewMultiEngine(g0 *Graph) *MultiEngine {
 	m := &MultiEngine{
-		g:        g0,
-		slots:    make(map[string]*mslot),
-		pool:     fanout.New(0),
-		runEdges: make(map[Edge]uint32, 64),
-		reg:      mqo.NewRegistry(),
+		g:     g0,
+		slots: make(map[string]*mslot),
+		pool:  fanout.New(0),
+		reg:   mqo.NewRegistry(),
 	}
 	m.buildShards()
 	return m
@@ -549,9 +546,74 @@ func (m *MultiEngine) fail(idx int, err error) {
 	m.batchErrAt = append(m.batchErrAt, int32(idx))
 }
 
-// maxRunEdges caps the size of the epoch-keyed conflict map; past it the
-// map is reallocated rather than accumulating stale edges forever.
-const maxRunEdges = 1 << 15
+// edgeSet is the set of edges the current run has touched: an
+// open-addressed table whose entries carry the epoch of the run that
+// wrote them, so starting a run clears nothing and stale entries count as
+// empty. It is at most half full, and doubles only when one run outgrows
+// that — a run is no longer than its batch.
+type edgeSet struct {
+	tab   []runEdge // length a power of two
+	epoch uint32
+	n     int // entries of the current epoch
+}
+
+type runEdge struct {
+	e     Edge
+	epoch uint32
+}
+
+// begin starts a new run with an empty set.
+//
+//tf:hotpath
+func (s *edgeSet) begin() {
+	s.n = 0
+	if s.epoch++; s.epoch == 0 { // wrapped: entries of 2^32 runs ago would look current
+		clear(s.tab)
+		s.epoch = 1
+	}
+}
+
+// find returns the table position of e in the current run, or the empty
+// position it belongs at.
+//
+//tf:hotpath
+func (s *edgeSet) find(e Edge) (pos int, found bool) {
+	h := (uint64(e.From)<<32|uint64(e.To))*0x9E3779B97F4A7C15 ^ uint64(e.Label)*0xC2B2AE3D27D4EB4F
+	mask := len(s.tab) - 1
+	for pos = int(h>>32) & mask; s.tab[pos].epoch == s.epoch; pos = (pos + 1) & mask {
+		if s.tab[pos].e == e {
+			return pos, true
+		}
+	}
+	return pos, false
+}
+
+//tf:hotpath
+func (s *edgeSet) has(e Edge) bool {
+	if s.n == 0 {
+		return false
+	}
+	_, found := s.find(e)
+	return found
+}
+
+//tf:hotpath
+func (s *edgeSet) add(e Edge) {
+	if 2*(s.n+1) > len(s.tab) {
+		old := s.tab
+		s.tab = make([]runEdge, max(64, 2*len(old))) //tf:alloc-ok doubles until the longest run fits, then never
+		for _, r := range old {
+			if r.epoch == s.epoch {
+				pos, _ := s.find(r.e)
+				s.tab[pos] = r
+			}
+		}
+	}
+	if pos, found := s.find(e); !found {
+		s.tab[pos] = runEdge{e, s.epoch}
+		s.n++
+	}
+}
 
 // scheduleRun builds and executes one run: the longest prefix of
 // ups[start:] in which every registered engine has at most one relevant
@@ -578,11 +640,7 @@ func (m *MultiEngine) scheduleRun(start int, boundary func(i int)) int {
 	for j := range m.engaged {
 		m.engaged[j] = 0
 	}
-	m.edgeEpoch++
-	if m.edgeEpoch == 0 || len(m.runEdges) > maxRunEdges {
-		m.runEdges = make(map[Edge]uint32, 64)
-		m.edgeEpoch = 1
-	}
+	m.runEdges.begin()
 	i := start
 loop:
 	for i < len(ups) {
@@ -590,7 +648,7 @@ loop:
 		switch u.Op {
 		case stream.OpInsert:
 			e := u.Edge
-			if i > start && m.runEdges[e] == m.edgeEpoch {
+			if m.runEdges.has(e) {
 				break loop // same-edge conflict: next run re-examines it
 			}
 			newFrom := !m.g.HasVertex(e.From)
@@ -620,7 +678,7 @@ loop:
 			}
 		case stream.OpDelete:
 			e := u.Edge
-			if i > start && m.runEdges[e] == m.edgeEpoch {
+			if m.runEdges.has(e) {
 				break loop
 			}
 			if !m.g.HasEdge(e.From, e.Label, e.To) {
@@ -685,13 +743,12 @@ next:
 // touchEdge records that the batch update at idx applied or scheduled e in
 // the current run, so that a later update of the same edge ends the run.
 // The batch's last update has no later update to stop — which keeps the
-// map out of single-update traffic altogether (scheduleRun likewise skips
-// the lookup for a run's first update, which nothing can precede).
+// set out of single-update traffic altogether.
 //
 //tf:hotpath
 func (m *MultiEngine) touchEdge(e Edge, idx int) {
 	if idx+1 < len(m.batch) {
-		m.runEdges[e] = m.edgeEpoch
+		m.runEdges.add(e)
 	}
 }
 
@@ -852,6 +909,7 @@ func (m *MultiEngine) Stats() map[string]Stats {
 			NegativeMatches:   s.eng.NegativeCount(),
 			DCGEdges:          s.eng.DCG().NumEdges(),
 			IntermediateBytes: s.eng.IntermediateSizeBytes(),
+			HeldBytes:         s.eng.DCG().HeldBytes(),
 		}
 	}
 	return out

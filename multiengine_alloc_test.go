@@ -123,3 +123,59 @@ func TestApplyBatchBoundaryAllocs(t *testing.T) {
 		t.Fatalf("batch path with boundary hook: %v allocs per batch pair, want 0", avg)
 	}
 }
+
+// TestApplyBatchDistinctEdgesAllocs streams more than 32 768 distinct
+// edges no query mentions, in batches of 256 (128 inserts, then their
+// deletes): such updates engage no engine, so each half of a batch is one
+// run and the run-edge set holds 128 entries at a time. The set must reach
+// its working size during warm-up and then never allocate — an
+// ever-growing set, or one thrown away and regrown every so many edges,
+// allocates here where the eight recycled edges of
+// TestApplyBatchPathAllocs never get that far.
+func TestApplyBatchDistinctEdgesAllocs(t *testing.T) {
+	const nVerts, half = 512, 128
+	g := NewGraph()
+	for v := VertexID(1); v <= nVerts; v++ {
+		g.EnsureVertex(v, 0)
+	}
+	// Resident rings under both labels keep every adjacency bucket
+	// non-empty, so the churn edges (one in, one out per vertex at a time)
+	// fit the buckets' spare capacity.
+	for v := VertexID(1); v <= nVerts; v++ {
+		if !g.InsertEdge(v, 0, v%nVerts+1) || !g.InsertEdge(v, 1, v%nVerts+1) {
+			t.Fatalf("resident edges of %d", v)
+		}
+	}
+	m := NewMultiEngine(g)
+	t.Cleanup(func() { m.Close() }) //tf:unchecked-ok test teardown
+	m.SetFanOutWorkers(4)
+	q := NewQuery(2)
+	if err := q.AddEdge(0, 0, 1); err != nil { // mentions label 0 only
+		t.Fatal(err)
+	}
+	if err := m.Register("q", q, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Update, 2*half)
+	round := 0
+	next := func() {
+		// Round r pairs vertex i with the vertex 2+r places on: distinct
+		// from every other round and from the ring (1 place on).
+		for i := 0; i < half; i++ {
+			from, to := VertexID(1+i), VertexID(1+(i+2+round)%nVerts)
+			batch[i], batch[half+i] = Insert(from, 1, to), Delete(from, 1, to)
+		}
+		round++
+		if counts, err := m.ApplyBatch(batch); err != nil || counts != nil {
+			t.Fatalf("round %d: counts=%v err=%v", round, counts, err)
+		}
+	}
+	next()             // warm scratch structures
+	const rounds = 300 // x 128 = 38 400 distinct edges; 2+rounds < nVerts keeps them distinct
+	if avg := testing.AllocsPerRun(rounds, next); avg != 0 {
+		t.Fatalf("distinct-edge batches: %v allocs per batch, want 0", avg)
+	}
+	if g.NumEdges() != 2*nVerts {
+		t.Fatalf("%d edges left, want the %d resident ones", g.NumEdges(), 2*nVerts)
+	}
+}

@@ -241,8 +241,12 @@ type Stats struct {
 	NegativeMatches int64
 	// DCGEdges is the number of stored intermediate-result edges.
 	DCGEdges int
-	// IntermediateBytes is the accounting size of the DCG.
+	// IntermediateBytes is the accounting size of the DCG: the paper's
+	// 16 B per stored edge, for intermediate-result comparisons.
 	IntermediateBytes int64
+	// HeldBytes is the heap the DCG actually holds (interner, cell tables,
+	// arenas). Queries that share a DCG each report the whole of it.
+	HeldBytes int64
 }
 
 // Explain renders the engine's execution plan — starting vertex, query
@@ -257,5 +261,6 @@ func (e *Engine) Stats() Stats {
 		NegativeMatches:   e.inner.NegativeCount(),
 		DCGEdges:          e.inner.DCG().NumEdges(),
 		IntermediateBytes: e.inner.IntermediateSizeBytes(),
+		HeldBytes:         e.inner.DCG().HeldBytes(),
 	}
 }
