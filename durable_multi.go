@@ -115,7 +115,7 @@ func (d *DurableMultiEngine) Apply(u Update) (map[string]int64, error) {
 }
 
 // ApplyBatch journals the whole batch as one log write, then evaluates it
-// through the run scheduler (MultiEngine.ApplyBatch). A journaling
+// through the window scheduler (MultiEngine.ApplyBatch). A journaling
 // failure aborts before any update is applied.
 func (d *DurableMultiEngine) ApplyBatch(ups []Update) (map[string]int64, error) {
 	return d.ApplyBatchFunc(ups, nil)

@@ -9,14 +9,19 @@ import (
 	"turboflux/internal/analysis"
 )
 
-// graphMutators are the *graph.Graph methods that change graph state.
-// Everything else on Graph is a pure read (the graph keeps no lazy
-// caches), which is what makes concurrent evaluation sound.
+// graphMutators are the methods of internal/graph that change what an
+// evaluation reads: the *graph.Graph methods that change graph state, and
+// the *graph.Window methods that change the versioned view engines read
+// the graph through inside an evaluation window. Everything else on the
+// two types is a pure read (neither keeps lazy caches), which is what
+// makes concurrent evaluation sound.
 var graphMutators = map[string]bool{
-	"AddVertex":    true,
-	"EnsureVertex": true,
-	"InsertEdge":   true,
-	"DeleteEdge":   true,
+	"Graph.AddVertex":    true,
+	"Graph.EnsureVertex": true,
+	"Graph.InsertEdge":   true,
+	"Graph.DeleteEdge":   true,
+	"Window.Add":         true,
+	"Window.Reset":       true,
 }
 
 // evalEntryPoints are the core.Engine methods the multi-query fan-out
@@ -47,7 +52,7 @@ var EvalReadonly = &analysis.Analyzer{
 // mutCall is one call to a graph mutator.
 type mutCall struct {
 	pos  token.Pos
-	name string // mutator method name
+	name string // mutator, as Type.Method
 }
 
 // declInfo is one top-level function's slice of the same-package call
@@ -97,7 +102,7 @@ func runEvalReadonly(pass *analysis.Pass) error {
 			}
 			for _, mc := range info.muts {
 				pass.Reportf(mc.pos,
-					"Graph.%s called in %s: DCG maintenance runs inside the frozen-graph eval window and must not mutate the data graph (//tf:graph-write exempts coordinator-only code)",
+					"%s called in %s: DCG maintenance runs inside the frozen-graph eval window and must not mutate the data graph (//tf:graph-write exempts coordinator-only code)",
 					mc.name, declName(info.decl))
 			}
 		}
@@ -141,7 +146,7 @@ func runEvalReadonly(pass *analysis.Pass) error {
 		}
 		for _, mc := range info.muts {
 			pass.Reportf(mc.pos,
-				"Graph.%s called in %s, reachable from eval entry point %s: evaluation runs against a frozen graph during the parallel fan-out — move the mutation to the coordinator",
+				"%s called in %s, reachable from eval entry point %s: evaluation runs against a frozen graph during the parallel fan-out — move the mutation to the coordinator",
 				mc.name, declName(info.decl), root)
 		}
 	}
@@ -170,8 +175,8 @@ func collectCalls(pass *analysis.Pass, body ast.Node, info *declInfo) {
 		if !ok {
 			return true
 		}
-		if isGraphMutator(pass, fn) {
-			info.muts = append(info.muts, mutCall{pos: call.Fun.Pos(), name: fn.Name()})
+		if name, ok := graphMutator(pass, fn); ok {
+			info.muts = append(info.muts, mutCall{pos: call.Fun.Pos(), name: name})
 			return true
 		}
 		if fn.Pkg() == pass.Pkg.Types {
@@ -181,18 +186,19 @@ func collectCalls(pass *analysis.Pass, body ast.Node, info *declInfo) {
 	})
 }
 
-// isGraphMutator reports whether fn is a state-changing method of
-// graph.Graph.
-func isGraphMutator(pass *analysis.Pass, fn *types.Func) bool {
-	if !graphMutators[fn.Name()] {
-		return false
-	}
+// graphMutator reports whether fn is a state-changing method of
+// graph.Graph or graph.Window, and names it Type.Method.
+func graphMutator(pass *analysis.Pass, fn *types.Func) (string, bool) {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
-		return false
+		return "", false
 	}
 	named, ok := pass.TypeInPackages(sig.Recv().Type(), "internal/graph")
-	return ok && named.Obj().Name() == "Graph"
+	if !ok {
+		return "", false
+	}
+	name := named.Obj().Name() + "." + fn.Name()
+	return name, graphMutators[name]
 }
 
 // declName renders "Engine.EvalInsertedEdge" for methods, "New" for

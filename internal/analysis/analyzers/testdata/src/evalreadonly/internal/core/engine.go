@@ -7,7 +7,8 @@ import "turboflux/internal/graph"
 
 // Engine owns a private DCG over the shared graph.
 type Engine struct {
-	g *graph.Graph
+	g   *graph.Graph
+	win *graph.Window
 }
 
 // EvalInsertedEdge is an implicit eval entry point; the mutation hides
@@ -21,6 +22,19 @@ func (e *Engine) extend(from, to graph.VertexID) {
 	if !e.g.HasEdge(from, to) {
 		e.repair(from, to)
 	}
+	if e.visible(from, to) {
+		e.record(from, to)
+	}
+}
+
+// visible reads the graph through the window's view: a read, clean.
+func (e *Engine) visible(from, to graph.VertexID) bool {
+	return e.g.HasEdge(from, to) && !e.win.Hidden(from, to)
+}
+
+// record writes the view other workers are reading: finding.
+func (e *Engine) record(from, to graph.VertexID) {
+	e.win.Add(from, to)
 }
 
 // repair mutates the graph from deep inside the eval path: finding.

@@ -34,3 +34,15 @@ func (g *Graph) HasEdge(from, to VertexID) bool {
 
 // NumEdges is a pure read.
 func (g *Graph) NumEdges() int { return g.n }
+
+// Window is the versioned view engines read the graph through inside an
+// evaluation window.
+type Window struct {
+	n int
+}
+
+// Add mutates the view.
+func (w *Window) Add(from, to VertexID) { w.n++ }
+
+// Hidden is a pure read.
+func (w *Window) Hidden(from, to VertexID) bool { return w.n < 0 }

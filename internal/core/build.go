@@ -63,13 +63,11 @@ func (e *Engine) buildSubtrees(u graph.VertexID, v2 graph.VertexID) {
 	for _, uc := range e.tree.Children[u] {
 		te := e.tree.ParentEdge[uc]
 		childLabels := e.q.Labels(uc)
-		var nbrs []graph.VertexID
-		if te.Forward {
-			nbrs = e.g.OutNeighbors(v2, te.Label)
-		} else {
-			nbrs = e.g.InNeighbors(v2, te.Label)
-		}
+		nbrs, probe := e.neighbors(v2, te.Label, te.Forward)
 		for _, vc := range nbrs {
+			if probe && e.hides(v2, te.Label, vc, te.Forward) {
+				continue
+			}
 			if e.g.HasAllLabels(vc, childLabels) {
 				e.buildDCG(uc, v2, vc)
 			}

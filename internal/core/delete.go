@@ -200,7 +200,10 @@ func (e *Engine) clearDCG(u graph.VertexID, v, v2 graph.VertexID) {
 		}
 		// Snapshot: clearDCG mutates adjacency-backed DCG state but not the
 		// data graph, so the neighbor slices stay stable; still, nulling is
-		// idempotent through MakeTransition's change check.
+		// idempotent through MakeTransition's change check. The stored lists
+		// are read past the view (SetView) on purpose: an edge it hides is
+		// not inserted yet or already deleted at this update, so its DCG edge
+		// is Null and falls to the same test.
 		for _, vc := range nbrs {
 			if e.d.GetState(v2, uc, vc) != dcg.Null {
 				e.clearDCG(uc, v2, vc)

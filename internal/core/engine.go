@@ -91,6 +91,11 @@ type Engine struct {
 	d    *dcg.DCG
 	opt  Options
 
+	// win/at are the engine's view of g inside a multi-query evaluation
+	// window (SetView); nil reads the graph as stored.
+	win *graph.Window
+	at  int32
+
 	// shared marks a sub-pattern member of the multi-query layer
 	// (DESIGN.md §17): d is owned by a maintainer engine that applies all
 	// DCG transitions, and this engine's eval entry points switch to

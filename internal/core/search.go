@@ -85,15 +85,15 @@ func (e *Engine) isJoinable(u, v graph.VertexID) bool {
 		qe := e.q.Edge(nt)
 		switch {
 		case qe.From == u && qe.To == u:
-			if !e.g.HasEdge(v, qe.Label, v) {
+			if !e.hasEdge(v, qe.Label, v) {
 				return false
 			}
 		case qe.From == u:
-			if w := e.m[qe.To]; w != graph.NoVertex && !e.g.HasEdge(v, qe.Label, w) {
+			if w := e.m[qe.To]; w != graph.NoVertex && !e.hasEdge(v, qe.Label, w) {
 				return false
 			}
 		default: // qe.To == u
-			if w := e.m[qe.From]; w != graph.NoVertex && !e.g.HasEdge(w, qe.Label, v) {
+			if w := e.m[qe.From]; w != graph.NoVertex && !e.hasEdge(w, qe.Label, v) {
 				return false
 			}
 		}

@@ -1,5 +1,5 @@
 // Package fanout implements the parallel multi-query fan-out layer: a
-// persistent worker pool that evaluates one run of updates against many
+// persistent worker pool that evaluates one window of updates against many
 // engines concurrently, and the per-engine emission buffers that make
 // the parallel window invisible to OnMatch observers.
 //
@@ -33,10 +33,13 @@ type Stats struct {
 	// routing: the update's edge label does not occur in the query, so
 	// evaluation would have been a no-op.
 	Skipped uint64 `json:"skipped"`
-	// Pooled counts evaluations dispatched to pool workers (the rest ran
-	// inline on the coordinator goroutine).
+	// Pooled counts tasks handed to pool workers (the rest ran inline on
+	// the coordinator goroutine). MultiEngine's tasks are claim loops over
+	// a window's evaluation units, at most one per worker and window.
 	Pooled uint64 `json:"pooled"`
-	// Batches counts parallel fan-out barriers executed.
+	// Batches counts parallel fan-out barriers executed: for MultiEngine,
+	// the evaluation windows that handed at least one claim loop to the
+	// pool.
 	Batches uint64 `json:"batches"`
 	// BusyNs is total worker-goroutine busy time in nanoseconds.
 	BusyNs uint64 `json:"busy_ns"`
@@ -171,53 +174,69 @@ func (p *Pool) Stats() Stats {
 	return s
 }
 
-// Emission is one buffered OnMatch delivery.
-type Emission struct {
-	Positive bool
-	Mapping  []graph.VertexID
-}
+// emissionKeep is the mapping storage, in vertex IDs (256 KB), an
+// EmissionBuffer keeps across Reset whatever its windows emit; a larger
+// arena is kept only while the windows keep filling a quarter of it.
+const emissionKeep = 1 << 16
 
-// EmissionBuffer captures OnMatch deliveries produced during the
-// parallel window so the coordinator can replay them in registration
-// order after the barrier. Each buffer is written by exactly one worker
-// per run (the one evaluating its engine, for the one update the run
-// engaged it with) and read by the coordinator after the barrier, so no
-// locking is needed.
+// EmissionBuffer captures the OnMatch deliveries one engine produces
+// during an evaluation window so the coordinator can replay them in
+// (update, registration) order after the barrier. The worker evaluating the
+// engine records into it and closes one segment per update evaluated
+// (EndSegment); the coordinator replays segment by segment after the
+// barrier, so no locking is needed.
 //
-// Mapping storage is recycled across runs: Record copies the
-// engine-owned mapping slice (engines reuse it between emissions), and
-// Reset keeps the backing arrays for the next run.
+// Storage is flat: one arena of mappings laid end to end (every mapping of
+// an engine has its query's vertex count, the stride), one sign per
+// mapping, one end mark per segment — no heap object per emission. Record
+// copies the engine-owned mapping slice (engines reuse it between
+// emissions); Reset keeps the arrays for the next window.
 type EmissionBuffer struct {
-	ems []Emission
-	n   int
+	maps     []graph.VertexID // n mappings of stride vertex IDs each
+	positive []bool           // sign of each mapping
+	ends     []int32          // ends[k] = mappings recorded when segment k closed
+	stride   int
 }
 
-// Record appends one emission, copying the mapping.
+// Record appends one emission to the open segment, copying the mapping.
+// Every mapping recorded between two Resets has the same length.
 func (b *EmissionBuffer) Record(positive bool, m []graph.VertexID) {
-	if b.n < len(b.ems) {
-		e := &b.ems[b.n]
-		e.Positive = positive
-		e.Mapping = append(e.Mapping[:0], m...)
-	} else {
-		b.ems = append(b.ems, Emission{
-			Positive: positive,
-			Mapping:  append([]graph.VertexID(nil), m...),
-		})
-	}
-	b.n++
+	b.stride = len(m)
+	b.maps = append(b.maps, m...)
+	b.positive = append(b.positive, positive)
 }
 
-// Replay invokes fn for each recorded emission in record order. The
-// mapping slice passed to fn is buffer-owned and reused, matching the
-// engine's own OnMatch contract.
-func (b *EmissionBuffer) Replay(fn func(positive bool, mapping []graph.VertexID)) {
-	for i := 0; i < b.n; i++ {
-		fn(b.ems[i].Positive, b.ems[i].Mapping)
+// EndSegment closes the open segment — the emissions of one update — and
+// opens the next.
+func (b *EmissionBuffer) EndSegment() {
+	b.ends = append(b.ends, int32(len(b.positive)))
+}
+
+// ReplaySegment invokes fn for each emission of segment k, the k-th closed
+// since Reset, in record order. The mapping slice passed to fn is
+// buffer-owned and reused, matching the engine's own OnMatch contract.
+func (b *EmissionBuffer) ReplaySegment(k int, fn func(positive bool, mapping []graph.VertexID)) {
+	lo := 0
+	if k > 0 {
+		lo = int(b.ends[k-1])
+	}
+	for i := lo; i < int(b.ends[k]); i++ {
+		at := i * b.stride
+		fn(b.positive[i], b.maps[at:at+b.stride:at+b.stride])
 	}
 }
 
-// Reset forgets the recorded emissions but keeps their storage.
-func (b *EmissionBuffer) Reset() { b.n = 0 }
+// Reset forgets the recorded emissions and segments and keeps their
+// storage for the next window — unless the arena is beyond emissionKeep and
+// the window just replayed used less than a quarter of it: what one
+// explosive window grew is released by the first ordinary window after it,
+// while a query that emits that much every window keeps its working set.
+func (b *EmissionBuffer) Reset() {
+	if cap(b.maps) > emissionKeep && len(b.maps) < cap(b.maps)/4 {
+		b.maps, b.positive = nil, nil
+	}
+	b.maps, b.positive, b.ends = b.maps[:0], b.positive[:0], b.ends[:0]
+}
 
 // Len reports the number of buffered emissions.
-func (b *EmissionBuffer) Len() int { return b.n }
+func (b *EmissionBuffer) Len() int { return len(b.positive) }

@@ -1,7 +1,9 @@
 package fanout
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -105,7 +107,8 @@ func TestEmissionBufferRecordReplayReset(t *testing.T) {
 	scratch := []graph.VertexID{1, 2, 3}
 	b.Record(true, scratch)
 	scratch[0] = 99 // engine reuses its mapping slice; the buffer must have copied
-	b.Record(false, scratch[:2])
+	b.Record(false, scratch)
+	b.EndSegment()
 	if b.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", b.Len())
 	}
@@ -114,16 +117,17 @@ func TestEmissionBufferRecordReplayReset(t *testing.T) {
 		m   []graph.VertexID
 	}
 	var got []em
-	b.Replay(func(p bool, m []graph.VertexID) {
+	collect := func(p bool, m []graph.VertexID) {
 		got = append(got, em{p, append([]graph.VertexID(nil), m...)})
-	})
+	}
+	b.ReplaySegment(0, collect)
 	if len(got) != 2 || !got[0].pos || got[1].pos {
 		t.Fatalf("replay signs wrong: %+v", got)
 	}
-	if got[0].m[0] != 1 || got[0].m[1] != 2 || got[0].m[2] != 3 {
+	if !slices.Equal(got[0].m, []graph.VertexID{1, 2, 3}) {
 		t.Fatalf("first mapping not copied at record time: %v", got[0].m)
 	}
-	if len(got[1].m) != 2 || got[1].m[0] != 99 {
+	if !slices.Equal(got[1].m, []graph.VertexID{99, 2, 3}) {
 		t.Fatalf("second mapping wrong: %v", got[1].m)
 	}
 
@@ -131,16 +135,79 @@ func TestEmissionBufferRecordReplayReset(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("Len after Reset = %d, want 0", b.Len())
 	}
-	// Storage is recycled: recording again must not grow the backing slice.
+	// Storage is recycled, also for a query of another size.
+	kept := cap(b.maps)
 	b.Record(true, []graph.VertexID{7})
-	var n int
-	b.Replay(func(p bool, m []graph.VertexID) {
-		n++
-		if len(m) != 1 || m[0] != 7 {
-			t.Fatalf("recycled record wrong: %v", m)
+	b.EndSegment()
+	if cap(b.maps) != kept {
+		t.Fatalf("recording after Reset regrew the arena: cap %d, was %d", cap(b.maps), kept)
+	}
+	got = got[:0]
+	b.ReplaySegment(0, collect)
+	if len(got) != 1 || !got[0].pos || !slices.Equal(got[0].m, []graph.VertexID{7}) {
+		t.Fatalf("replay after reset delivered %+v, want one +[7]", got)
+	}
+}
+
+// TestEmissionBufferSegments replays a window's emissions update by
+// update: segments of several, one and no emissions come back in record
+// order under their own index, and the mapping handed to fn cannot be
+// appended into its neighbour.
+func TestEmissionBufferSegments(t *testing.T) {
+	var b EmissionBuffer
+	want := [][]graph.VertexID{{1, 2}, {3, 4}, {5, 6}}
+	b.Record(true, want[0])
+	b.Record(false, want[1])
+	b.EndSegment() // segment 0: two emissions
+	b.EndSegment() // segment 1: none
+	b.Record(true, want[2])
+	b.EndSegment() // segment 2: one
+	var got []string
+	for k := 0; k < 3; k++ {
+		b.ReplaySegment(k, func(p bool, m []graph.VertexID) {
+			got = append(got, fmt.Sprint(k, p, m))
+			_ = append(m, 0) // must reallocate, not overwrite the next mapping
+		})
+	}
+	if fmt.Sprint(got) != "[0 true [1 2] 0 false [3 4] 2 true [5 6]]" {
+		t.Fatalf("segment replay = %v", got)
+	}
+	b.Reset()
+	b.EndSegment()
+	b.ReplaySegment(0, func(bool, []graph.VertexID) { t.Fatal("emission survived Reset") })
+}
+
+// TestEmissionBufferResetReleasesHighWater pins the retention bound: an
+// arena within emissionKeep is kept whatever the windows emit; a larger one
+// is kept while every window fills a quarter of it (a query that emits that
+// much per batch must not regrow it per batch) and released by the first
+// window that does not.
+func TestEmissionBufferResetReleasesHighWater(t *testing.T) {
+	var b EmissionBuffer
+	m := make([]graph.VertexID, 8)
+	window := func(vertexIDs int) {
+		for i := 0; i < vertexIDs/len(m); i++ {
+			b.Record(true, m)
 		}
-	})
-	if n != 1 {
-		t.Fatalf("replay after reset delivered %d emissions, want 1", n)
+		b.EndSegment()
+		b.Reset()
+	}
+	window(emissionKeep / 2)
+	window(8)
+	if cap(b.maps) == 0 {
+		t.Fatal("Reset dropped an arena within the bound")
+	}
+	window(4 * emissionKeep) // explosive
+	big := cap(b.maps)
+	if big < 4*emissionKeep {
+		t.Fatalf("Reset dropped the arena of the window that filled it (cap %d)", big)
+	}
+	window(2 * emissionKeep) // still a quarter of it: the working set stays
+	if cap(b.maps) != big {
+		t.Fatalf("a window filling half the arena changed it: cap %d, was %d", cap(b.maps), big)
+	}
+	window(8) // an ordinary window: the high-water mark goes
+	if cap(b.maps) != 0 || cap(b.positive) != 0 {
+		t.Fatalf("Reset kept %d vertex IDs after an ordinary window, bound is %d", cap(b.maps), emissionKeep)
 	}
 }

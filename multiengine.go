@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"sync/atomic"
 
 	"turboflux/internal/core"
 	"turboflux/internal/fanout"
@@ -18,45 +20,44 @@ import (
 // field meanings.
 type FanOutStats = fanout.Stats
 
-// mslot is one registered query's evaluation state. A run engages a slot
-// with at most one update (scheduleRun ends the run otherwise), so the
-// run cells are scalars: runN/runErr are written by exactly one pool
-// worker (the one evaluating this engine) inside the run window and read
+// mslot is one registered query's evaluation state. The window cells are
+// filled by the scheduler (runIdx), written inside the window by the one
+// pool worker evaluating the slot's unit (next, runN, runErr, buf) and read
 // by the coordinator after the barrier.
 type mslot struct {
 	name      string
 	eng       *core.Engine
 	user      core.MatchFunc           // caller's OnMatch, nil if none
 	labels    map[graph.Label]struct{} // edge labels the query mentions
-	buf       fanout.EmissionBuffer
-	buffering bool // true inside the run window; routes OnMatch to buf
+	buf       fanout.EmissionBuffer    // one segment per evaluated update
+	buffering bool                     // true while evaluating in a window; routes OnMatch to buf
 
-	// pos is the slot's index in the registration order, addressing the
-	// coordinator's routing bitset. runIdx is the batch index of the update
-	// the current run engaged the slot with; runTask evaluates it.
-	pos     int
-	runTask func() // persistent pool task: evaluate batch[runIdx]
-	runIdx  int32
-	runN    int64
-	runErr  error
+	// runIdx lists the batch indexes of the window's updates relevant to the
+	// slot, ascending; next counts those evaluated so far. runErr[k] is the
+	// outcome of evaluating runIdx[k] and runN the window's match count.
+	runIdx []int32
+	next   int
+	runN   int64
+	runErr []error
 
-	// sub is the slot's refcounted sub-pattern (DESIGN.md §17), nil when
-	// the query's options are unshareable. While the sub-pattern has a
-	// single member the slot's engine stays private; at two members it is
-	// promoted to shared-DCG evaluation.
+	// sub is the slot's evaluation unit: its refcounted sub-pattern
+	// (DESIGN.md §17), or a registry-less unit of one when the query's
+	// options are unshareable. While the sub-pattern has a single member the
+	// slot's engine stays private; at two members it is promoted to
+	// shared-DCG evaluation.
 	sub *subpat
 }
 
 // subpat is the evaluation state of one distinct sub-pattern (spanning
 // tree shape): the member slots sharing it, and — once two or more
 // members exist — the maintainer engine owning the shared DCG. Members
-// replay read-only against the maintained state, so within one update a
-// sub-pattern is a single-writer unit: the maintainer applies the DCG
-// transitions exactly once (before member replays on insertion, after
-// them on deletion) and the members' searches parallelize freely.
+// replay read-only against the maintained state, and the shared DCG
+// changes with every update (maintain-insert, member replays,
+// maintain-delete), so a sub-pattern is the window's unit of work: one
+// worker walks all of its updates in order, maintainer and members alike.
 type subpat struct {
-	entry   *mqo.Entry
-	members []*mslot // registration order
+	entry   *mqo.Entry // nil: unshareable options, never more than one member
+	members []*mslot   // registration order
 
 	// maint owns the shared DCG and applies all transitions; nil while
 	// the sub-pattern has a single (private) member.
@@ -66,6 +67,12 @@ type subpat struct {
 	// the sub-pattern: the updates that actually transition the shared
 	// DCG. Dense by label, built at promotion.
 	treeLabels []bool
+
+	// runIdx is the union of the members' runIdx — the window's updates the
+	// unit walks — and evals the number of member evaluations among them,
+	// the key workers claim units by.
+	runIdx []int32
+	evals  int
 }
 
 // treeRelevant reports whether label l transitions this sub-pattern's
@@ -83,16 +90,19 @@ func (sp *subpat) treeRelevant(l graph.Label) bool {
 // of the same spanning-tree shape, DESIGN.md §17); the data graph is
 // mutated once per update and every relevant engine evaluates against it.
 //
-// There is one evaluation path (DESIGN.md §11): updates are scheduled
-// into runs of consecutive updates that engage disjoint engines, each
-// run's evaluations share one frozen-graph window on a persistent worker
-// pool (size SetFanOutWorkers, default GOMAXPROCS), and the OnMatch
-// emissions buffered per engine inside the window are replayed in
-// (update, registration) order after the barrier — so transcripts, counts
-// and errors are those of evaluating every engine on every update in
-// turn. A single Insert/Delete/Apply is a run of one. Engines whose
-// queries cannot mention the updated edge's label are skipped entirely
-// (their evaluation would be a structural no-op).
+// There is one evaluation path (DESIGN.md §11): a batch is cut into
+// windows — as long as no edge is touched twice and no vertex is created —
+// whose insertions are applied up front and whose deletions are deferred;
+// every engine evaluates all of the window's updates relevant to it, in
+// order, each against the graph as of that update (an index-versioned
+// view, graph.Window), on a persistent worker pool (size
+// SetFanOutWorkers, default GOMAXPROCS); and the OnMatch emissions
+// buffered per engine inside the window are replayed in (update,
+// registration) order after the barrier — so transcripts, counts and
+// errors are those of evaluating every engine on every update in turn. A
+// single Insert/Delete/Apply is a window of one. Engines whose queries
+// cannot mention the updated edge's label are skipped entirely (their
+// evaluation would be a structural no-op).
 //
 // MultiEngine is not safe for concurrent use, matching Engine. The
 // network server serializes all access through its engine-owner
@@ -116,53 +126,49 @@ type MultiEngine struct {
 	evals   uint64 // engine evaluations run
 	skipped uint64 // evaluations elided by label-relevance routing
 
-	// one is the batch Insert/Delete/Apply hand to the run scheduler: a
-	// single update is a run of one, with no path of its own.
+	// one is the batch Insert/Delete/Apply hand to the window scheduler: a
+	// single update is a window of one, with no path of its own.
 	one [1]stream.Update
 
-	// Run scheduler state: the batch being evaluated (read by the slots'
-	// runTask thunks) and reused per-run scratch — see DESIGN.md §11.
-	// engaged is the routing bitset over registration positions; runEdges
-	// detects same-edge conflicts; runSlots lists the run's engaged slots in (update,
-	// registration) order — the replay order; runDels holds the run's
-	// deletions, applied to the graph after the barrier (Algorithm 2:
-	// deletions evaluate before removal). batchErrs[k] is the k-th
-	// evaluation error of the batch, raised by the update at batchErrAt[k].
+	// Window scheduler state: the batch being evaluated and reused
+	// per-window scratch — see DESIGN.md §11. win records the window's edge
+	// updates (same-edge conflicts, and the engines' versioned view of the
+	// graph); view is &win while the window holds two or more of them and
+	// nil for a window of one, which has nothing to hide. engaged lists the
+	// window's evaluations in (update, registration) order — the replay
+	// order; units lists the engaged units, which the claim loops (one
+	// prebuilt task per pool worker) take from cursor; runDels holds the
+	// window's deletions, applied to the graph after the barrier
+	// (Algorithm 2: deletions evaluate before removal). batchErrs[k] is the
+	// k-th evaluation error of the batch, raised by the update at
+	// batchErrAt[k].
 	batch       []stream.Update
-	engaged     []uint64
-	runEdges    edgeSet
-	runSlots    []*mslot
+	win         graph.Window
+	view        *graph.Window
+	engaged     []engagement
+	units       []*subpat
+	cursor      atomic.Int32
+	claims      []func()
 	runDels     []Edge
-	tasks       []func()
 	batchCounts map[string]int64
 	batchErrs   []error
 	batchErrAt  []int32
 
-	// shardTasks are prebuilt per-worker composite tasks: shard k walks
-	// runSlots[k], runSlots[k+W], ... calling each slot's runTask. When
-	// a run engages more slots than the pool has workers, dispatching one
-	// shard per worker instead of one task per slot caps the barrier at
-	// W-1 channel handoffs per run. Rebuilt when the pool is resized.
-	shardTasks []func()
-
 	// Multi-query optimization state (DESIGN.md §17): the sub-pattern
 	// registry and the promoted (maintainer-owning) sub-patterns in
-	// promotion order; runSubs lists the current run's scheduled
-	// maintenance (sub-pattern, update index) pairs.
+	// promotion order.
 	reg          *mqo.Registry
 	subs         []*subpat
-	runSubs      []runSub
 	maintEvals   uint64 // maintainer evaluations run
 	savedEvals   uint64 // member maintenance evaluations avoided by sharing
 	sharedRelays uint64 // member replays against a shared DCG
 }
 
-// runSub schedules one maintenance evaluation of a run: sp's maintainer
-// processes the update at idx (before member replays for insertions,
-// after them for deletions).
-type runSub struct {
-	sp  *subpat
-	idx int32
+// engagement is one scheduled evaluation of the window: slot s evaluates
+// its k-th relevant update, batch[s.runIdx[k]], into segment k of s.buf.
+type engagement struct {
+	s *mslot
+	k int32
 }
 
 // NewMultiEngine wraps the initial data graph g0. The MultiEngine takes
@@ -171,32 +177,36 @@ func NewMultiEngine(g0 *Graph) *MultiEngine {
 	m := &MultiEngine{
 		g:     g0,
 		slots: make(map[string]*mslot),
-		pool:  fanout.New(0),
 		reg:   mqo.NewRegistry(),
 	}
-	m.buildShards()
+	m.setPool(fanout.New(0))
 	return m
 }
 
-// buildShards rebuilds the per-worker composite run tasks for the
-// current pool size. Each engaged slot belongs to exactly one shard, so
-// its emission buffer and run cells stay single-writer.
-func (m *MultiEngine) buildShards() {
-	w := m.pool.Workers()
-	m.shardTasks = m.shardTasks[:0]
-	for k := 0; k < w; k++ {
-		k := k
-		m.shardTasks = append(m.shardTasks, func() {
-			for j := k; j < len(m.runSlots); j += w {
-				m.runSlots[j].runTask()
+// setPool installs p and one claim loop per worker of it: a worker takes
+// the window's units one at a time from the shared cursor until none is
+// left, so a unit has a single evaluator and the output cannot depend on
+// who claimed what.
+func (m *MultiEngine) setPool(p *fanout.Pool) {
+	m.pool = p
+	claim := func() {
+		for {
+			k := int(m.cursor.Add(1)) - 1
+			if k >= len(m.units) {
+				return
 			}
-		})
+			m.units[k].evaluate(m)
+		}
+	}
+	m.claims = m.claims[:0]
+	for range p.Workers() {
+		m.claims = append(m.claims, claim)
 	}
 }
 
 // SetFanOutWorkers resizes the fan-out worker pool; n <= 0 means
-// GOMAXPROCS. The pool size changes only where a run's tasks execute:
-// with n == 1 every task runs inline on the caller's goroutine, through
+// GOMAXPROCS. The pool size changes only where a window's units execute:
+// with n == 1 every unit runs inline on the caller's goroutine, through
 // the same routing, buffering and replay as any other size. Safe to call
 // between updates, not during one.
 func (m *MultiEngine) SetFanOutWorkers(n int) {
@@ -207,8 +217,7 @@ func (m *MultiEngine) SetFanOutWorkers(n int) {
 		return
 	}
 	m.pool.Close()
-	m.pool = fanout.New(n)
-	m.buildShards()
+	m.setPool(fanout.New(n))
 }
 
 // FanOutWorkers returns the configured fan-out pool size.
@@ -247,8 +256,8 @@ func (m *MultiEngine) Register(name string, q *Query, opt Options) error {
 	copt.Search = opt.Search
 	copt.WorkBudget = opt.WorkBudget
 	if s.user != nil {
-		// Inside the run window emissions go to the slot's buffer (written
-		// only by the worker evaluating this engine); outside it — the
+		// Inside a window emissions go to the slot's buffer (written only by
+		// the worker evaluating this engine); outside it — the
 		// InitialMatches walk — straight through.
 		copt.OnMatch = func(positive bool, mapping []graph.VertexID) {
 			if s.buffering {
@@ -297,14 +306,7 @@ func (m *MultiEngine) Register(name string, q *Query, opt Options) error {
 			return err
 		}
 		s.eng = eng
-	}
-	s.runTask = func() {
-		u := m.batch[s.runIdx]
-		if u.Op == stream.OpInsert {
-			s.runN, s.runErr = s.eng.EvalInsertedEdge(u.Edge.From, u.Edge.Label, u.Edge.To)
-		} else {
-			s.runN, s.runErr = s.eng.EvalBeforeDelete(u.Edge.From, u.Edge.Label, u.Edge.To)
-		}
+		s.sub = &subpat{members: []*mslot{s}}
 	}
 	m.slots[name] = s
 	m.order = append(m.order, s)
@@ -358,21 +360,16 @@ func (m *MultiEngine) demote(sp *subpat) {
 // Appending preserves the per-label registration order because the new
 // slot's position is the maximum.
 func (m *MultiEngine) indexSlot(s *mslot) {
-	s.pos = len(m.order) - 1
 	for l := range s.labels { //tf:unordered-ok each label's list keeps registration order; membership is per label
 		for int(l) >= len(m.byLabel) {
 			m.byLabel = append(m.byLabel, nil)
 		}
 		m.byLabel[l] = append(m.byLabel[l], s)
 	}
-	for len(m.order) > 64*len(m.engaged) {
-		m.engaged = append(m.engaged, 0)
-	}
 }
 
-// unindexSlot removes an unregistered slot from the label index and
-// renumbers the positions of the slots registered after it, preserving
-// per-label registration order.
+// unindexSlot removes an unregistered slot from the label index,
+// preserving per-label registration order.
 func (m *MultiEngine) unindexSlot(s *mslot) {
 	for l := range s.labels { //tf:unordered-ok per-label removal; each list's internal order is preserved
 		list := m.byLabel[l]
@@ -382,12 +379,6 @@ func (m *MultiEngine) unindexSlot(s *mslot) {
 				break
 			}
 		}
-	}
-	for i, t := range m.order {
-		t.pos = i
-	}
-	for j := range m.engaged {
-		m.engaged[j] = 0
 	}
 }
 
@@ -419,7 +410,7 @@ func (m *MultiEngine) Unregister(name string) bool {
 		}
 	}
 	m.unindexSlot(s)
-	if sp := s.sub; sp != nil {
+	if sp := s.sub; sp.entry != nil {
 		for i, t := range sp.members {
 			if t == s {
 				sp.members = append(sp.members[:i], sp.members[i+1:]...)
@@ -473,7 +464,7 @@ func (m *MultiEngine) Delete(from VertexID, l Label, to VertexID) (map[string]in
 	return m.Apply(stream.Delete(from, l, to))
 }
 
-// Apply applies one stream update: a batch of one through the run
+// Apply applies one stream update: a batch of one through the window
 // scheduler, with ApplyBatch's failure semantics. Every relevant engine is
 // evaluated even when an earlier one fails, partial counts are returned,
 // and the per-query errors are aggregated with errors.Join, each wrapped
@@ -490,11 +481,11 @@ func (m *MultiEngine) Apply(u Update) (map[string]int64, error) {
 
 // ApplyBatch applies a whole batch of stream updates with batched
 // evaluation: label routing, worker dispatch and the ordered emission
-// replay are amortized over runs of consecutive updates instead of paid
-// per update (DESIGN.md §11). Observable behavior — the OnMatch
-// transcript of every query, the aggregated per-query counts, and the
-// final graph — is byte-identical to applying the batch one update at a
-// time with Apply. A failing update does not stop the batch: every
+// replay are paid once per window — the whole batch, unless it touches an
+// edge twice or creates a vertex — instead of per update (DESIGN.md §11).
+// Observable behavior — the OnMatch transcript of every query, the
+// aggregated per-query counts, and the final graph — is byte-identical to
+// applying the batch one update at a time with Apply. A failing update does not stop the batch: every
 // update is applied and evaluated, and the per-update errors are
 // aggregated with errors.Join, each wrapped as `update i: query "name"`,
 // so errors.Is still detects ErrWorkBudget.
@@ -521,10 +512,10 @@ func (m *MultiEngine) ApplyBatchFunc(ups []stream.Update, boundary func(i int)) 
 	return counts, errors.Join(m.batchErrs...)
 }
 
-// evalBatch runs ups through the run scheduler and returns the aggregated
-// counts; the evaluation errors are left in batchErrs/batchErrAt for the
-// entry point to word (errors.Join copies, so the scratch is reused by
-// the next batch).
+// evalBatch runs ups through the window scheduler and returns the
+// aggregated counts; the evaluation errors are left in batchErrs/batchErrAt
+// for the entry point to word (errors.Join copies, so the scratch is reused
+// by the next batch).
 //
 //tf:hotpath
 func (m *MultiEngine) evalBatch(ups []stream.Update, boundary func(i int)) map[string]int64 {
@@ -532,7 +523,7 @@ func (m *MultiEngine) evalBatch(ups []stream.Update, boundary func(i int)) map[s
 	m.batchErrs = m.batchErrs[:0]
 	m.batchErrAt = m.batchErrAt[:0]
 	for i := 0; i < len(ups); {
-		i = m.scheduleRun(i, boundary)
+		i = m.scheduleWindow(i, boundary)
 	}
 	m.batch = nil
 	counts := m.batchCounts
@@ -546,101 +537,36 @@ func (m *MultiEngine) fail(idx int, err error) {
 	m.batchErrAt = append(m.batchErrAt, int32(idx))
 }
 
-// edgeSet is the set of edges the current run has touched: an
-// open-addressed table whose entries carry the epoch of the run that
-// wrote them, so starting a run clears nothing and stale entries count as
-// empty. It is at most half full, and doubles only when one run outgrows
-// that — a run is no longer than its batch.
-type edgeSet struct {
-	tab   []runEdge // length a power of two
-	epoch uint32
-	n     int // entries of the current epoch
-}
-
-type runEdge struct {
-	e     Edge
-	epoch uint32
-}
-
-// begin starts a new run with an empty set.
-//
-//tf:hotpath
-func (s *edgeSet) begin() {
-	s.n = 0
-	if s.epoch++; s.epoch == 0 { // wrapped: entries of 2^32 runs ago would look current
-		clear(s.tab)
-		s.epoch = 1
-	}
-}
-
-// find returns the table position of e in the current run, or the empty
-// position it belongs at.
-//
-//tf:hotpath
-func (s *edgeSet) find(e Edge) (pos int, found bool) {
-	h := (uint64(e.From)<<32|uint64(e.To))*0x9E3779B97F4A7C15 ^ uint64(e.Label)*0xC2B2AE3D27D4EB4F
-	mask := len(s.tab) - 1
-	for pos = int(h>>32) & mask; s.tab[pos].epoch == s.epoch; pos = (pos + 1) & mask {
-		if s.tab[pos].e == e {
-			return pos, true
-		}
-	}
-	return pos, false
-}
-
-//tf:hotpath
-func (s *edgeSet) has(e Edge) bool {
-	if s.n == 0 {
-		return false
-	}
-	_, found := s.find(e)
-	return found
-}
-
-//tf:hotpath
-func (s *edgeSet) add(e Edge) {
-	if 2*(s.n+1) > len(s.tab) {
-		old := s.tab
-		s.tab = make([]runEdge, max(64, 2*len(old))) //tf:alloc-ok doubles until the longest run fits, then never
-		for _, r := range old {
-			if r.epoch == s.epoch {
-				pos, _ := s.find(r.e)
-				s.tab[pos] = r
-			}
-		}
-	}
-	if pos, found := s.find(e); !found {
-		s.tab[pos] = runEdge{e, s.epoch}
-		s.n++
-	}
-}
-
-// scheduleRun builds and executes one run: the longest prefix of
-// ups[start:] in which every registered engine has at most one relevant
-// update and no two updates touch the same edge. Within such a run each
-// engine's evaluation observes exactly the graph state sequential
-// evaluation would show it — an engine only reads adjacency through its
-// query's edge labels, and its single relevant update is the only batch
-// update carrying one of those labels — so all of the run's evaluations
-// can share one frozen-graph window and one pool dispatch. Edge
-// insertions are pre-applied in batch order as the run is built;
-// deletions evaluate inside the window and mutate the graph after it
-// (the paper's Algorithm 2 order). An update that creates vertices (a
-// fresh declaration, an insert auto-creating an endpoint) is a run of one,
-// so the engines it does not engage are notified of the new vertices in
-// exact sequential position. No-ops (duplicate inserts, absent deletes,
-// re-declarations) are detected exactly, because any update whose edge
-// was already touched in the run forces the run to flush first.
+// scheduleWindow builds and executes one window: the longest prefix of
+// ups[start:] in which no two updates touch the same edge and no update
+// creates a vertex. Edge insertions are pre-applied in batch order as the
+// window is built and recorded in win with their index; deletions are
+// recorded, evaluate inside the window and leave the graph after it (the
+// paper's Algorithm 2 order). An engine only reads adjacency through its
+// query's edge labels, and the window's updates carrying those labels are
+// exactly the ones it evaluates itself, in order — so reading the graph
+// minus the insertions born after the update it is at, minus the deletions
+// that died before it, shows it exactly the state sequential evaluation
+// would, and all of the window's evaluations share one frozen graph and
+// one pool dispatch. An update that creates vertices (a fresh declaration,
+// an insert auto-creating an endpoint) is a window of one, so the engines
+// it does not engage are notified of the new vertices in exact sequential
+// position. No-ops (duplicate inserts, absent deletes, re-declarations) are
+// detected exactly, because an update whose edge the window already
+// touched ends the window first. An update relevant to an engine that
+// reads the graph past the view (unshareable options: WCO search, work
+// budget, ablations) ends the window after itself, so such an engine never
+// has anything hidden from it.
 //
 // It returns the index of the first update not consumed.
 //
 //tf:hotpath
-func (m *MultiEngine) scheduleRun(start int, boundary func(i int)) int {
+func (m *MultiEngine) scheduleWindow(start int, boundary func(i int)) int {
 	ups := m.batch
-	for j := range m.engaged {
-		m.engaged[j] = 0
-	}
-	m.runEdges.begin()
+	// A batch of one is a window of one: nothing follows that its edge
+	// could conflict with or hide from — which keeps the table out of
+	// single-update traffic altogether.
+	record := len(ups) > 1
 	i := start
 loop:
 	for i < len(ups) {
@@ -648,51 +574,50 @@ loop:
 		switch u.Op {
 		case stream.OpInsert:
 			e := u.Edge
-			if m.runEdges.has(e) {
-				break loop // same-edge conflict: next run re-examines it
+			if m.win.Has(e) {
+				break loop // same-edge conflict: next window re-examines it
 			}
 			newFrom := !m.g.HasVertex(e.From)
 			newTo := e.To != e.From && !m.g.HasVertex(e.To)
 			if (newFrom || newTo) && i > start {
 				break loop
 			}
-			rel := m.relevant(e.Label)
-			if m.anyEngaged(rel) {
-				break loop
-			}
 			if !m.g.InsertEdge(e.From, e.Label, e.To) {
 				i++ // duplicate: sequential no-op
 				continue
 			}
-			m.touchEdge(e, i)
-			m.engageRun(i, rel)
+			if record {
+				m.win.Add(e, int32(i), false)
+			}
+			last := m.engage(i, e.Label)
 			i++
 			if newFrom {
-				m.notifyVertexAdded(e.From)
+				m.notifyVertexAdded(e.From, e.Label)
 			}
 			if newTo {
-				m.notifyVertexAdded(e.To)
+				m.notifyVertexAdded(e.To, e.Label)
 			}
-			if newFrom || newTo {
+			if newFrom || newTo || last {
 				break loop
 			}
 		case stream.OpDelete:
 			e := u.Edge
-			if m.runEdges.has(e) {
+			if m.win.Has(e) {
 				break loop
 			}
 			if !m.g.HasEdge(e.From, e.Label, e.To) {
 				i++ // absent: sequential no-op
 				continue
 			}
-			rel := m.relevant(e.Label)
-			if m.anyEngaged(rel) {
-				break loop
+			if record {
+				m.win.Add(e, int32(i), true)
 			}
-			m.touchEdge(e, i)
-			m.engageRun(i, rel)
+			last := m.engage(i, e.Label)
 			m.runDels = append(m.runDels, e)
 			i++
+			if last {
+				break loop
+			}
 		case stream.OpVertex:
 			if m.g.HasVertex(u.Vertex) {
 				i++ // existing vertex: sequential no-op
@@ -702,171 +627,172 @@ loop:
 				break loop
 			}
 			m.g.EnsureVertex(u.Vertex, u.Labels...)
-			m.notifyVertexAdded(u.Vertex)
+			m.notifyVertexAdded(u.Vertex, 0) // engages nothing: the label is not looked at
 			i++
 			break loop
 		default:
-			// No effects; the update keeps its boundary slot in the flush walk.
+			// No effects, and a window of its own: the batch's errors stay
+			// in update order.
+			if i > start {
+				break loop
+			}
 			m.fail(i, fmt.Errorf("turboflux: unknown update op %d", u.Op)) //tf:alloc-ok error path
 			i++
+			break loop
 		}
 	}
-	m.flushRun(start, i, boundary)
+	m.flushWindow(start, i, boundary)
 	return i
 }
 
 // notifyVertexAdded routes root-candidate bookkeeping for a vertex the
-// current run of one just created to the engines that run does not
+// current window of one just created to the engines that window does not
 // evaluate: every slot it has not engaged (shared members no-op — their
-// DCG is not theirs to touch) plus every maintainer it has not scheduled,
-// which settles the vertex once per shared sub-pattern instead of once
-// per member. Engaged engines settle the new endpoints themselves.
-// Vertex creation is rare at steady state, so the scans stay off the
-// common path.
-func (m *MultiEngine) notifyVertexAdded(v VertexID) {
+// DCG is not theirs to touch) plus every maintainer that will not run — the
+// creating update, labeled l, does not carry one of its tree labels —
+// which settles the vertex once per shared sub-pattern instead of once per
+// member. Engaged engines settle the new endpoints themselves. Vertex
+// creation is rare at steady state, so the scans stay off the common path.
+func (m *MultiEngine) notifyVertexAdded(v VertexID, l Label) {
 	for _, s := range m.order {
-		if !m.isEngaged(s) {
+		if len(s.runIdx) == 0 {
 			s.eng.NotifyVertexAdded(v)
 		}
 	}
-next:
 	for _, sp := range m.subs {
-		for _, rs := range m.runSubs {
-			if rs.sp == sp {
-				continue next
+		if len(sp.runIdx) == 0 || !sp.treeRelevant(l) {
+			sp.maint.NotifyVertexAdded(v)
+		}
+	}
+}
+
+// engage schedules the batch update at idx, labeled l, onto every relevant
+// slot, in (update, registration) order, and onto their units. It reports
+// whether the update must be the window's last: one of the engaged engines
+// reads the graph past the view. The routing and sharing counters are
+// counted here and nowhere else.
+//
+//tf:hotpath
+func (m *MultiEngine) engage(idx int, l Label) (last bool) {
+	var rel []*mslot
+	if int(l) < len(m.byLabel) {
+		rel = m.byLabel[l]
+	}
+	for _, s := range rel {
+		m.engaged = append(m.engaged, engagement{s, int32(len(s.runIdx))})
+		s.runIdx = append(s.runIdx, int32(idx))
+		sp := s.sub
+		if n := len(sp.runIdx); n == 0 || sp.runIdx[n-1] != int32(idx) {
+			if n == 0 {
+				m.units = append(m.units, sp)
+			}
+			sp.runIdx = append(sp.runIdx, int32(idx))
+			// A tree-relevant update transitions the sub-pattern's shared
+			// DCG: the unit runs exactly one maintenance evaluation for it.
+			// (Non-tree-relevant updates touch no shared state.)
+			if sp.maint != nil && sp.treeRelevant(l) {
+				m.maintEvals++
+				m.savedEvals += uint64(len(sp.members) - 1)
+				m.sharedRelays += uint64(len(sp.members))
 			}
 		}
-		sp.maint.NotifyVertexAdded(v)
-	}
-}
-
-// touchEdge records that the batch update at idx applied or scheduled e in
-// the current run, so that a later update of the same edge ends the run.
-// The batch's last update has no later update to stop — which keeps the
-// set out of single-update traffic altogether.
-//
-//tf:hotpath
-func (m *MultiEngine) touchEdge(e Edge, idx int) {
-	if idx+1 < len(m.batch) {
-		m.runEdges.add(e)
-	}
-}
-
-// relevant returns the slots whose queries mention label l, in
-// registration order.
-func (m *MultiEngine) relevant(l Label) []*mslot {
-	if int(l) < len(m.byLabel) {
-		return m.byLabel[l]
-	}
-	return nil
-}
-
-// isEngaged reports whether the current run has engaged slot s (the
-// routing bitset over registration positions).
-//
-//tf:hotpath
-func (m *MultiEngine) isEngaged(s *mslot) bool {
-	return m.engaged[s.pos>>6]&(1<<(uint(s.pos)&63)) != 0
-}
-
-// anyEngaged reports whether any of rel is already engaged in the
-// current run.
-//
-//tf:hotpath
-func (m *MultiEngine) anyEngaged(rel []*mslot) bool {
-	for _, s := range rel {
-		if m.isEngaged(s) {
-			return true
-		}
-	}
-	return false
-}
-
-// engageRun schedules the batch update at idx onto every relevant slot:
-// marks the slots engaged and appends them to the run in (update,
-// registration) order. None of rel is engaged yet — scheduleRun ends the
-// run first — so each slot carries exactly one update per run. The
-// routing and sharing counters are counted here and nowhere else.
-//
-//tf:hotpath
-func (m *MultiEngine) engageRun(idx int, rel []*mslot) {
-	l := m.batch[idx].Edge.Label
-	for _, s := range rel {
-		m.engaged[s.pos>>6] |= 1 << (uint(s.pos) & 63)
-		s.runIdx = int32(idx)
-		m.runSlots = append(m.runSlots, s)
-		// A tree-relevant update transitions the sub-pattern's shared DCG:
-		// schedule exactly one maintenance evaluation for it, at the first
-		// member. (Such an update engages every member, so it is this
-		// sub-pattern's only update in the run; non-tree-relevant updates
-		// touch no shared state and need none.)
-		if sp := s.sub; sp != nil && sp.maint != nil && s == sp.members[0] && sp.treeRelevant(l) {
-			m.runSubs = append(m.runSubs, runSub{sp: sp, idx: int32(idx)})
-			m.maintEvals++
-			m.savedEvals += uint64(len(sp.members) - 1)
-			m.sharedRelays += uint64(len(sp.members))
-		}
+		sp.evals++
+		last = last || sp.entry == nil
 	}
 	m.evals += uint64(len(rel))
 	m.skipped += uint64(len(m.order) - len(rel))
+	return last
 }
 
-// flushRun executes the scheduled run — maintain the shared DCGs, then
-// SubgraphSearch, the paper's Algorithm 2 per update: one pool dispatch
-// over the engaged slots (each evaluating its one update against the
+// evaluate is a unit's share of the window, run by the one worker that
+// claimed it: every update of sp.runIdx in order, each the paper's
+// Algorithm 2 — maintain the shared DCG, then SubgraphSearch per member,
+// against the graph as of that update (m.view) — with the members'
+// emissions buffered, one segment per evaluation. An insertion is
+// maintained before the member replays, which gate on the
+// post-maintenance state; a deletion after them, against the still-intact
+// state, and shared members then re-sample their matching orders against
+// the post-clearing DCG, where a private engine would have adjusted.
+//
+//tf:hotpath
+func (sp *subpat) evaluate(m *MultiEngine) {
+	for _, idx := range sp.runIdx {
+		u := m.batch[idx]
+		e, ins := u.Edge, u.Op == stream.OpInsert
+		maintain := sp.maint != nil && sp.treeRelevant(e.Label)
+		if maintain {
+			sp.maint.SetView(m.view, idx)
+			if ins {
+				sp.maint.MaintainInsertedEdge(e.From, e.Label, e.To)
+			}
+		}
+		for _, s := range sp.members {
+			if s.next == len(s.runIdx) || s.runIdx[s.next] != idx {
+				continue
+			}
+			s.next++
+			s.eng.SetView(m.view, idx)
+			s.buffering = true
+			var n int64
+			var err error
+			if ins {
+				n, err = s.eng.EvalInsertedEdge(e.From, e.Label, e.To)
+			} else {
+				n, err = s.eng.EvalBeforeDelete(e.From, e.Label, e.To)
+			}
+			s.buffering = false
+			s.buf.EndSegment()
+			s.runN += n
+			s.runErr = append(s.runErr, err)
+		}
+		if ins || sp.maint == nil {
+			continue
+		}
+		if maintain {
+			sp.maint.MaintainBeforeDelete(e.From, e.Label, e.To)
+		}
+		for _, s := range sp.members {
+			if s.next > 0 && s.runIdx[s.next-1] == idx {
+				s.eng.AdjustOrderDeferred()
+			}
+		}
+	}
+}
+
+// flushWindow executes the scheduled window: one pool dispatch of claim
+// loops over the engaged units, largest first, so one slow unit delays the
+// barrier by at most itself (each unit evaluating its updates against the
 // frozen graph), then one ordered replay of the buffered emissions in
 // (update index, registration order) with per-update boundaries
 // interleaved, then the deferred deletions leave the graph.
 //
 //tf:hotpath
-func (m *MultiEngine) flushRun(start, end int, boundary func(i int)) {
-	// Shared-DCG maintenance for the run's insertions happens before the
-	// window opens: member replays gate on the post-maintenance state. The
-	// graph already holds every run insertion (pre-applied in batch
-	// order), and a maintainer only reads adjacency through its tree
-	// labels, whose single run update is the one it is maintaining — the
-	// same frozen-window argument the member evaluations rely on.
-	for _, rs := range m.runSubs {
-		if u := m.batch[rs.idx]; u.Op == stream.OpInsert {
-			rs.sp.maint.MaintainInsertedEdge(u.Edge.From, u.Edge.Label, u.Edge.To)
-		}
+func (m *MultiEngine) flushWindow(start, end int, boundary func(i int)) {
+	m.view = nil
+	if m.win.Len() > 1 {
+		m.view = &m.win
 	}
-	for _, s := range m.runSlots {
-		s.buf.Reset()
-		s.buffering = true
-	}
-	tasks := m.tasks[:0]
-	if len(m.runSlots) > len(m.shardTasks) {
-		// More engaged engines than workers: one composite shard per
-		// worker instead of one task per slot keeps the barrier at
-		// W-1 handoffs however many engines the run engaged.
-		tasks = append(tasks, m.shardTasks...)
+	if len(m.units) == 1 {
+		m.units[0].evaluate(m) // nothing to share out
 	} else {
-		for _, s := range m.runSlots {
-			tasks = append(tasks, s.runTask)
-		}
+		slices.SortFunc(m.units, func(a, b *subpat) int { return b.evals - a.evals })
+		m.cursor.Store(0)
+		m.pool.Run(m.claims[:min(len(m.claims), len(m.units))])
 	}
-	m.tasks = tasks[:0]
-	m.pool.Run(tasks)
 	next := start
-	for _, s := range m.runSlots {
-		s.buffering = false
+	for _, en := range m.engaged {
+		s, k := en.s, int(en.k)
+		idx := int(s.runIdx[k])
 		if boundary != nil {
-			for ; next < int(s.runIdx); next++ {
+			for ; next < idx; next++ {
 				boundary(next)
 			}
 		}
 		if s.user != nil {
-			s.buf.Replay(s.user)
+			s.buf.ReplaySegment(k, s.user)
 		}
-		if s.runN != 0 {
-			if m.batchCounts == nil {
-				m.batchCounts = make(map[string]int64)
-			}
-			m.batchCounts[s.name] += s.runN
-		}
-		if s.runErr != nil {
-			m.fail(int(s.runIdx), fmt.Errorf("query %q: %w", s.name, s.runErr)) //tf:alloc-ok error path
+		if err := s.runErr[k]; err != nil {
+			m.fail(idx, fmt.Errorf("query %q: %w", s.name, err)) //tf:alloc-ok error path
 		}
 	}
 	if boundary != nil {
@@ -874,27 +800,26 @@ func (m *MultiEngine) flushRun(start, end int, boundary func(i int)) {
 			boundary(next)
 		}
 	}
-	// Shared-DCG maintenance for the run's deletions happens after every
-	// member has replayed against the still-intact state and before the
-	// edges leave the graph (Algorithm 2's evaluate-before-remove order);
-	// shared members then re-sample their matching orders against the
-	// post-clearing DCG, where a private engine would have adjusted.
-	for _, rs := range m.runSubs {
-		if u := m.batch[rs.idx]; u.Op == stream.OpDelete {
-			rs.sp.maint.MaintainBeforeDelete(u.Edge.From, u.Edge.Label, u.Edge.To)
+	for _, sp := range m.units {
+		for _, s := range sp.members {
+			if s.runN != 0 {
+				if m.batchCounts == nil {
+					m.batchCounts = make(map[string]int64)
+				}
+				m.batchCounts[s.name] += s.runN
+			}
+			s.runIdx, s.runErr, s.next, s.runN = s.runIdx[:0], s.runErr[:0], 0, 0
+			s.buf.Reset()
 		}
-	}
-	for _, s := range m.runSlots {
-		if m.batch[s.runIdx].Op == stream.OpDelete && s.eng.SharedMember() {
-			s.eng.AdjustOrderDeferred()
-		}
+		sp.runIdx, sp.evals = sp.runIdx[:0], 0
 	}
 	for _, e := range m.runDels {
 		m.g.DeleteEdge(e.From, e.Label, e.To)
 	}
 	m.runDels = m.runDels[:0]
-	m.runSlots = m.runSlots[:0]
-	m.runSubs = m.runSubs[:0]
+	m.engaged = m.engaged[:0]
+	m.units = m.units[:0]
+	m.win.Reset()
 }
 
 // Graph returns the shared data graph. Treat it as read-only.
@@ -922,7 +847,7 @@ func (m *MultiEngine) Stats() map[string]Stats {
 func (m *MultiEngine) TotalIntermediateBytes() int64 {
 	var t int64
 	for _, s := range m.order {
-		if sp := s.sub; sp != nil && sp.maint != nil && s != sp.members[0] {
+		if sp := s.sub; sp.maint != nil && s != sp.members[0] {
 			continue
 		}
 		t += s.eng.IntermediateSizeBytes()

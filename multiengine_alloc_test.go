@@ -59,9 +59,9 @@ func allocGuardSetup(t *testing.T, workers int) (*MultiEngine, []Update, []Updat
 	return m, ins, dels
 }
 
-// TestApplySingleRunAllocs guards the run of one: once warm, an
+// TestApplySingleRunAllocs guards the window of one: once warm, an
 // insert/delete cycle applied one update at a time — each a one-update
-// batch through the run scheduler, both engines pooled — must not
+// batch through the window scheduler, both engines pooled — must not
 // allocate on the coordinator side at all.
 func TestApplySingleRunAllocs(t *testing.T) {
 	m, ins, dels := allocGuardSetup(t, 4)
@@ -83,8 +83,8 @@ func TestApplySingleRunAllocs(t *testing.T) {
 	}
 }
 
-// TestApplyBatchPathAllocs guards the batch pipeline: once the run
-// scheduler's scratch (engaged bitset, run-edge map, pair/slot slices)
+// TestApplyBatchPathAllocs guards the batch pipeline: once the window
+// scheduler's scratch (window table, engagement, unit and index lists)
 // is warm, applying whole batches must not allocate on the coordinator
 // side — the property the per-batch scratch reuse exists for.
 func TestApplyBatchPathAllocs(t *testing.T) {
@@ -126,10 +126,11 @@ func TestApplyBatchBoundaryAllocs(t *testing.T) {
 
 // TestApplyBatchDistinctEdgesAllocs streams more than 32 768 distinct
 // edges no query mentions, in batches of 256 (128 inserts, then their
-// deletes): such updates engage no engine, so each half of a batch is one
-// run and the run-edge set holds 128 entries at a time. The set must reach
-// its working size during warm-up and then never allocate — an
-// ever-growing set, or one thrown away and regrown every so many edges,
+// deletes): such updates engage no engine, each half of a batch is one
+// window (a delete is its edge's second touch) and the window table holds
+// 128 entries at a time. The table must reach its working size during
+// warm-up and then never allocate — an ever-growing table, or one thrown
+// away and regrown every so many edges,
 // allocates here where the eight recycled edges of
 // TestApplyBatchPathAllocs never get that far.
 func TestApplyBatchDistinctEdgesAllocs(t *testing.T) {
@@ -177,5 +178,70 @@ func TestApplyBatchDistinctEdgesAllocs(t *testing.T) {
 	}
 	if g.NumEdges() != 2*nVerts {
 		t.Fatalf("%d edges left, want the %d resident ones", g.NumEdges(), 2*nVerts)
+	}
+}
+
+// TestApplyBatchOneEngineWindowAllocs is the window-sized guard: a batch of
+// 256 distinct label-0 edges is one window that engages each engine 256
+// times, so the per-slot and per-unit index lists, the outcome cells, the
+// emission-buffer segment marks, the engagement list, the window table and
+// the claim loops all reach a batch's length — and must all be recycled by
+// the next one.
+func TestApplyBatchOneEngineWindowAllocs(t *testing.T) {
+	const nVerts, n = 512, 256
+	g := NewGraph()
+	for v := VertexID(1); v <= nVerts; v++ {
+		g.EnsureVertex(v, 0)
+	}
+	for v := VertexID(1); v <= nVerts; v++ {
+		if !g.InsertEdge(v, 0, v%nVerts+1) { // resident ring: no bucket ever empties
+			t.Fatalf("resident edge of %d", v)
+		}
+	}
+	m := NewMultiEngine(g)
+	t.Cleanup(func() { m.Close() }) //tf:unchecked-ok test teardown
+	m.SetFanOutWorkers(4)
+	var emitted int
+	for name, size := range map[string]int{"path": 3, "hop": 2} {
+		// Vertex label 9 is unused by the data: relevant to every update,
+		// never matching. The second query makes a second unit, so the
+		// window crosses the pool.
+		q := NewQuery(size)
+		for v := 0; v < q.NumVertices(); v++ {
+			q.SetLabels(VertexID(v), 9)
+		}
+		for v := 1; v < q.NumVertices(); v++ {
+			if err := q.AddEdge(VertexID(v-1), 0, VertexID(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Register(name, q, Options{OnMatch: func(bool, []VertexID) { emitted++ }}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ins, dels := make([]Update, n), make([]Update, n)
+	for i := range ins {
+		from, to := VertexID(1+i), VertexID(1+(i+2)%nVerts)
+		ins[i], dels[i] = Insert(from, 0, to), Delete(from, 0, to)
+	}
+	cycle := func() {
+		if counts, err := m.ApplyBatch(ins); err != nil || counts != nil {
+			t.Fatalf("insert window: counts=%v err=%v", counts, err)
+		}
+		if counts, err := m.ApplyBatch(dels); err != nil || counts != nil {
+			t.Fatalf("delete window: counts=%v err=%v", counts, err)
+		}
+	}
+	before := m.FanOutStats()
+	cycle() // warm the lists, the table and the adjacency capacities
+	if fs := m.FanOutStats(); fs.Batches-before.Batches != 2 || fs.Evals-before.Evals != 4*n {
+		t.Fatalf("warm-up: %d barriers, %d evaluations; want 2 windows engaging both queries %d times each",
+			fs.Batches-before.Batches, fs.Evals-before.Evals, 2*n)
+	}
+	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+		t.Fatalf("256-update windows: %v allocs per batch pair, want 0", avg)
+	}
+	if emitted != 0 {
+		t.Fatalf("%d emissions from queries no vertex can match", emitted)
 	}
 }

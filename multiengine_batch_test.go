@@ -261,7 +261,7 @@ func TestBatchRoutingStats(t *testing.T) {
 }
 
 // TestBatchVertexCreationRouting pins the vertex-notification routing the
-// run scheduler owns: an insert that auto-creates its endpoints sits
+// window scheduler owns: an insert that auto-creates its endpoints sits
 // mid-batch while a promoted shared unit (two members of one shape) and a
 // private query are registered whose labels the insert does not carry.
 // Their engines are not evaluated for it, so the scheduler must settle
