@@ -25,13 +25,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
-	"os/signal"
-	"strconv"
-	"syscall"
 	"time"
 
 	"turboflux"
@@ -71,8 +68,8 @@ func run(addr, dataDir, fsync, graphPath, slow, follow string, queue, workers in
 		Follow:        follow,
 	}
 	if numeric {
-		opt.VertexLabels = numericDict()
-		opt.EdgeLabels = numericDict()
+		opt.VertexLabels = server.NumericDict()
+		opt.EdgeLabels = server.NumericDict()
 	}
 	if graphPath != "" {
 		boot, err := loadUpdates(graphPath)
@@ -95,58 +92,12 @@ func run(addr, dataDir, fsync, graphPath, slow, follow string, queue, workers in
 				rec.SnapshotLSN, rec.Replayed, rec.TruncatedBytes)
 		}
 	}
-	if err := srv.Listen(addr); err != nil {
-		shutdownErr := shutdown(srv, drain)
-		if shutdownErr != nil {
-			fmt.Fprintln(os.Stderr, "turboflux-serve: shutdown:", shutdownErr)
+	return server.RunUntilSignal("turboflux-serve", srv, addr, drain, func(bound net.Addr) {
+		if follow != "" {
+			fmt.Printf("# following leader at %s\n", follow)
 		}
-		return err
-	}
-	if follow != "" {
-		fmt.Printf("# following leader at %s\n", follow)
-	}
-	fmt.Printf("# serving on %s (policy=%s queue=%d)\n", srv.Addr(), policy, queue)
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	//tf:goroutine serve-accept-loop
-	go func() { serveErr <- srv.Serve() }()
-
-	select {
-	case err := <-serveErr:
-		shutdownErr := shutdown(srv, drain)
-		if err != nil {
-			return err
-		}
-		return shutdownErr
-	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "turboflux-serve: signal received, shutting down")
-		if err := shutdown(srv, drain); err != nil {
-			return err
-		}
-		if err := <-serveErr; err != nil {
-			return err
-		}
-		fmt.Println("# shut down cleanly")
-		return nil
-	}
-}
-
-func shutdown(srv *server.Server, drain time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	return srv.Shutdown(ctx)
-}
-
-// numericDict interns "0".."255" so Label(i) renders and parses as "i",
-// matching the numeric label convention of the data file formats.
-func numericDict() *turboflux.Dict {
-	d := turboflux.NewDict()
-	for i := 0; i < 256; i++ {
-		d.Intern(strconv.Itoa(i))
-	}
-	return d
+		fmt.Printf("# serving on %s (policy=%s queue=%d)\n", bound, policy, queue)
+	})
 }
 
 func loadUpdates(path string) ([]turboflux.Update, error) {

@@ -21,17 +21,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
-	"os/signal"
-	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
-	"turboflux"
+	"turboflux/internal/server"
 	"turboflux/internal/shard"
 )
 
@@ -70,62 +67,16 @@ func run(addr, shards string, numeric bool, dialTimeout, reqTimeout, heartbeat t
 		HeartbeatMisses:   misses,
 	}
 	if numeric {
-		opt.VertexLabels = numericDict()
-		opt.EdgeLabels = numericDict()
+		opt.VertexLabels = server.NumericDict()
+		opt.EdgeLabels = server.NumericDict()
 	}
 
 	co, err := shard.New(opt)
 	if err != nil {
 		return err
 	}
-	if err := co.Listen(addr); err != nil {
-		shutdownErr := shutdown(co, drain)
-		if shutdownErr != nil {
-			fmt.Fprintln(os.Stderr, "turboflux-shard: shutdown:", shutdownErr)
-		}
-		return err
-	}
-	fmt.Printf("# coordinating %d shards: %s\n", len(addrs), strings.Join(addrs, " "))
-	fmt.Printf("# serving on %s (heartbeat=%s misses=%d)\n", co.Addr(), heartbeat, misses)
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	//tf:goroutine serve-accept-loop
-	go func() { serveErr <- co.Serve() }()
-
-	select {
-	case err := <-serveErr:
-		shutdownErr := shutdown(co, drain)
-		if err != nil {
-			return err
-		}
-		return shutdownErr
-	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "turboflux-shard: signal received, shutting down")
-		if err := shutdown(co, drain); err != nil {
-			return err
-		}
-		if err := <-serveErr; err != nil {
-			return err
-		}
-		fmt.Println("# shut down cleanly")
-		return nil
-	}
-}
-
-func shutdown(co *shard.Coordinator, drain time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	return co.Shutdown(ctx)
-}
-
-// numericDict interns "0".."255" so Label(i) renders and parses as "i",
-// matching turboflux-serve's -numeric-labels convention.
-func numericDict() *turboflux.Dict {
-	d := turboflux.NewDict()
-	for i := 0; i < 256; i++ {
-		d.Intern(strconv.Itoa(i))
-	}
-	return d
+	return server.RunUntilSignal("turboflux-shard", co, addr, drain, func(bound net.Addr) {
+		fmt.Printf("# coordinating %d shards: %s\n", len(addrs), strings.Join(addrs, " "))
+		fmt.Printf("# serving on %s (heartbeat=%s misses=%d)\n", bound, heartbeat, misses)
+	})
 }

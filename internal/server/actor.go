@@ -1,9 +1,11 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,7 +45,6 @@ const (
 	reqQueries
 	reqLabel
 	reqSubscribe
-	reqUnsubscribe
 	reqDropConn
 	reqStats
 	reqReplicate    // register a replication stream (leader)
@@ -115,7 +116,7 @@ type actor struct {
 	repl       replica.State // follower mode: last reported link state
 
 	reqCh chan request
-	stop  chan struct{} // closed by Shutdown once connections are done
+	stop  chan struct{} // closed by Stop once connections are done
 	done  chan struct{} // closed by run after drain + store close
 
 	subs  map[string]*subList // one list per registered query
@@ -138,6 +139,13 @@ type actor struct {
 	// boundary is the persistent per-update hook handed to ApplyBatchFunc
 	// (built once so batch frames allocate no closures).
 	boundary func(i int)
+
+	// Cold state, kept behind the fields emit and the connections' sends
+	// touch on every request. link is a follower's replication link (nil on
+	// a born leader), set before the actor starts and never touched by it:
+	// Promote and Server.Shutdown stop it from their own goroutines.
+	link     *replica.Link
+	stopOnce sync.Once // guards close(stop)
 }
 
 func newActor(host engineHost, durable *turboflux.DurableMultiEngine, vdict, edict *turboflux.Dict, policy SlowPolicy, depth int, conns *atomic.Int64) *actor {
@@ -266,12 +274,12 @@ func (a *actor) handle(req request) {
 			resp.err = fmt.Errorf("server: query %q is not registered", req.name)
 			break
 		}
+		// A connection ends a subscription by closing it, without a word to
+		// the actor; forget those here so a subscribe/unsubscribe loop on a
+		// silent query cannot grow the list.
+		l.prune()
 		l.subs = append(l.subs, req.sub)
 		resp.seq = a.seq
-	case reqUnsubscribe:
-		if l := a.subs[req.name]; l == nil || !l.dropConn(req.connID) {
-			resp.err = fmt.Errorf("server: no subscription for query %q on this connection", req.name)
-		}
 	case reqDropConn:
 		//tf:unordered-ok removal; event order is unaffected
 		for _, l := range a.subs {
@@ -320,17 +328,14 @@ type subList struct {
 	headSeq uint64
 }
 
-// dropConn closes and removes connID's subscription, reporting whether
-// there was one.
-func (l *subList) dropConn(connID uint64) (removed bool) {
+// dropConn closes and removes connID's subscription, if there is one.
+func (l *subList) dropConn(connID uint64) {
 	for _, s := range l.subs {
 		if s.connID == connID {
 			s.close()
-			removed = true
 		}
 	}
 	l.prune()
-	return removed
 }
 
 // prune forgets the finished subscriptions.
@@ -483,6 +488,7 @@ func (a *actor) statsLines() []string {
 	var subCount int
 	//tf:unordered-ok counting
 	for _, l := range a.subs {
+		l.prune() // report live subscriptions only
 		subCount += len(l.subs)
 	}
 	lines := make([]string, 0, 3+len(a.subs)+subCount)
@@ -542,7 +548,7 @@ func (a *actor) send(req request) error {
 	case a.reqCh <- req:
 		return nil
 	case <-a.done:
-		return errServerClosed
+		return ErrClosed
 	}
 }
 
@@ -564,7 +570,87 @@ func (a *actor) call(req request) (response, error) {
 		case resp := <-req.reply:
 			return resp, nil
 		default:
-			return response{}, errServerClosed
+			return response{}, ErrClosed
 		}
 	}
+}
+
+// do is call with the handler's verdict folded into the error, the shape
+// every Backend method returns: ErrClosed hangs the connection up, anything
+// else becomes its -ERR line.
+func (a *actor) do(req request) (response, error) {
+	resp, err := a.call(req)
+	if err == nil {
+		err = resp.err
+	}
+	return resp, err
+}
+
+// The Backend methods: what a connection asks of the engine owner, each one
+// round trip through the actor loop. They run on connection goroutines and
+// touch no actor-owned state themselves.
+
+func (a *actor) Apply(u turboflux.Update) (Ack, error) {
+	resp, err := a.do(request{kind: reqApply, u: u})
+	return Ack{Seq: resp.seq, Total: resp.total, Counts: resp.counts}, err
+}
+
+func (a *actor) ApplyBatch(ups []turboflux.Update) (BatchAck, error) {
+	resp, err := a.do(request{kind: reqBatch, ups: ups})
+	return BatchAck{FirstSeq: resp.seq, Applied: len(ups), Total: resp.total}, err
+}
+
+func (a *actor) Register(name, pattern string) error {
+	_, err := a.do(request{kind: reqRegister, name: name, arg: pattern})
+	return err
+}
+
+func (a *actor) Unregister(name string) error {
+	_, err := a.do(request{kind: reqUnregister, name: name})
+	return err
+}
+
+func (a *actor) Queries() ([]string, error) {
+	resp, err := a.do(request{kind: reqQueries})
+	return resp.names, err
+}
+
+func (a *actor) Label(kind, name string) (turboflux.Label, error) {
+	resp, err := a.do(request{kind: reqLabel, name: kind, arg: name})
+	return resp.label, err
+}
+
+func (a *actor) Stats() ([]string, error) {
+	resp, err := a.do(request{kind: reqStats})
+	return resp.lines, err
+}
+
+func (a *actor) ShardStats() ([]string, error) {
+	return nil, errors.New("server: SHARDSTATS requires a coordinator (turboflux-shard)")
+}
+
+// Subscribe queues the query's events on c's outbox. The subscriber is the
+// handle: the connection ends it by closing it, which releases an actor
+// blocked on its full queue at once; the actor forgets closed subscribers
+// when it next looks at their list (flushBurst, reqSubscribe, STATS) and
+// at DropConn.
+func (a *actor) Subscribe(c *Conn, name string) (Subscription, uint64, error) {
+	sub := newSubscriber(name, c.id, a.depth, c.outbox())
+	resp, err := a.do(request{kind: reqSubscribe, name: name, sub: sub})
+	if err != nil {
+		return nil, 0, err
+	}
+	return sub, resp.seq, nil
+}
+
+func (a *actor) DropConn(id uint64) {
+	a.send(request{kind: reqDropConn, connID: id}) //tf:unchecked-ok best-effort after shutdown
+}
+
+// Stop ends the actor loop once the connections are gone and returns the
+// store-close error.
+func (a *actor) Stop() error {
+	a.stopOnce.Do(func() { close(a.stop) })
+	<-a.done
+	return a.closeErr
 }

@@ -1,48 +1,93 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 
-	"turboflux/internal/stream"
+	"turboflux"
 )
 
-// conn is one client connection. The reader goroutine (serve) owns the
-// Wire's read side, the subs map and out; replies and the writer
-// goroutine's push buffers share the socket through the Wire's write side.
-type conn struct {
-	*Wire
-	srv *Server
-	a   *actor
-	nc  net.Conn
-	id  uint64
+// ErrClosed is the one error that means "hang up": a Backend returns it for
+// a request that raced its shutdown. Any other Backend error is a request
+// failure, answered with one -ERR line on a connection that stays open.
+var ErrClosed = errors.New("server: shut down")
 
-	subs    map[string]*subscriber // this connection's subscriptions, by query
-	out     *outbox                // push stream; made with its writer at the first SUBSCRIBE
-	writers sync.WaitGroup         // the outbox writer, or the replication pump
+// Backend is what a front end serves: the protocol's verbs, each a complete
+// exchange with whatever owns the state. Exactly two types implement it —
+// the engine-owner actor (leader and follower alike) and the shard
+// coordinator's router — and a Conn cannot tell them apart, which is why a
+// client cannot tell a coordinator from a single server. Methods are called
+// from connection reader goroutines, any number at once.
+type Backend interface {
+	Apply(u turboflux.Update) (Ack, error)
+	ApplyBatch(ups []turboflux.Update) (BatchAck, error)
+	Register(name, pattern string) error
+	Unregister(name string) error
+	Queries() ([]string, error)
+	Label(kind, name string) (turboflux.Label, error)
+	Stats() ([]string, error)
+	ShardStats() ([]string, error)
+	Promote() error
+
+	// Subscribe starts streaming the query's pushes to c — through c's
+	// outbox or straight onto its Wire, the backend's choice — and returns
+	// the handle c keeps and the sequence number the stream starts after.
+	Subscribe(c *Conn, name string) (Subscription, uint64, error)
+	// Replicate turns c into a replication stream past the given LSN and
+	// returns nil once the stream has ended (the connection then closes);
+	// an error means it never started.
+	Replicate(c *Conn, after uint64) error
+
+	// DropConn releases whatever the backend still holds for a connection
+	// that is gone. Best-effort once the backend has stopped.
+	DropConn(id uint64)
+	// Stop ends the backend after the last connection is gone: it finishes
+	// the requests already accepted, closes what it owns and returns the
+	// store's close error, if any. Idempotent.
+	Stop() error
 }
 
-func newConn(srv *Server, nc net.Conn, id uint64) *conn {
-	return &conn{
-		Wire: NewWire(nc),
-		srv:  srv,
-		a:    srv.actor,
-		nc:   nc,
-		id:   id,
-		subs: make(map[string]*subscriber),
-	}
+// Subscription is a backend's handle on one (connection, query) push
+// stream. What a connection is subscribed to is decided by its subs map;
+// the handle says whether the backend ended the stream on its own
+// (eviction, unregistration, a dead shard — the entry then counts as
+// absent) and lets the Conn end it. Cancel is silent, releases a backend
+// blocked on the stream, and must not wait for the backend: teardown
+// cancels every handle before it tells the backend anything.
+type Subscription interface {
+	Finished() bool
+	Cancel()
+}
+
+// Conn is one client connection of a Front. The reader goroutine (serve)
+// owns the Wire's read side, the subs map and out; replies, the outbox
+// writer and a backend's direct pushes share the socket through the Wire's
+// write side.
+type Conn struct {
+	*Wire
+	front *Front
+	be    Backend
+	nc    net.Conn
+	id    uint64
+
+	subs    map[string]Subscription // this connection's subscriptions, by query
+	out     *outbox                 // push stream; made with its writer at first use
+	writers sync.WaitGroup          // everything Go started: outbox writer, relays, replication pump
 }
 
 // serve runs the request loop, then tears the connection down.
-func (c *conn) serve() {
+func (c *Conn) serve() {
 	defer c.teardown()
 	c.Serve(c.dispatch)
 }
 
 // dispatch executes one parsed request. It returns false when the
-// connection should close (QUIT, write failure, or server shutdown).
-func (c *conn) dispatch(req Request) bool {
+// connection should close (QUIT, write failure, a finished replication
+// stream, or ErrClosed from the backend).
+func (c *Conn) dispatch(req Request) bool {
+	var err error
 	switch req.Kind {
 	case KindPing:
 		return c.WriteLine("+OK pong") == nil
@@ -50,136 +95,138 @@ func (c *conn) dispatch(req Request) bool {
 		c.WriteLine("+OK bye") //tf:unchecked-ok closing anyway
 		return false
 	case KindUpdate:
-		resp, err := c.a.call(request{kind: reqApply, u: req.Update})
-		if err != nil {
-			return false
+		var ack Ack
+		if ack, err = c.be.Apply(req.Update); err == nil {
+			return c.WriteAck(ack.Seq, ack.Total, ack.Counts) == nil
 		}
-		if resp.err != nil {
-			return c.WriteErr(resp.err) == nil
-		}
-		return c.WriteAck(resp.seq, resp.total, resp.counts) == nil
 	case KindBatch, KindBatchBin:
 		ups, ferr, perr := c.ReadBatch(req)
 		if ferr != nil {
 			return false
 		}
-		if perr != nil {
-			return c.WriteErr(perr) == nil
+		if err = perr; err != nil {
+			break
 		}
-		return c.finishBatch(ups)
+		var ack BatchAck
+		if ack, err = c.be.ApplyBatch(ups); err == nil {
+			return c.WriteLine(fmt.Sprintf("+OK %d %d %d", ack.FirstSeq, ack.Applied, ack.Total)) == nil
+		}
 	case KindRegister:
-		return c.simpleCall(request{kind: reqRegister, name: req.Name, arg: req.Arg})
+		err = c.be.Register(req.Name, req.Arg)
 	case KindUnregister:
-		return c.simpleCall(request{kind: reqUnregister, name: req.Name})
+		err = c.be.Unregister(req.Name)
 	case KindQueries:
-		resp, err := c.a.call(request{kind: reqQueries})
-		if err != nil {
-			return false
+		var names []string
+		if names, err = c.be.Queries(); err == nil {
+			return c.WriteNames(names) == nil
 		}
-		return c.WriteNames(resp.names) == nil
 	case KindLabel:
-		resp, err := c.a.call(request{kind: reqLabel, name: req.Name, arg: req.Arg})
-		if err != nil {
-			return false
+		var id turboflux.Label
+		if id, err = c.be.Label(req.Name, req.Arg); err == nil {
+			return c.WriteLine(fmt.Sprintf("+OK %d", id)) == nil
 		}
-		return c.WriteLine(fmt.Sprintf("+OK %d", resp.label)) == nil
 	case KindSubscribe:
-		return c.subscribe(req.Name)
+		var seq uint64
+		if seq, err = c.subscribe(req.Name); err == nil {
+			return c.WriteLine(fmt.Sprintf("+OK %d", seq)) == nil
+		}
 	case KindUnsubscribe:
-		return c.unsubscribe(req.Name)
+		err = c.unsubscribe(req.Name)
+	case KindStats, KindShardStats:
+		var lines []string
+		if req.Kind == KindStats {
+			lines, err = c.be.Stats()
+		} else {
+			lines, err = c.be.ShardStats()
+		}
+		if err == nil {
+			return c.WriteData(lines) == nil
+		}
 	case KindReplicate:
-		return c.replicate(req)
-	case KindPromote:
-		return c.promote()
-	case KindShardStats:
-		return c.WriteErr(fmt.Errorf("server: SHARDSTATS requires a coordinator (turboflux-shard)")) == nil
-	case KindStats:
-		resp, err := c.a.call(request{kind: reqStats})
-		if err != nil {
+		if err = c.be.Replicate(c, req.LSN); err == nil {
 			return false
 		}
-		return c.WriteData(resp.lines) == nil
+	case KindPromote:
+		err = c.be.Promote()
 	default:
-		return c.WriteErr(fmt.Errorf("server: unhandled request kind %d", req.Kind)) == nil
+		err = fmt.Errorf("%s: unhandled request kind %d", c.front.name, req.Kind)
 	}
-}
-
-// simpleCall forwards a request whose success reply carries no payload.
-func (c *conn) simpleCall(req request) bool {
-	resp, err := c.a.call(req)
-	if err != nil {
+	switch {
+	case err == nil:
+		return c.WriteLine("+OK") == nil
+	case errors.Is(err, ErrClosed):
 		return false
 	}
-	if resp.err != nil {
-		return c.WriteErr(resp.err) == nil
-	}
-	return c.WriteLine("+OK") == nil
+	return c.WriteErr(err) == nil
 }
 
-func (c *conn) finishBatch(ups []stream.Update) bool {
-	resp, err := c.a.call(request{kind: reqBatch, ups: ups})
+// subscribe adds a subscription. An entry the backend finished (eviction,
+// unregistration, shard death) counts as absent, so the client can
+// subscribe again after *EVICTED.
+func (c *Conn) subscribe(name string) (uint64, error) {
+	if old := c.subs[name]; old != nil {
+		if !old.Finished() {
+			return 0, fmt.Errorf("%s: already subscribed to %q", c.front.name, name)
+		}
+		old.Cancel()
+		delete(c.subs, name)
+	}
+	sub, seq, err := c.be.Subscribe(c, name)
 	if err != nil {
-		return false
-	}
-	if resp.err != nil {
-		return c.WriteErr(resp.err) == nil
-	}
-	return c.WriteLine(fmt.Sprintf("+OK %d %d %d", resp.seq, len(ups), resp.total)) == nil
-}
-
-// subscribe registers a subscription with the actor. A subscription the
-// server finished (eviction, unregistration) counts as absent, so the
-// client can subscribe again after *EVICTED.
-func (c *conn) subscribe(name string) bool {
-	if old := c.subs[name]; old != nil && !old.finished() {
-		return c.WriteErr(fmt.Errorf("server: already subscribed to %q", name)) == nil
-	}
-	if c.out == nil {
-		c.out = newOutbox()
-		c.writers.Add(1)
-		//tf:goroutine conn-writer
-		go c.writeLoop(c.out)
-	}
-	sub := newSubscriber(name, c.id, c.srv.queueDepth, c.out)
-	resp, err := c.a.call(request{kind: reqSubscribe, name: name, sub: sub})
-	if err != nil {
-		return false
-	}
-	if resp.err != nil {
-		return c.WriteErr(resp.err) == nil
+		return 0, err
 	}
 	c.subs[name] = sub
-	return c.WriteLine(fmt.Sprintf("+OK %d", resp.seq)) == nil
+	return seq, nil
 }
 
-func (c *conn) unsubscribe(name string) bool {
+// unsubscribe cancels a subscription. The subs map decides: a handle held
+// live is cancelled and the answer is +OK, whatever the backend has or has
+// not yet noticed about it.
+func (c *Conn) unsubscribe(name string) error {
 	sub := c.subs[name]
 	delete(c.subs, name)
-	if sub == nil || sub.finished() {
-		return c.WriteErr(fmt.Errorf("server: not subscribed to %q", name)) == nil
+	live := sub != nil && !sub.Finished()
+	if sub != nil {
+		sub.Cancel()
 	}
-	sub.close()
-	resp, err := c.a.call(request{kind: reqUnsubscribe, name: name, connID: c.id})
-	if err != nil {
-		return false
+	if !live {
+		return fmt.Errorf("%s: not subscribed to %q", c.front.name, name)
 	}
-	if resp.err != nil {
-		return c.WriteErr(resp.err) == nil
-	}
-	return c.WriteLine("+OK") == nil
+	return nil
 }
 
-// writeLoop is the connection's one push writer: it swaps the outbox's
-// filling buffer for its spare and writes it in one piece, one lock per
-// buffer. Once the outbox is shut (teardown, Shutdown) it drains what was
-// accepted — the graceful "flush subscriber queues" step — and exits. Write
-// errors are sticky in the Wire, so a dead peer degrades this loop to a
-// fast drain that still releases a blocked actor.
-func (c *conn) writeLoop(ob *outbox) {
-	defer c.writers.Done()
+// Go runs f on a goroutine the connection's teardown waits for. Backends
+// start whatever pushes to this connection with it: the outbox writer, a
+// subscription relay, the replication pump.
+func (c *Conn) Go(f func()) {
+	c.writers.Add(1)
+	//tf:goroutine conn-pusher
+	go func() {
+		defer c.writers.Done()
+		f()
+	}()
+}
+
+// outbox returns the connection's push stream, creating it and its writer
+// at first use.
+func (c *Conn) outbox() *outbox {
+	if c.out == nil {
+		c.out = newOutbox()
+		c.Go(c.writeLoop)
+	}
+	return c.out
+}
+
+// writeLoop is the connection's one outbox writer: it swaps the filling
+// buffer for its spare and writes it in one piece, one lock per buffer.
+// Once the outbox is shut (teardown, Shutdown) it drains what was accepted
+// — the graceful "flush subscriber queues" step — and exits. Write errors
+// are sticky in the Wire, so a dead peer degrades this loop to a fast
+// drain that still releases a blocked actor.
+func (c *Conn) writeLoop() {
 	var spare []byte
 	for {
-		buf, ok := ob.take(spare)
+		buf, ok := c.out.take(spare)
 		if !ok {
 			return
 		}
@@ -188,21 +235,21 @@ func (c *conn) writeLoop(ob *outbox) {
 	}
 }
 
-// teardown ends the connection: it finishes this connection's
-// subscriptions (releasing any actor blocked on a full queue), tells the
-// actor to forget them, waits for the writer to flush what was accepted,
-// and closes the socket.
-func (c *conn) teardown() {
-	//tf:unordered-ok closing subscriptions; the outbox keeps emission order
+// teardown ends the connection: cancel every subscription (releasing a
+// backend blocked on a full queue, closing delegated streams), tell the
+// backend to forget the connection, wait for the pushers to flush what was
+// accepted, and close the socket.
+func (c *Conn) teardown() {
+	//tf:unordered-ok cancelling subscriptions; each push stream keeps its own order
 	for _, sub := range c.subs {
-		sub.close()
+		sub.Cancel()
 	}
-	c.a.send(request{kind: reqDropConn, connID: c.id}) //tf:unchecked-ok best-effort after shutdown
+	c.be.DropConn(c.id)
 	if c.out != nil {
 		c.out.shut()
 	}
 	c.writers.Wait()
 	c.WriteFrame(nil, nil, true) //tf:unchecked-ok closing
 	c.nc.Close()                 //tf:unchecked-ok closing
-	c.srv.removeConn(c)
+	c.front.removeConn(c)
 }

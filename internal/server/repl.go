@@ -7,6 +7,7 @@ package server
 // §14 and the internal/replica package for the protocol.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -260,34 +261,73 @@ func (a *actor) replStatsLines(lines []string) []string {
 	return lines
 }
 
-// replicate serves one REPLICATE request: register the stream with the
-// actor, then split the connection — a pump goroutine pushes catch-up
-// and live frames while this (reader) goroutine consumes RACK
-// acknowledgments until the peer goes away. Always returns false-on-exit
-// semantics like dispatch: the connection closes when replication ends.
-func (c *conn) replicate(req Request) bool {
+// linkCallbacks wires a follower's replication link to the actor, so
+// snapshot seeding and frame application stay on the actor goroutine
+// (actor-confinement holds for replicated state too).
+func (a *actor) linkCallbacks() replica.Callbacks {
+	return replica.Callbacks{
+		Applied: func() uint64 {
+			resp, err := a.call(request{kind: reqReplLSN})
+			if err != nil {
+				return 0
+			}
+			return resp.seq
+		},
+		Seed: func(lsn uint64, data []byte) (uint64, error) {
+			resp, err := a.do(request{kind: reqReplSeed, data: data})
+			return resp.seq, err
+		},
+		Apply: func(first uint64, count int, frames []byte) (uint64, error) {
+			resp, err := a.do(request{kind: reqReplFrames, lsn: first, count: count, data: frames})
+			return resp.seq, err
+		},
+		Status: func(st replica.State) {
+			a.send(request{kind: reqReplStatus, state: st}) //tf:unchecked-ok best-effort status report
+		},
+	}
+}
+
+// stopLink stops the follower's replication link, if any. Idempotent and
+// safe to call concurrently (PROMOTE races Shutdown); it blocks until the
+// link goroutine has exited, so no replication callback runs afterwards.
+func (a *actor) stopLink() {
+	if a.link != nil {
+		a.link.Stop()
+	}
+}
+
+// Promote handles PROMOTE: stop the replication link first (on the
+// connection's goroutine, so the link's in-flight actor calls can
+// complete), then flip the actor's role.
+func (a *actor) Promote() error {
+	a.stopLink()
+	_, err := a.do(request{kind: reqPromote})
+	return err
+}
+
+// Replicate serves one REPLICATE request: register the stream with the
+// actor, then split the connection — a pump goroutine pushes catch-up and
+// live frames while this (reader) goroutine consumes RACK acknowledgments
+// until the peer goes away. It returns nil when replication ends, which
+// closes the connection.
+func (a *actor) Replicate(c *Conn, after uint64) error {
 	if len(c.subs) > 0 {
-		return c.WriteErr(fmt.Errorf("server: REPLICATE not allowed on a connection with subscriptions")) == nil
+		return errors.New("server: REPLICATE not allowed on a connection with subscriptions")
 	}
-	resp, err := c.a.call(request{kind: reqReplicate, connID: c.id, lsn: req.LSN, addr: c.nc.RemoteAddr().String()})
+	resp, err := a.do(request{kind: reqReplicate, connID: c.id, lsn: after, addr: c.nc.RemoteAddr().String()})
 	if err != nil {
-		return false
-	}
-	if resp.err != nil {
-		return c.WriteErr(resp.err) == nil
+		return err
 	}
 	if c.WriteLine(fmt.Sprintf("+OK %d", resp.seq)) != nil {
-		return false
+		return nil
 	}
-	c.writers.Add(1)
-	//tf:goroutine repl-pump
-	go c.replPump(resp.plan, resp.feed)
+	c.Go(func() { a.replPump(c, resp.plan, resp.feed) })
 
 	// Replication-mode read loop: only RACK and QUIT are meaningful.
 	for {
 		line, err := c.ReadLine()
 		if err != nil {
-			return false
+			return nil
 		}
 		trimmed := strings.TrimSpace(line)
 		switch {
@@ -297,19 +337,19 @@ func (c *conn) replicate(req Request) bool {
 			lsn, perr := replica.ParseAck(trimmed)
 			if perr != nil {
 				if c.WriteErr(perr) != nil {
-					return false
+					return nil
 				}
 				continue
 			}
-			if c.a.send(request{kind: reqReplAck, connID: c.id, lsn: lsn}) != nil {
-				return false
+			if a.send(request{kind: reqReplAck, connID: c.id, lsn: lsn}) != nil {
+				return nil
 			}
 		case trimmed == "QUIT":
 			c.WriteLine("+OK bye") //tf:unchecked-ok closing anyway
-			return false
+			return nil
 		default:
 			if c.WriteErr(fmt.Errorf("server: connection is replicating; only RACK and QUIT accepted")) != nil {
-				return false
+				return nil
 			}
 		}
 	}
@@ -320,14 +360,16 @@ func (c *conn) replicate(req Request) bool {
 // ends when the feed closes (connection teardown or overrun) or the
 // catch-up fails; a failed or overrun stream force-closes the socket so
 // the reader loop tears the connection down and the follower reconnects.
-func (c *conn) replPump(plan *durable.Plan, feed *replica.Feed) {
-	defer c.writers.Done()
-	lastShipped, cerr := c.streamCatchup(plan)
+func (a *actor) replPump(c *Conn, plan *durable.Plan, feed *replica.Feed) {
+	lastShipped, cerr := streamCatchup(c.Wire, plan)
 	// Release the compaction pin whether or not catch-up succeeded.
-	c.a.send(request{kind: reqReplCaughtUp, connID: c.id}) //tf:unchecked-ok best-effort after shutdown
+	a.send(request{kind: reqReplCaughtUp, connID: c.id}) //tf:unchecked-ok best-effort after shutdown
 	if cerr != nil {
 		c.nc.Close() //tf:unchecked-ok forcing reader-loop teardown
-		c.drainFeed(feed)
+		// Empty the feed so chunks queued before the actor processes the
+		// drop do not accumulate.
+		for range feed.Chunks() {
+		}
 		return
 	}
 	ticker := time.NewTicker(replPingInterval)
@@ -351,16 +393,9 @@ func (c *conn) replPump(plan *durable.Plan, feed *replica.Feed) {
 	}
 }
 
-// drainFeed empties a feed after a failed catch-up so chunks queued
-// before the actor processes the drop do not accumulate.
-func (c *conn) drainFeed(feed *replica.Feed) {
-	for range feed.Chunks() {
-	}
-}
-
 // streamCatchup ships the plan's snapshot and sealed-segment tail,
 // returning the highest LSN shipped.
-func (c *conn) streamCatchup(plan *durable.Plan) (uint64, error) {
+func streamCatchup(w *Wire, plan *durable.Plan) (uint64, error) {
 	var scratch []byte
 	shipped := plan.After
 	if plan.SnapPath != "" {
@@ -369,26 +404,18 @@ func (c *conn) streamCatchup(plan *durable.Plan) (uint64, error) {
 			return shipped, err
 		}
 		scratch = replica.AppendSnapHeader(scratch[:0], plan.SnapLSN, len(data))
-		if err := c.WriteFrame(scratch, data, true); err != nil {
+		if err := w.WriteFrame(scratch, data, true); err != nil {
 			return shipped, err
 		}
 		shipped = plan.SnapLSN
 	}
 	err := replica.ChunkSegments(plan.Segments, shipped, func(ch replica.Chunk) error {
 		scratch = replica.AppendFramesHeader(scratch[:0], ch.First, ch.Count, len(ch.Data))
-		if err := c.WriteFrame(scratch, ch.Data, true); err != nil {
+		if err := w.WriteFrame(scratch, ch.Data, true); err != nil {
 			return err
 		}
 		shipped = ch.Last()
 		return nil
 	})
 	return shipped, err
-}
-
-// promote handles PROMOTE: stop the replication link first (on this
-// goroutine, so the link's in-flight actor calls can complete), then
-// flip the actor's role.
-func (c *conn) promote() bool {
-	c.srv.stopLink()
-	return c.simpleCall(request{kind: reqPromote})
 }

@@ -3,19 +3,11 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"turboflux"
 	"turboflux/internal/replica"
 )
-
-// errServerClosed is returned to connection goroutines whose requests race
-// the actor's shutdown.
-var errServerClosed = errors.New("server: shut down")
 
 // defaultQueueDepth is the per-subscriber event queue capacity when
 // Options.QueueDepth is zero.
@@ -78,23 +70,8 @@ type Options struct {
 // subscribes, one writer goroutine for its pushes. See the package comment
 // for the wire protocol and DESIGN.md §10 for the architecture.
 type Server struct {
-	queueDepth int // Options.QueueDepth, defaulted
-	actor      *actor
-	host       engineHost
-
-	ln   net.Listener
-	link *replica.Link // follower mode; nil on a born leader
-
-	mu      sync.Mutex
-	conns   map[*conn]struct{}
-	connSeq uint64
-
-	connWG    sync.WaitGroup
-	connCount atomic.Int64
-
-	stopping  chan struct{}
-	stopOnce  sync.Once
-	actorOnce sync.Once
+	front *Front // listener, connections, shutdown; serves actor
+	actor *actor
 }
 
 // New builds a server over a fresh in-memory engine, or over the durable
@@ -143,21 +120,19 @@ func New(opt Options) (*Server, error) {
 		m.SetFanOutWorkers(opt.FanOutWorkers) //tf:actor-ok construction precedes actor start
 		host = m
 	}
-	// The server keeps the one option it reads later, not the Options:
-	// those hold the decoded bootstrap, garbage once the store is open.
-	s := &Server{
-		queueDepth: opt.QueueDepth,
-		host:       host,
-		conns:      make(map[*conn]struct{}),
-		stopping:   make(chan struct{}),
-	}
-	s.actor = newActor(host, durable, vdict, edict, opt.Slow, opt.QueueDepth, &s.connCount)
+	// The server keeps the actor and the front end, not the Options: those
+	// hold the decoded bootstrap, garbage once the store is open. The front
+	// is made first because STATS reads its connection count.
+	s := &Server{front: NewFront("server", nil)}
+	s.actor = newActor(host, durable, vdict, edict, opt.Slow, opt.QueueDepth, &s.front.connCount)
+	s.front.be = s.actor
 	if opt.ReplFeedDepth > 0 {
 		s.actor.feedDepth = opt.ReplFeedDepth
 	}
 	if opt.Follow != "" {
 		s.actor.role = roleFollower
 		s.actor.leaderAddr = opt.Follow
+		s.actor.link = replica.NewLink(opt.Follow, s.actor.linkCallbacks(), opt.ReplOptions)
 	}
 	if durable != nil {
 		// The append tap fires on the actor goroutine (appends happen only
@@ -166,52 +141,10 @@ func New(opt Options) (*Server, error) {
 	}
 	//tf:goroutine engine-owner-actor
 	go s.actor.run()
-	if opt.Follow != "" {
-		s.link = replica.NewLink(opt.Follow, s.linkCallbacks(), opt.ReplOptions)
-		s.link.Start()
+	if s.actor.link != nil {
+		s.actor.link.Start()
 	}
 	return s, nil
-}
-
-// linkCallbacks wires the replication link to the engine-owner actor, so
-// snapshot seeding and frame application stay on the actor goroutine
-// (actor-confinement holds for replicated state too).
-func (s *Server) linkCallbacks() replica.Callbacks {
-	return replica.Callbacks{
-		Applied: func() uint64 {
-			resp, err := s.actor.call(request{kind: reqReplLSN})
-			if err != nil {
-				return 0
-			}
-			return resp.seq
-		},
-		Seed: func(lsn uint64, data []byte) (uint64, error) {
-			resp, err := s.actor.call(request{kind: reqReplSeed, data: data})
-			if err != nil {
-				return 0, err
-			}
-			return resp.seq, resp.err
-		},
-		Apply: func(first uint64, count int, frames []byte) (uint64, error) {
-			resp, err := s.actor.call(request{kind: reqReplFrames, lsn: first, count: count, data: frames})
-			if err != nil {
-				return 0, err
-			}
-			return resp.seq, resp.err
-		},
-		Status: func(st replica.State) {
-			s.actor.send(request{kind: reqReplStatus, state: st}) //tf:unchecked-ok best-effort status report
-		},
-	}
-}
-
-// stopLink stops the follower's replication link, if any. Idempotent and
-// safe to call concurrently (PROMOTE races Shutdown); it blocks until the
-// link goroutine has exited, so no replication callback runs afterwards.
-func (s *Server) stopLink() {
-	if s.link != nil {
-		s.link.Stop()
-	}
 }
 
 // Recovery returns what a durable-mode server found on disk; the zero
@@ -224,136 +157,27 @@ func (s *Server) Recovery() turboflux.RecoveryInfo {
 }
 
 // Listen binds the TCP address ("host:port"; ":0" picks a free port).
-func (s *Server) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.ln = ln
-	return nil
-}
+func (s *Server) Listen(addr string) error { return s.front.Listen(addr) }
 
 // Addr returns the bound listener address (nil before Listen).
-func (s *Server) Addr() net.Addr {
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
+func (s *Server) Addr() net.Addr { return s.front.Addr() }
 
 // Serve accepts connections until Shutdown. It returns nil on graceful
 // shutdown, or the first fatal accept error.
-func (s *Server) Serve() error {
-	if s.ln == nil {
-		return errors.New("server: Serve before Listen")
-	}
-	for {
-		nc, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.stopping:
-				return nil
-			default:
-				return fmt.Errorf("server: accept: %w", err)
-			}
-		}
-		s.mu.Lock()
-		select {
-		case <-s.stopping:
-			s.mu.Unlock()
-			nc.Close() //tf:unchecked-ok rejecting during shutdown
-			continue
-		default:
-		}
-		s.connSeq++
-		c := newConn(s, nc, s.connSeq)
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
-		s.connCount.Add(1)
-		s.connWG.Add(1)
-		//tf:goroutine conn-reader
-		go func() {
-			defer s.connWG.Done()
-			c.serve()
-		}()
-	}
-}
+func (s *Server) Serve() error { return s.front.Serve() }
 
 // ListenAndServe binds addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	if err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve()
-}
+func (s *Server) ListenAndServe(addr string) error { return s.front.ListenAndServe(addr) }
 
-// snapshotConns copies the live connection set under s.mu so callers can
-// touch the sockets without holding the lock.
-func (s *Server) snapshotConns() []*conn {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	conns := make([]*conn, 0, len(s.conns))
-	//tf:unordered-ok snapshot; callers' per-conn operations are order-independent
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	return conns
-}
-
-func (s *Server) removeConn(c *conn) {
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-	s.connCount.Add(-1)
-}
-
-// Shutdown stops the server gracefully: stop accepting, wake every
-// connection reader so in-flight requests finish, wait for the writers to
-// flush the outboxes, then stop the actor — which drains the
-// requests already accepted and closes the WAL cleanly. If ctx expires
-// first, remaining connections are force-closed (their writers then drain
-// to a dead socket, so nothing blocks) and shutdown still completes;
-// ctx's error is reported after the store is closed.
+// Shutdown stops the server gracefully (Front.Shutdown): stop accepting,
+// let in-flight requests finish and the writers flush the outboxes, then
+// stop the actor — which drains the requests already accepted and closes
+// the WAL cleanly. A follower's replication link stops first: its
+// callbacks call into the actor, which must still be running while the
+// link winds down. If ctx expires, remaining connections are force-closed
+// and shutdown still completes; ctx's error is reported after the store is
+// closed.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.stopOnce.Do(func() {
-		close(s.stopping)
-	})
-	if s.ln != nil {
-		s.ln.Close() //tf:unchecked-ok shutting down
-	}
-	// Stop the replication link first: its callbacks call into the actor,
-	// which must still be running while the link winds down.
-	s.stopLink()
-	// Snapshot the live connections and do the socket calls outside s.mu:
-	// a deadline or close syscall under the lock would stall every conn
-	// teardown (removeConn) behind it (lock-scope).
-	for _, c := range s.snapshotConns() {
-		c.nc.SetReadDeadline(time.Now()) //tf:unchecked-ok best-effort wake
-	}
-
-	connsDone := make(chan struct{})
-	//tf:goroutine shutdown-conn-waiter
-	go func() {
-		s.connWG.Wait()
-		close(connsDone)
-	}()
-	var ctxErr error
-	select {
-	case <-connsDone:
-	case <-ctx.Done():
-		ctxErr = ctx.Err()
-		for _, c := range s.snapshotConns() {
-			c.nc.Close() //tf:unchecked-ok force close
-		}
-		<-connsDone
-	}
-
-	s.actorOnce.Do(func() {
-		close(s.actor.stop)
-	})
-	<-s.actor.done
-	if s.actor.closeErr != nil {
-		return s.actor.closeErr
-	}
-	return ctxErr
+	s.actor.stopLink()
+	return s.front.Shutdown(ctx)
 }

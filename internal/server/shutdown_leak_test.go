@@ -1,93 +1,18 @@
-package server
+package server_test
 
 import (
-	"context"
-	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
-	"turboflux"
+	"turboflux/internal/server"
+	"turboflux/internal/server/servertest"
 )
 
-// TestShutdownMidBatchNoGoroutineLeak is the dynamic complement of the
-// goroutine-lifecycle analyzer: it kills the server while a large BATCH
-// is in flight — with a context deadline short enough to hit the
-// force-close path — and asserts that every server goroutine (actor,
-// acceptor waiter, conn readers, pumps) and client read loop exits, via a
-// runtime.NumGoroutine delta with retry-loop settling.
+// TestShutdownMidBatchNoGoroutineLeak kills a plain server mid-BATCH; the
+// coordinator's twin is in internal/shard. With QueueDepth 4 and PolicyBlock
+// the actor can stall mid-batch on the silent subscriber's full queue, so
+// Shutdown really does interrupt an in-flight BATCH.
 func TestShutdownMidBatchNoGoroutineLeak(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-
-	s, err := New(Options{QueueDepth: 4, Slow: PolicyBlock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve() }()
-	addr := s.Addr().String()
-
-	admin, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := admin.Register("q", "(a:P)-[:e]->(b:P)"); err != nil {
-		t.Fatal(err)
-	}
-	// A subscriber that never drains: with QueueDepth 4 and PolicyBlock
-	// the actor stalls mid-batch on its full queue, so Shutdown really
-	// does interrupt an in-flight BATCH.
-	slow, err := DialBuffered(addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := slow.Subscribe("q"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Fire a batch big enough to outlive the shutdown deadline.
-	ups := make([]turboflux.Update, 0, 4096)
-	for i := 0; i < 4096; i++ {
-		v := turboflux.VertexID(i%64 + 1)
-		ups = append(ups, turboflux.Insert(v, 0, v+1))
-	}
-	batchErr := make(chan error, 1)
-	go func() {
-		_, err := admin.Batch(ups)
-		batchErr <- err
-	}()
-
-	// Let the batch reach the actor, then shut down with a deadline that
-	// expires while it is still blocked on the slow subscriber.
-	time.Sleep(50 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil && err != context.DeadlineExceeded {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if err := <-serveDone; err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	<-batchErr // whatever the outcome, the exchange must terminate
-	admin.Close()
-	slow.Close()
-
-	// Goroutine counts settle asynchronously (conn teardowns race the
-	// Shutdown return), so retry before judging.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: baseline=%d now=%d\n%s",
-				baseline, runtime.NumGoroutine(), fmt.Sprintf("%.4000s", buf[:n]))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	servertest.ShutdownMidBatch(t, func() (server.FrontEnd, error) {
+		return server.New(server.Options{QueueDepth: 4, Slow: server.PolicyBlock})
+	})
 }

@@ -114,6 +114,11 @@ func (s *subscriber) finished() bool {
 	return s.closed
 }
 
+// Finished and Cancel make the subscriber its connection's Subscription
+// handle.
+func (s *subscriber) Finished() bool { return s.finished() }
+func (s *subscriber) Cancel()        { s.close() }
+
 // queued returns how many of this subscription's events wait in the
 // filling buffer (ob.mu held).
 func (s *subscriber) queued() int {

@@ -12,9 +12,8 @@ import (
 	"turboflux/internal/stream"
 )
 
-// Wire is the line-protocol connection layer a server connection and a
-// shard-coordinator connection (internal/shard) share: request framing on
-// the read side, owned by the connection's reader goroutine, and on the
+// Wire is the line-protocol framing layer under every Conn: request framing
+// on the read side, owned by the connection's reader goroutine, and on the
 // write side whole lines serialized by one mutex with a sticky first
 // error, so replies and pushes never interleave mid-line.
 type Wire struct {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -75,6 +76,29 @@ func (p pending) collect() []taskResult {
 		out = append(out, <-p.res)
 	}
 	return out
+}
+
+// settle waits for every result and returns the successful ones; a shard
+// that died mid-task is skipped — it is down now. The task took effect if
+// any shard executed it; otherwise the first shard error is returned.
+func (p pending) settle() ([]taskResult, error) {
+	results := p.collect()
+	var firstErr error
+	ok := results[:0]
+	for _, res := range results {
+		if res.err == nil {
+			ok = append(ok, res)
+		} else if firstErr == nil {
+			firstErr = res.err
+		}
+	}
+	if len(ok) > 0 {
+		return ok, nil
+	}
+	if firstErr == nil {
+		firstErr = errors.New("shard: no alive shards")
+	}
+	return nil, firstErr
 }
 
 // shardHandle is the coordinator's view of one shard server: a control

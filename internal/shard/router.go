@@ -3,14 +3,14 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"turboflux"
 	"turboflux/internal/qlang"
+	"turboflux/internal/server"
 )
-
-// errCoordClosed is returned to connection goroutines whose requests
-// race the router's shutdown.
-var errCoordClosed = errors.New("shard: coordinator shut down")
 
 type rkind uint8
 
@@ -116,29 +116,35 @@ func (t *assignTable) names() []string {
 // goroutines do, and connection goroutines collect their results — so a
 // slow or hung shard cannot stall routing.
 type router struct {
-	co     *Coordinator
 	shards []*shardHandle
 	vdict  *turboflux.Dict
 	edict  *turboflux.Dict
 
 	reqCh chan rreq
-	stop  chan struct{}
+	stop  chan struct{} // closed by Stop once connections are done
 	done  chan struct{}
 
 	table *assignTable
 	seq   uint64 // updates fanned so far; acked to clients
+
+	// Off the router loop: read by STATS and Subscribe, and events written
+	// by every relay — kept behind the fields each request touches.
+	front       *server.Front // the front end serving this router (STATS conns=)
+	dialTimeout time.Duration // bounds the connect of a delegated subscription
+	stopOnce    sync.Once     // guards close(stop)
+	events      atomic.Uint64 // relayed match events (STATS)
 }
 
-func newRouter(co *Coordinator, vdict, edict *turboflux.Dict) *router {
+func newRouter(shards []*shardHandle, vdict, edict *turboflux.Dict, dialTimeout time.Duration) *router {
 	return &router{
-		co:     co,
-		shards: co.shards,
-		vdict:  vdict,
-		edict:  edict,
-		reqCh:  make(chan rreq, 128),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		table:  newAssignTable(len(co.shards)),
+		shards:      shards,
+		vdict:       vdict,
+		edict:       edict,
+		dialTimeout: dialTimeout,
+		reqCh:       make(chan rreq, 128),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
+		table:       newAssignTable(len(shards)),
 	}
 }
 
@@ -180,6 +186,14 @@ func (r *router) shutdown() {
 		h.closeClients()
 	}
 	close(r.done)
+}
+
+// Stop (server.Backend) ends the router loop once the connections are gone
+// and waits for shutdown to finish.
+func (r *router) Stop() error {
+	r.stopOnce.Do(func() { close(r.stop) })
+	<-r.done
+	return nil
 }
 
 func (r *router) handle(req rreq) {
@@ -357,7 +371,7 @@ func (r *router) statsLines() []string {
 	lines := make([]string, 0, 1+len(r.shards)+len(r.table.order))
 	lines = append(lines, fmt.Sprintf(
 		"cluster role=coordinator shards=%d alive=%d seq=%d updates=%d events=%d conns=%d",
-		len(r.shards), alive, r.seq, r.seq, r.co.events.Load(), r.co.connCount.Load()))
+		len(r.shards), alive, r.seq, r.seq, r.events.Load(), r.front.Conns()))
 	var mq struct{ subpats, shared, refs, maintain, saved, replays uint64 }
 	for _, h := range r.shards {
 		mq.subpats += uint64(h.mqoSubpats.Load())
@@ -399,29 +413,29 @@ func (r *router) send(req rreq) error {
 	case r.reqCh <- req:
 		return nil
 	case <-r.done:
-		return errCoordClosed
+		return server.ErrClosed
 	}
 }
 
-// call performs one request/response round trip with the router.
+// call performs one request/response round trip with the router, with the
+// handler's verdict folded into the error: server.ErrClosed hangs the
+// connection up, anything else becomes its -ERR line.
 func (r *router) call(req rreq) (rresp, error) {
 	req.reply = make(chan rresp, 1)
-	select {
-	case r.reqCh <- req:
-	case <-r.done:
-		return rresp{}, errCoordClosed
+	if err := r.send(req); err != nil {
+		return rresp{}, err
 	}
 	select {
 	case resp := <-req.reply:
-		return resp, nil
+		return resp, resp.err
 	case <-r.done:
 		// The router drains reqCh before closing done, so a reply may
 		// still have been sent; prefer it over the shutdown error.
 		select {
 		case resp := <-req.reply:
-			return resp, nil
+			return resp, resp.err
 		default:
-			return rresp{}, errCoordClosed
+			return rresp{}, server.ErrClosed
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package shard implements the TurboFlux sharded cluster tier: a
 // coordinator that partitions registered queries across N shard servers
-// (plain internal/server instances, each holding a full graph replica)
-// and speaks the ordinary line protocol to clients, so a client cannot
-// tell a coordinator from a single server.
+// (plain internal/server instances, each holding a full graph replica).
+// Clients reach it through the server's own front end — server.Front and
+// server.Conn, with the router as their server.Backend — so a client
+// cannot tell a coordinator from a single server.
 //
 // # Architecture
 //
@@ -48,11 +49,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"turboflux"
+	"turboflux/internal/server"
 )
 
 // Defaults for Options' zero values.
@@ -109,26 +109,10 @@ func (o *Options) setDefaults() {
 
 // Coordinator is the cluster front end: it accepts the ordinary line
 // protocol and drives the shard fleet. See the package comment for the
-// architecture and New/Listen/Serve/Shutdown for the lifecycle (which
-// mirrors server.Server).
+// architecture and New/Listen/Serve/Shutdown for the lifecycle (a
+// server.Front's, the one a server.Server runs, over the router).
 type Coordinator struct {
-	opt    Options
-	router *router
-	shards []*shardHandle
-
-	ln net.Listener
-
-	mu      sync.Mutex
-	conns   map[*cconn]struct{}
-	connSeq uint64
-
-	connWG    sync.WaitGroup
-	connCount atomic.Int64
-	events    atomic.Uint64 // relayed match events (STATS)
-
-	stopping   chan struct{}
-	stopOnce   sync.Once
-	routerOnce sync.Once
+	front *server.Front
 }
 
 // New connects to every shard and starts the router. All shards must be
@@ -147,151 +131,44 @@ func New(opt Options) (*Coordinator, error) {
 	if edict == nil {
 		edict = turboflux.NewDict()
 	}
-	co := &Coordinator{
-		opt:      opt,
-		conns:    make(map[*cconn]struct{}),
-		stopping: make(chan struct{}),
-	}
+	var shards []*shardHandle
 	for i, addr := range opt.Shards {
 		h, err := attach(i, addr, opt)
 		if err != nil {
-			for _, prev := range co.shards {
+			for _, prev := range shards {
 				prev.closeClients()
 			}
 			return nil, fmt.Errorf("shard: attaching shard %d (%s): %w", i, addr, err)
 		}
-		co.shards = append(co.shards, h)
+		shards = append(shards, h)
 	}
-	co.router = newRouter(co, vdict, edict)
+	r := newRouter(shards, vdict, edict, opt.DialTimeout)
+	r.front = server.NewFront("shard", r)
 	//tf:goroutine shard-router-actor
-	go co.router.run()
-	for _, h := range co.shards {
+	go r.run()
+	for _, h := range shards {
 		h.start()
 	}
-	return co, nil
+	return &Coordinator{front: r.front}, nil
 }
 
 // Listen binds the client-facing TCP address (":0" picks a free port).
-func (co *Coordinator) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	co.ln = ln
-	return nil
-}
+func (co *Coordinator) Listen(addr string) error { return co.front.Listen(addr) }
 
 // Addr returns the bound listener address (nil before Listen).
-func (co *Coordinator) Addr() net.Addr {
-	if co.ln == nil {
-		return nil
-	}
-	return co.ln.Addr()
-}
+func (co *Coordinator) Addr() net.Addr { return co.front.Addr() }
 
 // Serve accepts client connections until Shutdown. It returns nil on
 // graceful shutdown, or the first fatal accept error.
-func (co *Coordinator) Serve() error {
-	if co.ln == nil {
-		return errors.New("shard: Serve before Listen")
-	}
-	for {
-		nc, err := co.ln.Accept()
-		if err != nil {
-			select {
-			case <-co.stopping:
-				return nil
-			default:
-				return fmt.Errorf("shard: accept: %w", err)
-			}
-		}
-		co.mu.Lock()
-		select {
-		case <-co.stopping:
-			co.mu.Unlock()
-			nc.Close() //tf:unchecked-ok rejecting during shutdown
-			continue
-		default:
-		}
-		co.connSeq++
-		c := newCConn(co, nc, co.connSeq)
-		co.conns[c] = struct{}{}
-		co.mu.Unlock()
-		co.connCount.Add(1)
-		co.connWG.Add(1)
-		//tf:goroutine coordinator-conn-reader
-		go func() {
-			defer co.connWG.Done()
-			c.serve()
-		}()
-	}
-}
+func (co *Coordinator) Serve() error { return co.front.Serve() }
 
 // ListenAndServe binds addr and serves until Shutdown.
-func (co *Coordinator) ListenAndServe(addr string) error {
-	if err := co.Listen(addr); err != nil {
-		return err
-	}
-	return co.Serve()
-}
+func (co *Coordinator) ListenAndServe(addr string) error { return co.front.ListenAndServe(addr) }
 
-// snapshotConns copies the live connection set under co.mu so callers
-// can touch the sockets without holding the lock.
-func (co *Coordinator) snapshotConns() []*cconn {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	conns := make([]*cconn, 0, len(co.conns))
-	//tf:unordered-ok snapshot; callers' per-conn operations are order-independent
-	for c := range co.conns {
-		conns = append(conns, c)
-	}
-	return conns
-}
-
-func (co *Coordinator) removeConn(c *cconn) {
-	co.mu.Lock()
-	delete(co.conns, c)
-	co.mu.Unlock()
-	co.connCount.Add(-1)
-}
-
-// Shutdown stops the coordinator gracefully: stop accepting, wake every
-// connection reader so in-flight requests finish (their subscription
-// relays close with them), then stop the router — which drains the task
+// Shutdown stops the coordinator gracefully (server.Front.Shutdown): stop
+// accepting, let in-flight requests finish (the subscription relays close
+// with their connections), then stop the router — which drains the task
 // queues into the shards and closes the shard clients. If ctx expires
 // first, remaining connections are force-closed and shutdown still
 // completes; ctx's error is reported afterwards.
-func (co *Coordinator) Shutdown(ctx context.Context) error {
-	co.stopOnce.Do(func() {
-		close(co.stopping)
-	})
-	if co.ln != nil {
-		co.ln.Close() //tf:unchecked-ok shutting down
-	}
-	for _, c := range co.snapshotConns() {
-		c.nc.SetReadDeadline(time.Now()) //tf:unchecked-ok best-effort wake
-	}
-
-	connsDone := make(chan struct{})
-	//tf:goroutine shard-shutdown-conn-waiter
-	go func() {
-		co.connWG.Wait()
-		close(connsDone)
-	}()
-	var ctxErr error
-	select {
-	case <-connsDone:
-	case <-ctx.Done():
-		ctxErr = ctx.Err()
-		for _, c := range co.snapshotConns() {
-			c.nc.Close() //tf:unchecked-ok force close
-		}
-		<-connsDone
-	}
-
-	co.routerOnce.Do(func() {
-		close(co.router.stop)
-	})
-	<-co.router.done
-	return ctxErr
-}
+func (co *Coordinator) Shutdown(ctx context.Context) error { return co.front.Shutdown(ctx) }

@@ -21,7 +21,12 @@ import (
 // address.
 func startShardServer(t *testing.T) string {
 	t.Helper()
-	s, err := server.New(server.Options{})
+	return startShardServerWith(t, server.Options{})
+}
+
+func startShardServerWith(t *testing.T, opt server.Options) string {
+	t.Helper()
+	s, err := server.New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
