@@ -15,8 +15,8 @@ import (
 // map range and delete() operations in any function reachable (through
 // same-package calls) from an eval entry point; in internal/dcg — whose
 // maintenance code runs only inside evaluation — and internal/mqo — whose
-// registry sits on the multi-query fan-out path — it checks every
-// function.
+// sharing key is computed on the multi-query registration path — it checks
+// every function.
 //
 // Exemptions: //tf:map-ok on the operation's line suppresses one finding
 // (e.g. a map touched only on a gated ablation branch); //tf:map-ok or

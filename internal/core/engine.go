@@ -96,10 +96,10 @@ type Engine struct {
 	win *graph.Window
 	at  int32
 
-	// shared marks a sub-pattern member of the multi-query layer
-	// (DESIGN.md §17): d is owned by a maintainer engine that applies all
-	// DCG transitions, and this engine's eval entry points switch to
-	// read-only replay — gate on the maintained state, climb without
+	// shared marks a follower of a sub-pattern in the multi-query layer
+	// (DESIGN.md §17): d is owned by another engine of the same tree, which
+	// applies all DCG transitions, and this engine's eval entry points
+	// switch to read-only replay — gate on the maintained state, climb without
 	// transitions, search with this query's own matching order, non-tree
 	// checks, semantics and duplicate avoidance.
 	shared bool
@@ -220,7 +220,7 @@ func OptionsShareable(opt Options) bool {
 // NewWithTree builds an engine over a pre-built query tree. When sharedDCG
 // is nil the engine owns a private DCG, constructed from the current
 // graph exactly as New does. When sharedDCG is non-nil the engine joins
-// it as a read-only sub-pattern member: initial DCG construction is
+// it as a read-only sub-pattern follower: initial DCG construction is
 // skipped (the shared DCG already holds the fixpoint, and — because
 // candidate enumeration is a pure function of DCG state — the matching
 // order and every future transcript come out identical to what a private
@@ -297,7 +297,7 @@ func NewWithTree(g *graph.Graph, q *query.Graph, tree *query.Tree, opt Options, 
 //tf:eval-path
 func (e *Engine) NotifyVertexAdded(v graph.VertexID) {
 	if e.shared {
-		return // the maintainer owns root bookkeeping for the shared DCG
+		return // the DCG's owner does its root bookkeeping
 	}
 	if e.g.HasAllLabels(v, e.q.Labels(e.tree.Root)) {
 		e.buildDCG(e.tree.Root, graph.NoVertex, v)
@@ -405,7 +405,7 @@ func (e *Engine) InsertEdge(v graph.VertexID, l graph.Label, v2 graph.VertexID) 
 func (e *Engine) EvalInsertedEdge(v graph.VertexID, l graph.Label, v2 graph.VertexID) (int64, error) {
 	e.beginOp(graph.Edge{From: v, Label: l, To: v2}, true)
 	if e.shared {
-		// The maintainer has already applied every DCG transition for this
+		// The DCG's owner has already applied every transition for this
 		// update; replay the trigger gates and search read-only.
 		e.replayInsertedEdge(v, l, v2)
 	} else {
@@ -450,9 +450,9 @@ func (e *Engine) DeleteEdge(v graph.VertexID, l graph.Label, v2 graph.VertexID) 
 func (e *Engine) EvalBeforeDelete(v graph.VertexID, l graph.Label, v2 graph.VertexID) (int64, error) {
 	e.beginOp(graph.Edge{From: v, Label: l, To: v2}, false)
 	if e.shared {
-		// Replay against the still-intact shared DCG; the maintainer clears
-		// the affected branches afterwards, so order adjustment must wait
-		// until the coordinator calls AdjustOrderDeferred post-clearing.
+		// Replay against the still-intact shared DCG; its owner clears the
+		// affected branches afterwards, so order adjustment must wait until
+		// the coordinator calls AdjustOrderDeferred post-clearing.
 		e.replayBeforeDelete(v, l, v2)
 		return e.endOp(), nil
 	}
@@ -465,17 +465,16 @@ func (e *Engine) EvalBeforeDelete(v graph.VertexID, l graph.Label, v2 graph.Vert
 	return n, nil
 }
 
-// NewMaintainer builds the maintenance engine for a shared sub-pattern
-// DCG (DESIGN.md §17). The donor is the engine whose DCG is being
-// promoted to shared: the maintainer adopts its graph, query tree and
-// DCG, and reuses its immutable routing tables (procRank and the label
-// indexes are fixed at construction). The maintainer never searches and
-// never reports — it exists to apply every DCG transition of an update
-// exactly once, through the same Algorithm 5/8 tree loops a private
-// engine runs, so the shared DCG's state trajectory is identical to any
-// private engine over the same tree. rootSeen is copied, not aliased:
-// the donor becomes a read-only member and must not race the
-// maintainer's root bookkeeping.
+// NewMaintainer builds a maintenance-only engine over the donor's graph,
+// query tree and DCG, reusing its immutable routing tables (procRank and
+// the label indexes are fixed at construction) and a copy of its rootSeen.
+// Such an engine never searches and never reports: it applies the DCG
+// transitions of an update through the same Algorithm 5/8 tree loops a
+// private engine runs. Nothing in the serving path builds one any more — a
+// shared DCG is maintained by its owner's fused pass (DESIGN.md §17). The
+// benchmark's core.maintain_ns_per_update probe (bench/layers.go) is the
+// only caller of this, MaintainInsertedEdge and MaintainBeforeDelete; they
+// go when that metric is re-based.
 func NewMaintainer(donor *Engine) *Engine {
 	e := &Engine{
 		g:                donor.g,
@@ -500,8 +499,9 @@ func NewMaintainer(donor *Engine) *Engine {
 // without searching: the tree-trigger loop of Algorithm 5 with
 // searchable=false climbs. Maintenance is semantics- and
 // search-independent, so the resulting DCG state equals what any private
-// member engine would have produced. Non-tree triggers never modify the
-// DCG and are skipped entirely.
+// engine would have produced. Non-tree triggers never modify the DCG and
+// are skipped entirely. Only the benchmark's maintenance probe calls it
+// (see NewMaintainer).
 //
 //tf:eval-path
 func (e *Engine) MaintainInsertedEdge(v graph.VertexID, l graph.Label, v2 graph.VertexID) {
@@ -538,8 +538,8 @@ func (e *Engine) MaintainInsertedEdge(v graph.VertexID, l graph.Label, v2 graph.
 // MaintainBeforeDelete applies the DCG transitions of an edge deletion
 // without searching: the tree-trigger loop of Algorithm 8 with
 // searchable=false climbs (Transition 4 downgrades) followed by the
-// Algorithm 10 clearing. Members must have replayed their negative
-// searches against the still-intact DCG before this runs.
+// Algorithm 10 clearing. Only the benchmark's maintenance probe calls it
+// (see NewMaintainer).
 //
 //tf:eval-path
 func (e *Engine) MaintainBeforeDelete(v graph.VertexID, l graph.Label, v2 graph.VertexID) {
@@ -567,28 +567,19 @@ func (e *Engine) MaintainBeforeDelete(v graph.VertexID, l graph.Label, v2 graph.
 }
 
 // AdjustOrderDeferred runs the matching-order drift check that
-// EvalBeforeDelete skips for shared members: a private engine adjusts on
-// the post-clearing DCG, so shared members must wait until the
-// maintainer has cleared before sampling the same state.
+// EvalBeforeDelete skips for followers: a private engine adjusts on the
+// post-clearing DCG, so a follower must wait until the DCG's owner has
+// cleared before sampling the same state.
 func (e *Engine) AdjustOrderDeferred() {
 	e.maybeAdjustOrder()
 }
 
-// ShareDCG flips a private engine into shared-member mode: its DCG is
-// adopted by a maintainer and every future eval replays read-only. The
-// caller must have built the maintainer from this engine (or an engine
-// with the identical tree) before the next update.
-func (e *Engine) ShareDCG() { e.shared = true }
-
-// UnshareDCG flips a shared member back to private mode, returning DCG
-// ownership to it: the engine resumes applying its own transitions. Its
-// rootSeen cache may have missed vertices settled while shared; missing
-// entries just re-probe, recorded entries remain true (root edges are
+// UnshareDCG hands the shared DCG's ownership to this follower, whose
+// previous owner is gone: the engine resumes applying the transitions
+// itself, fused with its searches. Its rootSeen cache never saw the vertices
+// settled while it followed; missing entries just re-probe (root edges are
 // never nulled and labels are immutable).
 func (e *Engine) UnshareDCG() { e.shared = false }
-
-// SharedMember reports whether the engine is in shared-member mode.
-func (e *Engine) SharedMember() bool { return e.shared }
 
 // Apply applies one stream update and returns the number of matches it
 // produced. Vertex declarations create the vertex (and, when it matches
@@ -714,6 +705,12 @@ func (e *Engine) treeSlots(l graph.Label) []graph.VertexID {
 	}
 	return nil
 }
+
+// TreeRelevant reports whether a data edge labeled l can match a tree edge
+// of the query — the updates that transition the DCG.
+//
+//tf:hotpath
+func (e *Engine) TreeRelevant(l graph.Label) bool { return len(e.treeSlots(l)) != 0 }
 
 // nonTreeSlots returns the non-tree query-edge indexes whose edge can
 // match a data edge labeled l.

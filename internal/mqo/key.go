@@ -1,3 +1,10 @@
+// Package mqo canonicalizes registered queries down to their spanning-tree
+// shape (DESIGN.md §17): the sub-pattern key under which the multi-query
+// front end lets every query of one shape share ONE DCG, maintained once
+// per update by the shape's first member, with per-query completion joins
+// (non-tree checks, semantics, emission attribution) layered on top. The
+// package holds the key only; the shapes and their members live in the
+// MultiEngine.
 package mqo
 
 import (

@@ -7,60 +7,6 @@ import (
 	"turboflux/internal/query"
 )
 
-func TestRegistryLifecycle(t *testing.T) {
-	r := NewRegistry()
-	if r.Len() != 0 || r.TotalRefs() != 0 || r.SharedCount() != 0 {
-		t.Fatalf("empty registry: len=%d refs=%d shared=%d", r.Len(), r.TotalRefs(), r.SharedCount())
-	}
-	a, created := r.Acquire("a")
-	if !created || a.Refs != 1 {
-		t.Fatalf("first acquire: created=%v refs=%d", created, a.Refs)
-	}
-	a2, created := r.Acquire("a")
-	if created || a2 != a || a.Refs != 2 {
-		t.Fatalf("second acquire: created=%v same=%v refs=%d", created, a2 == a, a.Refs)
-	}
-	b, created := r.Acquire("b")
-	if !created || b == a {
-		t.Fatal("distinct key must create a distinct entry")
-	}
-	if r.Len() != 2 || r.TotalRefs() != 3 || r.SharedCount() != 1 {
-		t.Fatalf("after acquires: len=%d refs=%d shared=%d", r.Len(), r.TotalRefs(), r.SharedCount())
-	}
-	if r.Get("a") != a || r.Get("missing") != nil {
-		t.Fatal("Get mismatch")
-	}
-	if left := r.Release(a); left != 1 {
-		t.Fatalf("release: left=%d", left)
-	}
-	if r.SharedCount() != 0 {
-		t.Fatal("demoted entry still counted shared")
-	}
-	if left := r.Release(a); left != 0 {
-		t.Fatalf("final release: left=%d", left)
-	}
-	if r.Get("a") != nil || r.Len() != 1 || r.TotalRefs() != 1 {
-		t.Fatalf("after removal: len=%d refs=%d", r.Len(), r.TotalRefs())
-	}
-	// Re-acquiring a released key starts a fresh entry with a nil Payload.
-	a3, created := r.Acquire("a")
-	if !created || a3 == a || a3.Payload != nil {
-		t.Fatal("re-acquire must create a fresh entry")
-	}
-}
-
-func TestRegistryReleaseNil(t *testing.T) {
-	r := NewRegistry()
-	if r.Release(nil) != 0 {
-		t.Fatal("nil release")
-	}
-	e, _ := r.Acquire("x")
-	r.Release(e)
-	if r.Release(e) != 0 || r.TotalRefs() != 0 {
-		t.Fatal("double release must not underflow")
-	}
-}
-
 // buildTree builds the query tree the way the multi-query layer does.
 func buildTree(t *testing.T, q *query.Graph, root graph.VertexID) *query.Tree {
 	t.Helper()

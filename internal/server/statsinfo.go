@@ -59,9 +59,10 @@ type MQOStat struct {
 	SharedReplays uint64
 }
 
-// DedupRatio returns the member maintenance evaluations avoided per
-// maintainer run — the sharing payoff per maintained update (0 when
-// nothing has been maintained).
+// DedupRatio returns the follower maintenance evaluations avoided per
+// maintained update — a tree-label update on a shape with two or more
+// members, maintained once by the shape's owner: the sharing payoff (0
+// when nothing has been maintained).
 func (s MQOStat) DedupRatio() float64 {
 	if s.MaintainRuns == 0 {
 		return 0

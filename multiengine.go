@@ -40,47 +40,28 @@ type mslot struct {
 	runN   int64
 	runErr []error
 
-	// sub is the slot's evaluation unit: its refcounted sub-pattern
-	// (DESIGN.md §17), or a registry-less unit of one when the query's
-	// options are unshareable. While the sub-pattern has a single member the
-	// slot's engine stays private; at two members it is promoted to
-	// shared-DCG evaluation.
+	// sub is the slot's evaluation unit: the sub-pattern (DESIGN.md §17) of
+	// its spanning-tree shape, or a keyless unit of one when the query's
+	// options are unshareable.
 	sub *subpat
 }
 
-// subpat is the evaluation state of one distinct sub-pattern (spanning
-// tree shape): the member slots sharing it, and — once two or more
-// members exist — the maintainer engine owning the shared DCG. Members
-// replay read-only against the maintained state, and the shared DCG
-// changes with every update (maintain-insert, member replays,
-// maintain-delete), so a sub-pattern is the window's unit of work: one
-// worker walks all of its updates in order, maintainer and members alike.
+// subpat is one distinct sub-pattern (spanning-tree shape): its key and the
+// member slots sharing its DCG. members[0] is the DCG's owner — an ordinary
+// private engine that maintains and searches in one fused walk, at every
+// member count; the followers were built over the owner's DCG and replay
+// read-only against it. The DCG changes with every tree-label update, so a
+// sub-pattern is the window's unit of work: one worker walks all of its
+// updates in order, owner and followers alike.
 type subpat struct {
-	entry   *mqo.Entry // nil: unshareable options, never more than one member
-	members []*mslot   // registration order
-
-	// maint owns the shared DCG and applies all transitions; nil while
-	// the sub-pattern has a single (private) member.
-	maint *core.Engine
-
-	// treeLabels[l] reports whether l is a spanning-tree edge label of
-	// the sub-pattern: the updates that actually transition the shared
-	// DCG. Dense by label, built at promotion.
-	treeLabels []bool
+	key     string   // mqo.KeyOf; "": unshareable options, never more than one member
+	members []*mslot // registration order; members[0] owns the DCG
 
 	// runIdx is the union of the members' runIdx — the window's updates the
 	// unit walks — and evals the number of member evaluations among them,
 	// the key workers claim units by.
 	runIdx []int32
 	evals  int
-}
-
-// treeRelevant reports whether label l transitions this sub-pattern's
-// shared DCG.
-//
-//tf:hotpath
-func (sp *subpat) treeRelevant(l graph.Label) bool {
-	return int(l) < len(sp.treeLabels) && sp.treeLabels[l]
 }
 
 // MultiEngine runs several continuous queries over one shared data graph,
@@ -154,14 +135,12 @@ type MultiEngine struct {
 	batchErrs   []error
 	batchErrAt  []int32
 
-	// Multi-query optimization state (DESIGN.md §17): the sub-pattern
-	// registry and the promoted (maintainer-owning) sub-patterns in
-	// promotion order.
-	reg          *mqo.Registry
-	subs         []*subpat
-	maintEvals   uint64 // maintainer evaluations run
-	savedEvals   uint64 // member maintenance evaluations avoided by sharing
-	sharedRelays uint64 // member replays against a shared DCG
+	// Multi-query optimization state (DESIGN.md §17): the shareable
+	// sub-patterns by key, and the sharing counters (see MQOStats).
+	shapes       map[string]*subpat
+	maintEvals   uint64 // tree-label updates evaluated on a shape with followers
+	savedEvals   uint64 // follower maintenance evaluations avoided by sharing
+	sharedRelays uint64 // follower replays against an owner's DCG
 }
 
 // engagement is one scheduled evaluation of the window: slot s evaluates
@@ -175,9 +154,9 @@ type engagement struct {
 // ownership of g0: route every mutation through it.
 func NewMultiEngine(g0 *Graph) *MultiEngine {
 	m := &MultiEngine{
-		g:     g0,
-		slots: make(map[string]*mslot),
-		reg:   mqo.NewRegistry(),
+		g:      g0,
+		slots:  make(map[string]*mslot),
+		shapes: make(map[string]*subpat),
 	}
 	m.setPool(fanout.New(0))
 	return m
@@ -241,11 +220,10 @@ func (m *MultiEngine) Close() error {
 
 // Register adds a continuous query under the given name. The query's
 // spanning tree is canonicalized into a sub-pattern key: the first
-// registration of a shape builds a private DCG over the current graph
-// state, the second promotes that DCG to shared (one maintainer, members
-// replay read-only), and later ones join it without any DCG construction
-// at all. Unshareable options (work budget, ablations, WCO search) keep
-// the query fully private. Registering a duplicate name fails.
+// registration of a shape builds a DCG over the current graph state and
+// owns it, later ones join that DCG as read-only followers without any DCG
+// construction at all. Unshareable options (work budget, ablations, WCO
+// search) keep the query fully private. Registering a duplicate name fails.
 func (m *MultiEngine) Register(name string, q *Query, opt Options) error {
 	if _, dup := m.slots[name]; dup {
 		return fmt.Errorf("turboflux: query %q already registered", name)
@@ -271,87 +249,35 @@ func (m *MultiEngine) Register(name string, q *Query, opt Options) error {
 	if err != nil {
 		return err
 	}
+	// Incremental maintenance keeps an owner's DCG at the declarative
+	// fixpoint of the current graph — exactly what a fresh build would
+	// produce — so a follower computes its matching order from it directly.
+	var key string
+	var sp *subpat
 	if core.OptionsShareable(copt) {
-		ent, created := m.reg.Acquire(mqo.KeyOf(q, tree))
-		if created {
-			// First member of this shape: private DCG until a second joins.
-			sp := &subpat{entry: ent}
-			ent.Payload = sp
-			eng, err := core.NewWithTree(m.g, q, tree, copt, nil)
-			if err != nil {
-				m.reg.Release(ent)
-				return err
-			}
-			s.eng = eng
-			sp.members = append(sp.members, s)
-			s.sub = sp
-		} else {
-			sp := ent.Payload.(*subpat)
-			if sp.maint == nil {
-				m.promote(sp)
-			}
-			eng, err := core.NewWithTree(m.g, q, tree, copt, sp.maint.DCG())
-			if err != nil {
-				m.reg.Release(ent)
-				return err
-			}
-			eng.ShareDCG()
-			s.eng = eng
-			sp.members = append(sp.members, s)
-			s.sub = sp
-		}
-	} else {
-		eng, err := core.NewWithTree(m.g, q, tree, copt, nil)
-		if err != nil {
-			return err
-		}
-		s.eng = eng
-		s.sub = &subpat{members: []*mslot{s}}
+		key = mqo.KeyOf(q, tree)
+		sp = m.shapes[key]
 	}
+	if sp != nil {
+		s.eng, err = core.NewWithTree(m.g, q, tree, copt, sp.members[0].eng.DCG())
+	} else {
+		s.eng, err = core.NewWithTree(m.g, q, tree, copt, nil)
+	}
+	if err != nil {
+		return err
+	}
+	if sp == nil {
+		sp = &subpat{key: key}
+		if key != "" {
+			m.shapes[key] = sp
+		}
+	}
+	sp.members = append(sp.members, s)
+	s.sub = sp
 	m.slots[name] = s
 	m.order = append(m.order, s)
 	m.indexSlot(s)
 	return nil
-}
-
-// promote flips a single-member sub-pattern to shared evaluation: the
-// sole member's DCG is adopted by a fresh maintainer engine and the
-// member switches to read-only replay. Incremental maintenance keeps the
-// DCG at the declarative fixpoint of the current graph, so the adopted
-// state is exactly what a fresh build would produce — joining members
-// compute their matching orders from it directly.
-func (m *MultiEngine) promote(sp *subpat) {
-	donor := sp.members[0]
-	donor.eng.ShareDCG()
-	sp.maint = core.NewMaintainer(donor.eng)
-	tree := donor.eng.Tree()
-	for u := 0; u < tree.Q.NumVertices(); u++ {
-		if graph.VertexID(u) == tree.Root {
-			continue
-		}
-		l := tree.ParentEdge[u].Label
-		for int(l) >= len(sp.treeLabels) {
-			sp.treeLabels = append(sp.treeLabels, false)
-		}
-		sp.treeLabels[l] = true
-	}
-	m.subs = append(m.subs, sp)
-}
-
-// demote returns a sub-pattern to single-member private evaluation: the
-// surviving member takes DCG ownership back and the maintainer is
-// dropped. The survivor's rootSeen cache may have missed vertices the
-// maintainer settled — missing entries just re-probe on the next update.
-func (m *MultiEngine) demote(sp *subpat) {
-	sp.members[0].eng.UnshareDCG()
-	sp.maint = nil
-	sp.treeLabels = sp.treeLabels[:0]
-	for i, t := range m.subs {
-		if t == sp {
-			m.subs = append(m.subs[:i], m.subs[i+1:]...)
-			break
-		}
-	}
 }
 
 // indexSlot appends a newly registered slot to the label index — O(number
@@ -393,10 +319,11 @@ func queryEdgeLabels(q *Query) map[graph.Label]struct{} {
 	return out
 }
 
-// Unregister removes a query and reports whether it was registered. A
-// shared sub-pattern member releases its reference: at one remaining
-// member the sub-pattern demotes back to private evaluation, at zero the
-// registry entry is dropped and the shared DCG is garbage.
+// Unregister removes a query and reports whether it was registered. When
+// the owner of a shared DCG leaves, ownership passes to the next member,
+// which resumes applying the transitions itself: its rootSeen cache never
+// saw the vertices the old owner settled — missing entries just re-probe,
+// and root edges are never nulled. After the last member the DCG is garbage.
 func (m *MultiEngine) Unregister(name string) bool {
 	s, ok := m.slots[name]
 	if !ok {
@@ -410,16 +337,16 @@ func (m *MultiEngine) Unregister(name string) bool {
 		}
 	}
 	m.unindexSlot(s)
-	if sp := s.sub; sp.entry != nil {
-		for i, t := range sp.members {
-			if t == s {
-				sp.members = append(sp.members[:i], sp.members[i+1:]...)
-				break
+	sp := s.sub
+	for i, t := range sp.members {
+		if t == s {
+			sp.members = append(sp.members[:i], sp.members[i+1:]...)
+			if len(sp.members) == 0 {
+				delete(m.shapes, sp.key)
+			} else if i == 0 {
+				sp.members[0].eng.UnshareDCG()
 			}
-		}
-		left := m.reg.Release(sp.entry)
-		if left == 1 && sp.maint != nil {
-			m.demote(sp)
+			break
 		}
 	}
 	return true
@@ -592,10 +519,10 @@ loop:
 			last := m.engage(i, e.Label)
 			i++
 			if newFrom {
-				m.notifyVertexAdded(e.From, e.Label)
+				m.notifyVertexAdded(e.From)
 			}
 			if newTo {
-				m.notifyVertexAdded(e.To, e.Label)
+				m.notifyVertexAdded(e.To)
 			}
 			if newFrom || newTo || last {
 				break loop
@@ -627,7 +554,7 @@ loop:
 				break loop
 			}
 			m.g.EnsureVertex(u.Vertex, u.Labels...)
-			m.notifyVertexAdded(u.Vertex, 0) // engages nothing: the label is not looked at
+			m.notifyVertexAdded(u.Vertex)
 			i++
 			break loop
 		default:
@@ -647,21 +574,14 @@ loop:
 
 // notifyVertexAdded routes root-candidate bookkeeping for a vertex the
 // current window of one just created to the engines that window does not
-// evaluate: every slot it has not engaged (shared members no-op — their
-// DCG is not theirs to touch) plus every maintainer that will not run — the
-// creating update, labeled l, does not carry one of its tree labels —
-// which settles the vertex once per shared sub-pattern instead of once per
-// member. Engaged engines settle the new endpoints themselves. Vertex
-// creation is rare at steady state, so the scans stay off the common path.
-func (m *MultiEngine) notifyVertexAdded(v VertexID, l Label) {
+// evaluate: every slot it has not engaged (followers no-op — the DCG is
+// their owner's to touch, so a vertex is settled once per sub-pattern).
+// Engaged owners settle the new endpoints themselves. Vertex creation is
+// rare at steady state, so the scan stays off the common path.
+func (m *MultiEngine) notifyVertexAdded(v VertexID) {
 	for _, s := range m.order {
 		if len(s.runIdx) == 0 {
 			s.eng.NotifyVertexAdded(v)
-		}
-	}
-	for _, sp := range m.subs {
-		if len(sp.runIdx) == 0 || !sp.treeRelevant(l) {
-			sp.maint.NotifyVertexAdded(v)
 		}
 	}
 }
@@ -687,17 +607,17 @@ func (m *MultiEngine) engage(idx int, l Label) (last bool) {
 				m.units = append(m.units, sp)
 			}
 			sp.runIdx = append(sp.runIdx, int32(idx))
-			// A tree-relevant update transitions the sub-pattern's shared
-			// DCG: the unit runs exactly one maintenance evaluation for it.
-			// (Non-tree-relevant updates touch no shared state.)
-			if sp.maint != nil && sp.treeRelevant(l) {
+			// A tree-label update transitions the sub-pattern's DCG: the
+			// owner maintains it once and every follower replays. (Other
+			// updates touch no shared state.)
+			if n := len(sp.members) - 1; n > 0 && sp.members[0].eng.TreeRelevant(l) {
 				m.maintEvals++
-				m.savedEvals += uint64(len(sp.members) - 1)
-				m.sharedRelays += uint64(len(sp.members))
+				m.savedEvals += uint64(n)
+				m.sharedRelays += uint64(n)
 			}
 		}
 		sp.evals++
-		last = last || sp.entry == nil
+		last = last || sp.key == ""
 	}
 	m.evals += uint64(len(rel))
 	m.skipped += uint64(len(m.order) - len(rel))
@@ -706,57 +626,62 @@ func (m *MultiEngine) engage(idx int, l Label) (last bool) {
 
 // evaluate is a unit's share of the window, run by the one worker that
 // claimed it: every update of sp.runIdx in order, each the paper's
-// Algorithm 2 — maintain the shared DCG, then SubgraphSearch per member,
-// against the graph as of that update (m.view) — with the members'
-// emissions buffered, one segment per evaluation. An insertion is
-// maintained before the member replays, which gate on the
-// post-maintenance state; a deletion after them, against the still-intact
-// state, and shared members then re-sample their matching orders against
-// the post-clearing DCG, where a private engine would have adjusted.
+// Algorithm 2 per member, against the graph as of that update (m.view),
+// with the members' emissions buffered, one segment per evaluation. The
+// owner maintains and searches fused; the followers replay read-only. On an
+// insertion the owner goes first and the followers gate on the
+// post-maintenance state; on a deletion the followers go first, against
+// the still-intact state, the owner then clears, and the followers
+// re-sample their matching orders against the post-clearing DCG, where a
+// private engine would have adjusted. An update that engages only
+// followers (a non-tree label the owner's query lacks) touches no DCG state.
 //
 //tf:hotpath
 func (sp *subpat) evaluate(m *MultiEngine) {
+	owner, followers := sp.members[0], sp.members[1:]
 	for _, idx := range sp.runIdx {
 		u := m.batch[idx]
-		e, ins := u.Edge, u.Op == stream.OpInsert
-		maintain := sp.maint != nil && sp.treeRelevant(e.Label)
-		if maintain {
-			sp.maint.SetView(m.view, idx)
-			if ins {
-				sp.maint.MaintainInsertedEdge(e.From, e.Label, e.To)
+		if u.Op == stream.OpInsert {
+			for _, s := range sp.members {
+				s.evaluate(m, idx, u.Edge, true)
 			}
-		}
-		for _, s := range sp.members {
-			if s.next == len(s.runIdx) || s.runIdx[s.next] != idx {
-				continue
-			}
-			s.next++
-			s.eng.SetView(m.view, idx)
-			s.buffering = true
-			var n int64
-			var err error
-			if ins {
-				n, err = s.eng.EvalInsertedEdge(e.From, e.Label, e.To)
-			} else {
-				n, err = s.eng.EvalBeforeDelete(e.From, e.Label, e.To)
-			}
-			s.buffering = false
-			s.buf.EndSegment()
-			s.runN += n
-			s.runErr = append(s.runErr, err)
-		}
-		if ins || sp.maint == nil {
 			continue
 		}
-		if maintain {
-			sp.maint.MaintainBeforeDelete(e.From, e.Label, e.To)
+		for _, s := range followers {
+			s.evaluate(m, idx, u.Edge, false)
 		}
-		for _, s := range sp.members {
+		owner.evaluate(m, idx, u.Edge, false)
+		for _, s := range followers {
 			if s.next > 0 && s.runIdx[s.next-1] == idx {
 				s.eng.AdjustOrderDeferred()
 			}
 		}
 	}
+}
+
+// evaluate runs the slot's engine on the batch update at idx — edge e,
+// inserted or about to be deleted — if the update is the slot's next
+// relevant one, and records the outcome in the slot's window cells.
+//
+//tf:hotpath
+func (s *mslot) evaluate(m *MultiEngine, idx int32, e Edge, ins bool) {
+	if s.next == len(s.runIdx) || s.runIdx[s.next] != idx {
+		return
+	}
+	s.next++
+	s.eng.SetView(m.view, idx)
+	s.buffering = true
+	var n int64
+	var err error
+	if ins {
+		n, err = s.eng.EvalInsertedEdge(e.From, e.Label, e.To)
+	} else {
+		n, err = s.eng.EvalBeforeDelete(e.From, e.Label, e.To)
+	}
+	s.buffering = false
+	s.buf.EndSegment()
+	s.runN += n
+	s.runErr = append(s.runErr, err)
 }
 
 // flushWindow executes the scheduled window: one pool dispatch of claim
@@ -841,13 +766,13 @@ func (m *MultiEngine) Stats() map[string]Stats {
 }
 
 // TotalIntermediateBytes sums the maintained intermediate-result sizes,
-// counting each shared DCG once (at its first member) rather than once
-// per member — the memory actually held, and the denominator the mqo
-// benchmark's footprint comparison uses.
+// counting each shared DCG once (at its owner) rather than once per member
+// — the memory actually held, reported by the benchmark as
+// multi.intermediate_bytes.
 func (m *MultiEngine) TotalIntermediateBytes() int64 {
 	var t int64
 	for _, s := range m.order {
-		if sp := s.sub; sp.maint != nil && s != sp.members[0] {
+		if s != s.sub.members[0] {
 			continue
 		}
 		t += s.eng.IntermediateSizeBytes()
@@ -859,30 +784,42 @@ func (m *MultiEngine) TotalIntermediateBytes() int64 {
 // (DESIGN.md §17): how many distinct sub-patterns the registered queries
 // collapsed into and how much maintenance work sharing has avoided.
 type MQOStats struct {
-	// SubPatterns counts distinct sub-patterns currently registered;
-	// SharedSubPatterns counts those promoted to a shared DCG (>= 2
+	// SubPatterns counts distinct shareable sub-patterns currently
+	// registered; SharedSubPatterns counts those whose DCG is shared (>= 2
 	// members); Refs totals the members across all sub-patterns.
 	SubPatterns       int
 	SharedSubPatterns int
 	Refs              int
-	// MaintainRuns counts maintainer evaluations executed; SavedEvals
-	// counts the member maintenance evaluations they deduplicated (a
-	// maintained update would otherwise have transitioned each member's
-	// private DCG separately); SharedReplays counts member replays
-	// against shared DCGs. SavedEvals/MaintainRuns is the dedup ratio.
+	// MaintainRuns counts maintained updates — tree-label updates
+	// evaluated on a shared sub-pattern, each maintained once, by the
+	// owner; SavedEvals counts the follower maintenance evaluations that
+	// deduplicated (a maintained update would otherwise have transitioned
+	// each member's private DCG separately: members − 1 per maintained
+	// update); SharedReplays counts the follower replays that ran against
+	// shared DCGs. SavedEvals/MaintainRuns is the dedup ratio.
 	MaintainRuns  uint64
 	SavedEvals    uint64
 	SharedReplays uint64
 }
 
-// MQOStats snapshots the sub-pattern sharing counters.
+// MQOStats snapshots the sub-pattern sharing counters; the shape counts are
+// derived here from the member lists.
 func (m *MultiEngine) MQOStats() MQOStats {
-	return MQOStats{
-		SubPatterns:       m.reg.Len(),
-		SharedSubPatterns: len(m.subs),
-		Refs:              m.reg.TotalRefs(),
-		MaintainRuns:      m.maintEvals,
-		SavedEvals:        m.savedEvals,
-		SharedReplays:     m.sharedRelays,
+	st := MQOStats{
+		SubPatterns:   len(m.shapes),
+		MaintainRuns:  m.maintEvals,
+		SavedEvals:    m.savedEvals,
+		SharedReplays: m.sharedRelays,
 	}
+	for _, s := range m.order {
+		sp := s.sub
+		if sp.key == "" {
+			continue
+		}
+		st.Refs++
+		if s == sp.members[0] && len(sp.members) >= 2 {
+			st.SharedSubPatterns++
+		}
+	}
+	return st
 }

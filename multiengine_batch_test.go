@@ -80,7 +80,7 @@ func TestBatchEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			specs := randomQuerySpecs(rng)
 			ups := randomBatchStream(rng, nUpdates)
-			checkEquivalence(t, specs, ups, false, []int{1, 4, 8}, []int{0, 1, 16, 256, 4096}, nil)
+			checkEquivalence(t, specs, ups, nil, []int{1, 4, 8}, []int{0, 1, 16, 256, 4096}, nil)
 		})
 	}
 }
@@ -233,13 +233,13 @@ func TestBatchRoutingStats(t *testing.T) {
 	specs := []parallelQuerySpec{
 		{shape: 0, elabels: [3]Label{0, 0, 0}},
 		{shape: 0, elabels: [3]Label{2, 2, 2}},
-		// Two members of one shape: a promoted unit, so MQOStats move.
+		// Two members of one shape: a shared unit, so MQOStats move.
 		{shape: 1, elabels: [3]Label{1, 2, 0}},
 		{shape: 1, elabels: [3]Label{1, 2, 0}, semantics: Isomorphism},
 	}
 	ups := randomBatchStream(rng, 300)
 
-	want := runMulti(t, 4, 0, specs, ups, false)
+	want := runMulti(t, 4, 0, specs, ups, nil)
 	if want.fanout.Skipped == 0 {
 		t.Fatal("Skipped = 0: routing never engaged on a disjoint-label mix")
 	}
@@ -248,7 +248,7 @@ func TestBatchRoutingStats(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		for _, batch := range []int{0, 256} {
-			got := runMulti(t, workers, batch, specs, ups, false)
+			got := runMulti(t, workers, batch, specs, ups, nil)
 			if got.fanout.Evals != want.fanout.Evals || got.fanout.Skipped != want.fanout.Skipped {
 				t.Fatalf("workers=%d batch=%d: evals=%d skipped=%d, want evals=%d skipped=%d", workers, batch,
 					got.fanout.Evals, got.fanout.Skipped, want.fanout.Evals, want.fanout.Skipped)
@@ -262,11 +262,11 @@ func TestBatchRoutingStats(t *testing.T) {
 
 // TestBatchVertexCreationRouting pins the vertex-notification routing the
 // window scheduler owns: an insert that auto-creates its endpoints sits
-// mid-batch while a promoted shared unit (two members of one shape) and a
-// private query are registered whose labels the insert does not carry.
-// Their engines are not evaluated for it, so the scheduler must settle
-// the new vertices in the private DCG and — once, through the maintainer
-// — in the shared one: the per-query DCG sizes checkEquivalence compares
+// mid-batch while a shared unit (two members of one shape) and a private
+// query are registered whose labels the insert does not carry. Their
+// engines are not evaluated for it, so the scheduler must settle the new
+// vertices in the private DCG and — once, through its owner — in the
+// shared one: the per-query DCG sizes checkEquivalence compares
 // catch a missed notification even where lazy root settling would hide
 // it from the transcript.
 func TestBatchVertexCreationRouting(t *testing.T) {
@@ -287,9 +287,9 @@ func TestBatchVertexCreationRouting(t *testing.T) {
 		Insert(8, 2, 7),
 		Delete(7, 1, 8),
 	}
-	checkEquivalence(t, specs, ups, false, []int{1, 4}, []int{0, 1, 256}, func(cfg string, got runResult) {
+	checkEquivalence(t, specs, ups, nil, []int{1, 4}, []int{0, 1, 256}, func(cfg string, got runResult) {
 		if got.mqo.SharedSubPatterns != 1 {
-			t.Fatalf("%s: shared unit not promoted: %+v", cfg, got.mqo)
+			t.Fatalf("%s: unit not shared: %+v", cfg, got.mqo)
 		}
 		if got.transcript == "" || got.totals["q0"] == 0 {
 			t.Fatalf("%s: nothing matched through the created vertices: %v", cfg, got.totals)

@@ -77,7 +77,7 @@ func TestDeleteHeavyChurnEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			specs := randomQuerySpecs(rng)
 			ups := churnStream(rng, waves)
-			checkEquivalence(t, specs, ups, false, []int{1, 4, 8}, []int{1, 256}, nil)
+			checkEquivalence(t, specs, ups, nil, []int{1, 4, 8}, []int{1, 256}, nil)
 		})
 	}
 }

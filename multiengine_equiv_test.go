@@ -23,30 +23,30 @@ type streamTarget interface {
 	apply(seg []Update, off int)
 }
 
-// driveStream registers every spec and applies ups. With churn, the first
-// and last queries are unregistered a third of the way in and
-// re-registered (against the then-current graph) at two thirds,
-// exercising refcount release, demotion, re-promotion and mid-stream
-// shared-DCG adoption on the MultiEngine side.
-func driveStream(tg streamTarget, nSpecs int, ups []Update, churn bool) {
+// churnStep is one change of the registered set between two stretches of
+// the stream: the listed specs are unregistered, then the listed ones
+// (re-)registered against the then-current graph.
+type churnStep struct{ unregister, register []int }
+
+// driveStream registers every spec and applies ups, cut into len(churn)+1
+// equal stretches with one churn step between each two.
+func driveStream(tg streamTarget, nSpecs int, ups []Update, churn []churnStep) {
 	for i := 0; i < nSpecs; i++ {
 		tg.register(i)
 	}
-	if !churn {
-		tg.apply(ups, 0)
-		return
+	from := 0
+	for k, step := range churn {
+		to := (k + 1) * len(ups) / (len(churn) + 1)
+		tg.apply(ups[from:to], from)
+		from = to
+		for _, i := range step.unregister {
+			tg.unregister(i)
+		}
+		for _, i := range step.register {
+			tg.register(i)
+		}
 	}
-	cut1, cut2 := len(ups)/3, 2*len(ups)/3
-	churned := []int{0, nSpecs - 1}
-	tg.apply(ups[:cut1], 0)
-	for _, i := range churned {
-		tg.unregister(i)
-	}
-	tg.apply(ups[cut1:cut2], cut1)
-	for _, i := range churned {
-		tg.register(i)
-	}
-	tg.apply(ups[cut2:], cut2)
+	tg.apply(ups[from:], from)
 }
 
 // runResult is what one drive of a stream produced.
@@ -121,7 +121,7 @@ func (r *refTarget) apply(seg []Update, off int) {
 }
 
 // runReference drives the stream through the reference engines.
-func runReference(t *testing.T, specs []parallelQuerySpec, ups []Update, churn bool) runResult {
+func runReference(t *testing.T, specs []parallelQuerySpec, ups []Update, churn []churnStep) runResult {
 	t.Helper()
 	r := &refTarget{t: t, specs: specs, g: NewGraph(), totals: map[string]int64{}}
 	driveStream(r, len(specs), ups, churn)
@@ -185,7 +185,7 @@ func (mt *multiTarget) apply(seg []Update, off int) {
 }
 
 // runMulti drives the stream through a fresh MultiEngine.
-func runMulti(t *testing.T, workers, batch int, specs []parallelQuerySpec, ups []Update, churn bool) runResult {
+func runMulti(t *testing.T, workers, batch int, specs []parallelQuerySpec, ups []Update, churn []churnStep) runResult {
 	t.Helper()
 	m := NewMultiEngine(NewGraph())
 	defer m.Close() //tf:unchecked-ok test teardown
@@ -212,7 +212,7 @@ func runMulti(t *testing.T, workers, batch int, specs []parallelQuerySpec, ups [
 // (workers, batch) configuration MultiEngine's transcript, summed counts
 // and final per-query DCG sizes equal the reference's, byte for byte.
 // each, when non-nil, sees every MultiEngine result for extra assertions.
-func checkEquivalence(t *testing.T, specs []parallelQuerySpec, ups []Update, churn bool,
+func checkEquivalence(t *testing.T, specs []parallelQuerySpec, ups []Update, churn []churnStep,
 	workers, batches []int, each func(cfg string, got runResult)) {
 	t.Helper()
 	want := runReference(t, specs, ups, churn)

@@ -57,7 +57,7 @@ func TestMQOEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			specs := mqoOverlapSpecs(rng)
 			ups := randomBatchStream(rng, nUpdates)
-			checkEquivalence(t, specs, ups, false, []int{1, 4, 8}, []int{1, 256}, func(cfg string, got runResult) {
+			checkEquivalence(t, specs, ups, nil, []int{1, 4, 8}, []int{1, 256}, func(cfg string, got runResult) {
 				if st := got.mqo; st.SharedSubPatterns == 0 || st.MaintainRuns == 0 || st.SavedEvals == 0 {
 					t.Fatalf("%s: sharing never engaged: %+v", cfg, st)
 				}
@@ -67,35 +67,64 @@ func TestMQOEquivalence(t *testing.T) {
 }
 
 // TestMQOChurnEquivalence layers unregister/re-register churn over the
-// delete-heavy churn stream: sub-patterns demote and re-promote
-// mid-stream, re-registered members adopt the maintained shared DCG in
-// place of a fresh build, and released slots recycle — all without the
-// transcript drifting a byte from the reference, whose re-registered
-// engines are rebuilt from the then-current graph.
+// delete-heavy churn stream and over the vertex-creating batch stream
+// (mid-stream declarations and auto-created endpoints): owners leave their
+// followers mid-stream and ownership of the DCG is handed over,
+// re-registered members adopt the maintained shared DCG in place of a fresh
+// build, and released slots recycle — all without the transcript drifting a
+// byte from the reference, whose re-registered engines are rebuilt from the
+// then-current graph. The second churn set walks ownership down one shape:
+// its owner leaves while two members survive, then the new owner, then both
+// come back as followers of the third.
 func TestMQOChurnEquivalence(t *testing.T) {
-	waves := 4
+	waves, nUpdates := 4, 300
 	if testing.Short() {
-		waves = 2
+		waves, nUpdates = 2, 120
 	}
+	ownersChurn := []churnStep{{unregister: []int{0}}, {unregister: []int{1}}, {register: []int{0, 1}}}
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			specs := mqoOverlapSpecs(rng)
-			ups := churnStream(rng, waves)
-			checkEquivalence(t, specs, ups, true, []int{1, 4, 8}, []int{1, 256}, func(cfg string, got runResult) {
-				if got.mqo.MaintainRuns == 0 {
-					t.Fatalf("%s: sharing never engaged: %+v", cfg, got.mqo)
+			// The first and last query leave and come back one step later.
+			ends := []int{0, len(specs) - 1}
+			endsChurn := []churnStep{{unregister: ends}, {register: ends}}
+			// A third copy of the first shape, so that two members outlive q0.
+			three := append([]parallelQuerySpec{specs[0]}, specs...)
+			for _, st := range []struct {
+				name string
+				ups  []Update
+			}{
+				{"churn", churnStream(rng, waves)},
+				{"vertices", randomBatchStream(rng, nUpdates)},
+			} {
+				for _, c := range []struct {
+					name  string
+					specs []parallelQuerySpec
+					churn []churnStep
+				}{
+					{"ends", specs, endsChurn},
+					{"owners", three, ownersChurn},
+				} {
+					t.Run(st.name+"/"+c.name, func(t *testing.T) {
+						checkEquivalence(t, c.specs, st.ups, c.churn, []int{1, 4, 8}, []int{1, 7, 256}, func(cfg string, got runResult) {
+							if got.mqo.MaintainRuns == 0 {
+								t.Fatalf("%s: sharing never engaged: %+v", cfg, got.mqo)
+							}
+						})
+					})
 				}
-			})
+			}
 		})
 	}
 }
 
-// TestMQORefcountLifecycle pins the registry bookkeeping end to end:
-// acquire, promote at the second member, survive member loss, demote at
-// one, re-promote on a fresh join, drop at zero — with every registered
-// query still matching at each stage.
+// TestMQORefcountLifecycle pins the sub-pattern bookkeeping end to end:
+// create, share at the second member, survive member loss, unshare at one,
+// share again on a fresh join, drop at zero, and hand the DCG over when the
+// owner leaves first — with every registered query still matching at each
+// stage.
 func TestMQORefcountLifecycle(t *testing.T) {
 	m := NewMultiEngine(NewGraph())
 	defer m.Close() //tf:unchecked-ok test teardown
@@ -107,7 +136,7 @@ func TestMQORefcountLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for v := VertexID(1); v <= 8; v++ {
+	for v := VertexID(1); v <= 10; v++ {
 		if _, err := m.Apply(DeclareVertex(v, 0)); err != nil {
 			t.Fatal(err)
 		}
@@ -124,10 +153,10 @@ func TestMQORefcountLifecycle(t *testing.T) {
 	reg("a")
 	check("one member", 1, 0, 1)
 	reg("b")
-	check("promoted at two", 1, 1, 2)
+	check("shared at two", 1, 1, 2)
 	reg("c")
 	check("third joins", 1, 1, 3)
-	// Unshareable options stay fully private: no registry participation.
+	// Unshareable options stay fully private: no sub-pattern participation.
 	q, opt := spec.build()
 	opt.WorkBudget = 1 << 20
 	if err := m.Register("d", q, opt); err != nil {
@@ -155,23 +184,23 @@ func TestMQORefcountLifecycle(t *testing.T) {
 	if !m.Unregister("c") {
 		t.Fatal("c not registered")
 	}
-	check("demoted at one", 1, 0, 1)
+	check("unshared at one", 1, 0, 1)
 	counts, err = m.Insert(3, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if counts["a"] != 1 || counts["d"] != 1 || len(counts) != 2 {
-		t.Fatalf("counts after demotion = %v", counts)
+		t.Fatalf("counts after unsharing = %v", counts)
 	}
 
 	reg("c2")
-	check("re-promoted", 1, 1, 2)
+	check("shared again", 1, 1, 2)
 	counts, err = m.Insert(5, 0, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if counts["a"] != 1 || counts["c2"] != 1 || counts["d"] != 1 {
-		t.Fatalf("counts after re-promotion = %v", counts)
+		t.Fatalf("counts after re-sharing = %v", counts)
 	}
 
 	if !m.Unregister("a") || !m.Unregister("c2") {
@@ -184,6 +213,34 @@ func TestMQORefcountLifecycle(t *testing.T) {
 	}
 	if counts["d"] != 1 || len(counts) != 1 {
 		t.Fatalf("counts after full release = %v", counts)
+	}
+
+	// Owner-first order: a leaves while b and c stay, and b takes over the
+	// DCG it was following, as it stands.
+	reg("a")
+	reg("b")
+	reg("c")
+	check("three again", 1, 1, 3)
+	before := m.Stats()
+	if !m.Unregister("a") {
+		t.Fatal("a not registered")
+	}
+	check("owner released", 1, 1, 2)
+	after := m.Stats()
+	if after["b"].DCGEdges != after["c"].DCGEdges || after["b"].DCGEdges != before["a"].DCGEdges {
+		t.Fatalf("hand-over changed the DCG: b=%d c=%d edges, a had %d",
+			after["b"].DCGEdges, after["c"].DCGEdges, before["a"].DCGEdges)
+	}
+	counts, err = m.Insert(9, 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts["b"] != 1 || counts["c"] != 1 || counts["d"] != 1 || len(counts) != 3 {
+		t.Fatalf("counts after hand-over = %v", counts)
+	}
+	if st := m.Stats(); st["b"].DCGEdges != st["c"].DCGEdges || st["b"].DCGEdges <= after["b"].DCGEdges {
+		t.Fatalf("new owner does not maintain the shared DCG: b=%d c=%d edges, %d before the insert",
+			st["b"].DCGEdges, st["c"].DCGEdges, after["b"].DCGEdges)
 	}
 }
 
@@ -221,6 +278,46 @@ func TestMQORegisterChurnAllocs(t *testing.T) {
 	}
 	small, large := measure(4), measure(64)
 	if large > small+8 {
-		t.Fatalf("Register/Unregister churn scales with registry size: %.1f allocs at 4 queries, %.1f at 64", small, large)
+		t.Fatalf("Register/Unregister churn scales with the number of registered queries: %.1f allocs at 4 queries, %.1f at 64", small, large)
+	}
+}
+
+// TestMQOSecondMemberAllocs pins that a shape has no engine beyond its
+// members': joining a one-member shape costs what joining a two-member
+// shape does — one follower engine over the owner's DCG, nothing set up on
+// the side for the shape having become shared.
+func TestMQOSecondMemberAllocs(t *testing.T) {
+	m := NewMultiEngine(NewGraph())
+	defer m.Close() //tf:unchecked-ok test teardown
+	m.SetFanOutWorkers(1)
+	q := NewQuery(3)
+	_ = q.AddEdge(0, 1, 1)
+	_ = q.AddEdge(1, 2, 2)
+	for v := VertexID(1); v <= 64; v++ { // an owner with root edges to have settled
+		if _, err := m.Apply(DeclareVertex(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	join := func(name string) func() {
+		return func() {
+			if err := m.Register(name, q, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if !m.Unregister(name) {
+				t.Fatalf("%s not registered", name)
+			}
+		}
+	}
+	if err := m.Register("first", q, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	join("second")() // prime index and map capacity
+	second := testing.AllocsPerRun(100, join("second"))
+	if err := m.Register("second", q, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	third := testing.AllocsPerRun(100, join("third"))
+	if second > third {
+		t.Fatalf("registering a shape's 2nd member costs %.1f allocs, its 3rd %.1f: something besides a follower is built", second, third)
 	}
 }

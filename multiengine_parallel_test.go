@@ -110,7 +110,7 @@ func TestParallelFanOutEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			specs := randomQuerySpecs(rng)
 			ups := randomStream(rng, nUpdates)
-			checkEquivalence(t, specs, ups, false, []int{1, 2, 4, 8}, []int{0}, nil)
+			checkEquivalence(t, specs, ups, nil, []int{1, 2, 4, 8}, []int{0}, nil)
 		})
 	}
 }

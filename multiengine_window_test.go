@@ -100,7 +100,7 @@ func TestWindowSelfConflictEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			ups := hubStream(rand.New(rand.NewSource(seed)), 700)
-			checkEquivalence(t, specs, ups, false, []int{1, 4}, []int{1, 16, 512}, func(cfg string, got runResult) {
+			checkEquivalence(t, specs, ups, nil, []int{1, 4}, []int{1, 16, 512}, func(cfg string, got runResult) {
 				if got.mqo.SharedSubPatterns == 0 || got.mqo.SharedReplays == 0 {
 					t.Fatalf("%s: no shared sub-pattern evaluated: %+v", cfg, got.mqo)
 				}
