@@ -21,9 +21,6 @@ type DurableOptions struct {
 	// SegmentSize rotates the log once the active segment reaches this
 	// many bytes (default 4 MiB).
 	SegmentSize int64
-	// ReplayBatch sets how many WAL-tail records recovery applies per
-	// batched pass (default 1024; 1 selects the record-at-a-time path).
-	ReplayBatch int
 
 	// VertexLabels / EdgeLabels, when non-nil, become the engine's label
 	// dictionaries. On a fresh store they are adopted as-is; on recovery
@@ -76,7 +73,6 @@ func OpenDurable(dir string, q *Query, opt DurableOptions) (*DurableEngine, erro
 		Fsync:         opt.Fsync,
 		FsyncInterval: opt.FsyncInterval,
 		SegmentSize:   opt.SegmentSize,
-		ReplayBatch:   opt.ReplayBatch,
 		VertexLabels:  opt.VertexLabels,
 		EdgeLabels:    opt.EdgeLabels,
 		Bootstrap:     opt.Bootstrap,
@@ -117,7 +113,6 @@ func openStore(dir string, opt DurableMultiOptions) (journal, error) {
 		Fsync:        pol,
 		FsyncEvery:   opt.FsyncInterval,
 		SegmentSize:  opt.SegmentSize,
-		ReplayBatch:  opt.ReplayBatch,
 		VertexLabels: opt.VertexLabels,
 		EdgeLabels:   opt.EdgeLabels,
 	})

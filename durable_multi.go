@@ -19,9 +19,6 @@ type DurableMultiOptions struct {
 	// SegmentSize rotates the log once the active segment reaches this
 	// many bytes (default 4 MiB).
 	SegmentSize int64
-	// ReplayBatch sets how many WAL-tail records recovery applies per
-	// batched pass (default 1024; 1 selects the record-at-a-time path).
-	ReplayBatch int
 
 	// VertexLabels / EdgeLabels, when non-nil, become the store's label
 	// dictionaries, with recovered names merged in exactly as for

@@ -20,16 +20,20 @@ var actorOwnedRootTypes = map[string]bool{
 }
 
 // ActorConfinement proves the engine-owner actor discipline: inside
-// internal/server, methods of actor-owned types (the engine surface) may
-// only be called from functions reachable — through same-package calls —
-// from an //tf:actor-loop root (the actor goroutine). A conn or
-// subscriber handler touching the engine directly would race the actor;
-// //tf:actor-ok on the call line exempts deliberate pre-start or
-// immutable-state access. In the root package it additionally checks that
-// every engine type's declaration carries //tf:actor-owned.
+// internal/server and internal/shard, methods of actor-owned types (the
+// engine surface, the placement table) may only be called from functions
+// reachable — through same-package calls — from an //tf:actor-loop root.
+// The roots are what a server.Mailbox runs: every function passed to
+// (*server.Mailbox).Start must carry //tf:actor-loop, and a root may be
+// referenced only there or called from reachable code, so nothing but the
+// mailbox goroutine runs it. A conn or subscriber handler touching the
+// engine directly would race the owner; //tf:actor-ok on the call line
+// exempts deliberate pre-start or immutable-state access. In the root
+// package it additionally checks that every engine type's declaration
+// carries //tf:actor-owned.
 var ActorConfinement = &analysis.Analyzer{
 	Name: "actor-confinement",
-	Doc:  "engine access in internal/server and internal/shard must stay on the actor goroutine (//tf:actor-loop roots)",
+	Doc:  "engine access in internal/server and internal/shard must stay on the mailbox goroutine (//tf:actor-loop roots passed to Mailbox.Start)",
 	Run:  runActorConfinement,
 }
 
@@ -72,7 +76,8 @@ func checkOwnedDirectives(pass *analysis.Pass) {
 	}
 }
 
-// checkConfinement runs the call-graph proof over internal/server.
+// checkConfinement runs the call-graph proof over internal/server or
+// internal/shard.
 func checkConfinement(pass *analysis.Pass) error {
 	// Owned types visible here: the hardcoded root-package engine types
 	// plus any type declared in this package with //tf:actor-owned (the
@@ -115,6 +120,8 @@ func checkConfinement(pass *analysis.Pass) error {
 
 	decls := map[*types.Func]*confInfo{}
 	var order []*types.Func
+	callees := map[*ast.Ident]bool{} // identifiers naming a called function
+	var starts []*ast.CallExpr       // (*server.Mailbox).Start calls
 	for _, file := range pass.Pkg.Files {
 		for _, d := range file.Decls {
 			fn, ok := d.(*ast.FuncDecl)
@@ -131,6 +138,9 @@ func checkConfinement(pass *analysis.Pass) error {
 				if !ok {
 					return true
 				}
+				if id := funcIdent(call.Fun); id != nil {
+					callees[id] = true
+				}
 				sel, ok := call.Fun.(*ast.SelectorExpr)
 				if !ok {
 					// Plain function calls cannot be owned-type methods;
@@ -145,6 +155,9 @@ func checkConfinement(pass *analysis.Pass) error {
 				f, ok := pass.Pkg.TypesInfo.Uses[sel.Sel].(*types.Func)
 				if !ok {
 					return true
+				}
+				if isMailboxStart(pass, f) {
+					starts = append(starts, call)
 				}
 				if tn, ok := ownedReceiver(pass, f, ownedLocal); ok {
 					info.owned = append(info.owned, ownedCall{call: call, method: f.Name(), typeName: tn})
@@ -162,11 +175,13 @@ func checkConfinement(pass *analysis.Pass) error {
 	})
 
 	// BFS the same-package call graph from the //tf:actor-loop roots.
+	roots := map[*types.Func]bool{}
 	reachable := map[*types.Func]bool{}
 	var queue []*types.Func
 	for _, obj := range order {
 		info := decls[obj]
 		if pass.Annotations(info.file).FuncAnnotated(info.decl, "actor-loop") {
+			roots[obj] = true
 			reachable[obj] = true
 			queue = append(queue, obj)
 		}
@@ -194,11 +209,78 @@ func checkConfinement(pass *analysis.Pass) error {
 				continue
 			}
 			pass.Reportf(oc.call.Fun.Pos(),
-				"%s.%s called in %s, which no //tf:actor-loop root reaches: only the engine-owner goroutine may touch actor-owned types — route the call through the actor's request channel (//tf:actor-ok exempts pre-start or immutable-state access)",
+				"%s.%s called in %s, which no //tf:actor-loop root reaches: only the engine-owner goroutine may touch actor-owned types — route the call through the owner's mailbox (//tf:actor-ok exempts pre-start or immutable-state access)",
 				oc.typeName, oc.method, declName(info.decl))
 		}
 	}
+
+	// The proof holds only if the roots are exactly what the mailbox runs:
+	// every function handed to Mailbox.Start is a root...
+	startArgs := map[*ast.Ident]bool{}
+	for _, call := range starts {
+		for _, arg := range call.Args {
+			if id := funcIdent(arg); id != nil {
+				startArgs[id] = true
+				if f, ok := pass.Pkg.TypesInfo.Uses[id].(*types.Func); ok && roots[f] {
+					continue
+				}
+			}
+			pass.Reportf(arg.Pos(),
+				"%s runs on the mailbox goroutine (passed to Mailbox.Start) but is not a //tf:actor-loop function, so the confinement proof does not start there: pass a declared function carrying //tf:actor-loop",
+				types.ExprString(arg))
+		}
+	}
+	// ...and a root runs nowhere else: a call from a connection goroutine, or
+	// a function value that escapes, would run it beside the mailbox.
+	for _, file := range pass.Pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok || startArgs[id] {
+				return true
+			}
+			f, ok := pass.Pkg.TypesInfo.Uses[id].(*types.Func)
+			if !ok || !roots[f] {
+				return true
+			}
+			where := "package scope"
+			if fn := enclosingFuncDecl(file, id.Pos()); fn != nil {
+				caller, _ := pass.Pkg.TypesInfo.Defs[fn.Name].(*types.Func)
+				if callees[id] && reachable[caller] {
+					return true
+				}
+				where = declName(fn)
+			}
+			pass.Reportf(id.Pos(),
+				"//tf:actor-loop function %s is referenced in %s, which no //tf:actor-loop root reaches: only the mailbox may run it — pass it to Mailbox.Start and send the mailbox a request instead",
+				declName(decls[f].decl), where)
+			return true
+		})
+	}
 	return nil
+}
+
+// funcIdent returns the identifier naming a function in a call's Fun or a
+// function-valued argument: f, pkg.F or x.m. Nil for anything else.
+func funcIdent(e ast.Expr) *ast.Ident {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e
+	case *ast.SelectorExpr:
+		return e.Sel
+	}
+	return nil
+}
+
+// isMailboxStart reports whether f is (*server.Mailbox).Start, recognized
+// by name and package the way actorOwnedRootTypes recognizes the engine
+// types.
+func isMailboxStart(pass *analysis.Pass, f *types.Func) bool {
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || f.Name() != "Start" {
+		return false
+	}
+	named, ok := pass.TypeInPackages(sig.Recv().Type(), "internal/server")
+	return ok && named.Obj().Name() == "Mailbox"
 }
 
 // ownedReceiver reports whether f is a method of an actor-owned type: a

@@ -101,19 +101,21 @@ func runGoroutineLifecycle(pass *analysis.Pass) error {
 // recognized shutdown pairings.
 func goroutineTracked(pass *analysis.Pass, file *ast.File, gs *ast.GoStmt,
 	closed, received map[string]bool, methodBodies map[*types.Func]*ast.FuncDecl) bool {
+	// A launched function is looked up by its declaration (Origin): a method
+	// of a generic type is called through an instantiation of it.
 	var body *ast.BlockStmt
 	switch fun := gs.Call.Fun.(type) {
 	case *ast.FuncLit:
 		body = fun.Body
 	case *ast.Ident:
 		if f, ok := pass.Pkg.TypesInfo.Uses[fun].(*types.Func); ok {
-			if decl := methodBodies[f]; decl != nil {
+			if decl := methodBodies[f.Origin()]; decl != nil {
 				body = decl.Body
 			}
 		}
 	case *ast.SelectorExpr:
 		if f, ok := pass.Pkg.TypesInfo.Uses[fun.Sel].(*types.Func); ok {
-			if decl := methodBodies[f]; decl != nil {
+			if decl := methodBodies[f.Origin()]; decl != nil {
 				body = decl.Body
 			}
 		}

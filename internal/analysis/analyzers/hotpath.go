@@ -29,14 +29,13 @@ var HotpathAlloc = &analysis.Analyzer{
 }
 
 // hotpathEntryPoints are function names checked even without a
-// //tf:hotpath annotation: the batch evaluation entry points and the
-// recovery replay path are hot by construction (one call covers a whole
-// batch of updates), and new implementations of these names must not
-// silently opt out of the allocation discipline.
+// //tf:hotpath annotation: the batch evaluation entry points are hot by
+// construction (one call covers a whole batch of updates), and new
+// implementations of these names must not silently opt out of the
+// allocation discipline.
 var hotpathEntryPoints = map[string]bool{
 	"ApplyBatch":     true,
 	"ApplyBatchFunc": true,
-	"replayBatch":    true,
 }
 
 func runHotpathAlloc(pass *analysis.Pass) error {

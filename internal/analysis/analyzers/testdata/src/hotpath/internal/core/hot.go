@@ -59,13 +59,3 @@ func ColdFormat(v int) string {
 func ApplyBatch(vs []int) string {
 	return fmt.Sprintf("n=%d", len(vs))
 }
-
-// replayBatch is the other implicit entry point; allocation-free, so no
-// finding.
-func replayBatch(vs []int) int {
-	total := 0
-	for _, v := range vs {
-		total += v
-	}
-	return total
-}

@@ -78,7 +78,7 @@ func (e *Engine) deleteNonTreeTriggers(v graph.VertexID, l graph.Label, v2 graph
 }
 
 // replayBeforeDelete is the shared-member twin of deleteEdgeAndEval
-// (DESIGN.md §17): it runs BEFORE the maintainer applies any clearing,
+// (DESIGN.md §17): it runs BEFORE the DCG's owner applies any clearing,
 // against the still-intact shared DCG, climbing transition-free
 // (uChild=NoVertex disables Transition 4) and never calling clearDCG.
 // The intact state is a superset of every mid-clearing view a private

@@ -91,7 +91,7 @@ func (e *Engine) insertNonTreeTriggers(v graph.VertexID, l graph.Label, v2 graph
 }
 
 // replayInsertedEdge is the shared-member twin of insertEdgeAndEval
-// (DESIGN.md §17): the maintainer has already applied every DCG
+// (DESIGN.md §17): the DCG's owner has already applied every DCG
 // transition for this insertion, so the member re-runs the trigger gates
 // against the post-maintenance state and climbs transition-free
 // (transit=false), searching with its own matching order, semantics and

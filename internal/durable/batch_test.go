@@ -2,6 +2,9 @@ package durable
 
 import (
 	"testing"
+
+	"turboflux/internal/graph"
+	"turboflux/internal/stream"
 )
 
 // TestStoreAppendBatch checks the batched journal append: one call
@@ -56,13 +59,16 @@ func TestStoreAppendBatch(t *testing.T) {
 	sameGraph(t, s2.Graph(), graphFromPrefix(ups, len(ups)))
 }
 
-// TestStoreRecoveryBatchEquivalence pins the recovery-batching contract:
-// replaying the log tail through the batched Applier (any batch size)
-// recovers a graph identical to the legacy record-at-a-time path
-// (ReplayBatch: 1), with the same Replayed accounting.
-func TestStoreRecoveryBatchEquivalence(t *testing.T) {
+// TestStoreRecoveryReplay pins recovery's one apply path: reopening a
+// store replays every journaled record onto the graph — two full runs and
+// a partial one — with the Replayed accounting and LSN to match, and
+// recovers exactly the graph the history describes.
+func TestStoreRecoveryReplay(t *testing.T) {
 	dir := t.TempDir()
-	ups := testUpdates(1000)
+	ups := testUpdates(2 * replayRun)
+	for i := 0; i < 7; i++ { // a partial last run of edges nothing else adds
+		ups = append(ups, stream.Insert(graph.VertexID(100+i), 0, graph.VertexID(200+i)))
+	}
 	s, err := Open(dir, Options{Fsync: FsyncNone})
 	if err != nil {
 		t.Fatal(err)
@@ -72,24 +78,16 @@ func TestStoreRecoveryBatchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := graphFromPrefix(ups, len(ups))
-	// 1 is the legacy per-record path; 0 the default (1024); 7 a size
-	// that never divides the history evenly; 4096 larger than the log.
-	for _, rb := range []int{1, 0, 7, 4096} {
-		s, err := Open(dir, Options{ReplayBatch: rb})
-		if err != nil {
-			t.Fatalf("ReplayBatch=%d: %v", rb, err)
-		}
-		rec := s.Recovery()
-		if rec.Replayed != len(ups) {
-			t.Fatalf("ReplayBatch=%d: replayed %d, want %d", rb, rec.Replayed, len(ups))
-		}
-		if s.LSN() != uint64(len(ups)) {
-			t.Fatalf("ReplayBatch=%d: LSN = %d, want %d", rb, s.LSN(), len(ups))
-		}
-		sameGraph(t, s.Graph(), want)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+	s, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer s.Close() //tf:unchecked-ok test cleanup
+	if rec := s.Recovery(); rec.Replayed != len(ups) {
+		t.Fatalf("replayed %d, want %d", rec.Replayed, len(ups))
+	}
+	if s.LSN() != uint64(len(ups)) {
+		t.Fatalf("LSN = %d, want %d", s.LSN(), len(ups))
+	}
+	sameGraph(t, s.Graph(), graphFromPrefix(ups, len(ups)))
 }

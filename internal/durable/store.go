@@ -24,17 +24,11 @@ type Options struct {
 	// store (no snapshot on disk). Ignored when a snapshot is recovered;
 	// see Store.SetDicts for re-adopting caller-owned dictionaries.
 	VertexLabels, EdgeLabels *graph.Dict
-	// ReplayBatch sets how many WAL-tail records recovery buffers before
-	// applying them to the graph in one batched pass (graph.Applier:
-	// fused probes, deferred counters). 0 selects the default (1024);
-	// 1 replays record-at-a-time through stream.Update.Apply, the
-	// pre-batching path kept for A/B comparison.
-	ReplayBatch int
 }
 
-// defaultReplayBatch is the recovery replay batch size when
-// Options.ReplayBatch is zero.
-const defaultReplayBatch = 1024
+// replayRun is how many recovered records Open decodes before applying
+// them.
+const replayRun = 1024
 
 func (o *Options) applyDefaults() {
 	if o.FsyncEvery <= 0 {
@@ -107,32 +101,19 @@ func Open(dir string, opt Options) (*Store, error) {
 	s := &Store{dir: dir, opt: opt, g: g, vdict: vdict, edict: edict, snapLSN: snapLSN, pins: make(map[*Pin]struct{})}
 	s.rec.SnapshotLSN = snapLSN
 
-	rb := opt.ReplayBatch
-	if rb <= 0 {
-		rb = defaultReplayBatch
-	}
-	var res scanResult
-	if rb == 1 {
-		res, err = scanWAL(dir, snapLSN, func(lsn uint64, u stream.Update) error {
-			u.Apply(g)
-			s.rec.Replayed++
-			return nil
-		})
-	} else {
-		ap := graph.NewApplier(g)
-		batch := make([]stream.Update, 0, rb)
-		res, err = scanWAL(dir, snapLSN, func(lsn uint64, u stream.Update) error {
-			batch = append(batch, u)
-			if len(batch) >= rb {
-				replayBatch(ap, batch)
-				batch = batch[:0]
-			}
-			s.rec.Replayed++
-			return nil
-		})
-		replayBatch(ap, batch)
-		ap.Flush()
-	}
+	// Records are applied in runs, once a run is decoded, not one by one as
+	// they are scanned: the same mutations, but interleaving decode and
+	// apply made reopen measurably slower (DESIGN.md §12).
+	run := make([]stream.Update, 0, replayRun)
+	res, err := scanWAL(dir, snapLSN, func(lsn uint64, u stream.Update) error {
+		if run = append(run, u); len(run) == replayRun {
+			stream.ApplyAll(g, run)
+			run = run[:0]
+		}
+		s.rec.Replayed++
+		return nil
+	})
+	stream.ApplyAll(g, run)
 	if err != nil {
 		return nil, err
 	}
@@ -230,24 +211,6 @@ func (s *Store) Append(u stream.Update) (uint64, error) {
 		s.tap(lsn, lsn, s.w.buf)
 	}
 	return lsn, nil
-}
-
-// replayBatch applies one buffered batch of recovered updates through
-// the Applier: duplicate/existence probes fuse with the mutation and
-// edge-counter maintenance is deferred to the Applier's Flush. Update
-// semantics match stream.Update.Apply exactly (duplicate inserts, absent
-// deletes and re-declarations are no-ops).
-func replayBatch(ap *graph.Applier, batch []stream.Update) {
-	for _, u := range batch {
-		switch u.Op {
-		case stream.OpInsert:
-			ap.InsertEdge(u.Edge.From, u.Edge.Label, u.Edge.To)
-		case stream.OpDelete:
-			ap.DeleteEdge(u.Edge.From, u.Edge.Label, u.Edge.To)
-		case stream.OpVertex:
-			ap.DeclareVertex(u.Vertex, u.Labels)
-		}
-	}
 }
 
 // AppendBatch journals ups as one write and returns the LSN range

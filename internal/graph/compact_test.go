@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"math/rand"
-	"sort"
-	"testing"
-)
+import "testing"
 
 // TestAdjacencyCompaction pins the deleted-slot recycling contract:
 // draining a large per-label adjacency list shrinks its backing array;
@@ -84,80 +80,5 @@ func TestAdjacencySteadyStateChurn(t *testing.T) {
 	}
 	if cap(out) > 4*live {
 		t.Fatalf("out cap = %d after 20k churn ops at live size %d: unbounded growth", cap(out), live)
-	}
-}
-
-// TestApplierMatchesDirectMutation checks the batched Applier produces a
-// graph indistinguishable from per-update InsertEdge/DeleteEdge,
-// including the counters it defers to Flush.
-func TestApplierMatchesDirectMutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	type op struct {
-		del      bool
-		from, to VertexID
-		l        Label
-	}
-	var ops []op
-	for i := 0; i < 3000; i++ {
-		ops = append(ops, op{
-			del:  rng.Float64() < 0.4,
-			from: VertexID(1 + rng.Intn(40)),
-			to:   VertexID(1 + rng.Intn(40)),
-			l:    Label(rng.Intn(4)),
-		})
-	}
-
-	direct := New()
-	for _, o := range ops {
-		if o.del {
-			direct.DeleteEdge(o.from, o.l, o.to)
-		} else {
-			direct.InsertEdge(o.from, o.l, o.to)
-		}
-	}
-
-	batched := New()
-	ap := NewApplier(batched)
-	for i, o := range ops {
-		if o.del {
-			ap.DeleteEdge(o.from, o.l, o.to)
-		} else {
-			ap.InsertEdge(o.from, o.l, o.to)
-		}
-		if i%257 == 0 {
-			ap.Flush()
-		}
-	}
-	ap.Flush()
-
-	if direct.NumVertices() != batched.NumVertices() {
-		t.Fatalf("NumVertices: direct %d, batched %d", direct.NumVertices(), batched.NumVertices())
-	}
-	if direct.NumEdges() != batched.NumEdges() {
-		t.Fatalf("NumEdges: direct %d, batched %d", direct.NumEdges(), batched.NumEdges())
-	}
-	for l := Label(0); l < 4; l++ {
-		if direct.EdgeCount(l) != batched.EdgeCount(l) {
-			t.Fatalf("EdgeCount(%d): direct %d, batched %d", l, direct.EdgeCount(l), batched.EdgeCount(l))
-		}
-	}
-	sorted := func(vs []VertexID) []VertexID {
-		cp := append([]VertexID(nil), vs...)
-		sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-		return cp
-	}
-	for v := VertexID(1); v <= 40; v++ {
-		for l := Label(0); l < 4; l++ {
-			d := sorted(direct.OutNeighbors(v, l))
-			b := sorted(batched.OutNeighbors(v, l))
-			if len(d) != len(b) {
-				t.Fatalf("OutNeighbors(%d,%d): direct %v, batched %v", v, l, d, b)
-			}
-			for i := range d {
-				if d[i] != b[i] {
-					t.Fatalf("OutNeighbors(%d,%d): direct %v, batched %v", v, l, d, b)
-				}
-			}
-		}
 	}
 }

@@ -377,19 +377,33 @@ func (g *Graph) bumpEdgeCount(l Label, d int) {
 
 // InsertEdge adds edge (from, l, to), creating missing endpoints as
 // unlabeled vertices. It reports whether the edge was newly inserted
-// (false for duplicates, which leave the graph unchanged).
+// (false for duplicates, which leave the graph unchanged). The duplicate
+// probe and the insertion share one bucket lookup per direction.
 //
 //tf:hotpath
 func (g *Graph) InsertEdge(from VertexID, l Label, to VertexID) bool {
-	if g.HasEdge(from, l, to) {
-		return false
-	}
 	g.EnsureVertex(from)
 	g.EnsureVertex(to)
 	fd, td := &g.verts[from], &g.verts[to] // taken after both exist: creating one may move the table
-	fd.out.addAt(fd.out.find(l), l, to)
+	bi, ti := fd.out.find(l), td.in.find(l)
+	var out, in []VertexID
+	if bi >= 0 {
+		out = fd.out[bi].list
+	}
+	if ti >= 0 {
+		in = td.in[ti].list
+	}
+	// Duplicate probe on the shorter mirror, as in HasEdge.
+	if len(in) < len(out) {
+		if slices.Contains(in, from) {
+			return false
+		}
+	} else if slices.Contains(out, to) {
+		return false
+	}
+	fd.out.addAt(bi, l, to)
 	fd.outDeg++
-	td.in.addAt(td.in.find(l), l, from)
+	td.in.addAt(ti, l, from)
 	td.inDeg++
 	g.bumpEdgeCount(l, 1)
 	g.numEdges++

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,7 +19,8 @@ import (
 
 // engineHost is the engine surface the actor drives; *turboflux.MultiEngine
 // and *turboflux.DurableMultiEngine both provide it. Only functions
-// reachable from the actor loop may call through it (actor-confinement).
+// reachable from the actor's mailbox handler may call through it
+// (actor-confinement).
 //
 //tf:actor-owned
 type engineHost interface {
@@ -57,9 +57,7 @@ const (
 	reqPromote      // flip follower to leader
 )
 
-// request is one message to the engine-owner goroutine. reply, when
-// non-nil, receives exactly one response and must have capacity 1 so the
-// actor never blocks sending it.
+// request is one message to the engine-owner goroutine.
 type request struct {
 	kind   reqKind
 	u      stream.Update
@@ -68,7 +66,6 @@ type request struct {
 	arg    string // pattern / label name
 	sub    *subscriber
 	connID uint64
-	reply  chan response
 
 	// Replication payloads.
 	lsn   uint64        // follower applied LSN / acked LSN / chunk first LSN
@@ -79,7 +76,6 @@ type request struct {
 }
 
 type response struct {
-	err    error
 	seq    uint64
 	total  int64
 	counts map[string]int64
@@ -115,9 +111,7 @@ type actor struct {
 	followers  map[uint64]*followerHandle
 	repl       replica.State // follower mode: last reported link state
 
-	reqCh chan request
-	stop  chan struct{} // closed by Stop once connections are done
-	done  chan struct{} // closed by run after drain + store close
+	box Mailbox[request, response] // runs handle and shutdown
 
 	subs  map[string]*subList // one list per registered query
 	burst *subList            // the query whose rendered lines line holds
@@ -134,7 +128,7 @@ type actor struct {
 	lat       *stats.Latency
 
 	conns    *atomic.Int64 // live connection count, owned by Server
-	closeErr error         // store-close error, read after done
+	closeErr error         // store-close error, read after box.Stop
 
 	// boundary is the persistent per-update hook handed to ApplyBatchFunc
 	// (built once so batch frames allocate no closures).
@@ -144,8 +138,7 @@ type actor struct {
 	// touch on every request. link is a follower's replication link (nil on
 	// a born leader), set before the actor starts and never touched by it:
 	// Promote and Server.Shutdown stop it from their own goroutines.
-	link     *replica.Link
-	stopOnce sync.Once // guards close(stop)
+	link *replica.Link
 }
 
 func newActor(host engineHost, durable *turboflux.DurableMultiEngine, vdict, edict *turboflux.Dict, policy SlowPolicy, depth int, conns *atomic.Int64) *actor {
@@ -156,9 +149,6 @@ func newActor(host engineHost, durable *turboflux.DurableMultiEngine, vdict, edi
 		edict:   edict,
 		policy:  policy,
 		depth:   depth,
-		reqCh:   make(chan request, 128),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 		subs:    make(map[string]*subList),
 		lat:     stats.NewLatency(0),
 		conns:   conns,
@@ -178,38 +168,13 @@ func newActor(host engineHost, durable *turboflux.DurableMultiEngine, vdict, edi
 	return a
 }
 
-// run is the actor loop. Everything that touches the engine happens here:
-// it is the confinement root the actor-confinement analyzer proves every
-// owned-type access reachable from.
+// shutdown runs on the mailbox once the requests already queued are
+// handled: it flushes every subscriber queue by closing the subscriptions
+// and closes the engine host (fan-out pool and, in durable mode, the
+// store).
 //
-//tf:hotpath
 //tf:actor-loop
-func (a *actor) run() {
-	for {
-		select {
-		case req := <-a.reqCh:
-			a.handle(req)
-		case <-a.stop:
-			a.shutdown()
-			return
-		}
-	}
-}
-
-// shutdown drains the requests already queued (connections are gone by
-// now, so no new ones arrive), flushes every subscriber queue by closing
-// the subscriptions, closes the engine host (fan-out pool and, in
-// durable mode, the store), and signals done.
 func (a *actor) shutdown() {
-	for {
-		select {
-		case req := <-a.reqCh:
-			a.handle(req)
-			continue
-		default:
-		}
-		break
-	}
 	//tf:unordered-ok closing subscriptions; each outbox keeps its own order
 	for _, l := range a.subs {
 		for _, s := range l.subs {
@@ -225,31 +190,35 @@ func (a *actor) shutdown() {
 	// Close releases the fan-out worker pool and, in durable mode, syncs
 	// and closes the WAL.
 	a.closeErr = a.host.Close()
-	close(a.done)
 }
 
-func (a *actor) handle(req request) {
-	var resp response
+// handle is the mailbox's handler, one request at a time. Everything that
+// touches the engine happens here or below: it and shutdown are the roots
+// the actor-confinement analyzer proves every owned-type access reachable
+// from.
+//
+//tf:actor-loop
+func (a *actor) handle(req request) (resp response, err error) {
 	switch req.kind {
 	case reqApply, reqBatch:
 		if a.role == roleFollower {
-			resp.err = errFollowerReadOnly
+			err = errFollowerReadOnly
 			break
 		}
 		if req.kind == reqApply {
-			resp.seq, resp.counts, resp.err = a.applyOne(req.u)
+			resp.seq, resp.counts, err = a.applyOne(req.u)
 		} else {
-			resp.seq, resp.counts, resp.err = a.applyBatch(req.ups)
+			resp.seq, resp.counts, err = a.applyBatch(req.ups)
 		}
 		//tf:unordered-ok summing counts is order-independent
 		for _, n := range resp.counts {
 			resp.total += n
 		}
 	case reqRegister:
-		resp.err = a.register(req.name, req.arg)
+		err = a.register(req.name, req.arg)
 	case reqUnregister:
 		if !a.host.Unregister(req.name) {
-			resp.err = fmt.Errorf("server: query %q is not registered", req.name)
+			err = fmt.Errorf("server: query %q is not registered", req.name)
 			break
 		}
 		// Evict the query's subscribers. The list dies with the query's
@@ -271,7 +240,7 @@ func (a *actor) handle(req request) {
 	case reqSubscribe:
 		l := a.subs[req.name]
 		if l == nil {
-			resp.err = fmt.Errorf("server: query %q is not registered", req.name)
+			err = fmt.Errorf("server: query %q is not registered", req.name)
 			break
 		}
 		// A connection ends a subscription by closing it, without a word to
@@ -289,15 +258,15 @@ func (a *actor) handle(req request) {
 	case reqStats:
 		resp.lines = a.statsLines()
 	case reqReplicate:
-		resp = a.handleReplicate(req)
+		resp, err = a.handleReplicate(req)
 	case reqReplAck:
 		a.handleReplAck(req)
 	case reqReplCaughtUp:
 		a.handleReplCaughtUp(req.connID)
 	case reqReplFrames:
-		resp = a.handleReplFrames(req)
+		resp.seq, err = a.handleReplFrames(req)
 	case reqReplSeed:
-		resp = a.handleReplSeed(req)
+		resp.seq, err = a.handleReplSeed(req)
 	case reqReplStatus:
 		a.repl = req.state
 	case reqReplLSN:
@@ -305,15 +274,13 @@ func (a *actor) handle(req request) {
 			resp.seq = a.durable.LSN()
 		}
 	case reqPromote:
-		resp = a.handlePromote()
+		resp.seq, err = a.handlePromote()
 	default:
-		resp.err = fmt.Errorf("server: unknown request kind %d", req.kind)
+		err = fmt.Errorf("server: unknown request kind %d", req.kind)
 	}
 	a.flushBurst()
 	a.wakeWriters()
-	if req.reply != nil {
-		req.reply <- resp
-	}
+	return resp, err
 }
 
 // subList is one registered query's subscribers. The query's OnMatch hook
@@ -541,87 +508,42 @@ func (a *actor) statsLines() []string {
 	return lines
 }
 
-// send enqueues req for the actor, failing fast once the actor has
-// stopped so connection goroutines never block on a dead server.
-func (a *actor) send(req request) error {
-	select {
-	case a.reqCh <- req:
-		return nil
-	case <-a.done:
-		return ErrClosed
-	}
-}
-
-// call sends req and waits for the actor's response.
-func (a *actor) call(req request) (response, error) {
-	req.reply = make(chan response, 1)
-	if err := a.send(req); err != nil {
-		return response{}, err
-	}
-	select {
-	case resp := <-req.reply:
-		return resp, nil
-	case <-a.done:
-		// The actor drains queued requests before closing done, so a
-		// request it accepted always gets its reply; this arm only fires
-		// if done closed between accept and drain completion — re-check
-		// the reply to avoid losing it.
-		select {
-		case resp := <-req.reply:
-			return resp, nil
-		default:
-			return response{}, ErrClosed
-		}
-	}
-}
-
-// do is call with the handler's verdict folded into the error, the shape
-// every Backend method returns: ErrClosed hangs the connection up, anything
-// else becomes its -ERR line.
-func (a *actor) do(req request) (response, error) {
-	resp, err := a.call(req)
-	if err == nil {
-		err = resp.err
-	}
-	return resp, err
-}
-
 // The Backend methods: what a connection asks of the engine owner, each one
-// round trip through the actor loop. They run on connection goroutines and
-// touch no actor-owned state themselves.
+// round trip through the mailbox, whose error is ErrClosed or the handler's
+// verdict. They run on connection goroutines and touch no actor-owned state.
 
 func (a *actor) Apply(u turboflux.Update) (Ack, error) {
-	resp, err := a.do(request{kind: reqApply, u: u})
+	resp, err := a.box.Call(request{kind: reqApply, u: u})
 	return Ack{Seq: resp.seq, Total: resp.total, Counts: resp.counts}, err
 }
 
 func (a *actor) ApplyBatch(ups []turboflux.Update) (BatchAck, error) {
-	resp, err := a.do(request{kind: reqBatch, ups: ups})
+	resp, err := a.box.Call(request{kind: reqBatch, ups: ups})
 	return BatchAck{FirstSeq: resp.seq, Applied: len(ups), Total: resp.total}, err
 }
 
 func (a *actor) Register(name, pattern string) error {
-	_, err := a.do(request{kind: reqRegister, name: name, arg: pattern})
+	_, err := a.box.Call(request{kind: reqRegister, name: name, arg: pattern})
 	return err
 }
 
 func (a *actor) Unregister(name string) error {
-	_, err := a.do(request{kind: reqUnregister, name: name})
+	_, err := a.box.Call(request{kind: reqUnregister, name: name})
 	return err
 }
 
 func (a *actor) Queries() ([]string, error) {
-	resp, err := a.do(request{kind: reqQueries})
+	resp, err := a.box.Call(request{kind: reqQueries})
 	return resp.names, err
 }
 
 func (a *actor) Label(kind, name string) (turboflux.Label, error) {
-	resp, err := a.do(request{kind: reqLabel, name: kind, arg: name})
+	resp, err := a.box.Call(request{kind: reqLabel, name: kind, arg: name})
 	return resp.label, err
 }
 
 func (a *actor) Stats() ([]string, error) {
-	resp, err := a.do(request{kind: reqStats})
+	resp, err := a.box.Call(request{kind: reqStats})
 	return resp.lines, err
 }
 
@@ -636,7 +558,7 @@ func (a *actor) ShardStats() ([]string, error) {
 // at DropConn.
 func (a *actor) Subscribe(c *Conn, name string) (Subscription, uint64, error) {
 	sub := newSubscriber(name, c.id, a.depth, c.outbox())
-	resp, err := a.do(request{kind: reqSubscribe, name: name, sub: sub})
+	resp, err := a.box.Call(request{kind: reqSubscribe, name: name, sub: sub})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -644,13 +566,12 @@ func (a *actor) Subscribe(c *Conn, name string) (Subscription, uint64, error) {
 }
 
 func (a *actor) DropConn(id uint64) {
-	a.send(request{kind: reqDropConn, connID: id}) //tf:unchecked-ok best-effort after shutdown
+	a.box.Send(request{kind: reqDropConn, connID: id}) //tf:unchecked-ok best-effort after shutdown
 }
 
-// Stop ends the actor loop once the connections are gone and returns the
+// Stop ends the mailbox once the connections are gone and returns the
 // store-close error.
 func (a *actor) Stop() error {
-	a.stopOnce.Do(func() { close(a.stop) })
-	<-a.done
+	a.box.Stop()
 	return a.closeErr
 }

@@ -261,11 +261,15 @@ func TestEmitAllocs(t *testing.T) {
 	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
 		nil, turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64, &conns)
 	defer a.host.Close() //tf:unchecked-ok pool release never fails
-	// The actor loop is not started: this goroutine plays the engine, the
+	// The mailbox is not started: this goroutine plays the engine, the
 	// actor and, through take, the connection writer.
-	a.handle(request{kind: reqRegister, name: "social", arg: "(a:Person)-[:knows]->(b:Person)"})
+	if _, err := a.handle(request{kind: reqRegister, name: "social", arg: "(a:Person)-[:knows]->(b:Person)"}); err != nil {
+		t.Fatal(err)
+	}
 	ob := newOutbox()
-	a.handle(request{kind: reqSubscribe, name: "social", sub: newSubscriber("social", 1, 64, ob)})
+	if _, err := a.handle(request{kind: reqSubscribe, name: "social", sub: newSubscriber("social", 1, 64, ob)}); err != nil {
+		t.Fatal(err)
+	}
 	l := a.subs["social"]
 	if l == nil || len(l.subs) != 1 {
 		t.Fatalf("subscriber list = %+v", l)

@@ -77,19 +77,16 @@ func (a *actor) shipFrames(first, last uint64, frames []byte) {
 // plan at the current LSN (sealing the active segment and pinning what
 // the plan references) and registers the live feed under the same actor
 // message, so no append can fall between the plan's cut and the feed.
-func (a *actor) handleReplicate(req request) (resp response) {
+func (a *actor) handleReplicate(req request) (response, error) {
 	if a.durable == nil {
-		resp.err = fmt.Errorf("server: replication requires a durable store (-data-dir)")
-		return resp
+		return response{}, fmt.Errorf("server: replication requires a durable store (-data-dir)")
 	}
 	if _, dup := a.followers[req.connID]; dup {
-		resp.err = fmt.Errorf("server: connection already replicating")
-		return resp
+		return response{}, fmt.Errorf("server: connection already replicating")
 	}
 	plan, err := a.durable.Store().CatchupPlan(req.lsn)
 	if err != nil {
-		resp.err = err
-		return resp
+		return response{}, err
 	}
 	f := &followerHandle{
 		connID:  req.connID,
@@ -101,10 +98,7 @@ func (a *actor) handleReplicate(req request) (resp response) {
 		catchup: true,
 	}
 	a.followers[req.connID] = f
-	resp.seq = plan.CutLSN
-	resp.plan = plan
-	resp.feed = f.feed
-	return resp
+	return response{seq: plan.CutLSN, plan: plan, feed: f.feed}, nil
 }
 
 // handleReplAck records a follower's applied position (the lag STATS
@@ -147,81 +141,69 @@ func (a *actor) dropRepl(connID uint64) {
 // starts exactly at its LSN+1 — and evaluate them through the engine
 // with the normal per-update boundary, so subscribers see events
 // byte-identical to the leader's. Applies are accepted regardless of
-// role: they come from the replication link, not a client write.
-func (a *actor) handleReplFrames(req request) (resp response) {
+// role: they come from the replication link, not a client write. It
+// returns the store's LSN after the chunk.
+func (a *actor) handleReplFrames(req request) (uint64, error) {
 	if a.durable == nil {
-		resp.err = fmt.Errorf("server: not a durable store")
-		return resp
+		return 0, fmt.Errorf("server: not a durable store")
 	}
 	lsn := a.durable.LSN()
 	if req.lsn != lsn+1 {
-		resp.err = fmt.Errorf("server: replication gap: chunk starts at LSN %d, store is at %d", req.lsn, lsn)
-		return resp
+		return 0, fmt.Errorf("server: replication gap: chunk starts at LSN %d, store is at %d", req.lsn, lsn)
 	}
 	ups := make([]stream.Update, 0, req.count)
 	body := req.data
 	for len(body) > 0 {
 		u, n, err := durable.DecodeFrame(body)
 		if err != nil {
-			resp.err = fmt.Errorf("server: replicated frame %d: %w", len(ups)+1, err)
-			return resp
+			return 0, fmt.Errorf("server: replicated frame %d: %w", len(ups)+1, err)
 		}
 		ups = append(ups, u)
 		body = body[n:]
 	}
 	if len(ups) != req.count {
-		resp.err = fmt.Errorf("server: replicated chunk decoded %d records, header said %d", len(ups), req.count)
-		return resp
+		return 0, fmt.Errorf("server: replicated chunk decoded %d records, header said %d", len(ups), req.count)
 	}
 	_, err := a.host.ApplyBatchFunc(ups, a.boundary)
-	resp.err = err
-	resp.seq = a.durable.LSN()
-	return resp
+	return a.durable.LSN(), err
 }
 
 // handleReplSeed adopts a leader snapshot on a fresh follower. The
 // engine is rebuilt over the snapshot's graph; the actor re-points its
 // dictionaries and fast-forwards its sequence counter so acked sequence
 // numbers keep equaling LSNs.
-func (a *actor) handleReplSeed(req request) (resp response) {
+func (a *actor) handleReplSeed(req request) (uint64, error) {
 	if a.durable == nil {
-		resp.err = fmt.Errorf("server: not a durable store")
-		return resp
+		return 0, fmt.Errorf("server: not a durable store")
 	}
 	if err := a.durable.Reseed(req.data); err != nil {
-		resp.err = err
-		return resp
+		return 0, err
 	}
 	a.vdict = a.durable.VertexLabels()
 	a.edict = a.durable.EdgeLabels()
 	a.seq = a.durable.LSN()
-	resp.seq = a.seq
-	return resp
+	return a.seq, nil
 }
 
 // handlePromote flips a follower to leader: the WAL is sealed (rotated
 // and synced) so the promoted history ends on an immutable segment
 // boundary, and writes are accepted from here on. The server stops the
 // replication link before sending this message.
-func (a *actor) handlePromote() (resp response) {
+func (a *actor) handlePromote() (uint64, error) {
 	if a.role != roleFollower {
-		resp.err = fmt.Errorf("server: already leader")
-		return resp
+		return 0, fmt.Errorf("server: already leader")
 	}
 	if a.durable != nil {
 		st := a.durable.Store()
 		if err := st.Rotate(); err != nil {
-			resp.err = err
-			return resp
+			return 0, err
 		}
 		if err := st.Sync(); err != nil {
-			resp.err = err
-			return resp
+			return 0, err
 		}
 	}
 	a.role = roleLeader
-	resp.seq = a.seq
-	return resp
+	return a.seq, nil
 }
 
 // replStatsLines renders the replication STATS lines: the leader's
@@ -267,22 +249,19 @@ func (a *actor) replStatsLines(lines []string) []string {
 func (a *actor) linkCallbacks() replica.Callbacks {
 	return replica.Callbacks{
 		Applied: func() uint64 {
-			resp, err := a.call(request{kind: reqReplLSN})
-			if err != nil {
-				return 0
-			}
+			resp, _ := a.box.Call(request{kind: reqReplLSN}) // ErrClosed leaves it zero
 			return resp.seq
 		},
 		Seed: func(lsn uint64, data []byte) (uint64, error) {
-			resp, err := a.do(request{kind: reqReplSeed, data: data})
+			resp, err := a.box.Call(request{kind: reqReplSeed, data: data})
 			return resp.seq, err
 		},
 		Apply: func(first uint64, count int, frames []byte) (uint64, error) {
-			resp, err := a.do(request{kind: reqReplFrames, lsn: first, count: count, data: frames})
+			resp, err := a.box.Call(request{kind: reqReplFrames, lsn: first, count: count, data: frames})
 			return resp.seq, err
 		},
 		Status: func(st replica.State) {
-			a.send(request{kind: reqReplStatus, state: st}) //tf:unchecked-ok best-effort status report
+			a.box.Send(request{kind: reqReplStatus, state: st}) //tf:unchecked-ok best-effort status report
 		},
 	}
 }
@@ -301,7 +280,7 @@ func (a *actor) stopLink() {
 // complete), then flip the actor's role.
 func (a *actor) Promote() error {
 	a.stopLink()
-	_, err := a.do(request{kind: reqPromote})
+	_, err := a.box.Call(request{kind: reqPromote})
 	return err
 }
 
@@ -314,7 +293,7 @@ func (a *actor) Replicate(c *Conn, after uint64) error {
 	if len(c.subs) > 0 {
 		return errors.New("server: REPLICATE not allowed on a connection with subscriptions")
 	}
-	resp, err := a.do(request{kind: reqReplicate, connID: c.id, lsn: after, addr: c.nc.RemoteAddr().String()})
+	resp, err := a.box.Call(request{kind: reqReplicate, connID: c.id, lsn: after, addr: c.nc.RemoteAddr().String()})
 	if err != nil {
 		return err
 	}
@@ -341,7 +320,7 @@ func (a *actor) Replicate(c *Conn, after uint64) error {
 				}
 				continue
 			}
-			if a.send(request{kind: reqReplAck, connID: c.id, lsn: lsn}) != nil {
+			if a.box.Send(request{kind: reqReplAck, connID: c.id, lsn: lsn}) != nil {
 				return nil
 			}
 		case trimmed == "QUIT":
@@ -363,7 +342,7 @@ func (a *actor) Replicate(c *Conn, after uint64) error {
 func (a *actor) replPump(c *Conn, plan *durable.Plan, feed *replica.Feed) {
 	lastShipped, cerr := streamCatchup(c.Wire, plan)
 	// Release the compaction pin whether or not catch-up succeeded.
-	a.send(request{kind: reqReplCaughtUp, connID: c.id}) //tf:unchecked-ok best-effort after shutdown
+	a.box.Send(request{kind: reqReplCaughtUp, connID: c.id}) //tf:unchecked-ok best-effort after shutdown
 	if cerr != nil {
 		c.nc.Close() //tf:unchecked-ok forcing reader-loop teardown
 		// Empty the feed so chunks queued before the actor processes the

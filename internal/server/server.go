@@ -139,8 +139,7 @@ func New(opt Options) (*Server, error) {
 		// inside apply handlers), so follower feeds stay actor-confined.
 		durable.Store().SetTap(s.actor.shipFrames) //tf:actor-ok construction precedes actor start
 	}
-	//tf:goroutine engine-owner-actor
-	go s.actor.run()
+	s.actor.box.Start(s.actor.handle, s.actor.shutdown)
 	if s.actor.link != nil {
 		s.actor.link.Start()
 	}

@@ -20,15 +20,8 @@ func newTestActor(t *testing.T, policy SlowPolicy, depth int) *actor {
 	var conns atomic.Int64
 	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
 		nil, turboflux.NewDict(), turboflux.NewDict(), policy, depth, &conns)
-	go a.run()
-	t.Cleanup(func() {
-		select {
-		case <-a.done:
-		default:
-			close(a.stop)
-			<-a.done
-		}
-	})
+	a.box.Start(a.handle, a.shutdown)
+	t.Cleanup(a.box.Stop)
 	return a
 }
 
@@ -36,8 +29,8 @@ func newTestActor(t *testing.T, policy SlowPolicy, depth int) *actor {
 // labeled vertices 1..n, returning the interned edge label.
 func prepareSocial(t *testing.T, a *actor, n int) turboflux.Label {
 	t.Helper()
-	if resp, err := a.call(request{kind: reqRegister, name: "social", arg: "(a:Person)-[:knows]->(b:Person)"}); err != nil || resp.err != nil {
-		t.Fatalf("register: %v %v", err, resp.err)
+	if _, err := a.box.Call(request{kind: reqRegister, name: "social", arg: "(a:Person)-[:knows]->(b:Person)"}); err != nil {
+		t.Fatalf("register: %v", err)
 	}
 	person, _ := a.vdict.Lookup("Person")
 	knows, ok := a.edict.Lookup("knows")
@@ -46,8 +39,8 @@ func prepareSocial(t *testing.T, a *actor, n int) turboflux.Label {
 	}
 	for i := 1; i <= n; i++ {
 		u := stream.DeclareVertex(graph.VertexID(i), person)
-		if resp, err := a.call(request{kind: reqApply, u: u}); err != nil || resp.err != nil {
-			t.Fatalf("declare %d: %v %v", i, err, resp.err)
+		if _, err := a.box.Call(request{kind: reqApply, u: u}); err != nil {
+			t.Fatalf("declare %d: %v", i, err)
 		}
 	}
 	return knows
@@ -58,8 +51,8 @@ func prepareSocial(t *testing.T, a *actor, n int) turboflux.Label {
 func subscribeOutbox(t *testing.T, a *actor, query string, depth int) *subscriber {
 	t.Helper()
 	sub := newSubscriber(query, 1, depth, newOutbox())
-	if resp, err := a.call(request{kind: reqSubscribe, name: query, sub: sub}); err != nil || resp.err != nil {
-		t.Fatalf("subscribe: %v %v", err, resp.err)
+	if _, err := a.box.Call(request{kind: reqSubscribe, name: query, sub: sub}); err != nil {
+		t.Fatalf("subscribe: %v", err)
 	}
 	return sub
 }
@@ -85,7 +78,7 @@ func takeEvents(t *testing.T, ob *outbox) []Event {
 
 func statsText(t *testing.T, a *actor) string {
 	t.Helper()
-	resp, err := a.call(request{kind: reqStats})
+	resp, err := a.box.Call(request{kind: reqStats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +93,9 @@ func TestActorPolicyDrop(t *testing.T) {
 	// dropped, ingest never stalls.
 	for i := 0; i < 3; i++ {
 		u := stream.Insert(graph.VertexID(i+1), knows, graph.VertexID(i+2))
-		resp, err := a.call(request{kind: reqApply, u: u})
-		if err != nil || resp.err != nil {
-			t.Fatalf("insert %d: %v %v", i, err, resp.err)
+		resp, err := a.box.Call(request{kind: reqApply, u: u})
+		if err != nil {
+			t.Fatalf("insert %d: %v", i, err)
 		}
 		if resp.total != 1 {
 			t.Fatalf("insert %d: total = %d", i, resp.total)
@@ -114,9 +107,8 @@ func TestActorPolicyDrop(t *testing.T) {
 	if sub.finished() {
 		t.Fatal("drop policy must not close the subscription")
 	}
-	// Stop the actor (happens-before via done) and check the counters.
-	close(a.stop)
-	<-a.done
+	// Stop the actor (happens-before via Stop) and check the counters.
+	a.box.Stop()
 	if sub.enqueued != 1 || sub.dropped != 2 {
 		t.Fatalf("enqueued=%d dropped=%d, want 1/2", sub.enqueued, sub.dropped)
 	}
@@ -136,8 +128,8 @@ func TestActorPolicyEvict(t *testing.T) {
 	// subscription instead of stalling or dropping silently.
 	for i := 0; i < 2; i++ {
 		u := stream.Insert(graph.VertexID(i+1), knows, graph.VertexID(i+2))
-		if resp, err := a.call(request{kind: reqApply, u: u}); err != nil || resp.err != nil {
-			t.Fatalf("insert %d: %v %v", i, err, resp.err)
+		if _, err := a.box.Call(request{kind: reqApply, u: u}); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
 	if !sub.finished() {
@@ -158,14 +150,14 @@ func TestActorPolicyBlock(t *testing.T) {
 	a := newTestActor(t, PolicyBlock, 1)
 	knows := prepareSocial(t, a, 3)
 	sub := subscribeOutbox(t, a, "social", 1)
-	if resp, err := a.call(request{kind: reqApply, u: stream.Insert(1, knows, 2)}); err != nil || resp.err != nil {
-		t.Fatalf("insert: %v %v", err, resp.err)
+	if _, err := a.box.Call(request{kind: reqApply, u: stream.Insert(1, knows, 2)}); err != nil {
+		t.Fatalf("insert: %v", err)
 	}
 	// The queue is full: the next matching update must not be acked until
 	// the subscriber drains — lossless backpressure.
 	ack := make(chan response, 1)
 	go func() {
-		resp, err := a.call(request{kind: reqApply, u: stream.Insert(2, knows, 3)})
+		resp, err := a.box.Call(request{kind: reqApply, u: stream.Insert(2, knows, 3)})
 		if err == nil {
 			ack <- resp
 		}
@@ -183,7 +175,7 @@ func TestActorPolicyBlock(t *testing.T) {
 	}
 	select {
 	case resp := <-ack:
-		if resp.err != nil || resp.total != 1 {
+		if resp.total != 1 {
 			t.Fatalf("unblocked ack = %+v", resp)
 		}
 	case <-time.After(2 * time.Second):
@@ -196,8 +188,8 @@ func TestActorPolicyBlock(t *testing.T) {
 	// connection-teardown path).
 	done := make(chan struct{})
 	go func() {
-		a.call(request{kind: reqApply, u: stream.Insert(1, knows, 3)}) //tf:unchecked-ok only liveness matters
-		a.call(request{kind: reqApply, u: stream.Insert(2, knows, 1)}) //tf:unchecked-ok only liveness matters
+		a.box.Call(request{kind: reqApply, u: stream.Insert(1, knows, 3)}) //tf:unchecked-ok only liveness matters
+		a.box.Call(request{kind: reqApply, u: stream.Insert(2, knows, 1)}) //tf:unchecked-ok only liveness matters
 		close(done)
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -218,13 +210,13 @@ func TestActorPolicyBurst(t *testing.T) {
 	setup := func(t *testing.T, policy SlowPolicy) (*actor, *subscriber, stream.Update) {
 		a := newTestActor(t, policy, depth)
 		knows := prepareSocial(t, a, fan+2)
-		if resp, err := a.call(request{kind: reqRegister, name: "path", arg: "(a:Person)-[:knows]->(b:Person), (b)-[:knows]->(c:Person)"}); err != nil || resp.err != nil {
-			t.Fatalf("register: %v %v", err, resp.err)
+		if _, err := a.box.Call(request{kind: reqRegister, name: "path", arg: "(a:Person)-[:knows]->(b:Person), (b)-[:knows]->(c:Person)"}); err != nil {
+			t.Fatalf("register: %v", err)
 		}
 		for i := 0; i < fan; i++ {
 			u := stream.Insert(2, knows, graph.VertexID(i+3))
-			if resp, err := a.call(request{kind: reqApply, u: u}); err != nil || resp.err != nil {
-				t.Fatalf("insert: %v %v", err, resp.err)
+			if _, err := a.box.Call(request{kind: reqApply, u: u}); err != nil {
+				t.Fatalf("insert: %v", err)
 			}
 		}
 		// Inserting 1->2 now completes fan 2-paths at once.
@@ -232,14 +224,14 @@ func TestActorPolicyBurst(t *testing.T) {
 	}
 	check := func(t *testing.T, resp response, err error) response {
 		t.Helper()
-		if err != nil || resp.err != nil || resp.counts["path"] != fan {
+		if err != nil || resp.counts["path"] != fan {
 			t.Fatalf("burst: %v %+v", err, resp)
 		}
 		return resp
 	}
 	apply := func(t *testing.T, a *actor, u stream.Update) {
 		t.Helper()
-		resp, err := a.call(request{kind: reqApply, u: u})
+		resp, err := a.box.Call(request{kind: reqApply, u: u})
 		check(t, resp, err)
 	}
 
@@ -247,9 +239,9 @@ func TestActorPolicyBurst(t *testing.T) {
 		a, sub, u := setup(t, PolicyBlock)
 		ack := make(chan response, 1)
 		go func() {
-			resp, err := a.call(request{kind: reqApply, u: u})
+			resp, err := a.box.Call(request{kind: reqApply, u: u})
 			if err != nil {
-				resp.err = err
+				t.Errorf("burst: %v", err)
 			}
 			ack <- resp
 		}()

@@ -12,7 +12,7 @@ import (
 
 // The router's server.Backend methods: what a client connection
 // (server.Conn) asks of the cluster. They run on connection goroutines; each
-// makes one round trip through the router loop and then collects the
+// makes one round trip through the router's mailbox and then collects the
 // per-shard results itself, keeping the router off the network.
 
 // Apply merges the per-shard update acknowledgments into one client ack.
@@ -21,7 +21,7 @@ import (
 // died mid-update is skipped — the update is acknowledged as long as one
 // alive shard applied it.
 func (r *router) Apply(u turboflux.Update) (server.Ack, error) {
-	resp, err := r.call(rreq{kind: rApply, u: u})
+	resp, err := r.box.Call(rreq{kind: rApply, u: u})
 	if err != nil {
 		return server.Ack{}, err
 	}
@@ -38,7 +38,7 @@ func (r *router) Apply(u turboflux.Update) (server.Ack, error) {
 }
 
 func (r *router) ApplyBatch(ups []turboflux.Update) (server.BatchAck, error) {
-	resp, err := r.call(rreq{kind: rBatch, ups: ups})
+	resp, err := r.box.Call(rreq{kind: rBatch, ups: ups})
 	if err != nil {
 		return server.BatchAck{}, err
 	}
@@ -54,20 +54,20 @@ func (r *router) ApplyBatch(ups []turboflux.Update) (server.BatchAck, error) {
 // then the registration on the owner, rolling the placement back if the
 // owner rejects it.
 func (r *router) Register(name, pattern string) error {
-	resp, err := r.call(rreq{kind: rRegister, name: name, arg: pattern})
+	resp, err := r.box.Call(rreq{kind: rRegister, name: name, arg: pattern})
 	if err != nil {
 		return err
 	}
 	resp.pend.collect() // label sync; failures mark shards down
 	if err := resp.reg.collect()[0].err; err != nil {
-		r.send(rreq{kind: rUnassign, name: name}) //tf:unchecked-ok rollback is moot once the router stopped
+		r.box.Send(rreq{kind: rUnassign, name: name}) //tf:unchecked-ok rollback is moot once the router stopped
 		return err
 	}
 	return nil
 }
 
 func (r *router) Unregister(name string) error {
-	resp, err := r.call(rreq{kind: rUnregister, name: name})
+	resp, err := r.box.Call(rreq{kind: rUnregister, name: name})
 	if err != nil {
 		return err
 	}
@@ -78,12 +78,12 @@ func (r *router) Unregister(name string) error {
 }
 
 func (r *router) Queries() ([]string, error) {
-	resp, err := r.call(rreq{kind: rQueries})
+	resp, err := r.box.Call(rreq{kind: rQueries})
 	return resp.names, err
 }
 
 func (r *router) Label(kind, name string) (turboflux.Label, error) {
-	resp, err := r.call(rreq{kind: rLabel, name: kind, arg: name})
+	resp, err := r.box.Call(rreq{kind: rLabel, name: kind, arg: name})
 	if err != nil {
 		return 0, err
 	}
@@ -92,12 +92,12 @@ func (r *router) Label(kind, name string) (turboflux.Label, error) {
 }
 
 func (r *router) Stats() ([]string, error) {
-	resp, err := r.call(rreq{kind: rStats})
+	resp, err := r.box.Call(rreq{kind: rStats})
 	return resp.lines, err
 }
 
 func (r *router) ShardStats() ([]string, error) {
-	resp, err := r.call(rreq{kind: rShardStats})
+	resp, err := r.box.Call(rreq{kind: rShardStats})
 	return resp.lines, err
 }
 
@@ -138,14 +138,14 @@ func (s *relaySub) Cancel() {
 // owning shard whose read loop forwards the pushes, watched by one relay
 // goroutine for the life of the subscription.
 func (r *router) Subscribe(c *server.Conn, name string) (server.Subscription, uint64, error) {
-	resp, err := r.call(rreq{kind: rSubscribe, name: name})
+	resp, err := r.box.Call(rreq{kind: rSubscribe, name: name})
 	if err != nil {
 		return nil, 0, err
 	}
 	sub := &relaySub{r: r, c: c, query: name, evicted: make(chan struct{})}
 	seq, err := sub.open(resp.addr)
 	if err != nil {
-		r.send(rreq{kind: rSubRelease, name: name}) //tf:unchecked-ok reservation dies with the router
+		r.box.Send(rreq{kind: rSubRelease, name: name}) //tf:unchecked-ok reservation dies with the router
 		return nil, 0, err
 	}
 	c.Go(sub.relay)
@@ -190,7 +190,7 @@ func (s *relaySub) forward(line []byte, more bool) {
 // unsubscribe or teardown (silent), or shard death (*EVICTED synthesized,
 // since the stream can never resume).
 func (s *relaySub) relay() {
-	defer s.r.send(rreq{kind: rSubRelease, name: s.query}) //tf:unchecked-ok reservation dies with the router
+	defer s.r.box.Send(rreq{kind: rSubRelease, name: s.query}) //tf:unchecked-ok reservation dies with the router
 	select {
 	case <-s.evicted:
 		return

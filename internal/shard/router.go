@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,20 +27,16 @@ const (
 	rShardStats
 )
 
-// rreq is one message to the router actor. reply, when non-nil, receives
-// exactly one response and must have capacity 1 so the router never
-// blocks sending it.
+// rreq is one message to the router actor.
 type rreq struct {
-	kind  rkind
-	u     turboflux.Update
-	ups   []turboflux.Update
-	name  string // query name / "vertex" / "edge" (rLabel)
-	arg   string // pattern (rRegister) / label name (rLabel)
-	reply chan rresp
+	kind rkind
+	u    turboflux.Update
+	ups  []turboflux.Update
+	name string // query name / "vertex" / "edge" (rLabel)
+	arg  string // pattern (rRegister) / label name (rLabel)
 }
 
 type rresp struct {
-	err   error
 	seq   uint64  // coordinator sequence of the (first) update
 	pend  pending // all-shard fan-out barrier (updates, label sync)
 	reg   pending // owner-shard barrier (register/unregister)
@@ -54,7 +49,7 @@ type rresp struct {
 // assignTable is the query-placement state: which shard owns each query,
 // per-shard load, and registration order. It belongs to the router
 // goroutine alone — connection goroutines reach it only through the
-// request channel.
+// mailbox.
 //
 //tf:actor-owned
 type assignTable struct {
@@ -120,9 +115,7 @@ type router struct {
 	vdict  *turboflux.Dict
 	edict  *turboflux.Dict
 
-	reqCh chan rreq
-	stop  chan struct{} // closed by Stop once connections are done
-	done  chan struct{}
+	box server.Mailbox[rreq, rresp] // runs handle and shutdown
 
 	table *assignTable
 	seq   uint64 // updates fanned so far; acked to clients
@@ -131,7 +124,6 @@ type router struct {
 	// by every relay — kept behind the fields each request touches.
 	front       *server.Front // the front end serving this router (STATS conns=)
 	dialTimeout time.Duration // bounds the connect of a delegated subscription
-	stopOnce    sync.Once     // guards close(stop)
 	events      atomic.Uint64 // relayed match events (STATS)
 }
 
@@ -141,42 +133,16 @@ func newRouter(shards []*shardHandle, vdict, edict *turboflux.Dict, dialTimeout 
 		vdict:       vdict,
 		edict:       edict,
 		dialTimeout: dialTimeout,
-		reqCh:       make(chan rreq, 128),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
 		table:       newAssignTable(len(shards)),
 	}
 }
 
-// run is the router loop: the confinement root every placement-table
-// access must be reachable from.
+// shutdown runs on the mailbox once the requests already queued are
+// handled: it closes the task FIFOs so the fanners finish their backlogs
+// and exit, stops the heartbeats, and releases the shard clients.
 //
 //tf:actor-loop
-func (r *router) run() {
-	for {
-		select {
-		case req := <-r.reqCh:
-			r.handle(req)
-		case <-r.stop:
-			r.shutdown()
-			return
-		}
-	}
-}
-
-// shutdown drains the requests already queued (connections are gone by
-// now), closes the task FIFOs so the fanners finish their backlogs and
-// exit, stops the heartbeats, and releases the shard clients.
 func (r *router) shutdown() {
-	for {
-		select {
-		case req := <-r.reqCh:
-			r.handle(req)
-			continue
-		default:
-		}
-		break
-	}
 	for _, h := range r.shards {
 		close(h.tasks)
 		close(h.stop)
@@ -185,19 +151,20 @@ func (r *router) shutdown() {
 		h.wg.Wait()
 		h.closeClients()
 	}
-	close(r.done)
 }
 
-// Stop (server.Backend) ends the router loop once the connections are gone
+// Stop (server.Backend) ends the mailbox once the connections are gone
 // and waits for shutdown to finish.
 func (r *router) Stop() error {
-	r.stopOnce.Do(func() { close(r.stop) })
-	<-r.done
+	r.box.Stop()
 	return nil
 }
 
-func (r *router) handle(req rreq) {
-	var resp rresp
+// handle is the mailbox's handler: the confinement root, with shutdown,
+// every placement-table access must be reachable from.
+//
+//tf:actor-loop
+func (r *router) handle(req rreq) (resp rresp, err error) {
 	switch req.kind {
 	case rApply:
 		r.seq++
@@ -209,14 +176,13 @@ func (r *router) handle(req rreq) {
 		resp.seq = first
 		resp.pend = r.fanAll(&task{kind: taskBatch, seq: first, ups: req.ups})
 	case rRegister:
-		resp = r.register(req)
+		return r.register(req)
 	case rUnassign:
 		r.table.remove(req.name)
 	case rUnregister:
 		a, ok := r.table.get(req.name)
 		if !ok {
-			resp.err = fmt.Errorf("shard: query %q is not registered", req.name)
-			break
+			return resp, fmt.Errorf("shard: query %q is not registered", req.name)
 		}
 		r.table.remove(req.name)
 		resp.reg = r.fanTo(a.shard, &task{kind: taskUnregister, name: req.name})
@@ -227,14 +193,12 @@ func (r *router) handle(req rreq) {
 	case rSubscribe:
 		a, ok := r.table.get(req.name)
 		if !ok {
-			resp.err = fmt.Errorf("shard: query %q is not registered", req.name)
-			break
+			return resp, fmt.Errorf("shard: query %q is not registered", req.name)
 		}
 		h := r.shards[a.shard]
 		if !h.alive.Load() {
-			resp.err = fmt.Errorf("shard: query %q lives on shard %d (%s), which is down: %s",
+			return resp, fmt.Errorf("shard: query %q lives on shard %d (%s), which is down: %s",
 				req.name, h.id, h.addr, h.downReason())
-			break
 		}
 		a.subs++
 		resp.addr = h.addr
@@ -247,9 +211,7 @@ func (r *router) handle(req rreq) {
 	case rShardStats:
 		resp.lines = r.shardLines(nil)
 	}
-	if req.reply != nil {
-		req.reply <- resp
-	}
+	return resp, nil
 }
 
 // register validates and interns the pattern locally, places the query
@@ -257,28 +219,24 @@ func (r *router) handle(req rreq) {
 // shards) and the registration (owner) in FIFO order. The placement is
 // recorded optimistically; the connection goroutine rolls it back with
 // rUnassign if the owner rejects.
-func (r *router) register(req rreq) rresp {
-	var resp rresp
+func (r *router) register(req rreq) (resp rresp, err error) {
 	if _, dup := r.table.get(req.name); dup {
-		resp.err = fmt.Errorf("shard: query %q is already registered", req.name)
-		return resp
+		return resp, fmt.Errorf("shard: query %q is already registered", req.name)
 	}
 	labels, err := r.internPattern(req.arg)
 	if err != nil {
-		resp.err = err
-		return resp
+		return resp, err
 	}
 	owner, ok := r.leastLoaded()
 	if !ok {
-		resp.err = errors.New("shard: no alive shards")
-		return resp
+		return resp, errors.New("shard: no alive shards")
 	}
 	if len(labels) > 0 {
 		resp.pend = r.fanAll(&task{kind: taskLabels, labels: labels})
 	}
 	resp.reg = r.fanTo(owner, &task{kind: taskRegister, name: req.name, pattern: req.arg})
 	r.table.add(req.name, owner)
-	return resp
+	return resp, nil
 }
 
 // label interns one client-requested label locally and, when it is new,
@@ -404,38 +362,4 @@ func (r *router) shardLines(lines []string) []string {
 			h.mqoSubpats.Load(), h.mqoRefs.Load(), h.mqoSaved.Load()))
 	}
 	return lines
-}
-
-// send enqueues req without waiting for a response, failing fast once
-// the router has stopped.
-func (r *router) send(req rreq) error {
-	select {
-	case r.reqCh <- req:
-		return nil
-	case <-r.done:
-		return server.ErrClosed
-	}
-}
-
-// call performs one request/response round trip with the router, with the
-// handler's verdict folded into the error: server.ErrClosed hangs the
-// connection up, anything else becomes its -ERR line.
-func (r *router) call(req rreq) (rresp, error) {
-	req.reply = make(chan rresp, 1)
-	if err := r.send(req); err != nil {
-		return rresp{}, err
-	}
-	select {
-	case resp := <-req.reply:
-		return resp, resp.err
-	case <-r.done:
-		// The router drains reqCh before closing done, so a reply may
-		// still have been sent; prefer it over the shutdown error.
-		select {
-		case resp := <-req.reply:
-			return resp, resp.err
-		default:
-			return rresp{}, server.ErrClosed
-		}
-	}
 }

@@ -144,8 +144,7 @@ func New(opt Options) (*Coordinator, error) {
 	}
 	r := newRouter(shards, vdict, edict, opt.DialTimeout)
 	r.front = server.NewFront("shard", r)
-	//tf:goroutine shard-router-actor
-	go r.run()
+	r.box.Start(r.handle, r.shutdown)
 	for _, h := range shards {
 		h.start()
 	}

@@ -222,8 +222,8 @@ func (m *MultiEngine) Close() error {
 // spanning tree is canonicalized into a sub-pattern key: the first
 // registration of a shape builds a DCG over the current graph state and
 // owns it, later ones join that DCG as read-only followers without any DCG
-// construction at all. Unshareable options (work budget, ablations, WCO
-// search) keep the query fully private. Registering a duplicate name fails.
+// construction at all. An unshareable option (a work budget) keeps the
+// query fully private. Registering a duplicate name fails.
 func (m *MultiEngine) Register(name string, q *Query, opt Options) error {
 	if _, dup := m.slots[name]; dup {
 		return fmt.Errorf("turboflux: query %q already registered", name)
@@ -231,7 +231,6 @@ func (m *MultiEngine) Register(name string, q *Query, opt Options) error {
 	s := &mslot{name: name, user: opt.OnMatch, labels: queryEdgeLabels(q)}
 	copt := core.DefaultOptions()
 	copt.Semantics = opt.Semantics
-	copt.Search = opt.Search
 	copt.WorkBudget = opt.WorkBudget
 	if s.user != nil {
 		// Inside a window emissions go to the slot's buffer (written only by
@@ -481,9 +480,9 @@ func (m *MultiEngine) fail(idx int, err error) {
 // position. No-ops (duplicate inserts, absent deletes, re-declarations) are
 // detected exactly, because an update whose edge the window already
 // touched ends the window first. An update relevant to an engine that
-// reads the graph past the view (unshareable options: WCO search, work
-// budget, ablations) ends the window after itself, so such an engine never
-// has anything hidden from it.
+// reads the graph past the view (an unshareable option: a work budget)
+// ends the window after itself, so such an engine never has anything
+// hidden from it.
 //
 // It returns the index of the first update not consumed.
 //

@@ -117,24 +117,10 @@ const (
 	Isomorphism = core.Isomorphism
 )
 
-// SearchStrategy selects how SubgraphSearch enumerates candidates.
-type SearchStrategy = core.Strategy
-
-const (
-	// Backtracking is the paper's default search (Algorithm 7).
-	Backtracking = core.Backtracking
-	// WCOJoin intersects all constraint lists per extension, the
-	// worst-case-optimal variant sketched in Section 4.3.
-	WCOJoin = core.WCOJoin
-)
-
 // Options configures an Engine.
 type Options struct {
 	// Semantics selects homomorphism (default) or isomorphism.
 	Semantics Semantics
-	// Search selects the candidate-enumeration strategy (default
-	// Backtracking).
-	Search SearchStrategy
 	// OnMatch, when non-nil, receives every positive and negative match.
 	// The mapping slice (query vertex -> data vertex) is reused across
 	// calls; copy it if retained.
@@ -168,7 +154,6 @@ type Engine struct {
 func NewEngine(g0 *Graph, q *Query, opt Options) (*Engine, error) {
 	copt := core.DefaultOptions()
 	copt.Semantics = opt.Semantics
-	copt.Search = opt.Search
 	copt.OnMatch = opt.OnMatch
 	copt.WorkBudget = opt.WorkBudget
 	inner, err := core.New(g0, q, copt)
