@@ -131,16 +131,16 @@ type Engine struct {
 	iso    bool
 	useCnt []int32
 
-	// rootSeen[v] records that ensureRootEdge already settled vertex v:
-	// either its root DCG edge exists (root edges are never nulled — the
-	// only Null transition, clearDCG, starts strictly below the root) or
-	// v's labels can never match L(u_s) (data-vertex labels are immutable
-	// after creation and vertices are never deleted). Either way the
-	// per-update probe can be skipped forever. Dense by VertexID, grown on
-	// demand; stays valid across order adjustment (the tree root never
-	// changes) and across NaiveEL rebuilds (the spec fixpoint re-creates
-	// every root edge).
-	rootSeen []bool
+	// rootSeen, a bitset by VertexID (bit v%64 of word v/64), records that
+	// ensureRootEdge already settled vertex v: either its root DCG edge
+	// exists (root edges are never nulled — the only Null transition,
+	// clearDCG, starts strictly below the root) or v's labels can never
+	// match L(u_s) (data-vertex labels are immutable after creation and
+	// vertices are never deleted). Either way the per-update probe can be
+	// skipped forever. Grown on demand; stays valid across order
+	// adjustment (the tree root never changes) and across NaiveEL rebuilds
+	// (the spec fixpoint re-creates every root edge).
+	rootSeen []uint64
 
 	// parentScratch is the engine-owned arena the upward traversals carve
 	// their parent snapshots from (mark, append, iterate, truncate): the
@@ -232,9 +232,12 @@ func NewWithTree(g *graph.Graph, q *query.Graph, tree *query.Tree, opt Options, 
 	if sharedDCG != nil && !OptionsShareable(opt) {
 		return nil, errors.New("core: options not shareable (budget, ablation or WCO search)")
 	}
+	if q.NumVertices() > dcg.MaxQueryVertices {
+		return nil, fmt.Errorf("core: query has %d vertices, at most %d supported", q.NumVertices(), dcg.MaxQueryVertices)
+	}
 	d := sharedDCG
 	if d == nil {
-		d = dcg.New(tree)
+		d = dcg.New(tree, g)
 	}
 	e := &Engine{
 		g:        g,
@@ -486,7 +489,7 @@ func NewMaintainer(donor *Engine) *Engine {
 		procRank:         donor.procRank,
 		treeSlotsByLabel: donor.treeSlotsByLabel,
 		nonTreeByLabel:   donor.nonTreeByLabel,
-		rootSeen:         append([]bool(nil), donor.rootSeen...),
+		rootSeen:         append([]uint64(nil), donor.rootSeen...),
 		trigger:          -1,
 	}
 	for i := range e.m {

@@ -139,7 +139,7 @@ func (e *Engine) replayInsertedEdge(v graph.VertexID, l graph.Label, v2 graph.Ve
 //
 //tf:hotpath
 func (e *Engine) ensureRootEdge(w graph.VertexID) {
-	if int(w) < len(e.rootSeen) && e.rootSeen[w] {
+	if i := int(w >> 6); i < len(e.rootSeen) && e.rootSeen[i]&(1<<(w&63)) != 0 {
 		return
 	}
 	us := e.tree.Root
@@ -160,16 +160,17 @@ func (e *Engine) ensureRootEdge(w graph.VertexID) {
 //
 //tf:hotpath
 func (e *Engine) markRootSeen(w graph.VertexID) {
-	if int(w) >= len(e.rootSeen) {
-		n := int(w) + 1
+	i := int(w >> 6)
+	if i >= len(e.rootSeen) {
+		n := i + 1
 		if n < 2*len(e.rootSeen) {
 			n = 2 * len(e.rootSeen)
 		}
-		ns := make([]bool, n)
+		ns := make([]uint64, n)
 		copy(ns, e.rootSeen)
 		e.rootSeen = ns
 	}
-	e.rootSeen[w] = true
+	e.rootSeen[i] |= 1 << (w & 63)
 }
 
 // buildUpwardsAndEval is Algorithm 6: map u to v, upgrade v's incoming

@@ -51,7 +51,7 @@ func (e *Engine) maybeAdjustOrder() {
 //tf:oracle-ok gated NaiveEL ablation slow path
 func (e *Engine) rebuildFromSpec() {
 	states := dcg.ComputeSpec(e.g, e.tree)
-	d := dcg.New(e.tree)
+	d := dcg.New(e.tree, e.g)
 	//tf:unordered-ok transitions to absolute states commute
 	for k, s := range states {
 		d.MakeTransition(k.From, k.QV, k.To, s)

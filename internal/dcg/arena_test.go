@@ -88,7 +88,11 @@ func (m *arenaModel) noise(rng *rand.Rand, n int) {
 		if rng.Intn(6) == 0 {
 			from = graph.NoVertex
 		}
-		m.set(from, graph.VertexID(rng.Intn(m.d.nq)), graph.VertexID(rng.Intn(12)), states[rng.Intn(len(states))])
+		u := graph.VertexID(rng.Intn(m.d.nq))
+		if u == m.d.tree.Root {
+			from = graph.NoVertex // root edges come only from v*_s
+		}
+		m.set(from, u, graph.VertexID(rng.Intn(12)), states[rng.Intn(len(states))])
 	}
 }
 
@@ -102,7 +106,7 @@ func TestArenaModel(t *testing.T) {
 	tr := paperTree(t, g)
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := &arenaModel{t: t, d: New(tr), model: map[EdgeKey]State{}}
+		m := &arenaModel{t: t, d: New(tr, everyLabel), model: map[EdgeKey]State{}}
 		d := m.d
 		const hub, n = graph.VertexID(500), 150 // 150 entries need a class-8 block
 		hubCells := func() (in, out cell) {
@@ -110,7 +114,7 @@ func TestArenaModel(t *testing.T) {
 			if s < 0 {
 				return cell{}, cell{}
 			}
-			return d.in[int(s)*d.nq+1], d.out[int(s)*d.nq+2]
+			return *d.inCellAt(s, 1), *d.outCellAt(s, 2)
 		}
 		for round := 0; round < 2; round++ {
 			var maxIn, maxOut uint32
@@ -177,7 +181,7 @@ func TestArenaModel(t *testing.T) {
 func TestArenaChurnAllocFree(t *testing.T) {
 	g := paperData(t)
 	tr := paperTree(t, g)
-	d := New(tr)
+	d := New(tr, everyLabel)
 	cycle := func() {
 		for i := 0; i < 40; i++ {
 			d.MakeTransition(graph.VertexID(100+i), 1, 7, Explicit)

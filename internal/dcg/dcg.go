@@ -14,27 +14,33 @@
 // NULL edges are never stored. Edges whose label is the root u_s emanate
 // from the artificial source v*_s, represented here by graph.NoVertex.
 //
-// Data layout (DESIGN.md §16): the DCG is pointer-free. A vertex interner
-// maps each participating data vertex to a compact slot (slots of vertices
-// that lost their last edge are recycled through a free list), and two
-// flat cell tables indexed slot*nq+u' hold, per slot and query-vertex
-// label u':
+// Data layout (DESIGN.md §16): the DCG is pointer-free. Each participating
+// data vertex owns a block of one cell arena, found through slotOf (blocks
+// of vertices that lost their last edge are recycled). A block holds one
+// cell per role the vertex's labels allow — an edge (v, u', v') needs
+// L(u') ⊆ L(v') and L(P(u')) ⊆ L(v), and data-vertex labels never change —
+// so only the cells a vertex can ever fill exist:
 //
-//   - the in-edge list (parent, state), sorted by parent and searched by
-//     binary search — ascending parent order also makes every parent
-//     enumeration deterministic without per-call sorting;
-//   - the explicit-children list (the candidate list SubgraphSearch
-//     enumerates), sorted by child. Keeping it sorted makes candidate
-//     enumeration a pure function of the DCG *state*, independent of the
-//     insertion/deletion history that produced it — the property the
-//     multi-query layer relies on when several queries share one DCG and
-//     each must reproduce, byte for byte, the transcript a private DCG
-//     (with a different history) would have produced (DESIGN.md §17).
+//   - an in-cell for u' (L(u') ⊆ L(v')): the in-edge list (parent, state),
+//     sorted by parent and searched by binary search — ascending parent
+//     order also makes every parent enumeration deterministic without
+//     per-call sorting;
+//   - an out-cell for u' (L(P(u')) ⊆ L(v)): the explicit-children list
+//     (the candidate list SubgraphSearch enumerates), sorted by child.
+//     Keeping it sorted makes candidate enumeration a pure function of the
+//     DCG *state*, independent of the insertion/deletion history that
+//     produced it — the property the multi-query layer relies on when
+//     several queries share one DCG and each must reproduce, byte for
+//     byte, the transcript a private DCG (with a different history) would
+//     have produced (DESIGN.md §17).
+//
+// Which roles a block holds, and where, is its role class: one per graph
+// label set, interned the first time the DCG meets the set.
 //
 // A cell is 8 bytes. Most lists are empty and almost all others hold one
 // entry, which lives in the cell itself; a longer list is a power-of-two
 // block of one of two per-DCG arenas (pool), recycled through per-class
-// free lists. No slot and no list is a heap object of its own, so the
+// free lists. No vertex and no list is a heap object of its own, so the
 // collector has nothing to trace here and churn allocates nothing.
 //
 // The per-label explicit-out count — the paper's bitmap bit — is simply
@@ -117,7 +123,9 @@ func searchIn(l []inEdge, p graph.VertexID) (int, bool) {
 // Class 0 is the inline form (len <= 1): a holds the single parent or
 // child, and for an in-cell the low bits hold its state. Class k >= 1 is
 // a block of capacity 1<<k at arena offset a, holding len >= 2 entries.
-// a is an array so that an inline child can be returned as a slice.
+// a is an array so that an inline child can be returned as a slice. The
+// first cell of a vertex's block is no list but the block's header (see
+// DCG.cells).
 type cell struct {
 	a [1]graph.VertexID
 	n uint32
@@ -250,19 +258,21 @@ func sliceBytes[T any](s []T) int64 {
 // usable; call New.
 type DCG struct {
 	tree *query.Tree
+	g    *graph.Graph // read for the label set of a vertex that needs a block
 	nq   int
 
-	slotOf []int32          // data vertex -> interner slot, -1 when absent
-	vids   []graph.VertexID // slot -> data vertex, NoVertex when free
-	load   []uint32         // slot -> stored in-edges + explicit children; the slot is recycled at zero
-	free   []uint32         // recycled slots (LIFO)
+	slotOf []int32 // data vertex -> offset of its block in cells, -1 when absent
 
-	// in[s*nq+u'] lists slot s's stored incoming edges labeled u', sorted
-	// by parent. out[s*nq+u'] lists its EXPLICIT children labeled u', for
-	// the forward enumeration of SubgraphSearch (candidates come straight
-	// from the DCG, never by filtering data-graph adjacency); its length is
-	// the paper's bitmap bit / explicit-out counter.
-	in, out []cell
+	// cells is the block arena. A block is a header cell — a: the vertex
+	// (NoVertex when free), n: its graph label-set id, which names the
+	// block's role class — followed by one cell per role the class allows:
+	// the in-cell for u' lists the stored incoming edges labeled u', sorted
+	// by parent; the out-cell for u' lists the EXPLICIT children labeled u',
+	// for the forward enumeration of SubgraphSearch (candidates come
+	// straight from the DCG, never by filtering data-graph adjacency), and
+	// its length is the paper's bitmap bit / explicit-out counter.
+	cells   []cell
+	classes []roleClass // by graph label-set id
 	ins     pool[inEdge]
 	outs    pool[graph.VertexID]
 
@@ -271,10 +281,26 @@ type DCG struct {
 	explByLabel []int64 // explicit-edge count per query-vertex label
 }
 
-// New returns an empty DCG for query tree t.
-func New(t *query.Tree) *DCG {
+// roleClass is the block layout of the vertices of one graph label set.
+type roleClass struct {
+	// in[u] and out[u] are the positions of u's in- and out-cell among the
+	// cells after a block's header, -1 when the labels rule the role out.
+	in, out [MaxQueryVertices]int8
+	width   uint32   // cells per block, header included; 0 until the set is met
+	free    []uint32 // offsets of recycled blocks of this class (LIFO)
+}
+
+// MaxQueryVertices bounds the query size a DCG indexes: a block holds at
+// most 2·nq − 1 roles, placed by int8 positions.
+const MaxQueryVertices = 64
+
+// New returns an empty DCG for query tree t over data graph g, whose
+// vertex labels size each vertex's block. t has at most MaxQueryVertices
+// vertices.
+func New(t *query.Tree, g *graph.Graph) *DCG {
 	return &DCG{
 		tree:        t,
+		g:           g,
 		nq:          t.Q.NumVertices(),
 		explByLabel: make([]int64, t.Q.NumVertices()),
 	}
@@ -283,8 +309,8 @@ func New(t *query.Tree) *DCG {
 // Tree returns the query tree this DCG indexes.
 func (d *DCG) Tree() *query.Tree { return d.tree }
 
-// slot returns the interner slot of v, or -1. graph.NoVertex never has a
-// slot (its index exceeds any slotOf length).
+// slot returns the offset of v's block, or -1. graph.NoVertex never has a
+// block (its index exceeds any slotOf length).
 //
 //tf:hotpath
 func (d *DCG) slot(v graph.VertexID) int32 {
@@ -294,9 +320,46 @@ func (d *DCG) slot(v graph.VertexID) int32 {
 	return -1
 }
 
-// ensureSlot returns v's slot, interning it if absent: a recycled slot is
-// reused, otherwise a fresh one is appended with nq empty cells per
-// direction.
+// inCellAt returns the in-cell for u of block b, or nil when b's labels
+// rule it out.
+//
+//tf:hotpath
+func (d *DCG) inCellAt(b int32, u graph.VertexID) *cell {
+	return d.cellAt(b, d.classes[d.cells[b].n].in[u])
+}
+
+// outCellAt returns the out-cell for u of block b, or nil when b's labels
+// rule it out.
+//
+//tf:hotpath
+func (d *DCG) outCellAt(b int32, u graph.VertexID) *cell {
+	return d.cellAt(b, d.classes[d.cells[b].n].out[u])
+}
+
+// cellAt returns the cell at position pos after block b's header, or nil
+// for pos -1.
+//
+//tf:hotpath
+func (d *DCG) cellAt(b int32, pos int8) *cell {
+	if pos < 0 {
+		return nil
+	}
+	return &d.cells[int(b)+1+int(pos)]
+}
+
+// filling returns c, a cell a transition is about to fill. nil means the
+// engine asked for an edge the vertex's labels rule out.
+//
+//tf:hotpath
+func filling(c *cell) *cell {
+	if c == nil {
+		panic("dcg: edge to or from a vertex whose labels rule it out")
+	}
+	return c
+}
+
+// ensureSlot returns the offset of v's block, allocating it if absent: a
+// free block of v's class is reused, otherwise a fresh one is appended.
 func (d *DCG) ensureSlot(v graph.VertexID) int32 {
 	if old := len(d.slotOf); int(v) >= old {
 		d.slotOf = append(d.slotOf, make([]int32, int(v)+1-old)...) // append amortizes repeated growth
@@ -304,35 +367,76 @@ func (d *DCG) ensureSlot(v graph.VertexID) int32 {
 			d.slotOf[i] = -1
 		}
 	}
-	if s := d.slotOf[v]; s >= 0 {
-		return s
+	if b := d.slotOf[v]; b >= 0 {
+		return b
 	}
-	var s int32
-	if n := len(d.free); n > 0 {
-		s = int32(d.free[n-1])
-		d.free = d.free[:n-1]
+	set := d.g.LabelSet(v)
+	if int(set) >= len(d.classes) || d.classes[set].width == 0 {
+		d.internClass(set, v)
+	}
+	cl := &d.classes[set]
+	var b int32
+	if n := len(cl.free); n > 0 {
+		b = int32(cl.free[n-1])
+		cl.free = cl.free[:n-1]
 	} else {
-		s = int32(len(d.vids))
-		d.vids = append(d.vids, graph.NoVertex)
-		d.load = append(d.load, 0)
-		d.in = append(d.in, make([]cell, d.nq)...)
-		d.out = append(d.out, make([]cell, d.nq)...)
+		if len(d.cells)+int(cl.width) > math.MaxInt32 {
+			panic("dcg: the cell arena outgrew its 31-bit offsets")
+		}
+		b = int32(len(d.cells))
+		d.cells = append(d.cells, make([]cell, cl.width)...)
+		d.cells[b].n = set
 	}
-	d.vids[s] = v
-	d.slotOf[v] = s
-	return s
+	d.cells[b].a[0] = v
+	d.slotOf[v] = b
+	return b
 }
 
-// unload takes one stored entry off slot s and recycles the slot when it
-// was the last: every cell of a free slot is empty, so reuse costs nothing.
-func (d *DCG) unload(s int32) {
-	d.load[s]--
-	if d.load[s] == 0 {
-		d.slotOf[d.vids[s]] = -1
-		d.vids[s] = graph.NoVertex
-		d.free = append(d.free, uint32(s))
+// internClass lays out the role class of label set set, which v carries:
+// an in-cell for u when L(u) ⊆ L(v) (the edges end at a candidate of u),
+// an out-cell for u when L(P(u)) ⊆ L(v) (they start at a candidate of
+// P(u)).
+func (d *DCG) internClass(set uint32, v graph.VertexID) {
+	if n := int(set) + 1; n > len(d.classes) {
+		d.classes = append(d.classes, make([]roleClass, n-len(d.classes))...)
 	}
+	cl := &d.classes[set]
+	var n int8
+	place := func(need graph.VertexID) int8 {
+		if need == graph.NoVertex || !d.g.HasAllLabels(v, d.tree.Q.Labels(need)) {
+			return -1
+		}
+		n++
+		return n - 1
+	}
+	for u := range d.nq {
+		cl.in[u] = place(graph.VertexID(u))
+	}
+	for u := range d.nq {
+		cl.out[u] = place(d.tree.Parent(graph.VertexID(u)))
+	}
+	cl.width = 1 + uint32(n)
 }
+
+// release recycles block b once its last cell has emptied. Every cell of a
+// free block is empty, so reuse costs nothing.
+//
+//tf:hotpath
+func (d *DCG) release(b int32) {
+	h := &d.cells[b]
+	cl := &d.classes[h.n]
+	for _, c := range d.cells[b+1 : b+int32(cl.width)] {
+		if c.len() != 0 {
+			return
+		}
+	}
+	d.slotOf[h.a[0]] = -1
+	h.a[0] = graph.NoVertex
+	cl.free = append(cl.free, uint32(b))
+}
+
+// nextBlock returns the offset of the block after the one at b.
+func (d *DCG) nextBlock(b int) int { return b + int(d.classes[d.cells[b].n].width) }
 
 // inList returns the in-edges of cell c; one backs the inline form.
 //
@@ -349,8 +453,10 @@ func (d *DCG) inList(c cell, one *[1]inEdge) []inEdge {
 //
 //tf:hotpath
 func (d *DCG) inCell(v2, u graph.VertexID) cell {
-	if s := d.slot(v2); s >= 0 {
-		return d.in[int(s)*d.nq+int(u)]
+	if b := d.slot(v2); b >= 0 {
+		if c := d.inCellAt(b, u); c != nil {
+			return *c
+		}
 	}
 	return cell{}
 }
@@ -359,8 +465,8 @@ func (d *DCG) inCell(v2, u graph.VertexID) cell {
 //
 //tf:hotpath
 func (d *DCG) outCell(v, u graph.VertexID) *cell {
-	if s := d.slot(v); s >= 0 {
-		return &d.out[int(s)*d.nq+int(u)]
+	if b := d.slot(v); b >= 0 {
+		return d.outCellAt(b, u)
 	}
 	return nil
 }
@@ -422,8 +528,8 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 		d.numExplicit--
 		d.explByLabel[u]--
 		if v != graph.NoVertex {
-			ps := d.slot(v) // the parent owns an out entry, so it has a slot
-			c := &d.out[int(ps)*d.nq+int(u)]
+			pb := d.slot(v) // the parent holds v2 in this out-cell, so it has a block
+			c := d.outCellAt(pb, u)
 			if c.class() == 0 {
 				*c = cell{}
 			} else {
@@ -432,34 +538,32 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 					*c = inlineCell(last, Null)
 				}
 			}
-			d.unload(ps)
+			d.release(pb)
 		}
 	}
 
 	// Update v2's in-edge storage.
 	switch {
 	case target == Null: // cur != Null: remove, keeping the list sorted
-		s2 := d.slot(v2)
-		c := &d.in[int(s2)*d.nq+int(u)]
+		b2 := d.slot(v2)
+		c := d.inCellAt(b2, u)
 		if c.class() == 0 {
 			*c = cell{}
 		} else if last, inline := d.ins.remove(c, idx); inline {
 			*c = inlineCell(last.parent, last.state)
 		}
 		d.numEdges--
-		d.unload(s2)
+		d.release(b2)
 	case cur == Null: // insert at the sorted position
-		s2 := d.ensureSlot(v2)
-		c := &d.in[int(s2)*d.nq+int(u)]
+		c := filling(d.inCellAt(d.ensureSlot(v2), u))
 		if c.len() == 0 {
 			*c = inlineCell(v, target)
 		} else {
 			d.ins.insert(c, idx, inEdge{parent: v, state: target}, one[0])
 		}
-		d.load[s2]++
 		d.numEdges++
 	default: // Implicit <-> Explicit: in place
-		c := &d.in[int(d.slot(v2))*d.nq+int(u)]
+		c := d.inCellAt(d.slot(v2), u)
 		if c.class() == 0 {
 			c.n = c.n&^stateMask | uint32(target)
 		} else {
@@ -473,15 +577,13 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 		d.numExplicit++
 		d.explByLabel[u]++
 		if v != graph.NoVertex {
-			ps := d.ensureSlot(v)
-			c := &d.out[int(ps)*d.nq+int(u)]
+			c := filling(d.outCellAt(d.ensureSlot(v), u))
 			if c.len() == 0 {
 				*c = inlineCell(v2, Null)
 			} else {
 				op, _ := slices.BinarySearch(d.children(c), v2)
 				d.outs.insert(c, op, v2, c.a[0])
 			}
-			d.load[ps]++
 		}
 	}
 	return true
@@ -540,13 +642,12 @@ func (d *DCG) ExplicitOut(v graph.VertexID, u graph.VertexID) int32 {
 //tf:hotpath
 func (d *DCG) MatchAllChildren(v graph.VertexID, u graph.VertexID) bool {
 	children := d.tree.Children[u]
-	s := d.slot(v)
-	if s < 0 {
+	b := d.slot(v)
+	if b < 0 {
 		return len(children) == 0
 	}
-	out := d.out[int(s)*d.nq:]
 	for _, c := range children {
-		if out[c].len() == 0 {
+		if oc := d.outCellAt(b, c); oc == nil || oc.len() == 0 {
 			return false
 		}
 	}
@@ -577,18 +678,20 @@ func (d *DCG) ExplicitChildrenList(v graph.VertexID, u graph.VertexID) []graph.V
 func (d *DCG) RootCandidates(explicitOnly bool) []graph.VertexID {
 	var out []graph.VertexID
 	var one [1]inEdge
-	for s, v := range d.vids {
-		if v == graph.NoVertex {
-			continue // recycled slot
+	for b := 0; b < len(d.cells); b = d.nextBlock(b) {
+		c := d.inCellAt(int32(b), d.tree.Root)
+		if c == nil {
+			continue // the block's labels rule out u_s
 		}
-		l := d.inList(d.in[s*d.nq+int(d.tree.Root)], &one)
+		l := d.inList(*c, &one)
 		// Root edges come from graph.NoVertex, the maximum VertexID, so a
-		// stored root edge is always the last in-edge.
+		// stored root edge is always the last in-edge. A free block's cells
+		// are empty.
 		if len(l) == 0 || l[len(l)-1].parent != graph.NoVertex {
 			continue
 		}
 		if !explicitOnly || l[len(l)-1].state == Explicit {
-			out = append(out, v)
+			out = append(out, d.cells[b].a[0])
 		}
 	}
 	slices.Sort(out)
@@ -611,21 +714,31 @@ func (d *DCG) ExplicitCount(u graph.VertexID) int64 { return d.explByLabel[u] }
 // comparisons: stored edges times EdgeBytes.
 func (d *DCG) SizeBytes() int64 { return int64(d.numEdges) * EdgeBytes }
 
-// HeldBytes returns the heap bytes the DCG holds: the capacity of the
-// interner, the cell tables and both arenas with their free lists. The
-// DCG owns no other heap object, so this is its real footprint
+// HeldBytes returns the heap bytes the DCG holds: the capacity of slotOf,
+// the cell arena, the role classes with their free lists and both list
+// arenas with theirs. The DCG owns no other heap object (the graph it
+// reads labels from is not its own), so this is its real footprint
 // (TestFootprint holds it against the runtime's own count).
 func (d *DCG) HeldBytes() int64 {
-	return int64(unsafe.Sizeof(*d)) +
-		sliceBytes(d.slotOf) + sliceBytes(d.vids) + sliceBytes(d.load) + sliceBytes(d.free) +
-		sliceBytes(d.in) + sliceBytes(d.out) + sliceBytes(d.explByLabel) +
-		d.ins.heldBytes() + d.outs.heldBytes()
+	b := int64(unsafe.Sizeof(*d)) +
+		sliceBytes(d.slotOf) + sliceBytes(d.cells) + sliceBytes(d.classes) +
+		sliceBytes(d.explByLabel) + d.ins.heldBytes() + d.outs.heldBytes()
+	for _, cl := range d.classes {
+		b += sliceBytes(cl.free)
+	}
+	return b
 }
 
-// slotStats returns interner occupancy: slots ever allocated and slots
-// currently on the free list. Tests use it to pin recycling behavior.
-func (d *DCG) slotStats() (slots, free int) {
-	return len(d.vids), len(d.free)
+// slotStats returns block occupancy: blocks ever allocated and blocks
+// currently on a free list. Tests use it to pin recycling behavior.
+func (d *DCG) slotStats() (blocks, free int) {
+	for b := 0; b < len(d.cells); b = d.nextBlock(b) {
+		blocks++
+	}
+	for _, cl := range d.classes {
+		free += len(cl.free)
+	}
+	return blocks, free
 }
 
 // span is one arena block as Validate accounts for it.
@@ -671,115 +784,132 @@ func validateCell(c cell) (span, error) {
 	return span{}, nil
 }
 
-// Validate checks internal consistency: the sorted-in-edge invariant, the
-// explicit-children lists against the in-edge states, the interner
-// (slotOf/vids agreement, free-list hygiene), the cell headers and the
-// arenas (every block owned by exactly one cell or on exactly one free
-// list), and the per-slot, per-label and total counters must all agree
-// with the stored edges. It returns the first inconsistency found. Tests
-// and the failure-injection suite call this after every update.
+// Validate checks internal consistency: the blocks (a live block's vertex
+// points back at it through slotOf, its class is the vertex's label set
+// and it is not empty; a free block is empty and on its class's free list
+// exactly once; every block lies inside the arena), the sorted-in-edge invariant,
+// the explicit-children lists against the in-edge states, the cell headers
+// and the list arenas (every list block owned by exactly one cell or on
+// exactly one free list), and the per-label and total counters must all
+// agree with the stored edges. It returns the first inconsistency found.
+// Tests and the failure-injection suite call this after every update.
 //
 //tf:map-ok test-support invariant checker, never on the eval path
 func (d *DCG) Validate() error {
-	if len(d.load) != len(d.vids) || len(d.in) != len(d.vids)*d.nq || len(d.out) != len(d.in) {
-		return fmt.Errorf("dcg: interner arrays out of sync: %d vids, %d loads, %d in-cells, %d out-cells (nq=%d)",
-			len(d.vids), len(d.load), len(d.in), len(d.out), d.nq)
-	}
-	onFree := make(map[int32]bool, len(d.free))
-	for _, s := range d.free {
-		if int(s) >= len(d.vids) {
-			return fmt.Errorf("dcg: free slot %d out of range", s)
+	// Headers first: the cell checks below read cells through them.
+	starts := make(map[int32]graph.VertexID) // block offset -> header vertex
+	freeBlocks := 0
+	for b := 0; b < len(d.cells); b = d.nextBlock(b) {
+		h := d.cells[b]
+		if int(h.n) >= len(d.classes) || d.classes[h.n].width == 0 {
+			return fmt.Errorf("dcg: block %d names label set %d, which has no role class", b, h.n)
 		}
-		if onFree[int32(s)] {
-			return fmt.Errorf("dcg: slot %d on the free list twice", s)
+		if d.nextBlock(b) > len(d.cells) {
+			return fmt.Errorf("dcg: block %d of width %d overruns the %d-cell arena", b, d.classes[h.n].width, len(d.cells))
 		}
-		onFree[int32(s)] = true
-	}
-	for v, s := range d.slotOf {
-		if s < 0 {
+		starts[int32(b)] = h.a[0]
+		if h.a[0] == graph.NoVertex {
+			freeBlocks++
 			continue
 		}
-		if int(s) >= len(d.vids) {
-			return fmt.Errorf("dcg: slotOf[%d]=%d out of range", v, s)
+		if v := h.a[0]; int(v) >= len(d.slotOf) || d.slotOf[v] != int32(b) {
+			return fmt.Errorf("dcg: block %d holds vertex %d but slotOf does not point back", b, v)
 		}
-		if d.vids[s] != graph.VertexID(v) {
-			return fmt.Errorf("dcg: slotOf[%d]=%d but vids[%d]=%d", v, s, s, d.vids[s])
+		if set := d.g.LabelSet(h.a[0]); set != h.n {
+			return fmt.Errorf("dcg: block %d of vertex %d has the class of label set %d, the vertex carries set %d", b, h.a[0], h.n, set)
 		}
 	}
+	for v, b := range d.slotOf {
+		if b < 0 {
+			continue
+		}
+		if hv, ok := starts[b]; !ok || hv != graph.VertexID(v) {
+			return fmt.Errorf("dcg: slotOf[%d]=%d, which is no block of that vertex", v, b)
+		}
+	}
+	onFree := make(map[int32]bool, freeBlocks)
+	for set, cl := range d.classes {
+		for _, f := range cl.free {
+			if v, ok := starts[int32(f)]; !ok || v != graph.NoVertex {
+				return fmt.Errorf("dcg: free list of label set %d names offset %d, which is no free block", set, f)
+			}
+			if d.cells[f].n != uint32(set) {
+				return fmt.Errorf("dcg: free block %d of label set %d is on the free list of set %d", f, d.cells[f].n, set)
+			}
+			if onFree[int32(f)] {
+				return fmt.Errorf("dcg: block %d on a free list twice", f)
+			}
+			onFree[int32(f)] = true
+		}
+	}
+	if len(onFree) != freeBlocks {
+		return fmt.Errorf("dcg: %d free blocks, %d on free lists", freeBlocks, len(onFree))
+	}
+
 	edges, explicit := 0, 0
 	explByLabel := make([]int64, d.nq)
 	var inBlocks, outBlocks []span
 	var one [1]inEdge
-	for s, v2 := range d.vids {
-		if v2 == graph.NoVertex {
-			if !onFree[int32(s)] {
-				return fmt.Errorf("dcg: slot %d has no vertex but is not on the free list", s)
-			}
-			if d.load[s] != 0 {
-				return fmt.Errorf("dcg: free slot %d has load %d", s, d.load[s])
-			}
-		} else {
-			if onFree[int32(s)] {
-				return fmt.Errorf("dcg: live slot %d (vertex %d) is on the free list", s, v2)
-			}
-			if int(v2) >= len(d.slotOf) || d.slotOf[v2] != int32(s) {
-				return fmt.Errorf("dcg: vids[%d]=%d but slotOf does not point back", s, v2)
-			}
-			if d.load[s] == 0 {
-				return fmt.Errorf("dcg: empty slot %d (vertex %d) was not recycled", s, v2)
-			}
-		}
-		load := 0
-		for u := 0; u < d.nq; u++ {
-			ic, oc := d.in[s*d.nq+u], &d.out[s*d.nq+u]
-			ib, err := validateCell(ic)
-			if err != nil {
-				return fmt.Errorf("dcg: slot %d in-cell u%d: %v", s, u, err)
-			}
-			ob, err := validateCell(*oc)
-			if err != nil {
-				return fmt.Errorf("dcg: slot %d out-cell u%d: %v", s, u, err)
-			}
-			if ib.size != 0 {
-				inBlocks = append(inBlocks, ib)
-			}
-			if ob.size != 0 {
-				outBlocks = append(outBlocks, ob)
-			}
-			l := d.inList(ic, &one)
-			load += len(l) + oc.len()
-			for i, e := range l {
-				if i > 0 && l[i-1].parent >= e.parent {
-					return fmt.Errorf("dcg: in-edges of (%d, u%d) not strictly sorted at %d", v2, u, i)
+	for b := 0; b < len(d.cells); b = d.nextBlock(b) {
+		v2 := d.cells[b].a[0]
+		stored := 0
+		for u := range graph.VertexID(d.nq) {
+			if c := d.inCellAt(int32(b), u); c != nil {
+				cb, err := validateCell(*c)
+				if err != nil {
+					return fmt.Errorf("dcg: block %d in-cell u%d: %v", b, u, err)
 				}
-				if e.state != Implicit && e.state != Explicit {
-					return fmt.Errorf("dcg: stored edge (%d,%d,%d) in state %d", e.parent, u, v2, e.state)
+				if cb.size != 0 {
+					inBlocks = append(inBlocks, cb)
 				}
-				edges++
-				if e.state != Explicit {
-					continue
-				}
-				explicit++
-				explByLabel[u]++
-				if e.parent == graph.NoVertex {
-					continue
-				}
-				if _, ok := slices.BinarySearch(d.ExplicitChildrenList(e.parent, graph.VertexID(u)), v2); !ok {
-					return fmt.Errorf("dcg: explicit edge (%d,%d,%d) missing from parent's children", e.parent, u, v2)
+				stored += c.len()
+				l := d.inList(*c, &one)
+				for i, e := range l {
+					if i > 0 && l[i-1].parent >= e.parent {
+						return fmt.Errorf("dcg: in-edges of (%d, u%d) not strictly sorted at %d", v2, u, i)
+					}
+					if e.state != Implicit && e.state != Explicit {
+						return fmt.Errorf("dcg: stored edge (%d,%d,%d) in state %d", e.parent, u, v2, e.state)
+					}
+					edges++
+					if e.state != Explicit {
+						continue
+					}
+					explicit++
+					explByLabel[u]++
+					if e.parent == graph.NoVertex {
+						continue
+					}
+					if _, ok := slices.BinarySearch(d.ExplicitChildrenList(e.parent, u), v2); !ok {
+						return fmt.Errorf("dcg: explicit edge (%d,%d,%d) missing from parent's children", e.parent, u, v2)
+					}
 				}
 			}
-			kids := d.children(oc)
-			for i, c := range kids {
-				if i > 0 && kids[i-1] >= c {
-					return fmt.Errorf("dcg: explicit children of (%d, u%d) not strictly sorted at %d", v2, u, i)
+			if c := d.outCellAt(int32(b), u); c != nil {
+				cb, err := validateCell(*c)
+				if err != nil {
+					return fmt.Errorf("dcg: block %d out-cell u%d: %v", b, u, err)
 				}
-				if d.GetState(v2, graph.VertexID(u), c) != Explicit {
-					return fmt.Errorf("dcg: out-adjacency (%d,%d,%d) not explicit", v2, u, c)
+				if cb.size != 0 {
+					outBlocks = append(outBlocks, cb)
+				}
+				stored += c.len()
+				kids := d.children(c)
+				for i, k := range kids {
+					if i > 0 && kids[i-1] >= k {
+						return fmt.Errorf("dcg: explicit children of (%d, u%d) not strictly sorted at %d", v2, u, i)
+					}
+					if d.GetState(v2, u, k) != Explicit {
+						return fmt.Errorf("dcg: out-adjacency (%d,%d,%d) not explicit", v2, u, k)
+					}
 				}
 			}
 		}
-		if load != int(d.load[s]) {
-			return fmt.Errorf("dcg: slot %d load=%d, stored=%d", s, d.load[s], load)
+		switch {
+		case v2 == graph.NoVertex && stored != 0:
+			return fmt.Errorf("dcg: free block %d holds %d entries", b, stored)
+		case v2 != graph.NoVertex && stored == 0:
+			return fmt.Errorf("dcg: empty block %d (vertex %d) was not recycled", b, v2)
 		}
 	}
 	if err := d.ins.validate("in-edge", inBlocks); err != nil {
@@ -816,12 +946,18 @@ type SnapEdge struct {
 func (d *DCG) Snapshot() []SnapEdge {
 	out := make([]SnapEdge, 0, d.numEdges)
 	var one [1]inEdge
-	for i, c := range d.in {
-		for _, e := range d.inList(c, &one) {
-			out = append(out, SnapEdge{
-				Key:   EdgeKey{From: e.parent, QV: graph.VertexID(i % d.nq), To: d.vids[i/d.nq]},
-				State: e.state,
-			})
+	for b := 0; b < len(d.cells); b = d.nextBlock(b) {
+		for u := range graph.VertexID(d.nq) {
+			c := d.inCellAt(int32(b), u)
+			if c == nil {
+				continue
+			}
+			for _, e := range d.inList(*c, &one) {
+				out = append(out, SnapEdge{
+					Key:   EdgeKey{From: e.parent, QV: graph.VertexID(u), To: d.cells[b].a[0]},
+					State: e.state,
+				})
+			}
 		}
 	}
 	slices.SortFunc(out, func(a, b SnapEdge) int {

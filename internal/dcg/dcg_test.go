@@ -86,7 +86,7 @@ func paperTree(t *testing.T, g *graph.Graph) *query.Tree {
 func TestMakeTransitionCounters(t *testing.T) {
 	g := paperData(t)
 	tr := paperTree(t, g)
-	d := New(tr)
+	d := New(tr, everyLabel)
 
 	if s := d.GetState(0, 1, 2); s != Null {
 		t.Fatalf("initial state = %v, want N", s)
@@ -137,7 +137,7 @@ func TestMakeTransitionCounters(t *testing.T) {
 func TestRootEdges(t *testing.T) {
 	g := paperData(t)
 	tr := paperTree(t, g)
-	d := New(tr)
+	d := New(tr, everyLabel)
 	d.MakeTransition(graph.NoVertex, 0, 0, Implicit)
 	if d.InDegree(0, 0) != 1 {
 		t.Fatal("root edge not stored")
@@ -161,7 +161,7 @@ func TestRootEdges(t *testing.T) {
 func TestMatchAllChildren(t *testing.T) {
 	g := paperData(t)
 	tr := paperTree(t, g)
-	d := New(tr)
+	d := New(tr, everyLabel)
 	// u1's children are u2 and u3. Leaf u4 has none.
 	if !d.MatchAllChildren(2, 4) {
 		t.Fatal("leaf query vertex must always match-all-children")
@@ -182,7 +182,7 @@ func TestMatchAllChildren(t *testing.T) {
 func TestInLabelsAndParents(t *testing.T) {
 	g := paperData(t)
 	tr := paperTree(t, g)
-	d := New(tr)
+	d := New(tr, everyLabel)
 	d.MakeTransition(0, 1, 2, Implicit)
 	d.MakeTransition(5, 1, 2, Explicit) // hypothetical second parent
 	if !d.HasInLabel(2, 1) || d.HasInLabel(2, 2) {
@@ -206,7 +206,7 @@ func TestInLabelsAndParents(t *testing.T) {
 func TestExplicitChildrenEnumeration(t *testing.T) {
 	g := paperData(t)
 	tr := paperTree(t, g)
-	d := New(tr)
+	d := New(tr, everyLabel)
 	d.MakeTransition(2, 2, 4, Explicit)
 	d.MakeTransition(2, 2, 5, Implicit)
 	if got := d.ExplicitChildrenList(2, 2); len(got) != 1 || got[0] != 4 {
@@ -228,7 +228,7 @@ func TestExplicitChildrenEnumeration(t *testing.T) {
 func TestSizeAccounting(t *testing.T) {
 	g := paperData(t)
 	tr := paperTree(t, g)
-	d := New(tr)
+	d := New(tr, everyLabel)
 	d.MakeTransition(0, 1, 2, Implicit)
 	d.MakeTransition(2, 2, 4, Explicit)
 	if d.SizeBytes() != 2*EdgeBytes {

@@ -46,13 +46,12 @@ func heapAlloc() uint64 {
 }
 
 // buildMaintainDCGs runs the 16 patterns as private engines over one
-// graph through the first n stream updates and returns only their DCGs:
-// graph, engines and search state become garbage on return, so what the
-// heap has gained afterwards is the DCGs. The transitions an engine makes
-// do not depend on how updates are batched (the transcript-equivalence
-// suites pin that), so update by update builds the DCGs a batch-256 server
-// holds.
-func buildMaintainDCGs(t *testing.T, ds *workload.Dataset, n int) []*dcg.DCG {
+// graph through the first n stream updates and returns their DCGs and the
+// graph they read vertex labels from: engines and search state become
+// garbage on return. The transitions an engine makes do not depend on how
+// updates are batched (the transcript-equivalence suites pin that), so
+// update by update builds the DCGs a batch-256 server holds.
+func buildMaintainDCGs(t *testing.T, ds *workload.Dataset, n int) ([]*dcg.DCG, *graph.Graph) {
 	t.Helper()
 	dict := graph.NewDict()
 	for i := 0; i < 256; i++ {
@@ -112,20 +111,21 @@ func buildMaintainDCGs(t *testing.T, ds *workload.Dataset, n int) []*dcg.DCG {
 	for i, e := range engines {
 		ds2[i] = e.DCG()
 	}
-	return ds2
+	return ds2, g
 }
 
 // TestFootprint guards what a stored DCG edge costs the process, and that
 // HeldBytes is that cost rather than an accounting of its own: the DCGs of
 // the serve-maintain query set over 60 000 LSBench updates (half as many
-// deletions as insertions, so lists and slots churn) must hold at most
-// 160 B per stored edge, and HeldBytes must agree with the heap's growth
-// over building them to within 15 %.
+// deletions as insertions, so lists and blocks churn) must hold at most
+// 90 B per stored edge, and HeldBytes must agree to within 15 % with what
+// the heap frees when the DCGs go and the graph stays.
 //
-// The slice-of-slices layout this replaced (a node of two per-label header
-// arrays per slot, every list its own heap object) grew the heap by
-// 32 965 856 B for the same 95 508 edges, 345 B per edge; this layout
-// holds 12 010 752 B, 126 B per edge.
+// For the same 95 508 edges, the slice-of-slices layout (a node of two
+// per-label header arrays per slot, every list its own heap object) grew
+// the heap by 32 965 856 B, 345 B per edge; flat cell tables of 2 × nq
+// cells per slot held 11 486 464 B, 120.3 B per edge; label-sized blocks
+// hold 6 568 920 B, 68.8 B per edge.
 func TestFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 16 DCGs over 60 000 updates")
@@ -135,9 +135,8 @@ func TestFootprint(t *testing.T) {
 	if len(ds.Stream) < updates {
 		t.Fatalf("stream has %d updates, want %d", len(ds.Stream), updates)
 	}
-	before := heapAlloc()
-	dcgs := buildMaintainDCGs(t, ds, updates)
-	grown := int64(heapAlloc()) - int64(before)
+	dcgs, g := buildMaintainDCGs(t, ds, updates)
+	withDCGs := heapAlloc()
 
 	var held, edges int64
 	for _, d := range dcgs {
@@ -147,17 +146,20 @@ func TestFootprint(t *testing.T) {
 		held += d.HeldBytes()
 		edges += int64(d.NumEdges())
 	}
+	n := len(dcgs)
+	dcgs = nil
+	dcgHeap := int64(withDCGs) - int64(heapAlloc())
+	runtime.KeepAlive(g)
 	runtime.KeepAlive(ds)
-	runtime.KeepAlive(dcgs)
-	t.Logf("%d DCGs, %d edges: HeldBytes %d (%.1f B/edge), heap grew %d (%.1f B/edge), SizeBytes %d",
-		len(dcgs), edges, held, float64(held)/float64(edges), grown, float64(grown)/float64(edges), edges*dcg.EdgeBytes)
+	t.Logf("%d DCGs, %d edges: HeldBytes %d (%.1f B/edge), heap held %d (%.1f B/edge), SizeBytes %d",
+		n, edges, held, float64(held)/float64(edges), dcgHeap, float64(dcgHeap)/float64(edges), edges*dcg.EdgeBytes)
 	if edges < 50_000 {
 		t.Fatalf("fixture stores %d edges, too few to measure a per-edge cost", edges)
 	}
-	if held > 160*edges {
-		t.Errorf("HeldBytes/NumEdges = %.1f B, want <= 160", float64(held)/float64(edges))
+	if held > 90*edges {
+		t.Errorf("HeldBytes/NumEdges = %.1f B, want <= 90", float64(held)/float64(edges))
 	}
-	if diff := held - grown; diff > grown*15/100 || -diff > grown*15/100 {
-		t.Errorf("HeldBytes %d is not within 15 %% of the heap growth %d", held, grown)
+	if diff := held - dcgHeap; diff > dcgHeap*15/100 || -diff > dcgHeap*15/100 {
+		t.Errorf("HeldBytes %d is not within 15 %% of the heap the DCGs hold, %d", held, dcgHeap)
 	}
 }

@@ -20,6 +20,19 @@ func newPathQuery(t *testing.T, edges int, l graph.Label) *query.Graph {
 	return q
 }
 
+// everyLabel is the data graph of the unit tests that drive arbitrary
+// (v, u', v') triples: vertices 0..2047 all carry every vertex label of the
+// paper fixture, so their blocks hold every role a query vertex can have.
+var everyLabel = func() *graph.Graph {
+	g := graph.New()
+	for v := graph.VertexID(0); v < 2048; v++ {
+		if err := g.AddVertex(v, lA, lB, lC, lD); err != nil {
+			panic(err)
+		}
+	}
+	return g
+}()
+
 func mustTree(t *testing.T, q *query.Graph, root graph.VertexID, g *graph.Graph) *query.Tree {
 	t.Helper()
 	tr, err := query.TransformToTree(q, root, g)

@@ -16,13 +16,16 @@ func TestQuickTransitionSequences(t *testing.T) {
 	tr := paperTree(t, g)
 	f := func(seed int64, steps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		d := New(tr)
+		d := New(tr, everyLabel)
 		verts := []graph.VertexID{0, 2, 4, 5, 104, graph.NoVertex}
 		states := []State{Null, Implicit, Explicit}
 		for i := 0; i < int(steps); i++ {
 			from := verts[rng.Intn(len(verts))]
 			to := verts[rng.Intn(len(verts)-1)] // NoVertex never a target
 			u := graph.VertexID(rng.Intn(tr.Q.NumVertices()))
+			if u == tr.Root {
+				from = graph.NoVertex // root edges come only from v*_s
+			}
 			d.MakeTransition(from, u, to, states[rng.Intn(len(states))])
 		}
 		return d.Validate() == nil
@@ -42,7 +45,7 @@ func TestQuickTransitionCounts(t *testing.T) {
 	dataEdges := g.Edges()
 	f := func(seed int64, steps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		d := New(tr)
+		d := New(tr, everyLabel)
 		states := []State{Null, Implicit, Explicit}
 		for i := 0; i < int(steps); i++ {
 			e := dataEdges[rng.Intn(len(dataEdges))]
@@ -67,13 +70,17 @@ func TestQuickIdempotence(t *testing.T) {
 	g := paperData(t)
 	tr := paperTree(t, g)
 	f := func(u8 uint8, s8 uint8) bool {
-		d := New(tr)
+		d := New(tr, everyLabel)
 		u := graph.VertexID(u8 % 5)
 		target := State(s8 % 3)
-		d.MakeTransition(2, u, 4, target)
+		from := graph.VertexID(2)
+		if u == tr.Root {
+			from = graph.NoVertex // root edges come only from v*_s
+		}
+		d.MakeTransition(from, u, 4, target)
 		before := d.NumEdges()
 		beforeExpl := d.NumExplicit()
-		if d.MakeTransition(2, u, 4, target) {
+		if d.MakeTransition(from, u, 4, target) {
 			return false // must report no change
 		}
 		return d.NumEdges() == before && d.NumExplicit() == beforeExpl && d.Validate() == nil

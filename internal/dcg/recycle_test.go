@@ -14,7 +14,7 @@ import (
 func TestSlotRecycling(t *testing.T) {
 	g := paperData(t)
 	tr := paperTree(t, g)
-	d := New(tr)
+	d := New(tr, everyLabel)
 
 	const n = 32
 	for i := 0; i < n; i++ {
@@ -72,7 +72,7 @@ func TestSlotRecycling(t *testing.T) {
 func TestSlotRecyclingAllocFree(t *testing.T) {
 	g := paperData(t)
 	tr := paperTree(t, g)
-	d := New(tr)
+	d := New(tr, everyLabel)
 	v := graph.VertexID(300)
 	cycle := func() {
 		d.MakeTransition(graph.NoVertex, 0, v, Implicit)
@@ -102,15 +102,19 @@ func TestSnapshotSortedDeterministic(t *testing.T) {
 	states := []State{Implicit, Explicit}
 	var ops []op
 	for i := 0; i < 200; i++ {
-		ops = append(ops, op{
+		o := op{
 			from: verts[rng.Intn(len(verts))],
 			to:   verts[rng.Intn(len(verts)-1)],
 			u:    graph.VertexID(rng.Intn(tr.Q.NumVertices())),
 			s:    states[rng.Intn(len(states))],
-		})
+		}
+		if o.u == tr.Root {
+			o.from = graph.NoVertex // root edges come only from v*_s
+		}
+		ops = append(ops, o)
 	}
 	build := func(perm []int) *DCG {
-		d := New(tr)
+		d := New(tr, everyLabel)
 		for _, i := range perm {
 			d.MakeTransition(ops[i].from, ops[i].u, ops[i].to, ops[i].s)
 		}

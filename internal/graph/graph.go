@@ -305,6 +305,17 @@ func (g *Graph) Labels(v VertexID) []Label {
 	return g.labelSets[g.verts[v].set]
 }
 
+// LabelSet returns the interned id of v's label set: two vertices have
+// equal ids exactly when they carry equal label sets. 0 means v is absent.
+//
+//tf:hotpath
+func (g *Graph) LabelSet(v VertexID) uint32 {
+	if int(v) < len(g.verts) {
+		return g.verts[v].set
+	}
+	return 0
+}
+
 // HasLabel reports whether v carries label l.
 func (g *Graph) HasLabel(v VertexID, l Label) bool {
 	if !g.HasVertex(v) {

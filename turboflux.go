@@ -229,8 +229,9 @@ type Stats struct {
 	// IntermediateBytes is the accounting size of the DCG: the paper's
 	// 16 B per stored edge, for intermediate-result comparisons.
 	IntermediateBytes int64
-	// HeldBytes is the heap the DCG actually holds (interner, cell tables,
-	// arenas). Queries that share a DCG each report the whole of it.
+	// HeldBytes is the heap the DCG actually holds (its vertex blocks, role
+	// classes and list arenas). Queries that share a DCG each report the
+	// whole of it.
 	HeldBytes int64
 }
 
