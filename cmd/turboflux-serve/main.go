@@ -31,7 +31,6 @@ import (
 	"os"
 	"time"
 
-	"turboflux"
 	"turboflux/internal/server"
 )
 
@@ -71,15 +70,19 @@ func run(addr, dataDir, fsync, graphPath, slow, follow string, queue, workers in
 		opt.VertexLabels = server.NumericDict()
 		opt.EdgeLabels = server.NumericDict()
 	}
+	var g0 *os.File
 	if graphPath != "" {
-		boot, err := loadUpdates(graphPath)
-		if err != nil {
+		// The store reads it a window at a time, and only when it is fresh.
+		if g0, err = os.Open(graphPath); err != nil {
 			return fmt.Errorf("loading graph: %w", err)
 		}
-		opt.Bootstrap = boot
+		opt.BootstrapFrom = g0
 	}
 
 	srv, err := server.New(opt)
+	if g0 != nil {
+		g0.Close() //tf:unchecked-ok read-only file
+	}
 	if err != nil {
 		return err
 	}
@@ -98,13 +101,4 @@ func run(addr, dataDir, fsync, graphPath, slow, follow string, queue, workers in
 		}
 		fmt.Printf("# serving on %s (policy=%s queue=%d)\n", bound, policy, queue)
 	})
-}
-
-func loadUpdates(path string) ([]turboflux.Update, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //tf:unchecked-ok read-only file
-	return turboflux.DecodeStream(f)
 }

@@ -189,11 +189,23 @@ func applyInterruptible(eng streamEngine, ups []turboflux.Update, interrupted *a
 func openDurable(dataDir, graphPath string, q *turboflux.Query, fsync string, opt turboflux.Options) (*turboflux.DurableEngine, error) {
 	dopt := turboflux.DurableOptions{Options: opt, Fsync: fsync}
 	if graphPath != "" {
-		boot, err := loadGraphUpdates(graphPath)
+		f, br, binary, err := openGraph(graphPath)
 		if err != nil {
 			return nil, fmt.Errorf("loading graph: %w", err)
 		}
-		dopt.Bootstrap = boot
+		defer f.Close() //tf:unchecked-ok read-only file
+		if binary {
+			// A binary snapshot is expanded into vertex declarations and
+			// insertions in deterministic (sorted) order, so the journaled
+			// history is reproducible.
+			g, err := graph.ReadBinary(br)
+			if err != nil {
+				return nil, fmt.Errorf("loading graph: %w", err)
+			}
+			dopt.Bootstrap = graphToUpdates(g)
+		} else {
+			dopt.BootstrapFrom = br // decoded as it is journaled
+		}
 	}
 	deng, err := turboflux.OpenDurable(dataDir, q, dopt)
 	if err != nil {
@@ -225,48 +237,32 @@ func printMatch(positive bool, m []turboflux.VertexID) {
 	fmt.Println()
 }
 
-// loadGraph reads a graph file in either the text stream format or the
-// compact binary format (sniffed by the "TFG1" magic).
-func loadGraph(path string) (*turboflux.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// openGraph opens a graph file, which holds either the text stream format
+// or the compact binary format (sniffed by the "TFG1" magic).
+func openGraph(path string) (f *os.File, br *bufio.Reader, binary bool, err error) {
+	if f, err = os.Open(path); err != nil {
+		return nil, nil, false, err
 	}
-	defer f.Close() //tf:unchecked-ok read-only file
-	br := bufio.NewReader(f)
-	if magic, err := br.Peek(4); err == nil && string(magic) == "TFG1" {
-		return graph.ReadBinary(br)
-	}
-	ups, err := turboflux.DecodeStream(br)
-	if err != nil {
-		return nil, err
-	}
-	g := turboflux.NewGraph()
-	for _, u := range ups {
-		u.Apply(g)
-	}
-	return g, nil
+	br = bufio.NewReader(f)
+	magic, err := br.Peek(4)
+	return f, br, err == nil && string(magic) == "TFG1", nil
 }
 
-// loadGraphUpdates reads a graph file as a bootstrap update history for
-// durable mode. Text files decode directly; binary snapshots are expanded
-// into vertex declarations and insertions in deterministic (sorted) order
-// so the journaled history is reproducible.
-func loadGraphUpdates(path string) ([]turboflux.Update, error) {
-	f, err := os.Open(path)
+// loadGraph reads a graph file; a text one is applied a window at a time.
+func loadGraph(path string) (*turboflux.Graph, error) {
+	f, br, binary, err := openGraph(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close() //tf:unchecked-ok read-only file
-	br := bufio.NewReader(f)
-	if magic, err := br.Peek(4); err == nil && string(magic) == "TFG1" {
-		g, err := graph.ReadBinary(br)
-		if err != nil {
-			return nil, err
-		}
-		return graphToUpdates(g), nil
+	if binary {
+		return graph.ReadBinary(br)
 	}
-	return turboflux.DecodeStream(br)
+	g := turboflux.NewGraph()
+	if err := stream.ApplyText(g, br); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 func graphToUpdates(g *turboflux.Graph) []turboflux.Update {

@@ -1,10 +1,13 @@
 package turboflux
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"turboflux/internal/durable"
+	"turboflux/internal/stream"
 )
 
 // DurableOptions configures OpenDurable.
@@ -34,6 +37,12 @@ type DurableOptions struct {
 	// store is fresh; on recovery it is ignored, because the store already
 	// contains it.
 	Bootstrap []Update
+	// BootstrapFrom is Bootstrap in the text stream format, decoded a
+	// window at a time as it is journaled, so the history is never held
+	// whole. It is read only when the store is fresh; a malformed line
+	// fails the open and leaves the directory fresh. Set at most one of
+	// Bootstrap and BootstrapFrom.
+	BootstrapFrom io.Reader
 }
 
 // RecoveryInfo describes what OpenDurable found on disk.
@@ -76,6 +85,7 @@ func OpenDurable(dir string, q *Query, opt DurableOptions) (*DurableEngine, erro
 		VertexLabels:  opt.VertexLabels,
 		EdgeLabels:    opt.EdgeLabels,
 		Bootstrap:     opt.Bootstrap,
+		BootstrapFrom: opt.BootstrapFrom,
 	})
 	if err != nil {
 		return nil, err
@@ -105,6 +115,9 @@ const bootstrapWindow = 4096
 // is fresh. It reads only opt's store fields (everything but
 // FanOutWorkers).
 func openStore(dir string, opt DurableMultiOptions) (journal, error) {
+	if opt.Bootstrap != nil && opt.BootstrapFrom != nil {
+		return journal{}, errors.New("turboflux: set Bootstrap or BootstrapFrom, not both")
+	}
 	pol, err := durable.ParsePolicy(opt.Fsync)
 	if err != nil {
 		return journal{}, err
@@ -135,16 +148,19 @@ func openStore(dir string, opt DurableMultiOptions) (journal, error) {
 	if rec.Fresh {
 		// Journal the bootstrap a window at a time, then apply the window:
 		// one write per window instead of one per record, the same frames.
-		for ups := opt.Bootstrap; len(ups) > 0; {
-			n := min(len(ups), bootstrapWindow)
-			if _, _, err := st.AppendBatch(ups[:n]); err != nil {
-				st.Close() //tf:unchecked-ok already failing
-				return journal{}, err
+		// A bootstrap that fails partway is discarded whole, so the next
+		// open finds the directory fresh and bootstraps again instead of
+		// taking the journaled part for the history.
+		err := bootstrapWindows(opt, func(window []Update) error {
+			if _, _, err := st.AppendBatch(window); err != nil {
+				return err
 			}
-			for _, u := range ups[:n] {
-				u.Apply(st.Graph())
-			}
-			ups = ups[n:]
+			stream.ApplyAll(st.Graph(), window)
+			return nil
+		})
+		if err != nil {
+			st.Discard() //tf:unchecked-ok already failing
+			return journal{}, err
 		}
 	}
 	return journal{store: st, rec: RecoveryInfo{
@@ -153,6 +169,23 @@ func openStore(dir string, opt DurableMultiOptions) (journal, error) {
 		TruncatedBytes: rec.TruncatedBytes,
 		Fresh:          rec.Fresh,
 	}}, nil
+}
+
+// bootstrapWindows hands fn the bootstrap history in windows of
+// bootstrapWindow records, from whichever of opt's sources is set. Both
+// sources cut the same windows, so they journal the same frames.
+func bootstrapWindows(opt DurableMultiOptions, fn func([]Update) error) error {
+	if opt.BootstrapFrom != nil {
+		return stream.DecodeWindows(opt.BootstrapFrom, bootstrapWindow, fn)
+	}
+	for ups := opt.Bootstrap; len(ups) > 0; {
+		n := min(len(ups), bootstrapWindow)
+		if err := fn(ups[:n]); err != nil {
+			return err
+		}
+		ups = ups[n:]
+	}
+	return nil
 }
 
 // Recovery returns what opening the store found on disk.

@@ -2,6 +2,7 @@ package turboflux
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"turboflux/internal/durable"
@@ -28,6 +29,9 @@ type DurableMultiOptions struct {
 	// Bootstrap is an optional initial-graph history, journaled and
 	// applied only when the store is fresh.
 	Bootstrap []Update
+	// BootstrapFrom is Bootstrap in the text stream format, read a window
+	// at a time and only when the store is fresh; see DurableOptions.
+	BootstrapFrom io.Reader
 
 	// FanOutWorkers sizes the multi-query fan-out worker pool (default
 	// GOMAXPROCS; 1 runs every evaluation inline on the caller). See

@@ -57,8 +57,9 @@ type RecoveryInfo struct {
 // dictionaries, and the WAL journaling every change. Not safe for
 // concurrent use.
 type Store struct {
-	dir string
-	opt Options
+	dir     string
+	created bool // Open made dir
+	opt     Options
 
 	w     *wal
 	g     *graph.Graph
@@ -82,6 +83,7 @@ type Store struct {
 // or corrupt log tail, and leaves the log open for appending.
 func Open(dir string, opt Options) (*Store, error) {
 	opt.applyDefaults()
+	_, statErr := os.Stat(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -98,7 +100,10 @@ func Open(dir string, opt Options) (*Store, error) {
 			edict = opt.EdgeLabels
 		}
 	}
-	s := &Store{dir: dir, opt: opt, g: g, vdict: vdict, edict: edict, snapLSN: snapLSN, pins: make(map[*Pin]struct{})}
+	s := &Store{
+		dir: dir, created: errors.Is(statErr, os.ErrNotExist), opt: opt,
+		g: g, vdict: vdict, edict: edict, snapLSN: snapLSN, pins: make(map[*Pin]struct{}),
+	}
 	s.rec.SnapshotLSN = snapLSN
 
 	// Records are applied in runs, once a run is decoded, not one by one as
@@ -315,4 +320,24 @@ func (s *Store) Close() error {
 	err := s.w.Close()
 	s.w = nil
 	return err
+}
+
+// Discard closes a store that opened fresh and deletes what it wrote:
+// every log segment, and the directory when Open created it. The
+// directory then opens fresh again. A store that did not open fresh is
+// left as it is.
+func (s *Store) Discard() error {
+	if !s.rec.Fresh {
+		return errors.New("durable: only a store that opened fresh can be discarded")
+	}
+	cerr := s.Close()
+	if err := removeAllSegments(s.dir); err != nil {
+		return err
+	}
+	if s.created {
+		if err := os.Remove(s.dir); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+	}
+	return cerr
 }

@@ -146,6 +146,14 @@ type Request struct {
 // fuzz target holds it to that.
 func ParseRequest(line string) (Request, error) {
 	line = strings.TrimSuffix(line, "\r")
+	// Updates, the bulk of requests, go straight to the stream parser,
+	// which splits the line in place; only commands pay for Fields.
+	if u, ok, err := stream.ParseRecord(line); ok {
+		if err != nil {
+			return Request{}, err
+		}
+		return Request{Kind: KindUpdate, Update: u}, nil
+	}
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return Request{}, fmt.Errorf("server: empty request")
@@ -211,12 +219,6 @@ func ParseRequest(line string) (Request, error) {
 		return reqNoArgs(KindPromote, fields)
 	case "SHARDSTATS":
 		return reqNoArgs(KindShardStats, fields)
-	case "i", "d", "v":
-		u, err := stream.ParseLine(line)
-		if err != nil {
-			return Request{}, err
-		}
-		return Request{Kind: KindUpdate, Update: u}, nil
 	default:
 		return Request{}, fmt.Errorf("server: unknown command %q", clip(fields[0]))
 	}

@@ -89,6 +89,29 @@ func TestParseRequest(t *testing.T) {
 	}
 }
 
+// TestParseRequestAllocs: an update line is parsed where it lies, so an
+// edge update allocates nothing at all (its Request is returned by value)
+// and a vertex declaration only its label slice.
+func TestParseRequestAllocs(t *testing.T) {
+	for _, tt := range []struct {
+		line   string
+		allocs float64
+	}{
+		{"i 123456 7 654321", 0},
+		{"d 1 2 3\r", 0},
+		{"v 7 1,2", 1},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			if req, err := ParseRequest(tt.line); err != nil || req.Kind != KindUpdate {
+				t.Fatalf("ParseRequest(%q) = %+v, %v", tt.line, req, err)
+			}
+		})
+		if got != tt.allocs {
+			t.Errorf("ParseRequest(%q) allocates %.0f times, want %.0f", tt.line, got, tt.allocs)
+		}
+	}
+}
+
 func TestAppendEventLine(t *testing.T) {
 	got := string(appendEventLine(nil, "pay", 42, true, []graph.VertexID{1, 20, 3}))
 	if got != "*EVENT pay 42 + 1 20 3" {

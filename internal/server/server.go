@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 
 	"turboflux"
 	"turboflux/internal/replica"
+	"turboflux/internal/stream"
 )
 
 // defaultQueueDepth is the per-subscriber event queue capacity when
@@ -42,6 +44,10 @@ type Options struct {
 	// Bootstrap is an optional initial-graph history applied (and, in
 	// durable mode, journaled) when the store is fresh.
 	Bootstrap []turboflux.Update
+	// BootstrapFrom is Bootstrap in the text stream format, decoded a
+	// window at a time and read only when the store is fresh (see
+	// turboflux.DurableOptions). Set at most one of the two.
+	BootstrapFrom io.Reader
 
 	// FanOutWorkers sizes the engine's multi-query fan-out worker pool
 	// (default GOMAXPROCS; 1 runs every evaluation inline on the actor).
@@ -84,6 +90,9 @@ func New(opt Options) (*Server, error) {
 	if opt.Follow != "" && opt.DataDir == "" {
 		return nil, errors.New("server: Follow requires DataDir (followers journal the replicated log)")
 	}
+	if opt.Bootstrap != nil && opt.BootstrapFrom != nil {
+		return nil, errors.New("server: set Bootstrap or BootstrapFrom, not both")
+	}
 	var (
 		host    engineHost
 		durable *turboflux.DurableMultiEngine
@@ -96,6 +105,7 @@ func New(opt Options) (*Server, error) {
 			VertexLabels:  opt.VertexLabels,
 			EdgeLabels:    opt.EdgeLabels,
 			Bootstrap:     opt.Bootstrap,
+			BootstrapFrom: opt.BootstrapFrom,
 			FanOutWorkers: opt.FanOutWorkers,
 		})
 		if err != nil {
@@ -113,16 +123,19 @@ func New(opt Options) (*Server, error) {
 			edict = turboflux.NewDict()
 		}
 		g := turboflux.NewGraph()
-		for _, u := range opt.Bootstrap {
-			u.Apply(g)
+		stream.ApplyAll(g, opt.Bootstrap)
+		if opt.BootstrapFrom != nil {
+			if err := stream.ApplyText(g, opt.BootstrapFrom); err != nil {
+				return nil, err
+			}
 		}
 		m := turboflux.NewMultiEngine(g)
 		m.SetFanOutWorkers(opt.FanOutWorkers) //tf:actor-ok construction precedes actor start
 		host = m
 	}
 	// The server keeps the actor and the front end, not the Options: those
-	// hold the decoded bootstrap, garbage once the store is open. The front
-	// is made first because STATS reads its connection count.
+	// hold the bootstrap or its reader, garbage once the store is open. The
+	// front is made first because STATS reads its connection count.
 	s := &Server{front: NewFront("server", nil)}
 	s.actor = newActor(host, durable, vdict, edict, opt.Slow, opt.QueueDepth, &s.front.connCount)
 	s.front.be = s.actor

@@ -89,7 +89,7 @@ func (w *Wire) ReadBatch(req Request) (ups []stream.Update, framing, parse error
 		if parse != nil {
 			continue // consume remaining body
 		}
-		u, err := stream.ParseLine(strings.TrimSuffix(line, "\r"))
+		u, err := stream.ParseLine(line) // a trailing CR is white space to it
 		if err != nil {
 			parse = fmt.Errorf("server: batch record %d: %w", i+1, err)
 			continue

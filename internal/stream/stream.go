@@ -137,106 +137,6 @@ func Encode(w io.Writer, ups []Update) error {
 	return bw.Flush()
 }
 
-// Decode reads updates in the text format until EOF.
-func Decode(r io.Reader) ([]Update, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var ups []Update
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		u, err := parseFields(fields)
-		if err != nil {
-			return nil, fmt.Errorf("stream: line %d: %w", lineNo, err)
-		}
-		ups = append(ups, u)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return ups, nil
-}
-
-// ParseLine parses one text-format record ("i 1 5 2", "v 3 1,7") without
-// the surrounding stream framing. Blank lines and comments are errors here;
-// Decode filters them before calling in. The network server reuses this to
-// accept single wire updates in the stream text format.
-func ParseLine(line string) (Update, error) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return Update{}, fmt.Errorf("stream: empty record")
-	}
-	return parseFields(fields)
-}
-
-func parseFields(fields []string) (Update, error) {
-	switch fields[0] {
-	case "v":
-		if len(fields) < 2 || len(fields) > 3 {
-			return Update{}, fmt.Errorf("bad vertex record %q", strings.Join(fields, " "))
-		}
-		id, err := parseVertex(fields[1])
-		if err != nil {
-			return Update{}, err
-		}
-		u := Update{Op: OpVertex, Vertex: id}
-		if len(fields) == 3 {
-			for _, s := range strings.Split(fields[2], ",") {
-				l, err := parseLabel(s)
-				if err != nil {
-					return Update{}, err
-				}
-				u.Labels = append(u.Labels, l)
-			}
-		}
-		return u, nil
-	case "i", "d":
-		if len(fields) != 4 {
-			return Update{}, fmt.Errorf("bad edge record %q", strings.Join(fields, " "))
-		}
-		from, err := parseVertex(fields[1])
-		if err != nil {
-			return Update{}, err
-		}
-		l, err := parseLabel(fields[2])
-		if err != nil {
-			return Update{}, err
-		}
-		to, err := parseVertex(fields[3])
-		if err != nil {
-			return Update{}, err
-		}
-		op := OpInsert
-		if fields[0] == "d" {
-			op = OpDelete
-		}
-		return Update{Op: op, Edge: graph.Edge{From: from, Label: l, To: to}}, nil
-	default:
-		return Update{}, fmt.Errorf("unknown op %q", fields[0])
-	}
-}
-
-func parseVertex(s string) (graph.VertexID, error) {
-	n, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad vertex id %q: %w", s, err)
-	}
-	return graph.VertexID(n), nil
-}
-
-func parseLabel(s string) (graph.Label, error) {
-	n, err := strconv.ParseUint(s, 10, 16)
-	if err != nil {
-		return 0, fmt.Errorf("bad label %q: %w", s, err)
-	}
-	return graph.Label(n), nil
-}
-
 // ApplyAll applies every update to g and returns how many changed the
 // graph. Used to materialize g0 from a vertex+edge prelude.
 func ApplyAll(g *graph.Graph, ups []Update) int {
