@@ -105,8 +105,7 @@ func (u unreadable) Read([]byte) (int, error) {
 }
 
 // TestBootstrapFromNotReadOnRecovery: reopening a store with a bootstrap
-// reader, as a restarted turboflux-serve -graph does, reads none of it, in
-// both durable engines.
+// reader, as a restarted turboflux-serve -graph does, reads none of it.
 func TestBootstrapFromNotReadOnRecovery(t *testing.T) {
 	dir := t.TempDir()
 	boot := "v 1 0\nv 2 0\ni 1 2 2\n"
@@ -122,19 +121,9 @@ func TestBootstrapFromNotReadOnRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.Recovery().Fresh || m.Graph().NumEdges() != 1 {
-		t.Fatalf("multi reopen: recovery %+v, %d edges", m.Recovery(), m.Graph().NumEdges())
+		t.Fatalf("reopen: recovery %+v, %d edges", m.Recovery(), m.Graph().NumEdges())
 	}
 	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e, err := OpenDurable(dir, socialQuery(), DurableOptions{BootstrapFrom: unreadable{t}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Recovery().Fresh || e.Graph().NumEdges() != 1 {
-		t.Fatalf("single reopen: recovery %+v, %d edges", e.Recovery(), e.Graph().NumEdges())
-	}
-	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"os"
 	"time"
 
+	"turboflux/internal/graph"
 	"turboflux/internal/server"
 )
 
@@ -67,8 +68,8 @@ func run(addr, dataDir, fsync, graphPath, slow, follow string, queue, workers in
 		Follow:        follow,
 	}
 	if numeric {
-		opt.VertexLabels = server.NumericDict()
-		opt.EdgeLabels = server.NumericDict()
+		opt.VertexLabels = graph.NumericDict()
+		opt.EdgeLabels = graph.NumericDict()
 	}
 	var g0 *os.File
 	if graphPath != "" {

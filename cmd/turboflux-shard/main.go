@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"turboflux/internal/graph"
 	"turboflux/internal/server"
 	"turboflux/internal/shard"
 )
@@ -67,8 +68,8 @@ func run(addr, shards string, numeric bool, dialTimeout, reqTimeout, heartbeat t
 		HeartbeatMisses:   misses,
 	}
 	if numeric {
-		opt.VertexLabels = server.NumericDict()
-		opt.EdgeLabels = server.NumericDict()
+		opt.VertexLabels = graph.NumericDict()
+		opt.EdgeLabels = graph.NumericDict()
 	}
 
 	co, err := shard.New(opt)

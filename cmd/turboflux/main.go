@@ -9,10 +9,15 @@
 //	turboflux -graph g0.txt -query q.txt -stream updates.txt [-iso] [-quiet]
 //	turboflux -data-dir state/ -query q.txt -stream updates.txt [-fsync always|interval|none]
 //
-// With -data-dir the engine runs in durable mode: every update is
-// journaled to a checksummed write-ahead log before evaluation, and on
-// restart the directory is recovered (newest snapshot + log tail) instead
-// of reloading -graph. The -graph file seeds a fresh directory only.
+// The query is the one registration of a MultiEngine, the engine the
+// network server evaluates with. With -data-dir it is a DurableMultiEngine:
+// every update is journaled to a checksummed write-ahead log before
+// evaluation, and on restart the directory is recovered (newest snapshot +
+// log tail) instead of reloading -graph. The -graph file seeds a fresh
+// directory only.
+//
+// -pattern label names are the data files' numeric labels 0..255, written
+// in decimal ("12", not "012"); use -query for labels of 256 and above.
 //
 // File formats (see internal/stream): the graph and stream files hold one
 // record per line — "v <id> [<label>,...]" declares a vertex, "i <from>
@@ -25,6 +30,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -37,37 +43,52 @@ import (
 )
 
 func main() {
-	graphPath := flag.String("graph", "", "initial graph file (required)")
-	queryPath := flag.String("query", "", "query file (this or -pattern required)")
-	pattern := flag.String("pattern", "", "Cypher-like pattern, e.g. '(a:1)-[:0]->(b)' (labels are numeric names)")
-	streamPath := flag.String("stream", "", "update stream file (required)")
-	iso := flag.Bool("iso", false, "use subgraph isomorphism semantics")
-	quiet := flag.Bool("quiet", false, "suppress per-match output, print totals only")
-	initial := flag.Bool("initial", false, "also report matches of the initial graph")
-	explain := flag.Bool("explain", false, "print the execution plan before streaming")
-	dataDir := flag.String("data-dir", "", "durable mode: journal updates and recover state from this directory")
-	fsync := flag.String("fsync", "interval", "durable-mode fsync policy: always, interval or none")
+	var c config
+	flag.StringVar(&c.graph, "graph", "", "initial graph file (required)")
+	flag.StringVar(&c.query, "query", "", "query file (this or -pattern required)")
+	flag.StringVar(&c.pattern, "pattern", "", "Cypher-like pattern, e.g. '(a:1)-[:0]->(b)' (labels are numeric names 0..255)")
+	flag.StringVar(&c.stream, "stream", "", "update stream file (required)")
+	flag.BoolVar(&c.iso, "iso", false, "use subgraph isomorphism semantics")
+	flag.BoolVar(&c.quiet, "quiet", false, "suppress per-match output, print totals only")
+	flag.BoolVar(&c.initial, "initial", false, "also report matches of the initial graph")
+	flag.BoolVar(&c.explain, "explain", false, "print the execution plan before streaming")
+	flag.StringVar(&c.dataDir, "data-dir", "", "durable mode: journal updates and recover state from this directory")
+	flag.StringVar(&c.fsync, "fsync", "interval", "durable-mode fsync policy: always, interval or none")
 	flag.Parse()
-	if (*graphPath == "" && *dataDir == "") || (*queryPath == "" && *pattern == "") || *streamPath == "" {
+	if (c.graph == "" && c.dataDir == "") || (c.query == "" && c.pattern == "") || c.stream == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*graphPath, *queryPath, *pattern, *streamPath, *dataDir, *fsync, *iso, *quiet, *initial, *explain); err != nil {
+	if err := run(os.Stdout, c); err != nil {
 		fmt.Fprintln(os.Stderr, "turboflux:", err)
 		os.Exit(1)
 	}
 }
 
-// streamEngine is the part of the engine surface the streaming loop needs;
-// *turboflux.Engine and *turboflux.DurableEngine both provide it.
-type streamEngine interface {
-	InitialMatches() int64
-	ApplyBatch([]turboflux.Update) (int64, error)
-	Explain() string
-	Stats() turboflux.Stats
+// config is the command line: file paths, the durable store, and the
+// output switches.
+type config struct {
+	graph, query, pattern, stream, dataDir, fsync string
+	iso, quiet, initial, explain                  bool
 }
 
-func run(graphPath, queryPath, pattern, streamPath, dataDir, fsync string, iso, quiet, initial, explain bool) error {
+// queryName is the name the one query is registered under.
+const queryName = "q"
+
+// streamEngine is the method set the streaming loop drives;
+// *turboflux.MultiEngine (memory mode) and *turboflux.DurableMultiEngine
+// (durable mode) both provide it, each holding the one query.
+type streamEngine interface {
+	Register(name string, q *turboflux.Query, opt turboflux.Options) error
+	InitialMatches() map[string]int64
+	ApplyBatch([]turboflux.Update) (map[string]int64, error)
+	Explain(name string) string
+	Stats() map[string]turboflux.Stats
+}
+
+// run replays c.stream against the query and writes the transcript —
+// the plan, the matches and the totals, as c asks — to w.
+func run(w io.Writer, c config) error {
 	// Catch SIGINT/SIGTERM for the whole run, so a durable store opened
 	// later is always closed through the deferred Compact+Close and the
 	// WAL ends at a record boundary.
@@ -91,75 +112,74 @@ func run(graphPath, queryPath, pattern, streamPath, dataDir, fsync string, iso, 
 
 	var q *turboflux.Query
 	var err error
-	if pattern != "" {
-		// Pattern label names must be the numeric labels used in the data
-		// files; numericDict interns "12" as Label(12).
-		q, _, err = turboflux.ParseQuery(pattern, numericDict(), numericDict())
+	if c.pattern != "" {
+		q, err = parsePattern(c.pattern)
 		if err != nil {
 			return fmt.Errorf("parsing pattern: %w", err)
 		}
 	} else {
-		q, err = loadQuery(queryPath)
+		q, err = loadQuery(c.query)
 		if err != nil {
 			return fmt.Errorf("loading query: %w", err)
 		}
 	}
-	ups, err := loadUpdates(streamPath)
+	ups, err := loadUpdates(c.stream)
 	if err != nil {
 		return fmt.Errorf("loading stream: %w", err)
 	}
 
 	opt := turboflux.Options{}
-	if iso {
+	if c.iso {
 		opt.Semantics = turboflux.Isomorphism
 	}
-	if !quiet {
-		opt.OnMatch = printMatch
+	if !c.quiet {
+		opt.OnMatch = matchPrinter(w)
 	}
 	if interrupted.Load() {
 		return fmt.Errorf("interrupted before the engine was opened")
 	}
 
 	var eng streamEngine
-	if dataDir != "" {
-		deng, err := openDurable(dataDir, graphPath, q, fsync, opt)
+	if c.dataDir != "" {
+		d, err := openDurable(w, c)
 		if err != nil {
 			return err
 		}
 		defer func() {
-			if err := deng.Compact(); err != nil {
+			if err := d.Compact(); err != nil {
 				fmt.Fprintln(os.Stderr, "turboflux: compacting:", err)
 			}
-			if err := deng.Close(); err != nil {
+			if err := d.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "turboflux: closing store:", err)
 			}
 		}()
-		eng = deng
+		eng = d
 	} else {
-		g0, err := loadGraph(graphPath)
+		g0, err := loadGraph(c.graph)
 		if err != nil {
 			return fmt.Errorf("loading graph: %w", err)
 		}
-		meng, err := turboflux.NewEngine(g0, q, opt)
-		if err != nil {
-			return err
-		}
-		eng = meng
+		m := turboflux.NewMultiEngine(g0)
+		defer m.Close() //tf:unchecked-ok pool release never fails
+		eng = m
+	}
+	if err := eng.Register(queryName, q, opt); err != nil {
+		return err
 	}
 
-	if explain {
-		fmt.Println(eng.Explain())
+	if c.explain {
+		fmt.Fprintln(w, eng.Explain(queryName))
 	}
-	if initial {
-		n := eng.InitialMatches()
-		fmt.Printf("# initial matches: %d\n", n)
+	if c.initial {
+		n := eng.InitialMatches()[queryName]
+		fmt.Fprintf(w, "# initial matches: %d\n", n)
 	}
 	applied, err := applyInterruptible(eng, ups, &interrupted)
 	if err != nil {
 		return err
 	}
-	st := eng.Stats()
-	fmt.Printf("# stream: %d updates, %d positive, %d negative, DCG %d edges\n",
+	st := eng.Stats()[queryName]
+	fmt.Fprintf(w, "# stream: %d updates, %d positive, %d negative, DCG %d edges\n",
 		applied, st.PositiveMatches, st.NegativeMatches, st.DCGEdges)
 	return nil
 }
@@ -184,12 +204,13 @@ func applyInterruptible(eng streamEngine, ups []turboflux.Update, interrupted *a
 	return applied, nil
 }
 
-// openDurable opens the durable engine, seeding a fresh directory from
-// the -graph file (when given) and reporting what recovery found.
-func openDurable(dataDir, graphPath string, q *turboflux.Query, fsync string, opt turboflux.Options) (*turboflux.DurableEngine, error) {
-	dopt := turboflux.DurableOptions{Options: opt, Fsync: fsync}
-	if graphPath != "" {
-		f, br, binary, err := openGraph(graphPath)
+// openDurable opens the durable store in c.dataDir, seeding a fresh
+// directory from the -graph file (when given) and reporting what recovery
+// found.
+func openDurable(w io.Writer, c config) (*turboflux.DurableMultiEngine, error) {
+	dopt := turboflux.DurableMultiOptions{Fsync: c.fsync}
+	if c.graph != "" {
+		f, br, binary, err := openGraph(c.graph)
 		if err != nil {
 			return nil, fmt.Errorf("loading graph: %w", err)
 		}
@@ -207,34 +228,38 @@ func openDurable(dataDir, graphPath string, q *turboflux.Query, fsync string, op
 			dopt.BootstrapFrom = br // decoded as it is journaled
 		}
 	}
-	deng, err := turboflux.OpenDurable(dataDir, q, dopt)
+	d, err := turboflux.OpenDurableMulti(c.dataDir, dopt)
 	if err != nil {
 		return nil, err
 	}
-	rec := deng.Recovery()
+	rec := d.Recovery()
 	switch {
 	case rec.Fresh:
-		fmt.Printf("# durable: fresh store in %s (fsync=%s)\n", dataDir, fsync)
+		fmt.Fprintf(w, "# durable: fresh store in %s (fsync=%s)\n", c.dataDir, c.fsync)
 	default:
-		fmt.Printf("# durable: recovered snapshot@%d + %d replayed updates (%d torn bytes dropped)\n",
+		fmt.Fprintf(w, "# durable: recovered snapshot@%d + %d replayed updates (%d torn bytes dropped)\n",
 			rec.SnapshotLSN, rec.Replayed, rec.TruncatedBytes)
 	}
-	return deng, nil
+	return d, nil
 }
 
-func printMatch(positive bool, m []turboflux.VertexID) {
-	sign := byte('+')
-	if !positive {
-		sign = '-'
-	}
-	fmt.Printf("%c ", sign)
-	for u, v := range m {
-		if u > 0 {
-			fmt.Print(" ")
+// matchPrinter writes each match to w as "+ u0=<v> u1=<v> ..." ("-" for a
+// negative match).
+func matchPrinter(w io.Writer) func(bool, []turboflux.VertexID) {
+	return func(positive bool, m []turboflux.VertexID) {
+		sign := byte('+')
+		if !positive {
+			sign = '-'
 		}
-		fmt.Printf("u%d=%d", u, v)
+		fmt.Fprintf(w, "%c ", sign)
+		for u, v := range m {
+			if u > 0 {
+				fmt.Fprint(w, " ")
+			}
+			fmt.Fprintf(w, "u%d=%d", u, v)
+		}
+		fmt.Fprintln(w)
 	}
-	fmt.Println()
 }
 
 // openGraph opens a graph file, which holds either the text stream format
@@ -329,14 +354,24 @@ func loadQuery(path string) (*turboflux.Query, error) {
 	return q, nil
 }
 
-// numericDict interns decimal strings so that pattern label "12" resolves
-// to Label(12), matching the numeric labels of the data files.
-func numericDict() *turboflux.Dict {
-	d := turboflux.NewDict()
-	for i := 0; i < 256; i++ {
-		d.Intern(fmt.Sprintf("%d", i))
+// parsePattern compiles a -pattern whose label names are the data files'
+// numeric labels: "12" resolves to Label(12). A name outside the
+// pre-interned 0..255 — "300", or "007", which is not how 7 is written —
+// would be interned as a new label and match nothing it names, so it is
+// refused.
+func parsePattern(pattern string) (*turboflux.Query, error) {
+	vd, ed := graph.NumericDict(), graph.NumericDict()
+	q, _, err := turboflux.ParseQuery(pattern, vd, ed)
+	if err != nil {
+		return nil, err
 	}
-	return d
+	for _, d := range []*turboflux.Dict{vd, ed} {
+		if d.Len() > graph.NumericLabels {
+			return nil, fmt.Errorf("label %q is not one of the numeric labels 0..%d (use -query for labels >= %d)",
+				d.Name(graph.NumericLabels), graph.NumericLabels-1, graph.NumericLabels)
+		}
+	}
+	return q, nil
 }
 
 func loadUpdates(path string) ([]turboflux.Update, error) {

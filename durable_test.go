@@ -71,23 +71,38 @@ func transcriptRecorder(b *strings.Builder) func(bool, []VertexID) {
 	}
 }
 
+// durableQ is the name the durable tests register durableTestQuery under.
+const durableQ = "q"
+
+// openDurableQuery opens dir as a DurableMultiEngine with durableTestQuery
+// as its one registration: the durable single-query case.
+func openDurableQuery(t *testing.T, dir string, opt DurableMultiOptions, qopt Options) (*DurableMultiEngine, error) {
+	t.Helper()
+	d, err := OpenDurableMulti(dir, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.Register(durableQ, durableTestQuery(t), qopt); err != nil {
+		d.Close() //tf:unchecked-ok already failing
+		return nil, err
+	}
+	return d, nil
+}
+
 func TestOpenDurableFreshAndRecover(t *testing.T) {
 	dir := t.TempDir()
 	bootstrap, ups := durableTestStream(7, 60)
-	q := durableTestQuery(t)
 
 	var live strings.Builder
-	eng, err := OpenDurable(dir, q, DurableOptions{
-		Options:   Options{OnMatch: transcriptRecorder(&live)},
-		Bootstrap: bootstrap,
-	})
+	eng, err := openDurableQuery(t, dir, DurableMultiOptions{Bootstrap: bootstrap},
+		Options{OnMatch: transcriptRecorder(&live)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !eng.Recovery().Fresh {
 		t.Fatal("first open of an empty dir must be Fresh")
 	}
-	if _, err := eng.ApplyAll(ups); err != nil {
+	if _, err := eng.ApplyBatch(ups); err != nil {
 		t.Fatal(err)
 	}
 	wantLSN := uint64(len(bootstrap) + len(ups))
@@ -105,7 +120,7 @@ func TestOpenDurableFreshAndRecover(t *testing.T) {
 	// engine over the same graph (recovery recomputes the plan from
 	// current statistics, so that — not the lived-through engine's DCG,
 	// whose plan was frozen at build time — is the reference).
-	eng2, err := OpenDurable(dir, durableTestQuery(t), DurableOptions{})
+	eng2, err := openDurableQuery(t, dir, DurableMultiOptions{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +129,7 @@ func TestOpenDurableFreshAndRecover(t *testing.T) {
 	if rec.Fresh || rec.Replayed != int(wantLSN) {
 		t.Fatalf("recovery = %+v, want %d replayed", rec, wantLSN)
 	}
-	if got, want := eng2.Stats().DCGEdges, referenceDCGEdges(t, bootstrap, ups); got != want {
+	if got, want := eng2.Stats()[durableQ].DCGEdges, referenceDCGEdges(t, bootstrap, ups); got != want {
 		t.Fatalf("recovered DCG has %d edges, fresh engine over same graph has %d", got, want)
 	}
 }
@@ -139,24 +154,24 @@ func referenceDCGEdges(t *testing.T, histories ...[]Update) int {
 func TestOpenDurableCompactCycle(t *testing.T) {
 	dir := t.TempDir()
 	bootstrap, ups := durableTestStream(11, 80)
-	eng, err := OpenDurable(dir, durableTestQuery(t), DurableOptions{Bootstrap: bootstrap})
+	eng, err := openDurableQuery(t, dir, DurableMultiOptions{Bootstrap: bootstrap}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ApplyAll(ups[:40]); err != nil {
+	if _, err := eng.ApplyBatch(ups[:40]); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ApplyAll(ups[40:]); err != nil {
+	if _, err := eng.ApplyBatch(ups[40:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	eng2, err := OpenDurable(dir, durableTestQuery(t), DurableOptions{})
+	eng2, err := openDurableQuery(t, dir, DurableMultiOptions{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +180,7 @@ func TestOpenDurableCompactCycle(t *testing.T) {
 	if rec.SnapshotLSN != uint64(len(bootstrap)+40) || rec.Replayed != 40 {
 		t.Fatalf("recovery = %+v, want snapshot at %d + 40 replayed", rec, len(bootstrap)+40)
 	}
-	if got, want := eng2.Stats().DCGEdges, referenceDCGEdges(t, bootstrap, ups); got != want {
+	if got, want := eng2.Stats()[durableQ].DCGEdges, referenceDCGEdges(t, bootstrap, ups); got != want {
 		t.Fatalf("recovered DCG has %d edges, fresh engine over same graph has %d", got, want)
 	}
 }
@@ -175,10 +190,10 @@ func TestOpenDurableDictAdoption(t *testing.T) {
 	vd, ed := NewDict(), NewDict()
 	a := vd.Intern("A")
 	follows := ed.Intern("follows")
-	eng, err := OpenDurable(dir, durableTestQuery(t), DurableOptions{
+	eng, err := openDurableQuery(t, dir, DurableMultiOptions{
 		VertexLabels: vd, EdgeLabels: ed,
 		Bootstrap: []Update{DeclareVertex(1, a), DeclareVertex(2, a)},
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +210,7 @@ func TestOpenDurableDictAdoption(t *testing.T) {
 	// Reopen with fresh (empty) dicts: recovered names are re-interned
 	// into them with identical labels.
 	vd2, ed2 := NewDict(), NewDict()
-	eng2, err := OpenDurable(dir, durableTestQuery(t), DurableOptions{VertexLabels: vd2, EdgeLabels: ed2})
+	eng2, err := openDurableQuery(t, dir, DurableMultiOptions{VertexLabels: vd2, EdgeLabels: ed2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +228,8 @@ func TestOpenDurableDictAdoption(t *testing.T) {
 	// remapped.
 	bad := NewDict()
 	bad.Intern("not-A")
-	if _, err := OpenDurable(dir, durableTestQuery(t), DurableOptions{VertexLabels: bad}); err == nil {
-		t.Fatal("conflicting dictionary should fail OpenDurable")
+	if _, err := openDurableQuery(t, dir, DurableMultiOptions{VertexLabels: bad}, Options{}); err == nil {
+		t.Fatal("conflicting dictionary should fail OpenDurableMulti")
 	}
 }
 
@@ -226,16 +241,18 @@ func TestOpenDurableDictAdoption(t *testing.T) {
 func TestDurableTranscriptEquivalence(t *testing.T) {
 	bootstrap, ups := durableTestStream(42, 90)
 	phase1, phase2 := ups[:60], ups[60:]
-	q := func() *Query { return durableTestQuery(t) }
 
-	// Journal bootstrap + phase1, then crash (abandon without Close).
+	// Journal bootstrap + phase1 one update per record, then crash (abandon
+	// without Close).
 	dir := t.TempDir()
-	eng, err := OpenDurable(dir, q(), DurableOptions{Fsync: "none", Bootstrap: bootstrap})
+	eng, err := openDurableQuery(t, dir, DurableMultiOptions{Fsync: "none", Bootstrap: bootstrap}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ApplyAll(phase1); err != nil {
-		t.Fatal(err)
+	for _, u := range phase1 {
+		if _, err := eng.Apply(u); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// The last journaled record's frame: find the log tail length so we
@@ -251,22 +268,22 @@ func TestDurableTranscriptEquivalence(t *testing.T) {
 	}
 
 	// uncrashedTranscript replays prefixN surviving updates on a fresh
-	// in-memory engine, then records the transcript of phase2.
+	// in-memory Engine, then records the transcript of phase2.
 	uncrashedTranscript := func(prefixN int) string {
 		g := NewGraph()
 		for _, u := range bootstrap {
 			u.Apply(g)
 		}
 		var b strings.Builder
-		ref, err := NewEngine(g, q(), Options{OnMatch: transcriptRecorder(&b)})
+		ref, err := NewEngine(g, durableTestQuery(t), Options{OnMatch: transcriptRecorder(&b)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ref.ApplyAll(phase1[:prefixN]); err != nil {
+		if _, err := ref.ApplyBatch(phase1[:prefixN]); err != nil {
 			t.Fatal(err)
 		}
 		b.Reset()
-		if _, err := ref.ApplyAll(phase2); err != nil {
+		if _, err := ref.ApplyBatch(phase2); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -286,10 +303,8 @@ func TestDurableTranscriptEquivalence(t *testing.T) {
 		}
 
 		var b strings.Builder
-		rec, err := OpenDurable(crash, q(), DurableOptions{
-			Options: Options{OnMatch: transcriptRecorder(&b)},
-			Fsync:   "none",
-		})
+		rec, err := openDurableQuery(t, crash, DurableMultiOptions{Fsync: "none"},
+			Options{OnMatch: transcriptRecorder(&b)})
 		if err != nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
@@ -297,7 +312,7 @@ func TestDurableTranscriptEquivalence(t *testing.T) {
 		if prefixN < 0 || prefixN > len(phase1) {
 			t.Fatalf("cut %d: surviving prefix %d out of range", cut, prefixN)
 		}
-		if _, err := rec.ApplyAll(phase2); err != nil {
+		if _, err := rec.ApplyBatch(phase2); err != nil {
 			t.Fatalf("cut %d: phase2 on recovered engine: %v", cut, err)
 		}
 		got := b.String()
@@ -350,11 +365,11 @@ func TestDurableSnapshotRecoveryDeterminism(t *testing.T) {
 	// Journal bootstrap + phase1 and snapshot there; the store on disk now
 	// recovers to the post-phase1 state.
 	dir := t.TempDir()
-	eng, err := OpenDurable(dir, durableTestQuery(t), DurableOptions{Bootstrap: bootstrap})
+	eng, err := openDurableQuery(t, dir, DurableMultiOptions{Bootstrap: bootstrap}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ApplyAll(phase1); err != nil {
+	if _, err := eng.ApplyBatch(phase1); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Compact(); err != nil {
@@ -364,7 +379,7 @@ func TestDurableSnapshotRecoveryDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Never-crashed reference: a fresh engine lives through the same
+	// Never-crashed reference: a fresh Engine lives through the same
 	// history and then phase2.
 	g := NewGraph()
 	for _, u := range bootstrap {
@@ -375,11 +390,11 @@ func TestDurableSnapshotRecoveryDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.ApplyAll(phase1); err != nil {
+	if _, err := ref.ApplyBatch(phase1); err != nil {
 		t.Fatal(err)
 	}
 	refB.Reset()
-	if _, err := ref.ApplyAll(phase2); err != nil {
+	if _, err := ref.ApplyBatch(phase2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -389,16 +404,14 @@ func TestDurableSnapshotRecoveryDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		rec, err := OpenDurable(crash, durableTestQuery(t), DurableOptions{
-			Options: Options{OnMatch: transcriptRecorder(&b)},
-		})
+		rec, err := openDurableQuery(t, crash, DurableMultiOptions{}, Options{OnMatch: transcriptRecorder(&b)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rec.Recovery().SnapshotLSN == 0 {
 			t.Fatal("expected snapshot-based recovery")
 		}
-		if _, err := rec.ApplyAll(phase2); err != nil {
+		if _, err := rec.ApplyBatch(phase2); err != nil {
 			t.Fatal(err)
 		}
 		if err := rec.Close(); err != nil {

@@ -74,19 +74,3 @@ func ExampleMultiEngine() {
 	// after first edge: 1 0
 	// after second edge: 1 1
 }
-
-// A WindowedEngine retracts matches as edges age out of the window.
-func ExampleWindowedEngine() {
-	q := turboflux.NewQuery(3)
-	_ = q.AddEdge(0, 0, 1)
-	_ = q.AddEdge(1, 0, 2)
-	w, _ := turboflux.NewWindowedEngine(q, 2, turboflux.Options{})
-	_, _, _ = w.Insert(1, 0, 2)
-	pos, _, _ := w.Insert(2, 0, 3) // completes 1->2->3
-	fmt.Println("new matches:", pos)
-	_, neg, _ := w.Insert(7, 0, 8) // evicts (1,0,2)
-	fmt.Println("retracted by eviction:", neg)
-	// Output:
-	// new matches: 1
-	// retracted by eviction: 1
-}

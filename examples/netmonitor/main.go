@@ -55,7 +55,7 @@ func main() {
 	existing := eng.InitialMatches()
 	fmt.Printf("baseline: %d pattern instances already in the trace\n", existing)
 
-	if _, err := eng.ApplyAll(ds.Stream); err != nil {
+	if _, err := eng.ApplyBatch(ds.Stream); err != nil {
 		log.Fatal(err)
 	}
 	st := eng.Stats()

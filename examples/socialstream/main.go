@@ -68,7 +68,7 @@ func main() {
 	}
 
 	fmt.Printf("initial viral posts: %d\n", eng.InitialMatches())
-	if _, err := eng.ApplyAll(ds.Stream); err != nil {
+	if _, err := eng.ApplyBatch(ds.Stream); err != nil {
 		log.Fatal(err)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // Dict interns strings to Labels. Vertex labels and edge labels use
@@ -18,6 +19,20 @@ type Dict struct {
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
 	return &Dict{byName: make(map[string]Label)}
+}
+
+// NumericLabels is how many labels NumericDict pre-interns.
+const NumericLabels = 256
+
+// NumericDict interns "0".."255" so Label(i) renders and parses as "i",
+// matching the numeric labels of the data file formats (turboflux
+// -pattern, -numeric-labels on turboflux-serve and turboflux-shard).
+func NumericDict() *Dict {
+	d := NewDict()
+	for i := 0; i < NumericLabels; i++ {
+		d.Intern(strconv.Itoa(i))
+	}
+	return d
 }
 
 // Intern returns the Label for name, assigning the next free Label on first

@@ -6,13 +6,10 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"turboflux"
 )
 
 // Front is the network front end of one Backend: the listener, the accept
@@ -237,15 +234,4 @@ func RunUntilSignal(prog string, fe FrontEnd, addr string, drain time.Duration, 
 		fmt.Println("# shut down cleanly")
 		return nil
 	}
-}
-
-// NumericDict interns "0".."255" so Label(i) renders and parses as "i",
-// matching the numeric label convention of the data file formats
-// (-numeric-labels on turboflux-serve and turboflux-shard).
-func NumericDict() *turboflux.Dict {
-	d := turboflux.NewDict()
-	for i := 0; i < 256; i++ {
-		d.Intern(strconv.Itoa(i))
-	}
-	return d
 }

@@ -38,7 +38,7 @@ type Options struct {
 	// VertexLabels / EdgeLabels, when non-nil, seed the label
 	// dictionaries that REGISTER patterns and LABEL lookups resolve
 	// through. In durable mode they are merged with the recovered
-	// dictionaries exactly as for OpenDurable.
+	// dictionaries exactly as for turboflux.OpenDurableMulti.
 	VertexLabels, EdgeLabels *turboflux.Dict
 
 	// Bootstrap is an optional initial-graph history applied (and, in
@@ -46,7 +46,7 @@ type Options struct {
 	Bootstrap []turboflux.Update
 	// BootstrapFrom is Bootstrap in the text stream format, decoded a
 	// window at a time and read only when the store is fresh (see
-	// turboflux.DurableOptions). Set at most one of the two.
+	// turboflux.DurableMultiOptions). Set at most one of the two.
 	BootstrapFrom io.Reader
 
 	// FanOutWorkers sizes the engine's multi-query fan-out worker pool

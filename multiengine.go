@@ -394,11 +394,13 @@ func (m *MultiEngine) Delete(from VertexID, l Label, to VertexID) (map[string]in
 // scheduler, with ApplyBatch's failure semantics. Every relevant engine is
 // evaluated even when an earlier one fails, partial counts are returned,
 // and the per-query errors are aggregated with errors.Join, each wrapped
-// as `query "name"`, so errors.Is still detects ErrWorkBudget. A
-// budget-aborted engine has rolled back its own DCG transition for this
-// update — its standing matches for this edge may be stale until a later
-// update touches the same region — but every other engine and the graph
-// itself stay exactly in sync with the stream.
+// as `query "name"`, so errors.Is still detects ErrWorkBudget. Nothing
+// rolls back: a budget-aborted engine stops its walk where the budget ran
+// out (in buildDCG, buildUpwardsAndEval, clearUpwardsAndEval or clearDCG),
+// so its DCG keeps consistent counters but can be left short of the
+// fixpoint of the graph, and its later updates evaluate against that DCG
+// (ROADMAP item 8 proposes a cap on the search alone instead). Every
+// other engine and the graph itself stay exactly in sync with the stream.
 func (m *MultiEngine) Apply(u Update) (map[string]int64, error) {
 	m.one[0] = u
 	counts := m.evalBatch(m.one[:], nil)
@@ -748,6 +750,17 @@ func (m *MultiEngine) flushWindow(start, end int, boundary func(i int)) {
 
 // Graph returns the shared data graph. Treat it as read-only.
 func (m *MultiEngine) Graph() *Graph { return m.g }
+
+// Explain renders the named query's execution plan exactly as
+// Engine.Explain does; it returns "" when no query of that name is
+// registered.
+func (m *MultiEngine) Explain(name string) string {
+	s, ok := m.slots[name]
+	if !ok {
+		return ""
+	}
+	return s.eng.Plan().String()
+}
 
 // Stats returns a per-query snapshot of engine counters, keyed by name.
 func (m *MultiEngine) Stats() map[string]Stats {

@@ -127,8 +127,10 @@ type Options struct {
 	OnMatch func(positive bool, mapping []VertexID)
 	// WorkBudget caps the work units (search and maintenance steps) spent
 	// on a single update; when exceeded the update aborts with
-	// ErrWorkBudget and its match reporting is incomplete. 0 means
-	// unlimited.
+	// ErrWorkBudget and its match reporting is incomplete. The abort rolls
+	// nothing back: maintenance stops partway, so the DCG can be left short
+	// of the fixpoint of the graph for later updates (see
+	// MultiEngine.Apply and ROADMAP item 8). 0 means unlimited.
 	WorkBudget int64
 }
 
@@ -183,25 +185,12 @@ func (e *Engine) Delete(from VertexID, l Label, to VertexID) (int64, error) {
 // Apply applies one stream update.
 func (e *Engine) Apply(u Update) (int64, error) { return e.inner.Apply(u) }
 
-// ApplyAll applies a batch of updates and returns the total match count.
-func (e *Engine) ApplyAll(ups []Update) (int64, error) {
-	var total int64
-	for _, u := range ups {
-		n, err := e.Apply(u)
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
 // ApplyBatch applies a whole batch of updates and returns the total
-// match count. Unlike ApplyAll it evaluates every update even when some
-// fail: per-update errors are wrapped as `update i` and aggregated with
-// errors.Join, so a work-budget abort on one update does not silently
-// drop the rest of the batch. Match reporting order is identical to
-// applying the updates one at a time.
+// match count. It evaluates every update even when some fail: per-update
+// errors are wrapped as `update i` and aggregated with errors.Join, so a
+// work-budget abort on one update does not silently drop the rest of the
+// batch. Match reporting order is identical to applying the updates one
+// at a time.
 func (e *Engine) ApplyBatch(ups []Update) (int64, error) {
 	var total int64
 	var errs []error

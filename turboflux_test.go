@@ -120,12 +120,12 @@ func TestPublicAPIStreamRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, err := eng.ApplyAll(got)
+	total, err := eng.ApplyBatch(got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if total != 2 { // one positive for the insert, one negative for the delete
-		t.Fatalf("ApplyAll total = %d, want 2", total)
+		t.Fatalf("ApplyBatch total = %d, want 2", total)
 	}
 }
 
