@@ -37,7 +37,7 @@ func main() {
 	flag.IntVar(&cfg.QueriesPerSet, "queries", cfg.QueriesPerSet, "queries per set (paper: 100)")
 	flag.DurationVar(&cfg.Timeout, "timeout", cfg.Timeout, "per-query timeout (paper: 2h)")
 	flag.Int64Var(&cfg.SizeCap, "sizecap", cfg.SizeCap, "per-query intermediate-size cap (bytes)")
-	flag.Int64Var(&cfg.WorkBudget, "work", cfg.WorkBudget, "per-update work budget inside engines")
+	flag.Int64Var(&cfg.WorkBudget, "work", cfg.WorkBudget, "per-update cap inside engines: reported matches for TurboFlux, search steps for the baselines")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
 	flag.BoolVar(&cfg.Scatter, "scatter", false, "print per-query scatter rows (fig6/fig7)")
 	csvDir := flag.String("csv", "", "also write per-experiment CSV files into this directory")

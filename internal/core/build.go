@@ -17,9 +17,6 @@ import (
 //
 //tf:hotpath
 func (e *Engine) buildDCG(u graph.VertexID, v, v2 graph.VertexID) {
-	if !e.charge() {
-		return
-	}
 	state := e.d.GetState(v, u, v2)
 	if state == dcg.Explicit {
 		return // already built and complete

@@ -126,9 +126,6 @@ func (e *Engine) replayBeforeDelete(v graph.VertexID, l graph.Label, v2 graph.Ve
 //
 //tf:hotpath
 func (e *Engine) clearUpwardsAndEval(u graph.VertexID, v graph.VertexID, uChild graph.VertexID, transit, searchable bool) {
-	if !e.charge() {
-		return
-	}
 	mapped := false
 	if searchable {
 		switch {
@@ -181,9 +178,6 @@ func (e *Engine) clearUpwardsAndEval(u graph.VertexID, v graph.VertexID, uChild 
 //
 //tf:hotpath
 func (e *Engine) clearDCG(u graph.VertexID, v, v2 graph.VertexID) {
-	if !e.charge() {
-		return
-	}
 	if !e.d.MakeTransition(v, u, v2, dcg.Null) {
 		return
 	}

@@ -15,8 +15,9 @@ import (
 	"turboflux/internal/stream"
 )
 
-// ErrWorkBudget reports that an update operation exceeded
-// Options.WorkBudget and was aborted.
+// ErrWorkBudget reports that an update completed more matches than
+// Options.WorkBudget: the first WorkBudget were reported, the search stopped
+// there, and the update's maintenance ran to the end.
 var ErrWorkBudget = errors.New("core: per-update work budget exceeded")
 
 // Semantics selects the matching semantics.
@@ -66,12 +67,13 @@ type Options struct {
 	// enhanced maintenance algorithms; match reporting still uses the
 	// selective search seeds).
 	NaiveEL bool
-	// WorkBudget caps the work units (search and maintenance steps) spent
-	// on a single update operation; when exceeded the operation aborts and
-	// InsertEdge/DeleteEdge return ErrWorkBudget. 0 means unlimited. Used
-	// by the benchmark harness to censor non-selective queries the way the
-	// paper's 2-hour timeout does; match reporting for an aborted
-	// operation is incomplete.
+	// WorkBudget caps the matches one update may report, counted after
+	// duplicate avoidance; 0 means unlimited. At the (WorkBudget+1)-th match
+	// the search stops and the update returns the WorkBudget matches it
+	// reported with ErrWorkBudget, but every DCG transition of the update
+	// still runs, so the DCG stays at the fixpoint of the graph. Used by the
+	// benchmark harness to censor non-selective queries the way the paper's
+	// 2-hour timeout does. Construction and InitialMatches are never capped.
 	WorkBudget int64
 }
 
@@ -155,8 +157,8 @@ type Engine struct {
 	trigger   int        // query-edge index of the current trigger, -1 = none
 	positive  bool       // direction of the update being processed
 	opMatches int64      // matches reported during the current operation
-	opWork    int64      // work units consumed by the current operation
-	aborted   bool       // the current operation exceeded WorkBudget
+	opCap     int64      // matches the current operation may report, 0 = unlimited
+	censored  bool       // the current operation hit opCap: the search stops
 
 	// dedupChecks lists the query edges that could outrank the current
 	// trigger on the updated data edge, precomputed by setTrigger so the
@@ -206,17 +208,6 @@ func BuildTree(g *graph.Graph, q *query.Graph, opt Options) (*query.Tree, error)
 	return query.TransformToTree(q, us, g)
 }
 
-// OptionsShareable reports whether an engine built with opt may share a
-// sub-pattern DCG. WorkBudget aborts, the NaiveEL and check-and-avoid
-// ablations change maintenance itself, and the WCO search picks its
-// iteration list by comparing candidate-list lengths — which differ
-// between a private mid-transition view and the shared final view — so
-// all four force a private DCG.
-func OptionsShareable(opt Options) bool {
-	return opt.WorkBudget == 0 && !opt.NaiveEL && !opt.DisableCheckAndAvoid &&
-		opt.Search != WCOJoin
-}
-
 // NewWithTree builds an engine over a pre-built query tree. When sharedDCG
 // is nil the engine owns a private DCG, constructed from the current
 // graph exactly as New does. When sharedDCG is non-nil the engine joins
@@ -224,13 +215,17 @@ func OptionsShareable(opt Options) bool {
 // skipped (the shared DCG already holds the fixpoint, and — because
 // candidate enumeration is a pure function of DCG state — the matching
 // order and every future transcript come out identical to what a private
-// DCG would have produced).
+// DCG would have produced). A follower may not use the NaiveEL or
+// check-and-avoid ablations, which change maintenance itself, nor the WCO
+// search, which picks its iteration list by comparing candidate-list
+// lengths that differ between a private mid-transition view and the shared
+// final one.
 func NewWithTree(g *graph.Graph, q *query.Graph, tree *query.Tree, opt Options, sharedDCG *dcg.DCG) (*Engine, error) {
 	if g == nil || q == nil || tree == nil {
 		return nil, errors.New("core: nil graph, query or tree")
 	}
-	if sharedDCG != nil && !OptionsShareable(opt) {
-		return nil, errors.New("core: options not shareable (budget, ablation or WCO search)")
+	if sharedDCG != nil && (opt.NaiveEL || opt.DisableCheckAndAvoid || opt.Search == WCOJoin) {
+		return nil, errors.New("core: options not shareable (ablation or WCO search)")
 	}
 	if q.NumVertices() > dcg.MaxQueryVertices {
 		return nil, fmt.Errorf("core: query has %d vertices, at most %d supported", q.NumVertices(), dcg.MaxQueryVertices)
@@ -285,9 +280,6 @@ func NewWithTree(g *graph.Graph, q *query.Graph, tree *query.Tree, opt Options, 
 		e.forEachStartCandidate(func(vs graph.VertexID) {
 			e.buildDCG(tree.Root, graph.NoVertex, vs)
 		})
-		if e.aborted {
-			return nil, ErrWorkBudget
-		}
 	}
 	e.computeMatchingOrder()
 	return e, nil
@@ -305,23 +297,6 @@ func (e *Engine) NotifyVertexAdded(v graph.VertexID) {
 	if e.g.HasAllLabels(v, e.q.Labels(e.tree.Root)) {
 		e.buildDCG(e.tree.Root, graph.NoVertex, v)
 	}
-}
-
-// charge consumes one work unit of the current operation's budget and
-// reports whether processing may continue.
-func (e *Engine) charge() bool {
-	if e.aborted {
-		return false
-	}
-	if e.opt.WorkBudget <= 0 {
-		return true
-	}
-	e.opWork++
-	if e.opWork > e.opt.WorkBudget {
-		e.aborted = true
-		return false
-	}
-	return true
 }
 
 // forEachStartCandidate calls fn for every data vertex matching L(u_s).
@@ -366,13 +341,14 @@ func (e *Engine) IntermediateSizeBytes() int64 { return e.d.SizeBytes() }
 
 // InitialMatches reports every complete solution in the initial data graph
 // (Algorithm 2, Lines 7–11) through OnMatch and returns their number.
-// These are not counted in PositiveCount.
+// These are not counted in PositiveCount, and WorkBudget does not cap them.
 //
 //tf:eval-path
 func (e *Engine) InitialMatches() int64 {
 	var n int64
 	e.clearTrigger()
 	e.positive = true
+	e.opCap, e.censored = 0, false
 	us := e.tree.Root
 	for _, vs := range e.d.RootCandidates(true) {
 		e.mapVertex(us, vs)
@@ -418,11 +394,7 @@ func (e *Engine) EvalInsertedEdge(v graph.VertexID, l graph.Label, v2 graph.Vert
 		e.rebuildFromSpec()
 	}
 	e.maybeAdjustOrder()
-	n := e.endOp()
-	if e.aborted {
-		return n, ErrWorkBudget
-	}
-	return n, nil
+	return e.endOp()
 }
 
 // DeleteEdge applies the edge-deletion operation (v, l, v2): it reports
@@ -457,15 +429,11 @@ func (e *Engine) EvalBeforeDelete(v graph.VertexID, l graph.Label, v2 graph.Vert
 		// affected branches afterwards, so order adjustment must wait until
 		// the coordinator calls AdjustOrderDeferred post-clearing.
 		e.replayBeforeDelete(v, l, v2)
-		return e.endOp(), nil
+	} else {
+		e.deleteEdgeAndEval(v, l, v2)
+		e.maybeAdjustOrder()
 	}
-	e.deleteEdgeAndEval(v, l, v2)
-	e.maybeAdjustOrder()
-	n := e.endOp()
-	if e.aborted {
-		return n, ErrWorkBudget
-	}
-	return n, nil
+	return e.endOp()
 }
 
 // NewMaintainer builds a maintenance-only engine over the donor's graph,
@@ -535,7 +503,6 @@ func (e *Engine) MaintainInsertedEdge(v graph.VertexID, l graph.Label, v2 graph.
 		}
 		e.buildUpwardsAndEval(te.Parent, parentV, true, false)
 	}
-	e.endOp()
 }
 
 // MaintainBeforeDelete applies the DCG transitions of an edge deletion
@@ -566,7 +533,6 @@ func (e *Engine) MaintainBeforeDelete(v graph.VertexID, l graph.Label, v2 graph.
 		}
 		e.clearDCG(ucv, parentV, childV)
 	}
-	e.endOp()
 }
 
 // AdjustOrderDeferred runs the matching-order drift check that
@@ -608,19 +574,24 @@ func (e *Engine) beginOp(ed graph.Edge, positive bool) {
 	e.updEdge = ed
 	e.positive = positive
 	e.opMatches = 0
-	e.opWork = 0
-	e.aborted = false
+	e.opCap = e.opt.WorkBudget
+	e.censored = false
 	e.clearTrigger()
 	if e.opt.DisableCheckAndAvoid {
 		e.visited = make(map[dcg.EdgeKey]bool)
 	}
 }
 
-func (e *Engine) endOp() int64 {
+// endOp closes an update evaluated since beginOp and returns its match
+// count, with ErrWorkBudget when the cap censored its search.
+func (e *Engine) endOp() (int64, error) {
 	n := e.opMatches
 	e.opMatches = 0
 	e.clearTrigger()
-	return n
+	if e.censored {
+		return n, ErrWorkBudget
+	}
+	return n, nil
 }
 
 // mapVertex binds query vertex u to data vertex v in the working mapping.
@@ -730,12 +701,17 @@ func (e *Engine) nonTreeSlots(l graph.Label) []int {
 // avoidance (Section 3.3 of DESIGN.md): with a trigger edge set, the
 // solution is reported only when the trigger is the maximum-rank
 // (insertion) or minimum-rank (deletion) query edge among those the
-// solution maps onto the updated data edge.
+// solution maps onto the updated data edge. The match past the operation's
+// cap is not reported: it censors the search instead.
 func (e *Engine) report() {
 	for _, qe := range e.dedupChecks {
 		if e.m[qe.From] == e.updEdge.From && e.m[qe.To] == e.updEdge.To {
 			return // an outranking trigger owns this solution
 		}
+	}
+	if e.opMatches == e.opCap && e.opCap > 0 {
+		e.censored = true
+		return
 	}
 	e.opMatches++
 	if e.positive {

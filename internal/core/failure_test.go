@@ -2,71 +2,142 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
+	"turboflux/internal/dcg"
 	"turboflux/internal/graph"
 	"turboflux/internal/query"
 	"turboflux/internal/stream"
 )
 
-// TestWorkBudgetAborts: a tiny budget censors expensive updates with
-// ErrWorkBudget, and the DCG's internal counters stay consistent even
-// after a mid-operation abort.
-func TestWorkBudgetAborts(t *testing.T) {
+// starGraph is one hub 0 with children 1..50 (label 0), each with one
+// grandchild 100+i (label 1): the path query 0-[0]->1-[1]->2 has 50
+// initial matches over it.
+func starGraph() *graph.Graph {
 	g := graph.New()
-	// Star fan-out: one hub with many children, so one insertion triggers
-	// plenty of maintenance work.
 	for i := graph.VertexID(1); i <= 50; i++ {
 		g.InsertEdge(0, 0, i)
 		g.InsertEdge(i, 1, 100+i)
 	}
+	return g
+}
+
+func pathQuery() *query.Graph {
 	q := query.NewGraph(3)
 	_ = q.AddEdge(0, 0, 1)
 	_ = q.AddEdge(1, 1, 2)
-	opt := DefaultOptions()
-	opt.WorkBudget = 10
-	if _, err := New(g, q, opt); !errors.Is(err, ErrWorkBudget) {
-		t.Fatalf("initial build should exceed a 10-unit budget, got %v", err)
-	}
+	return q
+}
 
-	opt.WorkBudget = 1_000_000 // enough for the build
-	e, err := New(g, q, opt)
-	if err != nil {
-		t.Fatal(err)
+// checkFixpoint fails unless e's DCG is exactly the declarative fixpoint
+// of its graph and its counters are consistent.
+func checkFixpoint(t *testing.T, e *Engine, stage string) {
+	t.Helper()
+	spec := dcg.ComputeSpec(e.Graph(), e.Tree())
+	snap := e.DCG().SnapshotMap()
+	if len(spec) != len(snap) {
+		t.Fatalf("%s: DCG has %d edges, spec %d", stage, len(snap), len(spec))
 	}
-	// Shrink the budget so any maintenance beyond the first step aborts.
-	e.opt.WorkBudget = 1
-	_, err = e.InsertEdge(0, 0, 200)
-	if !errors.Is(err, ErrWorkBudget) {
-		t.Fatalf("expected ErrWorkBudget, got %v", err)
+	for k, s := range spec {
+		if snap[k] != s {
+			t.Fatalf("%s: DCG[%v]=%v, spec=%v", stage, k, snap[k], s)
+		}
 	}
 	if err := e.DCG().Validate(); err != nil {
 		t.Fatalf("DCG counters inconsistent after abort: %v", err)
 	}
 }
 
-// TestBudgetRecovery: after a censored operation, subsequent cheap
-// operations still work (each op gets a fresh budget).
+// TestWorkBudgetAborts: a cap below an update's match count censors it
+// with ErrWorkBudget after exactly the cap's worth of matches, and the
+// update's maintenance still runs to the end — the DCG is the fixpoint of
+// the graph afterwards, for insertions and deletions alike.
+func TestWorkBudgetAborts(t *testing.T) {
+	opt := DefaultOptions()
+	opt.WorkBudget = 10
+	e, err := New(starGraph(), pathQuery(), opt)
+	if err != nil {
+		t.Fatalf("construction is never censored, got %v", err)
+	}
+	e.opt.WorkBudget = 1
+	// 200 gets five grandchildren first (no match: nothing reaches 200 yet),
+	// then one hub edge completes five matches at once.
+	for k := graph.VertexID(0); k < 5; k++ {
+		if n, err := e.InsertEdge(200, 1, 300+k); n != 0 || err != nil {
+			t.Fatalf("grandchild %d: n=%d err=%v", k, n, err)
+		}
+	}
+	n, err := e.InsertEdge(0, 0, 200)
+	if !errors.Is(err, ErrWorkBudget) {
+		t.Fatalf("expected ErrWorkBudget, got %v", err)
+	}
+	if n != 1 {
+		t.Fatalf("censored insert reported %d matches, want the cap 1", n)
+	}
+	checkFixpoint(t, e, "censored insert")
+	n, err = e.DeleteEdge(0, 0, 200)
+	if !errors.Is(err, ErrWorkBudget) || n != 1 {
+		t.Fatalf("censored delete: n=%d err=%v, want 1 and ErrWorkBudget", n, err)
+	}
+	checkFixpoint(t, e, "censored delete")
+	// An update with exactly the cap's matches is not censored.
+	e.opt.WorkBudget = 5
+	if n, err := e.InsertEdge(0, 0, 200); n != 5 || err != nil {
+		t.Fatalf("insert at the cap: n=%d err=%v, want 5 and no error", n, err)
+	}
+}
+
+// TestBudgetRecovery: after a censored operation, subsequent operations
+// see the complete DCG (each op gets a fresh budget).
 func TestBudgetRecovery(t *testing.T) {
 	g := graph.New()
 	for i := graph.VertexID(1); i <= 50; i++ {
 		g.InsertEdge(0, 0, i)
 	}
-	q := query.NewGraph(3)
-	_ = q.AddEdge(0, 0, 1)
-	_ = q.AddEdge(1, 1, 2)
 	opt := DefaultOptions()
 	opt.WorkBudget = 500
-	e, err := New(g, q, opt)
+	e, err := New(g, pathQuery(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.opt.WorkBudget = 3
-	_, _ = e.InsertEdge(1, 1, 60) // may abort
+	// 60 gains four children (no match: nothing reaches 60 yet), then the
+	// hub edge (0,0,60) completes four matches against a cap of three.
+	for k := graph.VertexID(61); k <= 64; k++ {
+		if _, err := e.InsertEdge(60, 1, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.InsertEdge(0, 0, 60); !errors.Is(err, ErrWorkBudget) {
+		t.Fatalf("expected ErrWorkBudget, got %v", err)
+	}
 	e.opt.WorkBudget = 1_000_000
 	if _, err := e.InsertEdge(200, 0, 201); err != nil {
 		t.Fatalf("cheap op after abort failed: %v", err)
+	}
+	// The censored insert still built 60's branch: one more child of 60 is
+	// one more match.
+	if n, err := e.InsertEdge(60, 1, 65); n != 1 || err != nil {
+		t.Fatalf("insert below a censored update: n=%d err=%v, want 1", n, err)
+	}
+}
+
+// TestInitialMatchesUncapped: neither construction nor InitialMatches is
+// capped by WorkBudget, however far below the initial match count it is.
+func TestInitialMatchesUncapped(t *testing.T) {
+	for _, budget := range []int64{1, 10, 49, 210} {
+		opt := DefaultOptions()
+		opt.WorkBudget = budget
+		e, err := New(starGraph(), pathQuery(), opt)
+		if err != nil {
+			t.Fatalf("budget %d: construction censored: %v", budget, err)
+		}
+		if n := e.InitialMatches(); n != 50 {
+			t.Fatalf("budget %d: InitialMatches = %d, want all 50", budget, n)
+		}
+		checkFixpoint(t, e, fmt.Sprintf("budget %d", budget))
 	}
 }
 

@@ -149,9 +149,6 @@ func (e *Engine) ensureRootEdge(w graph.VertexID) {
 			return
 		}
 		e.buildDCG(us, graph.NoVertex, w)
-		if e.aborted {
-			return // budget abort mid-build: re-probe on the next update
-		}
 	}
 	e.markRootSeen(w)
 }
@@ -186,9 +183,6 @@ func (e *Engine) markRootSeen(w graph.VertexID) {
 //
 //tf:hotpath
 func (e *Engine) buildUpwardsAndEval(u graph.VertexID, v graph.VertexID, transit, searchable bool) {
-	if !e.charge() {
-		return
-	}
 	mapped := false
 	if searchable {
 		switch {

@@ -14,7 +14,7 @@ import (
 //
 //tf:hotpath
 func (e *Engine) subgraphSearch(dc int) {
-	if !e.charge() {
+	if e.censored {
 		return
 	}
 	if dc == len(e.mo) {
@@ -54,7 +54,7 @@ func (e *Engine) subgraphSearch(dc int) {
 	// the duration of the loop; iterating it directly avoids allocating a
 	// visitor closure at every search node.
 	for _, v := range e.d.ExplicitChildrenList(vp, u) {
-		if e.aborted {
+		if e.censored {
 			return
 		}
 		e.tryCandidate(u, v, dc)

@@ -106,7 +106,7 @@ func (e *Engine) searchWCO(u graph.VertexID, vp graph.VertexID, dc int) {
 	}
 
 	for _, v := range iterate {
-		if e.aborted {
+		if e.censored {
 			return
 		}
 		if !e.usable(v) {

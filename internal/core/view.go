@@ -12,9 +12,8 @@ import "turboflux/internal/graph"
 // Every adjacency read of the maintenance and backtracking-search paths
 // goes through the view. The two readers that do not — the WCO join, whose
 // emission order is the stored adjacency order, and the NaiveEL rebuild —
-// belong to engines whose options are not OptionsShareable; a coordinator
-// must end its window at each update relevant to such an engine, so that
-// the window has nothing to hide from it.
+// belong to harness-only configurations that no multi-query coordinator
+// builds.
 func (e *Engine) SetView(w *graph.Window, at int32) {
 	e.win, e.at = w, at
 }

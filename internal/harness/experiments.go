@@ -21,7 +21,7 @@ type Config struct {
 	QueriesPerSet int           // queries per (type, size) set (paper: 100)
 	Timeout       time.Duration // per-query censoring (paper: 2h)
 	SizeCap       int64         // per-query intermediate-size cap, bytes
-	WorkBudget    int64         // per-update work cap inside each engine
+	WorkBudget    int64         // per-update cap inside each engine (EngineOptions.WorkBudget)
 	Seed          int64
 	Scatter       bool // print per-query scatter rows (Figures 6c/d, 7c/d)
 	Out           io.Writer

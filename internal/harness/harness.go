@@ -68,9 +68,9 @@ type EngineOptions struct {
 	// WCOSearch switches TurboFlux to the worst-case-optimal search
 	// strategy over the DCG (Section 4.3 sketch).
 	WCOSearch bool
-	// WorkBudget caps per-update work inside TurboFlux, Graphflow and
-	// IncIsoMat so non-selective queries can be censored mid-operation
-	// (0 = unlimited).
+	// WorkBudget censors non-selective queries per update (0 = unlimited):
+	// TurboFlux counts reported matches and never stops maintenance;
+	// Graphflow and IncIsoMat count their own search steps.
 	WorkBudget int64
 	// TupleCap bounds SJ-Tree's total materialized tuples (0 = unlimited).
 	TupleCap int64

@@ -41,8 +41,7 @@ type mslot struct {
 	runErr []error
 
 	// sub is the slot's evaluation unit: the sub-pattern (DESIGN.md §17) of
-	// its spanning-tree shape, or a keyless unit of one when the query's
-	// options are unshareable.
+	// its spanning-tree shape.
 	sub *subpat
 }
 
@@ -54,7 +53,7 @@ type mslot struct {
 // sub-pattern is the window's unit of work: one worker walks all of its
 // updates in order, owner and followers alike.
 type subpat struct {
-	key     string   // mqo.KeyOf; "": unshareable options, never more than one member
+	key     string   // mqo.KeyOf
 	members []*mslot // registration order; members[0] owns the DCG
 
 	// runIdx is the union of the members' runIdx — the window's updates the
@@ -222,8 +221,9 @@ func (m *MultiEngine) Close() error {
 // spanning tree is canonicalized into a sub-pattern key: the first
 // registration of a shape builds a DCG over the current graph state and
 // owns it, later ones join that DCG as read-only followers without any DCG
-// construction at all. An unshareable option (a work budget) keeps the
-// query fully private. Registering a duplicate name fails.
+// construction at all. Every query joins its shape: a WorkBudget caps only
+// the query's own matches, never the maintenance its shape depends on.
+// Registering a duplicate name fails.
 func (m *MultiEngine) Register(name string, q *Query, opt Options) error {
 	if _, dup := m.slots[name]; dup {
 		return fmt.Errorf("turboflux: query %q already registered", name)
@@ -251,26 +251,18 @@ func (m *MultiEngine) Register(name string, q *Query, opt Options) error {
 	// Incremental maintenance keeps an owner's DCG at the declarative
 	// fixpoint of the current graph — exactly what a fresh build would
 	// produce — so a follower computes its matching order from it directly.
-	var key string
-	var sp *subpat
-	if core.OptionsShareable(copt) {
-		key = mqo.KeyOf(q, tree)
-		sp = m.shapes[key]
-	}
+	key := mqo.KeyOf(q, tree)
+	sp := m.shapes[key]
 	if sp != nil {
 		s.eng, err = core.NewWithTree(m.g, q, tree, copt, sp.members[0].eng.DCG())
 	} else {
 		s.eng, err = core.NewWithTree(m.g, q, tree, copt, nil)
+		sp = &subpat{key: key}
 	}
 	if err != nil {
 		return err
 	}
-	if sp == nil {
-		sp = &subpat{key: key}
-		if key != "" {
-			m.shapes[key] = sp
-		}
-	}
+	m.shapes[key] = sp
 	sp.members = append(sp.members, s)
 	s.sub = sp
 	m.slots[name] = s
@@ -394,13 +386,11 @@ func (m *MultiEngine) Delete(from VertexID, l Label, to VertexID) (map[string]in
 // scheduler, with ApplyBatch's failure semantics. Every relevant engine is
 // evaluated even when an earlier one fails, partial counts are returned,
 // and the per-query errors are aggregated with errors.Join, each wrapped
-// as `query "name"`, so errors.Is still detects ErrWorkBudget. Nothing
-// rolls back: a budget-aborted engine stops its walk where the budget ran
-// out (in buildDCG, buildUpwardsAndEval, clearUpwardsAndEval or clearDCG),
-// so its DCG keeps consistent counters but can be left short of the
-// fixpoint of the graph, and its later updates evaluate against that DCG
-// (ROADMAP item 8 proposes a cap on the search alone instead). Every
-// other engine and the graph itself stay exactly in sync with the stream.
+// as `query "name"`, so errors.Is still detects ErrWorkBudget. A query
+// censored by its WorkBudget reports exactly its first WorkBudget matches
+// in search order, whether it owns its shape's DCG or follows it, and the
+// update's maintenance runs to the end either way: every DCG and the graph
+// stay exactly in sync with the stream.
 func (m *MultiEngine) Apply(u Update) (map[string]int64, error) {
 	m.one[0] = u
 	counts := m.evalBatch(m.one[:], nil)
@@ -481,10 +471,7 @@ func (m *MultiEngine) fail(idx int, err error) {
 // it does not engage are notified of the new vertices in exact sequential
 // position. No-ops (duplicate inserts, absent deletes, re-declarations) are
 // detected exactly, because an update whose edge the window already
-// touched ends the window first. An update relevant to an engine that
-// reads the graph past the view (an unshareable option: a work budget)
-// ends the window after itself, so such an engine never has anything
-// hidden from it.
+// touched ends the window first.
 //
 // It returns the index of the first update not consumed.
 //
@@ -517,7 +504,7 @@ loop:
 			if record {
 				m.win.Add(e, int32(i), false)
 			}
-			last := m.engage(i, e.Label)
+			m.engage(i, e.Label)
 			i++
 			if newFrom {
 				m.notifyVertexAdded(e.From)
@@ -525,7 +512,7 @@ loop:
 			if newTo {
 				m.notifyVertexAdded(e.To)
 			}
-			if newFrom || newTo || last {
+			if newFrom || newTo {
 				break loop
 			}
 		case stream.OpDelete:
@@ -540,12 +527,9 @@ loop:
 			if record {
 				m.win.Add(e, int32(i), true)
 			}
-			last := m.engage(i, e.Label)
+			m.engage(i, e.Label)
 			m.runDels = append(m.runDels, e)
 			i++
-			if last {
-				break loop
-			}
 		case stream.OpVertex:
 			if m.g.HasVertex(u.Vertex) {
 				i++ // existing vertex: sequential no-op
@@ -588,13 +572,11 @@ func (m *MultiEngine) notifyVertexAdded(v VertexID) {
 }
 
 // engage schedules the batch update at idx, labeled l, onto every relevant
-// slot, in (update, registration) order, and onto their units. It reports
-// whether the update must be the window's last: one of the engaged engines
-// reads the graph past the view. The routing and sharing counters are
-// counted here and nowhere else.
+// slot, in (update, registration) order, and onto their units. The routing
+// and sharing counters are counted here and nowhere else.
 //
 //tf:hotpath
-func (m *MultiEngine) engage(idx int, l Label) (last bool) {
+func (m *MultiEngine) engage(idx int, l Label) {
 	var rel []*mslot
 	if int(l) < len(m.byLabel) {
 		rel = m.byLabel[l]
@@ -618,11 +600,9 @@ func (m *MultiEngine) engage(idx int, l Label) (last bool) {
 			}
 		}
 		sp.evals++
-		last = last || sp.key == ""
 	}
 	m.evals += uint64(len(rel))
 	m.skipped += uint64(len(m.order) - len(rel))
-	return last
 }
 
 // evaluate is a unit's share of the window, run by the one worker that
@@ -796,9 +776,9 @@ func (m *MultiEngine) TotalIntermediateBytes() int64 {
 // (DESIGN.md §17): how many distinct sub-patterns the registered queries
 // collapsed into and how much maintenance work sharing has avoided.
 type MQOStats struct {
-	// SubPatterns counts distinct shareable sub-patterns currently
-	// registered; SharedSubPatterns counts those whose DCG is shared (>= 2
-	// members); Refs totals the members across all sub-patterns.
+	// SubPatterns counts distinct sub-patterns currently registered;
+	// SharedSubPatterns counts those whose DCG is shared (>= 2 members);
+	// Refs totals the members across all sub-patterns.
 	SubPatterns       int
 	SharedSubPatterns int
 	Refs              int
@@ -823,13 +803,9 @@ func (m *MultiEngine) MQOStats() MQOStats {
 		SavedEvals:    m.savedEvals,
 		SharedReplays: m.sharedRelays,
 	}
-	for _, s := range m.order {
-		sp := s.sub
-		if sp.key == "" {
-			continue
-		}
-		st.Refs++
-		if s == sp.members[0] && len(sp.members) >= 2 {
+	for _, sp := range m.shapes { //tf:unordered-ok counting only
+		st.Refs += len(sp.members)
+		if len(sp.members) >= 2 {
 			st.SharedSubPatterns++
 		}
 	}

@@ -85,6 +85,41 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 }
 
+// hubbedGraph is vertices 1..4 and a hub 9, all labeled 0, with label-0
+// edges 2→9→1 and 4→9→3: inserting 1→2, 3→4 or, after both, 2→3 each
+// completes two label-0 2-paths (twoPathQuery) but one edge (edgeQuery).
+func hubbedGraph() *Graph {
+	g := NewGraph()
+	for _, v := range []VertexID{1, 2, 3, 4, 9} {
+		g.EnsureVertex(v, 0)
+	}
+	g.InsertEdge(2, 0, 9)
+	g.InsertEdge(9, 0, 1)
+	g.InsertEdge(4, 0, 9)
+	g.InsertEdge(9, 0, 3)
+	return g
+}
+
+// edgeQuery is one label-0 edge between label-0 vertices.
+func edgeQuery() *Query {
+	q := NewQuery(2)
+	q.SetLabels(0, 0)
+	q.SetLabels(1, 0)
+	_ = q.AddEdge(0, 0, 1)
+	return q
+}
+
+// twoPathQuery is a label-0 2-path over label-0 vertices.
+func twoPathQuery() *Query {
+	q := NewQuery(3)
+	for v := VertexID(0); v < 3; v++ {
+		q.SetLabels(v, 0)
+	}
+	_ = q.AddEdge(0, 0, 1)
+	_ = q.AddEdge(1, 0, 2)
+	return q
+}
+
 // TestBatchErrorEvaluatesAll pins the batch failure semantics: a
 // budget-starved query fails every update it is relevant to, the joined
 // error names each failing update index and query, errors.Is still sees
@@ -94,30 +129,21 @@ func TestBatchErrorEvaluatesAll(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			g := NewGraph()
-			g.EnsureVertex(1, 0)
-			g.EnsureVertex(2, 0)
+			g := hubbedGraph()
 			m := NewMultiEngine(g)
 			defer m.Close() //tf:unchecked-ok test teardown
 			m.SetFanOutWorkers(workers)
-			mkQ := func() *Query {
-				q := NewQuery(2)
-				q.SetLabels(0, 0)
-				q.SetLabels(1, 0)
-				_ = q.AddEdge(0, 0, 1)
-				return q
-			}
-			if err := m.Register("ok", mkQ(), Options{}); err != nil {
+			if err := m.Register("ok", edgeQuery(), Options{}); err != nil {
 				t.Fatal(err)
 			}
-			// Budget 2 registers against the tiny graph but fails every
-			// edge evaluation.
-			if err := m.Register("starved", mkQ(), Options{WorkBudget: 2}); err != nil {
+			// Each edge below completes two 2-paths through the hub, one more
+			// than the cap.
+			if err := m.Register("starved", twoPathQuery(), Options{WorkBudget: 1}); err != nil {
 				t.Fatal(err)
 			}
 			ups := []Update{
-				DeclareVertex(3, 0),
-				DeclareVertex(4, 0),
+				DeclareVertex(5, 0),
+				DeclareVertex(6, 0),
 				Insert(1, 0, 2),
 				Insert(3, 0, 4),
 				Insert(2, 0, 3),
@@ -153,9 +179,9 @@ func TestBatchErrorEvaluatesAll(t *testing.T) {
 // update that created its endpoint vertices — ApplyBatch reports
 // `update i: query "name": cause`, and Apply/Insert/Delete report the same
 // error without the update index (the server's -ERR text for single
-// lines). Unknown ops are worded the same way. (Insertions carry the
-// failures: a starved engine rolled its insert transitions back, so the
-// matching deletions find nothing to spend budget on.)
+// lines). Unknown ops are worded the same way. (The starved query is an
+// unlabeled 2-path capped at one match, and every insertion below
+// completes at least two 2-paths: the set-up graph is 1→2, 3→4, 4→3, 3→1.)
 func TestErrorWording(t *testing.T) {
 	starved := fmt.Sprintf("query %q: %v", "starved", ErrWorkBudget)
 	at := func(i int, msg string) string { return fmt.Sprintf("update %d: %s", i, msg) }
@@ -174,7 +200,7 @@ func TestErrorWording(t *testing.T) {
 			return err
 		}, at(0, starved) + "\n" + at(1, starved)},
 		{"vertex-creating updates", func(m *MultiEngine) error {
-			_, err := m.ApplyBatch([]Update{Insert(5, 0, 6), Insert(7, 0, 1)})
+			_, err := m.ApplyBatch([]Update{Insert(5, 0, 3), Insert(3, 0, 7)})
 			return err
 		}, at(0, starved) + "\n" + at(1, starved)},
 		{"Apply", func(m *MultiEngine) error {
@@ -182,7 +208,7 @@ func TestErrorWording(t *testing.T) {
 			return err
 		}, starved},
 		{"Insert creating vertices", func(m *MultiEngine) error {
-			_, err := m.Insert(5, 0, 6)
+			_, err := m.Insert(5, 0, 3)
 			return err
 		}, starved},
 		{"unknown op, Apply", func(m *MultiEngine) error {
@@ -204,14 +230,14 @@ func TestErrorWording(t *testing.T) {
 			defer m.Close() //tf:unchecked-ok test teardown
 			// Unlabeled query vertices: auto-created endpoints are candidates,
 			// so a vertex-creating insert reaches the starved engine's search.
-			q := NewQuery(2)
+			q := NewQuery(3)
 			_ = q.AddEdge(0, 0, 1)
+			_ = q.AddEdge(1, 0, 2)
 			if err := m.Register("starved", q, Options{WorkBudget: 1}); err != nil {
 				t.Fatal(err)
 			}
-			// Budget 1 registers against the empty graph but fails every edge
-			// evaluation, set-up included.
-			if _, err := m.ApplyBatch([]Update{Insert(1, 0, 2), Insert(3, 0, 4)}); !errors.Is(err, ErrWorkBudget) {
+			// The set-up's last two edges complete two 2-paths each.
+			if _, err := m.ApplyBatch([]Update{Insert(1, 0, 2), Insert(3, 0, 4), Insert(4, 0, 3), Insert(3, 0, 1)}); !errors.Is(err, ErrWorkBudget) {
 				t.Fatalf("set-up err = %v, want ErrWorkBudget", err)
 			}
 			err := tc.run(m)

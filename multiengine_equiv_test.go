@@ -1,6 +1,7 @@
 package turboflux
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -54,9 +55,14 @@ type runResult struct {
 	transcript string
 	totals     map[string]int64 // summed per-query counts, non-zero only
 	dcgEdges   map[string]int   // per-query DCG size after the stream
+	censored   map[string]bool  // "q<i>@<update>" for every evaluation ErrWorkBudget censored
 	fanout     FanOutStats      // MultiEngine runs only
 	mqo        MQOStats         // MultiEngine runs only
+	m          *MultiEngine     // MultiEngine runs only, pool closed
 }
+
+// censorKey names one censored evaluation in runResult.censored.
+func censorKey(name string, idx int) string { return fmt.Sprintf("%s@%d", name, idx) }
 
 // transcriptHook returns the OnMatch hook writing query name's emissions.
 func transcriptHook(b *strings.Builder, name string) func(bool, []VertexID) {
@@ -71,13 +77,14 @@ func transcriptHook(b *strings.Builder, name string) func(bool, []VertexID) {
 
 // refTarget is the reference: independent single-query engines.
 type refTarget struct {
-	t      *testing.T
-	specs  []parallelQuerySpec
-	g      *Graph // the stream applied so far; registrations clone it
-	names  []string
-	engs   []*Engine // parallel to names, registration order
-	b      strings.Builder
-	totals map[string]int64
+	t        *testing.T
+	specs    []parallelQuerySpec
+	g        *Graph // the stream applied so far; registrations clone it
+	names    []string
+	engs     []*Engine // parallel to names, registration order
+	b        strings.Builder
+	totals   map[string]int64
+	censored map[string]bool
 }
 
 func (r *refTarget) register(i int) {
@@ -108,7 +115,9 @@ func (r *refTarget) apply(seg []Update, off int) {
 	for i, u := range seg {
 		for k, eng := range r.engs {
 			n, err := eng.Apply(u)
-			if err != nil {
+			if errors.Is(err, ErrWorkBudget) {
+				r.censored[censorKey(r.names[k], off+i)] = true
+			} else if err != nil {
 				r.t.Fatal(err)
 			}
 			if n != 0 {
@@ -123,9 +132,9 @@ func (r *refTarget) apply(seg []Update, off int) {
 // runReference drives the stream through the reference engines.
 func runReference(t *testing.T, specs []parallelQuerySpec, ups []Update, churn []churnStep) runResult {
 	t.Helper()
-	r := &refTarget{t: t, specs: specs, g: NewGraph(), totals: map[string]int64{}}
+	r := &refTarget{t: t, specs: specs, g: NewGraph(), totals: map[string]int64{}, censored: map[string]bool{}}
 	driveStream(r, len(specs), ups, churn)
-	res := runResult{transcript: r.b.String(), totals: r.totals, dcgEdges: map[string]int{}}
+	res := runResult{transcript: r.b.String(), totals: r.totals, dcgEdges: map[string]int{}, censored: r.censored}
 	for k, eng := range r.engs {
 		res.dcgEdges[r.names[k]] = eng.Stats().DCGEdges
 	}
@@ -136,12 +145,13 @@ func runReference(t *testing.T, specs []parallelQuerySpec, ups []Update, churn [
 // one update at a time with Apply; otherwise the stream goes through
 // ApplyBatchFunc in chunks of batch.
 type multiTarget struct {
-	t      *testing.T
-	specs  []parallelQuerySpec
-	m      *MultiEngine
-	batch  int
-	b      strings.Builder
-	totals map[string]int64
+	t        *testing.T
+	specs    []parallelQuerySpec
+	m        *MultiEngine
+	batch    int
+	b        strings.Builder
+	totals   map[string]int64
+	censored map[string]bool
 }
 
 func (mt *multiTarget) register(i int) {
@@ -160,9 +170,24 @@ func (mt *multiTarget) unregister(i int) {
 }
 
 func (mt *multiTarget) apply(seg []Update, off int) {
-	merge := func(counts map[string]int64, err error) {
+	// merge files each ErrWorkBudget of err — MultiEngine's joined
+	// `[update i: ]query "name": cause` errors — as a censored evaluation,
+	// update indexes counted from base; any other error fails the test.
+	merge := func(base int, counts map[string]int64, err error) {
 		if err != nil {
-			mt.t.Fatal(err)
+			for _, e := range err.(interface{ Unwrap() []error }).Unwrap() {
+				msg, i, name := e.Error(), 0, ""
+				var serr error
+				if strings.HasPrefix(msg, "update ") {
+					_, serr = fmt.Sscanf(msg, "update %d: query %q:", &i, &name)
+				} else {
+					_, serr = fmt.Sscanf(msg, "query %q:", &name)
+				}
+				if serr != nil || !errors.Is(e, ErrWorkBudget) {
+					mt.t.Fatal(e)
+				}
+				mt.censored[censorKey(name, base+i)] = true
+			}
 		}
 		for name, n := range counts {
 			mt.totals[name] += n
@@ -170,16 +195,18 @@ func (mt *multiTarget) apply(seg []Update, off int) {
 	}
 	if mt.batch == 0 {
 		for i, u := range seg {
-			merge(mt.m.Apply(u))
+			counts, err := mt.m.Apply(u)
+			merge(off+i, counts, err)
 			fmt.Fprintf(&mt.b, "|%d;", off+i)
 		}
 		return
 	}
 	for _, chunk := range stream.Batches(seg, mt.batch) {
 		base := off
-		merge(mt.m.ApplyBatchFunc(chunk, func(i int) {
+		counts, err := mt.m.ApplyBatchFunc(chunk, func(i int) {
 			fmt.Fprintf(&mt.b, "|%d;", base+i)
-		}))
+		})
+		merge(base, counts, err)
 		off += len(chunk)
 	}
 }
@@ -193,14 +220,16 @@ func runMulti(t *testing.T, workers, batch int, specs []parallelQuerySpec, ups [
 	if got := m.FanOutWorkers(); got != workers {
 		t.Fatalf("FanOutWorkers = %d, want %d", got, workers)
 	}
-	mt := &multiTarget{t: t, specs: specs, m: m, batch: batch, totals: map[string]int64{}}
+	mt := &multiTarget{t: t, specs: specs, m: m, batch: batch, totals: map[string]int64{}, censored: map[string]bool{}}
 	driveStream(mt, len(specs), ups, churn)
 	res := runResult{
 		transcript: mt.b.String(),
 		totals:     mt.totals,
 		dcgEdges:   map[string]int{},
+		censored:   mt.censored,
 		fanout:     m.FanOutStats(),
 		mqo:        m.MQOStats(),
+		m:          m,
 	}
 	for name, st := range m.Stats() {
 		res.dcgEdges[name] = st.DCGEdges
@@ -209,11 +238,13 @@ func runMulti(t *testing.T, workers, batch int, specs []parallelQuerySpec, ups [
 }
 
 // checkEquivalence is the property every suite asserts: under each
-// (workers, batch) configuration MultiEngine's transcript, summed counts
-// and final per-query DCG sizes equal the reference's, byte for byte.
-// each, when non-nil, sees every MultiEngine result for extra assertions.
+// (workers, batch) configuration MultiEngine's transcript, summed counts,
+// censored (query, update) evaluations and final per-query DCG sizes equal
+// the reference's, byte for byte. each, when non-nil, sees every
+// MultiEngine result for extra assertions. It returns the reference's
+// result.
 func checkEquivalence(t *testing.T, specs []parallelQuerySpec, ups []Update, churn []churnStep,
-	workers, batches []int, each func(cfg string, got runResult)) {
+	workers, batches []int, each func(cfg string, got runResult)) runResult {
 	t.Helper()
 	want := runReference(t, specs, ups, churn)
 	for _, w := range workers {
@@ -237,11 +268,20 @@ func checkEquivalence(t *testing.T, specs []parallelQuerySpec, ups []Update, chu
 					t.Fatalf("%s query %s: %d DCG edges != reference %d", cfg, name, got.dcgEdges[name], n)
 				}
 			}
+			if len(got.censored) != len(want.censored) {
+				t.Fatalf("%s: %d censored evaluations, reference %d", cfg, len(got.censored), len(want.censored))
+			}
+			for k := range want.censored {
+				if !got.censored[k] {
+					t.Fatalf("%s: evaluation %s censored by the reference only", cfg, k)
+				}
+			}
 			if each != nil {
 				each(cfg, got)
 			}
 		}
 	}
+	return want
 }
 
 // firstDiff returns a window around the first byte where got and want

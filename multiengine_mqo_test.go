@@ -121,7 +121,8 @@ func TestMQOChurnEquivalence(t *testing.T) {
 }
 
 // TestMQORefcountLifecycle pins the sub-pattern bookkeeping end to end:
-// create, share at the second member, survive member loss, unshare at one,
+// create, share at the second member, admit a budgeted member like any
+// other, survive member loss, unshare at one,
 // share again on a fresh join, drop at zero, and hand the DCG over when the
 // owner leaves first — with every registered query still matching at each
 // stage.
@@ -156,13 +157,14 @@ func TestMQORefcountLifecycle(t *testing.T) {
 	check("shared at two", 1, 1, 2)
 	reg("c")
 	check("third joins", 1, 1, 3)
-	// Unshareable options stay fully private: no sub-pattern participation.
+	// A work budget caps only the query's own matches: it shares like any
+	// other member.
 	q, opt := spec.build()
 	opt.WorkBudget = 1 << 20
 	if err := m.Register("d", q, opt); err != nil {
 		t.Fatal(err)
 	}
-	check("private member", 1, 1, 3)
+	check("budgeted member joins the shape", 1, 1, 4)
 
 	counts, err := m.Insert(1, 0, 2)
 	if err != nil {
@@ -176,6 +178,10 @@ func TestMQORefcountLifecycle(t *testing.T) {
 	if st := m.MQOStats(); st.MaintainRuns == 0 || st.SavedEvals == 0 {
 		t.Fatalf("maintenance never ran: %+v", st)
 	}
+	if !m.Unregister("d") {
+		t.Fatal("d not registered")
+	}
+	check("budgeted member released", 1, 1, 3)
 
 	if !m.Unregister("b") {
 		t.Fatal("b not registered")
@@ -189,7 +195,7 @@ func TestMQORefcountLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts["a"] != 1 || counts["d"] != 1 || len(counts) != 2 {
+	if counts["a"] != 1 || len(counts) != 1 {
 		t.Fatalf("counts after unsharing = %v", counts)
 	}
 
@@ -199,7 +205,7 @@ func TestMQORefcountLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts["a"] != 1 || counts["c2"] != 1 || counts["d"] != 1 {
+	if counts["a"] != 1 || counts["c2"] != 1 || len(counts) != 2 {
 		t.Fatalf("counts after re-sharing = %v", counts)
 	}
 
@@ -211,7 +217,7 @@ func TestMQORefcountLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts["d"] != 1 || len(counts) != 1 {
+	if len(counts) != 0 {
 		t.Fatalf("counts after full release = %v", counts)
 	}
 
@@ -235,7 +241,7 @@ func TestMQORefcountLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts["b"] != 1 || counts["c"] != 1 || counts["d"] != 1 || len(counts) != 3 {
+	if counts["b"] != 1 || counts["c"] != 1 || len(counts) != 2 {
 		t.Fatalf("counts after hand-over = %v", counts)
 	}
 	if st := m.Stats(); st["b"].DCGEdges != st["c"].DCGEdges || st["b"].DCGEdges <= after["b"].DCGEdges {

@@ -16,6 +16,7 @@ type parallelQuerySpec struct {
 	vlabel    Label
 	anyVertex bool // leave the query vertices unlabeled: every data vertex is a candidate
 	semantics Semantics
+	budget    int64 // Options.WorkBudget
 }
 
 func (s parallelQuerySpec) build() (*Query, Options) {
@@ -44,7 +45,7 @@ func (s parallelQuerySpec) build() (*Query, Options) {
 			q.SetLabels(v, s.vlabel)
 		}
 	}
-	return q, Options{Semantics: s.semantics}
+	return q, Options{Semantics: s.semantics, WorkBudget: s.budget}
 }
 
 func randomQuerySpecs(rng *rand.Rand) []parallelQuerySpec {
@@ -168,28 +169,18 @@ func TestMultiEngineFanOutErrorEvaluatesAll(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			g := NewGraph()
-			g.EnsureVertex(1, 0)
-			g.EnsureVertex(2, 0)
-			m := NewMultiEngine(g)
+			m := NewMultiEngine(hubbedGraph())
 			defer m.Close() //tf:unchecked-ok test teardown
 			m.SetFanOutWorkers(workers)
-			mkQ := func() *Query {
-				q := NewQuery(2)
-				q.SetLabels(0, 0)
-				q.SetLabels(1, 0)
-				_ = q.AddEdge(0, 0, 1)
-				return q
-			}
-			if err := m.Register("before", mkQ(), Options{}); err != nil {
+			if err := m.Register("before", edgeQuery(), Options{}); err != nil {
 				t.Fatal(err)
 			}
-			// Budget 2 is enough to register against the small graph but
-			// not to evaluate the triggering insertion.
-			if err := m.Register("starved", mkQ(), Options{WorkBudget: 2}); err != nil {
+			// Inserting or deleting 1→2 completes two 2-paths through the
+			// hub, one more than the cap.
+			if err := m.Register("starved", twoPathQuery(), Options{WorkBudget: 1}); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Register("after", mkQ(), Options{}); err != nil {
+			if err := m.Register("after", edgeQuery(), Options{}); err != nil {
 				t.Fatal(err)
 			}
 

@@ -169,13 +169,19 @@ func TestMultiEngineFanOutError(t *testing.T) {
 	m, _ := multiFixture(t)
 	// A starved query makes the fan-out fail with the query's name in the
 	// error; queries evaluated before it keep their results.
-	q := NewQuery(2)
+	if _, err := m.Insert(1, 0, 20); err != nil { // Person 1 owns a second account
+		t.Fatal(err)
+	}
+	// Person -knows-> Person, the first also owning an Account: the knows
+	// edge below completes one match per account of 1, two against a cap of
+	// one.
+	q := NewQuery(3)
 	q.SetLabels(0, 0)
 	q.SetLabels(1, 0)
+	q.SetLabels(2, 1)
 	_ = q.AddEdge(0, 2, 1)
-	// Budget 2 is enough to register against the small fixture graph but
-	// not to evaluate the triggering insertion.
-	if err := m.Register("starved", q, Options{WorkBudget: 2}); err != nil {
+	_ = q.AddEdge(0, 0, 2)
+	if err := m.Register("starved", q, Options{WorkBudget: 1}); err != nil {
 		t.Fatal(err)
 	}
 	counts, err := m.Insert(1, 2, 2)

@@ -125,18 +125,19 @@ type Options struct {
 	// The mapping slice (query vertex -> data vertex) is reused across
 	// calls; copy it if retained.
 	OnMatch func(positive bool, mapping []VertexID)
-	// WorkBudget caps the work units (search and maintenance steps) spent
-	// on a single update; when exceeded the update aborts with
-	// ErrWorkBudget and its match reporting is incomplete. The abort rolls
-	// nothing back: maintenance stops partway, so the DCG can be left short
-	// of the fixpoint of the graph for later updates (see
-	// MultiEngine.Apply and ROADMAP item 8). 0 means unlimited.
+	// WorkBudget caps the matches a single update may report (0 means
+	// unlimited). An update that completes more reports its first
+	// WorkBudget matches in search order, stops searching and returns
+	// ErrWorkBudget; its maintenance still runs to the end, so later updates
+	// evaluate exactly as if nothing had been censored. Construction and
+	// InitialMatches are never capped, and a capped query still shares its
+	// shape's DCG in a MultiEngine.
 	WorkBudget int64
 }
 
-// ErrWorkBudget reports that an update exceeded Options.WorkBudget and was
-// aborted. Test with errors.Is; MultiEngine wraps it with the offending
-// query's name.
+// ErrWorkBudget reports that an update completed more matches than
+// Options.WorkBudget and had its search censored. Test with errors.Is;
+// MultiEngine wraps it with the offending query's name.
 var ErrWorkBudget = core.ErrWorkBudget
 
 // Engine is a continuous subgraph matching instance. It is not safe for
@@ -188,7 +189,7 @@ func (e *Engine) Apply(u Update) (int64, error) { return e.inner.Apply(u) }
 // ApplyBatch applies a whole batch of updates and returns the total
 // match count. It evaluates every update even when some fail: per-update
 // errors are wrapped as `update i` and aggregated with errors.Join, so a
-// work-budget abort on one update does not silently drop the rest of the
+// work-budget censor on one update does not silently drop the rest of the
 // batch. Match reporting order is identical to applying the updates one
 // at a time.
 func (e *Engine) ApplyBatch(ups []Update) (int64, error) {
