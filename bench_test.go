@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"turboflux/internal/csm"
 	"turboflux/internal/harness"
 	"turboflux/internal/query"
 	"turboflux/internal/stats"
@@ -39,8 +40,7 @@ var (
 func benchRC() harness.RunConfig {
 	return harness.RunConfig{
 		Timeout: benchTimeout,
-		SizeCap: benchSizeCap,
-		Engine:  harness.EngineOptions{WorkBudget: benchWork, TupleCap: benchSizeCap / 32},
+		Engine:  harness.EngineOptions{Options: csm.Options{WorkBudget: benchWork, SizeCap: benchSizeCap}},
 	}
 }
 

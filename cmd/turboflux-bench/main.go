@@ -36,8 +36,8 @@ func main() {
 	flag.IntVar(&cfg.Triples, "triples", cfg.Triples, "Netflow triple count")
 	flag.IntVar(&cfg.QueriesPerSet, "queries", cfg.QueriesPerSet, "queries per set (paper: 100)")
 	flag.DurationVar(&cfg.Timeout, "timeout", cfg.Timeout, "per-query timeout (paper: 2h)")
-	flag.Int64Var(&cfg.SizeCap, "sizecap", cfg.SizeCap, "per-query intermediate-size cap (bytes)")
-	flag.Int64Var(&cfg.WorkBudget, "work", cfg.WorkBudget, "per-update cap inside engines: reported matches for TurboFlux, search steps for the baselines")
+	flag.Int64Var(&cfg.SizeCap, "sizecap", cfg.SizeCap, "per-query cap on an engine's intermediate results (bytes, as each engine accounts them)")
+	flag.Int64Var(&cfg.WorkBudget, "work", cfg.WorkBudget, "per-update cap on the matches every engine reports")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
 	flag.BoolVar(&cfg.Scatter, "scatter", false, "print per-query scatter rows (fig6/fig7)")
 	csvDir := flag.String("csv", "", "also write per-experiment CSV files into this directory")

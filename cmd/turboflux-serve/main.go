@@ -25,6 +25,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -33,6 +34,7 @@ import (
 
 	"turboflux/internal/graph"
 	"turboflux/internal/server"
+	"turboflux/internal/stream"
 )
 
 func main() {
@@ -83,6 +85,10 @@ func run(addr, dataDir, fsync, graphPath, slow, follow string, queue, workers in
 	srv, err := server.New(opt)
 	if g0 != nil {
 		g0.Close() //tf:unchecked-ok read-only file
+	}
+	var lineErr *stream.LineError
+	if errors.As(err, &lineErr) {
+		return fmt.Errorf("loading graph: %w", err)
 	}
 	if err != nil {
 		return err

@@ -15,44 +15,29 @@
 package graphflow
 
 import (
-	"errors"
 	"fmt"
 
+	"turboflux/internal/csm"
 	"turboflux/internal/graph"
 	"turboflux/internal/query"
 	"turboflux/internal/stream"
 )
 
-// ErrWorkBudget reports that an update exceeded Options.WorkBudget.
-var ErrWorkBudget = errors.New("graphflow: per-update work budget exceeded")
-
-// MatchFunc receives one match; the mapping slice is reused across calls.
-type MatchFunc func(positive bool, m []graph.VertexID)
-
-// Options configures a Graphflow engine.
-type Options struct {
-	// Injective selects subgraph isomorphism.
-	Injective bool
-	// OnMatch, when non-nil, receives every match.
-	OnMatch MatchFunc
-	// WorkBudget caps extension steps per update (0 = unlimited); exceeding
-	// it aborts the update with ErrWorkBudget (the harness's censoring
-	// hook for non-selective queries).
-	WorkBudget int64
-}
+// Options configures a Graphflow engine. Deadline is checked on extension
+// steps; Graphflow stores no intermediate results, so SizeCap never binds.
+type Options = csm.Options
 
 // Engine is a Graphflow-style continuous matcher. It owns its data graph.
 type Engine struct {
-	g         *graph.Graph
-	q         *query.Graph
-	injective bool
-	onMatch   MatchFunc
+	g   *graph.Graph
+	q   *query.Graph
+	opt Options
 
 	// orders[i] is the vertex extension order used when query edge i is
 	// the trigger: trigger endpoints first, then a connected expansion.
 	orders [][]extStep
 
-	workBudget int64
+	timer csm.Timer
 
 	m        []graph.VertexID
 	used     map[graph.VertexID]bool
@@ -60,10 +45,8 @@ type Engine struct {
 	trigger  int
 	positive bool
 	matches  int64
-	opWork   int64
-	aborted  bool
-
-	posTotal, negTotal int64
+	// censor is why the current update's search stopped early, or nil.
+	censor error
 }
 
 // extStep describes one extension step: bind query vertex U using query
@@ -81,12 +64,11 @@ func New(g0 *graph.Graph, q *query.Graph, opt Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		g:          g0,
-		q:          q,
-		injective:  opt.Injective,
-		onMatch:    opt.OnMatch,
-		workBudget: opt.WorkBudget,
-		m:          make([]graph.VertexID, q.NumVertices()),
+		g:     g0,
+		q:     q,
+		opt:   opt,
+		timer: csm.NewTimer(opt.Deadline),
+		m:     make([]graph.VertexID, q.NumVertices()),
 	}
 	for i := range e.m {
 		e.m[i] = graph.NoVertex
@@ -154,10 +136,7 @@ func (e *Engine) InsertEdge(v graph.VertexID, l graph.Label, v2 graph.VertexID) 
 		return 0, nil
 	}
 	n := e.evaluate(graph.Edge{From: v, Label: l, To: v2}, true)
-	if e.aborted {
-		return n, ErrWorkBudget
-	}
-	return n, nil
+	return n, e.censor
 }
 
 // DeleteEdge reports negative matches (evaluated while the edge is still
@@ -168,35 +147,18 @@ func (e *Engine) DeleteEdge(v graph.VertexID, l graph.Label, v2 graph.VertexID) 
 	}
 	n := e.evaluate(graph.Edge{From: v, Label: l, To: v2}, false)
 	e.g.DeleteEdge(v, l, v2)
-	if e.aborted {
-		return n, ErrWorkBudget
-	}
-	return n, nil
-}
-
-// charge consumes one work unit; it reports whether evaluation continues.
-func (e *Engine) charge() bool {
-	if e.aborted {
-		return false
-	}
-	if e.workBudget <= 0 {
-		return true
-	}
-	e.opWork++
-	if e.opWork > e.workBudget {
-		e.aborted = true
-		return false
-	}
-	return true
+	return n, e.censor
 }
 
 func (e *Engine) evaluate(ed graph.Edge, positive bool) int64 {
 	e.updEdge = ed
 	e.positive = positive
 	e.matches = 0
-	e.opWork = 0
-	e.aborted = false
+	e.censor = nil
 	for ti, qe := range e.q.Edges() {
+		if e.censor != nil {
+			break
+		}
 		if qe.Label != ed.Label {
 			continue
 		}
@@ -207,7 +169,7 @@ func (e *Engine) evaluate(ed graph.Edge, positive bool) int64 {
 		if qe.From == qe.To && ed.From != ed.To {
 			continue
 		}
-		if e.injective && qe.From != qe.To && ed.From == ed.To {
+		if e.opt.Injective && qe.From != qe.To && ed.From == ed.To {
 			continue
 		}
 		e.trigger = ti
@@ -223,13 +185,7 @@ func (e *Engine) evaluate(ed graph.Edge, positive bool) int64 {
 		}
 		e.unbind(qe.From)
 	}
-	n := e.matches
-	if positive {
-		e.posTotal += n
-	} else {
-		e.negTotal += n
-	}
-	return n
+	return e.matches
 }
 
 func (e *Engine) bind(u, v graph.VertexID) {
@@ -248,16 +204,22 @@ func (e *Engine) unbind(u graph.VertexID) {
 
 // extend binds the remaining query vertices one at a time (generic-join
 // style: candidates from one bound neighbor's adjacency, validated against
-// every other bound neighbor).
+// every other bound neighbor). The (WorkBudget+1)-th complete match and an
+// expired deadline stop the search.
 func (e *Engine) extend(step int) {
-	if !e.charge() {
+	if e.timer.Expired() {
+		e.censor = csm.ErrDeadline
 		return
 	}
 	steps := e.orders[e.trigger]
 	if step == len(steps) {
+		if e.opt.WorkBudget > 0 && e.matches == e.opt.WorkBudget {
+			e.censor = csm.ErrWorkBudget
+			return
+		}
 		e.matches++
-		if e.onMatch != nil {
-			e.onMatch(e.positive, e.m)
+		if e.opt.OnMatch != nil {
+			e.opt.OnMatch(e.positive, e.m)
 		}
 		return
 	}
@@ -271,10 +233,10 @@ func (e *Engine) extend(step int) {
 	}
 	labels := e.q.Labels(st.U)
 	for _, v := range cands {
-		if e.aborted {
+		if e.censor != nil {
 			return
 		}
-		if e.injective && e.used[v] {
+		if e.opt.Injective && e.used[v] {
 			continue
 		}
 		if !e.g.HasAllLabels(v, labels) {
@@ -316,12 +278,6 @@ func (e *Engine) checkBoundEdges(u graph.VertexID) bool {
 	}
 	return true
 }
-
-// PositiveCount returns total positives reported.
-func (e *Engine) PositiveCount() int64 { return e.posTotal }
-
-// NegativeCount returns total negatives reported.
-func (e *Engine) NegativeCount() int64 { return e.negTotal }
 
 // IntermediateSizeBytes is always zero: Graphflow maintains no state.
 func (e *Engine) IntermediateSizeBytes() int64 { return 0 }

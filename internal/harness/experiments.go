@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"turboflux/internal/csm"
 	"turboflux/internal/query"
 	"turboflux/internal/stats"
 	"turboflux/internal/stream"
@@ -20,8 +21,8 @@ type Config struct {
 	Triples       int           // Netflow triples
 	QueriesPerSet int           // queries per (type, size) set (paper: 100)
 	Timeout       time.Duration // per-query censoring (paper: 2h)
-	SizeCap       int64         // per-query intermediate-size cap, bytes
-	WorkBudget    int64         // per-update cap inside each engine (EngineOptions.WorkBudget)
+	SizeCap       int64         // per-query intermediate-size cap, bytes (csm.Options.SizeCap)
+	WorkBudget    int64         // per-update cap on each engine's reported matches (csm.Options.WorkBudget)
 	Seed          int64
 	Scatter       bool // print per-query scatter rows (Figures 6c/d, 7c/d)
 	Out           io.Writer
@@ -106,11 +107,7 @@ func (cfg Config) netflow() *workload.Dataset {
 func (cfg Config) runCfg() RunConfig {
 	return RunConfig{
 		Timeout: cfg.Timeout,
-		SizeCap: cfg.SizeCap,
-		Engine: EngineOptions{
-			WorkBudget: cfg.WorkBudget,
-			TupleCap:   cfg.SizeCap / 32,
-		},
+		Engine:  EngineOptions{Options: csm.Options{WorkBudget: cfg.WorkBudget, SizeCap: cfg.SizeCap}},
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"turboflux/internal/core"
+	"turboflux/internal/csm"
 	"turboflux/internal/graph"
 	"turboflux/internal/graphflow"
 	"turboflux/internal/incisomat"
@@ -52,35 +53,21 @@ func (k Kind) String() string {
 	}
 }
 
-// ContinuousEngine is the uniform driver interface every engine satisfies.
-type ContinuousEngine interface {
-	Apply(stream.Update) (int64, error)
-	IntermediateSizeBytes() int64
-}
-
-// EngineOptions tweak engine construction for ablation experiments and
-// per-update censoring.
+// EngineOptions configure one engine: the csm.Options every engine takes,
+// plus TurboFlux's four ablations. TurboFlux honours WorkBudget itself and
+// leaves Deadline and SizeCap to RunQuery's checks between updates.
 type EngineOptions struct {
-	Injective            bool
+	csm.Options
 	DisableCheckAndAvoid bool
 	DisableOrderAdjust   bool
 	NaiveEL              bool
 	// WCOSearch switches TurboFlux to the worst-case-optimal search
 	// strategy over the DCG (Section 4.3 sketch).
 	WCOSearch bool
-	// WorkBudget censors non-selective queries per update (0 = unlimited):
-	// TurboFlux counts reported matches and never stops maintenance;
-	// Graphflow and IncIsoMat count their own search steps.
-	WorkBudget int64
-	// TupleCap bounds SJ-Tree's total materialized tuples (0 = unlimited).
-	TupleCap int64
-	// Deadline censors SJ-Tree construction/replay by wall clock; RunQuery
-	// derives it from RunConfig.Timeout.
-	Deadline time.Time
 }
 
 // NewEngine builds an engine of the given kind over a private clone of g0.
-func NewEngine(kind Kind, g0 *graph.Graph, q *query.Graph, opt EngineOptions) (ContinuousEngine, error) {
+func NewEngine(kind Kind, g0 *graph.Graph, q *query.Graph, opt EngineOptions) (csm.Engine, error) {
 	g := g0.Clone()
 	switch kind {
 	case TurboFlux:
@@ -88,6 +75,7 @@ func NewEngine(kind Kind, g0 *graph.Graph, q *query.Graph, opt EngineOptions) (C
 		if opt.Injective {
 			copt.Semantics = core.Isomorphism
 		}
+		copt.OnMatch = core.MatchFunc(opt.OnMatch)
 		copt.DisableCheckAndAvoid = opt.DisableCheckAndAvoid
 		copt.DisableOrderAdjust = opt.DisableOrderAdjust
 		copt.NaiveEL = opt.NaiveEL
@@ -97,15 +85,11 @@ func NewEngine(kind Kind, g0 *graph.Graph, q *query.Graph, opt EngineOptions) (C
 		}
 		return core.New(g, q, copt)
 	case SJTree:
-		return sjtree.New(g, q, sjtree.Options{
-			Injective: opt.Injective,
-			TupleCap:  opt.TupleCap,
-			Deadline:  opt.Deadline,
-		})
+		return sjtree.New(g, q, opt.Options)
 	case Graphflow:
-		return graphflow.New(g, q, graphflow.Options{Injective: opt.Injective, WorkBudget: opt.WorkBudget})
+		return graphflow.New(g, q, opt.Options)
 	case IncIsoMat:
-		return incisomat.New(g, q, incisomat.Options{Injective: opt.Injective, WorkBudget: opt.WorkBudget})
+		return incisomat.New(g, q, opt.Options)
 	default:
 		return nil, fmt.Errorf("harness: unknown engine kind %d", kind)
 	}
@@ -125,10 +109,6 @@ type RunConfig struct {
 	// Timeout censors a query whose stream replay exceeds it (the paper
 	// uses 2 hours at cluster scale; defaults here are laptop-scale).
 	Timeout time.Duration
-	// SizeCap censors a query whose engine materializes more intermediate
-	// state than this many bytes (keeps SJ-Tree blow-ups from exhausting
-	// memory); 0 disables.
-	SizeCap int64
 	// Stream overrides the dataset stream (e.g. a rate-limited prefix).
 	Stream []stream.Update
 	// Latency, when non-nil, records per-operation durations (adds one
@@ -151,10 +131,8 @@ func RunQuery(kind Kind, ds *workload.Dataset, q *query.Graph, cfg RunConfig) Re
 	}
 	eopt := cfg.Engine
 	start := time.Now()
-	deadline := time.Time{}
 	if cfg.Timeout > 0 {
-		deadline = start.Add(cfg.Timeout)
-		eopt.Deadline = deadline
+		eopt.Deadline = start.Add(cfg.Timeout)
 	}
 	eng, err := NewEngine(kind, ds.Graph, q, eopt)
 	if err != nil {
@@ -182,24 +160,21 @@ func RunQuery(kind Kind, ds *workload.Dataset, q *query.Graph, cfg RunConfig) Re
 		res.Ops++
 		// The deadline is checked every op: a single update can take
 		// seconds on censor-worthy queries. Size sampling stays coarse.
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if !eopt.Deadline.IsZero() && time.Now().After(eopt.Deadline) {
 			res.TimedOut = true
 			break
 		}
 		if i%checkEvery == 0 {
-			if sz := eng.IntermediateSizeBytes(); sz > res.PeakSize {
-				res.PeakSize = sz
-			}
-			if cfg.SizeCap > 0 && eng.IntermediateSizeBytes() > cfg.SizeCap {
+			sz := eng.IntermediateSizeBytes()
+			res.PeakSize = max(res.PeakSize, sz)
+			if eopt.SizeCap > 0 && sz > eopt.SizeCap {
 				res.TimedOut = true
 				break
 			}
 		}
 	}
 	res.Cost = time.Since(loopStart)
-	if sz := eng.IntermediateSizeBytes(); sz > res.PeakSize {
-		res.PeakSize = sz
-	}
+	res.PeakSize = max(res.PeakSize, eng.IntermediateSizeBytes())
 	return res
 }
 

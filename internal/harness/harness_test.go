@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"turboflux/internal/csm"
 	"turboflux/internal/query"
 	"turboflux/internal/stream"
 	"turboflux/internal/workload"
@@ -60,7 +61,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 func TestRunQueryBasics(t *testing.T) {
 	ds := workload.LSBench(workload.LSBenchConfig{Users: 120, StreamFraction: 0.1, Seed: 1})
 	qs := ds.TreeQueries(3, 3, 5)
-	rc := RunConfig{Timeout: time.Second, Engine: EngineOptions{WorkBudget: 1_000_000}}
+	rc := RunConfig{Timeout: time.Second, Engine: EngineOptions{Options: csm.Options{WorkBudget: 1_000_000}}}
 	for _, kind := range []Kind{TurboFlux, SJTree, Graphflow} {
 		r := RunQuery(kind, ds, qs[0], rc)
 		if r.TimedOut {
@@ -87,7 +88,7 @@ func TestEnginesAgreeOnMixedStream(t *testing.T) {
 		Users: 120, StreamFraction: 0.08, DeletionRate: 0.1, Seed: 2,
 	})
 	qs := ds.TreeQueries(2, 4, 9)
-	rc := RunConfig{Timeout: 5 * time.Second, Engine: EngineOptions{WorkBudget: 5_000_000}}
+	rc := RunConfig{Timeout: 5 * time.Second, Engine: EngineOptions{Options: csm.Options{WorkBudget: 5_000_000}}}
 	for _, q := range qs {
 		tf := RunQuery(TurboFlux, ds, q, rc)
 		gf := RunQuery(Graphflow, ds, q, rc)
@@ -103,15 +104,15 @@ func TestEnginesAgreeOnMixedStream(t *testing.T) {
 func TestRunQueryCensoring(t *testing.T) {
 	ds := workload.Netflow(workload.NetflowConfig{Hosts: 200, Triples: 8000, StreamFraction: 0.2, Seed: 3})
 	qs := ds.TreeQueries(1, 9, 1)
-	// A work budget of 1 censors immediately.
-	r := RunQuery(Graphflow, ds, qs[0], RunConfig{Engine: EngineOptions{WorkBudget: 1}})
+	// A budget of one match censors the first update completing two.
+	r := RunQuery(Graphflow, ds, qs[0], RunConfig{Engine: EngineOptions{Options: csm.Options{WorkBudget: 1}}})
 	if !r.TimedOut {
 		t.Fatal("tiny budget must censor the query")
 	}
-	// SJ-Tree tuple cap censors at construction or during replay.
-	r = RunQuery(SJTree, ds, qs[0], RunConfig{Engine: EngineOptions{TupleCap: 8}})
+	// SJ-Tree's size cap censors at construction or during replay.
+	r = RunQuery(SJTree, ds, qs[0], RunConfig{Engine: EngineOptions{Options: csm.Options{SizeCap: 256}}})
 	if !r.TimedOut {
-		t.Fatal("tiny tuple cap must censor SJ-Tree")
+		t.Fatal("tiny size cap must censor SJ-Tree")
 	}
 }
 
@@ -123,7 +124,7 @@ func TestSelectQueriesFiltersEmpty(t *testing.T) {
 	_ = dead.AddEdge(0, workload.EdgeFollows, 1)
 	live := ds.TreeQueries(1, 3, 5)[0]
 	got := selectQueries(ds, []*query.Graph{dead, live}, 2,
-		RunConfig{Timeout: time.Second, Engine: EngineOptions{WorkBudget: 1_000_000}})
+		RunConfig{Timeout: time.Second, Engine: EngineOptions{Options: csm.Options{WorkBudget: 1_000_000}}})
 	for _, q := range got {
 		if q == dead {
 			t.Fatal("zero-match query must be filtered")

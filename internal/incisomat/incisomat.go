@@ -11,61 +11,39 @@
 package incisomat
 
 import (
-	"errors"
 	"fmt"
 
+	"turboflux/internal/csm"
 	"turboflux/internal/graph"
 	"turboflux/internal/matcher"
 	"turboflux/internal/query"
 	"turboflux/internal/stream"
 )
 
-// ErrWorkBudget reports that an update exceeded Options.WorkBudget.
-var ErrWorkBudget = errors.New("incisomat: per-update work budget exceeded")
-
-// MatchFunc receives one match; the mapping slice is reused across calls.
-type MatchFunc func(positive bool, m []graph.VertexID)
-
-// Options configures an IncIsoMat engine.
-type Options struct {
-	// Injective selects subgraph isomorphism.
-	Injective bool
-	// OnMatch, when non-nil, receives every match.
-	OnMatch MatchFunc
-	// WorkBudget caps the matcher work per subgraph-matching run (0 =
-	// unlimited); exceeding it aborts the update with ErrWorkBudget.
-	WorkBudget int64
-}
-
 // Engine is an IncIsoMat continuous matcher. It owns its data graph.
+// Options.Deadline is checked inside its subgraph-matching runs; it stores
+// no intermediate results, so Options.SizeCap never binds.
 type Engine struct {
-	g          *graph.Graph
-	q          *query.Graph
-	injective  bool
-	onMatch    MatchFunc
-	workBudget int64
+	g   *graph.Graph
+	q   *query.Graph
+	opt csm.Options
 
-	diameter    int
-	queryLabels []map[graph.Label]bool // nil entry = some query vertex unconstrained
+	diameter int
 
 	anyUnlabeled bool
 	labelUnion   map[graph.Label]bool
-
-	posTotal, negTotal int64
 }
 
 // New builds an IncIsoMat engine over the initial graph g0, which must not
 // be mutated by the caller afterwards.
-func New(g0 *graph.Graph, q *query.Graph, opt Options) (*Engine, error) {
+func New(g0 *graph.Graph, q *query.Graph, opt csm.Options) (*Engine, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	e := &Engine{
 		g:          g0,
 		q:          q,
-		injective:  opt.Injective,
-		onMatch:    opt.OnMatch,
-		workBudget: opt.WorkBudget,
+		opt:        opt,
 		diameter:   q.Diameter(),
 		labelUnion: make(map[graph.Label]bool),
 	}
@@ -100,24 +78,10 @@ func (e *Engine) Apply(u stream.Update) (int64, error) {
 
 // InsertEdge inserts the edge and reports the positive matches it creates.
 func (e *Engine) InsertEdge(v graph.VertexID, l graph.Label, v2 graph.VertexID) (int64, error) {
-	if e.g.HasEdge(v, l, v2) {
+	if !e.g.InsertEdge(v, l, v2) {
 		return 0, nil
 	}
-	e.g.InsertEdge(v, l, v2)
-	// Extract g' from g_i (after the insert); g'_{i-1} is g' minus the edge.
-	sub := e.extract(v, v2)
-	after, err := e.matchSet(sub)
-	if err != nil {
-		return 0, err
-	}
-	sub.DeleteEdge(v, l, v2)
-	before, err := e.matchSet(sub)
-	if err != nil {
-		return 0, err
-	}
-	n := e.reportDiff(after, before, true)
-	e.posTotal += n
-	return n, nil
+	return e.evaluate(v, l, v2, true)
 }
 
 // DeleteEdge reports the negative matches the deletion destroys and
@@ -126,26 +90,32 @@ func (e *Engine) DeleteEdge(v graph.VertexID, l graph.Label, v2 graph.VertexID) 
 	if !e.g.HasEdge(v, l, v2) {
 		return 0, nil
 	}
+	n, err := e.evaluate(v, l, v2, false)
+	e.g.DeleteEdge(v, l, v2)
+	return n, err
+}
+
+// evaluate extracts the affected subgraph g' around the (present) edge,
+// matches it with and without the edge, and reports the difference:
+// positives for an insertion, negatives for a deletion.
+func (e *Engine) evaluate(v graph.VertexID, l graph.Label, v2 graph.VertexID, positive bool) (int64, error) {
 	sub := e.extract(v, v2)
-	before, err := e.matchSet(sub)
+	with, err := e.matchSet(sub)
 	if err != nil {
 		return 0, err
 	}
 	sub.DeleteEdge(v, l, v2)
-	after, err := e.matchSet(sub)
+	without, err := e.matchSet(sub)
 	if err != nil {
 		return 0, err
 	}
-	e.g.DeleteEdge(v, l, v2)
-	n := e.reportDiff(before, after, false)
-	e.negTotal += n
-	return n, nil
+	return e.reportDiff(with, without, positive)
 }
 
-// matchSet runs the static matcher over sub under the work budget.
+// matchSet runs the static matcher over sub until the deadline.
 func (e *Engine) matchSet(sub *graph.Graph) (map[string]bool, error) {
 	set := make(map[string]bool)
-	complete, err := matcher.FindAllBudget(sub, e.q, e.injective, e.workBudget,
+	complete, err := matcher.FindAllBudget(sub, e.q, e.opt.Injective, e.opt.Deadline,
 		func(m []graph.VertexID) bool {
 			set[matcher.Key(m)] = true
 			return true
@@ -154,23 +124,28 @@ func (e *Engine) matchSet(sub *graph.Graph) (map[string]bool, error) {
 		return nil, err
 	}
 	if !complete {
-		return nil, ErrWorkBudget
+		return nil, csm.ErrDeadline
 	}
 	return set, nil
 }
 
-func (e *Engine) reportDiff(bigger, smaller map[string]bool, positive bool) int64 {
+// reportDiff reports the matches in bigger but not in smaller; the
+// (WorkBudget+1)-th stops it with ErrWorkBudget.
+func (e *Engine) reportDiff(bigger, smaller map[string]bool, positive bool) (int64, error) {
 	var n int64
 	for k := range bigger {
 		if smaller[k] {
 			continue
 		}
+		if e.opt.WorkBudget > 0 && n == e.opt.WorkBudget {
+			return n, csm.ErrWorkBudget
+		}
 		n++
-		if e.onMatch != nil {
-			e.onMatch(positive, parseKey(k))
+		if e.opt.OnMatch != nil {
+			e.opt.OnMatch(positive, parseKey(k))
 		}
 	}
-	return n
+	return n, nil
 }
 
 func parseKey(k string) []graph.VertexID {
@@ -251,12 +226,6 @@ func (e *Engine) extract(v, v2 graph.VertexID) *graph.Graph {
 	}
 	return sub
 }
-
-// PositiveCount returns total positives reported.
-func (e *Engine) PositiveCount() int64 { return e.posTotal }
-
-// NegativeCount returns total negatives reported.
-func (e *Engine) NegativeCount() int64 { return e.negTotal }
 
 // IntermediateSizeBytes is always zero: IncIsoMat maintains no state.
 func (e *Engine) IntermediateSizeBytes() int64 { return 0 }

@@ -10,7 +10,9 @@ package matcher
 import (
 	"fmt"
 	"strings"
+	"time"
 
+	"turboflux/internal/csm"
 	"turboflux/internal/graph"
 	"turboflux/internal/query"
 )
@@ -24,15 +26,15 @@ type VisitFunc func(m []graph.VertexID) bool
 // (injective == false) or subgraph isomorphism (injective == true),
 // invoking fn for each. The query must be connected.
 func FindAll(g *graph.Graph, q *query.Graph, injective bool, fn VisitFunc) error {
-	_, err := FindAllBudget(g, q, injective, 0, fn)
+	_, err := FindAllBudget(g, q, injective, time.Time{}, fn)
 	return err
 }
 
-// FindAllBudget is FindAll with a work budget: the enumeration aborts
-// after budget candidate attempts (0 = unlimited). It reports whether the
-// enumeration ran to completion. Used by the harness to censor
-// non-selective queries on repeated-search baselines.
-func FindAllBudget(g *graph.Graph, q *query.Graph, injective bool, budget int64, fn VisitFunc) (complete bool, err error) {
+// FindAllBudget is FindAll under a deadline: the enumeration stops once the
+// wall clock passes it, read every csm.Stride candidate attempts (a zero
+// deadline never expires). It reports whether the enumeration ran to
+// completion. IncIsoMat censors its repeated searches with it.
+func FindAllBudget(g *graph.Graph, q *query.Graph, injective bool, deadline time.Time, fn VisitFunc) (complete bool, err error) {
 	if err := q.Validate(); err != nil {
 		return false, err
 	}
@@ -40,7 +42,7 @@ func FindAllBudget(g *graph.Graph, q *query.Graph, injective bool, budget int64,
 		g:         g,
 		q:         q,
 		injective: injective,
-		budget:    budget,
+		timer:     csm.NewTimer(deadline),
 		fn:        fn,
 		m:         make([]graph.VertexID, q.NumVertices()),
 	}
@@ -52,7 +54,7 @@ func FindAllBudget(g *graph.Graph, q *query.Graph, injective bool, budget int64,
 	}
 	s.order, s.via = matchingOrder(g, q)
 	s.search(0)
-	return !s.overBudget, nil
+	return !s.expired, nil
 }
 
 // Count returns the number of matches of q in g.
@@ -88,16 +90,15 @@ func MatchSet(g *graph.Graph, q *query.Graph, injective bool) (map[string]bool, 
 }
 
 type searcher struct {
-	g          *graph.Graph
-	q          *query.Graph
-	injective  bool
-	fn         VisitFunc
-	m          []graph.VertexID
-	used       map[graph.VertexID]bool
-	stopped    bool
-	budget     int64
-	work       int64
-	overBudget bool
+	g         *graph.Graph
+	q         *query.Graph
+	injective bool
+	fn        VisitFunc
+	m         []graph.VertexID
+	used      map[graph.VertexID]bool
+	stopped   bool
+	timer     csm.Timer
+	expired   bool
 
 	// order is a connected matching order; via[i] is the index of a query
 	// edge connecting order[i] to an earlier vertex (-1 for order[0]).
@@ -190,13 +191,10 @@ func (s *searcher) try(u, v graph.VertexID, depth int) {
 	if s.stopped {
 		return
 	}
-	if s.budget > 0 {
-		s.work++
-		if s.work > s.budget {
-			s.overBudget = true
-			s.stopped = true
-			return
-		}
+	if s.timer.Expired() {
+		s.expired = true
+		s.stopped = true
+		return
 	}
 	if s.injective && s.used[v] {
 		return

@@ -242,10 +242,23 @@ func TestFollowerMirrorsLeaderTranscript(t *testing.T) {
 		}
 	}
 
-	// Leader STATS: role, durable position, per-follower lag.
-	lines, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
+	// Leader STATS: role, durable position, per-follower lag. The leader
+	// learns the follower's position from an asynchronous acknowledgement,
+	// after the follower's own WAL has it: wait for the value asserted.
+	var lines []string
+	var fl string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var err error
+		if lines, err = cl.Stats(); err != nil {
+			t.Fatal(err)
+		}
+		var ok bool
+		if fl, ok = statsLine(lines, "follower "); !ok {
+			t.Fatalf("leader STATS has no follower line: %q", lines)
+		}
+		if applied, _ := statsUint([]string{fl}, "follower ", "applied_lsn"); applied == lastSeq || time.Now().After(deadline) {
+			break
+		}
 	}
 	if l, ok := statsLine(lines, "replica "); !ok || !strings.Contains(l, "role=leader followers=1") {
 		t.Fatalf("leader replica line = %q", l)
@@ -256,10 +269,6 @@ func TestFollowerMirrorsLeaderTranscript(t *testing.T) {
 	if _, ok := statsUint(lines, "wal ", "snap_lsn"); !ok {
 		t.Fatal("leader STATS missing snap_lsn")
 	}
-	fl, ok := statsLine(lines, "follower ")
-	if !ok {
-		t.Fatalf("leader STATS has no follower line: %q", lines)
-	}
 	if applied, ok := statsUint([]string{fl}, "follower ", "applied_lsn"); !ok || applied != lastSeq {
 		t.Fatalf("follower line %q: applied_lsn want %d", fl, lastSeq)
 	}
@@ -268,7 +277,7 @@ func TestFollowerMirrorsLeaderTranscript(t *testing.T) {
 	}
 
 	// Follower STATS: link state.
-	lines, err = cf.Stats()
+	lines, err := cf.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}

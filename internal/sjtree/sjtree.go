@@ -18,8 +18,8 @@ package sjtree
 import (
 	"errors"
 	"fmt"
-	"time"
 
+	"turboflux/internal/csm"
 	"turboflux/internal/graph"
 	"turboflux/internal/query"
 	"turboflux/internal/stream"
@@ -27,31 +27,6 @@ import (
 
 // ErrDeletionUnsupported is returned by Apply for deletion operations.
 var ErrDeletionUnsupported = errors.New("sjtree: edge deletion is not supported")
-
-// ErrTupleCap is returned once the engine materializes more tuples than
-// its configured cap; the run is censored (the paper's timeout analogue
-// for SJ-Tree's storage blow-ups).
-var ErrTupleCap = errors.New("sjtree: materialized tuple cap exceeded")
-
-// MatchFunc receives one positive match; the mapping slice is reused.
-type MatchFunc func(m []graph.VertexID)
-
-// Options configures an SJ-Tree engine.
-type Options struct {
-	// Injective selects subgraph isomorphism.
-	Injective bool
-	// OnMatch, when non-nil, receives every positive match.
-	OnMatch MatchFunc
-	// TupleCap bounds the total materialized tuples (0 = unlimited). It
-	// also bounds generate-and-discard work: processing more than
-	// 16*TupleCap generated tuples (kept or discarded) censors the run,
-	// so pathological joins cannot stall uncensored.
-	TupleCap int64
-	// Deadline censors the run (including the initial materialization,
-	// which dominates on large g0) once the wall clock passes it; zero
-	// disables. Checked every few thousand generated tuples.
-	Deadline time.Time
-}
 
 // tuple is a partial solution: data vertex per query vertex, graph.NoVertex
 // where uncovered.
@@ -72,61 +47,55 @@ type node struct {
 	index map[string][]tuple
 	// seen deduplicates full tuples (generate-and-discard).
 	seen map[string]bool
-	// size is the number of materialized tuples.
-	size int
 }
 
 // Engine is an SJ-Tree continuous matcher.
 type Engine struct {
-	g         *graph.Graph
-	q         *query.Graph
-	injective bool
-	onMatch   MatchFunc
-	tupleCap  int64
-	deadline  time.Time
+	g     *graph.Graph
+	q     *query.Graph
+	opt   csm.Options
+	timer csm.Timer
 
 	root   *node
 	leaves []*node // leaf for query edge i at leaves[i]
-	nodes  []*node // all nodes, for size accounting
+	nodes  []*node // all nodes, for the parent/sibling lookup
 
-	posTotal int64
-	work     int64 // generated tuples processed, kept or discarded
-	capHit   bool
+	bytes int64 // IntermediateSizeBytes, kept by propagate
+
+	// opMatches counts the current update's reported matches; overBudget
+	// records that a match past WorkBudget went unreported.
+	opMatches  int64
+	overBudget bool
+	// halted is the censor (ErrDeadline or ErrSizeCap) that stopped
+	// materialization part-way; the tables are incomplete from then on.
+	halted error
 }
 
 // New builds the SJ-Tree for q over the initial graph g0 and materializes
 // the partial solutions of its edges. The engine takes ownership of g0
-// (callers keep their own copy if they need one). It returns ErrTupleCap
-// when the initial materialization already exceeds opt.TupleCap.
-func New(g0 *graph.Graph, q *query.Graph, opt Options) (*Engine, error) {
+// (callers keep their own copy if they need one). It returns ErrDeadline
+// or ErrSizeCap when the initial materialization passes opt.Deadline or
+// opt.SizeCap.
+func New(g0 *graph.Graph, q *query.Graph, opt csm.Options) (*Engine, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	// Matches completed by g0's own edges are initial matches: neither
+	// reported nor counted against WorkBudget.
 	e := &Engine{
-		g:         g0,
-		q:         q,
-		injective: opt.Injective,
-		onMatch:   opt.OnMatch,
-		tupleCap:  opt.TupleCap,
-		deadline:  opt.Deadline,
+		g:     g0,
+		q:     q,
+		opt:   csm.Options{Injective: opt.Injective, SizeCap: opt.SizeCap},
+		timer: csm.NewTimer(opt.Deadline),
 	}
 	if err := e.buildTree(); err != nil {
 		return nil, err
 	}
-	// Materialize g0's edges: matches produced here are the initial
-	// matches, not stream positives.
-	save := e.onMatch
-	e.onMatch = nil
-	g0.ForEachEdge(func(ed graph.Edge) {
-		if !e.capHit {
-			e.materialize(ed)
-		}
-	})
-	e.posTotal = 0
-	e.onMatch = save
-	if e.capHit {
-		return nil, ErrTupleCap
+	g0.ForEachEdge(e.materialize)
+	if e.halted != nil {
+		return nil, e.halted
 	}
+	e.opt = opt
 	return e, nil
 }
 
@@ -237,22 +206,26 @@ func (e *Engine) Apply(u stream.Update) (int64, error) {
 	}
 }
 
-// InsertEdge inserts (v, l, v2) and returns the number of positive matches.
-// Once the tuple cap is exceeded every further insertion fails with
-// ErrTupleCap.
+// InsertEdge inserts (v, l, v2) and returns the number of positive matches
+// it reported. Past WorkBudget it returns ErrWorkBudget with every tuple
+// still stored; once Deadline or SizeCap has stopped materialization,
+// every further insertion fails with that censor.
 func (e *Engine) InsertEdge(v graph.VertexID, l graph.Label, v2 graph.VertexID) (int64, error) {
-	if e.capHit {
-		return 0, ErrTupleCap
+	if e.halted != nil {
+		return 0, e.halted
 	}
 	if !e.g.InsertEdge(v, l, v2) {
 		return 0, nil
 	}
-	before := e.posTotal
+	e.opMatches, e.overBudget = 0, false
 	e.materialize(graph.Edge{From: v, Label: l, To: v2})
-	if e.capHit {
-		return e.posTotal - before, ErrTupleCap
+	switch {
+	case e.halted != nil:
+		return e.opMatches, e.halted
+	case e.overBudget:
+		return e.opMatches, csm.ErrWorkBudget
 	}
-	return e.posTotal - before, nil
+	return e.opMatches, nil
 }
 
 // materialize generates the leaf tuples of a (present) data edge and
@@ -267,7 +240,7 @@ func (e *Engine) materialize(ed graph.Edge) {
 			!e.g.HasAllLabels(ed.To, e.q.Labels(qe.To)) {
 			continue
 		}
-		if e.injective && qe.From != qe.To && ed.From == ed.To {
+		if e.opt.Injective && qe.From != qe.To && ed.From == ed.To {
 			continue
 		}
 		if qe.From == qe.To && ed.From != ed.To {
@@ -283,49 +256,73 @@ func (e *Engine) materialize(ed graph.Edge) {
 	}
 }
 
-// propagate inserts delta tuples into n, joins them against the sibling's
-// materialized table and recurses into the parent with the join results.
+// propagate stores delta in n, joins the tuples that are new against the
+// sibling's table, and carries the results to the parent in batches of at
+// most csm.Stride tuples. The censors are checked before every store and
+// on every join step, so a censored join stores at most one batch past
+// its censor and no tree level holds more than one pending batch.
 func (e *Engine) propagate(n *node, delta []tuple) {
-	if e.capHit {
+	if e.censored() {
 		return
 	}
-	before := e.work
-	e.work += int64(len(delta))
 	fresh := n.addTuples(delta)
-	if e.tupleCap > 0 && (e.TupleCount() > e.tupleCap || e.work > 16*e.tupleCap) {
-		e.capHit = true
-		return
-	}
-	// Wall-clock censoring, checked roughly every 4096 generated tuples.
-	if !e.deadline.IsZero() && before>>12 != e.work>>12 && time.Now().After(e.deadline) {
-		e.capHit = true
-		return
-	}
-	if len(fresh) == 0 {
-		return
+	for _, c := range n.covered {
+		if c {
+			e.bytes += 8 * int64(len(fresh))
+		}
 	}
 	parent, sibling := e.parentAndSibling(n)
 	if parent == nil {
-		// Root: fresh tuples are positive matches.
 		for _, t := range fresh {
-			e.posTotal++
-			if e.onMatch != nil {
-				e.onMatch(t)
-			}
+			e.report(t)
 		}
 		return
 	}
 	var out []tuple
 	for _, t := range fresh {
-		key := joinKey(t, n.joinVars)
-		for _, s := range sibling.index[key] {
-			if merged, ok := e.merge(t, s); ok {
-				out = append(out, merged)
+		for _, s := range sibling.index[joinKey(t, n.joinVars)] {
+			if e.censored() {
+				return
+			}
+			merged, ok := e.merge(t, s)
+			if !ok {
+				continue
+			}
+			if out = append(out, merged); len(out) == csm.Stride {
+				e.propagate(parent, out)
+				out = out[:0] // the parent stored the tuples, not the slice
 			}
 		}
 	}
 	if len(out) > 0 {
 		e.propagate(parent, out)
+	}
+}
+
+// censored counts one step of materialization and reports whether it must
+// stop: the deadline passed (read every csm.Stride steps) or the stored
+// tuples outgrew SizeCap. The first censor is kept for good.
+func (e *Engine) censored() bool {
+	switch {
+	case e.halted != nil:
+	case e.timer.Expired():
+		e.halted = csm.ErrDeadline
+	case e.opt.SizeCap > 0 && e.bytes > e.opt.SizeCap:
+		e.halted = csm.ErrSizeCap
+	}
+	return e.halted != nil
+}
+
+// report hands a root tuple to OnMatch, unless the update has already
+// reported WorkBudget matches; the tuple stays stored either way.
+func (e *Engine) report(t tuple) {
+	if e.opt.WorkBudget > 0 && e.opMatches == e.opt.WorkBudget {
+		e.overBudget = true
+		return
+	}
+	e.opMatches++
+	if e.opt.OnMatch != nil {
+		e.opt.OnMatch(true, t)
 	}
 }
 
@@ -354,7 +351,6 @@ func (n *node) addTuples(ts []tuple) []tuple {
 		n.seen[fk] = true
 		key := joinKey(t, n.joinVars)
 		n.index[key] = append(n.index[key], t)
-		n.size++
 		fresh = append(fresh, t)
 	}
 	return fresh
@@ -375,7 +371,7 @@ func (e *Engine) merge(a, b tuple) (tuple, bool) {
 		}
 		out[u] = v
 	}
-	if e.injective {
+	if e.opt.Injective {
 		seen := make(map[graph.VertexID]bool, len(out))
 		for _, v := range out {
 			if v == graph.NoVertex {
@@ -420,35 +416,10 @@ func appendVertex(b []byte, v graph.VertexID) []byte {
 	return append(b, byte('0'+n))
 }
 
-// PositiveCount returns the total positives reported for stream inserts.
-func (e *Engine) PositiveCount() int64 { return e.posTotal }
-
 // IntermediateSizeBytes returns the accounting size of all materialized
 // partial solutions: per tuple, 8 bytes per covered query vertex (the
 // paper sizes SJ-Tree tuples by the number of vertices in the subquery).
-func (e *Engine) IntermediateSizeBytes() int64 {
-	var total int64
-	for _, n := range e.nodes {
-		width := 0
-		for _, c := range n.covered {
-			if c {
-				width++
-			}
-		}
-		total += int64(n.size) * int64(width) * 8
-	}
-	return total
-}
-
-// TupleCount returns the number of materialized partial solutions across
-// all nodes (the quantity Figure 2b reports per node).
-func (e *Engine) TupleCount() int64 {
-	var total int64
-	for _, n := range e.nodes {
-		total += int64(n.size)
-	}
-	return total
-}
+func (e *Engine) IntermediateSizeBytes() int64 { return e.bytes }
 
 // Graph returns the engine's data graph (for assertions in tests).
 func (e *Engine) Graph() *graph.Graph { return e.g }

@@ -33,6 +33,16 @@ const textWindow = 4096
 
 var errLineTooLong = fmt.Errorf("line longer than %d bytes with its newline", maxLine)
 
+// LineError is the malformed line that stopped DecodeWindows.
+type LineError struct {
+	Line int
+	Err  error
+}
+
+func (e *LineError) Error() string { return fmt.Sprintf("stream: line %d: %v", e.Line, e.Err) }
+
+func (e *LineError) Unwrap() error { return e.Err }
+
 // DecodeWindows reads the text format from r and hands fn the records in
 // order, in windows of at most size records; comments and blank lines are
 // skipped and not counted. Nothing is allocated per record: a line is
@@ -59,13 +69,13 @@ func DecodeWindows(r io.Reader, size int, fn func(window []Update) error) error 
 			}
 			// maxLine bytes fit only when the last of them is the newline.
 			if line = long; len(line) > maxLine || len(line) == maxLine && line[maxLine-1] != '\n' {
-				return fmt.Errorf("stream: line %d: %w", lineNo, errLineTooLong)
+				return &LineError{lineNo, errLineTooLong}
 			}
 		}
 		if f := splitFields(line); f.n > 0 && line[f.at[0].lo] != '#' {
 			u, more, err := parseFields(line, f, labels)
 			if err != nil {
-				return fmt.Errorf("stream: line %d: %w", lineNo, err)
+				return &LineError{lineNo, err}
 			}
 			window, labels = append(window, u), more
 			if len(window) == size {
