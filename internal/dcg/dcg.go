@@ -15,11 +15,11 @@
 // from the artificial source v*_s, represented here by graph.NoVertex.
 //
 // Data layout (DESIGN.md §16): the DCG is pointer-free. Each participating
-// data vertex owns a block of one cell arena, found through slotOf (blocks
-// of vertices that lost their last edge are recycled). A block holds one
-// cell per role the vertex's labels allow — an edge (v, u', v') needs
-// L(u') ⊆ L(v') and L(P(u')) ⊆ L(v), and data-vertex labels never change —
-// so only the cells a vertex can ever fill exist:
+// data vertex owns a block of one cell arena, found through a paged slot
+// table (blocks of vertices that lost their last edge are recycled). A
+// block holds one cell per role the vertex's labels allow — an edge
+// (v, u', v') needs L(u') ⊆ L(v') and L(P(u')) ⊆ L(v), and data-vertex
+// labels never change — so only the cells a vertex can ever fill exist:
 //
 //   - an in-cell for u' (L(u') ⊆ L(v')): the in-edge list (parent, state),
 //     sorted by parent and searched by binary search — ascending parent
@@ -261,7 +261,14 @@ type DCG struct {
 	g    *graph.Graph // read for the label set of a vertex that needs a block
 	nq   int
 
-	slotOf []int32 // data vertex -> offset of its block in cells, -1 when absent
+	// The slot table maps a data vertex to the offset of its block in
+	// cells, -1 when absent. It is cut into pages of pageSize vertex IDs:
+	// pages[v>>pageShift] is the offset in slots of v's page, and offset 0
+	// is the shared page, all -1, that stands for every page no block has
+	// needed yet. A DCG thus pays 4 B per ID only in the ID ranges where
+	// its roles' label sets live, plus 4 B per page of the ID space.
+	pages []uint32
+	slots []int32
 
 	// cells is the block arena. A block is a header cell — a: the vertex
 	// (NoVertex when free), n: its graph label-set id, which names the
@@ -309,13 +316,20 @@ func New(t *query.Tree, g *graph.Graph) *DCG {
 // Tree returns the query tree this DCG indexes.
 func (d *DCG) Tree() *query.Tree { return d.tree }
 
+// pageShift sets the slot table's page: 1<<pageShift vertex IDs, 4 KB.
+const (
+	pageShift = 10
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
 // slot returns the offset of v's block, or -1. graph.NoVertex never has a
-// block (its index exceeds any slotOf length).
+// block (its page lies beyond any page table).
 //
 //tf:hotpath
 func (d *DCG) slot(v graph.VertexID) int32 {
-	if int(v) < len(d.slotOf) {
-		return d.slotOf[v]
+	if p := v >> pageShift; int(p) < len(d.pages) {
+		return d.slots[d.pages[p]|uint32(v)&pageMask]
 	}
 	return -1
 }
@@ -361,13 +375,8 @@ func filling(c *cell) *cell {
 // ensureSlot returns the offset of v's block, allocating it if absent: a
 // free block of v's class is reused, otherwise a fresh one is appended.
 func (d *DCG) ensureSlot(v graph.VertexID) int32 {
-	if old := len(d.slotOf); int(v) >= old {
-		d.slotOf = append(d.slotOf, make([]int32, int(v)+1-old)...) // append amortizes repeated growth
-		for i := old; i < len(d.slotOf); i++ {
-			d.slotOf[i] = -1
-		}
-	}
-	if b := d.slotOf[v]; b >= 0 {
+	i := d.slotIndex(v)
+	if b := d.slots[i]; b >= 0 {
 		return b
 	}
 	set := d.g.LabelSet(v)
@@ -388,8 +397,37 @@ func (d *DCG) ensureSlot(v graph.VertexID) int32 {
 		d.cells[b].n = set
 	}
 	d.cells[b].a[0] = v
-	d.slotOf[v] = b
+	d.slots[i] = b
 	return b
+}
+
+// slotIndex returns the position of v's entry in slots, giving v's page
+// its own entries (all -1) the first time a block is needed in it.
+func (d *DCG) slotIndex(v graph.VertexID) int {
+	p := int(v >> pageShift)
+	if p >= len(d.pages) {
+		if len(d.slots) == 0 {
+			d.slots = newPage(nil)
+		}
+		d.pages = append(d.pages, make([]uint32, p+1-len(d.pages))...) // zero: the shared page
+	}
+	if d.pages[p] == 0 {
+		if len(d.slots)+pageSize > math.MaxInt32 {
+			panic("dcg: the slot table outgrew its 31-bit offsets")
+		}
+		d.pages[p] = uint32(len(d.slots))
+		d.slots = newPage(d.slots)
+	}
+	return int(d.pages[p]) | int(v&pageMask)
+}
+
+// newPage appends one page of absent slots to s.
+func newPage(s []int32) []int32 {
+	s = append(s, make([]int32, pageSize)...) // append amortizes repeated growth
+	for i := len(s) - pageSize; i < len(s); i++ {
+		s[i] = -1
+	}
+	return s
 }
 
 // internClass lays out the role class of label set set, which v carries:
@@ -430,7 +468,8 @@ func (d *DCG) release(b int32) {
 			return
 		}
 	}
-	d.slotOf[h.a[0]] = -1
+	v := h.a[0]
+	d.slots[d.pages[v>>pageShift]|uint32(v)&pageMask] = -1
 	h.a[0] = graph.NoVertex
 	cl.free = append(cl.free, uint32(b))
 }
@@ -452,10 +491,16 @@ func (d *DCG) inList(c cell, one *[1]inEdge) []inEdge {
 // inCell returns v2's in-cell for label u, or the empty cell.
 //
 //tf:hotpath
-func (d *DCG) inCell(v2, u graph.VertexID) cell {
-	if b := d.slot(v2); b >= 0 {
-		if c := d.inCellAt(b, u); c != nil {
-			return *c
+func (d *DCG) inCell(v2, u graph.VertexID) cell { return d.inCellOf(d.slot(v2), u) }
+
+// inCellOf returns the in-cell for u of block b, or the empty cell when b
+// is -1 or its labels rule the role out.
+//
+//tf:hotpath
+func (d *DCG) inCellOf(b int32, u graph.VertexID) cell {
+	if b >= 0 {
+		if pos := d.classes[d.cells[b].n].in[u]; pos >= 0 {
+			return d.cells[int(b)+1+int(pos)]
 		}
 	}
 	return cell{}
@@ -511,7 +556,8 @@ func (d *DCG) GetState(v graph.VertexID, u graph.VertexID, v2 graph.VertexID) St
 //tf:hotpath
 func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.VertexID, target State) bool {
 	var one [1]inEdge
-	l := d.inList(d.inCell(v2, u), &one)
+	b2 := d.slot(v2)
+	l := d.inList(d.inCellOf(b2, u), &one)
 	idx, ok := searchIn(l, v)
 	cur := Null
 	if ok {
@@ -545,7 +591,6 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 	// Update v2's in-edge storage.
 	switch {
 	case target == Null: // cur != Null: remove, keeping the list sorted
-		b2 := d.slot(v2)
 		c := d.inCellAt(b2, u)
 		if c.class() == 0 {
 			*c = cell{}
@@ -555,7 +600,10 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 		d.numEdges--
 		d.release(b2)
 	case cur == Null: // insert at the sorted position
-		c := filling(d.inCellAt(d.ensureSlot(v2), u))
+		if b2 < 0 {
+			b2 = d.ensureSlot(v2)
+		}
+		c := filling(d.inCellAt(b2, u))
 		if c.len() == 0 {
 			*c = inlineCell(v, target)
 		} else {
@@ -563,7 +611,7 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 		}
 		d.numEdges++
 	default: // Implicit <-> Explicit: in place
-		c := d.inCellAt(d.slot(v2), u)
+		c := d.inCellAt(b2, u)
 		if c.class() == 0 {
 			c.n = c.n&^stateMask | uint32(target)
 		} else {
@@ -714,15 +762,17 @@ func (d *DCG) ExplicitCount(u graph.VertexID) int64 { return d.explByLabel[u] }
 // comparisons: stored edges times EdgeBytes.
 func (d *DCG) SizeBytes() int64 { return int64(d.numEdges) * EdgeBytes }
 
-// HeldBytes returns the heap bytes the DCG holds: the capacity of slotOf,
-// the cell arena, the role classes with their free lists and both list
-// arenas with theirs. The DCG owns no other heap object (the graph it
-// reads labels from is not its own), so this is its real footprint
-// (TestFootprint holds it against the runtime's own count).
+// HeldBytes returns the heap bytes the DCG holds: the capacity of the slot
+// table (pages and page table), the cell arena, the role classes with
+// their free lists and both list arenas with theirs. The DCG owns no other
+// heap object (the graph it reads labels from is not its own), so this is
+// its real footprint (TestFootprint holds it against the runtime's own
+// count).
 func (d *DCG) HeldBytes() int64 {
 	b := int64(unsafe.Sizeof(*d)) +
-		sliceBytes(d.slotOf) + sliceBytes(d.cells) + sliceBytes(d.classes) +
-		sliceBytes(d.explByLabel) + d.ins.heldBytes() + d.outs.heldBytes()
+		sliceBytes(d.pages) + sliceBytes(d.slots) + sliceBytes(d.cells) +
+		sliceBytes(d.classes) + sliceBytes(d.explByLabel) +
+		d.ins.heldBytes() + d.outs.heldBytes()
 	for _, cl := range d.classes {
 		b += sliceBytes(cl.free)
 	}
@@ -784,10 +834,54 @@ func validateCell(c cell) (span, error) {
 	return span{}, nil
 }
 
+// validateSlots checks the slot table against the block headers starts
+// (offset -> vertex): the shared page is all -1, every other page has
+// entries of its own — the pages tile slots after the shared one, each
+// owned by one page-table entry — and every slot set in them is a block
+// of that very vertex.
+//
+//tf:map-ok test-support invariant checker, never on the eval path
+func (d *DCG) validateSlots(starts map[int32]graph.VertexID) error {
+	if len(d.slots) == 0 && len(d.pages) == 0 {
+		return nil
+	}
+	if len(d.slots) == 0 || len(d.slots)%pageSize != 0 {
+		return fmt.Errorf("dcg: the slot table holds %d entries, no whole number of pages", len(d.slots))
+	}
+	for i, b := range d.slots[:pageSize] {
+		if b != -1 {
+			return fmt.Errorf("dcg: slot %d of the shared empty page holds %d", i, b)
+		}
+	}
+	owned := make([]bool, len(d.slots)/pageSize) // by page of slots
+	owned[0] = true                              // the shared page
+	for p, off := range d.pages {
+		if off == 0 {
+			continue
+		}
+		k := int(off) / pageSize
+		if off%pageSize != 0 || k >= len(owned) || owned[k] {
+			return fmt.Errorf("dcg: page %d has slot offset %d, which is no page of its own", p, off)
+		}
+		owned[k] = true
+		for i, b := range d.slots[off : off+pageSize] {
+			v := graph.VertexID(p<<pageShift | i)
+			if hv, ok := starts[b]; b >= 0 && (!ok || hv != v) || b < -1 {
+				return fmt.Errorf("dcg: slot of vertex %d holds %d, which is no block of that vertex", v, b)
+			}
+		}
+	}
+	if slices.Contains(owned, false) {
+		return fmt.Errorf("dcg: the slot table's %d pages are not the shared page plus one per page-table entry", len(owned))
+	}
+	return nil
+}
+
 // Validate checks internal consistency: the blocks (a live block's vertex
-// points back at it through slotOf, its class is the vertex's label set
-// and it is not empty; a free block is empty and on its class's free list
-// exactly once; every block lies inside the arena), the sorted-in-edge invariant,
+// points back at it through the slot table, its class is the vertex's
+// label set and it is not empty; a free block is empty and on its class's
+// free list exactly once; every block lies inside the arena), the slot
+// table (see validateSlots), the sorted-in-edge invariant,
 // the explicit-children lists against the in-edge states, the cell headers
 // and the list arenas (every list block owned by exactly one cell or on
 // exactly one free list), and the per-label and total counters must all
@@ -812,20 +906,15 @@ func (d *DCG) Validate() error {
 			freeBlocks++
 			continue
 		}
-		if v := h.a[0]; int(v) >= len(d.slotOf) || d.slotOf[v] != int32(b) {
-			return fmt.Errorf("dcg: block %d holds vertex %d but slotOf does not point back", b, v)
+		if v := h.a[0]; d.slot(v) != int32(b) {
+			return fmt.Errorf("dcg: block %d holds vertex %d but its slot does not point back", b, v)
 		}
 		if set := d.g.LabelSet(h.a[0]); set != h.n {
 			return fmt.Errorf("dcg: block %d of vertex %d has the class of label set %d, the vertex carries set %d", b, h.a[0], h.n, set)
 		}
 	}
-	for v, b := range d.slotOf {
-		if b < 0 {
-			continue
-		}
-		if hv, ok := starts[b]; !ok || hv != graph.VertexID(v) {
-			return fmt.Errorf("dcg: slotOf[%d]=%d, which is no block of that vertex", v, b)
-		}
+	if err := d.validateSlots(starts); err != nil {
+		return err
 	}
 	onFree := make(map[int32]bool, freeBlocks)
 	for set, cl := range d.classes {

@@ -21,6 +21,7 @@ package qlang
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 
@@ -262,4 +263,46 @@ func (p *parser) errf(format string, args ...any) error {
 	}
 	return fmt.Errorf("qlang: %s at offset %d (near %q)",
 		fmt.Sprintf(format, args...), p.pos, near)
+}
+
+// CheckNumeric refuses src, before anything is interned, when it names a
+// label that looks decimal but is none of the labels "0".."255" a numeric
+// dictionary starts with (graph.NumericDict, as the servers' dictionaries
+// under -numeric-labels do, recovered ones included). Interned, "300" or
+// "007" would be a new label that no numeric data label carries, and the
+// query would silently match nothing. Dictionaries that are not numeric
+// accept every name.
+func CheckNumeric(src string, vdict, edict *graph.Dict) error {
+	vd, ed := graph.NewDict(), graph.NewDict()
+	if _, _, err := Parse(src, vd, ed); err != nil {
+		return err
+	}
+	for _, c := range [...]struct{ named, dict *graph.Dict }{{vd, vdict}, {ed, edict}} {
+		if !numeric(c.dict) {
+			continue
+		}
+		for i := range c.named.Len() {
+			name := c.named.Name(graph.Label(i))
+			if strings.Trim(name, "0123456789") != "" {
+				continue
+			}
+			if l, ok := c.dict.Lookup(name); !ok || l >= graph.NumericLabels {
+				return fmt.Errorf("label %q is not one of the numeric labels 0..%d", name, graph.NumericLabels-1)
+			}
+		}
+	}
+	return nil
+}
+
+// numeric reports whether d starts with graph.NumericDict's labels.
+func numeric(d *graph.Dict) bool {
+	if d.Len() < graph.NumericLabels {
+		return false
+	}
+	for i := range graph.NumericLabels {
+		if d.Name(graph.Label(i)) != strconv.Itoa(i) {
+			return false
+		}
+	}
+	return true
 }

@@ -167,3 +167,39 @@ func TestDictReuseAcrossParses(t *testing.T) {
 		t.Fatal("vertex labels not shared across parses")
 	}
 }
+
+// TestCheckNumeric pins which names a numeric dictionary refuses: decimal
+// names outside its pre-interned "0".."255", in either namespace, and
+// nothing for a dictionary that does not start with those labels.
+func TestCheckNumeric(t *testing.T) {
+	recovered := graph.NumericDict()
+	recovered.Intern("Person") // a numeric dictionary after a LABEL request
+	for _, c := range []struct {
+		pattern string
+		vd, ed  *graph.Dict
+		refused string
+	}{
+		{"(a:0)-[:255]->(b:Person)", graph.NumericDict(), graph.NumericDict(), ""},
+		{"(a:x300)-[:_7]->(b:1)", graph.NumericDict(), graph.NumericDict(), ""},
+		{"(a:300)-[:1]->(b:2)", graph.NumericDict(), graph.NumericDict(), "300"},
+		{"(a:1|007)-[:1]->(b:2)", recovered, graph.NumericDict(), "007"},
+		{"(a:1)-[:256]->(b:2)", graph.NumericDict(), graph.NumericDict(), "256"},
+		{"(a:1)-[:256]->(b:2)", graph.NumericDict(), graph.NewDict(), ""},
+		{"(a:300)-[:007]->(b:2)", graph.NewDict(), graph.NewDict(), ""},
+	} {
+		vn, en := c.vd.Len(), c.ed.Len()
+		err := CheckNumeric(c.pattern, c.vd, c.ed)
+		switch {
+		case c.refused == "" && err != nil:
+			t.Errorf("%s: %v", c.pattern, err)
+		case c.refused != "" && (err == nil || !strings.Contains(err.Error(), `"`+c.refused+`"`)):
+			t.Errorf("%s: %v, want %q refused", c.pattern, err, c.refused)
+		}
+		if c.vd.Len() != vn || c.ed.Len() != en {
+			t.Errorf("%s: CheckNumeric interned a label", c.pattern)
+		}
+	}
+	if err := CheckNumeric("(a:1)-[:2]->", graph.NumericDict(), graph.NumericDict()); err == nil {
+		t.Error("CheckNumeric accepted a pattern that does not parse")
+	}
+}

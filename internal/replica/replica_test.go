@@ -411,13 +411,16 @@ func TestLinkReconnectBackoff(t *testing.T) {
 	var mu sync.Mutex
 	var applied uint64
 	connected := make(chan struct{}, 1)
+	failed := make(chan struct{}, 3) // the failed dials counted below; later ones are dropped
 	cb := applyingCallbacks(t, &applied, &mu)
 	cb.Status = func(st State) {
-		if st.Connected {
-			select {
-			case connected <- struct{}{}:
-			default:
-			}
+		ch := connected
+		if !st.Connected {
+			ch = failed
+		}
+		select {
+		case ch <- struct{}{}:
+		default:
 		}
 	}
 	l := NewLink(addr, cb, Options{
@@ -430,7 +433,13 @@ func TestLinkReconnectBackoff(t *testing.T) {
 	defer l.Stop()
 
 	// Let it fail a few times, then bring the leader up on the same port.
-	time.Sleep(100 * time.Millisecond)
+	for i := 0; i < 3; i++ {
+		select {
+		case <-failed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d failed dials reported, want 3 before the leader returns", i)
+		}
+	}
 	ln2, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
@@ -480,11 +489,30 @@ func TestLinkStopInterruptsBlockedRead(t *testing.T) {
 
 	var mu sync.Mutex
 	var applied uint64
-	l := NewLink(sl.ln.Addr().String(), applyingCallbacks(t, &applied, &mu), Options{
+	cb := applyingCallbacks(t, &applied, &mu)
+	connected := make(chan struct{}, 1)
+	cb.Status = func(st State) {
+		if st.Connected {
+			select {
+			case connected <- struct{}{}:
+			default:
+			}
+		}
+	}
+	l := NewLink(sl.ln.Addr().String(), cb, Options{
 		ReadTimeout: time.Minute, // force Stop to do the interrupting
 	})
 	l.Start()
-	time.Sleep(50 * time.Millisecond) // let it get into the blocked read
+	// The link reports Connected after the handshake, right before it
+	// reads the first push, and the leader sends none: from here on the
+	// link is in, or about to enter, that read. A goroutine blocked in a
+	// read is not observable from outside, so the test waits for the last
+	// step before it.
+	select {
+	case <-connected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("link never connected")
+	}
 	doneCh := make(chan struct{})
 	//tf:goroutine test-stopper
 	go func() {

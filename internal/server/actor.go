@@ -319,8 +319,12 @@ func (l *subList) prune() {
 // register parses the pattern through the server's dictionaries and
 // registers the query with an OnMatch hook that delivers to the query's
 // subscriber list. Parsing happens here, not in the connection goroutine,
-// because qlang interns labels into the shared dictionaries.
+// because qlang interns labels into the shared dictionaries; a decimal
+// label a numeric dictionary does not hold is refused before that.
 func (a *actor) register(name, pattern string) error {
+	if err := qlang.CheckNumeric(pattern, a.vdict, a.edict); err != nil {
+		return err
+	}
 	q, _, err := qlang.Parse(pattern, a.vdict, a.edict)
 	if err != nil {
 		return err

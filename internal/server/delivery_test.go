@@ -25,26 +25,25 @@ func (p *pushCapture) onPush(line []byte, _ bool) {
 	p.mu.Unlock()
 }
 
-// waitLen waits until n bytes arrived, then a little longer for strays.
-func (p *pushCapture) waitLen(t *testing.T, n int) []byte {
+// waitFor waits until the line last arrived and returns the stream so far.
+// Pushed in order after every other line, last ends the stream: anything
+// missing or stray shows before it.
+func (p *pushCapture) waitFor(t *testing.T, last []byte) []byte {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		p.mu.Lock()
+		if bytes.Contains(p.buf, last) {
+			defer p.mu.Unlock()
+			return append([]byte(nil), p.buf...)
+		}
 		got := len(p.buf)
 		p.mu.Unlock()
-		if got >= n {
-			break
-		}
 		if time.Now().After(deadline) {
-			t.Fatalf("push stream: %d of %d bytes after 10s", got, n)
+			t.Fatalf("push stream: %d bytes after 10s, no %q", got, last)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(50 * time.Millisecond)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]byte(nil), p.buf...)
 }
 
 // TestConnTranscriptEmissionOrder pins the per-connection delivery
@@ -80,6 +79,7 @@ func runConnTranscript(t *testing.T, workers, batch int) {
 	edict := turboflux.NewDict()
 	edict.Intern("knows")
 	edict.Intern("likes")
+	end := edict.Intern("end") // the last update's label, of no query the replay has
 	var boot []turboflux.Update
 	for v := turboflux.VertexID(1); v <= nVertices; v++ {
 		boot = append(boot, turboflux.DeclareVertex(v, 0))
@@ -138,6 +138,9 @@ func runConnTranscript(t *testing.T, workers, batch int) {
 		Bootstrap:     boot,
 		FanOutWorkers: workers,
 	})
+	// The server also runs an "end" query, matched only by one last
+	// update: its event closes the stream.
+	queries = append(queries, struct{ name, pattern string }{"end", "(a:P)-[:end]->(b:P)"})
 	writer := dialTest(t, addr)
 	for _, q := range queries {
 		if err := writer.Register(q.name, q.pattern); err != nil {
@@ -166,7 +169,12 @@ func runConnTranscript(t *testing.T, workers, batch int) {
 			t.Fatal(err)
 		}
 	}
-	if stream := got.waitLen(t, len(want)); !bytes.Equal(stream, want) {
+	if _, err := writer.Apply(turboflux.Insert(1, end, 2)); err != nil {
+		t.Fatal(err)
+	}
+	last := append(appendEventLine(nil, "end", uint64(len(ups)+1), true, []turboflux.VertexID{1, 2}), '\n')
+	want = append(want, last...)
+	if stream := got.waitFor(t, last); !bytes.Equal(stream, want) {
 		i := 0
 		for i < len(stream) && i < len(want) && stream[i] == want[i] {
 			i++

@@ -76,6 +76,34 @@ func takeEvents(t *testing.T, ob *outbox) []Event {
 	return evs
 }
 
+// parkWriter makes ob look as if its connection's writer were parked and
+// returns a function that waits until the actor is blocked on ob's full
+// queue: a blocking push wakes the parked writer — clearing parked, under
+// ob.mu — right before it waits on ob.drained, and it lets go of ob.mu
+// only inside that wait. Every request's end wakes the writer too, so no
+// request may be in flight when parkWriter is called.
+func parkWriter(t *testing.T, ob *outbox) (awaitBlocked func()) {
+	ob.mu.Lock()
+	ob.parked = true
+	ob.mu.Unlock()
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			ob.mu.Lock()
+			parked := ob.parked
+			ob.mu.Unlock()
+			if !parked {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the actor never blocked on the full queue")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 func statsText(t *testing.T, a *actor) string {
 	t.Helper()
 	resp, err := a.box.Call(request{kind: reqStats})
@@ -155,6 +183,7 @@ func TestActorPolicyBlock(t *testing.T) {
 	}
 	// The queue is full: the next matching update must not be acked until
 	// the subscriber drains — lossless backpressure.
+	awaitBlocked := parkWriter(t, sub.ob)
 	ack := make(chan response, 1)
 	go func() {
 		resp, err := a.box.Call(request{kind: reqApply, u: stream.Insert(2, knows, 3)})
@@ -162,10 +191,11 @@ func TestActorPolicyBlock(t *testing.T) {
 			ack <- resp
 		}
 	}()
+	awaitBlocked()
 	select {
 	case resp := <-ack:
 		t.Fatalf("blocked update acked early: %+v", resp)
-	case <-time.After(50 * time.Millisecond):
+	default:
 	}
 	// Three vertex declarations preceded the inserts, so the first match
 	// carries sequence number 4.
@@ -185,14 +215,18 @@ func TestActorPolicyBlock(t *testing.T) {
 		t.Fatalf("second events = %+v", evs)
 	}
 	// A blocked actor must also release when the subscription closes (the
-	// connection-teardown path).
+	// connection-teardown path). The first insert fills the queue, the
+	// second blocks.
+	if _, err := a.box.Call(request{kind: reqApply, u: stream.Insert(1, knows, 3)}); err != nil {
+		t.Fatalf("insert: %v", err)
+	}
+	awaitBlocked = parkWriter(t, sub.ob)
 	done := make(chan struct{})
 	go func() {
-		a.box.Call(request{kind: reqApply, u: stream.Insert(1, knows, 3)}) //tf:unchecked-ok only liveness matters
 		a.box.Call(request{kind: reqApply, u: stream.Insert(2, knows, 1)}) //tf:unchecked-ok only liveness matters
 		close(done)
 	}()
-	time.Sleep(20 * time.Millisecond)
+	awaitBlocked()
 	sub.close()
 	select {
 	case <-done:

@@ -17,6 +17,7 @@ package shard
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"strconv"
@@ -25,6 +26,8 @@ import (
 	"time"
 
 	"turboflux"
+	"turboflux/internal/graph"
+	"turboflux/internal/server"
 	"turboflux/internal/stream"
 )
 
@@ -208,5 +211,70 @@ func TestFrontEndConformance(t *testing.T) {
 	wantPush := []string{"*EVENT q 4 + 1 2", "*EVENT q 5 + 2 3", "*EVENT q 6 - 1 2", "*EVENT q 7 + 1 2", "*EVICTED q", "*EVENT q 8 + 3 1"}
 	if got := strings.Join(wantPushes, "\n"); got != strings.Join(wantPush, "\n") {
 		t.Errorf("server pushes:\n%s\nwant:\n%s", got, strings.Join(wantPush, "\n"))
+	}
+}
+
+// TestNumericLabelsRefuseDecimalNames runs REGISTER against both front
+// ends with numeric dictionaries (-numeric-labels): a pattern naming a
+// decimal label that is none of the pre-interned 0..255 — "300", "007" —
+// is refused with -ERR and interns nothing, so the next label a client
+// interns still gets id 256; other names register as before.
+func TestNumericLabelsRefuseDecimalNames(t *testing.T) {
+	numeric := func() server.Options {
+		return server.Options{VertexLabels: graph.NumericDict(), EdgeLabels: graph.NumericDict()}
+	}
+	var shards []string
+	for range 2 {
+		shards = append(shards, startShardServerWith(t, numeric()))
+	}
+	opt := Options{Shards: shards, VertexLabels: graph.NumericDict(), EdgeLabels: graph.NumericDict()}
+	co, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- co.Serve() }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := co.Shutdown(ctx); err != nil {
+			t.Errorf("coordinator shutdown: %v", err)
+		}
+		if err := <-serveDone; err != nil {
+			t.Errorf("coordinator serve: %v", err)
+		}
+	})
+
+	for _, fe := range []struct{ name, addr string }{
+		{"server", startShardServerWith(t, numeric())},
+		{"coordinator", co.Addr().String()},
+	} {
+		t.Run(fe.name, func(t *testing.T) {
+			c := dialTest(t, fe.addr)
+			for i, p := range []string{
+				"(a:300)-[:1]->(b:2)",
+				"(a:1)-[:2]->(b:2|007)",
+				"(a:1)-[:300]->(b:2)",
+			} {
+				err := c.Register(fmt.Sprintf("q%d", i), p)
+				if err == nil || !strings.Contains(err.Error(), "is not one of the numeric labels 0..255") {
+					t.Errorf("REGISTER q%d %s: %v, want the numeric-label refusal", i, p, err)
+				}
+			}
+			if names, err := c.Queries(); err != nil || len(names) != 0 {
+				t.Fatalf("queries after the refusals: %v, %v", names, err)
+			}
+			for _, kind := range []string{"vertex", "edge"} {
+				if l, err := c.Label(kind, "Person"); err != nil || l != graph.NumericLabels {
+					t.Errorf("LABEL %s Person = %d, %v; want %d, the first label after the numeric ones", kind, l, err, graph.NumericLabels)
+				}
+			}
+			if err := c.Register("q", "(a:255)-[:0]->(b:Person)"); err != nil {
+				t.Errorf("REGISTER of numeric and named labels: %v", err)
+			}
+		})
 	}
 }

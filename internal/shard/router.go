@@ -259,8 +259,12 @@ func (r *router) label(req rreq) rresp {
 
 // internPattern parses the pattern through the coordinator's
 // dictionaries and returns the newly interned labels, in id order, for
-// syncing to the shards.
+// syncing to the shards. A decimal label a numeric dictionary does not
+// hold is refused before anything is interned.
 func (r *router) internPattern(pattern string) ([]labelDef, error) {
+	if err := qlang.CheckNumeric(pattern, r.vdict, r.edict); err != nil {
+		return nil, err
+	}
 	v0, e0 := r.vdict.Len(), r.edict.Len()
 	if _, _, err := qlang.Parse(pattern, r.vdict, r.edict); err != nil {
 		return nil, err
