@@ -162,7 +162,10 @@ func OpenDurableMulti(dir string, opt DurableMultiOptions) (*DurableMultiEngine,
 // sources cut the same windows, so they journal the same frames.
 func bootstrapWindows(opt DurableMultiOptions, fn func([]Update) error) error {
 	if opt.BootstrapFrom != nil {
-		return stream.DecodeWindows(opt.BootstrapFrom, bootstrapWindow, fn)
+		return stream.LoadWindows(opt.BootstrapFrom, bootstrapWindow, fn)
+	}
+	if err := stream.CheckAll(opt.Bootstrap); err != nil {
+		return fmt.Errorf("turboflux: bootstrap %w", err)
 	}
 	for ups := opt.Bootstrap; len(ups) > 0; {
 		n := min(len(ups), bootstrapWindow)
@@ -235,23 +238,21 @@ func (d *DurableMultiEngine) InitialMatches() map[string]int64 { return d.m.Init
 // Insert journals an edge insertion and then fans it out to every
 // registered query, returning per-query positive-match counts.
 func (d *DurableMultiEngine) Insert(from VertexID, l Label, to VertexID) (map[string]int64, error) {
-	if _, err := d.store.Append(Insert(from, l, to)); err != nil {
-		return nil, err
-	}
-	return d.m.Insert(from, l, to)
+	return d.Apply(Insert(from, l, to))
 }
 
 // Delete journals an edge deletion and then fans it out, returning
 // per-query negative-match counts.
 func (d *DurableMultiEngine) Delete(from VertexID, l Label, to VertexID) (map[string]int64, error) {
-	if _, err := d.store.Append(Delete(from, l, to)); err != nil {
-		return nil, err
-	}
-	return d.m.Delete(from, l, to)
+	return d.Apply(Delete(from, l, to))
 }
 
-// Apply journals one stream update and then fans it out.
+// Apply journals one stream update and then fans it out. An update naming
+// a vertex ID past 2^28 − 1 is refused before it is journaled.
 func (d *DurableMultiEngine) Apply(u Update) (map[string]int64, error) {
+	if err := stream.CheckIDs(u); err != nil {
+		return nil, err
+	}
 	if _, err := d.store.Append(u); err != nil {
 		return nil, err
 	}
@@ -260,7 +261,8 @@ func (d *DurableMultiEngine) Apply(u Update) (map[string]int64, error) {
 
 // ApplyBatch journals the whole batch as one log write, then evaluates it
 // through the window scheduler (MultiEngine.ApplyBatch). A journaling
-// failure aborts before any update is applied.
+// failure, or an update naming a vertex ID past 2^28 − 1, aborts
+// before any update is journaled or applied.
 func (d *DurableMultiEngine) ApplyBatch(ups []Update) (map[string]int64, error) {
 	return d.ApplyBatchFunc(ups, nil)
 }
@@ -268,6 +270,9 @@ func (d *DurableMultiEngine) ApplyBatch(ups []Update) (map[string]int64, error) 
 // ApplyBatchFunc is ApplyBatch with MultiEngine.ApplyBatchFunc's
 // per-update boundary hook.
 func (d *DurableMultiEngine) ApplyBatchFunc(ups []Update, boundary func(i int)) (map[string]int64, error) {
+	if err := stream.CheckAll(ups); err != nil {
+		return nil, err
+	}
 	if _, _, err := d.store.AppendBatch(ups); err != nil {
 		return nil, err
 	}

@@ -129,7 +129,7 @@ func TestArenaModel(t *testing.T) {
 				}
 				m.noise(rng, 2)
 				in, out := hubCells()
-				maxIn, maxOut = max(maxIn, in.class()), max(maxOut, out.class())
+				maxIn, maxOut = max(maxIn, in.Class()), max(maxOut, out.Class())
 			}
 			m.check()
 			if maxIn < 6 || maxOut < 6 {
@@ -153,7 +153,7 @@ func TestArenaModel(t *testing.T) {
 				m.noise(rng, 1)
 			}
 			m.check()
-			if in, out := hubCells(); in.class() != 0 || in.len() != 1 || out.class() != 0 || out.len() != 1 {
+			if in, out := hubCells(); in.Class() != 0 || in.Len() != 1 || out.Class() != 0 || out.Len() != 1 {
 				t.Fatalf("seed %d round %d: drained hub cells in=%+v out=%+v, want inline singletons", seed, round, in, out)
 			}
 			last := graph.VertexID(1000 + order[0])
@@ -170,7 +170,7 @@ func TestArenaModel(t *testing.T) {
 			m.check()
 		}
 		t.Logf("seed %d: %d steps, arenas %d in-edges / %d children, %d B held",
-			seed, m.steps, len(d.ins.data), len(d.outs.data), d.HeldBytes())
+			seed, m.steps, d.ins.Entries(), d.outs.Entries(), d.HeldBytes())
 	}
 }
 

@@ -39,9 +39,10 @@
 //
 // A cell is 8 bytes. Most lists are empty and almost all others hold one
 // entry, which lives in the cell itself; a longer list is a power-of-two
-// block of one of two per-DCG arenas (pool), recycled through per-class
-// free lists. No vertex and no list is a heap object of its own, so the
-// collector has nothing to trace here and churn allocates nothing.
+// block of one of two per-DCG list arenas (package arena, shared with the
+// data graph), recycled through per-class free lists. No vertex and no
+// list is a heap object of its own, so the collector has nothing to trace
+// here and churn allocates nothing.
 //
 // The per-label explicit-out count — the paper's bitmap bit — is simply
 // the length of the explicit-children list, so MatchAllChildren stays
@@ -55,6 +56,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"turboflux/internal/arena"
 	"turboflux/internal/graph"
 	"turboflux/internal/query"
 )
@@ -119,140 +121,16 @@ func searchIn(l []inEdge, p graph.VertexID) (int, bool) {
 	return lo, lo < len(l) && l[lo].parent == p
 }
 
-// cell is the header of one list: n packs len<<7 | class<<2 | state.
-// Class 0 is the inline form (len <= 1): a holds the single parent or
-// child, and for an in-cell the low bits hold its state. Class k >= 1 is
-// a block of capacity 1<<k at arena offset a, holding len >= 2 entries.
-// a is an array so that an inline child can be returned as a slice. The
-// first cell of a vertex's block is no list but the block's header (see
-// DCG.cells).
-type cell struct {
-	a [1]graph.VertexID
-	n uint32
-}
+// cell is the header of one list (arena.Cell): class 0 is the inline
+// form, where A holds the single parent or child and, for an in-cell, the
+// tag bits hold its state; class k >= 1 is a block of one of the two list
+// arenas. The first cell of a vertex's block is no list but the block's
+// header (see DCG.cells).
+type cell = arena.Cell[graph.VertexID]
 
-const (
-	stateMask  = 3
-	classShift = 2
-	classMask  = 31
-	lenShift   = 7
-	maxClass   = 31 - lenShift // a full block of the top class still fits the 25-bit length
-	shrinkMin  = 4             // smallest class (capacity 16) that moves down when three quarters empty
-)
+const stateMask = arena.TagMask
 
-func (c cell) len() int      { return int(c.n >> lenShift) }
-func (c cell) class() uint32 { return c.n >> classShift & classMask }
-
-func inlineCell(x graph.VertexID, s State) cell {
-	return cell{a: [1]graph.VertexID{x}, n: 1<<lenShift | uint32(s)}
-}
-
-func blockCell(off uint32, n int, k uint32) cell {
-	return cell{a: [1]graph.VertexID{graph.VertexID(off)}, n: uint32(n)<<lenShift | k<<classShift}
-}
-
-// pool is the arena behind the lists of one direction: blocks of
-// capacity 1<<k carved from data, released blocks kept on free[k]. A
-// list moves up a class when its block is full and down a class when a
-// block of capacity >= 16 is three quarters empty (the 4-to-1 trigger
-// against the 2-to-1 new capacity keeps churn around a stable length from
-// thrashing); a list that drains to one entry goes back into its cell.
-type pool[T any] struct {
-	data []T
-	free [maxClass + 1][]uint32
-}
-
-// list returns the entries of block cell c.
-//
-//tf:hotpath
-func (p *pool[T]) list(c cell) []T {
-	off, n := int(c.a[0]), c.len()
-	return p.data[off : off+n : off+n]
-}
-
-//tf:hotpath
-func (p *pool[T]) alloc(k uint32) uint32 {
-	if k > maxClass {
-		panic("dcg: a list outgrew 1<<24 entries")
-	}
-	if f := p.free[k]; len(f) > 0 {
-		p.free[k] = f[:len(f)-1]
-		return f[len(f)-1]
-	}
-	off := len(p.data)
-	if uint64(off)+1<<k > math.MaxUint32 {
-		panic("dcg: an arena outgrew its 32-bit offsets")
-	}
-	p.data = append(p.data, make([]T, 1<<k)...)
-	return uint32(off)
-}
-
-//tf:hotpath
-func (p *pool[T]) release(off, k uint32) { p.free[k] = append(p.free[k], off) }
-
-// insert puts x at position idx of c's non-empty list. inl is the entry
-// an inline c holds, which only the caller can unpack.
-//
-//tf:hotpath
-func (p *pool[T]) insert(c *cell, idx int, x, inl T) {
-	n, k := c.len(), c.class()
-	if k == 0 {
-		off := p.alloc(1)
-		p.data[int(off)+idx], p.data[int(off)+1-idx] = x, inl
-		*c = blockCell(off, 2, 1)
-		return
-	}
-	off := uint32(c.a[0])
-	if n == 1<<k {
-		to := p.alloc(k + 1)
-		copy(p.data[to:], p.data[off:int(off)+idx])
-		copy(p.data[int(to)+idx+1:], p.data[int(off)+idx:int(off)+n])
-		p.release(off, k)
-		off, k = to, k+1
-	} else {
-		l := p.data[off : int(off)+n+1]
-		copy(l[idx+1:], l[idx:])
-	}
-	p.data[int(off)+idx] = x
-	*c = blockCell(off, n+1, k)
-}
-
-// remove deletes position idx of block cell c. When one entry is left the
-// block is released and the entry returned for the caller to pack inline.
-//
-//tf:hotpath
-func (p *pool[T]) remove(c *cell, idx int) (last T, inline bool) {
-	n, k, off := c.len(), c.class(), uint32(c.a[0])
-	l := p.data[off : int(off)+n]
-	copy(l[idx:], l[idx+1:])
-	n--
-	switch {
-	case n == 1:
-		p.release(off, k)
-		return l[0], true
-	case k >= shrinkMin && n*4 <= 1<<k:
-		to := p.alloc(k - 1)
-		copy(p.data[to:], p.data[off:int(off)+n])
-		p.release(off, k)
-		off, k = to, k-1
-	}
-	*c = blockCell(off, n, k)
-	return last, false
-}
-
-// heldBytes returns the bytes of the arena and its free lists.
-func (p *pool[T]) heldBytes() int64 {
-	b := sliceBytes(p.data)
-	for _, f := range p.free {
-		b += sliceBytes(f)
-	}
-	return b
-}
-
-func sliceBytes[T any](s []T) int64 {
-	var z T
-	return int64(cap(s)) * int64(unsafe.Sizeof(z))
-}
+func inlineCell(x graph.VertexID, s State) cell { return arena.Inline(x, uint32(s)) }
 
 // DCG is the data-centric graph for one query tree. The zero value is not
 // usable; call New.
@@ -270,8 +148,8 @@ type DCG struct {
 	pages []uint32
 	slots []int32
 
-	// cells is the block arena. A block is a header cell — a: the vertex
-	// (NoVertex when free), n: its graph label-set id, which names the
+	// cells is the block arena. A block is a header cell — A: the vertex
+	// (NoVertex when free), N: its graph label-set id, which names the
 	// block's role class — followed by one cell per role the class allows:
 	// the in-cell for u' lists the stored incoming edges labeled u', sorted
 	// by parent; the out-cell for u' lists the EXPLICIT children labeled u',
@@ -280,8 +158,8 @@ type DCG struct {
 	// its length is the paper's bitmap bit / explicit-out counter.
 	cells   []cell
 	classes []roleClass // by graph label-set id
-	ins     pool[inEdge]
-	outs    pool[graph.VertexID]
+	ins     arena.Pool[graph.VertexID, inEdge]
+	outs    arena.Pool[graph.VertexID, graph.VertexID]
 
 	numEdges    int     // stored (implicit + explicit) edges
 	numExplicit int     // stored explicit edges
@@ -339,7 +217,7 @@ func (d *DCG) slot(v graph.VertexID) int32 {
 //
 //tf:hotpath
 func (d *DCG) inCellAt(b int32, u graph.VertexID) *cell {
-	return d.cellAt(b, d.classes[d.cells[b].n].in[u])
+	return d.cellAt(b, d.classes[d.cells[b].N].in[u])
 }
 
 // outCellAt returns the out-cell for u of block b, or nil when b's labels
@@ -347,7 +225,7 @@ func (d *DCG) inCellAt(b int32, u graph.VertexID) *cell {
 //
 //tf:hotpath
 func (d *DCG) outCellAt(b int32, u graph.VertexID) *cell {
-	return d.cellAt(b, d.classes[d.cells[b].n].out[u])
+	return d.cellAt(b, d.classes[d.cells[b].N].out[u])
 }
 
 // cellAt returns the cell at position pos after block b's header, or nil
@@ -394,9 +272,9 @@ func (d *DCG) ensureSlot(v graph.VertexID) int32 {
 		}
 		b = int32(len(d.cells))
 		d.cells = append(d.cells, make([]cell, cl.width)...)
-		d.cells[b].n = set
+		d.cells[b].N = set
 	}
-	d.cells[b].a[0] = v
+	d.cells[b].A[0] = v
 	d.slots[i] = b
 	return b
 }
@@ -462,30 +340,30 @@ func (d *DCG) internClass(set uint32, v graph.VertexID) {
 //tf:hotpath
 func (d *DCG) release(b int32) {
 	h := &d.cells[b]
-	cl := &d.classes[h.n]
+	cl := &d.classes[h.N]
 	for _, c := range d.cells[b+1 : b+int32(cl.width)] {
-		if c.len() != 0 {
+		if c.Len() != 0 {
 			return
 		}
 	}
-	v := h.a[0]
+	v := h.A[0]
 	d.slots[d.pages[v>>pageShift]|uint32(v)&pageMask] = -1
-	h.a[0] = graph.NoVertex
+	h.A[0] = graph.NoVertex
 	cl.free = append(cl.free, uint32(b))
 }
 
 // nextBlock returns the offset of the block after the one at b.
-func (d *DCG) nextBlock(b int) int { return b + int(d.classes[d.cells[b].n].width) }
+func (d *DCG) nextBlock(b int) int { return b + int(d.classes[d.cells[b].N].width) }
 
 // inList returns the in-edges of cell c; one backs the inline form.
 //
 //tf:hotpath
 func (d *DCG) inList(c cell, one *[1]inEdge) []inEdge {
-	if c.class() != 0 {
-		return d.ins.list(c)
+	if c.Class() != 0 {
+		return d.ins.List(c)
 	}
-	one[0] = inEdge{parent: c.a[0], state: State(c.n & stateMask)}
-	return one[:c.len()]
+	one[0] = inEdge{parent: c.A[0], state: State(c.N & stateMask)}
+	return one[:c.Len()]
 }
 
 // inCell returns v2's in-cell for label u, or the empty cell.
@@ -499,7 +377,7 @@ func (d *DCG) inCell(v2, u graph.VertexID) cell { return d.inCellOf(d.slot(v2), 
 //tf:hotpath
 func (d *DCG) inCellOf(b int32, u graph.VertexID) cell {
 	if b >= 0 {
-		if pos := d.classes[d.cells[b].n].in[u]; pos >= 0 {
+		if pos := d.classes[d.cells[b].N].in[u]; pos >= 0 {
 			return d.cells[int(b)+1+int(pos)]
 		}
 	}
@@ -521,10 +399,10 @@ func (d *DCG) outCell(v, u graph.VertexID) *cell {
 //
 //tf:hotpath
 func (d *DCG) children(c *cell) []graph.VertexID {
-	if c.class() != 0 {
-		return d.outs.list(*c)
+	if c.Class() != 0 {
+		return d.outs.List(*c)
 	}
-	return c.a[:c.len()]
+	return c.A[:c.Len()]
 }
 
 // GetState returns the state of DCG edge (v, u, v2). Use graph.NoVertex as
@@ -533,15 +411,15 @@ func (d *DCG) children(c *cell) []graph.VertexID {
 //tf:hotpath
 func (d *DCG) GetState(v graph.VertexID, u graph.VertexID, v2 graph.VertexID) State {
 	c := d.inCell(v2, u)
-	if c.class() == 0 {
+	if c.Class() == 0 {
 		// An empty cell is all zero, so a chance match of v against it
 		// still reads Null.
-		if c.a[0] == v {
-			return State(c.n & stateMask)
+		if c.A[0] == v {
+			return State(c.N & stateMask)
 		}
 		return Null
 	}
-	l := d.ins.list(c)
+	l := d.ins.List(c)
 	if i, ok := searchIn(l, v); ok {
 		return l[i].state
 	}
@@ -576,11 +454,11 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 		if v != graph.NoVertex {
 			pb := d.slot(v) // the parent holds v2 in this out-cell, so it has a block
 			c := d.outCellAt(pb, u)
-			if c.class() == 0 {
+			if c.Class() == 0 {
 				*c = cell{}
 			} else {
-				op, _ := slices.BinarySearch(d.outs.list(*c), v2)
-				if last, inline := d.outs.remove(c, op); inline {
+				op, _ := slices.BinarySearch(d.outs.List(*c), v2)
+				if last, inline := d.outs.Remove(c, op); inline {
 					*c = inlineCell(last, Null)
 				}
 			}
@@ -592,9 +470,9 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 	switch {
 	case target == Null: // cur != Null: remove, keeping the list sorted
 		c := d.inCellAt(b2, u)
-		if c.class() == 0 {
+		if c.Class() == 0 {
 			*c = cell{}
-		} else if last, inline := d.ins.remove(c, idx); inline {
+		} else if last, inline := d.ins.Remove(c, idx); inline {
 			*c = inlineCell(last.parent, last.state)
 		}
 		d.numEdges--
@@ -604,16 +482,16 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 			b2 = d.ensureSlot(v2)
 		}
 		c := filling(d.inCellAt(b2, u))
-		if c.len() == 0 {
+		if c.Len() == 0 {
 			*c = inlineCell(v, target)
 		} else {
-			d.ins.insert(c, idx, inEdge{parent: v, state: target}, one[0])
+			d.ins.Insert(c, idx, inEdge{parent: v, state: target}, one[0])
 		}
 		d.numEdges++
 	default: // Implicit <-> Explicit: in place
 		c := d.inCellAt(b2, u)
-		if c.class() == 0 {
-			c.n = c.n&^stateMask | uint32(target)
+		if c.Class() == 0 {
+			c.N = c.N&^stateMask | uint32(target)
 		} else {
 			l[idx].state = target
 		}
@@ -626,11 +504,11 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 		d.explByLabel[u]++
 		if v != graph.NoVertex {
 			c := filling(d.outCellAt(d.ensureSlot(v), u))
-			if c.len() == 0 {
+			if c.Len() == 0 {
 				*c = inlineCell(v2, Null)
 			} else {
 				op, _ := slices.BinarySearch(d.children(c), v2)
-				d.outs.insert(c, op, v2, c.a[0])
+				d.outs.Insert(c, op, v2, c.A[0])
 			}
 		}
 	}
@@ -642,7 +520,7 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 //
 //tf:hotpath
 func (d *DCG) InDegree(v2 graph.VertexID, u graph.VertexID) int {
-	return d.inCell(v2, u).len()
+	return d.inCell(v2, u).Len()
 }
 
 // AppendInParents appends the parents of v2's stored incoming edges
@@ -678,7 +556,7 @@ func (d *DCG) HasInLabel(v graph.VertexID, u graph.VertexID) bool {
 //tf:hotpath
 func (d *DCG) ExplicitOut(v graph.VertexID, u graph.VertexID) int32 {
 	if c := d.outCell(v, u); c != nil {
-		return int32(c.len())
+		return int32(c.Len())
 	}
 	return 0
 }
@@ -695,7 +573,7 @@ func (d *DCG) MatchAllChildren(v graph.VertexID, u graph.VertexID) bool {
 		return len(children) == 0
 	}
 	for _, c := range children {
-		if oc := d.outCellAt(b, c); oc == nil || oc.len() == 0 {
+		if oc := d.outCellAt(b, c); oc == nil || oc.Len() == 0 {
 			return false
 		}
 	}
@@ -739,7 +617,7 @@ func (d *DCG) RootCandidates(explicitOnly bool) []graph.VertexID {
 			continue
 		}
 		if !explicitOnly || l[len(l)-1].state == Explicit {
-			out = append(out, d.cells[b].a[0])
+			out = append(out, d.cells[b].A[0])
 		}
 	}
 	slices.Sort(out)
@@ -770,11 +648,11 @@ func (d *DCG) SizeBytes() int64 { return int64(d.numEdges) * EdgeBytes }
 // count).
 func (d *DCG) HeldBytes() int64 {
 	b := int64(unsafe.Sizeof(*d)) +
-		sliceBytes(d.pages) + sliceBytes(d.slots) + sliceBytes(d.cells) +
-		sliceBytes(d.classes) + sliceBytes(d.explByLabel) +
-		d.ins.heldBytes() + d.outs.heldBytes()
+		arena.SliceBytes(d.pages) + arena.SliceBytes(d.slots) + arena.SliceBytes(d.cells) +
+		arena.SliceBytes(d.classes) + arena.SliceBytes(d.explByLabel) +
+		d.ins.HeldBytes() + d.outs.HeldBytes()
 	for _, cl := range d.classes {
-		b += sliceBytes(cl.free)
+		b += arena.SliceBytes(cl.free)
 	}
 	return b
 }
@@ -789,49 +667,6 @@ func (d *DCG) slotStats() (blocks, free int) {
 		free += len(cl.free)
 	}
 	return blocks, free
-}
-
-// span is one arena block as Validate accounts for it.
-type span struct{ off, size uint32 }
-
-// validate checks that owned (the blocks cells point at) and the free
-// lists tile the arena exactly: every block owned once or free once, no
-// overlap, nothing lost.
-func (p *pool[T]) validate(name string, owned []span) error {
-	for k, f := range p.free {
-		for _, off := range f {
-			owned = append(owned, span{off, 1 << k})
-		}
-	}
-	slices.SortFunc(owned, func(a, b span) int { return cmp.Compare(a.off, b.off) })
-	next := uint64(0)
-	for _, b := range owned {
-		if uint64(b.off) != next {
-			return fmt.Errorf("dcg: %s arena: block [%d,+%d) where offset %d was due (overlap, double ownership or leak)", name, b.off, b.size, next)
-		}
-		next += uint64(b.size)
-	}
-	if next != uint64(len(p.data)) {
-		return fmt.Errorf("dcg: %s arena: owned + free blocks end at %d, arena at %d", name, next, len(p.data))
-	}
-	return nil
-}
-
-// validateCell checks the header invariants of one cell and returns its
-// block, if it owns one.
-func validateCell(c cell) (span, error) {
-	n, k := c.len(), c.class()
-	switch {
-	case k == 0 && n > 1:
-		return span{}, fmt.Errorf("inline cell of length %d", n)
-	case k == 0 && n == 0 && c != (cell{}):
-		return span{}, fmt.Errorf("empty cell not zeroed: %+v", c)
-	case k > maxClass || k != 0 && (n < 2 || n > 1<<k):
-		return span{}, fmt.Errorf("block cell of class %d holds %d entries", k, n)
-	case k != 0:
-		return span{uint32(c.a[0]), 1 << k}, nil
-	}
-	return span{}, nil
 }
 
 // validateSlots checks the slot table against the block headers starts
@@ -895,22 +730,22 @@ func (d *DCG) Validate() error {
 	freeBlocks := 0
 	for b := 0; b < len(d.cells); b = d.nextBlock(b) {
 		h := d.cells[b]
-		if int(h.n) >= len(d.classes) || d.classes[h.n].width == 0 {
-			return fmt.Errorf("dcg: block %d names label set %d, which has no role class", b, h.n)
+		if int(h.N) >= len(d.classes) || d.classes[h.N].width == 0 {
+			return fmt.Errorf("dcg: block %d names label set %d, which has no role class", b, h.N)
 		}
 		if d.nextBlock(b) > len(d.cells) {
-			return fmt.Errorf("dcg: block %d of width %d overruns the %d-cell arena", b, d.classes[h.n].width, len(d.cells))
+			return fmt.Errorf("dcg: block %d of width %d overruns the %d-cell arena", b, d.classes[h.N].width, len(d.cells))
 		}
-		starts[int32(b)] = h.a[0]
-		if h.a[0] == graph.NoVertex {
+		starts[int32(b)] = h.A[0]
+		if h.A[0] == graph.NoVertex {
 			freeBlocks++
 			continue
 		}
-		if v := h.a[0]; d.slot(v) != int32(b) {
+		if v := h.A[0]; d.slot(v) != int32(b) {
 			return fmt.Errorf("dcg: block %d holds vertex %d but its slot does not point back", b, v)
 		}
-		if set := d.g.LabelSet(h.a[0]); set != h.n {
-			return fmt.Errorf("dcg: block %d of vertex %d has the class of label set %d, the vertex carries set %d", b, h.a[0], h.n, set)
+		if set := d.g.LabelSet(h.A[0]); set != h.N {
+			return fmt.Errorf("dcg: block %d of vertex %d has the class of label set %d, the vertex carries set %d", b, h.A[0], h.N, set)
 		}
 	}
 	if err := d.validateSlots(starts); err != nil {
@@ -922,8 +757,8 @@ func (d *DCG) Validate() error {
 			if v, ok := starts[int32(f)]; !ok || v != graph.NoVertex {
 				return fmt.Errorf("dcg: free list of label set %d names offset %d, which is no free block", set, f)
 			}
-			if d.cells[f].n != uint32(set) {
-				return fmt.Errorf("dcg: free block %d of label set %d is on the free list of set %d", f, d.cells[f].n, set)
+			if d.cells[f].N != uint32(set) {
+				return fmt.Errorf("dcg: free block %d of label set %d is on the free list of set %d", f, d.cells[f].N, set)
 			}
 			if onFree[int32(f)] {
 				return fmt.Errorf("dcg: block %d on a free list twice", f)
@@ -937,21 +772,21 @@ func (d *DCG) Validate() error {
 
 	edges, explicit := 0, 0
 	explByLabel := make([]int64, d.nq)
-	var inBlocks, outBlocks []span
+	var inBlocks, outBlocks []arena.Span
 	var one [1]inEdge
 	for b := 0; b < len(d.cells); b = d.nextBlock(b) {
-		v2 := d.cells[b].a[0]
+		v2 := d.cells[b].A[0]
 		stored := 0
 		for u := range graph.VertexID(d.nq) {
 			if c := d.inCellAt(int32(b), u); c != nil {
-				cb, err := validateCell(*c)
+				cb, err := arena.CheckCell(*c)
 				if err != nil {
 					return fmt.Errorf("dcg: block %d in-cell u%d: %v", b, u, err)
 				}
-				if cb.size != 0 {
+				if cb.Size != 0 {
 					inBlocks = append(inBlocks, cb)
 				}
-				stored += c.len()
+				stored += c.Len()
 				l := d.inList(*c, &one)
 				for i, e := range l {
 					if i > 0 && l[i-1].parent >= e.parent {
@@ -975,14 +810,14 @@ func (d *DCG) Validate() error {
 				}
 			}
 			if c := d.outCellAt(int32(b), u); c != nil {
-				cb, err := validateCell(*c)
+				cb, err := arena.CheckCell(*c)
 				if err != nil {
 					return fmt.Errorf("dcg: block %d out-cell u%d: %v", b, u, err)
 				}
-				if cb.size != 0 {
+				if cb.Size != 0 {
 					outBlocks = append(outBlocks, cb)
 				}
-				stored += c.len()
+				stored += c.Len()
 				kids := d.children(c)
 				for i, k := range kids {
 					if i > 0 && kids[i-1] >= k {
@@ -1001,11 +836,11 @@ func (d *DCG) Validate() error {
 			return fmt.Errorf("dcg: empty block %d (vertex %d) was not recycled", b, v2)
 		}
 	}
-	if err := d.ins.validate("in-edge", inBlocks); err != nil {
-		return err
+	if err := d.ins.Validate("in-edge", inBlocks); err != nil {
+		return fmt.Errorf("dcg: %w", err)
 	}
-	if err := d.outs.validate("children", outBlocks); err != nil {
-		return err
+	if err := d.outs.Validate("children", outBlocks); err != nil {
+		return fmt.Errorf("dcg: %w", err)
 	}
 	if edges != d.numEdges {
 		return fmt.Errorf("dcg: numEdges=%d, stored=%d", d.numEdges, edges)
@@ -1043,7 +878,7 @@ func (d *DCG) Snapshot() []SnapEdge {
 			}
 			for _, e := range d.inList(*c, &one) {
 				out = append(out, SnapEdge{
-					Key:   EdgeKey{From: e.parent, QV: graph.VertexID(u), To: d.cells[b].a[0]},
+					Key:   EdgeKey{From: e.parent, QV: graph.VertexID(u), To: d.cells[b].A[0]},
 					State: e.state,
 				})
 			}

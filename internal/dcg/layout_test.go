@@ -132,10 +132,10 @@ func TestBlockLayout(t *testing.T) {
 		name string
 		h    cell
 	}{
-		{"another vertex of the class", cell{a: [1]graph.VertexID{11}, n: h.n}},
-		{"another class of the same width", cell{a: h.a, n: g.LabelSet(30)}},
-		{"a label set with no class", cell{a: h.a, n: 999}},
-		{"a free header on no free list", cell{a: [1]graph.VertexID{graph.NoVertex}, n: h.n}},
+		{"another vertex of the class", cell{A: [1]graph.VertexID{11}, N: h.N}},
+		{"another class of the same width", cell{A: h.A, N: g.LabelSet(30)}},
+		{"a label set with no class", cell{A: h.A, N: 999}},
+		{"a free header on no free list", cell{A: [1]graph.VertexID{graph.NoVertex}, N: h.N}},
 	} {
 		d.cells[b] = bad.h
 		if err := d.Validate(); err == nil {

@@ -111,6 +111,9 @@ func Open(dir string, opt Options) (*Store, error) {
 	// apply made reopen measurably slower (DESIGN.md §12).
 	run := make([]stream.Update, 0, replayRun)
 	res, err := scanWAL(dir, snapLSN, func(lsn uint64, u stream.Update) error {
+		if err := stream.CheckIDs(u); err != nil {
+			return fmt.Errorf("durable: log record %d: %w", lsn, err)
+		}
 		if run = append(run, u); len(run) == replayRun {
 			stream.ApplyAll(g, run)
 			run = run[:0]

@@ -108,8 +108,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		if id > uint64(^uint32(0)) {
-			return nil, fmt.Errorf("graph: vertex id %d overflows", id)
+		if id > uint64(MaxVertexID) {
+			return nil, fmt.Errorf("graph: vertex id %d exceeds the maximum %d", id, MaxVertexID)
 		}
 		nl, err := get()
 		if err != nil {
@@ -150,8 +150,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		if from > uint64(^uint32(0)) || to > uint64(^uint32(0)) || l > uint64(^uint16(0)) {
-			return nil, fmt.Errorf("graph: edge record %d overflows", i)
+		if from > uint64(MaxVertexID) || to > uint64(MaxVertexID) || l > uint64(^uint16(0)) {
+			return nil, fmt.Errorf("graph: edge record %d overflows (vertex ids stop at %d)", i, MaxVertexID)
 		}
 		g.InsertEdge(VertexID(from), Label(l), VertexID(to))
 	}

@@ -2,10 +2,36 @@ package graph
 
 import "testing"
 
+// listCap returns the capacity the storage holds for v's out-list (out) or
+// in-list for label l: 1 for an inline neighbor, the block's otherwise, 0
+// when there is no list.
+func listCap(g *Graph, v VertexID, l Label, out bool) int {
+	h := &g.verts[v].in
+	if out {
+		h = &g.verts[v].out
+	}
+	if h.n&headInline != 0 {
+		if Label(h.n>>headLabelShift) == l {
+			return 1
+		}
+		return 0
+	}
+	for _, b := range g.bucketsOf(h) {
+		if b.label == l {
+			if k := b.c.Class(); k != 0 {
+				return 1 << k
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
 // TestAdjacencyCompaction pins the deleted-slot recycling contract:
-// draining a large per-label adjacency list shrinks its backing array;
-// a large emptied bucket is dropped outright, while a small one is kept
-// empty so churn around degree zero stays allocation-free.
+// draining a large per-label adjacency list shrinks its block; an emptied
+// bucket is dropped outright (its direction goes back to an empty head),
+// and churn around degree zero stays allocation-free through the arenas'
+// free lists.
 func TestAdjacencyCompaction(t *testing.T) {
 	g := New()
 	const n = 1024
@@ -14,7 +40,7 @@ func TestAdjacencyCompaction(t *testing.T) {
 			t.Fatalf("insert %d: duplicate?", i)
 		}
 	}
-	if c := cap(g.verts[1].out.neighbors(0)); c < n {
+	if c := listCap(g, 1, 0, true); c < n {
 		t.Fatalf("out cap = %d after %d inserts", c, n)
 	}
 	for i := 1; i <= n-8; i++ {
@@ -22,41 +48,54 @@ func TestAdjacencyCompaction(t *testing.T) {
 			t.Fatalf("delete %d: missing?", i)
 		}
 	}
-	out := g.verts[1].out.neighbors(0)
-	if len(out) != 8 {
+	if out := g.OutNeighbors(1, 0); len(out) != 8 {
 		t.Fatalf("len = %d, want 8", len(out))
 	}
-	if cap(out) > 64 {
-		t.Fatalf("out cap = %d after draining to 8: backing array not compacted", cap(out))
+	if c := listCap(g, 1, 0, true); c > 64 {
+		t.Fatalf("out cap = %d after draining to 8: block not compacted", c)
 	}
 	for i := n - 7; i <= n; i++ {
 		if !g.DeleteEdge(1, 0, VertexID(1+i)) {
 			t.Fatalf("delete %d: missing?", i)
 		}
 	}
-	if g.verts[1].out.find(0) >= 0 {
-		t.Fatal("large emptied adjacency bucket was not dropped")
+	if g.verts[1].out != (head{}) {
+		t.Fatalf("emptied out-direction kept head %+v", g.verts[1].out)
 	}
-	// The in-side singleton buckets are small: they stay, emptied, with
-	// their tiny backing arrays ready for reuse.
+	// The in-side singletons were inline: emptied, their heads are zero
+	// and hold nothing.
 	for i := 1; i <= n; i++ {
-		in := g.verts[1+i].in
-		bi := in.find(0)
-		if bi < 0 {
-			t.Fatalf("vertex %d dropped its small in-bucket", 1+i)
-		}
-		if l := in[bi].list; len(l) != 0 || cap(l) > adjKeepEmpty {
-			t.Fatalf("vertex %d in-bucket len=%d cap=%d, want empty cap<=%d", 1+i, len(l), cap(l), adjKeepEmpty)
+		if h := g.verts[1+i].in; h != (head{}) {
+			t.Fatalf("vertex %d kept in-head %+v after its last edge went", 1+i, h)
 		}
 	}
 	if g.NumEdges() != 0 || g.EdgeCount(0) != 0 {
 		t.Fatalf("counters: numEdges=%d edgeCount=%d", g.NumEdges(), g.EdgeCount(0))
 	}
+	if err := g.validate(); err != nil {
+		t.Fatal(err)
+	}
+	// The dropped buckets' and lists' blocks are on the free lists: churn
+	// over the same vertices allocates nothing.
+	churn := func() {
+		for i := 2; i <= 40; i++ {
+			g.InsertEdge(1, 0, VertexID(i))
+			g.InsertEdge(VertexID(i), 1, 1)
+		}
+		for i := 2; i <= 40; i++ {
+			g.DeleteEdge(1, 0, VertexID(i))
+			g.DeleteEdge(VertexID(i), 1, 1)
+		}
+	}
+	churn()
+	if avg := testing.AllocsPerRun(20, churn); avg != 0 {
+		t.Fatalf("churn after the drain allocates %v per run, want 0", avg)
+	}
 }
 
 // TestAdjacencySteadyStateChurn is the regression the compaction exists
 // for: long insert/delete churn at a stable live size must not grow the
-// adjacency backing array unboundedly.
+// adjacency storage unboundedly.
 func TestAdjacencySteadyStateChurn(t *testing.T) {
 	g := New()
 	const live = 16
@@ -74,11 +113,13 @@ func TestAdjacencySteadyStateChurn(t *testing.T) {
 		g.DeleteEdge(1, 0, fifo[0])
 		fifo = fifo[1:]
 	}
-	out := g.verts[1].out.neighbors(0)
-	if len(out) != live {
+	if out := g.OutNeighbors(1, 0); len(out) != live {
 		t.Fatalf("len = %d, want %d", len(out), live)
 	}
-	if cap(out) > 4*live {
-		t.Fatalf("out cap = %d after 20k churn ops at live size %d: unbounded growth", cap(out), live)
+	if c := listCap(g, 1, 0, true); c > 4*live {
+		t.Fatalf("out cap = %d after 20k churn ops at live size %d: unbounded growth", c, live)
+	}
+	if e := g.nbrs.Entries(); e > 8*live {
+		t.Fatalf("neighbor arena carved %d entries for one list of %d: blocks not recycled", e, live)
 	}
 }

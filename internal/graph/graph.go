@@ -11,17 +11,21 @@
 // enumerate out- or in-neighbors reachable through a specific label without
 // scanning.
 //
-// Data layout (DESIGN.md §16): every hot-path structure is a dense slice.
-// Vertex records are stored by value in one table; a vertex's label set
+// Data layout (DESIGN.md §16): the graph is pointer-free, a handful of
+// flat arrays however large it grows. Vertex records, 20 bytes, are
+// stored by value in one table indexed by VertexID; a vertex's label set
 // is an index into a table of interned sets (streams have a handful of
 // distinct ones). Per-vertex adjacency is label-bucketed — a short array
-// of (label, neighbor-slice) buckets scanned linearly, since a vertex
-// touches few distinct edge labels — and the per-label vertex index and
-// edge counters are flat slices indexed by the interned Label. No hash map
-// is touched anywhere on the insert/delete/enumerate path (declaring a
-// vertex looks its label set up in one), and iteration order is
-// deterministic (a property the emission-determinism contract leans on;
-// Go map iteration is randomized by design).
+// of (label, neighbor list) buckets scanned linearly, since a vertex
+// touches few distinct edge labels. A direction with one label and one
+// neighbor keeps it in the record; buckets and longer neighbor lists are
+// blocks of two arenas shared in design with the DCG (package arena). The
+// per-label vertex index and edge counters are flat slices indexed by the
+// interned Label. No hash map is touched anywhere on the
+// insert/delete/enumerate path (declaring a vertex looks its label set up
+// in one), and iteration order is deterministic (a property the
+// emission-determinism contract leans on; Go map iteration is randomized
+// by design).
 //
 // Vertex labels are fixed once the vertex is created: this matches the RDF
 // datasets used by the paper (LSBench, Netflow), where the type of an entity
@@ -32,6 +36,9 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"unsafe"
+
+	"turboflux/internal/arena"
 )
 
 // VertexID identifies a data or query vertex. IDs are dense small integers
@@ -63,129 +70,247 @@ func (e Edge) Reverse() Edge {
 	return Edge{From: e.To, Label: e.Label, To: e.From}
 }
 
+// cell is the header of one neighbor list (arena.Cell): a single neighbor
+// lives in the cell, a longer list is a block of Graph.nbrs.
+type cell = arena.Cell[VertexID]
+
 // bucket holds the neighbors a vertex reaches through one edge label in
-// one direction.
+// one direction: 12 bytes.
 type bucket struct {
 	label Label
-	list  []VertexID
+	c     cell
 }
 
-// adj is one direction of a vertex's adjacency, bucketed by edge label.
+// head is one direction of a vertex's adjacency, 8 bytes of its record:
+//
+//   - zero: no edges;
+//   - inline (n&headInline != 0): one label, n>>headLabelShift, with one
+//     neighbor, a[0];
+//   - otherwise a block of Graph.buckets at offset a[0], of class
+//     n>>headClassShift&headClassMask (capacity 1<<class), holding
+//     n>>headCountShift buckets.
+//
 // The bucket array is unordered and scanned linearly — a vertex touches
 // few distinct edge labels, so the scan is a handful of compares, cheaper
-// than hashing into a map. An emptied bucket is swap-removed so long-gone
-// labels never lengthen the scan.
-type adj []bucket
+// than hashing into a map. An emptied bucket is swap-removed at once, so
+// long-gone labels never lengthen the scan; churn through the free lists
+// of both arenas allocates nothing. A block holds two or more buckets, or
+// one whose list is a block of its own: one label with one neighbor is
+// always inline.
+type head struct {
+	a [1]VertexID
+	n uint32
+}
 
-// find returns the bucket index of label l, or -1.
+const (
+	headInline     = 1
+	headClassShift = 1
+	headClassMask  = 31
+	headCountShift = 8
+	headLabelShift = 16
+)
+
+func inlineHead(l Label, v VertexID) head {
+	return head{a: [1]VertexID{v}, n: uint32(l)<<headLabelShift | headInline}
+}
+
+func blockHead(off uint32, n int, k uint32) head {
+	return head{a: [1]VertexID{VertexID(off)}, n: uint32(n)<<headCountShift | k<<headClassShift}
+}
+
+func (h *head) block() (off uint32, n int, k uint32) {
+	return uint32(h.a[0]), int(h.n >> headCountShift), h.n >> headClassShift & headClassMask
+}
+
+// bucketsOf returns the buckets of h (none for an empty or inline head).
 //
 //tf:hotpath
-func (a adj) find(l Label) int {
-	for i := range a {
-		if a[i].label == l {
-			return i
+func (g *Graph) bucketsOf(h *head) []bucket {
+	if h.n&headInline != 0 {
+		return nil
+	}
+	return g.buckets.Block(uint32(h.a[0]), int(h.n>>headCountShift))
+}
+
+// list returns the neighbors of cell c; an inline neighbor is returned as
+// a slice into the cell.
+//
+//tf:hotpath
+func (g *Graph) list(c *cell) []VertexID {
+	if c.Class() != 0 {
+		return g.nbrs.List(*c)
+	}
+	return c.A[:c.Len()]
+}
+
+// lookup returns the neighbors h reaches through label l and the position
+// of l's bucket among h's buckets (-1 when h has none for l or is inline).
+//
+//tf:hotpath
+func (g *Graph) lookup(h *head, l Label) ([]VertexID, int) {
+	if h.n&headInline != 0 {
+		if Label(h.n>>headLabelShift) == l {
+			return h.a[:], -1
+		}
+		return nil, -1
+	}
+	bs := g.bucketsOf(h)
+	for i := range bs {
+		if bs[i].label == l {
+			return g.list(&bs[i].c), i
 		}
 	}
-	return -1
+	return nil, -1
 }
 
-// neighbors returns the neighbor slice for label l (nil if no bucket).
+// add appends neighbor v to h's list for label l, whose bucket position
+// lookup returned as bi.
 //
 //tf:hotpath
-func (a adj) neighbors(l Label) []VertexID {
-	if i := a.find(l); i >= 0 {
-		return a[i].list
+func (g *Graph) add(h *head, bi int, l Label, v VertexID) {
+	switch {
+	case h.n == 0:
+		*h = inlineHead(l, v)
+	case h.n&headInline != 0:
+		u, hl := h.a[0], Label(h.n>>headLabelShift)
+		if hl == l {
+			c := arena.Inline(u, 0)
+			g.nbrs.Insert(&c, 1, v, u)
+			off := g.buckets.Alloc(0)
+			g.buckets.Block(off, 1)[0] = bucket{label: l, c: c}
+			*h = blockHead(off, 1, 0)
+			return
+		}
+		off := g.buckets.Alloc(1)
+		bs := g.buckets.Block(off, 2)
+		bs[0] = bucket{label: hl, c: arena.Inline(u, 0)}
+		bs[1] = bucket{label: l, c: arena.Inline(v, 0)}
+		*h = blockHead(off, 2, 1)
+	case bi >= 0:
+		c := &g.bucketsOf(h)[bi].c
+		g.nbrs.Insert(c, c.Len(), v, c.A[0])
+	default:
+		off, n, k := h.block()
+		if n == 1<<k {
+			off, k = g.buckets.Move(off, n, k, k+1), k+1
+		}
+		g.buckets.Block(off, n+1)[n] = bucket{label: l, c: arena.Inline(v, 0)}
+		*h = blockHead(off, n+1, k)
 	}
-	return nil
 }
 
-// addAt appends neighbor v to bucket bi, or to a new bucket for label l
-// when bi is -1.
-//
-//tf:hotpath
-func (a *adj) addAt(bi int, l Label, v VertexID) {
-	if bi >= 0 {
-		(*a)[bi].list = append((*a)[bi].list, v)
-		return
-	}
-	nl := make([]VertexID, 1, 4) // headroom: most vertices grow past 1 neighbor
-	nl[0] = v
-	*a = append(*a, bucket{label: l, list: nl})
-}
-
-// adjShrinkMin is the smallest backing-array capacity delete compaction
-// bothers with; below it the waste is a few words per list.
-const adjShrinkMin = 16
-
-// adjKeepEmpty is the largest backing-array capacity an emptied bucket
-// retains for reuse; a larger one is dropped to release its memory.
-// Matches the capacity addAt gives a fresh bucket, so churn around degree
-// zero settles into one retained 4-slot array per touched label.
-const adjKeepEmpty = 4
-
-// remove deletes the first occurrence of v from the bucket for label l
-// and reports whether it was present, recycling deleted-edge slots: a
-// list whose live length has fallen to a quarter of its capacity is
-// reallocated at half capacity, and an emptied bucket is either dropped
-// (releasing a large backing array) or kept empty (a small one), so the
-// next insert of that label reuses it without allocating — delete-heavy
-// churn around zero costs no allocation in steady state. The swap-remove
-// bounds length; the shrink bounds the retained capacity; together long
+// remove swap-removes neighbor v from h's list for label l and reports
+// whether it was there. A list that drains to one neighbor goes back into
+// its cell, an emptied bucket is swap-removed, a bucket block three
+// quarters empty moves down a class (the lists' arena does the same), and
+// one label left with one neighbor goes back inline: the swap-remove
+// bounds length, the shrink bounds the retained capacity, and long
 // insert/delete churn converges to the steady-state working set instead
-// of pinning the high-water mark. The 4-to-1 shrink trigger against the
-// 2-to-1 new capacity leaves headroom, so churn around a stable degree
-// cannot thrash between shrinking and regrowing.
+// of pinning the high-water mark.
 //
 //tf:hotpath
-func (a *adj) remove(l Label, v VertexID) bool {
-	bi := a.find(l)
+func (g *Graph) remove(h *head, l Label, v VertexID) bool {
+	if h.n&headInline != 0 {
+		if Label(h.n>>headLabelShift) != l || h.a[0] != v {
+			return false
+		}
+		*h = head{}
+		return true
+	}
+	off, n, k := h.block()
+	bs := g.buckets.Block(off, n)
+	bi := -1
+	for i := range bs {
+		if bs[i].label == l {
+			bi = i
+			break
+		}
+	}
 	if bi < 0 {
 		return false
 	}
-	bs := *a
-	s := bs[bi].list
-	for i, x := range s {
-		if x != v {
-			continue
+	c := &bs[bi].c
+	if c.Class() == 0 {
+		if c.A[0] != v {
+			return false
 		}
-		s[i] = s[len(s)-1]
-		s = s[:len(s)-1]
-		switch {
-		case len(s) == 0 && cap(s) > adjKeepEmpty:
-			// Drop the bucket: swap-remove keeps the scan short and the
-			// backing array is released.
-			last := len(bs) - 1
-			bs[bi] = bs[last]
-			bs[last] = bucket{}
-			*a = bs[:last]
-		case cap(s) >= adjShrinkMin && len(s)*4 <= cap(s):
-			ns := make([]VertexID, len(s), cap(s)/2)
-			copy(ns, s)
-			bs[bi].list = ns
-		default:
-			bs[bi].list = s
+		n--
+		bs[bi] = bs[n]
+		bs[n] = bucket{}
+	} else {
+		s := g.nbrs.List(*c)
+		i := slices.Index(s, v)
+		if i < 0 {
+			return false
 		}
-		return true
+		last := len(s) - 1
+		s[i] = s[last]
+		if x, inline := g.nbrs.Remove(c, last); inline {
+			*c = arena.Inline(x, 0)
+		}
 	}
-	return false
+	switch {
+	case n == 1 && bs[0].c.Class() == 0:
+		*h = inlineHead(bs[0].label, bs[0].c.A[0])
+		g.buckets.Release(off, k)
+	case k >= arena.ShrinkMin && n*4 <= 1<<k:
+		*h = blockHead(g.buckets.Move(off, n, k, k-1), n, k-1)
+	default:
+		*h = blockHead(off, n, k)
+	}
+	return true
 }
 
-// clone deep-copies one adjacency direction.
-func (a adj) clone() adj {
-	c := slices.Clone(a)
-	for i := range c {
-		c[i].list = slices.Clone(c[i].list)
-	}
-	return c
+// neighbors returns the neighbors h reaches through label l.
+//
+//tf:hotpath
+func (g *Graph) neighbors(h *head, l Label) []VertexID {
+	s, _ := g.lookup(h, l)
+	return s
 }
 
-// vertexData is one vertex's record, stored by value in Graph.verts.
+// forEachLabel calls fn for every (label, neighbors) pair of h, in bucket
+// order.
+func (g *Graph) forEachLabel(h *head, fn func(l Label, nbrs []VertexID)) {
+	if h.n&headInline != 0 {
+		fn(Label(h.n>>headLabelShift), h.a[:])
+		return
+	}
+	bs := g.bucketsOf(h)
+	for i := range bs {
+		fn(bs[i].label, g.list(&bs[i].c))
+	}
+}
+
+// degree returns the number of neighbors of h across all labels.
+func (g *Graph) degree(h *head) int {
+	n := 0
+	g.forEachLabel(h, func(_ Label, nbrs []VertexID) { n += len(nbrs) })
+	return n
+}
+
+// vertexData is one vertex's record, stored by value in Graph.verts: 20
+// bytes and no pointer.
 type vertexData struct {
-	out, in       adj
-	outDeg, inDeg int32
 	// set is the vertex's label set as an index into Graph.labelSets;
 	// 0 means the vertex is absent (the zero record), 1 the empty set.
-	set uint32
+	set     uint32
+	out, in head
+}
+
+// MaxVertexID is the largest vertex ID a graph accepts. The vertex table
+// is dense, so an ID costs its record (20 B) whether or not the IDs below
+// it are used: the bound caps the table at 5.4 GB, keeps every ID below
+// NoVertex, and is checked wherever IDs enter the system (request
+// parsing, the engines' Apply, graph files, recovery).
+const MaxVertexID VertexID = 1<<28 - 1
+
+// CheckVertexID returns an error when v exceeds MaxVertexID.
+func CheckVertexID(v VertexID) error {
+	if v > MaxVertexID {
+		return fmt.Errorf("vertex id %d exceeds the maximum %d", v, MaxVertexID)
+	}
+	return nil
 }
 
 // Graph is a dynamic labeled directed multigraph. The zero value is not
@@ -194,7 +319,9 @@ type vertexData struct {
 // Graph is not safe for concurrent mutation; the paper's system (and every
 // baseline) is single-threaded per stream, and so are we.
 type Graph struct {
-	verts     []vertexData      // indexed by VertexID
+	verts     []vertexData // indexed by VertexID
+	buckets   arena.Pool[VertexID, bucket]
+	nbrs      arena.Pool[VertexID, VertexID]
 	labelSets [][]Label         // interned label sets, each sorted and deduplicated
 	setIndex  map[string]uint32 // label set (2 bytes a label) -> index into labelSets
 	byLabel   [][]VertexID      // vertex label -> vertices carrying it (append-only), indexed by Label
@@ -227,6 +354,9 @@ func (g *Graph) HasVertex(v VertexID) bool {
 // after creation); use EnsureVertex for idempotent creation of unlabeled
 // vertices.
 func (g *Graph) AddVertex(v VertexID, labels ...Label) error {
+	if err := CheckVertexID(v); err != nil {
+		return fmt.Errorf("graph: %w", err)
+	}
 	if g.HasVertex(v) {
 		return fmt.Errorf("graph: vertex %d already exists", v)
 	}
@@ -250,11 +380,14 @@ func (g *Graph) AddVertex(v VertexID, labels ...Label) error {
 }
 
 // EnsureVertex creates v with the given labels if it does not exist yet.
-// If v already exists its labels are left untouched.
+// If v already exists its labels are left untouched. v must not exceed
+// MaxVertexID: callers bound IDs where they enter the system, so an ID
+// past it here is a bug and panics.
 func (g *Graph) EnsureVertex(v VertexID, labels ...Label) {
 	if !g.HasVertex(v) {
-		// AddVertex cannot fail here: we just checked existence.
-		_ = g.AddVertex(v, labels...)
+		if err := g.AddVertex(v, labels...); err != nil {
+			panic(err)
+		}
 	}
 }
 
@@ -395,15 +528,9 @@ func (g *Graph) bumpEdgeCount(l Label, d int) {
 func (g *Graph) InsertEdge(from VertexID, l Label, to VertexID) bool {
 	g.EnsureVertex(from)
 	g.EnsureVertex(to)
-	fd, td := &g.verts[from], &g.verts[to] // taken after both exist: creating one may move the table
-	bi, ti := fd.out.find(l), td.in.find(l)
-	var out, in []VertexID
-	if bi >= 0 {
-		out = fd.out[bi].list
-	}
-	if ti >= 0 {
-		in = td.in[ti].list
-	}
+	fh, th := &g.verts[from].out, &g.verts[to].in // taken after both exist: creating one may move the table
+	out, bi := g.lookup(fh, l)
+	in, ti := g.lookup(th, l)
 	// Duplicate probe on the shorter mirror, as in HasEdge.
 	if len(in) < len(out) {
 		if slices.Contains(in, from) {
@@ -412,10 +539,8 @@ func (g *Graph) InsertEdge(from VertexID, l Label, to VertexID) bool {
 	} else if slices.Contains(out, to) {
 		return false
 	}
-	fd.out.addAt(bi, l, to)
-	fd.outDeg++
-	td.in.addAt(ti, l, from)
-	td.inDeg++
+	g.add(fh, bi, l, to)
+	g.add(th, ti, l, from)
 	g.bumpEdgeCount(l, 1)
 	g.numEdges++
 	return true
@@ -429,13 +554,10 @@ func (g *Graph) DeleteEdge(from VertexID, l Label, to VertexID) bool {
 	if !g.HasVertex(from) || !g.HasVertex(to) {
 		return false
 	}
-	fd, td := &g.verts[from], &g.verts[to]
-	if !fd.out.remove(l, to) {
+	if !g.remove(&g.verts[from].out, l, to) {
 		return false
 	}
-	fd.outDeg--
-	td.in.remove(l, from)
-	td.inDeg--
+	g.remove(&g.verts[to].in, l, from)
 	g.bumpEdgeCount(l, -1)
 	g.numEdges--
 	return true
@@ -450,22 +572,12 @@ func (g *Graph) HasEdge(from VertexID, l Label, to VertexID) bool {
 	}
 	// The edge is mirrored in both half-adjacencies; probe the shorter
 	// side so dup checks against a hub vertex stay cheap.
-	out := g.verts[from].out.neighbors(l)
-	in := g.verts[to].in.neighbors(l)
+	out := g.neighbors(&g.verts[from].out, l)
+	in := g.neighbors(&g.verts[to].in, l)
 	if len(in) < len(out) {
-		for _, x := range in {
-			if x == from {
-				return true
-			}
-		}
-		return false
+		return slices.Contains(in, from)
 	}
-	for _, x := range out {
-		if x == to {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(out, to)
 }
 
 // OutNeighbors returns the targets of edges from v with label l. The slice
@@ -474,10 +586,10 @@ func (g *Graph) HasEdge(from VertexID, l Label, to VertexID) bool {
 //
 //tf:hotpath
 func (g *Graph) OutNeighbors(v VertexID, l Label) []VertexID {
-	if !g.HasVertex(v) {
+	if int(v) >= len(g.verts) {
 		return nil
 	}
-	return g.verts[v].out.neighbors(l)
+	return g.neighbors(&g.verts[v].out, l)
 }
 
 // InNeighbors returns the sources of edges into v with label l, with the
@@ -485,10 +597,10 @@ func (g *Graph) OutNeighbors(v VertexID, l Label) []VertexID {
 //
 //tf:hotpath
 func (g *Graph) InNeighbors(v VertexID, l Label) []VertexID {
-	if !g.HasVertex(v) {
+	if int(v) >= len(g.verts) {
 		return nil
 	}
-	return g.verts[v].in.neighbors(l)
+	return g.neighbors(&g.verts[v].in, l)
 }
 
 // OutDegree returns the total out-degree of v across all labels.
@@ -496,7 +608,7 @@ func (g *Graph) OutDegree(v VertexID) int {
 	if !g.HasVertex(v) {
 		return 0
 	}
-	return int(g.verts[v].outDeg)
+	return g.degree(&g.verts[v].out)
 }
 
 // InDegree returns the total in-degree of v across all labels.
@@ -504,7 +616,7 @@ func (g *Graph) InDegree(v VertexID) int {
 	if !g.HasVertex(v) {
 		return 0
 	}
-	return int(g.verts[v].inDeg)
+	return g.degree(&g.verts[v].in)
 }
 
 // Degree returns in-degree + out-degree of v.
@@ -522,39 +634,31 @@ func (g *Graph) EdgeCount(l Label) int {
 // outgoing adjacency, in bucket order (deterministic for a given update
 // history). Neighbor slices follow OutNeighbors ownership rules.
 func (g *Graph) ForEachOutLabel(v VertexID, fn func(l Label, nbrs []VertexID)) {
-	if !g.HasVertex(v) {
-		return
-	}
-	for _, b := range g.verts[v].out {
-		if len(b.list) > 0 {
-			fn(b.label, b.list)
-		}
+	if g.HasVertex(v) {
+		g.forEachLabel(&g.verts[v].out, fn)
 	}
 }
 
 // ForEachInLabel calls fn for every (label, neighbors) pair of v's incoming
 // adjacency, in bucket order.
 func (g *Graph) ForEachInLabel(v VertexID, fn func(l Label, nbrs []VertexID)) {
-	if !g.HasVertex(v) {
-		return
-	}
-	for _, b := range g.verts[v].in {
-		if len(b.list) > 0 {
-			fn(b.label, b.list)
-		}
+	if g.HasVertex(v) {
+		g.forEachLabel(&g.verts[v].in, fn)
 	}
 }
 
 // ForEachEdge calls fn for every live edge, in (from-vertex, bucket,
 // insertion) order — deterministic for a given update history, which the
-// snapshot/serialization cold paths rely on. fn must not mutate the graph.
+// snapshot/serialization cold paths rely on. On a graph that has seen no
+// deletion, buckets are in the order their labels first appeared. fn must
+// not mutate the graph.
 func (g *Graph) ForEachEdge(fn func(Edge)) {
 	for id := range g.verts {
-		for _, b := range g.verts[id].out {
-			for _, to := range b.list {
-				fn(Edge{From: VertexID(id), Label: b.label, To: to})
+		g.forEachLabel(&g.verts[id].out, func(l Label, nbrs []VertexID) {
+			for _, to := range nbrs {
+				fn(Edge{From: VertexID(id), Label: l, To: to})
 			}
-		}
+		})
 	}
 }
 
@@ -579,10 +683,8 @@ func (g *Graph) ForEachVertex(fn func(VertexID)) {
 func (g *Graph) Clone() *Graph {
 	c := New()
 	c.verts = slices.Clone(g.verts)
-	for id := range c.verts {
-		vd := &c.verts[id]
-		vd.out, vd.in = vd.out.clone(), vd.in.clone()
-	}
+	c.buckets = g.buckets.Clone()
+	c.nbrs = g.nbrs.Clone()
 	c.labelSets = slices.Clone(g.labelSets) // the sets are immutable: safe to share
 	c.setIndex = maps.Clone(g.setIndex)
 	c.numVerts = g.numVerts
@@ -595,4 +697,31 @@ func (g *Graph) Clone() *Graph {
 	}
 	c.edgeCount = append([]int(nil), g.edgeCount...)
 	return c
+}
+
+// setIndexEntryBytes is HeldBytes' estimate of one label-set index entry
+// besides its key's bytes: the map's slot (string header and value) with
+// its control and load-factor overhead.
+const setIndexEntryBytes = 40
+
+// HeldBytes returns the heap bytes the graph holds: the capacity of the
+// vertex table, both adjacency arenas with their free lists, the label-set
+// table and the per-label vertex and edge indexes — exact — plus an
+// estimate for the label-set index map, which grows with distinct label
+// sets, not with the graph. TestGraphFootprint holds it against the
+// runtime's own count.
+func (g *Graph) HeldBytes() int64 {
+	b := int64(unsafe.Sizeof(*g)) + arena.SliceBytes(g.verts) +
+		g.buckets.HeldBytes() + g.nbrs.HeldBytes() +
+		arena.SliceBytes(g.labelSets) + arena.SliceBytes(g.byLabel) + arena.SliceBytes(g.edgeCount)
+	for _, ls := range g.labelSets {
+		b += arena.SliceBytes(ls)
+	}
+	for _, vs := range g.byLabel {
+		b += arena.SliceBytes(vs)
+	}
+	for k := range g.setIndex {
+		b += int64(len(k)) + setIndexEntryBytes
+	}
+	return b
 }

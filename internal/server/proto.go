@@ -149,6 +149,9 @@ func ParseRequest(line string) (Request, error) {
 	// Updates, the bulk of requests, go straight to the stream parser,
 	// which splits the line in place; only commands pay for Fields.
 	if u, ok, err := stream.ParseRecord(line); ok {
+		if err == nil {
+			err = stream.CheckIDs(u) // refused here, it is never journaled
+		}
 		if err != nil {
 			return Request{}, err
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 
@@ -121,6 +122,9 @@ func New(opt Options) (*Server, error) {
 		}
 		if edict == nil {
 			edict = turboflux.NewDict()
+		}
+		if err := stream.CheckAll(opt.Bootstrap); err != nil {
+			return nil, fmt.Errorf("server: bootstrap %w", err)
 		}
 		g := turboflux.NewGraph()
 		stream.ApplyAll(g, opt.Bootstrap)

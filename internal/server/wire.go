@@ -74,7 +74,8 @@ func (w *Wire) ReadLine() (string, error) {
 // BATCHB (Count bytes of binary-codec records) request. A framing (I/O)
 // error is fatal; a parse error is reported to the client after the whole
 // body has been consumed, so the protocol stays in sync. Nothing is
-// applied unless every record parses.
+// applied unless every record parses and names no vertex ID past
+// graph.MaxVertexID.
 func (w *Wire) ReadBatch(req Request) (ups []stream.Update, framing, parse error) {
 	if req.Kind == KindBatchBin {
 		return w.readBatchBinary(req.Count)
@@ -90,6 +91,9 @@ func (w *Wire) ReadBatch(req Request) (ups []stream.Update, framing, parse error
 			continue // consume remaining body
 		}
 		u, err := stream.ParseLine(line) // a trailing CR is white space to it
+		if err == nil {
+			err = stream.CheckIDs(u)
+		}
 		if err != nil {
 			parse = fmt.Errorf("server: batch record %d: %w", i+1, err)
 			continue
@@ -109,6 +113,9 @@ func (w *Wire) readBatchBinary(n int) (ups []stream.Update, framing, parse error
 	}
 	for len(body) > 0 {
 		u, used, err := stream.DecodeBinary(body)
+		if err == nil {
+			err = stream.CheckIDs(u)
+		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("server: batch record %d: %w", len(ups)+1, err)
 		}

@@ -89,6 +89,32 @@ func DeclareVertex(v graph.VertexID, labels ...graph.Label) Update {
 	return Update{Op: OpVertex, Vertex: v, Labels: labels}
 }
 
+// CheckIDs returns an error when u names a vertex ID past
+// graph.MaxVertexID. The codecs carry any uint32; this is checked where
+// updates enter the system, before they are journaled or applied, since
+// the graph's vertex table is dense.
+func CheckIDs(u Update) error {
+	v := u.Vertex
+	if u.Op != OpVertex {
+		v = max(u.Edge.From, u.Edge.To)
+	}
+	if err := graph.CheckVertexID(v); err != nil {
+		return fmt.Errorf("stream: %w", err)
+	}
+	return nil
+}
+
+// CheckAll is CheckIDs over ups; the error names the first refused
+// update's position.
+func CheckAll(ups []Update) error {
+	for i, u := range ups {
+		if err := CheckIDs(u); err != nil {
+			return fmt.Errorf("update %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Apply applies u to g. It reports whether the graph changed (duplicate
 // inserts and deletes of absent edges report false; vertex declarations
 // report true when the vertex was new).

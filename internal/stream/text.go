@@ -54,6 +54,17 @@ func (e *LineError) Unwrap() error { return e.Err }
 // …" without handing over the records before it in its window, and at the
 // first error from fn, which it returns as is.
 func DecodeWindows(r io.Reader, size int, fn func(window []Update) error) error {
+	return decodeWindows(r, size, false, fn)
+}
+
+// LoadWindows is DecodeWindows for a history about to be applied to a
+// graph: a record naming a vertex ID past graph.MaxVertexID is a malformed
+// line too ("stream: line N: …"), refused before fn sees its window.
+func LoadWindows(r io.Reader, size int, fn func(window []Update) error) error {
+	return decodeWindows(r, size, true, fn)
+}
+
+func decodeWindows(r io.Reader, size int, checkIDs bool, fn func(window []Update) error) error {
 	size = max(size, 1)
 	br := bufio.NewReaderSize(r, readBuffer)
 	window := make([]Update, 0, size)
@@ -74,6 +85,9 @@ func DecodeWindows(r io.Reader, size int, fn func(window []Update) error) error 
 		}
 		if f := splitFields(line); f.n > 0 && line[f.at[0].lo] != '#' {
 			u, more, err := parseFields(line, f, labels)
+			if err == nil && checkIDs {
+				err = CheckIDs(u)
+			}
 			if err != nil {
 				return &LineError{lineNo, err}
 			}
@@ -116,9 +130,9 @@ func Decode(r io.Reader) ([]Update, error) {
 
 // ApplyText applies the text-format stream read from r to g, holding one
 // window of it at a time. It stops at the first malformed line, as
-// DecodeWindows does, with the windows before it applied.
+// LoadWindows does, with the windows before it applied.
 func ApplyText(g *graph.Graph, r io.Reader) error {
-	return DecodeWindows(r, textWindow, func(window []Update) error {
+	return LoadWindows(r, textWindow, func(window []Update) error {
 		ApplyAll(g, window)
 		return nil
 	})

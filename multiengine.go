@@ -390,8 +390,12 @@ func (m *MultiEngine) Delete(from VertexID, l Label, to VertexID) (map[string]in
 // censored by its WorkBudget reports exactly its first WorkBudget matches
 // in search order, whether it owns its shape's DCG or follows it, and the
 // update's maintenance runs to the end either way: every DCG and the graph
-// stay exactly in sync with the stream.
+// stay exactly in sync with the stream. An update naming a vertex ID past
+// 2^28 − 1 is refused with an error and changes nothing.
 func (m *MultiEngine) Apply(u Update) (map[string]int64, error) {
+	if err := stream.CheckIDs(u); err != nil {
+		return nil, err
+	}
 	m.one[0] = u
 	counts := m.evalBatch(m.one[:], nil)
 	return counts, errors.Join(m.batchErrs...)
@@ -409,7 +413,8 @@ func (m *MultiEngine) Apply(u Update) (map[string]int64, error) {
 // so errors.Is still detects ErrWorkBudget.
 //
 // The returned counts map aggregates per-query match counts over the
-// whole batch (non-zero entries only).
+// whole batch (non-zero entries only). A batch with an update naming a
+// vertex ID past 2^28 − 1 is refused whole, before anything is applied.
 func (m *MultiEngine) ApplyBatch(ups []stream.Update) (map[string]int64, error) {
 	return m.ApplyBatchFunc(ups, nil)
 }
@@ -423,6 +428,9 @@ func (m *MultiEngine) ApplyBatch(ups []stream.Update) (map[string]int64, error) 
 //
 //tf:hotpath
 func (m *MultiEngine) ApplyBatchFunc(ups []stream.Update, boundary func(i int)) (map[string]int64, error) {
+	if err := stream.CheckAll(ups); err != nil {
+		return nil, err
+	}
 	counts := m.evalBatch(ups, boundary)
 	for k, err := range m.batchErrs {
 		m.batchErrs[k] = fmt.Errorf("update %d: %w", m.batchErrAt[k], err) //tf:alloc-ok error path

@@ -174,17 +174,23 @@ func (e *Engine) InitialMatches() int64 { return e.inner.InitialMatches() }
 // Insert applies an edge insertion and returns the number of positive
 // matches it produced. Duplicate insertions are no-ops.
 func (e *Engine) Insert(from VertexID, l Label, to VertexID) (int64, error) {
-	return e.inner.InsertEdge(from, l, to)
+	return e.Apply(Insert(from, l, to))
 }
 
 // Delete applies an edge deletion and returns the number of negative
 // matches it produced. Deleting an absent edge is a no-op.
 func (e *Engine) Delete(from VertexID, l Label, to VertexID) (int64, error) {
-	return e.inner.DeleteEdge(from, l, to)
+	return e.Apply(Delete(from, l, to))
 }
 
-// Apply applies one stream update.
-func (e *Engine) Apply(u Update) (int64, error) { return e.inner.Apply(u) }
+// Apply applies one stream update. An update naming a vertex ID past
+// 2^28 − 1 is refused with an error and changes nothing.
+func (e *Engine) Apply(u Update) (int64, error) {
+	if err := stream.CheckIDs(u); err != nil {
+		return 0, err
+	}
+	return e.inner.Apply(u)
+}
 
 // ApplyBatch applies a whole batch of updates and returns the total
 // match count. It evaluates every update even when some fail: per-update
