@@ -40,7 +40,7 @@ var (
 func benchRC() harness.RunConfig {
 	return harness.RunConfig{
 		Timeout: benchTimeout,
-		Engine:  harness.EngineOptions{Options: csm.Options{WorkBudget: benchWork, SizeCap: benchSizeCap}},
+		Engine:  csm.Options{WorkBudget: benchWork, SizeCap: benchSizeCap},
 	}
 }
 
@@ -354,85 +354,4 @@ func BenchmarkNECCompression(b *testing.B) {
 	b.Run("compressed", func(b *testing.B) {
 		replayBench(b, harness.SJTree, ds, comp, benchRC())
 	})
-}
-
-// BenchmarkAblationCheckAndAvoid: DESIGN.md abl1 — the check-and-avoid
-// strategy (Section 3.1) vs re-traversing already-built DCG subtrees.
-func BenchmarkAblationCheckAndAvoid(b *testing.B) {
-	ds := lsDataset()
-	qs := querySet(ds, "tree", 6, benchSeed+60)
-	for _, disabled := range []bool{false, true} {
-		name := "on"
-		if disabled {
-			name = "off"
-		}
-		rc := benchRC()
-		rc.Engine.DisableCheckAndAvoid = disabled
-		b.Run(name, func(b *testing.B) {
-			replayBench(b, harness.TurboFlux, ds, qs, rc)
-		})
-	}
-}
-
-// BenchmarkAblationMatchingOrder: DESIGN.md abl2 — AdjustMatchingOrder on
-// vs a frozen startup order.
-func BenchmarkAblationMatchingOrder(b *testing.B) {
-	ds := lsDataset()
-	qs := querySet(ds, "tree", 9, benchSeed+10)
-	for _, disabled := range []bool{false, true} {
-		name := "adaptive"
-		if disabled {
-			name = "frozen"
-		}
-		rc := benchRC()
-		rc.Engine.DisableOrderAdjust = disabled
-		b.Run(name, func(b *testing.B) {
-			replayBench(b, harness.TurboFlux, ds, qs, rc)
-		})
-	}
-}
-
-// BenchmarkAblationNaiveEL: DESIGN.md abl3 — selective transitions vs
-// recomputing the edge-transition fixpoint from scratch per update
-// (Algorithm 1 as written). Run on a reduced stream: the naive mode is
-// orders of magnitude slower.
-func BenchmarkAblationNaiveEL(b *testing.B) {
-	ds := workload.LSBench(workload.LSBenchConfig{
-		Users: 60, StreamFraction: 0.1, Seed: benchSeed,
-	})
-	qs := querySet(ds, "tree", 6, benchSeed+77)
-	rc := benchRC()
-	if len(ds.Stream) > 100 {
-		rc.Stream = ds.Stream[:100]
-	}
-	for _, naiveEL := range []bool{false, true} {
-		name := "selective"
-		if naiveEL {
-			name = "naive-EL"
-		}
-		r := rc
-		r.Engine.NaiveEL = naiveEL
-		b.Run(name, func(b *testing.B) {
-			replayBench(b, harness.TurboFlux, ds, qs, r)
-		})
-	}
-}
-
-// BenchmarkAblationSearchStrategy: Backtracking (Algorithm 7) vs the
-// worst-case-optimal join over the DCG (Section 4.3 sketch) on cyclic
-// queries, where candidate intersection matters most.
-func BenchmarkAblationSearchStrategy(b *testing.B) {
-	ds := lsDataset()
-	qs := querySet(ds, "cyclic", 9, benchSeed+109)
-	for _, wco := range []bool{false, true} {
-		name := "backtracking"
-		if wco {
-			name = "wco-join"
-		}
-		rc := benchRC()
-		rc.Engine.WCOSearch = wco
-		b.Run(name, func(b *testing.B) {
-			replayBench(b, harness.TurboFlux, ds, qs, rc)
-		})
-	}
 }

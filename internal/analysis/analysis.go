@@ -19,7 +19,7 @@
 //
 //	//tf:hotpath        function is allocation-sensitive (opt-in check)
 //	//tf:unordered-ok   map iteration here is order-independent
-//	//tf:oracle-ok      gated slow-path use of the DCG fixpoint oracle
+//	//tf:oracle-ok      cold, off-eval-path use of the DCG fixpoint oracle
 //	//tf:unchecked-ok   discarding this error is deliberate
 //	//tf:alloc-ok       this allocation in a hot path is deliberate
 //	//tf:eval-path      function is an extra eval-readonly root (opt-in check)

@@ -19,9 +19,10 @@ import (
 // every function.
 //
 // Exemptions: //tf:map-ok on the operation's line suppresses one finding
-// (e.g. a map touched only on a gated ablation branch); //tf:map-ok or
-// //tf:oracle-ok on the function exempts it wholesale (oracle fixpoints
-// and test-support validators are deliberately map-shaped).
+// (e.g. a map probed once per vertex declaration, never per edge update);
+// //tf:map-ok or //tf:oracle-ok on the function exempts it wholesale
+// (oracle fixpoints and test-support validators are deliberately
+// map-shaped).
 var HotpathMap = &analysis.Analyzer{
 	Name: "hotpath-map",
 	Doc:  "no hash-map operations on eval paths: per-update state is slot-indexed dense slices (DESIGN.md §16)",

@@ -11,9 +11,9 @@ import (
 // oraclePkg and oracleFile locate the DCG oracle: the declarative fixpoint
 // of the edge transition model (the paper's Algorithm 1), kept in
 // internal/dcg/spec.go. It recomputes the whole DCG from scratch and must
-// never leak into the incremental fast path; production code reaches it
-// only through explicitly gated slow paths annotated //tf:oracle-ok (the
-// NaiveEL ablation), and everything else that wants it belongs in _test.go
+// never leak into the incremental fast path. No production code outside
+// spec.go references it; a cold path that ever needs it must say so with
+// //tf:oracle-ok, and everything else that wants it belongs in _test.go
 // files, which turboflux-vet does not load.
 const (
 	oraclePkg  = "internal/dcg"

@@ -17,31 +17,15 @@ import (
 //
 //tf:hotpath
 func (e *Engine) buildDCG(u graph.VertexID, v, v2 graph.VertexID) {
-	state := e.d.GetState(v, u, v2)
-	if state == dcg.Explicit {
-		return // already built and complete
-	}
-	fresh := state == dcg.Null
-	if fresh {
-		// Case 1 (non-recursive call) or Case 2 (recursive) of Transition 1.
-		e.d.MakeTransition(v, u, v2, dcg.Implicit)
-	} else if !e.opt.DisableCheckAndAvoid {
-		// Implicit edge already recorded: its subtree DCG is already built
-		// (and incomplete). Nothing to do.
+	if e.d.GetState(v, u, v2) != dcg.Null {
+		// Explicit: already built and complete. Implicit: already recorded,
+		// so its subtree DCG is already built, and incomplete
+		// (check-and-avoid). Nothing to do either way.
 		return
 	}
-	if e.opt.DisableCheckAndAvoid {
-		key := dcg.EdgeKey{From: v, QV: u, To: v2}
-		if e.visited != nil {
-			//tf:map-ok gated DisableCheckAndAvoid ablation branch
-			if e.visited[key] {
-				return
-			}
-			//tf:map-ok gated DisableCheckAndAvoid ablation branch
-			e.visited[key] = true
-		}
-		e.buildSubtrees(u, v2)
-	} else if fresh && e.d.InDegree(v2, u) == 1 {
+	// Case 1 (non-recursive call) or Case 2 (recursive) of Transition 1.
+	e.d.MakeTransition(v, u, v2, dcg.Implicit)
+	if e.d.InDegree(v2, u) == 1 {
 		// check-and-avoid: recurse only when (v, u, v2) is the first
 		// incoming u-edge of v2; otherwise the subtree DCG exists already.
 		e.buildSubtrees(u, v2)

@@ -47,26 +47,10 @@ type MatchFunc func(positive bool, mapping []graph.VertexID)
 type Options struct {
 	// Semantics selects homomorphism (default) or isomorphism.
 	Semantics Semantics
-	// Search selects the candidate-enumeration strategy of SubgraphSearch:
-	// Backtracking (default, Algorithm 7) or WCOJoin (Section 4.3's
-	// worst-case-optimal variant over the DCG).
-	Search Strategy
 	// OnMatch, when non-nil, receives every reported match.
 	OnMatch MatchFunc
 	// StartVertex overrides ChooseStartQVertex when not graph.NoVertex.
 	StartVertex graph.VertexID
-	// DisableCheckAndAvoid re-traverses already-built DCG subtrees on every
-	// insertion (ablation of Section 3.1's check-and-avoid strategy). A
-	// per-operation visited set keeps the traversal terminating.
-	DisableCheckAndAvoid bool
-	// DisableOrderAdjust freezes the matching order computed at startup
-	// (ablation of AdjustMatchingOrder).
-	DisableOrderAdjust bool
-	// NaiveEL rebuilds the DCG from the declarative fixpoint after every
-	// update instead of applying selective transitions (ablation of the
-	// enhanced maintenance algorithms; match reporting still uses the
-	// selective search seeds).
-	NaiveEL bool
 	// WorkBudget caps the matches one update may report, counted after
 	// duplicate avoidance; 0 means unlimited. At the (WorkBudget+1)-th match
 	// the search stops and the update returns the WorkBudget matches it
@@ -140,8 +124,7 @@ type Engine struct {
 	// match L(u_s) (data-vertex labels are immutable after creation and
 	// vertices are never deleted). Either way the per-update probe can be
 	// skipped forever. Grown on demand; stays valid across order
-	// adjustment (the tree root never changes) and across NaiveEL rebuilds
-	// (the spec fixpoint re-creates every root edge).
+	// adjustment (the tree root never changes).
 	rootSeen []uint64
 
 	// parentScratch is the engine-owned arena the upward traversals carve
@@ -170,9 +153,6 @@ type Engine struct {
 	// Matching-order drift detection: explicit counts per label at the time
 	// the order was computed.
 	orderStats []int64
-
-	// visited guards subtree re-traversal when check-and-avoid is disabled.
-	visited map[dcg.EdgeKey]bool
 }
 
 // New builds a TurboFlux engine over data graph g (the initial graph g0)
@@ -215,17 +195,10 @@ func BuildTree(g *graph.Graph, q *query.Graph, opt Options) (*query.Tree, error)
 // skipped (the shared DCG already holds the fixpoint, and — because
 // candidate enumeration is a pure function of DCG state — the matching
 // order and every future transcript come out identical to what a private
-// DCG would have produced). A follower may not use the NaiveEL or
-// check-and-avoid ablations, which change maintenance itself, nor the WCO
-// search, which picks its iteration list by comparing candidate-list
-// lengths that differ between a private mid-transition view and the shared
-// final one.
+// DCG would have produced).
 func NewWithTree(g *graph.Graph, q *query.Graph, tree *query.Tree, opt Options, sharedDCG *dcg.DCG) (*Engine, error) {
 	if g == nil || q == nil || tree == nil {
 		return nil, errors.New("core: nil graph, query or tree")
-	}
-	if sharedDCG != nil && (opt.NaiveEL || opt.DisableCheckAndAvoid || opt.Search == WCOJoin) {
-		return nil, errors.New("core: options not shareable (ablation or WCO search)")
 	}
 	if q.NumVertices() > dcg.MaxQueryVertices {
 		return nil, fmt.Errorf("core: query has %d vertices, at most %d supported", q.NumVertices(), dcg.MaxQueryVertices)
@@ -390,9 +363,6 @@ func (e *Engine) EvalInsertedEdge(v graph.VertexID, l graph.Label, v2 graph.Vert
 	} else {
 		e.insertEdgeAndEval(v, l, v2)
 	}
-	if e.opt.NaiveEL {
-		e.rebuildFromSpec()
-	}
 	e.maybeAdjustOrder()
 	return e.endOp()
 }
@@ -408,18 +378,13 @@ func (e *Engine) DeleteEdge(v graph.VertexID, l graph.Label, v2 graph.VertexID) 
 	}
 	n, err := e.EvalBeforeDelete(v, l, v2)
 	e.g.DeleteEdge(v, l, v2)
-	if e.opt.NaiveEL {
-		// The fixpoint must be computed on the post-delete graph.
-		e.rebuildFromSpec()
-	}
 	return n, err
 }
 
 // EvalBeforeDelete updates the DCG and reports negative matches for an
 // edge deletion; the edge must still be present in the shared data graph
 // and the coordinator must remove it only after every engine has
-// evaluated (the operation-order requirement of Algorithm 2). The NaiveEL
-// ablation is not supported through this entry point.
+// evaluated (the operation-order requirement of Algorithm 2).
 //
 //tf:eval-path
 func (e *Engine) EvalBeforeDelete(v graph.VertexID, l graph.Label, v2 graph.VertexID) (int64, error) {
@@ -577,9 +542,6 @@ func (e *Engine) beginOp(ed graph.Edge, positive bool) {
 	e.opCap = e.opt.WorkBudget
 	e.censored = false
 	e.clearTrigger()
-	if e.opt.DisableCheckAndAvoid {
-		e.visited = make(map[dcg.EdgeKey]bool)
-	}
 }
 
 // endOp closes an update evaluated since beginOp and returns its match

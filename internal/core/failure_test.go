@@ -9,7 +9,6 @@ import (
 	"turboflux/internal/dcg"
 	"turboflux/internal/graph"
 	"turboflux/internal/query"
-	"turboflux/internal/stream"
 )
 
 // starGraph is one hub 0 with children 1..50 (label 0), each with one
@@ -288,90 +287,5 @@ func TestDeleteEdgeNeverInserted(t *testing.T) {
 	after := e.DCG().Snapshot()
 	if !slices.Equal(before, after) {
 		t.Fatal("DCG changed on no-op delete")
-	}
-}
-
-// TestNaiveELEquivalence: the NaiveEL ablation must report the same
-// matches as the selective engine (it is slower, not different).
-func TestNaiveELEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		runNaiveELComparison(t, seed)
-	}
-}
-
-func runNaiveELComparison(t *testing.T, seed int64) {
-	t.Helper()
-	g := graph.New()
-	q := query.NewGraph(3)
-	_ = q.AddEdge(0, 1, 1)
-	_ = q.AddEdge(1, 2, 2)
-
-	optA := DefaultOptions()
-	optB := DefaultOptions()
-	optB.NaiveEL = true
-	a, err := New(g.Clone(), q, optA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(g.Clone(), q, optB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ups := []stream.Update{
-		stream.Insert(1, 1, 2), stream.Insert(2, 2, 3),
-		stream.Insert(2, 2, 4), stream.Delete(1, 1, 2),
-		stream.Insert(5, 1, 2), stream.Insert(5, 1, 6),
-		stream.Delete(2, 2, 3),
-	}
-	for i, u := range ups {
-		na, err := a.Apply(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nb, err := b.Apply(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if na != nb {
-			t.Fatalf("seed %d step %d: selective=%d naive=%d", seed, i, na, nb)
-		}
-		// The rebuilt DCG must agree with the incrementally maintained one.
-		sa, sb := a.DCG().Snapshot(), b.DCG().Snapshot()
-		if !slices.Equal(sa, sb) {
-			t.Fatalf("step %d: DCG snapshots diverge:\n selective %v\n naive     %v", i, sa, sb)
-		}
-	}
-}
-
-// TestAblationFlagsStillCorrect: disabling check-and-avoid or order
-// adjustment must not change reported matches, only performance.
-func TestAblationFlagsStillCorrect(t *testing.T) {
-	variants := []Options{
-		func() Options { o := DefaultOptions(); o.DisableCheckAndAvoid = true; return o }(),
-		func() Options { o := DefaultOptions(); o.DisableOrderAdjust = true; return o }(),
-	}
-	base := newFig1Engine(t, nil)
-	wantIns, _ := base.InsertEdge(104, e4, 414)
-	wantDel, _ := base.DeleteEdge(104, e4, 414)
-	for i, opt := range variants {
-		opt.StartVertex = 0
-		e, err := New(figure1Data(t), figure1Query(t), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ins, err := e.InsertEdge(104, e4, 414)
-		if err != nil {
-			t.Fatal(err)
-		}
-		del, err := e.DeleteEdge(104, e4, 414)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ins != wantIns || del != wantDel {
-			t.Fatalf("variant %d: ins=%d del=%d, want %d/%d", i, ins, del, wantIns, wantDel)
-		}
-		if err := e.DCG().Validate(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"turboflux/internal/dcg"
 	"turboflux/internal/graph"
 	"turboflux/internal/query"
 )
@@ -30,9 +29,6 @@ func (e *Engine) computeMatchingOrder() {
 // matching order is recomputed when any per-label explicit-path count has
 // drifted by more than 2x (plus slack) since the order was computed.
 func (e *Engine) maybeAdjustOrder() {
-	if e.opt.DisableOrderAdjust {
-		return
-	}
 	for u := 0; u < e.q.NumVertices(); u++ {
 		cur := e.d.ExplicitCount(graph.VertexID(u))
 		old := e.orderStats[u]
@@ -41,20 +37,4 @@ func (e *Engine) maybeAdjustOrder() {
 			return
 		}
 	}
-}
-
-// rebuildFromSpec replaces the DCG with the declarative fixpoint of the
-// edge transition model (Algorithm 1, EL) computed from scratch. Only
-// reachable behind Options.NaiveEL — the from-scratch ablation of the
-// enhanced maintenance algorithms — never from the incremental fast path.
-//
-//tf:oracle-ok gated NaiveEL ablation slow path
-func (e *Engine) rebuildFromSpec() {
-	states := dcg.ComputeSpec(e.g, e.tree)
-	d := dcg.New(e.tree, e.g)
-	//tf:unordered-ok transitions to absolute states commute
-	for k, s := range states {
-		d.MakeTransition(k.From, k.QV, k.To, s)
-	}
-	e.d = d
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -63,24 +65,54 @@ func sortedKeys(set map[string]bool) []string {
 	return out
 }
 
-// runDifferential drives a random update stream through the TurboFlux
-// engine and the naive recompute oracle, asserting after every update that
-//
-//  1. the reported positive/negative match sets are identical,
-//  2. the engine's DCG equals the declarative fixpoint (ComputeSpec), and
-//  3. the DCG's internal counters validate.
-func runDifferential(t *testing.T, seed int64, injective bool, steps int) {
-	runDifferentialOpts(t, seed, injective, steps, nil)
+// shuffledCopy returns a graph with g's vertices and edges, the edges
+// inserted in an order shuffled by rng: every adjacency list holds the same
+// set as g's, in a different stored order.
+func shuffledCopy(t *testing.T, g *graph.Graph, rng *rand.Rand) *graph.Graph {
+	t.Helper()
+	c := graph.New()
+	g.ForEachVertex(func(v graph.VertexID) {
+		if err := c.AddVertex(v, g.Labels(v)...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	es := g.Edges()
+	rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+	for _, e := range es {
+		c.InsertEdge(e.From, e.Label, e.To)
+	}
+	return c
 }
 
-// runDifferentialOpts additionally applies an Options mutator, so engine
-// variants (e.g. the WCO search strategy) run the same differential suite.
-func runDifferentialOpts(t *testing.T, seed int64, injective bool, steps int, mutate func(*Options)) {
+// appendMatch appends one OnMatch call to a transcript.
+func appendMatch(log []byte, positive bool, m []graph.VertexID) []byte {
+	sign := byte('-')
+	if positive {
+		sign = '+'
+	}
+	log = append(log, sign)
+	log = append(log, mapKey(m)...)
+	return append(log, '\n')
+}
+
+// runDifferential drives a random update stream through the TurboFlux
+// engine, a twin engine whose g0 holds the same edges inserted in a
+// shuffled order, and the naive recompute oracle, asserting after every
+// update that
+//
+//  1. the reported positive/negative match sets equal the oracle's,
+//  2. the twin's OnMatch transcript is byte-identical to the engine's and
+//     its DCG snapshot equal: nothing in the engine reads the stored order
+//     of an adjacency list (DESIGN.md §11, "Order independence"),
+//  3. the engine's DCG equals the declarative fixpoint (ComputeSpec), and
+//  4. the DCG's internal counters validate.
+func runDifferential(t *testing.T, seed int64, injective bool, steps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const nv, vLabels, eLabels = 10, 3, 3
 	q := randQuery(rng, 3+rng.Intn(3), rng.Intn(3), vLabels, eLabels)
 	g0 := randGraph(rng, nv, 8+rng.Intn(10), vLabels, eLabels)
+	twinG0 := shuffledCopy(t, g0, rand.New(rand.NewSource(^seed)))
 
 	sem := Homomorphism
 	if injective {
@@ -88,12 +120,12 @@ func runDifferentialOpts(t *testing.T, seed int64, injective bool, steps int, mu
 	}
 	pos := map[string]bool{}
 	neg := map[string]bool{}
+	var log, twinLog []byte
 	opt := DefaultOptions()
 	opt.Semantics = sem
-	if mutate != nil {
-		mutate(&opt)
-	}
+	twinOpt := opt
 	opt.OnMatch = func(positive bool, m []graph.VertexID) {
+		log = appendMatch(log, positive, m)
 		k := mapKey(m)
 		if positive {
 			if pos[k] {
@@ -107,7 +139,14 @@ func runDifferentialOpts(t *testing.T, seed int64, injective bool, steps int, mu
 			neg[k] = true
 		}
 	}
+	twinOpt.OnMatch = func(positive bool, m []graph.VertexID) {
+		twinLog = appendMatch(twinLog, positive, m)
+	}
 	eng, err := New(g0.Clone(), q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(twinG0, q, twinOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +154,30 @@ func runDifferentialOpts(t *testing.T, seed int64, injective bool, steps int, mu
 	if err != nil {
 		t.Fatal(err)
 	}
+	// checkTwin requires the twin to have reported and stored exactly
+	// what the engine did since the last check.
+	checkTwin := func(step int) {
+		t.Helper()
+		if string(log) != string(twinLog) {
+			t.Fatalf("seed %d step %d: twin transcript differs:\n got %q\nwant %q\nquery %v",
+				seed, step, twinLog, log, q)
+		}
+		if got, want := twin.DCG().Snapshot(), eng.DCG().Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d step %d: twin DCG differs:\n got %v\nwant %v\nquery %v",
+				seed, step, got, want, q)
+		}
+		log, twinLog = log[:0], twinLog[:0]
+	}
 
 	// Initial matches must agree.
 	initSet := map[string]bool{}
 	pos = initSet
 	eng.InitialMatches()
+	twin.InitialMatches()
 	if got, want := sortedKeys(initSet), sortedKeys(oracle.InitialMatches()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("seed %d: initial matches differ:\n got %v\nwant %v\nquery %v", seed, got, want, q)
 	}
+	checkTwin(-1)
 
 	live := map[graph.Edge]bool{}
 	g0.ForEachEdge(func(e graph.Edge) { live[e] = true })
@@ -155,6 +210,10 @@ func runDifferentialOpts(t *testing.T, seed int64, injective bool, steps int, mu
 		if _, err := eng.Apply(up); err != nil {
 			t.Fatalf("seed %d step %d: %v", seed, step, err)
 		}
+		if _, err := twin.Apply(up); err != nil {
+			t.Fatalf("seed %d step %d: twin: %v", seed, step, err)
+		}
+		checkTwin(step)
 		oPos, oNeg, err := oracle.Apply(up)
 		if err != nil {
 			t.Fatal(err)
@@ -207,13 +266,64 @@ func TestDifferentialLongStream(t *testing.T) {
 	runDifferential(t, 434343, true, 400)
 }
 
-// TestDifferentialWCOJoin runs the differential suite with the
-// worst-case-optimal search strategy: identical match sets and DCG states
-// are required, only the enumeration order differs.
-func TestDifferentialWCOJoin(t *testing.T) {
-	for seed := int64(200); seed < 220; seed++ {
-		runDifferentialOpts(t, seed, seed%2 == 0, 60, func(o *Options) {
-			o.Search = WCOJoin
-		})
+// TestOrderIndependence is runDifferential's twin check on a case built to
+// reach a non-tree probe with a short adjacency list: the same edge set
+// stored in two opposite orders must give byte-identical transcripts and
+// equal DCGs. Label 2 is common elsewhere, so the query tree takes
+// u0 -0-> u1 and u0 -1-> u2 and leaves u1 -2-> u2 non-tree; at u1 the
+// in-neighbours of m(u2) through label 2 (two) are fewer than u1's DCG
+// children (five), so an enumeration that iterated the shorter list would
+// emit in stored order.
+func TestOrderIndependence(t *testing.T) {
+	q := query.NewGraph(3)
+	_ = q.AddEdge(0, 0, 1)
+	_ = q.AddEdge(0, 1, 2)
+	_ = q.AddEdge(1, 2, 2)
+	var es []graph.Edge
+	for v := graph.VertexID(1); v <= 5; v++ {
+		es = append(es, graph.Edge{From: 0, Label: 0, To: v})
+	}
+	es = append(es, graph.Edge{From: 0, Label: 1, To: 10})
+	for _, v := range []graph.VertexID{1, 2} {
+		es = append(es, graph.Edge{From: v, Label: 2, To: 10}, graph.Edge{From: v, Label: 2, To: 11})
+	}
+	for v := graph.VertexID(20); v < 120; v++ {
+		es = append(es, graph.Edge{From: v, Label: 2, To: v + 1})
+	}
+	var logs [2][]byte
+	var snaps [2][]dcg.SnapEdge
+	for i := range logs {
+		g := graph.New()
+		for _, e := range es {
+			g.EnsureVertex(e.From, 0)
+			g.EnsureVertex(e.To, 0)
+			g.InsertEdge(e.From, e.Label, e.To)
+		}
+		opt := DefaultOptions()
+		opt.StartVertex = 0
+		opt.OnMatch = func(positive bool, m []graph.VertexID) {
+			logs[i] = appendMatch(logs[i], positive, m)
+		}
+		eng, err := New(g, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.InitialMatches()
+		for _, up := range []stream.Update{stream.Insert(0, 1, 11), stream.Delete(0, 1, 10)} {
+			if _, err := eng.Apply(up); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snaps[i] = eng.DCG().Snapshot()
+		slices.Reverse(es)
+	}
+	if n := bytes.Count(logs[0], []byte{'\n'}); n != 6 {
+		t.Fatalf("%d matches, want 6 (2 initial, 2 inserted, 2 deleted):\n%s", n, logs[0])
+	}
+	if string(logs[0]) != string(logs[1]) {
+		t.Fatalf("transcript depends on stored order:\n%s\nvs\n%s", logs[0], logs[1])
+	}
+	if !reflect.DeepEqual(snaps[0], snaps[1]) {
+		t.Fatalf("DCG depends on stored order:\n%v\nvs\n%v", snaps[0], snaps[1])
 	}
 }

@@ -45,10 +45,6 @@ func (e *Engine) subgraphSearch(dc int) {
 		}
 		return
 	}
-	if e.opt.Search == WCOJoin {
-		e.searchWCO(u, vp, dc)
-		return
-	}
 	// Candidates come straight from the DCG-owned out-adjacency slice. The
 	// search phase applies no DCG transitions, so the slice is stable for
 	// the duration of the loop; iterating it directly avoids allocating a

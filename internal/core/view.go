@@ -9,11 +9,8 @@ import "turboflux/internal/graph"
 // window; a nil w — a window of one update, or no window at all — reads
 // the graph as stored.
 //
-// Every adjacency read of the maintenance and backtracking-search paths
-// goes through the view. The two readers that do not — the WCO join, whose
-// emission order is the stored adjacency order, and the NaiveEL rebuild —
-// belong to harness-only configurations that no multi-query coordinator
-// builds.
+// Every adjacency read of the maintenance and search paths goes through
+// the view.
 func (e *Engine) SetView(w *graph.Window, at int32) {
 	e.win, e.at = w, at
 }

@@ -22,7 +22,7 @@ func TestEnginesMatchNaive(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/injective=%v", kind, injective), func(t *testing.T) {
 				csmtest.MatchesNaive(t, injective, kind == SJTree,
 					func(g0 *graph.Graph, q *query.Graph, opt csm.Options) (csm.Engine, error) {
-						return NewEngine(kind, g0, q, EngineOptions{Options: opt})
+						return NewEngine(kind, g0, q, opt)
 					})
 			})
 		}
@@ -47,10 +47,10 @@ func TestCensorUnit(t *testing.T) {
 	for _, kind := range allKinds {
 		for _, budget := range []int64{4, 5} {
 			var reported int64
-			eng, err := NewEngine(kind, g0, q, EngineOptions{Options: csm.Options{
+			eng, err := NewEngine(kind, g0, q, csm.Options{
 				WorkBudget: budget,
 				OnMatch:    func(bool, []graph.VertexID) { reported++ },
-			}})
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -107,7 +107,7 @@ func (cfg Config) netflow() *workload.Dataset {
 func (cfg Config) runCfg() RunConfig {
 	return RunConfig{
 		Timeout: cfg.Timeout,
-		Engine:  EngineOptions{Options: csm.Options{WorkBudget: cfg.WorkBudget, SizeCap: cfg.SizeCap}},
+		Engine:  csm.Options{WorkBudget: cfg.WorkBudget, SizeCap: cfg.SizeCap},
 	}
 }
 

@@ -53,21 +53,10 @@ func (k Kind) String() string {
 	}
 }
 
-// EngineOptions configure one engine: the csm.Options every engine takes,
-// plus TurboFlux's four ablations. TurboFlux honours WorkBudget itself and
-// leaves Deadline and SizeCap to RunQuery's checks between updates.
-type EngineOptions struct {
-	csm.Options
-	DisableCheckAndAvoid bool
-	DisableOrderAdjust   bool
-	NaiveEL              bool
-	// WCOSearch switches TurboFlux to the worst-case-optimal search
-	// strategy over the DCG (Section 4.3 sketch).
-	WCOSearch bool
-}
-
 // NewEngine builds an engine of the given kind over a private clone of g0.
-func NewEngine(kind Kind, g0 *graph.Graph, q *query.Graph, opt EngineOptions) (csm.Engine, error) {
+// TurboFlux honours WorkBudget itself and leaves Deadline and SizeCap to
+// RunQuery's checks between updates.
+func NewEngine(kind Kind, g0 *graph.Graph, q *query.Graph, opt csm.Options) (csm.Engine, error) {
 	g := g0.Clone()
 	switch kind {
 	case TurboFlux:
@@ -76,20 +65,14 @@ func NewEngine(kind Kind, g0 *graph.Graph, q *query.Graph, opt EngineOptions) (c
 			copt.Semantics = core.Isomorphism
 		}
 		copt.OnMatch = core.MatchFunc(opt.OnMatch)
-		copt.DisableCheckAndAvoid = opt.DisableCheckAndAvoid
-		copt.DisableOrderAdjust = opt.DisableOrderAdjust
-		copt.NaiveEL = opt.NaiveEL
 		copt.WorkBudget = opt.WorkBudget
-		if opt.WCOSearch {
-			copt.Search = core.WCOJoin
-		}
 		return core.New(g, q, copt)
 	case SJTree:
-		return sjtree.New(g, q, opt.Options)
+		return sjtree.New(g, q, opt)
 	case Graphflow:
-		return graphflow.New(g, q, opt.Options)
+		return graphflow.New(g, q, opt)
 	case IncIsoMat:
-		return incisomat.New(g, q, opt.Options)
+		return incisomat.New(g, q, opt)
 	default:
 		return nil, fmt.Errorf("harness: unknown engine kind %d", kind)
 	}
@@ -114,7 +97,7 @@ type RunConfig struct {
 	// Latency, when non-nil, records per-operation durations (adds one
 	// clock read per update).
 	Latency *stats.Latency
-	Engine  EngineOptions
+	Engine  csm.Options
 }
 
 // checkEvery is how many operations pass between timeout/size checks.

@@ -61,7 +61,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 func TestRunQueryBasics(t *testing.T) {
 	ds := workload.LSBench(workload.LSBenchConfig{Users: 120, StreamFraction: 0.1, Seed: 1})
 	qs := ds.TreeQueries(3, 3, 5)
-	rc := RunConfig{Timeout: time.Second, Engine: EngineOptions{Options: csm.Options{WorkBudget: 1_000_000}}}
+	rc := RunConfig{Timeout: time.Second, Engine: csm.Options{WorkBudget: 1_000_000}}
 	for _, kind := range []Kind{TurboFlux, SJTree, Graphflow} {
 		r := RunQuery(kind, ds, qs[0], rc)
 		if r.TimedOut {
@@ -88,7 +88,7 @@ func TestEnginesAgreeOnMixedStream(t *testing.T) {
 		Users: 120, StreamFraction: 0.08, DeletionRate: 0.1, Seed: 2,
 	})
 	qs := ds.TreeQueries(2, 4, 9)
-	rc := RunConfig{Timeout: 5 * time.Second, Engine: EngineOptions{Options: csm.Options{WorkBudget: 5_000_000}}}
+	rc := RunConfig{Timeout: 5 * time.Second, Engine: csm.Options{WorkBudget: 5_000_000}}
 	for _, q := range qs {
 		tf := RunQuery(TurboFlux, ds, q, rc)
 		gf := RunQuery(Graphflow, ds, q, rc)
@@ -105,12 +105,12 @@ func TestRunQueryCensoring(t *testing.T) {
 	ds := workload.Netflow(workload.NetflowConfig{Hosts: 200, Triples: 8000, StreamFraction: 0.2, Seed: 3})
 	qs := ds.TreeQueries(1, 9, 1)
 	// A budget of one match censors the first update completing two.
-	r := RunQuery(Graphflow, ds, qs[0], RunConfig{Engine: EngineOptions{Options: csm.Options{WorkBudget: 1}}})
+	r := RunQuery(Graphflow, ds, qs[0], RunConfig{Engine: csm.Options{WorkBudget: 1}})
 	if !r.TimedOut {
 		t.Fatal("tiny budget must censor the query")
 	}
 	// SJ-Tree's size cap censors at construction or during replay.
-	r = RunQuery(SJTree, ds, qs[0], RunConfig{Engine: EngineOptions{Options: csm.Options{SizeCap: 256}}})
+	r = RunQuery(SJTree, ds, qs[0], RunConfig{Engine: csm.Options{SizeCap: 256}})
 	if !r.TimedOut {
 		t.Fatal("tiny size cap must censor SJ-Tree")
 	}
@@ -124,7 +124,7 @@ func TestSelectQueriesFiltersEmpty(t *testing.T) {
 	_ = dead.AddEdge(0, workload.EdgeFollows, 1)
 	live := ds.TreeQueries(1, 3, 5)[0]
 	got := selectQueries(ds, []*query.Graph{dead, live}, 2,
-		RunConfig{Timeout: time.Second, Engine: EngineOptions{Options: csm.Options{WorkBudget: 1_000_000}}})
+		RunConfig{Timeout: time.Second, Engine: csm.Options{WorkBudget: 1_000_000}})
 	for _, q := range got {
 		if q == dead {
 			t.Fatal("zero-match query must be filtered")
@@ -141,7 +141,7 @@ func TestKindString(t *testing.T) {
 		t.Fatal("unknown kind must render ?")
 	}
 	if _, err := NewEngine(Kind(99), workload.LSBench(workload.LSBenchConfig{Users: 50, Seed: 1}).Graph,
-		nil, EngineOptions{}); err == nil {
+		nil, csm.Options{}); err == nil {
 		t.Fatal("unknown kind must error")
 	}
 }

@@ -19,7 +19,7 @@ func TestPaperShapes(t *testing.T) {
 	ds := workload.LSBench(workload.LSBenchConfig{Users: 600, StreamFraction: 0.1, Seed: 1})
 	rc := RunConfig{
 		Timeout: 10 * time.Second,
-		Engine:  EngineOptions{Options: csm.Options{WorkBudget: 20_000_000, SizeCap: 1 << 28}},
+		Engine:  csm.Options{WorkBudget: 20_000_000, SizeCap: 1 << 28},
 	}
 	qs := ds.TreeQueries(18, 6, 7)
 	qs = selectQueries(ds, qs, 6, rc)
