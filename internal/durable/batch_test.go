@@ -1,6 +1,10 @@
 package durable
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"turboflux/internal/graph"
@@ -9,7 +13,10 @@ import (
 
 // TestStoreAppendBatch checks the batched journal append: one call
 // frames the whole batch as one write, hands back the LSN range, and a
-// reopen recovers exactly the same graph as per-record appends.
+// reopen recovers exactly the same graph as per-record appends. Append is
+// a batch of one: journaling the same updates record by record leaves
+// byte-identical segment files and taps byte-identical frames, which
+// followers replicate verbatim.
 func TestStoreAppendBatch(t *testing.T) {
 	dir := t.TempDir()
 	ups := testUpdates(300)
@@ -17,6 +24,8 @@ func TestStoreAppendBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var tapped []byte
+	s.SetTap(func(_, _ uint64, frames []byte) { tapped = append(tapped, frames...) })
 	var lsn uint64
 	for off := 0; off < len(ups); off += 64 {
 		end := off + 64
@@ -57,6 +66,42 @@ func TestStoreAppendBatch(t *testing.T) {
 		t.Fatalf("recovery = %+v, want %d replayed clean", rec, len(ups))
 	}
 	sameGraph(t, s2.Graph(), graphFromPrefix(ups, len(ups)))
+
+	singlesDir := t.TempDir()
+	s1, err := Open(singlesDir, Options{Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tappedSingles []byte
+	s1.SetTap(func(_, _ uint64, frames []byte) { tappedSingles = append(tappedSingles, frames...) })
+	appendAll(t, s1, ups)
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tappedSingles, tapped) {
+		t.Fatal("Append singles tapped other frames than AppendBatch runs")
+	}
+	if got, want := segmentFiles(t, singlesDir), segmentFiles(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatal("Append singles wrote other segment files than AppendBatch runs")
+	}
+}
+
+// segmentFiles reads every WAL segment in dir, by file name.
+func segmentFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("segments in %s: %v, %v", dir, names, err)
+	}
+	files := make(map[string][]byte, len(names))
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[filepath.Base(name)] = data
+	}
+	return files
 }
 
 // TestStoreRecoveryReplay pins recovery's one apply path: reopening a

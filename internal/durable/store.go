@@ -203,28 +203,18 @@ func (s *Store) SetDicts(vdict, edict *graph.Dict) {
 // LSN returns the LSN of the last appended or recovered record.
 func (s *Store) LSN() uint64 { return s.lsn }
 
-// Append journals u and returns its LSN. It does not apply u to the
-// graph; the engine does that after journaling succeeds (write-ahead
-// order).
+// Append journals u and returns its LSN: a batch of one, the same bytes
+// and the same write as AppendBatch([]stream.Update{u}).
 func (s *Store) Append(u stream.Update) (uint64, error) {
-	if s.w == nil {
-		return 0, errClosed
-	}
-	lsn, err := s.w.Append(u)
-	if err != nil {
-		return 0, fmt.Errorf("durable: journaling %q: %w", u, err)
-	}
-	s.lsn = lsn
-	if s.tap != nil {
-		s.tap(lsn, lsn, s.w.buf)
-	}
-	return lsn, nil
+	lsn, _, err := s.AppendBatch([]stream.Update{u})
+	return lsn, err
 }
 
 // AppendBatch journals ups as one write and returns the LSN range
-// [first, last] it was assigned. Like Append it does not apply the
-// updates to the graph; the engine does that after journaling succeeds.
-// An empty batch is a no-op returning the current LSN twice.
+// [first, last] it was assigned. It does not apply the updates to the
+// graph; the engine does that after journaling succeeds (write-ahead
+// order). Every append reaches the tap through here. An empty batch is a
+// no-op returning the current LSN twice.
 //
 //tf:hotpath
 func (s *Store) AppendBatch(ups []stream.Update) (first, last uint64, err error) {

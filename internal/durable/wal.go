@@ -99,33 +99,6 @@ type wal struct {
 	dirty    bool
 }
 
-// Append journals u and returns its LSN.
-//
-//tf:hotpath
-func (w *wal) Append(u stream.Update) (uint64, error) {
-	buf, err := appendRecord(w.buf[:0], u)
-	w.buf = buf
-	if err != nil {
-		return 0, err
-	}
-	if _, err := w.f.Write(buf); err != nil {
-		return 0, err
-	}
-	w.size += int64(len(buf))
-	lsn := w.nextLSN
-	w.nextLSN++
-	w.dirty = true
-	if err := w.maybeSync(); err != nil {
-		return 0, err
-	}
-	if w.size >= w.segSize {
-		if err := w.rotate(); err != nil {
-			return 0, err
-		}
-	}
-	return lsn, nil
-}
-
 // AppendBatch journals every update in ups as one frame-and-write,
 // returning the LSNs of the first and last record appended. The frame
 // buffer, the write syscall, the fsync-policy check and the rotation

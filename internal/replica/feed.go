@@ -20,9 +20,6 @@ type Feed struct {
 
 // NewFeed builds a feed holding up to depth chunks.
 func NewFeed(depth int) *Feed {
-	if depth <= 0 {
-		depth = 256
-	}
 	return &Feed{ch: make(chan Chunk, depth)}
 }
 

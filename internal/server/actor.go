@@ -27,7 +27,6 @@ type engineHost interface {
 	Register(name string, q *turboflux.Query, opt turboflux.Options) error
 	Unregister(name string) bool
 	Queries() []string
-	Apply(u turboflux.Update) (map[string]int64, error)
 	ApplyBatchFunc(ups []turboflux.Update, boundary func(i int)) (map[string]int64, error)
 	Stats() map[string]turboflux.Stats
 	FanOutStats() turboflux.FanOutStats
@@ -39,7 +38,6 @@ type reqKind uint8
 
 const (
 	reqApply reqKind = iota
-	reqBatch
 	reqRegister
 	reqUnregister
 	reqQueries
@@ -60,10 +58,9 @@ const (
 // request is one message to the engine-owner goroutine.
 type request struct {
 	kind   reqKind
-	u      stream.Update
-	ups    []stream.Update
-	name   string // query name / "vertex" / "edge"
-	arg    string // pattern / label name
+	ups    []stream.Update // the run to apply (reqApply)
+	name   string          // query name / "vertex" / "edge"
+	arg    string          // pattern / label name
 	sub    *subscriber
 	connID uint64
 
@@ -107,7 +104,6 @@ type actor struct {
 	// handle per live replication stream, keyed by connection id.
 	role       role
 	leaderAddr string // follower mode: the leader's address (STATS)
-	feedDepth  int    // per-follower live-chunk queue capacity
 	followers  map[uint64]*followerHandle
 	repl       replica.State // follower mode: last reported link state
 
@@ -153,7 +149,6 @@ func newActor(host engineHost, durable *turboflux.DurableMultiEngine, vdict, edi
 		lat:     stats.NewLatency(0),
 		conns:   conns,
 
-		feedDepth: defaultFeedDepth,
 		followers: make(map[uint64]*followerHandle),
 	}
 	if durable != nil {
@@ -200,16 +195,12 @@ func (a *actor) shutdown() {
 //tf:actor-loop
 func (a *actor) handle(req request) (resp response, err error) {
 	switch req.kind {
-	case reqApply, reqBatch:
+	case reqApply:
 		if a.role == roleFollower {
 			err = errFollowerReadOnly
 			break
 		}
-		if req.kind == reqApply {
-			resp.seq, resp.counts, err = a.applyOne(req.u)
-		} else {
-			resp.seq, resp.counts, err = a.applyBatch(req.ups)
-		}
+		resp.seq, resp.counts, err = a.apply(req.ups)
 		//tf:unordered-ok summing counts is order-independent
 		for _, n := range resp.counts {
 			resp.total += n
@@ -340,9 +331,9 @@ func (a *actor) register(name, pattern string) error {
 
 // emit takes one match from an engine and renders its *EVENT line, once,
 // onto the burst the actor is collecting for this query. Engines call it on
-// the actor goroutine while the update is applied — applyOne, the batch
-// boundary and the follower's replicated chunks all advance seq only after
-// an update's emissions — so that update's number is seq+1. The per-match
+// the actor goroutine while the update is applied — the run's boundary
+// hook and the follower's replicated chunks both advance seq only after an
+// update's emissions — so that update's number is seq+1. The per-match
 // step: no allocation, map lookup, lock or channel operation; consecutive
 // matches of a query share one trip through the policy (flushBurst).
 //
@@ -417,34 +408,20 @@ func (a *actor) wakeWriters() {
 	a.dirty = a.dirty[:0]
 }
 
-// applyOne applies one update (journaling first in durable mode; its
-// matches reach subscribers through emit) and assigns it the next sequence
-// number. On an engine error (e.g. a per-query work budget) the update may
-// have been partially evaluated; matches reported before the error are
-// still delivered, which is exactly what a single-threaded replay would emit.
-func (a *actor) applyOne(u stream.Update) (uint64, map[string]int64, error) {
-	start := time.Now()
-	counts, err := a.host.Apply(u)
-	a.seq++
-	a.updates++
-	a.lat.Observe(time.Since(start))
-	return a.seq, counts, err
-}
-
-// applyBatch executes a whole BATCH/BATCHB frame through the engine's
-// batched pipeline (journaling the frame as one log write in durable
-// mode) and returns the sequence number of its first update. The
-// boundary hook preserves the per-update serving contract: it fires once
-// per batch index, after that update's matches have been emitted and
-// before any later update's, so each event is stamped with its own
-// update's sequence number and delivered before the next
-// update's events — the same interleaving a client driving updates
-// one at a time would observe. Unlike the pre-batching loop, an engine
-// error on one update no longer abandons the rest of the frame: every
-// update is applied and the per-update errors are aggregated.
+// apply executes a run — a single update line is a run of one, a
+// BATCH/BATCHB frame a longer one — through the engine's batched pipeline
+// (journaling the run as one log write in durable mode) and returns the
+// sequence number of its first update. The boundary hook preserves the
+// per-update serving contract: it fires once per run index, after that
+// update's matches have been emitted and before any later update's, so
+// each event is stamped with its own update's sequence number and
+// delivered before the next update's events — the same interleaving a
+// client driving updates one at a time would observe. An engine error on
+// one update does not abandon the rest of the run: every update is
+// applied and the per-update errors are aggregated.
 //
 //tf:hotpath
-func (a *actor) applyBatch(ups []stream.Update) (uint64, map[string]int64, error) {
+func (a *actor) apply(ups []stream.Update) (uint64, map[string]int64, error) {
 	start := time.Now()
 	first := a.seq + 1
 	counts, err := a.host.ApplyBatchFunc(ups, a.boundary)
@@ -516,14 +493,9 @@ func (a *actor) statsLines() []string {
 // round trip through the mailbox, whose error is ErrClosed or the handler's
 // verdict. They run on connection goroutines and touch no actor-owned state.
 
-func (a *actor) Apply(u turboflux.Update) (Ack, error) {
-	resp, err := a.box.Call(request{kind: reqApply, u: u})
+func (a *actor) Apply(ups []turboflux.Update) (Ack, error) {
+	resp, err := a.box.Call(request{kind: reqApply, ups: ups})
 	return Ack{Seq: resp.seq, Total: resp.total, Counts: resp.counts}, err
-}
-
-func (a *actor) ApplyBatch(ups []turboflux.Update) (BatchAck, error) {
-	resp, err := a.box.Call(request{kind: reqBatch, ups: ups})
-	return BatchAck{FirstSeq: resp.seq, Applied: len(ups), Total: resp.total}, err
 }
 
 func (a *actor) Register(name, pattern string) error {

@@ -27,7 +27,8 @@ type Event struct {
 }
 
 // Ack is the acknowledgment of a single update: the server's global
-// sequence number and the per-query match counts it produced.
+// sequence number and the per-query match counts it produced. A Backend
+// acks a whole run with one Ack, whose Seq is the run's first number.
 type Ack struct {
 	Seq    uint64
 	Total  int64

@@ -21,8 +21,12 @@ var ErrClosed = errors.New("server: shut down")
 // client cannot tell a coordinator from a single server. Methods are called
 // from connection reader goroutines, any number at once.
 type Backend interface {
-	Apply(u turboflux.Update) (Ack, error)
-	ApplyBatch(ups []turboflux.Update) (BatchAck, error)
+	// Apply applies a run of updates — a single update line is a run of
+	// one, a BATCH/BATCHB frame a longer run — and acks it: Seq is the
+	// run's first sequence number, Total its match count and Counts its
+	// per-query counts, which only a single line's ack renders. The run is
+	// only read until Apply returns.
+	Apply(ups []turboflux.Update) (Ack, error)
 	Register(name, pattern string) error
 	Unregister(name string) error
 	Queries() ([]string, error)
@@ -75,6 +79,7 @@ type Conn struct {
 	subs    map[string]Subscription // this connection's subscriptions, by query
 	out     *outbox                 // push stream; made with its writer at first use
 	writers sync.WaitGroup          // everything Go started: outbox writer, relays, replication pump
+	one     [1]turboflux.Update     // the run of one an update line is applied as
 }
 
 // serve runs the request loop, then tears the connection down.
@@ -95,8 +100,9 @@ func (c *Conn) dispatch(req Request) bool {
 		c.WriteLine("+OK bye") //tf:unchecked-ok closing anyway
 		return false
 	case KindUpdate:
+		c.one[0] = req.Update
 		var ack Ack
-		if ack, err = c.be.Apply(req.Update); err == nil {
+		if ack, err = c.be.Apply(c.one[:]); err == nil {
 			return c.WriteAck(ack.Seq, ack.Total, ack.Counts) == nil
 		}
 	case KindBatch, KindBatchBin:
@@ -107,9 +113,9 @@ func (c *Conn) dispatch(req Request) bool {
 		if err = perr; err != nil {
 			break
 		}
-		var ack BatchAck
-		if ack, err = c.be.ApplyBatch(ups); err == nil {
-			return c.WriteLine(fmt.Sprintf("+OK %d %d %d", ack.FirstSeq, ack.Applied, ack.Total)) == nil
+		var ack Ack
+		if ack, err = c.be.Apply(ups); err == nil {
+			return c.WriteLine(fmt.Sprintf("+OK %d %d %d", ack.Seq, len(ups), ack.Total)) == nil
 		}
 	case KindRegister:
 		err = c.be.Register(req.Name, req.Arg)

@@ -261,6 +261,44 @@ func TestResubscribeAfterEviction(t *testing.T) {
 	}
 }
 
+// TestApplyRequestAllocs guards the one apply path: a single update line
+// reaches the actor as a run of one in a reused array, and in steady state
+// the request — handler, evaluation window, boundary hook — costs no
+// allocation. The edge reaches the query's DCG but completes no match: an
+// update that reports matches allocates the counts map its ack carries.
+func TestApplyRequestAllocs(t *testing.T) {
+	var conns atomic.Int64
+	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
+		nil, turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64, &conns)
+	defer a.host.Close() //tf:unchecked-ok pool release never fails
+	if _, err := a.handle(request{kind: reqRegister, name: "social", arg: "(a:Person)-[:knows]->(b:Person)"}); err != nil {
+		t.Fatal(err)
+	}
+	person, place := a.vdict.Intern("Person"), a.vdict.Intern("Place")
+	knows := a.edict.Intern("knows")
+	var one [1]turboflux.Update
+	apply := func(u turboflux.Update) {
+		one[0] = u
+		if _, err := a.handle(request{kind: reqApply, ups: one[:]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply(turboflux.DeclareVertex(1, person))
+	apply(turboflux.DeclareVertex(2, place))
+	round := func() {
+		apply(turboflux.Insert(1, knows, 2))
+		apply(turboflux.Delete(1, knows, 2))
+	}
+	round() // grow the engine's scratch
+	round()
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("%.2f allocations per insert/delete pair of single updates, want 0", avg)
+	}
+	if a.updates != 2+2*103 {
+		t.Fatalf("applied %d updates, want %d", a.updates, 2+2*103)
+	}
+}
+
 // TestEmitAllocs guards the actor side of delivery: with a subscribed,
 // emitting query in steady state a match costs no allocation — not in the
 // render, not in the policy step, not in the hand-over to the writer.

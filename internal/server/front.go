@@ -109,14 +109,6 @@ func (f *Front) Serve() error {
 	}
 }
 
-// ListenAndServe binds addr and serves until Shutdown.
-func (f *Front) ListenAndServe(addr string) error {
-	if err := f.Listen(addr); err != nil {
-		return err
-	}
-	return f.Serve()
-}
-
 // snapshotConns copies the live connection set under f.mu so callers can
 // touch the sockets without holding the lock.
 func (f *Front) snapshotConns() []*Conn {

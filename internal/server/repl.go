@@ -33,9 +33,11 @@ const (
 // follower (liveness + lag refresh).
 const replPingInterval = 500 * time.Millisecond
 
-// defaultFeedDepth is the per-follower live-chunk queue capacity when
-// Options.ReplFeedDepth is zero.
-const defaultFeedDepth = 256
+// feedDepth is the per-follower live-chunk queue capacity on a leader. A
+// follower that falls further behind than this many queued chunks is
+// disconnected (feed overrun) and reconnects to catch up from its applied
+// LSN.
+const feedDepth = 256
 
 // followerHandle is the actor-owned state of one connected replication
 // stream (one per follower connection).
@@ -53,8 +55,7 @@ type followerHandle struct {
 var errFollowerReadOnly = fmt.Errorf("server: read-only follower; send writes to the leader")
 
 // shipFrames is the durable store's append tap: it runs on the actor
-// goroutine (inside Store.Append/AppendBatch, called from an apply
-// handler) and forwards the freshly journaled frames to every follower
+// goroutine (inside Store.AppendBatch, called from an apply handler) and forwards the freshly journaled frames to every follower
 // feed. The frame bytes are copied once and shared read-only across
 // feeds. A follower whose feed is full is cut off (feed overrun) and
 // will reconnect and catch up — a slow replica never stalls ingest.
@@ -91,7 +92,7 @@ func (a *actor) handleReplicate(req request) (response, error) {
 	f := &followerHandle{
 		connID:  req.connID,
 		addr:    req.addr,
-		feed:    replica.NewFeed(a.feedDepth),
+		feed:    replica.NewFeed(feedDepth),
 		plan:    plan,
 		cut:     plan.CutLSN,
 		applied: req.lsn,

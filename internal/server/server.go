@@ -61,11 +61,6 @@ type Options struct {
 	// follower journals every replicated update into its own WAL, serves
 	// queries and subscriptions locally, and rejects writes until PROMOTE.
 	Follow string
-	// ReplFeedDepth is the per-follower live-chunk queue capacity on a
-	// leader (default 256). A follower that falls further behind than this
-	// many queued chunks is disconnected (feed overrun) and must
-	// reconnect to catch up from its applied LSN.
-	ReplFeedDepth int
 	// ReplOptions tunes the follower's replication-link timing (dial and
 	// read timeouts, reconnect backoff).
 	ReplOptions replica.Options
@@ -143,9 +138,6 @@ func New(opt Options) (*Server, error) {
 	s := &Server{front: NewFront("server", nil)}
 	s.actor = newActor(host, durable, vdict, edict, opt.Slow, opt.QueueDepth, &s.front.connCount)
 	s.front.be = s.actor
-	if opt.ReplFeedDepth > 0 {
-		s.actor.feedDepth = opt.ReplFeedDepth
-	}
 	if opt.Follow != "" {
 		s.actor.role = roleFollower
 		s.actor.leaderAddr = opt.Follow
@@ -181,9 +173,6 @@ func (s *Server) Addr() net.Addr { return s.front.Addr() }
 // Serve accepts connections until Shutdown. It returns nil on graceful
 // shutdown, or the first fatal accept error.
 func (s *Server) Serve() error { return s.front.Serve() }
-
-// ListenAndServe binds addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error { return s.front.ListenAndServe(addr) }
 
 // Shutdown stops the server gracefully (Front.Shutdown): stop accepting,
 // let in-flight requests finish and the writers flush the outboxes, then

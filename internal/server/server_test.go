@@ -39,7 +39,7 @@ func prepareSocial(t *testing.T, a *actor, n int) turboflux.Label {
 	}
 	for i := 1; i <= n; i++ {
 		u := stream.DeclareVertex(graph.VertexID(i), person)
-		if _, err := a.box.Call(request{kind: reqApply, u: u}); err != nil {
+		if _, err := a.box.Call(request{kind: reqApply, ups: []stream.Update{u}}); err != nil {
 			t.Fatalf("declare %d: %v", i, err)
 		}
 	}
@@ -121,7 +121,7 @@ func TestActorPolicyDrop(t *testing.T) {
 	// dropped, ingest never stalls.
 	for i := 0; i < 3; i++ {
 		u := stream.Insert(graph.VertexID(i+1), knows, graph.VertexID(i+2))
-		resp, err := a.box.Call(request{kind: reqApply, u: u})
+		resp, err := a.box.Call(request{kind: reqApply, ups: []stream.Update{u}})
 		if err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
@@ -156,7 +156,7 @@ func TestActorPolicyEvict(t *testing.T) {
 	// subscription instead of stalling or dropping silently.
 	for i := 0; i < 2; i++ {
 		u := stream.Insert(graph.VertexID(i+1), knows, graph.VertexID(i+2))
-		if _, err := a.box.Call(request{kind: reqApply, u: u}); err != nil {
+		if _, err := a.box.Call(request{kind: reqApply, ups: []stream.Update{u}}); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -178,7 +178,7 @@ func TestActorPolicyBlock(t *testing.T) {
 	a := newTestActor(t, PolicyBlock, 1)
 	knows := prepareSocial(t, a, 3)
 	sub := subscribeOutbox(t, a, "social", 1)
-	if _, err := a.box.Call(request{kind: reqApply, u: stream.Insert(1, knows, 2)}); err != nil {
+	if _, err := a.box.Call(request{kind: reqApply, ups: []stream.Update{stream.Insert(1, knows, 2)}}); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	// The queue is full: the next matching update must not be acked until
@@ -186,7 +186,7 @@ func TestActorPolicyBlock(t *testing.T) {
 	awaitBlocked := parkWriter(t, sub.ob)
 	ack := make(chan response, 1)
 	go func() {
-		resp, err := a.box.Call(request{kind: reqApply, u: stream.Insert(2, knows, 3)})
+		resp, err := a.box.Call(request{kind: reqApply, ups: []stream.Update{stream.Insert(2, knows, 3)}})
 		if err == nil {
 			ack <- resp
 		}
@@ -217,13 +217,13 @@ func TestActorPolicyBlock(t *testing.T) {
 	// A blocked actor must also release when the subscription closes (the
 	// connection-teardown path). The first insert fills the queue, the
 	// second blocks.
-	if _, err := a.box.Call(request{kind: reqApply, u: stream.Insert(1, knows, 3)}); err != nil {
+	if _, err := a.box.Call(request{kind: reqApply, ups: []stream.Update{stream.Insert(1, knows, 3)}}); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	awaitBlocked = parkWriter(t, sub.ob)
 	done := make(chan struct{})
 	go func() {
-		a.box.Call(request{kind: reqApply, u: stream.Insert(2, knows, 1)}) //tf:unchecked-ok only liveness matters
+		a.box.Call(request{kind: reqApply, ups: []stream.Update{stream.Insert(2, knows, 1)}}) //tf:unchecked-ok only liveness matters
 		close(done)
 	}()
 	awaitBlocked()
@@ -249,7 +249,7 @@ func TestActorPolicyBurst(t *testing.T) {
 		}
 		for i := 0; i < fan; i++ {
 			u := stream.Insert(2, knows, graph.VertexID(i+3))
-			if _, err := a.box.Call(request{kind: reqApply, u: u}); err != nil {
+			if _, err := a.box.Call(request{kind: reqApply, ups: []stream.Update{u}}); err != nil {
 				t.Fatalf("insert: %v", err)
 			}
 		}
@@ -265,7 +265,7 @@ func TestActorPolicyBurst(t *testing.T) {
 	}
 	apply := func(t *testing.T, a *actor, u stream.Update) {
 		t.Helper()
-		resp, err := a.box.Call(request{kind: reqApply, u: u})
+		resp, err := a.box.Call(request{kind: reqApply, ups: []stream.Update{u}})
 		check(t, resp, err)
 	}
 
@@ -273,7 +273,7 @@ func TestActorPolicyBurst(t *testing.T) {
 		a, sub, u := setup(t, PolicyBlock)
 		ack := make(chan response, 1)
 		go func() {
-			resp, err := a.box.Call(request{kind: reqApply, u: u})
+			resp, err := a.box.Call(request{kind: reqApply, ups: []stream.Update{u}})
 			if err != nil {
 				t.Errorf("burst: %v", err)
 			}

@@ -59,17 +59,6 @@ type MQOStat struct {
 	SharedReplays uint64
 }
 
-// DedupRatio returns the follower maintenance evaluations avoided per
-// maintained update — a tree-label update on a shape with two or more
-// members, maintained once by the shape's owner: the sharing payoff (0
-// when nothing has been maintained).
-func (s MQOStat) DedupRatio() float64 {
-	if s.MaintainRuns == 0 {
-		return 0
-	}
-	return float64(s.SavedEvals) / float64(s.MaintainRuns)
-}
-
 // FollowerStat is one "follower ..." line on a leader.
 type FollowerStat struct {
 	Conn       uint64

@@ -129,10 +129,15 @@ func runConformanceScript(t *testing.T, addr, shardStats string) (replies, pushe
 	if err != nil {
 		t.Fatal(err)
 	}
+	frame31, err := stream.AppendBinary(nil, turboflux.Insert(3, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	steps := []struct {
 		req    string
 		body   string
 		want   string // reply class
+		ok     string // the exact +OK line, where the script pins it
 		pushes int    // total pushes to wait for after the reply
 	}{
 		{req: "PING", want: "+OK"},
@@ -164,6 +169,10 @@ func runConformanceScript(t *testing.T, addr, shardStats string) (replies, pushe
 		{req: "REGISTER q " + pattern, want: "+OK"},
 		{req: "SUBSCRIBE q", want: "+OK"}, // resubscribe after eviction
 		{req: "i 3 0 1", want: "+OK", pushes: 6},
+		// Frames of one: a coordinator fans each to its shards as a single
+		// line, and still acks it as a frame.
+		{req: "BATCH 1", body: "d 3 0 1\n", want: "+OK", ok: "+OK 9 1 1", pushes: 7},
+		{req: fmt.Sprintf("BATCHB %d", len(frame31)), body: string(frame31), want: "+OK", ok: "+OK 10 1 1", pushes: 8},
 		{req: "UNSUBSCRIBE q", want: "+OK"},
 		{req: "UNSUBSCRIBE q", want: "-ERR"},
 		{req: "QUIT", want: "+OK"},
@@ -173,6 +182,9 @@ func runConformanceScript(t *testing.T, addr, shardStats string) (replies, pushe
 		got := class(r)
 		if got != st.want {
 			t.Errorf("%s: %q, want class %s", st.req, r[0], st.want)
+		}
+		if st.ok != "" && r[0] != st.ok {
+			t.Errorf("%s: %q, want %q", st.req, r[0], st.ok)
 		}
 		if got == "+OK" {
 			got = r[0] // +OK payloads must agree byte for byte
@@ -208,7 +220,8 @@ func TestFrontEndConformance(t *testing.T) {
 		t.Errorf("pushes differ:\n server:\n%s\n coordinator:\n%s", want, got)
 	}
 	// The script is only a conformance check if it exercised what it names.
-	wantPush := []string{"*EVENT q 4 + 1 2", "*EVENT q 5 + 2 3", "*EVENT q 6 - 1 2", "*EVENT q 7 + 1 2", "*EVICTED q", "*EVENT q 8 + 3 1"}
+	wantPush := []string{"*EVENT q 4 + 1 2", "*EVENT q 5 + 2 3", "*EVENT q 6 - 1 2", "*EVENT q 7 + 1 2", "*EVICTED q", "*EVENT q 8 + 3 1",
+		"*EVENT q 9 - 3 1", "*EVENT q 10 + 3 1"}
 	if got := strings.Join(wantPushes, "\n"); got != strings.Join(wantPush, "\n") {
 		t.Errorf("server pushes:\n%s\nwant:\n%s", got, strings.Join(wantPush, "\n"))
 	}

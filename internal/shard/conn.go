@@ -15,13 +15,13 @@ import (
 // makes one round trip through the router's mailbox and then collects the
 // per-shard results itself, keeping the router off the network.
 
-// Apply merges the per-shard update acknowledgments into one client ack.
-// Queries partition across shards, so the per-query counts are disjoint and
-// merge by union; the sequence number is the coordinator's. A shard that
-// died mid-update is skipped — the update is acknowledged as long as one
-// alive shard applied it.
-func (r *router) Apply(u turboflux.Update) (server.Ack, error) {
-	resp, err := r.box.Call(rreq{kind: rApply, u: u})
+// Apply merges the per-shard acknowledgments of a run into one client ack.
+// Queries partition across shards, so the per-query counts of a run of one
+// are disjoint and merge by union; the sequence number is the
+// coordinator's. A shard that died mid-run is skipped — the run is
+// acknowledged as long as one alive shard applied it.
+func (r *router) Apply(ups []turboflux.Update) (server.Ack, error) {
+	resp, err := r.box.Call(rreq{kind: rApply, ups: ups})
 	if err != nil {
 		return server.Ack{}, err
 	}
@@ -33,19 +33,6 @@ func (r *router) Apply(u turboflux.Update) (server.Ack, error) {
 		for name, n := range res.ack.Counts {
 			ack.Counts[name] += n
 		}
-	}
-	return ack, err
-}
-
-func (r *router) ApplyBatch(ups []turboflux.Update) (server.BatchAck, error) {
-	resp, err := r.box.Call(rreq{kind: rBatch, ups: ups})
-	if err != nil {
-		return server.BatchAck{}, err
-	}
-	results, err := resp.pend.settle()
-	ack := server.BatchAck{FirstSeq: resp.seq, Applied: len(ups)}
-	for _, res := range results {
-		ack.Total += res.batch.Total
 	}
 	return ack, err
 }

@@ -15,10 +15,9 @@ import (
 type taskKind uint8
 
 const (
-	// taskApply applies one update.
+	// taskApply applies a run of updates: a run of one as an update line,
+	// a longer run as one BATCH frame.
 	taskApply taskKind = iota
-	// taskBatch applies a batch of updates as one frame.
-	taskBatch
 	// taskRegister registers a query (owner shard only).
 	taskRegister
 	// taskUnregister removes a query (owner shard only).
@@ -42,8 +41,7 @@ type labelDef struct {
 // pending.n of them.
 type task struct {
 	kind    taskKind
-	seq     uint64 // coordinator sequence of the (first) update
-	u       turboflux.Update
+	seq     uint64 // coordinator sequence of the run's first update
 	ups     []turboflux.Update
 	name    string
 	pattern string
@@ -56,7 +54,6 @@ type taskResult struct {
 	shard int
 	err   error
 	ack   server.Ack
-	batch server.BatchAck
 }
 
 // pending is a fan-out barrier handle: the router returns it immediately
@@ -64,7 +61,6 @@ type taskResult struct {
 // the router itself off the network.
 type pending struct {
 	n   int
-	seq uint64
 	res chan taskResult
 }
 
@@ -254,30 +250,7 @@ func (h *shardHandle) execute(t *task) taskResult {
 	}
 	switch t.kind {
 	case taskApply:
-		ack, err := h.ctl.Apply(t.u)
-		if err != nil {
-			res.err = h.down(fmt.Errorf("apply: %w", err))
-			return res
-		}
-		if want := h.base + t.seq; ack.Seq != want {
-			res.err = h.down(fmt.Errorf("sequence gap: shard acked %d, want %d", ack.Seq, want))
-			return res
-		}
-		h.applied.Add(1)
-		res.ack = ack
-	case taskBatch:
-		back, err := h.ctl.Batch(t.ups)
-		if err != nil {
-			res.err = h.down(fmt.Errorf("batch: %w", err))
-			return res
-		}
-		if want := h.base + t.seq; back.FirstSeq != want || back.Applied != len(t.ups) {
-			res.err = h.down(fmt.Errorf("sequence gap: shard acked batch %d+%d, want %d+%d",
-				back.FirstSeq, back.Applied, want, len(t.ups)))
-			return res
-		}
-		h.applied.Add(uint64(len(t.ups)))
-		res.batch = back
+		res.ack, res.err = h.apply(t)
 	case taskRegister:
 		// The coordinator already parsed the pattern, so a rejection here
 		// is a version or dictionary divergence, not a client error.
@@ -303,6 +276,35 @@ func (h *shardHandle) execute(t *task) taskResult {
 		}
 	}
 	return res
+}
+
+// apply sends a run to the shard: a run of one as an update line, a longer
+// run as a text BATCH. The line stays because only a line's ack carries the
+// per-query counts the coordinator merges into a single line's ack. A
+// transport error or a sequence gap marks the shard down.
+func (h *shardHandle) apply(t *task) (server.Ack, error) {
+	want := h.base + t.seq
+	if len(t.ups) == 1 {
+		ack, err := h.ctl.Apply(t.ups[0])
+		if err != nil {
+			return ack, h.down(fmt.Errorf("apply: %w", err))
+		}
+		if ack.Seq != want {
+			return ack, h.down(fmt.Errorf("sequence gap: shard acked %d, want %d", ack.Seq, want))
+		}
+		h.applied.Add(1)
+		return ack, nil
+	}
+	back, err := h.ctl.Batch(t.ups)
+	if err != nil {
+		return server.Ack{}, h.down(fmt.Errorf("batch: %w", err))
+	}
+	if back.FirstSeq != want || back.Applied != len(t.ups) {
+		return server.Ack{}, h.down(fmt.Errorf("sequence gap: shard acked batch %d+%d, want %d+%d",
+			back.FirstSeq, back.Applied, want, len(t.ups)))
+	}
+	h.applied.Add(uint64(len(t.ups)))
+	return server.Ack{Seq: back.FirstSeq, Total: back.Total}, nil
 }
 
 // heartbeat probes the shard at hbInterval and marks it down after

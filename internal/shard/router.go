@@ -15,7 +15,6 @@ type rkind uint8
 
 const (
 	rApply rkind = iota
-	rBatch
 	rRegister
 	rUnregister
 	rUnassign // roll an optimistic placement back after a failed register
@@ -30,14 +29,13 @@ const (
 // rreq is one message to the router actor.
 type rreq struct {
 	kind rkind
-	u    turboflux.Update
-	ups  []turboflux.Update
-	name string // query name / "vertex" / "edge" (rLabel)
-	arg  string // pattern (rRegister) / label name (rLabel)
+	ups  []turboflux.Update // the run to fan (rApply)
+	name string             // query name / "vertex" / "edge" (rLabel)
+	arg  string             // pattern (rRegister) / label name (rLabel)
 }
 
 type rresp struct {
-	seq   uint64  // coordinator sequence of the (first) update
+	seq   uint64  // coordinator sequence of the run's first update
 	pend  pending // all-shard fan-out barrier (updates, label sync)
 	reg   pending // owner-shard barrier (register/unregister)
 	names []string
@@ -167,14 +165,9 @@ func (r *router) Stop() error {
 func (r *router) handle(req rreq) (resp rresp, err error) {
 	switch req.kind {
 	case rApply:
-		r.seq++
-		resp.seq = r.seq
-		resp.pend = r.fanAll(&task{kind: taskApply, seq: r.seq, u: req.u})
-	case rBatch:
-		first := r.seq + 1
+		resp.seq = r.seq + 1
 		r.seq += uint64(len(req.ups))
-		resp.seq = first
-		resp.pend = r.fanAll(&task{kind: taskBatch, seq: first, ups: req.ups})
+		resp.pend = r.fanAll(&task{kind: taskApply, seq: resp.seq, ups: req.ups})
 	case rRegister:
 		return r.register(req)
 	case rUnassign:
@@ -309,14 +302,14 @@ func (r *router) fanAll(t *task) pending {
 		h.tasks <- t
 		n++
 	}
-	return pending{n: n, seq: t.seq, res: t.res}
+	return pending{n: n, res: t.res}
 }
 
 // fanTo enqueues one task to a single shard's FIFO.
 func (r *router) fanTo(shard int, t *task) pending {
 	t.res = make(chan taskResult, 1)
 	r.shards[shard].tasks <- t
-	return pending{n: 1, seq: t.seq, res: t.res}
+	return pending{n: 1, res: t.res}
 }
 
 // statsLines renders the coordinator STATS payload: the cluster line,

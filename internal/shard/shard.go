@@ -161,9 +161,6 @@ func (co *Coordinator) Addr() net.Addr { return co.front.Addr() }
 // graceful shutdown, or the first fatal accept error.
 func (co *Coordinator) Serve() error { return co.front.Serve() }
 
-// ListenAndServe binds addr and serves until Shutdown.
-func (co *Coordinator) ListenAndServe(addr string) error { return co.front.ListenAndServe(addr) }
-
 // Shutdown stops the coordinator gracefully (server.Front.Shutdown): stop
 // accepting, let in-flight requests finish (the subscription relays close
 // with their connections), then stop the router — which drains the task
