@@ -1,8 +1,10 @@
 package main
 
 import (
+	"net"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -37,6 +39,34 @@ func TestRunReportsVertexIDPastBound(t *testing.T) {
 		err := run("127.0.0.1:0", dataDir, "none", path, "block", "", 16, 1, false, time.Second)
 		if err == nil || !strings.HasPrefix(err.Error(), "loading graph: stream: line 2: stream: vertex id 4000000000 exceeds the maximum") {
 			t.Errorf("-data-dir %q: err = %v, want loading graph: stream: line 2: …", dataDir, err)
+		}
+	}
+}
+
+// TestRunSetsGCTargetAfterLoad: once the server is built, run() sets the
+// collector's target to gcPercent, unless GOGC is set in the environment,
+// which then wins. run() is stopped at Listen by an address already taken.
+func TestRunSetsGCTargetAfterLoad(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close() //tf:unchecked-ok test listener
+	defer debug.SetGCPercent(debug.SetGCPercent(100))
+	for _, tc := range []struct {
+		env  string // "" = unset
+		want int
+	}{{"", gcPercent}, {"60", 100}} {
+		t.Setenv("GOGC", tc.env)
+		if tc.env == "" {
+			os.Unsetenv("GOGC") //tf:unchecked-ok t.Setenv restores it
+		}
+		debug.SetGCPercent(100)
+		if err := run(ln.Addr().String(), "", "none", "", "block", "", 16, 1, false, time.Second); err == nil {
+			t.Fatal("run() on a taken address returned nil")
+		}
+		if got := debug.SetGCPercent(100); got != tc.want {
+			t.Errorf("GOGC %q: run() left the GC percent at %d, want %d", tc.env, got, tc.want)
 		}
 	}
 }

@@ -176,8 +176,12 @@ func (p *Pool) Stats() Stats {
 
 // emissionKeep is the mapping storage, in vertex IDs (256 KB), an
 // EmissionBuffer keeps across Reset whatever its windows emit; a larger
-// arena is kept only while the windows keep filling a quarter of it.
-const emissionKeep = 1 << 16
+// arena is kept until emissionIdle windows in a row have each filled less
+// than a quarter of it.
+const (
+	emissionKeep = 1 << 16
+	emissionIdle = 16
+)
 
 // EmissionBuffer captures the OnMatch deliveries one engine produces
 // during an evaluation window so the coordinator can replay them in
@@ -196,6 +200,7 @@ type EmissionBuffer struct {
 	positive []bool           // sign of each mapping
 	ends     []int32          // ends[k] = mappings recorded when segment k closed
 	stride   int
+	idle     int // windows in a row that filled less than a quarter of an arena past emissionKeep
 }
 
 // Record appends one emission to the open segment, copying the mapping.
@@ -228,12 +233,16 @@ func (b *EmissionBuffer) ReplaySegment(k int, fn func(positive bool, mapping []g
 
 // Reset forgets the recorded emissions and segments and keeps their
 // storage for the next window — unless the arena is beyond emissionKeep and
-// the window just replayed used less than a quarter of it: what one
-// explosive window grew is released by the first ordinary window after it,
-// while a query that emits that much every window keeps its working set.
+// the last emissionIdle windows, this one included, each used less than a
+// quarter of it: what an explosive stretch grew is released after
+// emissionIdle ordinary windows, while a query whose large windows recur
+// among small ones keeps its working set instead of regrowing it from
+// empty after every small one.
 func (b *EmissionBuffer) Reset() {
-	if cap(b.maps) > emissionKeep && len(b.maps) < cap(b.maps)/4 {
-		b.maps, b.positive = nil, nil
+	if cap(b.maps) <= emissionKeep || len(b.maps) >= cap(b.maps)/4 {
+		b.idle = 0
+	} else if b.idle++; b.idle == emissionIdle {
+		b.maps, b.positive, b.idle = nil, nil, 0
 	}
 	b.maps, b.positive, b.ends = b.maps[:0], b.positive[:0], b.ends[:0]
 }

@@ -179,21 +179,16 @@ func TestEmissionBufferSegments(t *testing.T) {
 
 // TestEmissionBufferResetReleasesHighWater pins the retention bound: an
 // arena within emissionKeep is kept whatever the windows emit; a larger one
-// is kept while every window fills a quarter of it (a query that emits that
-// much per batch must not regrow it per batch) and released by the first
-// window that does not.
+// is kept while the windows keep filling a quarter of it now and then (a
+// query that emits that much per batch must not regrow it per batch) and
+// released by the emissionIdle-th ordinary window in a row.
 func TestEmissionBufferResetReleasesHighWater(t *testing.T) {
 	var b EmissionBuffer
-	m := make([]graph.VertexID, 8)
-	window := func(vertexIDs int) {
-		for i := 0; i < vertexIDs/len(m); i++ {
-			b.Record(true, m)
-		}
-		b.EndSegment()
-		b.Reset()
-	}
+	window := emissionWindow(&b)
 	window(emissionKeep / 2)
-	window(8)
+	for i := 0; i < 2*emissionIdle; i++ {
+		window(8)
+	}
 	if cap(b.maps) == 0 {
 		t.Fatal("Reset dropped an arena within the bound")
 	}
@@ -203,11 +198,48 @@ func TestEmissionBufferResetReleasesHighWater(t *testing.T) {
 		t.Fatalf("Reset dropped the arena of the window that filled it (cap %d)", big)
 	}
 	window(2 * emissionKeep) // still a quarter of it: the working set stays
-	if cap(b.maps) != big {
-		t.Fatalf("a window filling half the arena changed it: cap %d, was %d", cap(b.maps), big)
+	for i := 1; i < emissionIdle; i++ {
+		window(8) // ordinary windows, one short of the bound
 	}
-	window(8) // an ordinary window: the high-water mark goes
+	window(2 * emissionKeep) // a quarter again: the count starts over
+	for i := 1; i < emissionIdle; i++ {
+		window(8)
+	}
+	if cap(b.maps) != big {
+		t.Fatalf("%d ordinary windows in a row changed the arena: cap %d, was %d", emissionIdle-1, cap(b.maps), big)
+	}
+	window(8) // the emissionIdle-th in a row: the high-water mark goes
 	if cap(b.maps) != 0 || cap(b.positive) != 0 {
-		t.Fatalf("Reset kept %d vertex IDs after an ordinary window, bound is %d", cap(b.maps), emissionKeep)
+		t.Fatalf("Reset kept %d vertex IDs after %d ordinary windows, bound is %d", cap(b.maps), emissionIdle, emissionKeep)
+	}
+}
+
+// TestEmissionBufferAlternatingAllocs: large windows among small ones —
+// a batch split into windows at every vertex it creates — reuse the
+// arena the first large window grew instead of regrowing it after every
+// small one.
+func TestEmissionBufferAlternatingAllocs(t *testing.T) {
+	var b EmissionBuffer
+	window := emissionWindow(&b)
+	pair := func() {
+		window(4 * emissionKeep)
+		window(8)
+	}
+	pair() // warm-up: grow the arena
+	if avg := testing.AllocsPerRun(50, pair); avg != 0 {
+		t.Fatalf("%.2f allocations per large/small window pair, want 0", avg)
+	}
+}
+
+// emissionWindow returns a function that records one window of the given
+// number of vertex IDs (in mappings of 8) into b and resets b.
+func emissionWindow(b *EmissionBuffer) func(vertexIDs int) {
+	m := make([]graph.VertexID, 8)
+	return func(vertexIDs int) {
+		for i := 0; i < vertexIDs/len(m); i++ {
+			b.Record(true, m)
+		}
+		b.EndSegment()
+		b.Reset()
 	}
 }

@@ -24,8 +24,10 @@ type Backend interface {
 	// Apply applies a run of updates — a single update line is a run of
 	// one, a BATCH/BATCHB frame a longer run — and acks it: Seq is the
 	// run's first sequence number, Total its match count and Counts its
-	// per-query counts, which only a single line's ack renders. The run is
-	// only read until Apply returns.
+	// per-query counts, which only a single line's ack renders. ups is
+	// valid only during the call: the connection reuses its array for the
+	// next request, so an implementation must not keep it, or anything
+	// that aliases it, once Apply returns.
 	Apply(ups []turboflux.Update) (Ack, error)
 	Register(name, pattern string) error
 	Unregister(name string) error

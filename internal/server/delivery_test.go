@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 
 	"turboflux"
 	"turboflux/internal/graph"
+	"turboflux/internal/stream"
 )
 
 // pushCapture collects a connection's raw push stream through OnPush.
@@ -297,6 +299,77 @@ func TestApplyRequestAllocs(t *testing.T) {
 	if a.updates != 2+2*103 {
 		t.Fatalf("applied %d updates, want %d", a.updates, 2+2*103)
 	}
+}
+
+// TestBatchFrameAllocs guards the frame path: a BATCHB or BATCH frame read
+// by Wire.ReadBatch and applied through the actor's reqApply costs no
+// allocation in steady state — the body and the run are the connection's,
+// reused frame to frame. The frame's edges reach the query's DCG but
+// complete no match.
+func TestBatchFrameAllocs(t *testing.T) {
+	var conns atomic.Int64
+	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
+		nil, turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64, &conns)
+	defer a.host.Close() //tf:unchecked-ok pool release never fails
+	if _, err := a.handle(request{kind: reqRegister, name: "social", arg: "(a:Person)-[:knows]->(b:Person)"}); err != nil {
+		t.Fatal(err)
+	}
+	person, place := a.vdict.Intern("Person"), a.vdict.Intern("Place")
+	knows := a.edict.Intern("knows")
+	for _, u := range []turboflux.Update{
+		turboflux.DeclareVertex(1, person), turboflux.DeclareVertex(2, place), turboflux.DeclareVertex(3, place),
+	} {
+		if _, err := a.handle(request{kind: reqApply, ups: []turboflux.Update{u}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := []turboflux.Update{
+		turboflux.Insert(1, knows, 2), turboflux.Insert(1, knows, 3),
+		turboflux.Delete(1, knows, 2), turboflux.Delete(1, knows, 3),
+	}
+	var bin, text []byte
+	for _, u := range frame {
+		var err error
+		if bin, err = stream.AppendBinary(bin, u); err != nil {
+			t.Fatal(err)
+		}
+		text = append(append(text, u.String()...), '\n')
+	}
+	for _, tc := range []struct {
+		req  Request
+		body []byte
+	}{
+		{Request{Kind: KindBatchBin, Count: len(bin)}, bin},
+		{Request{Kind: KindBatch, Count: len(frame)}, text},
+	} {
+		w := &Wire{br: bufio.NewReaderSize(&repeatReader{data: tc.body}, MaxLineBytes)}
+		apply := func() {
+			ups, ferr, perr := w.ReadBatch(tc.req)
+			if ferr != nil || perr != nil || len(ups) != len(frame) {
+				t.Fatalf("ReadBatch = %d updates, %v, %v", len(ups), ferr, perr)
+			}
+			if _, err := a.handle(request{kind: reqApply, ups: ups}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		apply() // grow the Wire's buffers and the engine's scratch
+		apply()
+		if avg := testing.AllocsPerRun(100, apply); avg != 0 {
+			t.Errorf("kind %d: %.2f allocations per frame, want 0", tc.req.Kind, avg)
+		}
+	}
+}
+
+// repeatReader serves data over and over: an endless run of one frame.
+type repeatReader struct {
+	data []byte
+	at   int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := copy(p, r.data[r.at:])
+	r.at = (r.at + n) % len(r.data)
+	return n, nil
 }
 
 // TestEmitAllocs guards the actor side of delivery: with a subscribed,

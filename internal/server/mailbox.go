@@ -19,6 +19,11 @@ type Mailbox[Req, Resp any] struct {
 	stop  chan struct{} // closed by Stop
 	done  chan struct{} // closed by the loop after the drain and shutdown
 	once  sync.Once     // guards close(stop)
+
+	// replies holds idle Call reply channels, each empty: up to
+	// mailboxDepth, one per caller whose request the queue can hold at
+	// once. A caller past that many makes its channel and drops it.
+	replies chan chan envelope[Req, Resp]
 }
 
 // envelope is one queued request; the loop fills in the answer and, for a
@@ -35,6 +40,7 @@ type envelope[Req, Resp any] struct {
 // once, after Stop, when the requests already queued have been handled.
 func (b *Mailbox[Req, Resp]) Start(handle func(Req) (Resp, error), shutdown func()) {
 	b.reqCh = make(chan envelope[Req, Resp], mailboxDepth)
+	b.replies = make(chan chan envelope[Req, Resp], mailboxDepth)
 	b.stop = make(chan struct{})
 	b.done = make(chan struct{})
 	//tf:goroutine mailbox
@@ -89,23 +95,43 @@ func (b *Mailbox[Req, Resp]) put(e envelope[Req, Resp]) error {
 
 // Call queues req and returns the handler's response and error, or
 // ErrClosed if the loop stopped without handling req.
+//
+// The reply channel is reused: Call returns only once the loop has
+// answered on it or stopped for good, so it goes back to the free list
+// empty and nothing sends on it again.
 func (b *Mailbox[Req, Resp]) Call(req Req) (Resp, error) {
-	e := envelope[Req, Resp]{req: req, reply: make(chan envelope[Req, Resp], 1)}
+	var reply chan envelope[Req, Resp]
+	select {
+	case reply = <-b.replies:
+	default:
+		reply = make(chan envelope[Req, Resp], 1)
+	}
+	defer b.release(reply)
+	e := envelope[Req, Resp]{req: req, reply: reply}
 	if err := b.put(e); err != nil {
 		return e.resp, err
 	}
 	select {
-	case e = <-e.reply:
+	case e = <-reply:
 	case <-b.done:
 		// The loop closes done after its last reply, so a reply sent before
 		// it stopped is waiting here; prefer it over the shutdown error.
 		select {
-		case e = <-e.reply:
+		case e = <-reply:
 		default:
 			e.err = ErrClosed
 		}
 	}
 	return e.resp, e.err
+}
+
+// release returns an empty reply channel to the free list, or drops it
+// when the list is full.
+func (b *Mailbox[Req, Resp]) release(reply chan envelope[Req, Resp]) {
+	select {
+	case b.replies <- reply:
+	default:
+	}
 }
 
 // Stop ends the loop once the connections are gone and returns after

@@ -136,6 +136,27 @@ func TestMailbox(t *testing.T) {
 				}
 			}
 		}},
+		{"callers sharing reused reply channels each get their own reply", func(t *testing.T) {
+			const callers, calls = 8, 500
+			var b Mailbox[int, int]
+			b.Start(func(x int) (int, error) { return x + 1000, nil }, func() {})
+			defer b.Stop()
+			var wg sync.WaitGroup
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					for k := 0; k < calls; k++ {
+						x := i*calls + k
+						if got, err := b.Call(x); got != x+1000 || err != nil {
+							t.Errorf("Call(%d) = %d, %v", x, got, err)
+							return
+						}
+					}
+				}(i)
+			}
+			within(t, "concurrent calls", wg.Wait)
+		}},
 		{"concurrent stops are safe", func(t *testing.T) {
 			var b Mailbox[int, int]
 			shutdowns := 0 // loop goroutine only; read after Stop
@@ -156,5 +177,22 @@ func TestMailbox(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, tc.run)
+	}
+}
+
+// TestMailboxCallAllocs: Call reuses its reply channels, so a round trip
+// through the mailbox costs no allocation in steady state.
+func TestMailboxCallAllocs(t *testing.T) {
+	var b Mailbox[request, response]
+	b.Start(func(request) (response, error) { return response{seq: 1}, nil }, func() {})
+	defer b.Stop()
+	call := func() {
+		if resp, err := b.Call(request{kind: reqApply}); resp.seq != 1 || err != nil {
+			t.Fatalf("Call = %+v, %v", resp, err)
+		}
+	}
+	call()
+	if avg := testing.AllocsPerRun(1000, call); avg != 0 {
+		t.Fatalf("%.2f allocations per Call, want 0", avg)
 	}
 }

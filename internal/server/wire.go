@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,12 +13,24 @@ import (
 	"turboflux/internal/stream"
 )
 
+// The frame buffers a Wire keeps for its next BATCH/BATCHB frame: a
+// binary body of up to frameKeepBytes and a run of up to frameKeepRecords
+// updates. A larger frame's buffers are dropped once it has been applied,
+// so one MaxBatchBytes frame cannot pin memory for the connection's
+// lifetime.
+const (
+	frameKeepBytes   = 64 << 10
+	frameKeepRecords = 4096
+)
+
 // Wire is the line-protocol framing layer under every Conn: request framing
 // on the read side, owned by the connection's reader goroutine, and on the
 // write side whole lines serialized by one mutex with a sticky first
 // error, so replies and pushes never interleave mid-line.
 type Wire struct {
-	br *bufio.Reader
+	br   *bufio.Reader
+	body []byte          // the last binary frame's body, reused by the next
+	ups  []stream.Update // the last frame's run, reused by the next
 
 	mu  sync.Mutex
 	bw  *bufio.Writer
@@ -59,15 +72,22 @@ func (w *Wire) Serve(dispatch func(Request) bool) {
 // MaxLineBytes are a framing error: the stream cannot be resynchronized,
 // so the connection drops.
 func (w *Wire) ReadLine() (string, error) {
+	b, err := w.readSlice()
+	return string(b), err
+}
+
+// readSlice is ReadLine without the copy: the line aliases the read
+// buffer and is valid until the next read.
+func (w *Wire) readSlice() ([]byte, error) {
 	b, err := w.br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		w.WriteErr(fmt.Errorf("server: request line exceeds %d bytes", MaxLineBytes)) //tf:unchecked-ok dropping the conn either way
-		return "", err
+		return nil, err
 	}
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return string(b[:len(b)-1]), nil
+	return b[:len(b)-1], nil
 }
 
 // ReadBatch reads the body of a BATCH (Count stream-text records) or
@@ -76,14 +96,26 @@ func (w *Wire) ReadLine() (string, error) {
 // body has been consumed, so the protocol stays in sync. Nothing is
 // applied unless every record parses and names no vertex ID past
 // graph.MaxVertexID.
+//
+// The run and the body it was decoded from are the Wire's, reused by the
+// next frame: ups is valid until the next ReadBatch, which is all
+// Backend.Apply needs (it reads its run only until it returns).
 func (w *Wire) ReadBatch(req Request) (ups []stream.Update, framing, parse error) {
 	if req.Kind == KindBatchBin {
-		return w.readBatchBinary(req.Count)
+		ups, framing, parse = w.readBatchBinary(req.Count)
+	} else {
+		ups, framing, parse = w.readBatchText(req.Count)
 	}
-	n := req.Count
-	ups = make([]stream.Update, 0, n)
+	if cap(ups) <= frameKeepRecords && framing == nil && parse == nil {
+		w.ups = ups
+	}
+	return ups, framing, parse
+}
+
+func (w *Wire) readBatchText(n int) (ups []stream.Update, framing, parse error) {
+	ups = slices.Grow(w.ups[:0], n)
 	for i := 0; i < n; i++ {
-		line, err := w.ReadLine()
+		line, err := w.readSlice()
 		if err != nil {
 			return nil, err, nil
 		}
@@ -107,10 +139,14 @@ func (w *Wire) ReadBatch(req Request) (ups []stream.Update, framing, parse error
 }
 
 func (w *Wire) readBatchBinary(n int) (ups []stream.Update, framing, parse error) {
-	body := make([]byte, n)
+	body := slices.Grow(w.body[:0], n)[:n]
+	if cap(body) <= frameKeepBytes {
+		w.body = body
+	}
 	if _, err := io.ReadFull(w.br, body); err != nil {
 		return nil, err, nil
 	}
+	ups = w.ups[:0]
 	for len(body) > 0 {
 		u, used, err := stream.DecodeBinary(body)
 		if err == nil {

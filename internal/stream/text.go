@@ -141,8 +141,8 @@ func ApplyText(g *graph.Graph, r io.Reader) error {
 // ParseLine parses one text-format record ("i 1 5 2", "v 3 1,7") without
 // the surrounding stream framing. Blank lines and comments are errors here;
 // Decode filters them before calling in. Text BATCH bodies on the wire are
-// parsed with it.
-func ParseLine(line string) (Update, error) {
+// parsed with it, where they lie in the connection's read buffer.
+func ParseLine[T text](line T) (Update, error) {
 	f := splitFields(line)
 	if f.n == 0 {
 		return Update{}, errors.New("stream: empty record")
