@@ -142,6 +142,46 @@ func (p *Pass) TypeInPackages(t types.Type, rels ...string) (*types.Named, bool)
 	return nil, false
 }
 
+// CalleeIdent returns the identifier naming the function in a call's Fun
+// or a function-valued expression: f, pkg.F or x.m, also when
+// parenthesised or explicitly instantiated (f[T], f[T1, T2]). Nil for
+// anything else.
+func CalleeIdent(fun ast.Expr) *ast.Ident {
+	for {
+		switch e := fun.(type) {
+		case *ast.ParenExpr:
+			fun = e.X
+		case *ast.IndexExpr:
+			fun = e.X
+		case *ast.IndexListExpr:
+			fun = e.X
+		case *ast.Ident:
+			return e
+		case *ast.SelectorExpr:
+			return e.Sel
+		default:
+			return nil
+		}
+	}
+}
+
+// Callee returns the declared function a call's Fun (or a function-valued
+// expression) names, seen through CalleeIdent's forms. An instantiation of
+// a generic function, or a method of an instantiated generic type,
+// resolves to its Origin: the *types.Func its declaration defines. Nil for
+// dynamic calls, conversions and builtins.
+func Callee(info *types.Info, fun ast.Expr) *types.Func {
+	id := CalleeIdent(fun)
+	if id == nil {
+		return nil
+	}
+	f, ok := info.Uses[id].(*types.Func)
+	if !ok {
+		return nil
+	}
+	return f.Origin()
+}
+
 // Diagnostic is one finding.
 type Diagnostic struct {
 	Analyzer string

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -140,5 +141,68 @@ func TestExpandPatternsSkipsTestdataAndNestedModules(t *testing.T) {
 	}
 	if !foundSelf {
 		t.Errorf("ExpandPatterns missed internal/analysis; got %v", dirs)
+	}
+}
+
+const calleeSrc = `package p
+
+func f(int)                   {}
+func g[T any](T)              {}
+func h[T, U any](T, U)        {}
+
+type box[T any] struct{ v T }
+
+func (b box[T]) m() {}
+
+func calls(fs []func(int)) {
+	f(1)
+	(f)(1)
+	g[int](1)
+	(g[int])(1)
+	h[int, string](1, "")
+	box[int]{}.m()
+	g(1)
+	fs[0](1)
+	_ = len(fs)
+	_ = int(2)
+}
+`
+
+// TestCallee pins the call forms Callee sees through: plain, parenthesised,
+// explicitly and implicitly instantiated calls and methods of an
+// instantiated type all resolve to the declared function; calls through a
+// value, builtins and conversions resolve to nothing.
+func TestCallee(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", calleeSrc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	if _, err := new(types.Config).Check("p", fset, []*ast.File{f}, info); err != nil {
+		t.Fatal(err)
+	}
+	declared := map[*types.Func]string{}
+	for id, obj := range info.Defs {
+		if fn, ok := obj.(*types.Func); ok {
+			declared[fn] = id.Name
+		}
+	}
+	var got []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		name := "-"
+		if fn := Callee(info, call.Fun); fn != nil {
+			name = declared[fn] // "" if not the declared object
+		}
+		got = append(got, name)
+		return true
+	})
+	want := []string{"f", "f", "g", "g", "h", "m", "g", "-", "-", "-"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("callees %q, want %q", got, want)
 	}
 }

@@ -138,22 +138,11 @@ func checkConfinement(pass *analysis.Pass) error {
 				if !ok {
 					return true
 				}
-				if id := funcIdent(call.Fun); id != nil {
+				if id := analysis.CalleeIdent(call.Fun); id != nil {
 					callees[id] = true
 				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					// Plain function calls cannot be owned-type methods;
-					// record same-package callees for the BFS.
-					if id, ok := call.Fun.(*ast.Ident); ok {
-						if f, ok := pass.Pkg.TypesInfo.Uses[id].(*types.Func); ok && f.Pkg() == pass.Pkg.Types {
-							info.callees = append(info.callees, f)
-						}
-					}
-					return true
-				}
-				f, ok := pass.Pkg.TypesInfo.Uses[sel.Sel].(*types.Func)
-				if !ok {
+				f := analysis.Callee(pass.Pkg.TypesInfo, call.Fun)
+				if f == nil {
 					return true
 				}
 				if isMailboxStart(pass, f) {
@@ -219,9 +208,9 @@ func checkConfinement(pass *analysis.Pass) error {
 	startArgs := map[*ast.Ident]bool{}
 	for _, call := range starts {
 		for _, arg := range call.Args {
-			if id := funcIdent(arg); id != nil {
+			if id := analysis.CalleeIdent(arg); id != nil {
 				startArgs[id] = true
-				if f, ok := pass.Pkg.TypesInfo.Uses[id].(*types.Func); ok && roots[f] {
+				if roots[analysis.Callee(pass.Pkg.TypesInfo, arg)] {
 					continue
 				}
 			}
@@ -238,8 +227,8 @@ func checkConfinement(pass *analysis.Pass) error {
 			if !ok || startArgs[id] {
 				return true
 			}
-			f, ok := pass.Pkg.TypesInfo.Uses[id].(*types.Func)
-			if !ok || !roots[f] {
+			f := analysis.Callee(pass.Pkg.TypesInfo, id)
+			if !roots[f] {
 				return true
 			}
 			where := "package scope"
@@ -255,18 +244,6 @@ func checkConfinement(pass *analysis.Pass) error {
 				declName(decls[f].decl), where)
 			return true
 		})
-	}
-	return nil
-}
-
-// funcIdent returns the identifier naming a function in a call's Fun or a
-// function-valued argument: f, pkg.F or x.m. Nil for anything else.
-func funcIdent(e ast.Expr) *ast.Ident {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e
-	case *ast.SelectorExpr:
-		return e.Sel
 	}
 	return nil
 }

@@ -99,18 +99,11 @@ func whitelisted(pass *analysis.Pass, call *ast.CallExpr) bool {
 // "fmt.Println", "(*bytes.Buffer).WriteString", or the expression text for
 // dynamic calls.
 func calleeName(pass *analysis.Pass, call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		if f, ok := pass.Pkg.TypesInfo.Uses[fun.Sel].(*types.Func); ok {
-			return f.FullName()
-		}
-		return fun.Sel.Name
-	case *ast.Ident:
-		if f, ok := pass.Pkg.TypesInfo.Uses[fun].(*types.Func); ok {
-			return f.FullName()
-		}
-		return fun.Name
-	default:
-		return "call"
+	if f := analysis.Callee(pass.Pkg.TypesInfo, call.Fun); f != nil {
+		return f.FullName()
 	}
+	if id := analysis.CalleeIdent(call.Fun); id != nil {
+		return id.Name
+	}
+	return "call"
 }

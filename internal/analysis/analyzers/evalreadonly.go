@@ -155,24 +155,16 @@ func runEvalReadonly(pass *analysis.Pass) error {
 
 // collectCalls records body's graph-mutator calls and same-package
 // callees into info. Function literals are attributed to the enclosing
-// declaration: a closure built on an eval path runs on it.
+// declaration: a closure built on an eval path runs on it. A call to an
+// instantiation of a generic function reaches the function's declaration.
 func collectCalls(pass *analysis.Pass, body ast.Node, info *declInfo) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		var obj types.Object
-		switch fun := call.Fun.(type) {
-		case *ast.SelectorExpr:
-			obj = pass.Pkg.TypesInfo.Uses[fun.Sel]
-		case *ast.Ident:
-			obj = pass.Pkg.TypesInfo.Uses[fun]
-		default:
-			return true
-		}
-		fn, ok := obj.(*types.Func)
-		if !ok {
+		fn := analysis.Callee(pass.Pkg.TypesInfo, call.Fun)
+		if fn == nil {
 			return true
 		}
 		if name, ok := graphMutator(pass, fn); ok {

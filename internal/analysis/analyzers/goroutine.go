@@ -101,24 +101,14 @@ func runGoroutineLifecycle(pass *analysis.Pass) error {
 // recognized shutdown pairings.
 func goroutineTracked(pass *analysis.Pass, file *ast.File, gs *ast.GoStmt,
 	closed, received map[string]bool, methodBodies map[*types.Func]*ast.FuncDecl) bool {
-	// A launched function is looked up by its declaration (Origin): a method
-	// of a generic type is called through an instantiation of it.
+	// A launched function is looked up by its declaration: analysis.Callee
+	// resolves an instantiation (of a generic function, or a method of a
+	// generic type) to its Origin.
 	var body *ast.BlockStmt
-	switch fun := gs.Call.Fun.(type) {
-	case *ast.FuncLit:
-		body = fun.Body
-	case *ast.Ident:
-		if f, ok := pass.Pkg.TypesInfo.Uses[fun].(*types.Func); ok {
-			if decl := methodBodies[f.Origin()]; decl != nil {
-				body = decl.Body
-			}
-		}
-	case *ast.SelectorExpr:
-		if f, ok := pass.Pkg.TypesInfo.Uses[fun.Sel].(*types.Func); ok {
-			if decl := methodBodies[f.Origin()]; decl != nil {
-				body = decl.Body
-			}
-		}
+	if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
+		body = lit.Body
+	} else if decl := methodBodies[analysis.Callee(pass.Pkg.TypesInfo, gs.Call.Fun)]; decl != nil {
+		body = decl.Body
 	}
 	if body == nil {
 		return false
@@ -214,12 +204,8 @@ func isChanExpr(pass *analysis.Pass, e ast.Expr) bool {
 // isWaitGroupMethod reports whether call invokes sync.WaitGroup's method
 // of the given name.
 func isWaitGroupMethod(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
-	f, ok := pass.Pkg.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok {
+	f := analysis.Callee(pass.Pkg.TypesInfo, call.Fun)
+	if f == nil || f.Name() != name {
 		return false
 	}
 	sig, ok := f.Type().(*types.Signature)

@@ -71,12 +71,8 @@ func checkHotFunc(pass *analysis.Pass, ann *analysis.Annotations, fn *ast.FuncDe
 }
 
 func checkFmtAlloc(pass *analysis.Pass, ann *analysis.Annotations, fn *ast.FuncDecl, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	callee, ok := pass.Pkg.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || callee.Pkg() == nil || callee.Pkg().Path() != "fmt" {
+	callee := analysis.Callee(pass.Pkg.TypesInfo, call.Fun)
+	if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "fmt" {
 		return
 	}
 	name := callee.Name()

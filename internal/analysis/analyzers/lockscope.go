@@ -198,13 +198,7 @@ func mutexOp(pass *analysis.Pass, call *ast.CallExpr) (key string, acquire, ok b
 // analyzed package's module-relative path (same-package fan-out code may
 // use its own internals under its own lock).
 func bannedCall(pass *analysis.Pass, rel string, call *ast.CallExpr, evalPath map[*types.Func]bool) (string, bool) {
-	var f *types.Func
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		f, _ = pass.Pkg.TypesInfo.Uses[fun.Sel].(*types.Func)
-	case *ast.Ident:
-		f, _ = pass.Pkg.TypesInfo.Uses[fun].(*types.Func)
-	}
+	f := analysis.Callee(pass.Pkg.TypesInfo, call.Fun)
 	if f == nil {
 		return "", false
 	}

@@ -15,6 +15,7 @@ type Engine struct {
 // two calls down.
 func (e *Engine) EvalInsertedEdge(from, to graph.VertexID) {
 	e.extend(from, to)
+	grow[wide](e, from, to)
 }
 
 // extend is an intermediate hop on the eval path.
@@ -59,4 +60,17 @@ func (e *Engine) seed(v graph.VertexID) {
 // rollback mutates but is unreachable from any eval root: clean.
 func (e *Engine) rollback(from, to graph.VertexID) {
 	e.g.DeleteEdge(from, to)
+}
+
+// mode is the type parameter of grow, as core's evaluation modes are.
+type mode interface{ ~[1]byte | ~[2]byte }
+
+// wide is one mode.
+type wide [2]byte
+
+// grow is a generic hop reached through an explicit instantiation
+// (grow[wide]): the reachability walk must see through the index
+// expression to the declaration. Finding.
+func grow[M mode](e *Engine, from, to graph.VertexID) {
+	e.g.InsertEdge(from, to)
 }

@@ -5,16 +5,29 @@ import (
 	"turboflux/internal/graph"
 )
 
-// deleteEdgeAndEval is Algorithm 8: the edge (v, l, v2) is about to be
+// deleteTriggers is Algorithm 8: the edge (v, l, v2) is about to be
 // deleted from the data graph (the engine removes it after this returns).
 // For every tree query edge it matches, negative matches are reported by
 // climbing upward through the still-intact explicit structure
 // (ClearUpwardsAndEval applies Transition 4 after the searches), and then
 // the DCG subtree hanging off the edge is cleared (Transitions 3 and 5).
-// Non-tree matches seed transition-free upward traversals.
+// Non-tree matches seed transition-free upward traversals. The mode M
+// selects which of its two halves run (see evalMode).
+//
+// A replay pass (DESIGN.md §17) runs BEFORE the DCG's owner applies any
+// clearing, against the still-intact shared DCG, climbing transition-free
+// and never clearing. The intact state is a superset of every mid-clearing
+// view a private engine would have seen, so every privately reported
+// negative is enumerated here; any extra solution reachable only through
+// state a private engine had already destroyed necessarily maps the
+// deleted edge at a lower-rank trigger (the destroyed state's support
+// chain leads to the deleted edge) and is suppressed by the min-rank
+// duplicate check.
 //
 //tf:hotpath
-func (e *Engine) deleteEdgeAndEval(v graph.VertexID, l graph.Label, v2 graph.VertexID) {
+func deleteTriggers[M evalMode](e *Engine, v graph.VertexID, l graph.Label, v2 graph.VertexID) {
+	var m M
+	maintains, searches := len(m)&1 != 0, len(m)&2 != 0
 	for _, ucv := range e.treeSlots(l) {
 		te := e.tree.ParentEdge[ucv]
 		parentV, childV := v, v2
@@ -28,16 +41,21 @@ func (e *Engine) deleteEdgeAndEval(v graph.VertexID, l graph.Label, v2 graph.Ver
 			!e.g.HasAllLabels(childV, e.q.Labels(ucv)) {
 			continue // Case 1 of Transition 0
 		}
-		if e.d.GetState(parentV, ucv, childV) == dcg.Explicit {
-			if e.d.MatchAllChildren(parentV, te.Parent) {
+		if e.d.GetState(parentV, ucv, childV) == dcg.Explicit &&
+			e.d.MatchAllChildren(parentV, te.Parent) {
+			if searches {
 				e.setTrigger(te.Index)
 				e.mapVertex(ucv, childV)
-				e.clearUpwardsAndEval(te.Parent, parentV, ucv, true, true)
+			}
+			e.clearUpwardsAndEval(te.Parent, parentV, ucv, maintains, searches)
+			if searches {
 				e.unmapVertex(ucv)
 				e.clearTrigger()
 			}
 		}
-		e.clearDCG(ucv, parentV, childV)
+		if maintains {
+			e.clearDCG(ucv, parentV, childV)
+		}
 	}
 
 	// Non-tree query edges (Algorithm 8, Lines 11–18). Tree-edge clearing
@@ -45,13 +63,15 @@ func (e *Engine) deleteEdgeAndEval(v graph.VertexID, l graph.Label, v2 graph.Ver
 	// duplicate avoidance assigns each such solution to its minimum-rank
 	// trigger, and tree triggers rank below non-tree triggers, so any
 	// solution lost here was already reported by a tree trigger.
-	e.deleteNonTreeTriggers(v, l, v2)
+	if searches {
+		e.deleteNonTreeTriggers(v, l, v2)
+	}
 }
 
 // deleteNonTreeTriggers runs the non-tree trigger loop of Algorithm 8
 // (Lines 11–18): transition-free upward climbs reporting negatives.
-// Identical for private evaluation and shared-member replay — non-tree
-// triggers never modify the DCG.
+// Non-tree triggers never modify the DCG, so the fused and replay passes
+// run the same loop and a maintain pass skips it.
 //
 //tf:hotpath
 func (e *Engine) deleteNonTreeTriggers(v graph.VertexID, l graph.Label, v2 graph.VertexID) {
@@ -77,52 +97,13 @@ func (e *Engine) deleteNonTreeTriggers(v graph.VertexID, l graph.Label, v2 graph
 	}
 }
 
-// replayBeforeDelete is the shared-member twin of deleteEdgeAndEval
-// (DESIGN.md §17): it runs BEFORE the DCG's owner applies any clearing,
-// against the still-intact shared DCG, climbing transition-free
-// (uChild=NoVertex disables Transition 4) and never calling clearDCG.
-// The intact state is a superset of every mid-clearing view a private
-// engine would have seen, so every privately-reported negative is
-// enumerated here; any extra solution reachable only through state a
-// private engine had already destroyed necessarily maps the deleted
-// edge at a lower-rank trigger (the destroyed state's support chain
-// leads to the deleted edge) and is suppressed by the min-rank
-// duplicate check.
-//
-//tf:hotpath
-func (e *Engine) replayBeforeDelete(v graph.VertexID, l graph.Label, v2 graph.VertexID) {
-	for _, ucv := range e.treeSlots(l) {
-		te := e.tree.ParentEdge[ucv]
-		parentV, childV := v, v2
-		if !te.Forward {
-			parentV, childV = v2, v
-		}
-		if !e.d.HasInLabel(parentV, te.Parent) {
-			continue
-		}
-		if !e.g.HasAllLabels(parentV, e.q.Labels(te.Parent)) ||
-			!e.g.HasAllLabels(childV, e.q.Labels(ucv)) {
-			continue
-		}
-		if e.d.GetState(parentV, ucv, childV) == dcg.Explicit &&
-			e.d.MatchAllChildren(parentV, te.Parent) {
-			e.setTrigger(te.Index)
-			e.mapVertex(ucv, childV)
-			e.clearUpwardsAndEval(te.Parent, parentV, graph.NoVertex, false, true)
-			e.unmapVertex(ucv)
-			e.clearTrigger()
-		}
-	}
-	e.deleteNonTreeTriggers(v, l, v2)
-}
-
 // clearUpwardsAndEval is Algorithm 9: map u to v, climb v's incoming
 // EXPLICIT edges labeled u toward the starting vertices, run
 // SubgraphSearch to report negative matches at the root, and — only after
 // the recursion under each parent finishes — apply Transition 4 (EXPLICIT
 // → IMPLICIT) to the climbed edge when the deleted edge was v's last
-// explicit support for child label uChild. uChild is graph.NoVertex for
-// non-tree triggers, which never transition.
+// explicit support for child label uChild. Only a maintaining tree trigger
+// sets transit; uChild is graph.NoVertex for non-tree triggers.
 //
 //tf:hotpath
 func (e *Engine) clearUpwardsAndEval(u graph.VertexID, v graph.VertexID, uChild graph.VertexID, transit, searchable bool) {

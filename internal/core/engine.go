@@ -359,9 +359,9 @@ func (e *Engine) EvalInsertedEdge(v graph.VertexID, l graph.Label, v2 graph.Vert
 	if e.shared {
 		// The DCG's owner has already applied every transition for this
 		// update; replay the trigger gates and search read-only.
-		e.replayInsertedEdge(v, l, v2)
+		insertTriggers[replay](e, v, l, v2)
 	} else {
-		e.insertEdgeAndEval(v, l, v2)
+		insertTriggers[fused](e, v, l, v2)
 	}
 	e.maybeAdjustOrder()
 	return e.endOp()
@@ -393,9 +393,9 @@ func (e *Engine) EvalBeforeDelete(v graph.VertexID, l graph.Label, v2 graph.Vert
 		// Replay against the still-intact shared DCG; its owner clears the
 		// affected branches afterwards, so order adjustment must wait until
 		// the coordinator calls AdjustOrderDeferred post-clearing.
-		e.replayBeforeDelete(v, l, v2)
+		deleteTriggers[replay](e, v, l, v2)
 	} else {
-		e.deleteEdgeAndEval(v, l, v2)
+		deleteTriggers[fused](e, v, l, v2)
 		e.maybeAdjustOrder()
 	}
 	return e.endOp()
@@ -405,12 +405,12 @@ func (e *Engine) EvalBeforeDelete(v graph.VertexID, l graph.Label, v2 graph.Vert
 // query tree and DCG, reusing its immutable routing tables (procRank and
 // the label indexes are fixed at construction) and a copy of its rootSeen.
 // Such an engine never searches and never reports: it applies the DCG
-// transitions of an update through the same Algorithm 5/8 tree loops a
-// private engine runs. Nothing in the serving path builds one any more — a
+// transitions of an update through the maintain pass of the Algorithm 5/8
+// trigger loops. Nothing in the serving path builds one any more — a
 // shared DCG is maintained by its owner's fused pass (DESIGN.md §17). The
 // benchmark's core.maintain_ns_per_update probe (bench/layers.go) is the
-// only caller of this, MaintainInsertedEdge and MaintainBeforeDelete; they
-// go when that metric is re-based.
+// only caller of this, MaintainInsertedEdge and MaintainBeforeDelete
+// outside tests; they go when that metric is re-based.
 func NewMaintainer(donor *Engine) *Engine {
 	e := &Engine{
 		g:                donor.g,
@@ -432,72 +432,24 @@ func NewMaintainer(donor *Engine) *Engine {
 }
 
 // MaintainInsertedEdge applies the DCG transitions of an edge insertion
-// without searching: the tree-trigger loop of Algorithm 5 with
-// searchable=false climbs. Maintenance is semantics- and
-// search-independent, so the resulting DCG state equals what any private
-// engine would have produced. Non-tree triggers never modify the DCG and
-// are skipped entirely. Only the benchmark's maintenance probe calls it
-// (see NewMaintainer).
+// without searching. Maintenance is semantics- and search-independent, so
+// the resulting DCG state equals what any private engine would have
+// produced.
 //
 //tf:eval-path
 func (e *Engine) MaintainInsertedEdge(v graph.VertexID, l graph.Label, v2 graph.VertexID) {
 	e.beginOp(graph.Edge{From: v, Label: l, To: v2}, true)
-	e.ensureRootEdge(v)
-	if v2 != v {
-		e.ensureRootEdge(v2)
-	}
-	for _, ucv := range e.treeSlots(l) {
-		te := e.tree.ParentEdge[ucv]
-		parentV, childV := v, v2
-		if !te.Forward {
-			parentV, childV = v2, v
-		}
-		if !e.d.HasInLabel(parentV, te.Parent) {
-			continue
-		}
-		if !e.g.HasAllLabels(parentV, e.q.Labels(te.Parent)) ||
-			!e.g.HasAllLabels(childV, e.q.Labels(ucv)) {
-			continue
-		}
-		e.buildDCG(ucv, parentV, childV)
-		if e.d.GetState(parentV, ucv, childV) != dcg.Explicit {
-			continue
-		}
-		if !e.d.MatchAllChildren(parentV, te.Parent) {
-			continue
-		}
-		e.buildUpwardsAndEval(te.Parent, parentV, true, false)
-	}
+	insertTriggers[maintain](e, v, l, v2)
 }
 
 // MaintainBeforeDelete applies the DCG transitions of an edge deletion
-// without searching: the tree-trigger loop of Algorithm 8 with
-// searchable=false climbs (Transition 4 downgrades) followed by the
-// Algorithm 10 clearing. Only the benchmark's maintenance probe calls it
-// (see NewMaintainer).
+// without searching: Transition 4 downgrades, then the Algorithm 10
+// clearing. The edge must still be in the graph.
 //
 //tf:eval-path
 func (e *Engine) MaintainBeforeDelete(v graph.VertexID, l graph.Label, v2 graph.VertexID) {
 	e.beginOp(graph.Edge{From: v, Label: l, To: v2}, false)
-	for _, ucv := range e.treeSlots(l) {
-		te := e.tree.ParentEdge[ucv]
-		parentV, childV := v, v2
-		if !te.Forward {
-			parentV, childV = v2, v
-		}
-		if !e.d.HasInLabel(parentV, te.Parent) {
-			continue
-		}
-		if !e.g.HasAllLabels(parentV, e.q.Labels(te.Parent)) ||
-			!e.g.HasAllLabels(childV, e.q.Labels(ucv)) {
-			continue
-		}
-		if e.d.GetState(parentV, ucv, childV) == dcg.Explicit &&
-			e.d.MatchAllChildren(parentV, te.Parent) {
-			e.clearUpwardsAndEval(te.Parent, parentV, ucv, true, false)
-		}
-		e.clearDCG(ucv, parentV, childV)
-	}
+	deleteTriggers[maintain](e, v, l, v2)
 }
 
 // AdjustOrderDeferred runs the matching-order drift check that

@@ -5,20 +5,65 @@ import (
 	"turboflux/internal/graph"
 )
 
-// insertEdgeAndEval is Algorithm 5: the edge (v, l, v2) has just been
+// evalMode selects which halves of Algorithms 5 and 8 a pass of the trigger
+// loops runs. A mode has two properties, bits of its array length:
+//   - maintains (bit 1): apply the update's DCG transitions — root edges,
+//     BuildDCG, Transitions 2 and 4, ClearDCG;
+//   - searches (bit 2): bind each trigger, run SubgraphSearch and the
+//     non-tree triggers.
+//
+// fused, the pass of a private DCG or a shared DCG's owner, has both;
+// replay, a follower's read-only pass over its owner's DCG, only searches;
+// maintain, a NewMaintainer engine's pass, only maintains.
+//
+// The mode is a type argument, so that the compiler writes one loop per
+// mode. It is an array length because len of an array-shaped type
+// parameter folds to a constant in each instantiation, and the shapes
+// differ: the branches the mode rules out compile away, and the replay
+// instantiations contain no call to buildDCG or clearDCG. A method on the
+// type parameter would not do that: it compiles to an indirect call
+// through the instantiation's dictionary, which is a runtime flag by
+// another name, and a runtime flag cost serve-maintain 7 % per update
+// (DESIGN.md §17). The arrays are of bytes, not struct{}, so that the
+// shapes differ in size too. CI reads the assembly to check it.
+type evalMode interface{ ~[1]byte | ~[2]byte | ~[3]byte }
+
+type (
+	maintain [1]byte
+	replay   [2]byte
+	fused    [3]byte
+)
+
+// insertTriggers is Algorithm 5: the edge (v, l, v2) has just been
 // inserted into the data graph. For every tree query edge it matches, the
 // DCG is (re)built downward from the edge and, when the edge's DCG state
 // becomes EXPLICIT, the engine builds upward toward the starting vertices
 // and runs SubgraphSearch to report positive matches. Non-tree query edges
-// never modify the DCG; they only seed upward traversals.
+// never modify the DCG; they only seed upward traversals. The mode M
+// selects which of its two halves run (see evalMode).
+//
+// A replay pass (DESIGN.md §17) runs after the DCG's owner has applied
+// every transition of the insertion: it re-runs the trigger gates against
+// the post-maintenance state and climbs transition-free. Insertion
+// transitions are monotone, so the maintained state is a superset of every
+// mid-update view a private engine would have seen: every privately
+// reported solution is enumerated here, and any extra solution necessarily
+// maps the updated edge at an outranking trigger and is suppressed by the
+// max-rank duplicate check — candidate enumeration being a pure function
+// of DCG state makes the surviving emission order byte-identical.
 //
 //tf:hotpath
-func (e *Engine) insertEdgeAndEval(v graph.VertexID, l graph.Label, v2 graph.VertexID) {
-	// New data vertices that satisfy L(u_s) become starting vertices: treat
-	// them as hypothetical (v*_s, v_s) insertions first (Section 3.2).
-	e.ensureRootEdge(v)
-	if v2 != v {
-		e.ensureRootEdge(v2)
+func insertTriggers[M evalMode](e *Engine, v graph.VertexID, l graph.Label, v2 graph.VertexID) {
+	var m M
+	maintains, searches := len(m)&1 != 0, len(m)&2 != 0
+	if maintains {
+		// New data vertices that satisfy L(u_s) become starting vertices:
+		// treat them as hypothetical (v*_s, v_s) insertions first (Section
+		// 3.2).
+		e.ensureRootEdge(v)
+		if v2 != v {
+			e.ensureRootEdge(v2)
+		}
 	}
 
 	// Tree query edges (Lines 1–10). A tree slot is the parent edge of a
@@ -41,28 +86,34 @@ func (e *Engine) insertEdgeAndEval(v graph.VertexID, l graph.Label, v2 graph.Ver
 			!e.g.HasAllLabels(childV, e.q.Labels(ucv)) {
 			continue // Case 1 of Transition 0
 		}
-		e.buildDCG(ucv, parentV, childV)
-		if e.d.GetState(parentV, ucv, childV) != dcg.Explicit {
+		if maintains {
+			e.buildDCG(ucv, parentV, childV)
+		}
+		if e.d.GetState(parentV, ucv, childV) != dcg.Explicit ||
+			!e.d.MatchAllChildren(parentV, te.Parent) {
 			continue
 		}
-		if !e.d.MatchAllChildren(parentV, te.Parent) {
-			continue
+		if searches {
+			e.setTrigger(te.Index)
+			e.mapVertex(ucv, childV)
 		}
-		e.setTrigger(te.Index)
-		e.mapVertex(ucv, childV)
-		e.buildUpwardsAndEval(te.Parent, parentV, true, true)
-		e.unmapVertex(ucv)
-		e.clearTrigger()
+		e.buildUpwardsAndEval(te.Parent, parentV, maintains, searches)
+		if searches {
+			e.unmapVertex(ucv)
+			e.clearTrigger()
+		}
 	}
 
-	e.insertNonTreeTriggers(v, l, v2)
+	if searches {
+		e.insertNonTreeTriggers(v, l, v2)
+	}
 }
 
 // insertNonTreeTriggers runs the non-tree trigger loop of Algorithm 5
 // (Lines 11–18): each matching non-tree query edge seeds a
 // transition-free upward traversal from its From-endpoint. Non-tree
-// triggers never modify the DCG, so the loop is identical for private
-// evaluation and shared-member replay.
+// triggers never modify the DCG, so the fused and replay passes run the
+// same loop and a maintain pass skips it.
 //
 //tf:hotpath
 func (e *Engine) insertNonTreeTriggers(v graph.VertexID, l graph.Label, v2 graph.VertexID) {
@@ -88,49 +139,6 @@ func (e *Engine) insertNonTreeTriggers(v graph.VertexID, l graph.Label, v2 graph
 		}
 		e.clearTrigger()
 	}
-}
-
-// replayInsertedEdge is the shared-member twin of insertEdgeAndEval
-// (DESIGN.md §17): the DCG's owner has already applied every DCG
-// transition for this insertion, so the member re-runs the trigger gates
-// against the post-maintenance state and climbs transition-free
-// (transit=false), searching with its own matching order, semantics and
-// duplicate avoidance. Insertion transitions are monotone, so the
-// maintained state is a superset of every mid-update view a private
-// engine would have seen: every privately-reported solution is
-// enumerated here, and any extra solution necessarily maps the updated
-// edge at an outranking trigger and is suppressed by the max-rank
-// duplicate check — candidate enumeration being a pure function of DCG
-// state makes the surviving emission order byte-identical.
-//
-//tf:hotpath
-func (e *Engine) replayInsertedEdge(v graph.VertexID, l graph.Label, v2 graph.VertexID) {
-	for _, ucv := range e.treeSlots(l) {
-		te := e.tree.ParentEdge[ucv]
-		parentV, childV := v, v2
-		if !te.Forward {
-			parentV, childV = v2, v
-		}
-		if !e.d.HasInLabel(parentV, te.Parent) {
-			continue
-		}
-		if !e.g.HasAllLabels(parentV, e.q.Labels(te.Parent)) ||
-			!e.g.HasAllLabels(childV, e.q.Labels(ucv)) {
-			continue
-		}
-		if e.d.GetState(parentV, ucv, childV) != dcg.Explicit {
-			continue
-		}
-		if !e.d.MatchAllChildren(parentV, te.Parent) {
-			continue
-		}
-		e.setTrigger(te.Index)
-		e.mapVertex(ucv, childV)
-		e.buildUpwardsAndEval(te.Parent, parentV, false, true)
-		e.unmapVertex(ucv)
-		e.clearTrigger()
-	}
-	e.insertNonTreeTriggers(v, l, v2)
 }
 
 // ensureRootEdge creates the root DCG edge (v*_s, u_s, w) for a data

@@ -97,15 +97,17 @@ func appendMatch(log []byte, positive bool, m []graph.VertexID) []byte {
 
 // runDifferential drives a random update stream through the TurboFlux
 // engine, a twin engine whose g0 holds the same edges inserted in a
-// shuffled order, and the naive recompute oracle, asserting after every
+// shuffled order, a maintenance-only engine (NewMaintainer) on a third
+// copy of the graph, and the naive recompute oracle, asserting after every
 // update that
 //
 //  1. the reported positive/negative match sets equal the oracle's,
 //  2. the twin's OnMatch transcript is byte-identical to the engine's and
 //     its DCG snapshot equal: nothing in the engine reads the stored order
 //     of an adjacency list (DESIGN.md §11, "Order independence"),
-//  3. the engine's DCG equals the declarative fixpoint (ComputeSpec), and
-//  4. the DCG's internal counters validate.
+//  3. the engine's DCG and the maintainer's equal the declarative fixpoint
+//     (ComputeSpec), and
+//  4. both DCGs' internal counters validate.
 func runDifferential(t *testing.T, seed int64, injective bool, steps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -153,6 +155,34 @@ func runDifferential(t *testing.T, seed int64, injective bool, steps int) {
 	oracle, err := naive.New(g0.Clone(), q, injective)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The maintainer's donor builds the initial DCG and is never applied
+	// to: from then on only MaintainInsertedEdge and MaintainBeforeDelete
+	// move that DCG.
+	maintG := g0.Clone()
+	donor, err := New(maintG, q, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	maint := NewMaintainer(donor)
+	// checkSpec requires e's DCG to be the declarative fixpoint of its graph.
+	checkSpec := func(step int, who string, e *Engine) {
+		t.Helper()
+		spec := dcg.ComputeSpec(e.Graph(), e.Tree())
+		snap := e.DCG().SnapshotMap()
+		if len(spec) != len(snap) {
+			t.Fatalf("seed %d step %d: %s DCG has %d edges, spec %d\nsnap=%v\nspec=%v\nquery %v",
+				seed, step, who, len(snap), len(spec), snap, spec, q)
+		}
+		for k, s := range spec {
+			if snap[k] != s {
+				t.Fatalf("seed %d step %d: %s DCG[%v]=%v, spec=%v (query %v)",
+					seed, step, who, k, snap[k], s, q)
+			}
+		}
+		if err := e.DCG().Validate(); err != nil {
+			t.Fatalf("seed %d step %d: %s: %v", seed, step, who, err)
+		}
 	}
 	// checkTwin requires the twin to have reported and stored exactly
 	// what the engine did since the last check.
@@ -214,6 +244,15 @@ func runDifferential(t *testing.T, seed int64, injective bool, steps int) {
 			t.Fatalf("seed %d step %d: twin: %v", seed, step, err)
 		}
 		checkTwin(step)
+		ed := up.Edge
+		if up.Op == stream.OpInsert {
+			if maintG.InsertEdge(ed.From, ed.Label, ed.To) {
+				maint.MaintainInsertedEdge(ed.From, ed.Label, ed.To)
+			}
+		} else if maintG.HasEdge(ed.From, ed.Label, ed.To) {
+			maint.MaintainBeforeDelete(ed.From, ed.Label, ed.To)
+			maintG.DeleteEdge(ed.From, ed.Label, ed.To)
+		}
 		oPos, oNeg, err := oracle.Apply(up)
 		if err != nil {
 			t.Fatal(err)
@@ -227,22 +266,8 @@ func runDifferential(t *testing.T, seed int64, injective bool, steps int) {
 				seed, step, up.Op, up.Edge, got, want, q)
 		}
 
-		// DCG must equal the declarative fixpoint.
-		spec := dcg.ComputeSpec(eng.Graph(), eng.Tree())
-		snap := eng.DCG().SnapshotMap()
-		if len(spec) != len(snap) {
-			t.Fatalf("seed %d step %d: DCG has %d edges, spec %d\nsnap=%v\nspec=%v\nquery %v",
-				seed, step, len(snap), len(spec), snap, spec, q)
-		}
-		for k, s := range spec {
-			if snap[k] != s {
-				t.Fatalf("seed %d step %d: DCG[%v]=%v, spec=%v (query %v)",
-					seed, step, k, snap[k], s, q)
-			}
-		}
-		if err := eng.DCG().Validate(); err != nil {
-			t.Fatalf("seed %d step %d: %v", seed, step, err)
-		}
+		checkSpec(step, "engine", eng)
+		checkSpec(step, "maintainer", maint)
 	}
 }
 

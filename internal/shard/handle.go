@@ -16,7 +16,7 @@ type taskKind uint8
 
 const (
 	// taskApply applies a run of updates: a run of one as an update line,
-	// a longer run as one BATCH frame.
+	// a longer run as one BATCHB frame.
 	taskApply taskKind = iota
 	// taskRegister registers a query (owner shard only).
 	taskRegister
@@ -279,9 +279,10 @@ func (h *shardHandle) execute(t *task) taskResult {
 }
 
 // apply sends a run to the shard: a run of one as an update line, a longer
-// run as a text BATCH. The line stays because only a line's ack carries the
-// per-query counts the coordinator merges into a single line's ack. A
-// transport error or a sequence gap marks the shard down.
+// run as a binary BATCHB frame, which the shard decodes without parsing
+// text. The line stays because only a line's ack carries the per-query
+// counts the coordinator merges into a single line's ack. A transport
+// error or a sequence gap marks the shard down.
 func (h *shardHandle) apply(t *task) (server.Ack, error) {
 	want := h.base + t.seq
 	if len(t.ups) == 1 {
@@ -295,7 +296,7 @@ func (h *shardHandle) apply(t *task) (server.Ack, error) {
 		h.applied.Add(1)
 		return ack, nil
 	}
-	back, err := h.ctl.Batch(t.ups)
+	back, err := h.ctl.BatchBinary(t.ups)
 	if err != nil {
 		return server.Ack{}, h.down(fmt.Errorf("batch: %w", err))
 	}
