@@ -54,7 +54,7 @@ func TestBootstrapFromEquivalence(t *testing.T) {
 	ups, text := workloadG0(t)
 	for _, segSize := range []int64{0, 64 << 10} {
 		fromSlice, fromText := t.TempDir(), t.TempDir()
-		open := func(dir string, opt DurableMultiOptions) *DurableMultiEngine {
+		open := func(dir string, opt DurableMultiOptions) *MultiEngine {
 			opt.Fsync, opt.SegmentSize = "none", segSize
 			d, err := OpenDurableMulti(dir, opt)
 			if err != nil {
@@ -71,7 +71,7 @@ func TestBootstrapFromEquivalence(t *testing.T) {
 		if !bytes.Equal(graphBytes(t, b.Graph()), want) {
 			t.Fatalf("segment size %d: the graphs differ", segSize)
 		}
-		for _, d := range []*DurableMultiEngine{a, b} {
+		for _, d := range []*MultiEngine{a, b} {
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -10,11 +10,11 @@
 //	turboflux -data-dir state/ -query q.txt -stream updates.txt [-fsync always|interval|none]
 //
 // The query is the one registration of a MultiEngine, the engine the
-// network server evaluates with. With -data-dir it is a DurableMultiEngine:
-// every update is journaled to a checksummed write-ahead log before
-// evaluation, and on restart the directory is recovered (newest snapshot +
-// log tail) instead of reloading -graph. The -graph file seeds a fresh
-// directory only.
+// network server evaluates with. With -data-dir the engine is opened with
+// OpenDurableMulti: every update is journaled to a checksummed write-ahead
+// log before evaluation, and on restart the directory is recovered (newest
+// snapshot + log tail) instead of reloading -graph. The -graph file seeds a
+// fresh directory only.
 //
 // -pattern label names are the data files' numeric labels 0..255, written
 // in decimal ("12", not "012"); use -query for labels of 256 and above.
@@ -75,17 +75,6 @@ type config struct {
 // queryName is the name the one query is registered under.
 const queryName = "q"
 
-// streamEngine is the method set the streaming loop drives;
-// *turboflux.MultiEngine (memory mode) and *turboflux.DurableMultiEngine
-// (durable mode) both provide it, each holding the one query.
-type streamEngine interface {
-	Register(name string, q *turboflux.Query, opt turboflux.Options) error
-	InitialMatches() map[string]int64
-	ApplyBatch([]turboflux.Update) (map[string]int64, error)
-	Explain(name string) string
-	Stats() map[string]turboflux.Stats
-}
-
 // run replays c.stream against the query and writes the transcript —
 // the plan, the matches and the totals, as c asks — to w.
 func run(w io.Writer, c config) error {
@@ -139,29 +128,26 @@ func run(w io.Writer, c config) error {
 		return fmt.Errorf("interrupted before the engine was opened")
 	}
 
-	var eng streamEngine
+	var eng *turboflux.MultiEngine
 	if c.dataDir != "" {
-		d, err := openDurable(w, c)
-		if err != nil {
+		if eng, err = openDurable(w, c); err != nil {
 			return err
 		}
 		defer func() {
-			if err := d.Compact(); err != nil {
+			if err := eng.Compact(); err != nil {
 				fmt.Fprintln(os.Stderr, "turboflux: compacting:", err)
 			}
-			if err := d.Close(); err != nil {
+			if err := eng.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "turboflux: closing store:", err)
 			}
 		}()
-		eng = d
 	} else {
 		g0, err := loadGraph(c.graph)
 		if err != nil {
 			return fmt.Errorf("loading graph: %w", err)
 		}
-		m := turboflux.NewMultiEngine(g0)
-		defer m.Close() //tf:unchecked-ok pool release never fails
-		eng = m
+		eng = turboflux.NewMultiEngine(g0)
+		defer eng.Close() //tf:unchecked-ok pool release never fails
 	}
 	if err := eng.Register(queryName, q, opt); err != nil {
 		return err
@@ -189,7 +175,7 @@ func run(w io.Writer, c config) error {
 // at a chunk boundary once interrupted is set so the deferred
 // Compact+Close still runs and a durable store's write-ahead log is
 // closed without a torn tail.
-func applyInterruptible(eng streamEngine, ups []turboflux.Update, interrupted *atomic.Bool) (int, error) {
+func applyInterruptible(eng *turboflux.MultiEngine, ups []turboflux.Update, interrupted *atomic.Bool) (int, error) {
 	applied := 0
 	for _, chunk := range stream.Batches(ups, 1024) {
 		if interrupted.Load() {
@@ -207,7 +193,7 @@ func applyInterruptible(eng streamEngine, ups []turboflux.Update, interrupted *a
 // openDurable opens the durable store in c.dataDir, seeding a fresh
 // directory from the -graph file (when given) and reporting what recovery
 // found.
-func openDurable(w io.Writer, c config) (*turboflux.DurableMultiEngine, error) {
+func openDurable(w io.Writer, c config) (*turboflux.MultiEngine, error) {
 	dopt := turboflux.DurableMultiOptions{Fsync: c.fsync}
 	if c.graph != "" {
 		f, br, binary, err := openGraph(c.graph)

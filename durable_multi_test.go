@@ -2,6 +2,7 @@ package turboflux
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -144,6 +145,54 @@ func TestDurableMultiCompact(t *testing.T) {
 func TestDurableMultiBadFsync(t *testing.T) {
 	if _, err := OpenDurableMulti(t.TempDir(), DurableMultiOptions{Fsync: "sometimes"}); err == nil {
 		t.Fatal("bad fsync policy must fail")
+	}
+}
+
+// TestJournalMethodsWithoutJournal: an engine built by NewMultiEngine
+// answers the journal's queries with zero values and refuses its commands
+// with one error, changing nothing; a closed durable engine refuses
+// updates before they reach its graph.
+func TestJournalMethodsWithoutJournal(t *testing.T) {
+	m := NewMultiEngine(NewGraph())
+	defer m.Close() //tf:unchecked-ok test cleanup
+	if _, err := m.Insert(1, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if rec := m.Recovery(); rec != (RecoveryInfo{}) {
+		t.Errorf("Recovery = %+v, want the zero value", rec)
+	}
+	if m.LSN() != 0 || m.Store() != nil || m.VertexLabels() != nil || m.EdgeLabels() != nil {
+		t.Errorf("LSN %d, Store %v, dictionaries %v %v; want 0 and nils", m.LSN(), m.Store(), m.VertexLabels(), m.EdgeLabels())
+	}
+	for name, err := range map[string]error{"Compact": m.Compact(), "Sync": m.Sync(), "Reseed": m.Reseed(nil)} {
+		if !errors.Is(err, errNotDurable) {
+			t.Errorf("%s: err = %v, want %v", name, err, errNotDurable)
+		}
+	}
+	if g := m.Graph(); g.NumVertices() != 2 || g.NumEdges() != 1 {
+		t.Errorf("graph changed: %d vertices, %d edges", g.NumVertices(), g.NumEdges())
+	}
+
+	d, err := OpenDurableMulti(t.TempDir(), DurableMultiOptions{Fsync: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Insert(1, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.Apply(Insert(2, 2, 3))
+	if err == nil || err.Error() != "durable: store is closed" {
+		t.Errorf("Apply after Close: err = %v, want durable: store is closed", err)
+	}
+	_, err = d.ApplyBatch([]Update{Insert(2, 2, 3), Delete(1, 2, 2)})
+	if err == nil || err.Error() != "durable: store is closed" {
+		t.Errorf("ApplyBatch after Close: err = %v, want durable: store is closed", err)
+	}
+	if g := d.Graph(); g.NumVertices() != 2 || g.NumEdges() != 1 || !g.HasEdge(1, 2, 2) {
+		t.Errorf("refused updates changed the graph: %d vertices, %d edges", g.NumVertices(), g.NumEdges())
 	}
 }
 

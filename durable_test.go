@@ -74,9 +74,9 @@ func transcriptRecorder(b *strings.Builder) func(bool, []VertexID) {
 // durableQ is the name the durable tests register durableTestQuery under.
 const durableQ = "q"
 
-// openDurableQuery opens dir as a DurableMultiEngine with durableTestQuery
+// openDurableQuery opens dir as a durable MultiEngine with durableTestQuery
 // as its one registration: the durable single-query case.
-func openDurableQuery(t *testing.T, dir string, opt DurableMultiOptions, qopt Options) (*DurableMultiEngine, error) {
+func openDurableQuery(t *testing.T, dir string, opt DurableMultiOptions, qopt Options) (*MultiEngine, error) {
 	t.Helper()
 	d, err := OpenDurableMulti(dir, opt)
 	if err != nil {

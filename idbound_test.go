@@ -39,11 +39,11 @@ func TestApplyRefusesVertexIDsPastBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = d.Apply(Insert(huge, 0, 1))
-	refused("DurableMultiEngine.Apply", err)
+	refused("durable MultiEngine.Apply", err)
 	_, err = d.Delete(1, 0, huge)
-	refused("DurableMultiEngine.Delete", err)
+	refused("durable MultiEngine.Delete", err)
 	_, err = d.ApplyBatch(bad)
-	refused("DurableMultiEngine.ApplyBatch", err)
+	refused("durable MultiEngine.ApplyBatch", err)
 	if d.LSN() != 0 {
 		t.Errorf("refused updates were journaled: LSN %d", d.LSN())
 	}

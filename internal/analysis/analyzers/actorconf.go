@@ -14,9 +14,8 @@ import (
 // visible at the definition site; the confinement proof below treats them
 // as owned whether or not the directive is present.
 var actorOwnedRootTypes = map[string]bool{
-	"MultiEngine":        true,
-	"Engine":             true,
-	"DurableMultiEngine": true,
+	"MultiEngine": true,
+	"Engine":      true,
 }
 
 // ActorConfinement proves the engine-owner actor discipline: inside
@@ -81,7 +80,8 @@ func checkOwnedDirectives(pass *analysis.Pass) {
 func checkConfinement(pass *analysis.Pass) error {
 	// Owned types visible here: the hardcoded root-package engine types
 	// plus any type declared in this package with //tf:actor-owned (the
-	// engineHost interface, so interface-mediated calls are caught too).
+	// shard router's placement table; an annotated interface would have its
+	// interface-mediated calls caught too).
 	ownedLocal := map[*types.TypeName]bool{}
 	for _, file := range pass.Pkg.Files {
 		ann := pass.Annotations(file)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"turboflux/internal/graph"
 	"turboflux/internal/stream"
@@ -15,14 +14,14 @@ import (
 type Options struct {
 	// Fsync selects the WAL sync policy (default FsyncInterval).
 	Fsync Policy
-	// FsyncEvery is the FsyncInterval period (default 100ms).
-	FsyncEvery time.Duration
 	// SegmentSize rotates the WAL once the active segment reaches this
 	// many bytes (default 4 MiB).
 	SegmentSize int64
-	// VertexLabels / EdgeLabels seed the label dictionaries of a fresh
-	// store (no snapshot on disk). Ignored when a snapshot is recovered;
-	// see Store.SetDicts for re-adopting caller-owned dictionaries.
+	// VertexLabels / EdgeLabels, when non-nil, become the store's live
+	// label dictionaries: the recovered snapshot's names are re-interned
+	// into them, and must come back as the labels the snapshot gave them
+	// (so patterns parsed through them keep meaning the same labels across
+	// restarts).
 	VertexLabels, EdgeLabels *graph.Dict
 }
 
@@ -31,9 +30,6 @@ type Options struct {
 const replayRun = 1024
 
 func (o *Options) applyDefaults() {
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = 100 * time.Millisecond
-	}
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = 4 << 20
 	}
@@ -79,8 +75,9 @@ type Store struct {
 }
 
 // Open recovers (or initializes) the store in dir: it loads the newest
-// valid snapshot, replays the WAL tail on top of it, truncates any torn
-// or corrupt log tail, and leaves the log open for appending.
+// valid snapshot, merges its label dictionaries into the caller's, replays
+// the WAL tail on top of it, truncates any torn or corrupt log tail, and
+// leaves the log open for appending.
 func Open(dir string, opt Options) (*Store, error) {
 	opt.applyDefaults()
 	_, statErr := os.Stat(dir)
@@ -91,14 +88,13 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if snapLSN == 0 {
-		// No snapshot to recover dictionaries from: adopt the caller's.
-		if opt.VertexLabels != nil {
-			vdict = opt.VertexLabels
-		}
-		if opt.EdgeLabels != nil {
-			edict = opt.EdgeLabels
-		}
+	// The dictionaries are merged before the log replays: records carry
+	// labels, not names.
+	if vdict, err = adoptDict(opt.VertexLabels, vdict, "vertex"); err != nil {
+		return nil, err
+	}
+	if edict, err = adoptDict(opt.EdgeLabels, edict, "edge"); err != nil {
+		return nil, err
 	}
 	s := &Store{
 		dir: dir, created: errors.Is(statErr, os.ErrNotExist), opt: opt,
@@ -128,7 +124,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	s.rec.TruncatedBytes = res.truncated
 	s.lsn = res.lastLSN
 
-	w := &wal{dir: dir, policy: opt.Fsync, interval: opt.FsyncEvery, segSize: opt.SegmentSize}
+	w := &wal{dir: dir, policy: opt.Fsync, segSize: opt.SegmentSize}
 	switch {
 	case s.lsn < snapLSN:
 		// The usable log prefix ended before the snapshot's coverage
@@ -156,6 +152,26 @@ func Open(dir string, opt Options) (*Store, error) {
 	s.w = w
 	s.rec.Fresh = snapLSN == 0 && s.lsn == 0
 	return s, nil
+}
+
+// adoptDict merges the recovered dictionary's names into the caller's
+// dictionary (when one was supplied) and returns the dictionary the store
+// keeps live. Re-interning the recovered names in order must reproduce
+// the recovered labels, otherwise the caller's labels and the persisted
+// graph disagree.
+func adoptDict(user, recovered *graph.Dict, kind string) (*graph.Dict, error) {
+	if user == nil {
+		return recovered, nil
+	}
+	for i := 0; i < recovered.Len(); i++ {
+		name := recovered.Name(graph.Label(i))
+		if got := user.Intern(name); got != graph.Label(i) {
+			return nil, fmt.Errorf(
+				"durable: %s label dictionary mismatch: recovered %q as label %d, caller has it as %d",
+				kind, name, i, got)
+		}
+	}
+	return user, nil
 }
 
 func segmentExists(dir string, firstLSN uint64) bool {
@@ -187,18 +203,6 @@ func (s *Store) VertexLabels() *graph.Dict { return s.vdict }
 
 // EdgeLabels returns the live edge-label dictionary.
 func (s *Store) EdgeLabels() *graph.Dict { return s.edict }
-
-// SetDicts swaps the dictionaries Compact snapshots, so a caller that owns
-// its Dict instances (and has merged the recovered names into them) keeps
-// them durable.
-func (s *Store) SetDicts(vdict, edict *graph.Dict) {
-	if vdict != nil {
-		s.vdict = vdict
-	}
-	if edict != nil {
-		s.edict = edict
-	}
-}
 
 // LSN returns the LSN of the last appended or recovered record.
 func (s *Store) LSN() uint64 { return s.lsn }

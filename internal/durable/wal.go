@@ -17,7 +17,7 @@ import (
 type Policy uint8
 
 const (
-	// FsyncInterval syncs at most once per FsyncEvery, checked on append
+	// FsyncInterval syncs at most once per fsyncInterval, checked on append
 	// and forced on Sync/Close — the default: bounded data loss without a
 	// syscall per record.
 	FsyncInterval Policy = iota
@@ -28,6 +28,9 @@ const (
 	// whatever the OS page cache survives.
 	FsyncNone
 )
+
+// fsyncInterval is the FsyncInterval policy's period.
+const fsyncInterval = 100 * time.Millisecond
 
 // ParsePolicy parses the -fsync flag values "always", "interval", "none".
 func ParsePolicy(s string) (Policy, error) {
@@ -85,10 +88,9 @@ func parseSegName(name string) (uint64, bool) {
 // wal is the append side of the log. Not safe for concurrent use; the
 // engine is single-threaded per stream and so is its journal.
 type wal struct {
-	dir      string
-	policy   Policy
-	interval time.Duration
-	segSize  int64
+	dir     string
+	policy  Policy
+	segSize int64
 
 	f        *os.File // active segment
 	firstLSN uint64   // LSN of the active segment's first record
@@ -144,7 +146,7 @@ func (w *wal) maybeSync() error {
 		return w.f.Sync()
 	case FsyncInterval:
 		now := time.Now()
-		if now.Sub(w.lastSync) >= w.interval {
+		if now.Sub(w.lastSync) >= fsyncInterval {
 			w.lastSync = now
 			w.dirty = false
 			return w.f.Sync()

@@ -17,23 +17,6 @@ import (
 	"turboflux/internal/stream"
 )
 
-// engineHost is the engine surface the actor drives; *turboflux.MultiEngine
-// and *turboflux.DurableMultiEngine both provide it. Only functions
-// reachable from the actor's mailbox handler may call through it
-// (actor-confinement).
-//
-//tf:actor-owned
-type engineHost interface {
-	Register(name string, q *turboflux.Query, opt turboflux.Options) error
-	Unregister(name string) bool
-	Queries() []string
-	ApplyBatchFunc(ups []turboflux.Update, boundary func(i int)) (map[string]int64, error)
-	Stats() map[string]turboflux.Stats
-	FanOutStats() turboflux.FanOutStats
-	MQOStats() turboflux.MQOStats
-	Close() error
-}
-
 type reqKind uint8
 
 const (
@@ -91,10 +74,9 @@ type response struct {
 // connection subscribed to its query — in emission order — before the
 // update is acknowledged.
 type actor struct {
-	host    engineHost
-	durable *turboflux.DurableMultiEngine // nil in memory-only mode
-	vdict   *turboflux.Dict
-	edict   *turboflux.Dict
+	eng   *turboflux.MultiEngine // journaling in durable mode: eng.Store() != nil
+	vdict *turboflux.Dict
+	edict *turboflux.Dict
 
 	policy SlowPolicy
 	depth  int
@@ -137,24 +119,22 @@ type actor struct {
 	link *replica.Link
 }
 
-func newActor(host engineHost, durable *turboflux.DurableMultiEngine, vdict, edict *turboflux.Dict, policy SlowPolicy, depth int, conns *atomic.Int64) *actor {
+func newActor(eng *turboflux.MultiEngine, vdict, edict *turboflux.Dict, policy SlowPolicy, depth int, conns *atomic.Int64) *actor {
 	a := &actor{
-		host:    host,
-		durable: durable,
-		vdict:   vdict,
-		edict:   edict,
-		policy:  policy,
-		depth:   depth,
-		subs:    make(map[string]*subList),
-		lat:     stats.NewLatency(0),
-		conns:   conns,
+		eng:    eng,
+		vdict:  vdict,
+		edict:  edict,
+		policy: policy,
+		depth:  depth,
+		subs:   make(map[string]*subList),
+		lat:    stats.NewLatency(0),
+		conns:  conns,
 
 		followers: make(map[uint64]*followerHandle),
-	}
-	if durable != nil {
-		// Acked sequence numbers equal WAL LSNs in durable mode, so a
-		// follower applying the same journal emits byte-identical events.
-		a.seq = durable.LSN() //tf:actor-ok construction precedes actor start
+		// Acked sequence numbers equal WAL LSNs in durable mode (LSN is 0
+		// in memory), so a follower applying the same journal emits
+		// byte-identical events.
+		seq: eng.LSN(), //tf:actor-ok construction precedes actor start
 	}
 	a.boundary = func(int) {
 		a.seq++
@@ -165,8 +145,7 @@ func newActor(host engineHost, durable *turboflux.DurableMultiEngine, vdict, edi
 
 // shutdown runs on the mailbox once the requests already queued are
 // handled: it flushes every subscriber queue by closing the subscriptions
-// and closes the engine host (fan-out pool and, in durable mode, the
-// store).
+// and closes the engine (fan-out pool and, in durable mode, the store).
 //
 //tf:actor-loop
 func (a *actor) shutdown() {
@@ -184,7 +163,7 @@ func (a *actor) shutdown() {
 	}
 	// Close releases the fan-out worker pool and, in durable mode, syncs
 	// and closes the WAL.
-	a.closeErr = a.host.Close()
+	a.closeErr = a.eng.Close()
 }
 
 // handle is the mailbox's handler, one request at a time. Everything that
@@ -208,7 +187,7 @@ func (a *actor) handle(req request) (resp response, err error) {
 	case reqRegister:
 		err = a.register(req.name, req.arg)
 	case reqUnregister:
-		if !a.host.Unregister(req.name) {
+		if !a.eng.Unregister(req.name) {
 			err = fmt.Errorf("server: query %q is not registered", req.name)
 			break
 		}
@@ -221,7 +200,7 @@ func (a *actor) handle(req request) (resp response, err error) {
 		}
 		delete(a.subs, req.name)
 	case reqQueries:
-		resp.names = a.host.Queries()
+		resp.names = a.eng.Queries()
 	case reqLabel:
 		d := a.vdict
 		if req.name == "edge" {
@@ -261,9 +240,7 @@ func (a *actor) handle(req request) (resp response, err error) {
 	case reqReplStatus:
 		a.repl = req.state
 	case reqReplLSN:
-		if a.durable != nil {
-			resp.seq = a.durable.LSN()
-		}
+		resp.seq = a.eng.LSN()
 	case reqPromote:
 		resp.seq, err = a.handlePromote()
 	default:
@@ -322,7 +299,7 @@ func (a *actor) register(name, pattern string) error {
 	}
 	l := &subList{query: name}
 	onMatch := func(positive bool, m []graph.VertexID) { a.emit(l, positive, m) }
-	if err := a.host.Register(name, q, turboflux.Options{OnMatch: onMatch}); err != nil {
+	if err := a.eng.Register(name, q, turboflux.Options{OnMatch: onMatch}); err != nil {
 		return err
 	}
 	a.subs[name] = l
@@ -424,7 +401,7 @@ func (a *actor) wakeWriters() {
 func (a *actor) apply(ups []stream.Update) (uint64, map[string]int64, error) {
 	start := time.Now()
 	first := a.seq + 1
-	counts, err := a.host.ApplyBatchFunc(ups, a.boundary)
+	counts, err := a.eng.ApplyBatchFunc(ups, a.boundary)
 	a.lat.Observe(time.Since(start))
 	return first, counts, err
 }
@@ -446,21 +423,20 @@ func (a *actor) statsLines() []string {
 	qs := a.lat.Quantiles(50, 95, 99)
 	lines = append(lines, fmt.Sprintf("apply_latency n=%d p50_ns=%d p95_ns=%d p99_ns=%d",
 		a.lat.Count(), qs[0].Nanoseconds(), qs[1].Nanoseconds(), qs[2].Nanoseconds()))
-	fs := a.host.FanOutStats()
+	fs := a.eng.FanOutStats()
 	lines = append(lines, fmt.Sprintf(
 		"fanout workers=%d evals=%d skipped=%d pooled=%d batches=%d busy_ns=%d",
 		fs.Workers, fs.Evals, fs.Skipped, fs.Pooled, fs.Batches, fs.BusyNs))
-	ms := a.host.MQOStats()
+	ms := a.eng.MQOStats()
 	lines = append(lines, fmt.Sprintf(
 		"mqo subpats=%d shared=%d refs=%d maintain=%d saved=%d replays=%d",
 		ms.SubPatterns, ms.SharedSubPatterns, ms.Refs, ms.MaintainRuns, ms.SavedEvals, ms.SharedReplays))
-	if a.durable != nil {
-		lines = append(lines, fmt.Sprintf("wal lsn=%d snap_lsn=%d",
-			a.durable.LSN(), a.durable.Store().SnapLSN()))
+	if st := a.eng.Store(); st != nil {
+		lines = append(lines, fmt.Sprintf("wal lsn=%d snap_lsn=%d", st.LSN(), st.SnapLSN()))
 	}
 	lines = a.replStatsLines(lines)
-	engStats := a.host.Stats()
-	for _, name := range a.host.Queries() {
+	engStats := a.eng.Stats()
+	for _, name := range a.eng.Queries() {
 		st := engStats[name]
 		lines = append(lines, fmt.Sprintf("query %s pos=%d neg=%d dcg_edges=%d bytes=%d held=%d subs=%d",
 			name, st.PositiveMatches, st.NegativeMatches, st.DCGEdges, st.IntermediateBytes, st.HeldBytes, len(a.subs[name].subs)))

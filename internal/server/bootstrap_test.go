@@ -141,7 +141,7 @@ func stoppedGraph(t *testing.T, s *Server) []byte {
 		t.Fatal(err)
 	}
 	var b bytes.Buffer
-	g := s.actor.host.(interface{ Graph() *turboflux.Graph }).Graph() //tf:actor-ok the actor has stopped
+	g := s.actor.eng.Graph() //tf:actor-ok the actor has stopped
 	if err := g.WriteBinary(&b); err != nil {
 		t.Fatal(err)
 	}

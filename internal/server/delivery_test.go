@@ -271,8 +271,8 @@ func TestResubscribeAfterEviction(t *testing.T) {
 func TestApplyRequestAllocs(t *testing.T) {
 	var conns atomic.Int64
 	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
-		nil, turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64, &conns)
-	defer a.host.Close() //tf:unchecked-ok pool release never fails
+		turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64, &conns)
+	defer a.eng.Close() //tf:unchecked-ok pool release never fails
 	if _, err := a.handle(request{kind: reqRegister, name: "social", arg: "(a:Person)-[:knows]->(b:Person)"}); err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +309,8 @@ func TestApplyRequestAllocs(t *testing.T) {
 func TestBatchFrameAllocs(t *testing.T) {
 	var conns atomic.Int64
 	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
-		nil, turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64, &conns)
-	defer a.host.Close() //tf:unchecked-ok pool release never fails
+		turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64, &conns)
+	defer a.eng.Close() //tf:unchecked-ok pool release never fails
 	if _, err := a.handle(request{kind: reqRegister, name: "social", arg: "(a:Person)-[:knows]->(b:Person)"}); err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +378,8 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 func TestEmitAllocs(t *testing.T) {
 	var conns atomic.Int64
 	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
-		nil, turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64, &conns)
-	defer a.host.Close() //tf:unchecked-ok pool release never fails
+		turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64, &conns)
+	defer a.eng.Close() //tf:unchecked-ok pool release never fails
 	// The mailbox is not started: this goroutine plays the engine, the
 	// actor and, through take, the connection writer.
 	if _, err := a.handle(request{kind: reqRegister, name: "social", arg: "(a:Person)-[:knows]->(b:Person)"}); err != nil {

@@ -79,13 +79,14 @@ func (a *actor) shipFrames(first, last uint64, frames []byte) {
 // the plan references) and registers the live feed under the same actor
 // message, so no append can fall between the plan's cut and the feed.
 func (a *actor) handleReplicate(req request) (response, error) {
-	if a.durable == nil {
+	st := a.eng.Store()
+	if st == nil {
 		return response{}, fmt.Errorf("server: replication requires a durable store (-data-dir)")
 	}
 	if _, dup := a.followers[req.connID]; dup {
 		return response{}, fmt.Errorf("server: connection already replicating")
 	}
-	plan, err := a.durable.Store().CatchupPlan(req.lsn)
+	plan, err := st.CatchupPlan(req.lsn)
 	if err != nil {
 		return response{}, err
 	}
@@ -145,10 +146,10 @@ func (a *actor) dropRepl(connID uint64) {
 // role: they come from the replication link, not a client write. It
 // returns the store's LSN after the chunk.
 func (a *actor) handleReplFrames(req request) (uint64, error) {
-	if a.durable == nil {
+	if a.eng.Store() == nil {
 		return 0, fmt.Errorf("server: not a durable store")
 	}
-	lsn := a.durable.LSN()
+	lsn := a.eng.LSN()
 	if req.lsn != lsn+1 {
 		return 0, fmt.Errorf("server: replication gap: chunk starts at LSN %d, store is at %d", req.lsn, lsn)
 	}
@@ -165,8 +166,8 @@ func (a *actor) handleReplFrames(req request) (uint64, error) {
 	if len(ups) != req.count {
 		return 0, fmt.Errorf("server: replicated chunk decoded %d records, header said %d", len(ups), req.count)
 	}
-	_, err := a.host.ApplyBatchFunc(ups, a.boundary)
-	return a.durable.LSN(), err
+	_, err := a.eng.ApplyBatchFunc(ups, a.boundary)
+	return a.eng.LSN(), err
 }
 
 // handleReplSeed adopts a leader snapshot on a fresh follower. The
@@ -174,15 +175,15 @@ func (a *actor) handleReplFrames(req request) (uint64, error) {
 // dictionaries and fast-forwards its sequence counter so acked sequence
 // numbers keep equaling LSNs.
 func (a *actor) handleReplSeed(req request) (uint64, error) {
-	if a.durable == nil {
+	if a.eng.Store() == nil {
 		return 0, fmt.Errorf("server: not a durable store")
 	}
-	if err := a.durable.Reseed(req.data); err != nil {
+	if err := a.eng.Reseed(req.data); err != nil {
 		return 0, err
 	}
-	a.vdict = a.durable.VertexLabels()
-	a.edict = a.durable.EdgeLabels()
-	a.seq = a.durable.LSN()
+	a.vdict = a.eng.VertexLabels()
+	a.edict = a.eng.EdgeLabels()
+	a.seq = a.eng.LSN()
 	return a.seq, nil
 }
 
@@ -194,8 +195,7 @@ func (a *actor) handlePromote() (uint64, error) {
 	if a.role != roleFollower {
 		return 0, fmt.Errorf("server: already leader")
 	}
-	if a.durable != nil {
-		st := a.durable.Store()
+	if st := a.eng.Store(); st != nil {
 		if err := st.Rotate(); err != nil {
 			return 0, err
 		}
@@ -211,10 +211,7 @@ func (a *actor) handlePromote() (uint64, error) {
 // per-follower positions, or the follower's link state.
 func (a *actor) replStatsLines(lines []string) []string {
 	if a.role == roleFollower {
-		lsn := uint64(0)
-		if a.durable != nil {
-			lsn = a.durable.LSN()
-		}
+		lsn := a.eng.LSN()
 		leaderLSN := a.repl.LeaderLSN
 		if lsn > leaderLSN {
 			leaderLSN = lsn
@@ -224,7 +221,7 @@ func (a *actor) replStatsLines(lines []string) []string {
 			a.leaderAddr, a.repl.Connected, lsn, leaderLSN, leaderLSN-lsn))
 		return lines
 	}
-	if a.durable == nil {
+	if a.eng.Store() == nil {
 		return lines
 	}
 	lines = append(lines, fmt.Sprintf("replica role=leader followers=%d", len(a.followers)))
@@ -234,7 +231,7 @@ func (a *actor) replStatsLines(lines []string) []string {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	lsn := a.durable.LSN()
+	lsn := a.eng.LSN()
 	for _, id := range ids {
 		f := a.followers[id]
 		lines = append(lines, fmt.Sprintf(

@@ -90,13 +90,13 @@ func New(opt Options) (*Server, error) {
 		return nil, errors.New("server: set Bootstrap or BootstrapFrom, not both")
 	}
 	var (
-		host    engineHost
-		durable *turboflux.DurableMultiEngine
-		vdict   = opt.VertexLabels
-		edict   = opt.EdgeLabels
+		eng   *turboflux.MultiEngine
+		err   error
+		vdict = opt.VertexLabels
+		edict = opt.EdgeLabels
 	)
 	if opt.DataDir != "" {
-		d, err := turboflux.OpenDurableMulti(opt.DataDir, turboflux.DurableMultiOptions{
+		eng, err = turboflux.OpenDurableMulti(opt.DataDir, turboflux.DurableMultiOptions{
 			Fsync:         opt.Fsync,
 			VertexLabels:  opt.VertexLabels,
 			EdgeLabels:    opt.EdgeLabels,
@@ -107,10 +107,8 @@ func New(opt Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		durable = d
-		host = d
-		vdict = d.VertexLabels() //tf:actor-ok construction precedes actor start
-		edict = d.EdgeLabels()   //tf:actor-ok construction precedes actor start
+		vdict = eng.VertexLabels() //tf:actor-ok construction precedes actor start
+		edict = eng.EdgeLabels()   //tf:actor-ok construction precedes actor start
 	} else {
 		if vdict == nil {
 			vdict = turboflux.NewDict()
@@ -128,25 +126,24 @@ func New(opt Options) (*Server, error) {
 				return nil, err
 			}
 		}
-		m := turboflux.NewMultiEngine(g)
-		m.SetFanOutWorkers(opt.FanOutWorkers) //tf:actor-ok construction precedes actor start
-		host = m
+		eng = turboflux.NewMultiEngine(g)
+		eng.SetFanOutWorkers(opt.FanOutWorkers) //tf:actor-ok construction precedes actor start
 	}
 	// The server keeps the actor and the front end, not the Options: those
 	// hold the bootstrap or its reader, garbage once the store is open. The
 	// front is made first because STATS reads its connection count.
 	s := &Server{front: NewFront("server", nil)}
-	s.actor = newActor(host, durable, vdict, edict, opt.Slow, opt.QueueDepth, &s.front.connCount)
+	s.actor = newActor(eng, vdict, edict, opt.Slow, opt.QueueDepth, &s.front.connCount)
 	s.front.be = s.actor
 	if opt.Follow != "" {
 		s.actor.role = roleFollower
 		s.actor.leaderAddr = opt.Follow
 		s.actor.link = replica.NewLink(opt.Follow, s.actor.linkCallbacks(), opt.ReplOptions)
 	}
-	if durable != nil {
+	if st := eng.Store(); st != nil { //tf:actor-ok construction precedes actor start
 		// The append tap fires on the actor goroutine (appends happen only
 		// inside apply handlers), so follower feeds stay actor-confined.
-		durable.Store().SetTap(s.actor.shipFrames) //tf:actor-ok construction precedes actor start
+		st.SetTap(s.actor.shipFrames)
 	}
 	s.actor.box.Start(s.actor.handle, s.actor.shutdown)
 	if s.actor.link != nil {
@@ -158,10 +155,7 @@ func New(opt Options) (*Server, error) {
 // Recovery returns what a durable-mode server found on disk; the zero
 // value in memory-only mode.
 func (s *Server) Recovery() turboflux.RecoveryInfo {
-	if s.actor.durable == nil {
-		return turboflux.RecoveryInfo{}
-	}
-	return s.actor.durable.Recovery() //tf:actor-ok recovery info is immutable after open
+	return s.actor.eng.Recovery() //tf:actor-ok recovery info is immutable after open
 }
 
 // Listen binds the TCP address ("host:port"; ":0" picks a free port).

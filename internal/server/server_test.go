@@ -19,7 +19,7 @@ func newTestActor(t *testing.T, policy SlowPolicy, depth int) *actor {
 	t.Helper()
 	var conns atomic.Int64
 	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
-		nil, turboflux.NewDict(), turboflux.NewDict(), policy, depth, &conns)
+		turboflux.NewDict(), turboflux.NewDict(), policy, depth, &conns)
 	a.box.Start(a.handle, a.shutdown)
 	t.Cleanup(a.box.Stop)
 	return a

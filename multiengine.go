@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"turboflux/internal/core"
+	"turboflux/internal/durable"
 	"turboflux/internal/fanout"
 	"turboflux/internal/graph"
 	"turboflux/internal/mqo"
@@ -84,6 +85,11 @@ type subpat struct {
 // cannot mention the updated edge's label are skipped entirely (their
 // evaluation would be a structural no-op).
 //
+// An engine opened with OpenDurableMulti also journals: every update is
+// written to its write-ahead log after the vertex-ID check and before any
+// evaluation, so the update stream survives process crashes. One built by
+// NewMultiEngine keeps its state in memory only.
+//
 // MultiEngine is not safe for concurrent use, matching Engine. The
 // network server serializes all access through its engine-owner
 // goroutine (machine-checked by turboflux-vet's actor-confinement
@@ -140,6 +146,12 @@ type MultiEngine struct {
 	maintEvals   uint64 // tree-label updates evaluated on a shape with followers
 	savedEvals   uint64 // follower maintenance evaluations avoided by sharing
 	sharedRelays uint64 // follower replays against an owner's DCG
+
+	// store is the write-ahead journal (nil in memory) and rec what
+	// opening it found on disk. Read once per batch, they sit behind the
+	// window scheduler's fields.
+	store *durable.Store
+	rec   RecoveryInfo
 }
 
 // engagement is one scheduled evaluation of the window: slot s evaluates
@@ -209,11 +221,16 @@ func (m *MultiEngine) FanOutStats() FanOutStats {
 	return st
 }
 
-// Close releases the fan-out worker pool. The engine itself stays
-// usable — subsequent updates evaluate inline — so Close is only about
-// reclaiming the pool goroutines. It always returns nil.
+// Close releases the fan-out worker pool and, on a durable engine, syncs
+// and closes the journal. An in-memory engine stays usable — subsequent
+// updates evaluate inline — and its Close always returns nil. A durable
+// engine refuses updates afterwards; reopen the directory with
+// OpenDurableMulti to resume.
 func (m *MultiEngine) Close() error {
 	m.pool.Close()
+	if m.store != nil {
+		return m.store.Close()
+	}
 	return nil
 }
 
@@ -391,12 +408,18 @@ func (m *MultiEngine) Delete(from VertexID, l Label, to VertexID) (map[string]in
 // in search order, whether it owns its shape's DCG or follows it, and the
 // update's maintenance runs to the end either way: every DCG and the graph
 // stay exactly in sync with the stream. An update naming a vertex ID past
-// 2^28 − 1 is refused with an error and changes nothing.
+// 2^28 − 1 is refused with an error and changes nothing; so is one a
+// durable engine fails to journal.
 func (m *MultiEngine) Apply(u Update) (map[string]int64, error) {
 	if err := stream.CheckIDs(u); err != nil {
 		return nil, err
 	}
 	m.one[0] = u
+	if m.store != nil {
+		if _, _, err := m.store.AppendBatch(m.one[:]); err != nil {
+			return nil, err
+		}
+	}
 	counts := m.evalBatch(m.one[:], nil)
 	return counts, errors.Join(m.batchErrs...)
 }
@@ -414,7 +437,9 @@ func (m *MultiEngine) Apply(u Update) (map[string]int64, error) {
 //
 // The returned counts map aggregates per-query match counts over the
 // whole batch (non-zero entries only). A batch with an update naming a
-// vertex ID past 2^28 − 1 is refused whole, before anything is applied.
+// vertex ID past 2^28 − 1 is refused whole, before anything is applied. A
+// durable engine journals the whole batch as one log write before
+// evaluating it; a journaling failure, too, refuses the batch whole.
 func (m *MultiEngine) ApplyBatch(ups []stream.Update) (map[string]int64, error) {
 	return m.ApplyBatchFunc(ups, nil)
 }
@@ -430,6 +455,11 @@ func (m *MultiEngine) ApplyBatch(ups []stream.Update) (map[string]int64, error) 
 func (m *MultiEngine) ApplyBatchFunc(ups []stream.Update, boundary func(i int)) (map[string]int64, error) {
 	if err := stream.CheckAll(ups); err != nil {
 		return nil, err
+	}
+	if m.store != nil {
+		if _, _, err := m.store.AppendBatch(ups); err != nil {
+			return nil, err
+		}
 	}
 	counts := m.evalBatch(ups, boundary)
 	for k, err := range m.batchErrs {

@@ -12,20 +12,35 @@ import (
 // satisfies (so evaluation never matches and no counts map is built),
 // and a ring of resident label-0 edges keeping every adjacency map entry
 // non-empty (so the churn edges never trigger entry-drop/recreate or
-// compaction allocations).
-func allocGuardSetup(t *testing.T, workers int) (*MultiEngine, []Update, []Update) {
+// compaction allocations). With durable set, the same graph is the
+// bootstrap of an engine opened with OpenDurableMulti, so every update is
+// journaled too.
+func allocGuardSetup(t *testing.T, workers int, durable bool) (*MultiEngine, []Update, []Update) {
 	t.Helper()
 	const nVerts = 20
-	g := NewGraph()
+	var g0 []Update
 	for v := VertexID(1); v <= nVerts; v++ {
-		g.EnsureVertex(v, 0)
+		g0 = append(g0, DeclareVertex(v, 0))
 	}
 	for v := VertexID(1); v <= nVerts; v++ {
-		if !g.InsertEdge(v, 0, v%nVerts+1) {
-			t.Fatalf("resident edge %d", v)
+		g0 = append(g0, Insert(v, 0, v%nVerts+1))
+	}
+	var m *MultiEngine
+	if durable {
+		var err error
+		if m, err = OpenDurableMulti(t.TempDir(), DurableMultiOptions{Fsync: "none", Bootstrap: g0}); err != nil {
+			t.Fatal(err)
 		}
+	} else {
+		g := NewGraph()
+		for _, u := range g0 {
+			u.Apply(g)
+		}
+		m = NewMultiEngine(g)
 	}
-	m := NewMultiEngine(g)
+	if m.Graph().NumEdges() != nVerts {
+		t.Fatalf("%d resident edges, want %d", m.Graph().NumEdges(), nVerts)
+	}
 	t.Cleanup(func() { m.Close() }) //tf:unchecked-ok test teardown
 	m.SetFanOutWorkers(workers)
 	mkQ := func(rev bool) *Query {
@@ -59,27 +74,37 @@ func allocGuardSetup(t *testing.T, workers int) (*MultiEngine, []Update, []Updat
 	return m, ins, dels
 }
 
+// allocGuardInputs names the engines the single-run and batch guards run
+// on: in memory, and journaling (the journal's append path allocates
+// nothing per record, DESIGN.md §9).
+var allocGuardInputs = []struct {
+	name    string
+	durable bool
+}{{"memory", false}, {"durable", true}}
+
 // TestApplySingleRunAllocs guards the window of one: once warm, an
 // insert/delete cycle applied one update at a time — each a one-update
 // batch through the window scheduler, both engines pooled — must not
 // allocate on the coordinator side at all.
 func TestApplySingleRunAllocs(t *testing.T) {
-	m, ins, dels := allocGuardSetup(t, 4)
-	cycle := func() {
-		for _, u := range ins {
-			if counts, err := m.Apply(u); err != nil || counts != nil {
-				t.Fatalf("insert: counts=%v err=%v", counts, err)
+	for _, in := range allocGuardInputs {
+		m, ins, dels := allocGuardSetup(t, 4, in.durable)
+		cycle := func() {
+			for _, u := range ins {
+				if counts, err := m.Apply(u); err != nil || counts != nil {
+					t.Fatalf("%s insert: counts=%v err=%v", in.name, counts, err)
+				}
+			}
+			for _, u := range dels {
+				if counts, err := m.Apply(u); err != nil || counts != nil {
+					t.Fatalf("%s delete: counts=%v err=%v", in.name, counts, err)
+				}
 			}
 		}
-		for _, u := range dels {
-			if counts, err := m.Apply(u); err != nil || counts != nil {
-				t.Fatalf("delete: counts=%v err=%v", counts, err)
-			}
+		cycle() // warm the pool, scratch slices and adjacency capacities
+		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+			t.Errorf("%s single-update runs: %v allocs per insert/delete cycle, want 0", in.name, avg)
 		}
-	}
-	cycle() // warm the pool, scratch slices and adjacency capacities
-	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Fatalf("single-update runs: %v allocs per insert/delete cycle, want 0", avg)
 	}
 }
 
@@ -88,18 +113,20 @@ func TestApplySingleRunAllocs(t *testing.T) {
 // is warm, applying whole batches must not allocate on the coordinator
 // side — the property the per-batch scratch reuse exists for.
 func TestApplyBatchPathAllocs(t *testing.T) {
-	m, ins, dels := allocGuardSetup(t, 4)
-	cycle := func() {
-		if counts, err := m.ApplyBatch(ins); err != nil || counts != nil {
-			t.Fatalf("insert batch: counts=%v err=%v", counts, err)
+	for _, in := range allocGuardInputs {
+		m, ins, dels := allocGuardSetup(t, 4, in.durable)
+		cycle := func() {
+			if counts, err := m.ApplyBatch(ins); err != nil || counts != nil {
+				t.Fatalf("%s insert batch: counts=%v err=%v", in.name, counts, err)
+			}
+			if counts, err := m.ApplyBatch(dels); err != nil || counts != nil {
+				t.Fatalf("%s delete batch: counts=%v err=%v", in.name, counts, err)
+			}
 		}
-		if counts, err := m.ApplyBatch(dels); err != nil || counts != nil {
-			t.Fatalf("delete batch: counts=%v err=%v", counts, err)
+		cycle() // warm scratch structures
+		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+			t.Errorf("%s batch path: %v allocs per batch pair, want 0", in.name, avg)
 		}
-	}
-	cycle() // warm scratch structures
-	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Fatalf("batch path: %v allocs per batch pair, want 0", avg)
 	}
 }
 
@@ -107,7 +134,7 @@ func TestApplyBatchPathAllocs(t *testing.T) {
 // hook the server uses for sequence stamping: invoking it per update
 // must not force any per-update allocation either.
 func TestApplyBatchBoundaryAllocs(t *testing.T) {
-	m, ins, dels := allocGuardSetup(t, 4)
+	m, ins, dels := allocGuardSetup(t, 4, false)
 	var seq uint64
 	boundary := func(int) { seq++ }
 	cycle := func() {
