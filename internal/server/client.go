@@ -2,12 +2,14 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"turboflux"
@@ -62,7 +64,14 @@ type Client struct {
 
 	resp   chan respMsg
 	events chan Event
-	onPush func(line []byte, more bool) // DialOptions.OnPush
+	onPush func(run []byte, more bool) // DialOptions.OnPush
+
+	// inflight counts exchanges whose request may have been written and
+	// whose reply is not yet consumed. A server only replies to requests,
+	// so while it is 0 every line already read is a push. An exchange that
+	// fails before its whole reply is read leaves it raised for good, and
+	// runs are then checked line by line.
+	inflight atomic.Int32
 
 	done     chan struct{} // closed by Close
 	dead     chan struct{} // closed when the read loop exits
@@ -90,13 +99,19 @@ type DialOptions struct {
 	// EventBuf is the Events channel capacity (0 = Dial's default 256;
 	// negative = unbuffered).
 	EventBuf int
-	// OnPush, when non-nil, is handed every pushed ('*'-prefixed) line as
-	// it arrived — terminator included, valid only during the call — on
-	// the read-loop goroutine, in place of parsing it into Events (which
-	// then only closes when the connection ends). more reports that
-	// further input is already buffered, so a forwarder can hold its
-	// flush. The shard coordinator relays subscriptions through it.
-	OnPush func(line []byte, more bool)
+	// OnPush, when non-nil, is handed pushed ('*'-prefixed) lines as they
+	// arrived, in place of parsing them into Events (which then only
+	// closes when the connection ends). Each call gets a run: every
+	// complete push line already buffered from the first one on,
+	// contiguous and terminators included, stopping before the first
+	// non-push or partial line — so replies still reach their request in
+	// order between runs. The run is valid only during the call, which
+	// runs on the read-loop goroutine. more reports that the next run has
+	// begun arriving (a partial push line is buffered), so a forwarder can
+	// hold its flush; a run cut short by a reply reports false, since
+	// nothing may follow the reply. The shard coordinator relays
+	// subscriptions through it.
+	OnPush func(run []byte, more bool)
 }
 
 // Dial connects to a TurboFlux server with the default event buffer.
@@ -117,6 +132,11 @@ func DialWith(addr string, opt DialOptions) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(nc, opt), nil
+}
+
+// newClient starts a client on an established connection.
+func newClient(nc net.Conn, opt DialOptions) *Client {
 	eventBuf := opt.EventBuf
 	switch {
 	case eventBuf == 0:
@@ -136,7 +156,7 @@ func DialWith(addr string, opt DialOptions) (*Client, error) {
 	}
 	//tf:goroutine client-read-loop
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // Events returns the push stream. It is closed when the connection ends.
@@ -159,20 +179,51 @@ func (c *Client) Close() error {
 	return err
 }
 
+// readLoop splits the connection into lines in one read buffer of
+// MaxLineBytes: a line longer than that cannot be framed and ends the
+// connection. Under OnPush, a push line and the complete push lines
+// buffered behind it go out as one run — with no exchange in flight, every
+// complete line buffered, unchecked.
 func (c *Client) readLoop() {
 	defer close(c.events)
 	defer close(c.dead)
-	br := bufio.NewReaderSize(c.nc, MaxLineBytes)
+	buf := make([]byte, MaxLineBytes)
+	r, w := 0, 0 // buf[r:w] is read and not yet consumed
 	for {
-		b, err := br.ReadSlice('\n')
-		if err != nil {
-			c.setErr(err)
-			return
-		}
-		if b[0] == '*' && c.onPush != nil {
-			c.onPush(b, br.Buffered() > 0)
+		nl := bytes.IndexByte(buf[r:w], '\n')
+		if nl < 0 {
+			w = copy(buf, buf[r:w]) // keep the partial line, read the rest
+			r = 0
+			if w == len(buf) {
+				c.setErr(fmt.Errorf("server: reply line exceeds %d bytes", MaxLineBytes))
+				return
+			}
+			n, err := c.nc.Read(buf[w:])
+			w += n
+			if n == 0 && err != nil {
+				c.setErr(err)
+				return
+			}
 			continue
 		}
+		end := r + nl + 1
+		if buf[r] == '*' && c.onPush != nil {
+			if c.inflight.Load() == 0 {
+				end = r + bytes.LastIndexByte(buf[r:w], '\n') + 1
+			}
+			for end < w && buf[end] == '*' {
+				k := bytes.IndexByte(buf[end:w], '\n')
+				if k < 0 {
+					break
+				}
+				end += k + 1
+			}
+			c.onPush(buf[r:end], end < w && buf[end] == '*')
+			r = end
+			continue
+		}
+		b := buf[r:end]
+		r = end
 		line := strings.TrimRight(string(b), "\r\n")
 		if b[0] == '*' {
 			ev, err := parseEvent(line)
@@ -249,6 +300,7 @@ func parseEvent(line string) (Event, error) {
 func (c *Client) do(reqLine string, body []byte) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.inflight.Add(1) // a failed write leaves it raised: a reply may still come
 	deadline := c.startExchange()
 	if _, err := c.bw.WriteString(reqLine); err != nil {
 		return "", err
@@ -264,6 +316,7 @@ func (c *Client) do(reqLine string, body []byte) (string, error) {
 	if err := c.bw.Flush(); err != nil {
 		return "", err
 	}
+	defer c.inflight.Add(-1) // the reply is read, or the connection is gone
 	return c.recv(deadline)
 }
 
@@ -513,6 +566,7 @@ func (c *Client) ShardStats() ([]string, error) { return c.dataLines("SHARDSTATS
 func (c *Client) dataLines(cmd string) ([]string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.inflight.Add(1) // left raised while payload lines may still come
 	deadline := c.startExchange()
 	if _, err := c.bw.WriteString(cmd + "\n"); err != nil {
 		return nil, err
@@ -522,6 +576,7 @@ func (c *Client) dataLines(cmd string) ([]string, error) {
 	}
 	head, err := c.recv(deadline)
 	if err != nil {
+		c.inflight.Add(-1) // an -ERR reply is one line, or the connection is gone
 		return nil, err
 	}
 	fields := strings.Fields(head) // "DATA <n>"
@@ -540,6 +595,7 @@ func (c *Client) dataLines(cmd string) ([]string, error) {
 		}
 		lines = append(lines, l)
 	}
+	c.inflight.Add(-1)
 	return lines, nil
 }
 

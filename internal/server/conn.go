@@ -203,6 +203,9 @@ func (c *Conn) unsubscribe(name string) error {
 	return nil
 }
 
+// ID is the connection's number, the one DropConn names.
+func (c *Conn) ID() uint64 { return c.id }
+
 // Go runs f on a goroutine the connection's teardown waits for. Backends
 // start whatever pushes to this connection with it: the outbox writer, a
 // subscription relay, the replication pump.
@@ -244,7 +247,7 @@ func (c *Conn) writeLoop() {
 }
 
 // teardown ends the connection: cancel every subscription (releasing a
-// backend blocked on a full queue, closing delegated streams), tell the
+// backend blocked on a full queue, closing relayed streams), tell the
 // backend to forget the connection, wait for the pushers to flush what was
 // accepted, and close the socket.
 func (c *Conn) teardown() {

@@ -173,6 +173,15 @@ func runConformanceScript(t *testing.T, addr, shardStats string) (replies, pushe
 		// line, and still acks it as a frame.
 		{req: "BATCH 1", body: "d 3 0 1\n", want: "+OK", ok: "+OK 9 1 1", pushes: 7},
 		{req: fmt.Sprintf("BATCHB %d", len(frame31)), body: string(frame31), want: "+OK", ok: "+OK 10 1 1", pushes: 8},
+		// Two subscriptions on one shard (placement alternates: r on shard
+		// 1, s beside q on shard 0): q stops while s emits, then resumes.
+		{req: "REGISTER r " + pattern, want: "+OK"},
+		{req: "REGISTER s " + pattern, want: "+OK"},
+		{req: "SUBSCRIBE s", want: "+OK"},
+		{req: "UNSUBSCRIBE q", want: "+OK"},
+		{req: "d 3 0 1", want: "+OK", pushes: 9},
+		{req: "SUBSCRIBE q", want: "+OK", ok: "+OK 11"},
+		{req: "i 3 0 1", want: "+OK", pushes: 11},
 		{req: "UNSUBSCRIBE q", want: "+OK"},
 		{req: "UNSUBSCRIBE q", want: "-ERR"},
 		{req: "QUIT", want: "+OK"},
@@ -221,7 +230,7 @@ func TestFrontEndConformance(t *testing.T) {
 	}
 	// The script is only a conformance check if it exercised what it names.
 	wantPush := []string{"*EVENT q 4 + 1 2", "*EVENT q 5 + 2 3", "*EVENT q 6 - 1 2", "*EVENT q 7 + 1 2", "*EVICTED q", "*EVENT q 8 + 3 1",
-		"*EVENT q 9 - 3 1", "*EVENT q 10 + 3 1"}
+		"*EVENT q 9 - 3 1", "*EVENT q 10 + 3 1", "*EVENT s 11 - 3 1", "*EVENT q 12 + 3 1", "*EVENT s 12 + 3 1"}
 	if got := strings.Join(wantPushes, "\n"); got != strings.Join(wantPush, "\n") {
 		t.Errorf("server pushes:\n%s\nwant:\n%s", got, strings.Join(wantPush, "\n"))
 	}

@@ -282,8 +282,9 @@ func TestE2ETranscriptEquivalence(t *testing.T) {
 }
 
 // TestE2EKillShardDegrades SIGKILLs one of four shard processes
-// mid-stream: its queries error and their subscribers are evicted, while
-// the other shards' queries keep streaming and updates keep acking.
+// mid-stream: its queries error and their subscribers are evicted — each
+// subscription riding the dead shard's upstream exactly once — while the
+// other shards' queries keep streaming and updates keep acking.
 func TestE2EKillShardDegrades(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e")
@@ -304,8 +305,8 @@ func TestE2EKillShardDegrades(t *testing.T) {
 	}
 	defer c.Close() //tf:unchecked-ok test teardown
 
-	// q0..q3 place round-robin on shards 0..3.
-	for i := 0; i < 4; i++ {
+	// q0..q7 place round-robin on shards 0..3: q1 and q5 on shard 1.
+	for i := 0; i < 8; i++ {
 		if err := c.Register(fmt.Sprintf("q%d", i), fmt.Sprintf("(a:P)-[:e%d]->(b:P)", i)); err != nil {
 			t.Fatal(err)
 		}
@@ -319,17 +320,17 @@ func TestE2EKillShardDegrades(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One subscriber connection watching a doomed query and a survivor.
+	// One subscriber connection watching two doomed queries, which share
+	// its upstream to shard 1, and a survivor.
 	sub, err := server.Dial(coAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Close()                              //tf:unchecked-ok test teardown
-	if _, err := sub.Subscribe("q1"); err != nil { // lives on shard 1 (to be killed)
-		t.Fatal(err)
-	}
-	if _, err := sub.Subscribe("q2"); err != nil { // lives on shard 2 (survives)
-		t.Fatal(err)
+	defer sub.Close() //tf:unchecked-ok test teardown
+	for _, q := range []string{"q1", "q5", "q2"} {
+		if _, err := sub.Subscribe(q); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	if err := procs[1].cmd.Process.Kill(); err != nil {
@@ -337,50 +338,25 @@ func TestE2EKillShardDegrades(t *testing.T) {
 	}
 	procs[1].cmd.Wait() //tf:unchecked-ok child was SIGKILLed
 
-	// The next updates ack from the survivors; the dead shard is marked
-	// down either by its failing control connection or the heartbeat.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if _, err := c.Insert(1, 0, 2); err != nil {
-			t.Fatalf("update after shard kill failed: %v", err)
-		}
-		lines, err := c.ShardStats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		info, err := server.ParseStats(lines)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !info.Shards[1].Alive {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("shard 1 never marked down: %+v", info.Shards)
-		}
-		time.Sleep(20 * time.Millisecond)
-		if _, err := c.Delete(1, 0, 2); err != nil {
-			t.Fatalf("update after shard kill failed: %v", err)
-		}
+	// The next update acks from the survivors. The ack waits for every
+	// fanner's result, and shard 1's control connection is closed with its
+	// process, so the fanner has marked the shard down by then (if the
+	// heartbeat has not already).
+	if _, err := c.Insert(1, 0, 2); err != nil {
+		t.Fatalf("update after shard kill failed: %v", err)
+	}
+	lines, err := c.ShardStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := server.ParseStats(lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Shards[1].Alive {
+		t.Fatalf("shard 1 alive after an update acked without it: %+v", info.Shards)
 	}
 
-	// Dead shard's query: eviction notice arrives, resubscribe errors.
-	evicted := false
-	for wait := time.Now().Add(10 * time.Second); time.Now().Before(wait) && !evicted; {
-		select {
-		case ev, ok := <-sub.Events():
-			if !ok {
-				t.Fatal("subscriber stream closed")
-			}
-			if ev.Evicted && ev.Query == "q1" {
-				evicted = true
-			}
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
-	if !evicted {
-		t.Fatal("q1 subscriber never received its eviction notice")
-	}
 	c2, err := server.Dial(coAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +366,8 @@ func TestE2EKillShardDegrades(t *testing.T) {
 		t.Fatalf("subscribe to dead shard's query: err=%v, want down error", err)
 	}
 
-	// Survivor query still streams: drive a q2 match and watch it arrive.
+	// Survivor query still streams: drive a q2 match and wait for it and
+	// for both eviction notices, counting every notice.
 	ack, err := c.Insert(1, 2, 2) // edge label e2 → q2
 	if err != nil {
 		t.Fatal(err)
@@ -398,20 +375,43 @@ func TestE2EKillShardDegrades(t *testing.T) {
 	if ack.Counts["q2"] != 1 {
 		t.Fatalf("q2 count = %v, want 1", ack.Counts)
 	}
+	evicted := make(map[string]int)
 	sawQ2 := false
-	for wait := time.Now().Add(10 * time.Second); time.Now().Before(wait) && !sawQ2; {
+	for !sawQ2 || evicted["q1"] == 0 || evicted["q5"] == 0 {
 		select {
 		case ev, ok := <-sub.Events():
 			if !ok {
 				t.Fatal("subscriber stream closed")
 			}
-			if ev.Query == "q2" && ev.Seq == ack.Seq {
+			switch {
+			case ev.Evicted:
+				evicted[ev.Query]++
+			case ev.Query == "q2" && ev.Seq == ack.Seq:
 				sawQ2 = true
 			}
-		case <-time.After(100 * time.Millisecond):
+		case <-time.After(10 * time.Second):
+			t.Fatalf("after 10s: q2's post-kill match seen=%t, evictions %v; want the match and q1, q5 evicted", sawQ2, evicted)
 		}
 	}
-	if !sawQ2 {
-		t.Fatal("q2 subscriber never saw the post-kill match")
+	// A second notice would follow the first on the same connection;
+	// a PING round trip orders everything written before it.
+	if err := sub.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	for drained := false; !drained; {
+		select {
+		case ev, ok := <-sub.Events():
+			if !ok {
+				t.Fatal("subscriber stream closed")
+			}
+			if ev.Evicted {
+				evicted[ev.Query]++
+			}
+		default:
+			drained = true
+		}
+	}
+	if evicted["q1"] != 1 || evicted["q5"] != 1 || evicted["q2"] != 0 {
+		t.Fatalf("eviction notices %v, want exactly one each for q1 and q5", evicted)
 	}
 }

@@ -1,0 +1,287 @@
+package shard
+
+// Relay tests: a coordinator connection holds one upstream per shard, and
+// the subscriptions riding it start, stop and end independently.
+
+import (
+	"fmt"
+	"math"
+	"testing"
+	"time"
+
+	"turboflux"
+	"turboflux/internal/server"
+)
+
+// shardConns reads each shard's live connection count from its STATS.
+func shardConns(t *testing.T, probes []*server.Client) []int {
+	t.Helper()
+	out := make([]int, len(probes))
+	for i, p := range probes {
+		info, err := p.StatsInfo()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = info.Conns
+	}
+	return out
+}
+
+// TestRelayOneUpstreamPerShard: a client connection subscribed to 8
+// queries over 2 shards opens one connection to each shard, and a second
+// client connection one more each.
+func TestRelayOneUpstreamPerShard(t *testing.T) {
+	addr, shards, _ := startCluster(t, 2, Options{})
+	admin := dialTest(t, addr)
+	for i := 0; i < 8; i++ {
+		if err := admin.Register(fmt.Sprintf("q%d", i), fmt.Sprintf("(a:P)-[:e%d]->(b:P)", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probes := []*server.Client{dialTest(t, shards[0]), dialTest(t, shards[1])}
+	base := shardConns(t, probes)
+
+	a := dialTest(t, addr)
+	for i := 0; i < 8; i++ {
+		if _, err := a.Subscribe(fmt.Sprintf("q%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, n := range shardConns(t, probes) {
+		if n != base[i]+1 {
+			t.Fatalf("shard %d: %d connections after 8 subscriptions on one client connection, want %d", i, n, base[i]+1)
+		}
+	}
+	b := dialTest(t, addr)
+	for i := 0; i < 4; i++ {
+		if _, err := b.Subscribe(fmt.Sprintf("q%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, n := range shardConns(t, probes) {
+		if n != base[i]+2 {
+			t.Fatalf("shard %d: %d connections with two subscribed client connections, want %d", i, n, base[i]+2)
+		}
+	}
+}
+
+// eventWaiter reads a client's pushes and fails the test on anything the
+// predicate rejects.
+type eventWaiter struct {
+	t        *testing.T
+	c        *server.Client
+	received int // *EVENT pushes read so far
+}
+
+// until reads pushes until done has seen what it waits for; every push
+// goes through check first.
+func (w *eventWaiter) until(check func(server.Event), done func(server.Event) bool) {
+	w.t.Helper()
+	for {
+		select {
+		case ev, ok := <-w.c.Events():
+			if !ok {
+				w.t.Fatal("push stream closed")
+			}
+			if !ev.Evicted {
+				w.received++
+			}
+			check(ev)
+			if done(ev) {
+				return
+			}
+		case <-time.After(10 * time.Second):
+			w.t.Fatal("timed out waiting for a push")
+		}
+	}
+}
+
+// TestRelayUnsubscribeWhileOthersEmit: q and r ride one upstream. After
+// UNSUBSCRIBE q, an update matching both delivers r's event and never q's
+// — the shard may still push q's line, since Cancel does not wait for it —
+// and a re-SUBSCRIBE of q streams from its new sequence number, with no
+// line of the old subscription behind it. The coordinator's STATS events=
+// counts what was forwarded, which is what the client received.
+func TestRelayUnsubscribeWhileOthersEmit(t *testing.T) {
+	addr, _, _ := startCluster(t, 2, Options{})
+	c := dialTest(t, addr)
+	// Placement alternates: q and r on shard 0, x on shard 1.
+	for _, name := range []string{"q", "x", "r"} {
+		if err := c.Register(name, "(a:P)-[:e]->(b:P)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info, err := c.StatsInfo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range info.Queries {
+		if q.Name != "x" && q.Shard != 0 {
+			t.Fatalf("%s placed on shard %d, want 0", q.Name, q.Shard)
+		}
+	}
+	p, _ := c.Label("vertex", "P")
+	e, _ := c.Label("edge", "e")
+	for v := turboflux.VertexID(1); v <= 2; v++ {
+		if _, err := c.DeclareVertex(v, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"q", "r"} {
+		if _, err := c.Subscribe(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := &eventWaiter{t: t, c: c}
+	var qFrom uint64 // q's events must be past this
+	check := func(ev server.Event) {
+		if ev.Evicted {
+			t.Fatalf("unexpected eviction of %q", ev.Query)
+		}
+		if ev.Query == "q" && ev.Seq <= qFrom {
+			t.Fatalf("*EVENT q %d reached the client, but q was unsubscribed before it (re-subscribed at %d)", ev.Seq, qFrom)
+		}
+	}
+	insert := true
+	apply := func() server.Ack {
+		var ack server.Ack
+		var err error
+		if insert {
+			ack, err = c.Insert(1, e, 2)
+		} else {
+			ack, err = c.Delete(1, e, 2)
+		}
+		insert = !insert
+		if err != nil || ack.Counts["q"] != 1 || ack.Counts["r"] != 1 {
+			t.Fatalf("update: %+v, %v; want one match each for q and r", ack, err)
+		}
+		return ack
+	}
+	for round := 0; round < 20; round++ {
+		if err := c.Unsubscribe("q"); err != nil {
+			t.Fatal(err)
+		}
+		ack := apply()
+		qFrom = ack.Seq // q's line of this update must never arrive
+		w.until(check, func(ev server.Event) bool { return ev.Query == "r" && ev.Seq == ack.Seq })
+
+		seq, err := c.Subscribe("q")
+		if err != nil {
+			t.Fatalf("round %d: re-SUBSCRIBE: %v", round, err)
+		}
+		if seq < ack.Seq {
+			t.Fatalf("round %d: re-SUBSCRIBE starts after %d, before the update acked at %d", round, seq, ack.Seq)
+		}
+		qFrom = seq
+		ack = apply()
+		gotQ, gotR := false, false
+		w.until(check, func(ev server.Event) bool {
+			gotQ = gotQ || (ev.Query == "q" && ev.Seq == ack.Seq)
+			gotR = gotR || (ev.Query == "r" && ev.Seq == ack.Seq)
+			return gotQ && gotR
+		})
+	}
+	info, err = c.StatsInfo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Events != uint64(w.received) {
+		t.Fatalf("coordinator STATS events=%d, client received %d", info.Events, w.received)
+	}
+}
+
+// TestRelayEvictOneOfMany: UNREGISTER of one of several queries riding
+// one upstream evicts only its subscription; the others keep streaming
+// and stay subscribed.
+func TestRelayEvictOneOfMany(t *testing.T) {
+	addr, _, _ := startCluster(t, 2, Options{})
+	c := dialTest(t, addr)
+	names := []string{"a", "b", "c", "d", "e", "f"} // a, c, e on shard 0
+	for _, name := range names {
+		if err := c.Register(name, "(x:P)-[:l]->(y:P)"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Subscribe(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Unregister("c"); err != nil {
+		t.Fatal(err)
+	}
+	w := &eventWaiter{t: t, c: c}
+	w.until(func(ev server.Event) {
+		if !ev.Evicted || ev.Query != "c" {
+			t.Fatalf("push %+v, want *EVICTED c", ev)
+		}
+	}, func(server.Event) bool { return true })
+	if err := c.Unsubscribe("c"); err == nil {
+		t.Fatal("UNSUBSCRIBE of the evicted subscription must fail")
+	}
+
+	p, _ := c.Label("vertex", "P")
+	l, _ := c.Label("edge", "l")
+	for v := turboflux.VertexID(1); v <= 2; v++ {
+		if _, err := c.DeclareVertex(v, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ack, err := c.Insert(1, l, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"a": true, "b": true, "d": true, "e": true, "f": true}
+	w.until(func(ev server.Event) {
+		if ev.Evicted || !want[ev.Query] || ev.Seq != ack.Seq {
+			t.Fatalf("push %+v, want one event at %d for each of %v", ev, ack.Seq, want)
+		}
+		delete(want, ev.Query)
+	}, func(server.Event) bool { return len(want) == 0 })
+	for _, name := range []string{"a", "e"} {
+		if err := c.Unsubscribe(name); err != nil {
+			t.Fatalf("UNSUBSCRIBE %s, a survivor on the evicted query's upstream: %v", name, err)
+		}
+	}
+}
+
+// TestRelayFilterDropsStaleLines drives forward's filter directly. While
+// q's UNSUBSCRIBE is in flight every q line is dropped, its old
+// subscription's *EVICTED too; once the reply settles the bound, q lines up
+// to it are dropped and a later update's line retires the entry. After a
+// re-SUBSCRIBE, the old subscription's pending *EVICTED is dropped and the
+// new one's lines and eviction pass.
+func TestRelayFilterDropsStaleLines(t *testing.T) {
+	r := &relaySub{query: "r"}
+	u := &upstream{
+		live:  map[string]*relaySub{"r": r},
+		stale: map[string]*staleSub{"q": {bound: math.MaxUint64, done: make(chan struct{})}},
+	}
+	filter := func(run, want string, wantEvents uint64) {
+		t.Helper()
+		kept, events := u.filter([]byte(run))
+		if string(kept) != want || events != wantEvents {
+			t.Fatalf("filter(%q) = %q, %d events; want %q, %d", run, kept, events, want, wantEvents)
+		}
+	}
+
+	filter("*EVENT q 5 + 1 2\n*EVENT r 5 + 1 2\n*EVICTED q\n", "*EVENT r 5 + 1 2\n", 1)
+	st := u.stale["q"]
+	if !st.sawNotice {
+		t.Fatal("the in-flight *EVICTED q was not noted")
+	}
+	st.bound, st.done = 7, nil // the reply: 7 updates fanned by then
+	filter("*EVENT q 7 - 1 2\n*EVENT r 8 + 1 2\n", "*EVENT r 8 + 1 2\n", 1)
+	if len(u.stale) != 0 {
+		t.Fatalf("stale entries after a line of update 8: %v", u.stale)
+	}
+
+	q := &relaySub{query: "q"}
+	u.live["q"] = q
+	u.stale["q"] = &staleSub{bound: 9, notice: true}
+	filter("*EVICTED q\n*EVENT q 10 + 1 2\n*EVICTED q\n", "*EVENT q 10 + 1 2\n*EVICTED q\n", 1)
+	if !q.Finished() || u.live["q"] != nil || len(u.ended) != 1 || u.ended[0] != "q" {
+		t.Fatalf("the new subscription's *EVICTED did not end its handle: finished=%t live=%v ended=%v", q.Finished(), u.live, u.ended)
+	}
+	if r.Finished() {
+		t.Fatal("r ended")
+	}
+}

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,16 +23,18 @@ const (
 	rLabel
 	rSubscribe
 	rSubRelease
+	rBarrier // wait for a shard's FIFO to drain up to here
 	rStats
 	rShardStats
 )
 
 // rreq is one message to the router actor.
 type rreq struct {
-	kind rkind
-	ups  []turboflux.Update // the run to fan (rApply)
-	name string             // query name / "vertex" / "edge" (rLabel)
-	arg  string             // pattern (rRegister) / label name (rLabel)
+	kind  rkind
+	ups   []turboflux.Update // the run to fan (rApply)
+	name  string             // query name / "vertex" / "edge" (rLabel)
+	arg   string             // pattern (rRegister) / label name (rLabel)
+	shard int                // the shard to drain (rBarrier)
 }
 
 type rresp struct {
@@ -41,6 +44,7 @@ type rresp struct {
 	names []string
 	lines []string
 	label turboflux.Label
+	shard int    // owner shard id (rSubscribe)
 	addr  string // owner shard address (rSubscribe)
 }
 
@@ -118,20 +122,27 @@ type router struct {
 	table *assignTable
 	seq   uint64 // updates fanned so far; acked to clients
 
-	// Off the router loop: read by STATS and Subscribe, and events written
-	// by every relay — kept behind the fields each request touches.
-	front       *server.Front // the front end serving this router (STATS conns=)
-	dialTimeout time.Duration // bounds the connect of a delegated subscription
-	events      atomic.Uint64 // relayed match events (STATS)
+	// Off the router loop: read by STATS and the relays, and written by
+	// every relay — kept behind the fields each request touches.
+	front          *server.Front // the front end serving this router (STATS conns=)
+	dialTimeout    time.Duration // bounds the connect of a relay's upstream
+	requestTimeout time.Duration // bounds a relay's SUBSCRIBE and UNSUBSCRIBE
+	events         atomic.Uint64 // relayed match events (STATS)
+	fanned         atomic.Uint64 // seq, published before the run is fanned
+
+	relayMu sync.Mutex
+	relays  map[uint64]*connRelays // by connection id
 }
 
-func newRouter(shards []*shardHandle, vdict, edict *turboflux.Dict, dialTimeout time.Duration) *router {
+func newRouter(shards []*shardHandle, vdict, edict *turboflux.Dict, opt Options) *router {
 	return &router{
-		shards:      shards,
-		vdict:       vdict,
-		edict:       edict,
-		dialTimeout: dialTimeout,
-		table:       newAssignTable(len(shards)),
+		shards:         shards,
+		vdict:          vdict,
+		edict:          edict,
+		dialTimeout:    opt.DialTimeout,
+		requestTimeout: opt.RequestTimeout,
+		table:          newAssignTable(len(shards)),
+		relays:         make(map[uint64]*connRelays),
 	}
 }
 
@@ -167,6 +178,7 @@ func (r *router) handle(req rreq) (resp rresp, err error) {
 	case rApply:
 		resp.seq = r.seq + 1
 		r.seq += uint64(len(req.ups))
+		r.fanned.Store(r.seq)
 		resp.pend = r.fanAll(&task{kind: taskApply, seq: resp.seq, ups: req.ups})
 	case rRegister:
 		return r.register(req)
@@ -194,11 +206,17 @@ func (r *router) handle(req rreq) (resp rresp, err error) {
 				req.name, h.id, h.addr, h.downReason())
 		}
 		a.subs++
-		resp.addr = h.addr
+		resp.shard, resp.addr = h.id, h.addr
 	case rSubRelease:
 		if a, ok := r.table.get(req.name); ok && a.subs > 0 {
 			a.subs--
 		}
+	case rBarrier:
+		h := r.shards[req.shard]
+		if !h.alive.Load() {
+			return resp, fmt.Errorf("shard: shard %d (%s) is down: %s", h.id, h.addr, h.downReason())
+		}
+		resp.reg = r.fanTo(h.id, &task{kind: taskBarrier})
 	case rStats:
 		resp.lines = r.statsLines()
 	case rShardStats:

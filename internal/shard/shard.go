@@ -36,12 +36,13 @@
 // start with dictionaries identical to the coordinator's (normally:
 // empty).
 //
-// Subscriptions are delegated: each coordinator-side SUBSCRIBE opens a
-// dedicated connection to the owning shard and relays its *EVENT lines
-// verbatim, so per-query event order and sequence numbers are exactly
-// the shard's — which, by the total-order fan-out, are exactly a single
-// server's. Slow-consumer policy is the shard's own, applied per
-// subscriber.
+// Subscriptions are relayed: a client connection holds one upstream
+// connection per shard it subscribes on, carrying all its subscriptions
+// to that shard's queries, and the shard's pushed lines are forwarded
+// verbatim, a buffered run at a time. Per-query event order and sequence
+// numbers are exactly the shard's — which, by the total-order fan-out,
+// are exactly a single server's. Slow-consumer policy is the shard's own,
+// applied per subscriber.
 package shard
 
 import (
@@ -142,7 +143,7 @@ func New(opt Options) (*Coordinator, error) {
 		}
 		shards = append(shards, h)
 	}
-	r := newRouter(shards, vdict, edict, opt.DialTimeout)
+	r := newRouter(shards, vdict, edict, opt)
 	r.front = server.NewFront("shard", r)
 	r.box.Start(r.handle, r.shutdown)
 	for _, h := range shards {

@@ -415,6 +415,11 @@ func TestHeartbeatMarksDeadShardDown(t *testing.T) {
 
 	stopS1()
 
+	// A poll, deliberately: what the test asserts is the prober's verdict,
+	// reached on its own clock (3 misses 20 ms apart) with no update in
+	// flight to fail first, and SHARDSTATS is the only place it surfaces.
+	// The poll runs at half the probe period; the deadline only bounds a
+	// prober that never gives its verdict.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		lines, err := c.ShardStats()
