@@ -548,7 +548,10 @@ func (c *Client) Subscribe(name string) (uint64, error) {
 	return seq, nil
 }
 
-// Unsubscribe stops streaming the query's matches.
+// Unsubscribe stops streaming the query's matches. The server's reply
+// follows every line of the stream it ends, so once Unsubscribe returns,
+// every push of the subscription has been read (handed to OnPush, or
+// queued on Events) and none comes later.
 func (c *Client) Unsubscribe(name string) error {
 	_, err := c.do("UNSUBSCRIBE "+name, nil)
 	return err

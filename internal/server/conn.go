@@ -189,13 +189,18 @@ func (c *Conn) subscribe(name string) (uint64, error) {
 
 // unsubscribe cancels a subscription. The subs map decides: a handle held
 // live is cancelled and the answer is +OK, whatever the backend has or has
-// not yet noticed about it.
+// not yet noticed about it. The reply follows every line of the stream it
+// ends: Cancel stops the backend adding any, and the outbox writer puts
+// those already accepted on the wire before unsubscribe returns.
 func (c *Conn) unsubscribe(name string) error {
 	sub := c.subs[name]
 	delete(c.subs, name)
 	live := sub != nil && !sub.Finished()
 	if sub != nil {
 		sub.Cancel()
+		if c.out != nil {
+			c.out.flush()
+		}
 	}
 	if !live {
 		return fmt.Errorf("%s: not subscribed to %q", c.front.name, name)

@@ -16,7 +16,8 @@
 //	QUERIES                       list registered query names
 //	LABEL vertex|edge <name>      intern a label name, returning its id
 //	SUBSCRIBE <name>              stream this query's matches to this conn
-//	UNSUBSCRIBE <name>            stop streaming
+//	UNSUBSCRIBE <name>            stop streaming; the reply follows every
+//	                              line of the stream it ends
 //	STATS                         engine, queue and lag counters
 //	i <from> <label> <to>         apply one edge insertion (stream text format)
 //	d <from> <label> <to>         apply one edge deletion

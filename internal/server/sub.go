@@ -203,6 +203,7 @@ type outbox struct {
 	drained sync.Cond // a blocked actor waits here for a swap or a close
 	fill    []byte
 	epoch   uint64 // bumped by every swap; invalidates subscriber depths
+	written uint64 // the epoch whose buffer, and every one before, is on the wire
 	parked  bool   // the writer is in wake.Wait and has not been signalled
 	closing bool   // shut: the writer exits once fill is empty
 
@@ -227,11 +228,15 @@ func (ob *outbox) wakeWriter() {
 
 // take blocks until the filling buffer holds bytes, swaps it for spare
 // and returns it; ok is false once the outbox is shut and empty. The swap
-// empties every subscription's queue, which releases a blocked actor.
+// empties every subscription's queue, which releases a blocked actor. The
+// writer comes back only once it has written the previous buffer, so take
+// also records that every buffer taken so far is on the wire.
 func (ob *outbox) take(spare []byte) (buf []byte, ok bool) {
 	ob.mu.Lock()
 	defer ob.mu.Unlock()
+	ob.written = ob.epoch
 	for len(ob.fill) == 0 {
+		ob.drained.Broadcast() // a flush waits for written; the swap below wakes it otherwise
 		if ob.closing {
 			return nil, false
 		}
@@ -242,6 +247,21 @@ func (ob *outbox) take(spare []byte) (buf []byte, ok bool) {
 	ob.epoch++
 	ob.drained.Broadcast()
 	return buf, true
+}
+
+// flush waits until the writer has written every byte accepted so far
+// (or exited: it drains before it does).
+func (ob *outbox) flush() {
+	ob.mu.Lock()
+	defer ob.mu.Unlock()
+	target := ob.epoch
+	if len(ob.fill) > 0 {
+		target++ // the next swap takes them
+		ob.wakeWriter()
+	}
+	for ob.written < target {
+		ob.drained.Wait()
+	}
 }
 
 // shut tells the writer to exit after draining what was accepted. The

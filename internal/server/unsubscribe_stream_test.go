@@ -1,0 +1,17 @@
+package server_test
+
+import (
+	"testing"
+
+	"turboflux/internal/server"
+	"turboflux/internal/server/servertest"
+)
+
+// TestUnsubscribeEndsStream: on a plain server an UNSUBSCRIBE's reply
+// follows every line of the stream it ends, however an emitting update
+// races it. The coordinator's twin is in internal/shard.
+func TestUnsubscribeEndsStream(t *testing.T) {
+	servertest.UnsubscribeEndsStream(t, func() (server.FrontEnd, error) {
+		return server.New(server.Options{})
+	})
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -166,35 +165,15 @@ type upstream struct {
 	wake chan struct{} // capacity 1: unsubscribes queued, or closing
 
 	mu      sync.Mutex
-	live    map[string]*relaySub // the subscriptions riding this link
-	stale   map[string]*staleSub // unsubscribed queries whose lines may still arrive
-	unsubs  []string             // UNSUBSCRIBEs for run to send, in order
-	closing bool                 // last Cancel or teardown: run closes the link
-	dead    bool                 // the link ended on its own
+	live    map[string]*relaySub     // the subscriptions riding this link
+	pending map[string]chan struct{} // queries whose UNSUBSCRIBE awaits the shard's reply; closed at it
+	unsubs  []string                 // UNSUBSCRIBEs for run to send, in order
+	closing bool                     // last Cancel or teardown: nothing more is forwarded
+	dead    bool                     // the link ended on its own
 
 	// Owned by the read loop (forward).
 	kept  []byte   // a filtered run's forwarded lines
 	ended []string // queries whose handles a run ended, to release
-}
-
-// staleSub is a query the client unsubscribed while others kept the link
-// open. Cancel never waits for the shard, so the shard may still push the
-// old subscription's lines: before it handles the upstream UNSUBSCRIBE,
-// and from its outbox after its reply. forward drops them by sequence
-// number; the entry goes once a later update's line shows they are past.
-type staleSub struct {
-	// bound is a shard sequence number no line of the old subscription
-	// exceeds: MaxUint64 while the UNSUBSCRIBE is in flight, then the
-	// shard's number for the last update fanned when the reply came.
-	// Updates fanned later reach the shard after it closed the
-	// subscription.
-	bound uint64
-	done  chan struct{} // closed when the reply comes (or the link dies)
-
-	// The shard may have evicted the old subscription itself, before the
-	// UNSUBSCRIBE: its *EVICTED is the old stream's and is dropped too.
-	sawNotice bool // one came while the UNSUBSCRIBE was in flight
-	notice    bool // one is still to come (the UNSUBSCRIBE failed)
 }
 
 // relaySub is the connection's handle on one relayed subscription.
@@ -211,7 +190,9 @@ func (s *relaySub) Finished() bool { return s.ended.Load() }
 
 // Cancel ends the subscription without waiting for the shard: the last
 // one on a link closes it; otherwise the link's goroutine sends the
-// UNSUBSCRIBE, and the query's lines are dropped from here on.
+// UNSUBSCRIBE. Either way no line of the query is forwarded once Cancel
+// returns — the shard's reply to the UNSUBSCRIBE follows every line of the
+// old stream, and forward drops the query's lines until it comes.
 func (s *relaySub) Cancel() {
 	u := s.u
 	u.mu.Lock()
@@ -222,12 +203,7 @@ func (s *relaySub) Cancel() {
 	delete(u.live, s.query)
 	last := len(u.live) == 0
 	if !last {
-		st := u.stale[s.query]
-		if st == nil {
-			st = &staleSub{}
-			u.stale[s.query] = st
-		}
-		st.bound, st.done, st.sawNotice = math.MaxUint64, make(chan struct{}), false
+		u.pending[s.query] = make(chan struct{})
 		u.unsubs = append(u.unsubs, s.query)
 	}
 	u.mu.Unlock()
@@ -255,7 +231,7 @@ func (r *router) Subscribe(c *server.Conn, name string) (server.Subscription, ui
 	if u == nil {
 		u, err = r.dialUpstream(c, h, resp.addr, cr)
 	} else {
-		err = u.settle(name)
+		u.settle(name)
 	}
 	if err != nil {
 		r.release(name)
@@ -295,13 +271,13 @@ func (r *router) Subscribe(c *server.Conn, name string) (server.Subscription, ui
 // dialUpstream opens c's link to shard h and starts its goroutine.
 func (r *router) dialUpstream(c *server.Conn, h *shardHandle, addr string, cr *connRelays) (*upstream, error) {
 	u := &upstream{
-		r:     r,
-		c:     c,
-		h:     h,
-		cr:    cr,
-		wake:  make(chan struct{}, 1),
-		live:  make(map[string]*relaySub),
-		stale: make(map[string]*staleSub),
+		r:       r,
+		c:       c,
+		h:       h,
+		cr:      cr,
+		wake:    make(chan struct{}, 1),
+		live:    make(map[string]*relaySub),
+		pending: make(map[string]chan struct{}),
 	}
 	cli, err := server.DialWith(addr, server.DialOptions{
 		Timeout:        r.dialTimeout,
@@ -318,29 +294,15 @@ func (r *router) dialUpstream(c *server.Conn, h *shardHandle, addr string, cr *c
 }
 
 // settle readies the link for a new SUBSCRIBE of a query the client
-// unsubscribed on it: it waits for the UNSUBSCRIBE's reply, then until the
-// shard has applied every update fanned by then, so the new subscription
-// starts past the stale bound and forward cannot mistake its lines for
-// the old one's.
-func (u *upstream) settle(name string) error {
+// unsubscribed on it: it waits for the UNSUBSCRIBE's reply, after which no
+// line of the old subscription can arrive.
+func (u *upstream) settle(name string) {
 	u.mu.Lock()
-	st := u.stale[name]
-	var done chan struct{}
-	if st != nil {
-		done = st.done
-	}
+	done := u.pending[name]
 	u.mu.Unlock()
-	if st == nil {
-		return nil
-	}
 	if done != nil {
 		<-done
 	}
-	resp, err := u.r.box.Call(rreq{kind: rBarrier, shard: u.h.id})
-	if err != nil {
-		return err
-	}
-	return resp.reg.collect()[0].err
 }
 
 func (u *upstream) isDead() bool {
@@ -400,27 +362,23 @@ func (u *upstream) run() {
 			q := u.unsubs[0]
 			u.unsubs = u.unsubs[1:]
 			u.mu.Unlock()
-			u.unsubscribed(q, u.cli.Unsubscribe(q))
+			u.cli.Unsubscribe(q) //tf:unchecked-ok any reply ends q's old stream
+			u.unsubscribed(q)
 		}
 	}
 }
 
-// unsubscribed settles q's stale bound once the shard has answered its
-// UNSUBSCRIBE. An error means the shard had already ended the old
-// subscription — its *EVICTED is on the way unless it came already — or
-// that the link is dying, which run notices next.
-func (u *upstream) unsubscribed(q string, err error) {
-	bound := u.h.base + u.r.fanned.Load()
+// unsubscribed ends q's pending state at the shard's reply to its
+// UNSUBSCRIBE. The reply may be an error — the shard had already evicted
+// the old subscription, its *EVICTED ahead of the reply, or the link is
+// dying, which run notices next — and ends it all the same.
+func (u *upstream) unsubscribed(q string) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	st := u.stale[q]
-	if st == nil || st.done == nil {
-		return
+	if done := u.pending[q]; done != nil {
+		close(done)
+		delete(u.pending, q)
 	}
-	st.bound = bound
-	st.notice = st.notice || (err != nil && !st.sawNotice)
-	close(st.done)
-	st.done = nil
 }
 
 // died evicts every confirmed subscription on a link that ended on its
@@ -443,11 +401,9 @@ func (u *upstream) died() {
 		}
 	}
 	//tf:unordered-ok releasing waiters
-	for _, st := range u.stale {
-		if st.done != nil {
-			close(st.done)
-			st.done = nil
-		}
+	for q, done := range u.pending {
+		close(done)
+		delete(u.pending, q)
 	}
 	u.mu.Unlock()
 	for _, q := range notify {
@@ -460,23 +416,28 @@ func (u *upstream) died() {
 
 // forward is the link's push callback, on its client's read loop: it
 // scans the run once — counting *EVENT lines for STATS, ending the handle
-// of a query the shard evicted before the notice goes out, and, while an
-// unsubscribed query's lines may still arrive, dropping them — and writes
-// what is left to the client's Wire in one frame, flushing once the
-// link's read buffer is drained.
+// of a query the shard evicted before the notice goes out, and dropping
+// the lines of a query whose UNSUBSCRIBE is pending — and writes what is
+// left to the client's Wire in one frame, flushing once the link's read
+// buffer is drained. A closing link forwards nothing.
+//
+// u.mu is held through the write, so the filter's decision and the write
+// are one step with respect to Cancel: once Cancel returns, no line of its
+// query reaches the Wire. The UNSUBSCRIBE's +OK, written after Cancel,
+// waits on the same Wire lock anyway.
 //
 //tf:hotpath
 func (u *upstream) forward(run []byte, more bool) {
 	u.mu.Lock()
 	var events uint64
-	if len(u.stale) == 0 {
+	if len(u.pending) == 0 && !u.closing {
 		events = u.scan(run)
 	} else {
 		run, events = u.filter(run)
 	}
-	u.mu.Unlock()
 	u.r.events.Add(events)
 	u.c.WriteFrame(run, nil, !more) //tf:unchecked-ok sticky error; the link keeps draining
+	u.mu.Unlock()
 	for _, q := range u.ended {
 		u.r.release(q)
 	}
@@ -503,53 +464,39 @@ func (u *upstream) scan(run []byte) (events uint64) {
 	return events
 }
 
-// filter is forward's pass while stale queries exist (u.mu held): it
-// copies the lines to forward into u.kept.
+// filter is forward's pass while UNSUBSCRIBEs are pending or the link is
+// closing (u.mu held): it copies the lines to forward into u.kept —
+// none on a closing link, and none of a pending query, its old
+// subscription's *EVICTED included.
 func (u *upstream) filter(run []byte) (kept []byte, events uint64) {
 	kept = u.kept[:0]
+	if u.closing {
+		return kept, 0
+	}
 	for off := 0; off < len(run); {
 		n := bytes.IndexByte(run[off:], '\n') + 1
 		line := run[off : off+n]
 		off += n
+		var name []byte
+		event := bytes.HasPrefix(line, eventPrefix)
 		switch {
-		case bytes.HasPrefix(line, eventPrefix):
-			name := pushQuery(line, len(eventPrefix))
-			seq := eventSeq(line[len(eventPrefix)+len(name):])
-			if st := u.stale[string(name)]; st != nil && seq <= st.bound {
-				continue // the unsubscribed stream
-			}
-			events++
-			u.sweep(seq)
+		case event:
+			name = pushQuery(line, len(eventPrefix))
 		case bytes.HasPrefix(line, evictedPrefix):
-			name := pushQuery(line, len(evictedPrefix))
-			st := u.stale[string(name)]
-			if st != nil && (u.live[string(name)] == nil || st.notice) {
-				// The old subscription's end.
-				if st.done != nil {
-					st.sawNotice = true
-				} else {
-					st.notice = false
-				}
-				continue
-			}
+			name = pushQuery(line, len(evictedPrefix))
+		}
+		if u.pending[string(name)] != nil {
+			continue
+		}
+		if event {
+			events++
+		} else if name != nil {
 			u.evicted(name)
 		}
 		kept = append(kept, line...)
 	}
 	u.kept = kept
 	return kept, events
-}
-
-// sweep drops the stale entries a line of update seq shows are past: the
-// shard pushed it after closing their subscriptions, and a connection's
-// pushes leave the shard in order (u.mu held).
-func (u *upstream) sweep(seq uint64) {
-	//tf:unordered-ok deleting settled entries
-	for name, st := range u.stale {
-		if st.bound < seq {
-			delete(u.stale, name)
-		}
-	}
 }
 
 // evicted ends the handle of a query the shard evicted (u.mu held). The
@@ -572,16 +519,4 @@ func pushQuery(line []byte, skip int) []byte {
 		return rest[:i]
 	}
 	return rest
-}
-
-// eventSeq parses the sequence number at the start of rest (" <seq> ...").
-func eventSeq(rest []byte) uint64 {
-	var seq uint64
-	for _, b := range bytes.TrimLeft(rest, " ") {
-		if b < '0' || b > '9' {
-			break
-		}
-		seq = seq*10 + uint64(b-'0')
-	}
-	return seq
 }

@@ -25,9 +25,6 @@ const (
 	// taskLabels interns label names, asserting id equality with the
 	// coordinator's dictionaries.
 	taskLabels
-	// taskBarrier does nothing: its result says that the shard has acked
-	// every task queued before it.
-	taskBarrier
 )
 
 // labelDef is one label to sync: the shard must intern name to exactly

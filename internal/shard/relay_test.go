@@ -5,7 +5,6 @@ package shard
 
 import (
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -98,10 +97,12 @@ func (w *eventWaiter) until(check func(server.Event), done func(server.Event) bo
 
 // TestRelayUnsubscribeWhileOthersEmit: q and r ride one upstream. After
 // UNSUBSCRIBE q, an update matching both delivers r's event and never q's
-// — the shard may still push q's line, since Cancel does not wait for it —
-// and a re-SUBSCRIBE of q streams from its new sequence number, with no
-// line of the old subscription behind it. The coordinator's STATS events=
-// counts what was forwarded, which is what the client received.
+// — the shard may still push q's line until it answers the upstream
+// UNSUBSCRIBE, and the relay drops q's lines until then — and a
+// re-SUBSCRIBE of q, which waits for that answer, streams from its new
+// sequence number with no line of the old subscription behind it. The
+// coordinator's STATS events= counts what was forwarded, which is what the
+// client received.
 func TestRelayUnsubscribeWhileOthersEmit(t *testing.T) {
 	addr, _, _ := startCluster(t, 2, Options{})
 	c := dialTest(t, addr)
@@ -244,16 +245,15 @@ func TestRelayEvictOneOfMany(t *testing.T) {
 }
 
 // TestRelayFilterDropsStaleLines drives forward's filter directly. While
-// q's UNSUBSCRIBE is in flight every q line is dropped, its old
-// subscription's *EVICTED too; once the reply settles the bound, q lines up
-// to it are dropped and a later update's line retires the entry. After a
-// re-SUBSCRIBE, the old subscription's pending *EVICTED is dropped and the
-// new one's lines and eviction pass.
+// q's UNSUBSCRIBE is pending every q line is dropped, its old
+// subscription's *EVICTED too, and r's lines pass; once the reply ends the
+// pending state, the re-subscribed q's lines and eviction pass. A closing
+// link forwards nothing.
 func TestRelayFilterDropsStaleLines(t *testing.T) {
 	r := &relaySub{query: "r"}
 	u := &upstream{
-		live:  map[string]*relaySub{"r": r},
-		stale: map[string]*staleSub{"q": {bound: math.MaxUint64, done: make(chan struct{})}},
+		live:    map[string]*relaySub{"r": r},
+		pending: map[string]chan struct{}{"q": make(chan struct{})},
 	}
 	filter := func(run, want string, wantEvents uint64) {
 		t.Helper()
@@ -263,25 +263,32 @@ func TestRelayFilterDropsStaleLines(t *testing.T) {
 		}
 	}
 
-	filter("*EVENT q 5 + 1 2\n*EVENT r 5 + 1 2\n*EVICTED q\n", "*EVENT r 5 + 1 2\n", 1)
-	st := u.stale["q"]
-	if !st.sawNotice {
-		t.Fatal("the in-flight *EVICTED q was not noted")
+	filter("*EVENT q 5 + 1 2\n*EVENT r 5 + 1 2\n*EVICTED q\n*EVENT q 6 - 1 2\n", "*EVENT r 5 + 1 2\n", 1)
+	done := u.pending["q"]
+	u.unsubscribed("q")
+	select {
+	case <-done:
+	default:
+		t.Fatal("the reply did not release a re-SUBSCRIBE waiting on q")
 	}
-	st.bound, st.done = 7, nil // the reply: 7 updates fanned by then
-	filter("*EVENT q 7 - 1 2\n*EVENT r 8 + 1 2\n", "*EVENT r 8 + 1 2\n", 1)
-	if len(u.stale) != 0 {
-		t.Fatalf("stale entries after a line of update 8: %v", u.stale)
+	if len(u.pending) != 0 {
+		t.Fatalf("pending after the reply: %v", u.pending)
 	}
 
 	q := &relaySub{query: "q"}
 	u.live["q"] = q
-	u.stale["q"] = &staleSub{bound: 9, notice: true}
-	filter("*EVICTED q\n*EVENT q 10 + 1 2\n*EVICTED q\n", "*EVENT q 10 + 1 2\n*EVICTED q\n", 1)
+	u.pending["x"] = make(chan struct{}) // keeps the filter on
+	filter("*EVENT q 10 + 1 2\n*EVICTED q\n", "*EVENT q 10 + 1 2\n*EVICTED q\n", 1)
 	if !q.Finished() || u.live["q"] != nil || len(u.ended) != 1 || u.ended[0] != "q" {
 		t.Fatalf("the new subscription's *EVICTED did not end its handle: finished=%t live=%v ended=%v", q.Finished(), u.live, u.ended)
 	}
 	if r.Finished() {
 		t.Fatal("r ended")
+	}
+
+	u.closing = true
+	filter("*EVENT r 11 + 1 2\n*EVICTED r\n", "", 0)
+	if r.Finished() {
+		t.Fatal("a closing link ended r's handle")
 	}
 }

@@ -23,18 +23,16 @@ const (
 	rLabel
 	rSubscribe
 	rSubRelease
-	rBarrier // wait for a shard's FIFO to drain up to here
 	rStats
 	rShardStats
 )
 
 // rreq is one message to the router actor.
 type rreq struct {
-	kind  rkind
-	ups   []turboflux.Update // the run to fan (rApply)
-	name  string             // query name / "vertex" / "edge" (rLabel)
-	arg   string             // pattern (rRegister) / label name (rLabel)
-	shard int                // the shard to drain (rBarrier)
+	kind rkind
+	ups  []turboflux.Update // the run to fan (rApply)
+	name string             // query name / "vertex" / "edge" (rLabel)
+	arg  string             // pattern (rRegister) / label name (rLabel)
 }
 
 type rresp struct {
@@ -128,7 +126,6 @@ type router struct {
 	dialTimeout    time.Duration // bounds the connect of a relay's upstream
 	requestTimeout time.Duration // bounds a relay's SUBSCRIBE and UNSUBSCRIBE
 	events         atomic.Uint64 // relayed match events (STATS)
-	fanned         atomic.Uint64 // seq, published before the run is fanned
 
 	relayMu sync.Mutex
 	relays  map[uint64]*connRelays // by connection id
@@ -178,7 +175,6 @@ func (r *router) handle(req rreq) (resp rresp, err error) {
 	case rApply:
 		resp.seq = r.seq + 1
 		r.seq += uint64(len(req.ups))
-		r.fanned.Store(r.seq)
 		resp.pend = r.fanAll(&task{kind: taskApply, seq: resp.seq, ups: req.ups})
 	case rRegister:
 		return r.register(req)
@@ -211,12 +207,6 @@ func (r *router) handle(req rreq) (resp rresp, err error) {
 		if a, ok := r.table.get(req.name); ok && a.subs > 0 {
 			a.subs--
 		}
-	case rBarrier:
-		h := r.shards[req.shard]
-		if !h.alive.Load() {
-			return resp, fmt.Errorf("shard: shard %d (%s) is down: %s", h.id, h.addr, h.downReason())
-		}
-		resp.reg = r.fanTo(h.id, &task{kind: taskBarrier})
 	case rStats:
 		resp.lines = r.statsLines()
 	case rShardStats:
