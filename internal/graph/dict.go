@@ -35,14 +35,18 @@ func NumericDict() *Dict {
 	return d
 }
 
+// MaxLabels is how many labels a Dict holds: a Label is 16 bits.
+const MaxLabels = 1 << 16
+
 // Intern returns the Label for name, assigning the next free Label on first
-// use. It panics if more than 65535 distinct labels are interned, which is
-// far beyond any workload in the paper (Netflow has 8 edge labels).
+// use. It panics when the dictionary already holds MaxLabels names, which is
+// far beyond any workload in the paper (Netflow has 8 edge labels); names
+// from clients are checked before they are interned (qlang.CheckLabel).
 func (d *Dict) Intern(name string) Label {
 	if l, ok := d.byName[name]; ok {
 		return l
 	}
-	if len(d.names) >= 1<<16 {
+	if len(d.names) >= MaxLabels {
 		panic("graph: label dictionary overflow")
 	}
 	l := Label(len(d.names))
@@ -101,7 +105,7 @@ func ReadDict(r *bufio.Reader) (*Dict, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading dict count: %w", err)
 	}
-	if count > 1<<16 {
+	if count > MaxLabels {
 		return nil, fmt.Errorf("graph: dict count %d exceeds label space", count)
 	}
 	d := NewDict()

@@ -265,31 +265,52 @@ func (p *parser) errf(format string, args ...any) error {
 		fmt.Sprintf(format, args...), p.pos, near)
 }
 
-// CheckNumeric refuses src, before anything is interned, when it names a
-// label that looks decimal but is none of the labels "0".."255" a numeric
-// dictionary starts with (graph.NumericDict, as the servers' dictionaries
-// under -numeric-labels do, recovered ones included). Interned, "300" or
-// "007" would be a new label that no numeric data label carries, and the
-// query would silently match nothing. Dictionaries that are not numeric
-// accept every name.
-func CheckNumeric(src string, vdict, edict *graph.Dict) error {
+// CheckLabels refuses src, before anything is interned, when a label it
+// names fails CheckLabel, or when its names new to a dictionary would
+// overflow it.
+func CheckLabels(src string, vdict, edict *graph.Dict) error {
 	vd, ed := graph.NewDict(), graph.NewDict()
 	if _, _, err := Parse(src, vd, ed); err != nil {
 		return err
 	}
 	for _, c := range [...]struct{ named, dict *graph.Dict }{{vd, vdict}, {ed, edict}} {
-		if !numeric(c.dict) {
-			continue
+		names := make([]string, c.named.Len())
+		for i := range names {
+			names[i] = c.named.Name(graph.Label(i))
 		}
-		for i := range c.named.Len() {
-			name := c.named.Name(graph.Label(i))
-			if strings.Trim(name, "0123456789") != "" {
-				continue
-			}
-			if l, ok := c.dict.Lookup(name); !ok || l >= graph.NumericLabels {
-				return fmt.Errorf("label %q is not one of the numeric labels 0..%d", name, graph.NumericLabels-1)
-			}
+		if err := checkNames(c.dict, names); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// CheckLabel refuses name before it is interned into d: when d is full, or
+// when d is numeric (it starts with the labels "0".."255" of
+// graph.NumericDict, as the servers' dictionaries under -numeric-labels do,
+// recovered ones included) and name looks decimal but is none of those.
+// Interned, "300" or "007" would be a new label that no numeric data label
+// carries, and a query naming it would silently match nothing.
+func CheckLabel(name string, d *graph.Dict) error {
+	return checkNames(d, []string{name})
+}
+
+// checkNames applies CheckLabel's rule to each name and refuses the lot
+// when the names d lacks outnumber its free labels.
+func checkNames(d *graph.Dict, names []string) error {
+	num := numeric(d)
+	unseen := 0
+	for _, name := range names {
+		l, ok := d.Lookup(name)
+		if num && strings.Trim(name, "0123456789") == "" && (!ok || l >= graph.NumericLabels) {
+			return fmt.Errorf("label %q is not one of the numeric labels 0..%d", name, graph.NumericLabels-1)
+		}
+		if !ok {
+			unseen++
+		}
+	}
+	if d.Len()+unseen > graph.MaxLabels {
+		return fmt.Errorf("label dictionary full: %d new labels, %d free", unseen, graph.MaxLabels-d.Len())
 	}
 	return nil
 }

@@ -168,9 +168,10 @@ func TestDictReuseAcrossParses(t *testing.T) {
 	}
 }
 
-// TestCheckNumeric pins which names a numeric dictionary refuses: decimal
-// names outside its pre-interned "0".."255", in either namespace, and
-// nothing for a dictionary that does not start with those labels.
+// TestCheckNumeric pins which names a numeric dictionary refuses, in a
+// pattern (CheckLabels) or alone (CheckLabel): decimal names outside its
+// pre-interned "0".."255", in either namespace, and nothing for a
+// dictionary that does not start with those labels.
 func TestCheckNumeric(t *testing.T) {
 	recovered := graph.NumericDict()
 	recovered.Intern("Person") // a numeric dictionary after a LABEL request
@@ -188,7 +189,7 @@ func TestCheckNumeric(t *testing.T) {
 		{"(a:300)-[:007]->(b:2)", graph.NewDict(), graph.NewDict(), ""},
 	} {
 		vn, en := c.vd.Len(), c.ed.Len()
-		err := CheckNumeric(c.pattern, c.vd, c.ed)
+		err := CheckLabels(c.pattern, c.vd, c.ed)
 		switch {
 		case c.refused == "" && err != nil:
 			t.Errorf("%s: %v", c.pattern, err)
@@ -196,10 +197,18 @@ func TestCheckNumeric(t *testing.T) {
 			t.Errorf("%s: %v, want %q refused", c.pattern, err, c.refused)
 		}
 		if c.vd.Len() != vn || c.ed.Len() != en {
-			t.Errorf("%s: CheckNumeric interned a label", c.pattern)
+			t.Errorf("%s: CheckLabels interned a label", c.pattern)
 		}
 	}
-	if err := CheckNumeric("(a:1)-[:2]->", graph.NumericDict(), graph.NumericDict()); err == nil {
-		t.Error("CheckNumeric accepted a pattern that does not parse")
+	if err := CheckLabels("(a:1)-[:2]->", graph.NumericDict(), graph.NumericDict()); err == nil {
+		t.Error("CheckLabels accepted a pattern that does not parse")
+	}
+	for name, refused := range map[string]bool{"255": false, "Person": false, "300": true, "007": true} {
+		if err := CheckLabel(name, recovered); (err != nil) != refused {
+			t.Errorf("CheckLabel(%q) on a numeric dictionary: %v, want refused=%v", name, err, refused)
+		}
+	}
+	if err := CheckLabel("300", graph.NewDict()); err != nil {
+		t.Errorf("CheckLabel(\"300\") on a named dictionary: %v", err)
 	}
 }

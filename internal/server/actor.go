@@ -206,7 +206,9 @@ func (a *actor) handle(req request) (resp response, err error) {
 		if req.name == "edge" {
 			d = a.edict
 		}
-		resp.label = d.Intern(req.arg)
+		if err = qlang.CheckLabel(req.arg, d); err == nil {
+			resp.label = d.Intern(req.arg)
+		}
 	case reqSubscribe:
 		l := a.subs[req.name]
 		if l == nil {
@@ -288,9 +290,10 @@ func (l *subList) prune() {
 // registers the query with an OnMatch hook that delivers to the query's
 // subscriber list. Parsing happens here, not in the connection goroutine,
 // because qlang interns labels into the shared dictionaries; a decimal
-// label a numeric dictionary does not hold is refused before that.
+// label a numeric dictionary does not hold, or more new labels than a
+// dictionary has room for, is refused before that (qlang.CheckLabels).
 func (a *actor) register(name, pattern string) error {
-	if err := qlang.CheckNumeric(pattern, a.vdict, a.edict); err != nil {
+	if err := qlang.CheckLabels(pattern, a.vdict, a.edict); err != nil {
 		return err
 	}
 	q, _, err := qlang.Parse(pattern, a.vdict, a.edict)

@@ -41,7 +41,7 @@ func batchWorkload() []turboflux.Update {
 // the subscriber's per-query transcripts plus the final STATS lines.
 // batchSize 1 means per-update i/d/v requests; larger sizes send BATCH
 // (or BATCHB) frames of that many updates.
-func runServerBatchWorkload(t *testing.T, workers, batchSize int, binary bool) (map[string][]transcriptEntry, []string) {
+func runServerBatchWorkload(t *testing.T, workers, batchSize int, binary bool) (map[string][]transcriptEntry, StatsPayload) {
 	t.Helper()
 	vdict := turboflux.NewDict()
 	vdict.Intern("P")
@@ -145,11 +145,11 @@ func runServerBatchWorkload(t *testing.T, workers, batchSize int, binary bool) (
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	lines, err := admin.Stats()
+	st, err := admin.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, lines
+	return got, st
 }
 
 // comparableStats filters STATS down to the lines and fields that must be
@@ -163,39 +163,22 @@ func runServerBatchWorkload(t *testing.T, workers, batchSize int, binary bool) (
 // maintain/saved/replays counters depend on how updates group into runs
 // (the batch scheduler maintains a sub-pattern only for the updates it
 // routes to it, the sequential path for every update).
-func comparableStats(t *testing.T, lines []string, fanout bool) []string {
+func comparableStats(t *testing.T, st StatsPayload, fanout bool) []string {
 	t.Helper()
 	var out []string
-	for _, l := range lines {
-		switch {
-		case strings.HasPrefix(l, "apply_latency"), strings.HasPrefix(l, "sub "):
-		case strings.HasPrefix(l, "mqo "):
-			kv := map[string]string{}
-			for _, f := range strings.Fields(l)[1:] {
-				k, v, ok := strings.Cut(f, "=")
-				if !ok {
-					t.Fatalf("malformed mqo field %q in %q", f, l)
-				}
-				kv[k] = v
+	for _, l := range st {
+		switch l.Kind {
+		case "apply_latency", "sub":
+		case "mqo":
+			out = append(out, fmt.Sprintf("mqo subpats=%d shared=%d refs=%d",
+				stat(t, l.Uint, "subpats"), stat(t, l.Uint, "shared"), stat(t, l.Uint, "refs")))
+		case "fanout":
+			if fanout {
+				out = append(out, fmt.Sprintf("fanout workers=%d evals=%d skipped=%d",
+					stat(t, l.Uint, "workers"), stat(t, l.Uint, "evals"), stat(t, l.Uint, "skipped")))
 			}
-			out = append(out, fmt.Sprintf("mqo subpats=%s shared=%s refs=%s",
-				kv["subpats"], kv["shared"], kv["refs"]))
-		case strings.HasPrefix(l, "fanout "):
-			if !fanout {
-				continue
-			}
-			kv := map[string]string{}
-			for _, f := range strings.Fields(l)[1:] {
-				k, v, ok := strings.Cut(f, "=")
-				if !ok {
-					t.Fatalf("malformed fanout field %q in %q", f, l)
-				}
-				kv[k] = v
-			}
-			out = append(out, fmt.Sprintf("fanout workers=%s evals=%s skipped=%s",
-				kv["workers"], kv["evals"], kv["skipped"]))
 		default:
-			out = append(out, l)
+			out = append(out, l.String())
 		}
 	}
 	return out

@@ -557,16 +557,16 @@ func (c *Client) Unsubscribe(name string) error {
 	return err
 }
 
-// Stats returns the STATS payload lines (see the package comment).
-func (c *Client) Stats() ([]string, error) { return c.dataLines("STATS") }
+// Stats returns the STATS payload (see the package comment).
+func (c *Client) Stats() (StatsPayload, error) { return c.dataLines("STATS") }
 
 // ShardStats returns the per-shard liveness and lag lines from a
 // coordinator (a plain server rejects the request).
-func (c *Client) ShardStats() ([]string, error) { return c.dataLines("SHARDSTATS") }
+func (c *Client) ShardStats() (StatsPayload, error) { return c.dataLines("SHARDSTATS") }
 
-// dataLines performs one "+DATA <n>" framed exchange and returns the n
+// dataLines performs one "+DATA <n>" framed exchange and parses its n
 // payload lines.
-func (c *Client) dataLines(cmd string) ([]string, error) {
+func (c *Client) dataLines(cmd string) (StatsPayload, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.inflight.Add(1) // left raised while payload lines may still come
@@ -599,7 +599,7 @@ func (c *Client) dataLines(cmd string) ([]string, error) {
 		lines = append(lines, l)
 	}
 	c.inflight.Add(-1)
-	return lines, nil
+	return ParseStats(lines), nil
 }
 
 // Promote flips a follower server into leader mode: its replication link

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"net"
-	"strings"
 	"testing"
 	"time"
 )
@@ -78,11 +77,11 @@ func TestClientPushRunSplitLine(t *testing.T) {
 // next run could otherwise wait forever.
 func TestClientPushRunStopsAtReply(t *testing.T) {
 	c, peer, runs := pipeClient(t)
-	stats := make(chan []string, 1)
+	stats := make(chan StatsPayload, 1)
 	errs := make(chan error, 1)
 	go func() {
-		lines, err := c.Stats()
-		stats <- lines
+		st, err := c.Stats()
+		stats <- st
 		errs <- err
 	}()
 	req, err := bufio.NewReader(peer).ReadString('\n')
@@ -102,7 +101,7 @@ func TestClientPushRunStopsAtReply(t *testing.T) {
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(<-stats, "|"); got != "server a=1|queue b=2" {
-		t.Fatalf("STATS payload = %q", got)
+	if st := <-stats; len(st) != 2 || st[0].String() != "server a=1" || st[1].String() != "queue b=2" {
+		t.Fatalf("STATS payload = %v", st)
 	}
 }

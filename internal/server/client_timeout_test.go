@@ -1,7 +1,7 @@
 package server
 
-// Client dial/request timeout behavior and the typed STATS view
-// (ParseStats / StatsInfo) across server roles.
+// Client dial/request timeout behavior and the keyed STATS reader
+// (ParseStats, StatsPayload) across server roles.
 
 import (
 	"net"
@@ -97,9 +97,9 @@ func TestShardStatsRejectedByServer(t *testing.T) {
 	}
 }
 
-// TestStatsInfoStandalone covers the typed view of a plain server's
-// STATS payload.
-func TestStatsInfoStandalone(t *testing.T) {
+// TestStatsStandalone reads a plain server's STATS payload through the
+// keyed reader.
+func TestStatsStandalone(t *testing.T) {
 	_, addr := startServer(t, Options{})
 	c := dialTest(t, addr)
 	if err := c.Register("q1", "(a:P)-[:e]->(b:P)"); err != nil {
@@ -108,26 +108,30 @@ func TestStatsInfoStandalone(t *testing.T) {
 	if _, err := c.Subscribe("q1"); err != nil {
 		t.Fatal(err)
 	}
-	info, err := c.StatsInfo()
+	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Role != "standalone" {
-		t.Fatalf("role = %q, want standalone", info.Role)
+	if role, err := st.Role(); err != nil || role != "standalone" {
+		t.Fatalf("role = %q, %v; want standalone", role, err)
 	}
-	if info.Conns != 1 {
-		t.Fatalf("conns = %d, want 1", info.Conns)
+	if conns := stat(t, st.Line("server").Uint, "conns"); conns != 1 {
+		t.Fatalf("conns = %d, want 1", conns)
 	}
-	if len(info.Queries) != 1 || info.Queries[0].Name != "q1" {
-		t.Fatalf("queries = %+v, want one entry q1", info.Queries)
+	qs := st.Lines("query")
+	if len(qs) != 1 || qs[0].ID != "q1" {
+		t.Fatalf("query lines = %v, want one for q1", qs)
 	}
-	if info.Queries[0].Subs != 1 || info.Queries[0].Shard != -1 {
-		t.Fatalf("query stat = %+v, want subs=1 shard=-1", info.Queries[0])
+	if subs := stat(t, qs[0].Uint, "subs"); subs != 1 {
+		t.Fatalf("query line %s: want subs=1", qs[0])
+	}
+	if _, err := qs[0].Int("shard"); err == nil {
+		t.Fatalf("query line %s: a plain server reports no placement", qs[0])
 	}
 	// An empty DCG still holds its own header; stored edges add to it.
-	empty := info.Queries[0].Held
+	empty := stat(t, qs[0].Int, "held")
 	if empty <= 0 {
-		t.Fatalf("query stat = %+v, want held > 0", info.Queries[0])
+		t.Fatalf("query line %s: want held > 0", qs[0])
 	}
 	person, err := c.Label("vertex", "P")
 	if err != nil {
@@ -144,17 +148,18 @@ func TestStatsInfoStandalone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if info, err = c.StatsInfo(); err != nil {
+	if st, err = c.Stats(); err != nil {
 		t.Fatal(err)
 	}
-	if info.Queries[0].Pos != 1 || info.Queries[0].Held <= empty {
-		t.Fatalf("query stat = %+v after a match, want pos=1 and held > %d", info.Queries[0], empty)
+	q := st.Find("query", "q1")
+	if stat(t, q.Int, "pos") != 1 || stat(t, q.Int, "held") <= empty {
+		t.Fatalf("query line %s after a match: want pos=1 and held > %d", q, empty)
 	}
 }
 
-// TestStatsInfoLeaderFollower covers role detection and link counters on
-// a live replication pair.
-func TestStatsInfoLeaderFollower(t *testing.T) {
+// TestStatsLeaderFollower covers role detection and link counters on a
+// live replication pair.
+func TestStatsLeaderFollower(t *testing.T) {
 	_, leaderAddr, _ := startReplServer(t, leaderOpts(t.TempDir()))
 	_, followerAddr, _ := startReplServer(t, followerOpts(t.TempDir(), leaderAddr))
 
@@ -163,31 +168,32 @@ func TestStatsInfoLeaderFollower(t *testing.T) {
 	waitForLSN(t, cl, replBootstrapLen)
 	waitForLSN(t, cf, replBootstrapLen)
 
-	li, err := cl.StatsInfo()
+	ls, err := cl.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if li.Role != "leader" {
-		t.Fatalf("leader role = %q, want leader", li.Role)
+	if role, err := ls.Role(); err != nil || role != "leader" {
+		t.Fatalf("leader role = %q, %v; want leader", role, err)
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		fi, err := cf.StatsInfo()
+		fs, err := cf.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fi.Role != "follower" {
-			t.Fatalf("follower role = %q, want follower", fi.Role)
+		if role, err := fs.Role(); err != nil || role != "follower" {
+			t.Fatalf("follower role = %q, %v; want follower", role, err)
 		}
-		if fi.Connected && fi.AppliedLSN >= replBootstrapLen {
-			if fi.Leader != leaderAddr {
-				t.Fatalf("follower leader = %q, want %q", fi.Leader, leaderAddr)
+		r := fs.Line("replica")
+		if stat(t, r.Bool, "connected") && stat(t, r.Uint, "applied_lsn") >= replBootstrapLen {
+			if leader := stat(t, r.Str, "leader"); leader != leaderAddr {
+				t.Fatalf("follower leader = %q, want %q", leader, leaderAddr)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("follower never connected: %+v", fi)
+			t.Fatalf("follower never connected: %s", r)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -195,61 +201,77 @@ func TestStatsInfoLeaderFollower(t *testing.T) {
 	// The leader sees the follower once the link is up.
 	deadline = time.Now().Add(10 * time.Second)
 	for {
-		li, err = cl.StatsInfo()
-		if err != nil {
+		if ls, err = cl.Stats(); err != nil {
 			t.Fatal(err)
 		}
-		if len(li.Followers) == 1 && li.Followers[0].AppliedLSN >= replBootstrapLen {
+		fl := ls.Lines("follower")
+		if len(fl) == 1 && stat(t, fl[0].Uint, "applied_lsn") >= replBootstrapLen {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("leader never saw the follower: %+v", li)
+			t.Fatalf("leader never saw the follower: %v", fl)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// TestParseStatsCoordinator covers the coordinator payload shape against
+// TestParseStatsCoordinator reads the coordinator payload shape from
 // synthetic lines (the live path is covered by the shard e2e).
 func TestParseStatsCoordinator(t *testing.T) {
-	info, err := ParseStats([]string{
+	st := ParseStats([]string{
 		"cluster role=coordinator shards=4 alive=3 seq=100 updates=90 events=42 conns=2",
 		"shard 0 addr=127.0.0.1:7001 alive=true queries=6 seq=100 lag=0 ping_us=120 misses=0",
 		"shard 1 addr=127.0.0.1:7002 alive=false queries=6 seq=80 lag=20 ping_us=-1 misses=3",
 		"query q1 shard=0 subs=2",
 	})
-	if err != nil {
-		t.Fatal(err)
+	if role, err := st.Role(); err != nil || role != "coordinator" {
+		t.Fatalf("role = %q, %v; want coordinator", role, err)
 	}
-	if info.Role != "coordinator" {
-		t.Fatalf("role = %q, want coordinator", info.Role)
+	c := st.Line("cluster")
+	if stat(t, c.Uint, "shards") != 4 || stat(t, c.Uint, "alive") != 3 || stat(t, c.Uint, "seq") != 100 {
+		t.Fatalf("cluster line = %s", c)
 	}
-	if info.ShardsTotal != 4 || info.ShardsAlive != 3 || info.Seq != 100 {
-		t.Fatalf("cluster counters = %+v", info)
+	if n := len(st.Lines("shard")); n != 2 {
+		t.Fatalf("%d shard lines, want 2", n)
 	}
-	if len(info.Shards) != 2 {
-		t.Fatalf("shards = %+v, want 2", info.Shards)
+	s1 := st.Find("shard", "1")
+	if stat(t, s1.Bool, "alive") || stat(t, s1.Uint, "lag") != 20 || stat(t, s1.Int, "ping_us") != -1 || stat(t, s1.Uint, "misses") != 3 {
+		t.Fatalf("shard 1 = %s", s1)
 	}
-	s1 := info.Shards[1]
-	if s1.ID != 1 || s1.Alive || s1.Lag != 20 || s1.PingUs != -1 || s1.Misses != 3 {
-		t.Fatalf("shard 1 = %+v", s1)
-	}
-	if len(info.Queries) != 1 || info.Queries[0].Shard != 0 || info.Queries[0].Subs != 2 {
-		t.Fatalf("queries = %+v", info.Queries)
+	q := st.Find("query", "q1")
+	if stat(t, q.Uint, "shard") != 0 || stat(t, q.Uint, "subs") != 2 {
+		t.Fatalf("query line = %s", q)
 	}
 }
 
-// TestParseStatsMalformed: malformed numeric values error instead of
-// being silently zeroed.
-func TestParseStatsMalformed(t *testing.T) {
-	for _, lines := range [][]string{
-		{"server conns=zap policy=block queue_cap=1024 seq=0 updates=0 events=0 dropped=0 evicted=0"},
-		{"shard x addr=127.0.0.1:1 alive=true"},
-		{"replica role=chief"},
-		{"cluster role=coordinator shards=-2"},
+// TestStatsMissingOrMalformedKey: a key the line lacks, a malformed value,
+// a line the payload lacks and an unknown role are each an error naming
+// the key, never a zero.
+func TestStatsMissingOrMalformedKey(t *testing.T) {
+	st := ParseStats([]string{
+		"server conns=zap policy=block queue_cap=1024 updates=0",
+		"shard 3 addr=127.0.0.1:1 alive=maybe",
+		"query q1 pos=-1",
+	})
+	for _, c := range []struct {
+		read func() error
+		want string
+	}{
+		{func() error { _, err := st.Line("server").Uint("seq"); return err }, `"server conns=zap policy=block queue_cap=1024 updates=0" has no seq`},
+		{func() error { _, err := st.Line("server").Uint("conns"); return err }, `bad conns "zap"`},
+		{func() error { _, err := st.Find("shard", "3").Bool("alive"); return err }, `bad alive "maybe"`},
+		{func() error { _, err := st.Find("shard", "3").Str("ping_us"); return err }, "has no ping_us"},
+		{func() error { _, err := st.Find("query", "q1").Uint("pos"); return err }, `bad pos "-1"`},
+		{func() error { _, err := st.Find("query", "q2").Int("pos"); return err }, "STATS has no query q2 line (reading pos)"},
+		{func() error { _, err := st.Line("mqo").Uint("subpats"); return err }, "STATS has no mqo line (reading subpats)"},
+		{func() error { _, err := ParseStats([]string{"replica role=chief"}).Role(); return err }, `bad role "chief"`},
+		{func() error { _, err := ParseStats([]string{"replica followers=1"}).Role(); return err }, "has no role"},
 	} {
-		if _, err := ParseStats(lines); err == nil {
-			t.Fatalf("ParseStats(%q) succeeded, want error", lines)
+		if err := c.read(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("err = %v, want one containing %q", err, c.want)
 		}
+	}
+	if v, err := st.Find("query", "q1").Int("pos"); err != nil || v != -1 {
+		t.Errorf("query q1 pos = %d, %v; want -1", v, err)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -267,46 +265,26 @@ func runServerE2EDeterminism(t *testing.T, workers int) {
 	}
 
 	// STATS must surface the fan-out worker-utilization counters.
-	lines, err := admin.Stats()
+	st, err := admin.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fanout := ""
-	for _, l := range lines {
-		if strings.HasPrefix(l, "fanout ") {
-			fanout = l
-		}
-	}
-	if fanout == "" {
-		t.Fatalf("STATS has no fanout line: %q", lines)
-	}
-	kv := map[string]uint64{}
-	for _, f := range strings.Fields(fanout)[1:] {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			t.Fatalf("malformed fanout field %q in %q", f, fanout)
-		}
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			t.Fatalf("fanout field %q: %v", f, err)
-		}
-		kv[k] = n
-	}
-	if got := kv["workers"]; got != uint64(workers) {
+	fanout := st.Line("fanout")
+	if got := stat(t, fanout.Uint, "workers"); got != uint64(workers) {
 		t.Fatalf("fanout workers = %d, want %d", got, workers)
 	}
-	if kv["evals"] == 0 {
-		t.Fatalf("fanout evals = 0: %q", fanout)
+	if stat(t, fanout.Uint, "evals") == 0 {
+		t.Fatalf("fanout evals = 0: %s", fanout)
 	}
 	if workers > 1 {
 		// knows2 and knows3 share a label but not a tree shape, so "knows"
 		// updates pool two sub-pattern tasks; likes2 is skipped on those
 		// updates.
-		if kv["batches"] == 0 || kv["pooled"] == 0 {
-			t.Fatalf("parallel actor never pooled work: %q", fanout)
+		if stat(t, fanout.Uint, "batches") == 0 || stat(t, fanout.Uint, "pooled") == 0 {
+			t.Fatalf("parallel actor never pooled work: %s", fanout)
 		}
-		if kv["skipped"] == 0 {
-			t.Fatalf("label routing never skipped an engine: %q", fanout)
+		if stat(t, fanout.Uint, "skipped") == 0 {
+			t.Fatalf("label routing never skipped an engine: %s", fanout)
 		}
 	}
 }

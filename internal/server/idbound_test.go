@@ -21,7 +21,7 @@ const hugeID = turboflux.VertexID(4_000_000_000)
 // consumed.
 func refusesHugeIDs(t *testing.T, c *Client) {
 	t.Helper()
-	before, err := c.StatsInfo()
+	before, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +44,14 @@ func refusesHugeIDs(t *testing.T, c *Client) {
 			t.Fatalf("after the refused %s: %v", ck.name, err)
 		}
 	}
-	after, err := c.StatsInfo()
+	after, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Seq != before.Seq || after.Updates != before.Updates {
-		t.Fatalf("refused updates moved seq %d -> %d, updates %d -> %d", before.Seq, after.Seq, before.Updates, after.Updates)
+	for _, key := range []string{"seq", "updates"} {
+		if b, a := stat(t, before.Line("server").Uint, key), stat(t, after.Line("server").Uint, key); a != b {
+			t.Fatalf("refused updates moved %s %d -> %d", key, b, a)
+		}
 	}
 }
 

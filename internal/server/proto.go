@@ -66,6 +66,18 @@
 // counts ("+OK <seq> <total> [name=n ...]"), so a client fleet can
 // reconstruct the server's total update order and replay it offline —
 // the determinism contract the end-to-end tests check.
+//
+// A STATS or SHARDSTATS payload line is a kind, then an id for the kinds
+// that describe one of many things (shard, query, sub), then space-separated
+// key=value fields:
+//
+//	server conns=2 policy=block queue_cap=1024 seq=7 ...
+//	query q1 pos=3 neg=1 dcg_edges=12 bytes=192 held=4096 subs=1
+//
+// Readers look values up by key, so fields may be added and reordered. A
+// reader that needs a key the line lacks, or carries malformed, reports an
+// error naming the line and the key; it never reads one as zero
+// (StatsPayload).
 package server
 
 import (

@@ -238,16 +238,16 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 	if err := cfCtl.Promote(); err != nil {
 		t.Fatalf("promote: %v", err)
 	}
-	lines, err := cfCtl.Stats()
+	st, err := cfCtl.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn, ok := statsUint(lines, "wal ", "lsn")
-	if !ok || lsn < confirmed {
+	lsn := stat(t, st.Line("wal").Uint, "lsn")
+	if lsn < confirmed {
 		t.Fatalf("promoted follower lsn = %d, want >= confirmed %d", lsn, confirmed)
 	}
-	if l, _ := statsLine(lines, "replica "); !strings.Contains(l, "role=leader") {
-		t.Fatalf("promoted replica line = %q", l)
+	if role, err := st.Role(); err != nil || role != "leader" {
+		t.Fatalf("promoted role = %q, %v; want leader", role, err)
 	}
 
 	// Writes resume with contiguous LSNs and the subscriber keeps
@@ -322,12 +322,12 @@ func TestE2EFollowerServesReads(t *testing.T) {
 	}
 
 	// The leader sees both followers caught up.
-	lines, err := cl.Stats()
+	st, err := cl.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l, _ := statsLine(lines, "replica "); !strings.Contains(l, "followers=2") {
-		t.Fatalf("leader replica line = %q", l)
+	if n := stat(t, st.Line("replica").Uint, "followers"); n != 2 {
+		t.Fatalf("leader reports %d followers, want 2", n)
 	}
 }
 

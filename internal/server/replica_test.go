@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -156,33 +155,15 @@ func collectEvents(t *testing.T, nc net.Conn, br *bufio.Reader, n int) []string 
 	return out
 }
 
-// statsUint extracts key=<uint> from the first STATS line with the given
-// prefix.
-func statsUint(lines []string, linePrefix, key string) (uint64, bool) {
-	for _, l := range lines {
-		if !strings.HasPrefix(l, linePrefix) {
-			continue
-		}
-		for _, f := range strings.Fields(l) {
-			if k, v, ok := strings.Cut(f, "="); ok && k == key {
-				n, err := strconv.ParseUint(v, 10, 64)
-				if err != nil {
-					return 0, false
-				}
-				return n, true
-			}
-		}
+// stat reads key through get, a StatsLine getter, failing the test when
+// the line lacks the key or carries it malformed.
+func stat[T any](t *testing.T, get func(string) (T, error), key string) T {
+	t.Helper()
+	v, err := get(key)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return 0, false
-}
-
-func statsLine(lines []string, prefix string) (string, bool) {
-	for _, l := range lines {
-		if strings.HasPrefix(l, prefix) {
-			return l, true
-		}
-	}
-	return "", false
+	return v
 }
 
 // waitForLSN polls STATS until the server's durable LSN reaches want.
@@ -190,11 +171,11 @@ func waitForLSN(t *testing.T, c *Client, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		lines, err := c.Stats()
+		st, err := c.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lsn, ok := statsUint(lines, "wal ", "lsn"); ok && lsn >= want {
+		if stat(t, st.Line("wal").Uint, "lsn") >= want {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -245,48 +226,36 @@ func TestFollowerMirrorsLeaderTranscript(t *testing.T) {
 	// Leader STATS: role, durable position, per-follower lag. The leader
 	// learns the follower's position from an asynchronous acknowledgement,
 	// after the follower's own WAL has it: wait for the value asserted.
-	var lines []string
-	var fl string
+	var st StatsPayload
+	var fl StatsLine
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		var err error
-		if lines, err = cl.Stats(); err != nil {
+		if st, err = cl.Stats(); err != nil {
 			t.Fatal(err)
 		}
-		var ok bool
-		if fl, ok = statsLine(lines, "follower "); !ok {
-			t.Fatalf("leader STATS has no follower line: %q", lines)
-		}
-		if applied, _ := statsUint([]string{fl}, "follower ", "applied_lsn"); applied == lastSeq || time.Now().After(deadline) {
+		if fl = st.Line("follower"); stat(t, fl.Uint, "applied_lsn") == lastSeq || time.Now().After(deadline) {
 			break
 		}
 	}
-	if l, ok := statsLine(lines, "replica "); !ok || !strings.Contains(l, "role=leader followers=1") {
-		t.Fatalf("leader replica line = %q", l)
+	if r := st.Line("replica"); stat(t, r.Str, "role") != "leader" || stat(t, r.Uint, "followers") != 1 {
+		t.Fatalf("leader replica line = %s", r)
 	}
-	if lsn, ok := statsUint(lines, "wal ", "lsn"); !ok || lsn != lastSeq {
+	if lsn := stat(t, st.Line("wal").Uint, "lsn"); lsn != lastSeq {
 		t.Fatalf("leader wal lsn = %d, want %d", lsn, lastSeq)
 	}
-	if _, ok := statsUint(lines, "wal ", "snap_lsn"); !ok {
-		t.Fatal("leader STATS missing snap_lsn")
-	}
-	if applied, ok := statsUint([]string{fl}, "follower ", "applied_lsn"); !ok || applied != lastSeq {
-		t.Fatalf("follower line %q: applied_lsn want %d", fl, lastSeq)
-	}
-	if lag, ok := statsUint([]string{fl}, "follower ", "lag"); !ok || lag != 0 {
-		t.Fatalf("follower line %q: lag want 0", fl)
+	stat(t, st.Line("wal").Uint, "snap_lsn")
+	if stat(t, fl.Uint, "applied_lsn") != lastSeq || stat(t, fl.Uint, "lag") != 0 {
+		t.Fatalf("follower line %s: want applied_lsn=%d lag=0", fl, lastSeq)
 	}
 
 	// Follower STATS: link state.
-	lines, err := cf.Stats()
+	st, err := cf.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, ok := statsLine(lines, "replica ")
-	if !ok || !strings.Contains(rl, "role=follower") || !strings.Contains(rl, "connected=true") {
-		t.Fatalf("follower replica line = %q", rl)
-	}
-	if applied, ok := statsUint([]string{rl}, "replica ", "applied_lsn"); !ok || applied != lastSeq {
-		t.Fatalf("follower replica line %q: applied_lsn want %d", rl, lastSeq)
+	rl := st.Line("replica")
+	if stat(t, rl.Str, "role") != "follower" || !stat(t, rl.Bool, "connected") || stat(t, rl.Uint, "applied_lsn") != lastSeq {
+		t.Fatalf("follower replica line %s: want role=follower connected=true applied_lsn=%d", rl, lastSeq)
 	}
 
 	// The follower is read-only.
@@ -494,11 +463,11 @@ func TestCorruptFrameOverWireResume(t *testing.T) {
 	waitForLSN(t, cf, lastSeq)
 
 	// The corruption must have cost the first session.
-	lines, err := cf.Stats()
+	st, err := cf.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn, ok := statsUint(lines, "wal ", "lsn"); !ok || lsn != lastSeq {
+	if lsn := stat(t, st.Line("wal").Uint, "lsn"); lsn != lastSeq {
 		t.Fatalf("follower lsn = %d, want exactly %d (duplicates would overshoot)", lsn, lastSeq)
 	}
 
@@ -543,12 +512,12 @@ func TestPromoteFollower(t *testing.T) {
 	if err := cf.Promote(); err == nil || !strings.Contains(err.Error(), "already leader") {
 		t.Fatalf("second promote: err=%v", err)
 	}
-	lines, err := cf.Stats()
+	st, err := cf.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l, ok := statsLine(lines, "replica "); !ok || !strings.Contains(l, "role=leader") {
-		t.Fatalf("promoted replica line = %q", l)
+	if role, err := st.Role(); err != nil || role != "leader" {
+		t.Fatalf("promoted role = %q, %v; want leader", role, err)
 	}
 
 	// Writes are accepted and numbered after the replicated history.

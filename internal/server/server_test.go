@@ -104,13 +104,24 @@ func parkWriter(t *testing.T, ob *outbox) (awaitBlocked func()) {
 	}
 }
 
-func statsText(t *testing.T, a *actor) string {
+func actorStats(t *testing.T, a *actor) StatsPayload {
 	t.Helper()
 	resp, err := a.box.Call(request{kind: reqStats})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return strings.Join(resp.lines, "\n")
+	return ParseStats(resp.lines)
+}
+
+// wantStat fails t unless l carries each key=value of want.
+func wantStat(t *testing.T, l StatsLine, want ...string) {
+	t.Helper()
+	for _, kv := range want {
+		k, v, _ := strings.Cut(kv, "=")
+		if got := stat(t, l.Str, k); got != v {
+			t.Fatalf("STATS line %s: %s=%s, want %s", l, k, got, v)
+		}
+	}
 }
 
 func TestActorPolicyDrop(t *testing.T) {
@@ -129,9 +140,9 @@ func TestActorPolicyDrop(t *testing.T) {
 			t.Fatalf("insert %d: total = %d", i, resp.total)
 		}
 	}
-	if joined := statsText(t, a); !strings.Contains(joined, "dropped=2") || !strings.Contains(joined, " depth=1 cap=1 ") {
-		t.Fatalf("STATS missing dropped=2 / depth=1 cap=1:\n%s", joined)
-	}
+	st := actorStats(t, a)
+	wantStat(t, st.Line("server"), "dropped=2")
+	wantStat(t, st.Find("sub", "social"), "depth=1", "cap=1", "dropped=2")
 	if sub.finished() {
 		t.Fatal("drop policy must not close the subscription")
 	}
@@ -163,9 +174,7 @@ func TestActorPolicyEvict(t *testing.T) {
 	if !sub.finished() {
 		t.Fatal("overflow must close the subscription")
 	}
-	if joined := statsText(t, a); !strings.Contains(joined, "evicted=1") {
-		t.Fatalf("STATS missing evicted=1:\n%s", joined)
-	}
+	wantStat(t, actorStats(t, a).Line("server"), "evicted=1")
 	// The event accepted before eviction is still there for the writer to
 	// flush, followed in-band by the notice.
 	evs := takeEvents(t, sub.ob)
@@ -300,17 +309,16 @@ func TestActorPolicyBurst(t *testing.T) {
 				t.Fatalf("event seqs %v, ack seq %d", seqs, resp.seq)
 			}
 		}
-		if joined := statsText(t, a); !strings.Contains(joined, fmt.Sprintf("enqueued=%d dropped=0 max_depth=%d", fan, depth)) {
-			t.Fatalf("STATS:\n%s", joined)
-		}
+		wantStat(t, actorStats(t, a).Find("sub", "path"),
+			fmt.Sprintf("enqueued=%d", fan), "dropped=0", fmt.Sprintf("max_depth=%d", depth))
 	})
 	t.Run("drop", func(t *testing.T) {
 		a, sub, u := setup(t, PolicyDrop)
 		apply(t, a, u)
-		if joined := statsText(t, a); !strings.Contains(joined, fmt.Sprintf("events=%d dropped=%d ", depth, fan-depth)) ||
-			!strings.Contains(joined, fmt.Sprintf("depth=%d cap=%d enqueued=%d dropped=%d max_depth=%d", depth, depth, depth, fan-depth, depth)) {
-			t.Fatalf("STATS:\n%s", joined)
-		}
+		st := actorStats(t, a)
+		wantStat(t, st.Line("server"), fmt.Sprintf("events=%d", depth), fmt.Sprintf("dropped=%d", fan-depth))
+		wantStat(t, st.Find("sub", "path"), fmt.Sprintf("depth=%d", depth), fmt.Sprintf("cap=%d", depth),
+			fmt.Sprintf("enqueued=%d", depth), fmt.Sprintf("dropped=%d", fan-depth), fmt.Sprintf("max_depth=%d", depth))
 		if evs := takeEvents(t, sub.ob); len(evs) != depth {
 			t.Fatalf("outbox = %+v, want the first %d events", evs, depth)
 		}
@@ -318,9 +326,7 @@ func TestActorPolicyBurst(t *testing.T) {
 	t.Run("evict", func(t *testing.T) {
 		a, sub, u := setup(t, PolicyEvict)
 		apply(t, a, u)
-		if joined := statsText(t, a); !strings.Contains(joined, fmt.Sprintf("events=%d dropped=0 evicted=1", depth)) {
-			t.Fatalf("STATS:\n%s", joined)
-		}
+		wantStat(t, actorStats(t, a).Line("server"), fmt.Sprintf("events=%d", depth), "dropped=0", "evicted=1")
 		evs := takeEvents(t, sub.ob)
 		if len(evs) != depth+1 || evs[0].Evicted || evs[1].Evicted || !evs[depth].Evicted {
 			t.Fatalf("outbox = %+v, want %d events then *EVICTED", evs, depth)
@@ -465,16 +471,14 @@ func TestServerBasics(t *testing.T) {
 	<-c.Events()
 	<-c.Events()
 
-	lines, err := c.Stats()
+	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"server conns=", "apply_latency n=", "query social ", "sub social conn="} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("STATS missing %q:\n%s", want, joined)
-		}
-	}
+	stat(t, st.Line("server").Uint, "conns")
+	stat(t, st.Line("apply_latency").Uint, "n")
+	stat(t, st.Find("query", "social").Int, "pos")
+	stat(t, st.Find("sub", "social").Uint, "conn")
 
 	if err := c.Unsubscribe("social"); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -82,14 +81,14 @@ func TestUnsubscribeLiveWhileOthersEmit(t *testing.T) {
 	wg.Wait()
 
 	// Nothing lingers on the actor: the closed subscribers are forgotten.
-	lines, err := admin.Stats()
+	st, err := admin.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l, ok := statsLine(lines, "query q "); !ok || !strings.Contains(l+" ", " subs=0 ") {
-		t.Errorf("STATS query line = %q, want subs=0", l)
+	if q := st.Find("query", "q"); stat(t, q.Uint, "subs") != 0 {
+		t.Errorf("STATS query line = %s, want subs=0", q)
 	}
-	if l, ok := statsLine(lines, "sub "); ok {
-		t.Errorf("STATS still lists a subscription: %q", l)
+	if subs := st.Lines("sub"); len(subs) != 0 {
+		t.Errorf("STATS still lists a subscription: %v", subs)
 	}
 }

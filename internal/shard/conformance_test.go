@@ -236,21 +236,21 @@ func TestFrontEndConformance(t *testing.T) {
 	}
 }
 
-// TestNumericLabelsRefuseDecimalNames runs REGISTER against both front
-// ends with numeric dictionaries (-numeric-labels): a pattern naming a
-// decimal label that is none of the pre-interned 0..255 — "300", "007" —
-// is refused with -ERR and interns nothing, so the next label a client
-// interns still gets id 256; other names register as before.
-func TestNumericLabelsRefuseDecimalNames(t *testing.T) {
-	numeric := func() server.Options {
-		return server.Options{VertexLabels: graph.NumericDict(), EdgeLabels: graph.NumericDict()}
+// labelFrontEnds starts a plain server and a coordinator over two shards,
+// every process with its own dictionaries from dicts, and returns the two
+// front ends' addresses.
+func labelFrontEnds(t *testing.T, dicts func() (v, e *graph.Dict)) []struct{ name, addr string } {
+	t.Helper()
+	withDicts := func() server.Options {
+		v, e := dicts()
+		return server.Options{VertexLabels: v, EdgeLabels: e}
 	}
 	var shards []string
 	for range 2 {
-		shards = append(shards, startShardServerWith(t, numeric()))
+		shards = append(shards, startShardServerWith(t, withDicts()))
 	}
-	opt := Options{Shards: shards, VertexLabels: graph.NumericDict(), EdgeLabels: graph.NumericDict()}
-	co, err := New(opt)
+	v, e := dicts()
+	co, err := New(Options{Shards: shards, VertexLabels: v, EdgeLabels: e})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +269,20 @@ func TestNumericLabelsRefuseDecimalNames(t *testing.T) {
 			t.Errorf("coordinator serve: %v", err)
 		}
 	})
-
-	for _, fe := range []struct{ name, addr string }{
-		{"server", startShardServerWith(t, numeric())},
+	return []struct{ name, addr string }{
+		{"server", startShardServerWith(t, withDicts())},
 		{"coordinator", co.Addr().String()},
-	} {
+	}
+}
+
+// TestNumericLabelsRefuseDecimalNames runs REGISTER and LABEL against both
+// front ends with numeric dictionaries (-numeric-labels): a decimal label
+// that is none of the pre-interned 0..255 — "300", "007" — is refused with
+// -ERR and interns nothing, so the next label a client interns still gets
+// id 256; other names register as before.
+func TestNumericLabelsRefuseDecimalNames(t *testing.T) {
+	numeric := func() (v, e *graph.Dict) { return graph.NumericDict(), graph.NumericDict() }
+	for _, fe := range labelFrontEnds(t, numeric) {
 		t.Run(fe.name, func(t *testing.T) {
 			c := dialTest(t, fe.addr)
 			for i, p := range []string{
@@ -286,6 +295,11 @@ func TestNumericLabelsRefuseDecimalNames(t *testing.T) {
 					t.Errorf("REGISTER q%d %s: %v, want the numeric-label refusal", i, p, err)
 				}
 			}
+			for _, l := range []struct{ kind, name string }{{"edge", "300"}, {"vertex", "007"}} {
+				if id, err := c.Label(l.kind, l.name); err == nil || !strings.Contains(err.Error(), "is not one of the numeric labels 0..255") {
+					t.Errorf("LABEL %s %s = %d, %v; want the numeric-label refusal", l.kind, l.name, id, err)
+				}
+			}
 			if names, err := c.Queries(); err != nil || len(names) != 0 {
 				t.Fatalf("queries after the refusals: %v, %v", names, err)
 			}
@@ -296,6 +310,54 @@ func TestNumericLabelsRefuseDecimalNames(t *testing.T) {
 			}
 			if err := c.Register("q", "(a:255)-[:0]->(b:Person)"); err != nil {
 				t.Errorf("REGISTER of numeric and named labels: %v", err)
+			}
+		})
+	}
+}
+
+// TestLabelDictionaryFull runs REGISTER and LABEL against both front ends
+// with vertex dictionaries one name short of graph.MaxLabels: a request
+// that would intern more names than are free is refused with -ERR before
+// anything is interned, and the front end keeps serving. Interning past the
+// bound would panic the process that owns the dictionary.
+func TestLabelDictionaryFull(t *testing.T) {
+	nearlyFull := func() (v, e *graph.Dict) {
+		v = graph.NewDict()
+		for i := range graph.MaxLabels - 1 {
+			v.Intern("v" + strconv.Itoa(i))
+		}
+		return v, graph.NewDict()
+	}
+	const last = graph.MaxLabels - 1
+	for _, fe := range labelFrontEnds(t, nearlyFull) {
+		t.Run(fe.name, func(t *testing.T) {
+			c := dialTest(t, fe.addr)
+			if err := c.Register("q0", "(a:A)-[:e]->(b:B)"); err == nil || !strings.Contains(err.Error(), "label dictionary full") {
+				t.Fatalf("REGISTER naming two new vertex labels with one free: %v, want the full-dictionary refusal", err)
+			}
+			if names, err := c.Queries(); err != nil || len(names) != 0 {
+				t.Fatalf("queries after the refusal: %v, %v", names, err)
+			}
+			for _, step := range []struct {
+				name string
+				want turboflux.Label
+				err  string
+			}{
+				{"A", last, ""},
+				{"B", 0, "label dictionary full"},
+				{"A", last, ""},
+				{"v7", 7, ""},
+			} {
+				id, err := c.Label("vertex", step.name)
+				if step.err == "" && (err != nil || id != step.want) {
+					t.Fatalf("LABEL vertex %s = %d, %v; want %d", step.name, id, err, step.want)
+				}
+				if step.err != "" && (err == nil || !strings.Contains(err.Error(), step.err)) {
+					t.Fatalf("LABEL vertex %s = %d, %v; want the full-dictionary refusal", step.name, id, err)
+				}
+			}
+			if err := c.Register("q", "(a:A)-[:e]->(b:v7)"); err != nil {
+				t.Fatalf("REGISTER of interned vertex labels: %v", err)
 			}
 		})
 	}

@@ -345,16 +345,12 @@ func TestE2EKillShardDegrades(t *testing.T) {
 	if _, err := c.Insert(1, 0, 2); err != nil {
 		t.Fatalf("update after shard kill failed: %v", err)
 	}
-	lines, err := c.ShardStats()
+	st, err := c.ShardStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := server.ParseStats(lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Shards[1].Alive {
-		t.Fatalf("shard 1 alive after an update acked without it: %+v", info.Shards)
+	if s1 := st.Find("shard", "1"); stat(t, s1.Bool, "alive") {
+		t.Fatalf("shard 1 alive after an update acked without it: %s", s1)
 	}
 
 	c2, err := server.Dial(coAddr)

@@ -155,42 +155,67 @@ func attach(id int, addr string, opt Options) (*shardHandle, error) {
 		ctl.Close() //tf:unchecked-ok abandoning a half-attached shard
 		return nil, err
 	}
-	info, err := hb.StatsInfo()
-	if err != nil {
-		ctl.Close() //tf:unchecked-ok abandoning a half-attached shard
-		hb.Close()  //tf:unchecked-ok abandoning a half-attached shard
-		return nil, err
-	}
-	if info.Role == "follower" {
-		ctl.Close() //tf:unchecked-ok abandoning a half-attached shard
-		hb.Close()  //tf:unchecked-ok abandoning a half-attached shard
-		return nil, fmt.Errorf("shard is a read-only follower of %s", info.Leader)
-	}
 	h := &shardHandle{
 		id:         id,
 		addr:       addr,
 		ctl:        ctl,
 		hb:         hb,
-		base:       info.Seq,
 		tasks:      make(chan *task, fannerQueueDepth),
 		stop:       make(chan struct{}),
 		hbInterval: opt.HeartbeatInterval,
 		hbMisses:   opt.HeartbeatMisses,
 	}
+	if err := h.admit(); err != nil {
+		h.closeClients()
+		return nil, err
+	}
 	h.alive.Store(true)
-	h.storeMQO(info.MQO)
 	return h, nil
 }
 
+// admit reads the shard's STATS at attach: a follower is refused, the
+// shard's sequence number becomes the ack base, and the sharing counters
+// seed the mirror. A payload lacking any of them is refused too.
+func (h *shardHandle) admit() error {
+	st, err := h.hb.Stats()
+	if err != nil {
+		return err
+	}
+	role, err := st.Role()
+	if err != nil {
+		return err
+	}
+	if role == "follower" {
+		leader, err := st.Line("replica").Str("leader")
+		if err != nil {
+			return err
+		}
+		return fmt.Errorf("shard is a read-only follower of %s", leader)
+	}
+	if h.base, err = st.Line("server").Uint("seq"); err != nil {
+		return err
+	}
+	return h.storeMQO(st)
+}
+
 // storeMQO mirrors one STATS probe's sharing counters into the handle's
-// atomics.
-func (h *shardHandle) storeMQO(s server.MQOStat) {
-	h.mqoSubpats.Store(int64(s.SubPatterns))
-	h.mqoShared.Store(int64(s.Shared))
-	h.mqoRefs.Store(int64(s.Refs))
-	h.mqoMaintain.Store(s.MaintainRuns)
-	h.mqoSaved.Store(s.SavedEvals)
-	h.mqoReplays.Store(s.SharedReplays)
+// atomics. A probe whose mqo line lacks one stores none of them.
+func (h *shardHandle) storeMQO(st server.StatsPayload) error {
+	l := st.Line("mqo")
+	var v [6]uint64
+	for i, key := range [...]string{"subpats", "shared", "refs", "maintain", "saved", "replays"} {
+		var err error
+		if v[i], err = l.Uint(key); err != nil {
+			return err
+		}
+	}
+	h.mqoSubpats.Store(int64(v[0]))
+	h.mqoShared.Store(int64(v[1]))
+	h.mqoRefs.Store(int64(v[2]))
+	h.mqoMaintain.Store(v[3])
+	h.mqoSaved.Store(v[4])
+	h.mqoReplays.Store(v[5])
+	return nil
 }
 
 // start launches the fanner and heartbeat goroutines (after the router
@@ -313,7 +338,8 @@ func (h *shardHandle) apply(t *task) (server.Ack, error) {
 // connection, so later probes fail fast and the misses accumulate —
 // fail-stop, no redial. The probe is a STATS round trip rather than a
 // bare PING: the same request that proves liveness refreshes the
-// handle's mirror of the shard's sharing counters.
+// handle's mirror of the shard's sharing counters, and a reply lacking one
+// of them is a miss.
 func (h *shardHandle) heartbeat() {
 	defer h.wg.Done()
 	tick := time.NewTicker(h.hbInterval)
@@ -327,7 +353,10 @@ func (h *shardHandle) heartbeat() {
 				continue
 			}
 			start := time.Now()
-			info, err := h.hb.StatsInfo()
+			st, err := h.hb.Stats()
+			if err == nil {
+				err = h.storeMQO(st)
+			}
 			if err != nil {
 				if n := h.misses.Add(1); int(n) >= h.hbMisses {
 					h.down(fmt.Errorf("heartbeat: %d consecutive misses: %w", n, err)) //tf:unchecked-ok down-marking is the effect; no caller to report to
@@ -336,7 +365,6 @@ func (h *shardHandle) heartbeat() {
 			}
 			h.misses.Store(0)
 			h.pingUs.Store(time.Since(start).Microseconds())
-			h.storeMQO(info.MQO)
 		}
 	}
 }

@@ -61,7 +61,7 @@ func TestVertexIDBoundCoordinator(t *testing.T) {
 	if _, err := c.Insert(1, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	before, err := c.StatsInfo()
+	before, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +79,17 @@ func TestVertexIDBoundCoordinator(t *testing.T) {
 			t.Fatalf("after the refused %s: %v", name, err)
 		}
 	}
-	after, err := c.StatsInfo()
+	after, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Seq != before.Seq || after.Updates != before.Updates {
-		t.Fatalf("refused updates moved seq %d -> %d, updates %d -> %d", before.Seq, after.Seq, before.Updates, after.Updates)
+	for _, key := range []string{"seq", "updates"} {
+		if b, a := stat(t, before.Line("cluster").Uint, key), stat(t, after.Line("cluster").Uint, key); a != b {
+			t.Fatalf("refused updates moved %s %d -> %d", key, b, a)
+		}
 	}
-	if ack, err := c.Insert(2, 0, 3); err != nil || ack.Seq != before.Seq+1 {
-		t.Fatalf("insert after the refusals: ack %+v, err %v; want seq %d", ack, err, before.Seq+1)
+	seq := stat(t, before.Line("cluster").Uint, "seq")
+	if ack, err := c.Insert(2, 0, 3); err != nil || ack.Seq != seq+1 {
+		t.Fatalf("insert after the refusals: ack %+v, err %v; want seq %d", ack, err, seq+1)
 	}
 }

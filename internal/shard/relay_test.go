@@ -17,11 +17,11 @@ func shardConns(t *testing.T, probes []*server.Client) []int {
 	t.Helper()
 	out := make([]int, len(probes))
 	for i, p := range probes {
-		info, err := p.StatsInfo()
+		st, err := p.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = info.Conns
+		out[i] = int(stat(t, st.Line("server").Uint, "conns"))
 	}
 	return out
 }
@@ -112,13 +112,13 @@ func TestRelayUnsubscribeWhileOthersEmit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	info, err := c.StatsInfo()
+	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range info.Queries {
-		if q.Name != "x" && q.Shard != 0 {
-			t.Fatalf("%s placed on shard %d, want 0", q.Name, q.Shard)
+	for _, q := range st.Lines("query") {
+		if shard := stat(t, q.Uint, "shard"); q.ID != "x" && shard != 0 {
+			t.Fatalf("%s placed on shard %d, want 0", q.ID, shard)
 		}
 	}
 	p, _ := c.Label("vertex", "P")
@@ -182,12 +182,11 @@ func TestRelayUnsubscribeWhileOthersEmit(t *testing.T) {
 			return gotQ && gotR
 		})
 	}
-	info, err = c.StatsInfo()
-	if err != nil {
+	if st, err = c.Stats(); err != nil {
 		t.Fatal(err)
 	}
-	if info.Events != uint64(w.received) {
-		t.Fatalf("coordinator STATS events=%d, client received %d", info.Events, w.received)
+	if events := stat(t, st.Line("cluster").Uint, "events"); events != uint64(w.received) {
+		t.Fatalf("coordinator STATS events=%d, client received %d", events, w.received)
 	}
 }
 

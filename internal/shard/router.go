@@ -190,7 +190,7 @@ func (r *router) handle(req rreq) (resp rresp, err error) {
 	case rQueries:
 		resp.names = r.table.names()
 	case rLabel:
-		resp = r.label(req)
+		return r.label(req)
 	case rSubscribe:
 		a, ok := r.table.get(req.name)
 		if !ok {
@@ -241,8 +241,9 @@ func (r *router) register(req rreq) (resp rresp, err error) {
 }
 
 // label interns one client-requested label locally and, when it is new,
-// syncs it to every shard.
-func (r *router) label(req rreq) rresp {
+// syncs it to every shard. A new name qlang.CheckLabel refuses interns
+// nothing.
+func (r *router) label(req rreq) (rresp, error) {
 	var resp rresp
 	d := r.vdict
 	if req.name == "edge" {
@@ -250,20 +251,24 @@ func (r *router) label(req rreq) rresp {
 	}
 	if id, ok := d.Lookup(req.arg); ok {
 		resp.label = id // already cluster-wide; nothing to sync
-		return resp
+		return resp, nil
+	}
+	if err := qlang.CheckLabel(req.arg, d); err != nil {
+		return resp, err
 	}
 	id := d.Intern(req.arg)
 	resp.label = id
 	resp.pend = r.fanAll(&task{kind: taskLabels, labels: []labelDef{{kind: req.name, name: req.arg, want: id}}})
-	return resp
+	return resp, nil
 }
 
 // internPattern parses the pattern through the coordinator's
 // dictionaries and returns the newly interned labels, in id order, for
 // syncing to the shards. A decimal label a numeric dictionary does not
-// hold is refused before anything is interned.
+// hold, or more new labels than a dictionary has room for, is refused
+// before anything is interned (qlang.CheckLabels).
 func (r *router) internPattern(pattern string) ([]labelDef, error) {
-	if err := qlang.CheckNumeric(pattern, r.vdict, r.edict); err != nil {
+	if err := qlang.CheckLabels(pattern, r.vdict, r.edict); err != nil {
 		return nil, err
 	}
 	v0, e0 := r.vdict.Len(), r.edict.Len()

@@ -7,8 +7,11 @@ package shard
 // e2e_test.go.
 
 import (
+	"bufio"
 	"context"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,6 +95,17 @@ func dialTest(t *testing.T, addr string) *server.Client {
 	}
 	t.Cleanup(func() { c.Close() }) //tf:unchecked-ok test cleanup
 	return c
+}
+
+// stat reads key through get, a server.StatsLine getter, failing the test
+// when the line lacks the key or carries it malformed.
+func stat[T any](t *testing.T, get func(string) (T, error), key string) T {
+	t.Helper()
+	v, err := get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // entry is one comparable transcript event.
@@ -220,21 +234,17 @@ func TestPlacementAndRebalance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	info, err := c.StatsInfo()
+	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Role != "coordinator" {
-		t.Fatalf("role = %q, want coordinator", info.Role)
-	}
-	placement := make(map[string]int)
-	for _, q := range info.Queries {
-		placement[q.Name] = q.Shard
+	if role, err := st.Role(); err != nil || role != "coordinator" {
+		t.Fatalf("role = %q, %v; want coordinator", role, err)
 	}
 	// Least-loaded with lowest-id tiebreak alternates 0,1,0,1.
-	for i, want := range []int{0, 1, 0, 1} {
-		if got := placement[fmt.Sprintf("q%d", i)]; got != want {
-			t.Fatalf("q%d placed on shard %d, want %d (placement %v)", i, got, want, placement)
+	for i, want := range []uint64{0, 1, 0, 1} {
+		if got := stat(t, st.Find("query", fmt.Sprintf("q%d", i)).Uint, "shard"); got != want {
+			t.Fatalf("q%d placed on shard %d, want %d", i, got, want)
 		}
 	}
 	// Unregistering a shard-0 query rebalances: the next query lands on 0.
@@ -244,22 +254,19 @@ func TestPlacementAndRebalance(t *testing.T) {
 	if err := c.Register("q4", "(a:P)-[:e4]->(b:P)"); err != nil {
 		t.Fatal(err)
 	}
-	info, err = c.StatsInfo()
-	if err != nil {
+	if st, err = c.Stats(); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range info.Queries {
-		if q.Name == "q4" && q.Shard != 0 {
-			t.Fatalf("q4 placed on shard %d, want 0 after rebalance", q.Shard)
-		}
-		if q.Name == "q0" {
-			t.Fatal("q0 still registered after UNREGISTER")
-		}
+	if got := stat(t, st.Find("query", "q4").Uint, "shard"); got != 0 {
+		t.Fatalf("q4 placed on shard %d, want 0 after rebalance", got)
+	}
+	if q0 := st.Find("query", "q0"); q0.String() != "" {
+		t.Fatalf("q0 still registered after UNREGISTER: %s", q0)
 	}
 	// The shard-side registration really moved: shard stats show 2/2.
-	for _, s := range info.Shards {
-		if s.Queries != 2 {
-			t.Fatalf("shard %d owns %d queries, want 2: %+v", s.ID, s.Queries, info.Shards)
+	for _, s := range st.Lines("shard") {
+		if n := stat(t, s.Uint, "queries"); n != 2 {
+			t.Fatalf("shard %s owns %d queries, want 2: %v", s.ID, n, st.Lines("shard"))
 		}
 	}
 }
@@ -341,16 +348,12 @@ func TestSequenceGapMarksShardDown(t *testing.T) {
 	if _, err := c.DeclareVertex(2, 0); err != nil {
 		t.Fatal(err)
 	}
-	lines, err := c.ShardStats()
+	st, err := c.ShardStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := server.ParseStats(lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(info.Shards) != 2 || info.Shards[0].Alive || !info.Shards[1].Alive {
-		t.Fatalf("shard health after gap = %+v, want shard 0 down, shard 1 alive", info.Shards)
+	if shards := st.Lines("shard"); len(shards) != 2 || stat(t, shards[0].Bool, "alive") || !stat(t, shards[1].Bool, "alive") {
+		t.Fatalf("shard health after gap = %v, want shard 0 down, shard 1 alive", shards)
 	}
 
 	// Queries on the dead shard error on subscribe; the others still work.
@@ -422,22 +425,19 @@ func TestHeartbeatMarksDeadShardDown(t *testing.T) {
 	// prober that never gives its verdict.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		lines, err := c.ShardStats()
+		st, err := c.ShardStats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := server.ParseStats(lines)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !info.Shards[1].Alive {
-			if info.Shards[1].Misses == 0 {
-				t.Fatalf("dead shard reports 0 misses: %+v", info.Shards[1])
+		s1 := st.Find("shard", "1")
+		if !stat(t, s1.Bool, "alive") {
+			if stat(t, s1.Uint, "misses") == 0 {
+				t.Fatalf("dead shard reports 0 misses: %s", s1)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("shard 1 never marked down: %+v", info.Shards)
+			t.Fatalf("shard 1 never marked down: %s", s1)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -447,8 +447,99 @@ func TestHeartbeatMarksDeadShardDown(t *testing.T) {
 	}
 }
 
-// TestCoordinatorStats covers the coordinator's typed STATS view over
-// the Go client: role, totals and placement all parse.
+// stubShard answers every STATS with payload and refuses every other
+// request. It returns the stub's address.
+func stubShard(t *testing.T, payload ...string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	t.Cleanup(func() {
+		ln.Close() //tf:unchecked-ok test cleanup
+		mu.Lock()
+		defer mu.Unlock()
+		for _, nc := range conns {
+			nc.Close() //tf:unchecked-ok test cleanup
+		}
+	})
+	//tf:goroutine stub-shard-accept
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, nc)
+			mu.Unlock()
+			//tf:goroutine stub-shard-conn
+			go func() {
+				br := bufio.NewReader(nc)
+				for {
+					req, err := br.ReadString('\n')
+					if err != nil {
+						return
+					}
+					reply := "-ERR stub shard\n"
+					if req == "STATS\n" {
+						reply = fmt.Sprintf("+DATA %d\n%s\n", len(payload), strings.Join(payload, "\n"))
+					}
+					if _, err := nc.Write([]byte(reply)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+const stubMQO = "mqo subpats=1 shared=0 refs=1 maintain=0 saved=0 replays=0"
+
+// TestAttachRefusesStatsWithoutSeq: the ack base is the shard's STATS seq,
+// so a shard whose payload lacks it is refused at New, naming the key,
+// instead of attaching at base 0 and failing later with a bogus sequence
+// gap.
+func TestAttachRefusesStatsWithoutSeq(t *testing.T) {
+	addr := stubShard(t, "server conns=1 updates=7", stubMQO)
+	co, err := New(Options{Shards: []string{addr}, RequestTimeout: 5 * time.Second})
+	if err == nil {
+		co.Shutdown(context.Background()) //tf:unchecked-ok the test has failed already
+		t.Fatal("New attached a shard whose STATS has no seq")
+	}
+	if !strings.Contains(err.Error(), "has no seq") {
+		t.Fatalf("New: %v, want an error naming seq", err)
+	}
+}
+
+// TestMirrorRefusesIncompleteMQO: a STATS reply whose mqo line lacks one of
+// the mirrored counters is refused, naming the key, and leaves the mirror
+// as the last complete reply set it, so the heartbeat counts a miss
+// instead of reporting a zero.
+func TestMirrorRefusesIncompleteMQO(t *testing.T) {
+	addr := stubShard(t, "server conns=1 seq=7", stubMQO)
+	h, err := attach(0, addr, Options{RequestTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.closeClients()
+	if h.base != 7 || h.mqoSubpats.Load() != 1 {
+		t.Fatalf("attach: ack base %d, subpats %d; want the shard's seq 7 and subpats 1", h.base, h.mqoSubpats.Load())
+	}
+	incomplete := server.ParseStats([]string{"mqo subpats=2 shared=0 refs=2 maintain=0 saved=0"})
+	if err := h.storeMQO(incomplete); err == nil || !strings.Contains(err.Error(), "has no replays") {
+		t.Fatalf("an mqo line without replays: %v, want an error naming replays", err)
+	}
+	if got := h.mqoSubpats.Load(); got != 1 {
+		t.Fatalf("mirrored subpats = %d after a refused reply, want 1 from the attach", got)
+	}
+}
+
+// TestCoordinatorStats reads the coordinator's STATS over the Go client:
+// role, totals and placement.
 func TestCoordinatorStats(t *testing.T) {
 	addr, _, _ := startCluster(t, 2, Options{})
 	c := dialTest(t, addr)
@@ -461,25 +552,24 @@ func TestCoordinatorStats(t *testing.T) {
 	if _, err := c.DeclareVertex(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	info, err := c.StatsInfo()
+	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Role != "coordinator" {
-		t.Fatalf("role = %q, want coordinator", info.Role)
+	if role, err := st.Role(); err != nil || role != "coordinator" {
+		t.Fatalf("role = %q, %v; want coordinator", role, err)
 	}
-	if info.ShardsTotal != 2 || info.ShardsAlive != 2 {
-		t.Fatalf("shards = %d/%d, want 2/2", info.ShardsAlive, info.ShardsTotal)
+	cl := st.Line("cluster")
+	if stat(t, cl.Uint, "shards") != 2 || stat(t, cl.Uint, "alive") != 2 || stat(t, cl.Uint, "seq") != 1 {
+		t.Fatalf("cluster line = %s, want shards=2 alive=2 seq=1", cl)
 	}
-	if info.Seq != 1 {
-		t.Fatalf("seq = %d, want 1", info.Seq)
+	qs := st.Lines("query")
+	if len(qs) != 1 || stat(t, qs[0].Uint, "subs") != 1 || stat(t, qs[0].Uint, "shard") != 0 {
+		t.Fatalf("query lines = %v", qs)
 	}
-	if len(info.Queries) != 1 || info.Queries[0].Subs != 1 || info.Queries[0].Shard != 0 {
-		t.Fatalf("queries = %+v", info.Queries)
-	}
-	for _, s := range info.Shards {
-		if s.Seq != 1 || s.Lag != 0 {
-			t.Fatalf("shard %d seq/lag = %d/%d, want 1/0", s.ID, s.Seq, s.Lag)
+	for _, s := range st.Lines("shard") {
+		if stat(t, s.Uint, "seq") != 1 || stat(t, s.Uint, "lag") != 0 {
+			t.Fatalf("shard line %s: want seq=1 lag=0", s)
 		}
 	}
 }
