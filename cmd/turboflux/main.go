@@ -38,6 +38,7 @@ import (
 	"syscall"
 
 	"turboflux"
+	"turboflux/internal/dcg"
 	"turboflux/internal/graph"
 	"turboflux/internal/stream"
 )
@@ -305,22 +306,29 @@ func loadQuery(path string) (*turboflux.Query, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The largest id sizes the query, so it is bounded before it is used.
 	maxV := turboflux.VertexID(0)
+	see := func(v turboflux.VertexID) error {
+		if v >= dcg.MaxQueryVertices {
+			return fmt.Errorf("query vertex id %d: a query has at most %d vertices, ids 0..%d", v, dcg.MaxQueryVertices, dcg.MaxQueryVertices-1)
+		}
+		maxV = max(maxV, v)
+		return nil
+	}
 	for _, u := range ups {
+		var err error
 		switch u.Op {
 		case stream.OpVertex:
-			if u.Vertex > maxV {
-				maxV = u.Vertex
-			}
+			err = see(u.Vertex)
 		case stream.OpInsert:
-			if u.Edge.From > maxV {
-				maxV = u.Edge.From
-			}
-			if u.Edge.To > maxV {
-				maxV = u.Edge.To
+			if err = see(u.Edge.From); err == nil {
+				err = see(u.Edge.To)
 			}
 		case stream.OpDelete:
-			return nil, fmt.Errorf("query file must not contain deletions")
+			err = fmt.Errorf("query file must not contain deletions")
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	q := turboflux.NewQuery(int(maxV) + 1)

@@ -201,6 +201,18 @@ func TestRunDurableRecoverMatchesMemory(t *testing.T) {
 	}
 }
 
+// TestLoadQueryRefusesVertexIDPastLimit: a query file's largest vertex id
+// sizes the query, so an id past the 64-vertex limit is refused while the
+// file is scanned, before anything is allocated for it.
+func TestLoadQueryRefusesVertexIDPastLimit(t *testing.T) {
+	for _, u := range []turboflux.Update{turboflux.Insert(0, 0, 64), turboflux.DeclareVertex(1 << 20)} {
+		_, err := loadQuery(writeUpdates(t, filepath.Join(t.TempDir(), "q.txt"), []turboflux.Update{u}))
+		if err == nil || !strings.Contains(err.Error(), "at most 64 vertices") {
+			t.Errorf("%v: error %v, want one naming the 64-vertex limit", u, err)
+		}
+	}
+}
+
 // TestParsePatternNumericLabels: a -pattern label is one of the numeric
 // labels 0..255 as written in the data files, or the pattern is refused.
 func TestParsePatternNumericLabels(t *testing.T) {

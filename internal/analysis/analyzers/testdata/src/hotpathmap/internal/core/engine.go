@@ -17,17 +17,17 @@ type Engine struct {
 func (e *Engine) EvalInsertedEdge(from, to graph.VertexID) {
 	e.extend(from)
 	e.extend(to)
-	e.rebuildFromSpec(e.seen)
+	e.copyOracleStates(e.seen)
 }
 
 // extend reads and writes the map from inside the eval path: two
-// findings, plus a suppressed probe on a gated ablation branch.
+// findings, plus a suppressed probe on a branch annotated as cold.
 func (e *Engine) extend(v graph.VertexID) {
 	if e.seen[v] {
 		return
 	}
 	e.seen[v] = true
-	//tf:map-ok gated ablation branch, never taken on the fast path
+	//tf:map-ok cold branch, never taken on the fast path
 	delete(e.seen, v)
 }
 
@@ -44,11 +44,11 @@ func (e *Engine) drain() int64 {
 	return n
 }
 
-// rebuildFromSpec consumes the oracle fixpoint and is exempted wholesale
-// even though drain reaches it.
+// copyOracleStates consumes oracle fixpoint states and is exempted
+// wholesale even though EvalInsertedEdge reaches it.
 //
-//tf:oracle-ok gated ablation slow path
-func (e *Engine) rebuildFromSpec(states map[graph.VertexID]bool) {
+//tf:oracle-ok oracle helper, exempt from the eval-path rules
+func (e *Engine) copyOracleStates(states map[graph.VertexID]bool) {
 	//tf:unordered-ok absolute states commute
 	for v := range states {
 		e.dense[v] = 1

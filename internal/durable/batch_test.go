@@ -87,7 +87,7 @@ func TestStoreAppendBatch(t *testing.T) {
 }
 
 // segmentFiles reads every WAL segment in dir, by file name.
-func segmentFiles(t *testing.T, dir string) map[string][]byte {
+func segmentFiles(t testing.TB, dir string) map[string][]byte {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
 	if err != nil || len(names) == 0 {

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"turboflux"
 )
@@ -60,19 +58,8 @@ func refusesHugeIDs(t *testing.T, c *Client) {
 // seq is consumed, nothing is journaled — so the data directory reopens.
 func TestVertexIDBound(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(Options{DataDir: dir, Fsync: "none"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve() }()
-	c, err := Dial(s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, addr, stop := startReplServer(t, Options{DataDir: dir, Fsync: "none"})
+	c := dialTest(t, addr)
 	if _, err := c.Insert(1, 0, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +68,7 @@ func TestVertexIDBound(t *testing.T) {
 		t.Fatalf("insert after the refusals: ack %+v, err %v; want seq 2", ack, err)
 	}
 	c.Close() //tf:unchecked-ok test teardown
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-serveDone; err != nil {
-		t.Fatal(err)
-	}
+	stop()
 
 	d, err := turboflux.OpenDurableMulti(dir, turboflux.DurableMultiOptions{})
 	if err != nil {

@@ -81,10 +81,11 @@ func replUpdate(k int) turboflux.Update {
 	return turboflux.Delete(p[0], 0, p[1])
 }
 
-// startReplServer is startServer with an explicit, idempotent stop so
-// tests can shut one server down mid-test (follower restart, dead
-// leader).
-func startReplServer(t *testing.T, opt Options) (*Server, string, func()) {
+// startReplServer runs a server on a loopback port and tears it down with
+// the test. It returns the server, its dial address and an explicit,
+// idempotent stop, so tests can shut one server down mid-test (follower
+// restart, dead leader).
+func startReplServer(t testing.TB, opt Options) (*Server, string, func()) {
 	t.Helper()
 	s, err := New(opt)
 	if err != nil {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -334,33 +333,15 @@ func TestActorPolicyBurst(t *testing.T) {
 	})
 }
 
-// startServer runs a server on a loopback port and tears it down with the
-// test; it returns the server and its dial address.
+// startServer is startReplServer for a test that never stops the server
+// itself; it returns the server and its dial address.
 func startServer(t *testing.T, opt Options) (*Server, string) {
 	t.Helper()
-	s, err := New(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve() }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-		if err := <-serveDone; err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	})
-	return s, s.Addr().String()
+	s, addr, _ := startReplServer(t, opt)
+	return s, addr
 }
 
-func dialTest(t *testing.T, addr string) *Client {
+func dialTest(t testing.TB, addr string) *Client {
 	t.Helper()
 	c, err := Dial(addr)
 	if err != nil {
