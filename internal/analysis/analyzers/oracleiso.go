@@ -52,7 +52,7 @@ func runOracleIsolation(pass *analysis.Pass) error {
 				return true
 			}
 			pass.Reportf(id.Pos(),
-				"reference to DCG oracle %s (declared in %s/%s) from production code; the fixpoint oracle is for tests and gated ablations only (annotate the enclosing function //tf:oracle-ok if this is a gated slow path)",
+				"reference to DCG oracle %s (declared in %s/%s) from production code; the fixpoint oracle is for tests and oracle helpers only (annotate the enclosing function //tf:oracle-ok if it is a cold oracle helper)",
 				obj.Name(), oraclePkg, oracleFile)
 			return true
 		})

@@ -8,10 +8,11 @@ func FastPath() int {
 	return len(states)
 }
 
-// Ablation is a gated slow path; the directive permits the oracle here.
+// OracleStateCount is a cold oracle helper; the directive permits the
+// oracle here.
 //
-//tf:oracle-ok naive-rebuild ablation
-func Ablation() int {
+//tf:oracle-ok oracle helper, never on the eval path
+func OracleStateCount() int {
 	return len(dcg.ComputeSpec(4))
 }
 

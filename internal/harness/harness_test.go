@@ -25,7 +25,8 @@ func tinyConfig(buf *bytes.Buffer) Config {
 }
 
 // TestRunAllExperiments drives every experiment at miniature scale and
-// checks each banner and at least one data row appears.
+// checks each table entry's banner appears, in table order, and that data
+// rows appear.
 func TestRunAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
@@ -36,15 +37,38 @@ func TestRunAllExperiments(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{
-		"Figure 3", "Figure 6", "Figure 7", "Figure 8", "Figure 9",
-		"Figure 10", "Figure 11", "Figure 12", "Figure 13", "Figure 14",
-		"Figure 15", "Figure 16", "Figure 17", "NEC",
-		"tree-3", "graph-6", "TurboFlux",
-	} {
+	rest := out
+	for _, e := range experiments {
+		b := "\n=== " + e.title + " ===\n"
+		i := strings.Index(rest, b)
+		if i < 0 {
+			t.Fatalf("%s: banner %q missing or out of table order\n--- output ---\n%s", e.id, b, out)
+		}
+		rest = rest[i+len(b):]
+	}
+	for _, want := range []string{"tree-3", "graph-6", "path-3", "btree-4", "TurboFlux"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q\n--- output ---\n%s", want, out)
 		}
+	}
+}
+
+// TestExperimentsListsTable checks Experiments lists each table id once,
+// in table order, followed by "all".
+func TestExperimentsListsTable(t *testing.T) {
+	got := Experiments()
+	seen := map[string]bool{}
+	for i, e := range experiments {
+		if seen[e.id] {
+			t.Fatalf("id %q appears twice in the table", e.id)
+		}
+		seen[e.id] = true
+		if i >= len(got) || got[i] != e.id {
+			t.Fatalf("Experiments() = %v, want table order with %q at %d", got, e.id, i)
+		}
+	}
+	if len(got) != len(experiments)+1 || got[len(got)-1] != "all" {
+		t.Fatalf("Experiments() = %v, want the table's ids then \"all\"", got)
 	}
 }
 

@@ -14,31 +14,41 @@ import (
 
 // BenchmarkFanOutGrid measures multi-query fan-out over MultiEngine.Apply
 // (windows of one) across the registered-query count and the fan-out pool
-// size, in two label mixes: "disjoint", where query i watches its own edge
-// label (label routing pays), and "shared", where every query watches
-// label 0 (one shared sub-pattern; routing skips nothing). Either way an
-// update engages one evaluation unit. Every query vertex requires label 0,
-// which a quarter of the 2000 vertices carry: enumeration stays sparse, so
-// dispatch rather than emission dominates. One op replays a fresh engine
-// over a 100,000-update stream whose first tenth warms it up untimed.
-// Reported per op: ns/update over the timed updates, p99_us of Apply
-// sampled 1 in 8, and the pool's evals, skipped and pooled counts and the
-// matches over the whole stream. Worker counts above GOMAXPROCS measure
-// oversubscription.
+// size, in three label mixes: "disjoint", where query i watches its own
+// edge label (label routing pays), "shared", where every query is the same
+// path on label 0 (one shared sub-pattern; routing skips nothing), and
+// "distinct", where every query watches label 0 but has its own
+// spanning-tree shape. Disjoint and shared engage one evaluation unit per
+// update; distinct engages every query's unit, the only mix whose worker
+// axis can hand units to the pool (pooled/op). Query vertices require label
+// 0, which a quarter of the 2000 vertices carry (one vertex of the last
+// four distinct queries requires label 1): enumeration stays sparse, so
+// dispatch rather than emission dominates. One op replays a
+// fresh engine over a 100,000-update stream whose first tenth warms it up
+// untimed. Reported per op: ns/update over the timed updates, p99_us of
+// Apply sampled 1 in 8, and the pool's evals, skipped and pooled counts
+// and the matches over the whole stream. Worker counts above GOMAXPROCS
+// measure oversubscription.
 func BenchmarkFanOutGrid(b *testing.B) {
 	workers := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 	slices.Sort(workers)
 	workers = slices.Compact(workers)
-	for _, mode := range []string{"disjoint", "shared"} {
+	for _, mode := range []string{"disjoint", "shared", "distinct"} {
 		for _, queries := range []int{1, 2, 4, 8, 16} {
-			label := func(i int) Label { return Label(i % queries) }
-			if mode == "shared" {
-				label = func(int) Label { return 0 }
+			label := func(int) Label { return 0 }
+			shape, units := pathQuery, queries
+			switch mode {
+			case "disjoint":
+				label = func(i int) Label { return Label(i % queries) }
+			case "shared":
+				units = 1
+			case "distinct":
+				shape = treeQuery
 			}
 			ups := fanOutStream(label)
 			for _, w := range workers {
 				b.Run(fmt.Sprintf("mode=%s/queries=%d/workers=%d", mode, queries, w), func(b *testing.B) {
-					benchFanOutCell(b, label, queries, w, ups)
+					benchFanOutCell(b, func(i int) (*Query, error) { return shape(i, label(i)) }, queries, units, w, ups)
 				})
 			}
 		}
@@ -47,7 +57,42 @@ func BenchmarkFanOutGrid(b *testing.B) {
 
 const fanOutVertices = 2000
 
-func benchFanOutCell(b *testing.B, label func(int) Label, queries, workers int, ups []Update) {
+// pathQuery is the 3-vertex path 0 -l-> 1 -l-> 2, the same shape for every i.
+func pathQuery(_ int, l Label) (*Query, error) {
+	q := NewQuery(3)
+	for u := VertexID(0); u < 3; u++ {
+		q.SetLabels(u, 0)
+	}
+	return q, errors.Join(q.AddEdge(0, l, 1), q.AddEdge(1, l, 2))
+}
+
+// treeQuery is the i-th of 16 distinct 3-vertex trees on edge label l:
+// centre i/4 % 3 joined to the other two vertices, the two edges'
+// directions taken from i's low bits, and from i = 12 on vertex 2 requiring
+// label 1 instead of 0. Distinct trees never share a sub-pattern.
+func treeQuery(i int, l Label) (*Query, error) {
+	q := NewQuery(3)
+	for u := VertexID(0); u < 3; u++ {
+		q.SetLabels(u, 0)
+	}
+	if i >= 12 {
+		q.SetLabels(2, 1)
+	}
+	c := VertexID(i / 4 % 3)
+	var err error
+	for k, v := range []VertexID{(c + 1) % 3, (c + 2) % 3} {
+		from, to := c, v
+		if i>>k&1 == 1 {
+			from, to = to, from
+		}
+		err = errors.Join(err, q.AddEdge(from, l, to))
+	}
+	return q, err
+}
+
+// benchFanOutCell registers queries built by shape, checks they form units
+// sub-patterns, and replays ups.
+func benchFanOutCell(b *testing.B, shape func(int) (*Query, error), queries, units, workers int, ups []Update) {
 	warm, timed := ups[:len(ups)/10], ups[len(ups)/10:]
 	lat := stats.NewLatency(0)
 	var evals, skipped, pooled uint64
@@ -62,14 +107,13 @@ func benchFanOutCell(b *testing.B, label func(int) Label, queries, workers int, 
 		m := NewMultiEngine(g)
 		m.SetFanOutWorkers(workers)
 		for i := 0; i < queries; i++ {
-			q := NewQuery(3)
-			for u := VertexID(0); u < 3; u++ {
-				q.SetLabels(u, 0)
-			}
-			err := errors.Join(q.AddEdge(0, label(i), 1), q.AddEdge(1, label(i), 2))
+			q, err := shape(i)
 			if err = errors.Join(err, m.Register(fmt.Sprintf("q%d", i), q, Options{OnMatch: onMatch})); err != nil {
 				b.Fatal(err)
 			}
+		}
+		if got := m.MQOStats().SubPatterns; got != units {
+			b.Fatalf("%d queries form %d sub-patterns, want %d", queries, got, units)
 		}
 		for k, u := range ups {
 			if k == len(warm) {
