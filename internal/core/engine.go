@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"turboflux/internal/dcg"
 	"turboflux/internal/graph"
@@ -457,6 +458,35 @@ func (e *Engine) MaintainBeforeDelete(v graph.VertexID, l graph.Label, v2 graph.
 // post-clearing DCG, so a follower must wait until the DCG's owner has
 // cleared before sampling the same state.
 func (e *Engine) AdjustOrderDeferred() {
+	e.maybeAdjustOrder()
+}
+
+// Twin reports whether o evaluates every update exactly as e does, so that
+// o may copy e's outcome instead of searching (DESIGN.md §17, Twins). Both
+// must read one DCG, which implies equal vertex label sequences and equal
+// trees (mqo.KeyOf encodes them); what the shared DCG leaves open is
+// compared here: the edge lists index by index, the non-tree edges, the
+// semantics, the work budgets, and the matching orders with the drift
+// snapshots they were computed from. The last part stays true:
+// maybeAdjustOrder is a pure function of the DCG counts, which the two
+// engines sample at the same points.
+func (e *Engine) Twin(o *Engine) bool {
+	return e.d == o.d && e.opt.Semantics == o.opt.Semantics && e.opt.WorkBudget == o.opt.WorkBudget &&
+		slices.Equal(e.q.Edges(), o.q.Edges()) && slices.Equal(e.tree.NonTree, o.tree.NonTree) &&
+		slices.Equal(e.mo, o.mo) && slices.Equal(e.orderStats, o.orderStats)
+}
+
+// CreditTwin books an update a twin did not search: its source (Twin)
+// reported n matches of the update's sign, which become the twin's own,
+// and the twin runs the matching-order drift check its source ran. Call it
+// once the update's DCG transitions are done, where AdjustOrderDeferred
+// runs.
+func (e *Engine) CreditTwin(positive bool, n int64) {
+	if positive {
+		e.posTotal += n
+	} else {
+		e.negTotal += n
+	}
 	e.maybeAdjustOrder()
 }
 

@@ -27,7 +27,8 @@ import (
 type Stats struct {
 	// Workers is the configured pool size.
 	Workers int `json:"workers"`
-	// Evals counts per-engine evaluations actually run (any mode).
+	// Evals counts per-engine searches actually run (any mode); a twin's
+	// copy of its source's evaluation (MultiEngine.TwinOf) is not one.
 	Evals uint64 `json:"evals"`
 	// Skipped counts engine evaluations elided by label-relevance
 	// routing: the update's edge label does not occur in the query, so

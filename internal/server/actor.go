@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -198,6 +199,7 @@ func (a *actor) handle(req request) (resp response, err error) {
 				a.touch(s.ob)
 			}
 		}
+		a.untwin(a.subs[req.name])
 		delete(a.subs, req.name)
 	case reqQueries:
 		resp.names = a.eng.Queries()
@@ -263,7 +265,28 @@ type subList struct {
 
 	head    []byte // "*EVENT <query> <headSeq> ", rendered once per update
 	headSeq uint64
+
+	// Twin rendering (MultiEngine.TwinOf): src is the list of the query
+	// whose evaluation this one's copies, nil if none, and twins the lists
+	// copying this one's. A twin's j-th match of an update is its source's
+	// j-th, so its body is the source's body j; next counts the twin's
+	// matches of update headSeq. A source renders every body of update
+	// bodySeq into bodies (ends at bodyEnds) when feed: some twin had
+	// subscribers at the source's first match of the update, whether the
+	// source had or not.
+	src      *subList
+	twins    []*subList
+	next     int
+	feed     bool
+	bodies   []byte
+	bodyEnds []int
+	bodySeq  uint64
 }
+
+// bodyKeep is the rendered-body storage, in bytes, a source feeding twins
+// keeps from one update to the next; what an explosive update grew past it is
+// released at the next.
+const bodyKeep = 256 << 10
 
 // dropConn closes and removes connID's subscription, if there is one.
 func (l *subList) dropConn(connID uint64) {
@@ -306,30 +329,86 @@ func (a *actor) register(name, pattern string) error {
 		return err
 	}
 	a.subs[name] = l
+	if src := a.eng.TwinOf(name); src != "" {
+		l.src = a.subs[src]
+		l.src.twins = append(l.src.twins, l)
+	}
 	return nil
+}
+
+// untwin takes an unregistered query's list out of its twin group: it
+// leaves its source's twins, and its own twins follow the heir the engine
+// chose (TwinOf), which now searches for them. Only the group is touched.
+func (a *actor) untwin(l *subList) {
+	if src := l.src; src != nil {
+		src.twins = slices.DeleteFunc(src.twins, func(t *subList) bool { return t == l })
+	}
+	for _, t := range l.twins {
+		t.src = nil
+		if src := a.eng.TwinOf(t.query); src != "" {
+			t.src = a.subs[src]
+			t.src.twins = append(t.src.twins, t)
+		}
+	}
 }
 
 // emit takes one match from an engine and renders its *EVENT line, once,
 // onto the burst the actor is collecting for this query. Engines call it on
 // the actor goroutine while the update is applied — the run's boundary
 // hook and the follower's replicated chunks both advance seq only after an
-// update's emissions — so that update's number is seq+1. The per-match
-// step: no allocation, map lookup, lock or channel operation; consecutive
-// matches of a query share one trip through the policy (flushBurst).
+// update's emissions — so that update's number is seq+1. A body is
+// rendered once per twin group: a source whose twins have subscribers
+// keeps the update's bodies, and its twins, whose matches come after it in
+// the same order, copy them by position. The per-match step: no
+// allocation, map lookup, lock or channel operation; consecutive matches
+// of a query share one trip through the policy (flushBurst).
 //
 //tf:hotpath
 func (a *actor) emit(l *subList, positive bool, m []graph.VertexID) {
+	seq := a.seq + 1
+	var body []byte
+	if len(l.twins) > 0 {
+		if l.bodySeq != seq {
+			if cap(l.bodies) > bodyKeep {
+				l.bodies = nil
+			}
+			l.bodies, l.bodyEnds, l.bodySeq, l.feed = l.bodies[:0], l.bodyEnds[:0], seq, false
+			for _, t := range l.twins {
+				l.feed = l.feed || len(t.subs) > 0
+			}
+		}
+		if l.feed {
+			lo := len(l.bodies)
+			l.bodies = appendEventBody(l.bodies, positive, m)
+			l.bodyEnds = append(l.bodyEnds, len(l.bodies))
+			body = l.bodies[lo:]
+		}
+	}
 	if len(l.subs) == 0 {
 		return
+	}
+	if l.headSeq != seq {
+		l.head, l.headSeq, l.next = appendEventHead(l.head[:0], l.query, seq), seq, 0
+	}
+	if src := l.src; src != nil {
+		lo := 0
+		if l.next > 0 {
+			lo = src.bodyEnds[l.next-1]
+		}
+		body = src.bodies[lo:src.bodyEnds[l.next]]
+		l.next++
 	}
 	if a.burst != l || len(a.line) >= burstBytes {
 		a.flushBurst()
 		a.burst = l
 	}
-	if seq := a.seq + 1; l.headSeq != seq {
-		l.head, l.headSeq = appendEventHead(l.head[:0], l.query, seq), seq
+	a.line = append(a.line, l.head...)
+	if body != nil {
+		a.line = append(a.line, body...)
+	} else {
+		a.line = appendEventBody(a.line, positive, m)
 	}
-	a.line = append(appendEventBody(append(a.line, l.head...), positive, m), '\n')
+	a.line = append(a.line, '\n')
 	a.ends = append(a.ends, len(a.line))
 }
 
@@ -432,8 +511,8 @@ func (a *actor) statsLines() []string {
 		fs.Workers, fs.Evals, fs.Skipped, fs.Pooled, fs.Batches, fs.BusyNs))
 	ms := a.eng.MQOStats()
 	lines = append(lines, fmt.Sprintf(
-		"mqo subpats=%d shared=%d refs=%d maintain=%d saved=%d replays=%d",
-		ms.SubPatterns, ms.SharedSubPatterns, ms.Refs, ms.MaintainRuns, ms.SavedEvals, ms.SharedReplays))
+		"mqo subpats=%d shared=%d refs=%d maintain=%d saved=%d replays=%d twins=%d",
+		ms.SubPatterns, ms.SharedSubPatterns, ms.Refs, ms.MaintainRuns, ms.SavedEvals, ms.SharedReplays, ms.Twins))
 	if st := a.eng.Store(); st != nil {
 		lines = append(lines, fmt.Sprintf("wal lsn=%d snap_lsn=%d", st.LSN(), st.SnapLSN()))
 	}

@@ -63,18 +63,21 @@ func runServerBatchWorkload(t *testing.T, workers, batchSize int, binary bool) (
 
 	admin := dialTest(t, addr)
 	// Registration order is part of the emission order within an update,
-	// so it must be fixed across runs.
+	// so it must be fixed across runs. knows2rev names its variables the
+	// other way round and parses to knows2's query, as does knows2copy:
+	// both are knows2's twins.
 	for _, reg := range []struct{ name, pattern string }{
 		{"knows2", "(a:P)-[:knows]->(b:P)"},
 		{"likes2", "(a:P)-[:likes]->(b:P)"},
 		{"knows2rev", "(b:P)-[:knows]->(a:P)"},
+		{"knows2copy", "(a:P)-[:knows]->(b:P)"},
 	} {
 		if err := admin.Register(reg.name, reg.pattern); err != nil {
 			t.Fatalf("register %s: %v", reg.name, err)
 		}
 	}
 	sub := dialTest(t, addr)
-	for _, name := range []string{"knows2", "likes2", "knows2rev"} {
+	for _, name := range []string{"knows2", "likes2", "knows2rev", "knows2copy"} {
 		if _, err := sub.Subscribe(name); err != nil {
 			t.Fatalf("subscribe %s: %v", name, err)
 		}
@@ -159,7 +162,7 @@ func runServerBatchWorkload(t *testing.T, workers, batchSize int, binary bool) (
 // depths; the fanout line mixes equivalent fields (evals, skipped) with
 // ones batching legitimately changes (batches, pooled, busy_ns), so it is
 // reduced to the equivalent fields only when requested. The mqo line is
-// reduced to its structural fields (subpats, shared, refs) — the
+// reduced to its structural fields (subpats, shared, refs, twins) — the
 // maintain/saved/replays counters depend on how updates group into runs
 // (the batch scheduler maintains a sub-pattern only for the updates it
 // routes to it, the sequential path for every update).
@@ -170,8 +173,8 @@ func comparableStats(t *testing.T, st StatsPayload, fanout bool) []string {
 		switch l.Kind {
 		case "apply_latency", "sub":
 		case "mqo":
-			out = append(out, fmt.Sprintf("mqo subpats=%d shared=%d refs=%d",
-				stat(t, l.Uint, "subpats"), stat(t, l.Uint, "shared"), stat(t, l.Uint, "refs")))
+			out = append(out, fmt.Sprintf("mqo subpats=%d shared=%d refs=%d twins=%d",
+				stat(t, l.Uint, "subpats"), stat(t, l.Uint, "shared"), stat(t, l.Uint, "refs"), stat(t, l.Uint, "twins")))
 		case "fanout":
 			if fanout {
 				out = append(out, fmt.Sprintf("fanout workers=%d evals=%d skipped=%d",
@@ -199,6 +202,9 @@ func TestServerBatchEquivalence(t *testing.T) {
 			fanout := workers > 1
 			wantTr, wantLines := runServerBatchWorkload(t, workers, 1, false)
 			wantStats := comparableStats(t, wantLines, fanout)
+			if twins := stat(t, wantLines.Line("mqo").Uint, "twins"); twins != 2 {
+				t.Fatalf("STATS mqo twins=%d, want 2: knows2rev and knows2copy copy knows2", twins)
+			}
 			for _, run := range []struct {
 				name      string
 				batchSize int

@@ -36,10 +36,14 @@ func (p *pushCapture) stream() []byte {
 }
 
 // TestConnTranscriptEmissionOrder pins the per-connection delivery
-// contract: one connection subscribed to five queries receives exactly the
+// contract: one connection subscribed to six queries receives exactly the
 // bytes a single-threaded in-process MultiEngine replay renders in OnMatch
 // order — one total order per connection, across queries — for sequential
-// and parallel fan-out, single updates and BATCH frames of 256.
+// and parallel fan-out, single updates and BATCH frames of 256. Two of the
+// queries are twins of a seventh, mixed3, which nobody subscribes to: the
+// server renders their bodies once, as mixed3's, and copies them. mixed3
+// is unregistered between two frames, and its first twin renders for the
+// other from then on.
 func TestConnTranscriptEmissionOrder(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, batch := range []int{1, 256} {
@@ -62,7 +66,13 @@ func runConnTranscript(t *testing.T, workers, batch int) {
 		{"knows3", "(a:P)-[:knows]->(b:P), (b)-[:knows]->(c:P)"},
 		{"mixed3", "(a:P)-[:knows]->(b:P), (b)-[:likes]->(c:P)"},
 		{"fork3", "(a:P)-[:likes]->(b:P), (a)-[:knows]->(c:P)"},
+		{"mixed3a", "(a:P)-[:knows]->(b:P), (b)-[:likes]->(c:P)"},
+		{"mixed3b", "(x:P)-[:knows]->(y:P), (y)-[:likes]->(z:P)"},
 	}
+	const (
+		source = "mixed3" // the twins' source, never subscribed
+		leave  = 256      // updates applied before the source is unregistered
+	)
 	vdict := turboflux.NewDict()
 	vdict.Intern("P")
 	edict := turboflux.NewDict()
@@ -102,13 +112,24 @@ func runConnTranscript(t *testing.T, workers, batch int) {
 		}
 		name := q.name
 		err = replay.Register(name, parsed, turboflux.Options{OnMatch: func(positive bool, m []turboflux.VertexID) {
-			want = append(appendEventLine(want, name, seq, positive, m), '\n')
+			if name != source {
+				want = append(appendEventLine(want, name, seq, positive, m), '\n')
+			}
 		}})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	if replay.TwinOf("mixed3a") != source || replay.TwinOf("mixed3b") != source {
+		t.Fatalf("twins of %s: mixed3a of %q, mixed3b of %q", source, replay.TwinOf("mixed3a"), replay.TwinOf("mixed3b"))
+	}
 	for i, u := range ups {
+		if i == leave {
+			replay.Unregister(source)
+			if replay.TwinOf("mixed3a") != "" || replay.TwinOf("mixed3b") != "mixed3a" {
+				t.Fatalf("after %s left: mixed3a a twin of %q, mixed3b of %q", source, replay.TwinOf("mixed3a"), replay.TwinOf("mixed3b"))
+			}
+		}
 		seq = uint64(i + 1)
 		if _, err := replay.Apply(u); err != nil {
 			t.Fatal(err)
@@ -139,11 +160,19 @@ func runConnTranscript(t *testing.T, workers, batch int) {
 	}
 	t.Cleanup(func() { sub.Close() }) //tf:unchecked-ok test cleanup
 	for _, q := range queries {
+		if q.name == source {
+			continue
+		}
 		if _, err := sub.Subscribe(q.name); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < len(ups); i += batch {
+		if i == leave {
+			if err := writer.Unregister(source); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if batch == 1 {
 			if _, err := writer.Apply(ups[i]); err != nil {
 				t.Fatal(err)
@@ -157,6 +186,9 @@ func runConnTranscript(t *testing.T, workers, batch int) {
 	// An UNSUBSCRIBE's reply follows every line of the stream it ends: once
 	// the last reply is read, every stream is complete.
 	for _, q := range queries {
+		if q.name == source {
+			continue
+		}
 		if err := sub.Unsubscribe(q.name); err != nil {
 			t.Fatal(err)
 		}
@@ -345,6 +377,58 @@ func TestBatchFrameAllocs(t *testing.T) {
 	}
 }
 
+// TestTwinGroupLinks follows the actor's twin lists through the
+// requests that change them: a twin links to its source at REGISTER, the
+// source renders bodies for its twins only in an update where one of them
+// has a subscriber, and at the source's UNREGISTER the twins relink to the
+// heir the engine chose.
+func TestTwinGroupLinks(t *testing.T) {
+	var conns atomic.Int64
+	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
+		turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64, &conns)
+	defer a.eng.Close() //tf:unchecked-ok pool release never fails
+	do := func(req request) {
+		t.Helper()
+		if _, err := a.handle(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"src", "a", "b"} {
+		do(request{kind: reqRegister, name: name, arg: "(a:Person)-[:knows]->(b:Person)"})
+	}
+	l, ta, tb := a.subs["src"], a.subs["a"], a.subs["b"]
+	if l.src != nil || ta.src != l || tb.src != l || len(l.twins) != 2 {
+		t.Fatalf("after REGISTER: a of %p, b of %p, src has %d twins; want both of src %p", ta.src, tb.src, len(l.twins), l)
+	}
+	m := []graph.VertexID{1, 2}
+	a.emit(l, true, m)
+	a.emit(ta, true, m)
+	if len(l.bodies) != 0 {
+		t.Fatalf("no twin subscribed, yet the source rendered %q", l.bodies)
+	}
+	a.seq++
+	do(request{kind: reqSubscribe, name: "b", sub: newSubscriber("b", 1, 128, newOutbox())})
+	a.emit(l, true, m)
+	a.emit(tb, true, m)
+	if want := appendEventBody(nil, true, m); !bytes.Equal(l.bodies, want) {
+		t.Fatalf("with b subscribed the source rendered %q, want %q", l.bodies, want)
+	}
+	a.flushBurst()
+	a.seq++
+	do(request{kind: reqUnregister, name: "src"})
+	if ta.src != nil || tb.src != ta || len(ta.twins) != 1 {
+		t.Fatalf("after the source left: a of %p, b of %p; want b of a %p", ta.src, tb.src, ta)
+	}
+	do(request{kind: reqRegister, name: "c", arg: "(a:Person)-[:knows]->(b:Person)"})
+	if tc := a.subs["c"]; tc.src != ta || len(ta.twins) != 2 {
+		t.Fatalf("a late copy links to %p, a has %d twins; want a %p with 2", tc.src, len(ta.twins), ta)
+	}
+	do(request{kind: reqUnregister, name: "b"})
+	if len(ta.twins) != 1 || ta.twins[0] != a.subs["c"] {
+		t.Fatalf("after b left a's twins are %v, want c only", ta.twins)
+	}
+}
+
 // repeatReader serves data over and over: an endless run of one frame.
 type repeatReader struct {
 	data []byte
@@ -358,8 +442,10 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 }
 
 // TestEmitAllocs guards the actor side of delivery: with a subscribed,
-// emitting query in steady state a match costs no allocation — not in the
-// render, not in the policy step, not in the hand-over to the writer.
+// emitting query and a subscribed twin of it in steady state a match costs
+// no allocation — not in the render, not in the twin's copy of the
+// source's body, not in the policy step, not in the hand-over to the
+// writer.
 func TestEmitAllocs(t *testing.T) {
 	var conns atomic.Int64
 	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
@@ -367,22 +453,27 @@ func TestEmitAllocs(t *testing.T) {
 	defer a.eng.Close() //tf:unchecked-ok pool release never fails
 	// The mailbox is not started: this goroutine plays the engine, the
 	// actor and, through take, the connection writer.
-	if _, err := a.handle(request{kind: reqRegister, name: "social", arg: "(a:Person)-[:knows]->(b:Person)"}); err != nil {
-		t.Fatal(err)
-	}
 	ob := newOutbox()
-	if _, err := a.handle(request{kind: reqSubscribe, name: "social", sub: newSubscriber("social", 1, 64, ob)}); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"social", "twin"} {
+		if _, err := a.handle(request{kind: reqRegister, name: name, arg: "(a:Person)-[:knows]->(b:Person)"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.handle(request{kind: reqSubscribe, name: name, sub: newSubscriber(name, 1, 128, ob)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	l := a.subs["social"]
-	if l == nil || len(l.subs) != 1 {
-		t.Fatalf("subscriber list = %+v", l)
+	l, tw := a.subs["social"], a.subs["twin"]
+	if l == nil || len(l.subs) != 1 || tw == nil || len(tw.subs) != 1 || tw.src != l || len(l.twins) != 1 || l.twins[0] != tw {
+		t.Fatalf("subscriber lists = %+v, %+v: want twin's source social", l, tw)
 	}
 	m := []graph.VertexID{123456, 7}
 	var spare []byte
 	round := func() {
-		for i := 0; i < 64; i++ {
-			a.emit(l, i%2 == 0, m)
+		// The engine's order: the source's matches, then the twin's.
+		for _, list := range []*subList{l, tw} {
+			for i := 0; i < 64; i++ {
+				a.emit(list, i%2 == 0, m)
+			}
 		}
 		a.flushBurst()
 		a.wakeWriters()
@@ -392,9 +483,21 @@ func TestEmitAllocs(t *testing.T) {
 	round() // grow the scratch and both outbox buffers
 	round()
 	if avg := testing.AllocsPerRun(100, round); avg != 0 {
-		t.Fatalf("%.2f allocations per 64 matches, want 0", avg)
+		t.Fatalf("%.2f allocations per 2×64 matches, want 0", avg)
 	}
-	if a.events != 103*64 {
-		t.Fatalf("delivered %d events, want %d", a.events, 103*64)
+	if a.events != 103*128 {
+		t.Fatalf("delivered %d events, want %d", a.events, 103*128)
+	}
+	// The twin renders nothing itself: fed another mapping, its line still
+	// carries the body its source rendered at the same position.
+	a.emit(l, true, m)
+	a.emit(tw, true, []graph.VertexID{8, 9})
+	a.flushBurst()
+	a.wakeWriters()
+	spare, _ = ob.take(spare)
+	seq := a.seq + 1
+	want := append(appendEventLine(append(appendEventLine(nil, "social", seq, true, m), '\n'), "twin", seq, true, m), '\n')
+	if !bytes.Equal(spare, want) {
+		t.Fatalf("twin lines %q, want its source's bodies %q", spare, want)
 	}
 }

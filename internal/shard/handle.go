@@ -131,6 +131,7 @@ type shardHandle struct {
 	mqoMaintain atomic.Uint64
 	mqoSaved    atomic.Uint64
 	mqoReplays  atomic.Uint64
+	mqoTwins    atomic.Int64
 
 	reasonMu sync.Mutex
 	reason   string // first cause of death
@@ -202,8 +203,8 @@ func (h *shardHandle) admit() error {
 // atomics. A probe whose mqo line lacks one stores none of them.
 func (h *shardHandle) storeMQO(st server.StatsPayload) error {
 	l := st.Line("mqo")
-	var v [6]uint64
-	for i, key := range [...]string{"subpats", "shared", "refs", "maintain", "saved", "replays"} {
+	var v [7]uint64
+	for i, key := range [...]string{"subpats", "shared", "refs", "maintain", "saved", "replays", "twins"} {
 		var err error
 		if v[i], err = l.Uint(key); err != nil {
 			return err
@@ -215,6 +216,7 @@ func (h *shardHandle) storeMQO(st server.StatsPayload) error {
 	h.mqoMaintain.Store(v[3])
 	h.mqoSaved.Store(v[4])
 	h.mqoReplays.Store(v[5])
+	h.mqoTwins.Store(int64(v[6]))
 	return nil
 }
 

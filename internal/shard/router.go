@@ -340,7 +340,7 @@ func (r *router) statsLines() []string {
 	lines = append(lines, fmt.Sprintf(
 		"cluster role=coordinator shards=%d alive=%d seq=%d updates=%d events=%d conns=%d",
 		len(r.shards), alive, r.seq, r.seq, r.events.Load(), r.front.Conns()))
-	var mq struct{ subpats, shared, refs, maintain, saved, replays uint64 }
+	var mq struct{ subpats, shared, refs, maintain, saved, replays, twins uint64 }
 	for _, h := range r.shards {
 		mq.subpats += uint64(h.mqoSubpats.Load())
 		mq.shared += uint64(h.mqoShared.Load())
@@ -348,10 +348,11 @@ func (r *router) statsLines() []string {
 		mq.maintain += h.mqoMaintain.Load()
 		mq.saved += h.mqoSaved.Load()
 		mq.replays += h.mqoReplays.Load()
+		mq.twins += uint64(h.mqoTwins.Load())
 	}
 	lines = append(lines, fmt.Sprintf(
-		"mqo subpats=%d shared=%d refs=%d maintain=%d saved=%d replays=%d",
-		mq.subpats, mq.shared, mq.refs, mq.maintain, mq.saved, mq.replays))
+		"mqo subpats=%d shared=%d refs=%d maintain=%d saved=%d replays=%d twins=%d",
+		mq.subpats, mq.shared, mq.refs, mq.maintain, mq.saved, mq.replays, mq.twins))
 	lines = r.shardLines(lines)
 	for _, name := range r.table.order {
 		a := r.table.byName[name]

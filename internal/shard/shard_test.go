@@ -497,7 +497,7 @@ func stubShard(t *testing.T, payload ...string) string {
 	return ln.Addr().String()
 }
 
-const stubMQO = "mqo subpats=1 shared=0 refs=1 maintain=0 saved=0 replays=0"
+const stubMQO = "mqo subpats=1 shared=0 refs=1 maintain=0 saved=0 replays=0 twins=0"
 
 // TestAttachRefusesStatsWithoutSeq: the ack base is the shard's STATS seq,
 // so a shard whose payload lacks it is refused at New, naming the key,
@@ -529,12 +529,22 @@ func TestMirrorRefusesIncompleteMQO(t *testing.T) {
 	if h.base != 7 || h.mqoSubpats.Load() != 1 {
 		t.Fatalf("attach: ack base %d, subpats %d; want the shard's seq 7 and subpats 1", h.base, h.mqoSubpats.Load())
 	}
-	incomplete := server.ParseStats([]string{"mqo subpats=2 shared=0 refs=2 maintain=0 saved=0"})
-	if err := h.storeMQO(incomplete); err == nil || !strings.Contains(err.Error(), "has no replays") {
-		t.Fatalf("an mqo line without replays: %v, want an error naming replays", err)
+	for _, key := range []string{"replays", "twins"} {
+		line := "mqo subpats=2 shared=1 refs=3 maintain=0 saved=0"
+		if key == "twins" {
+			line += " replays=0"
+		}
+		incomplete := server.ParseStats([]string{line})
+		if err := h.storeMQO(incomplete); err == nil || !strings.Contains(err.Error(), "has no "+key) {
+			t.Fatalf("an mqo line without %s: %v, want an error naming %s", key, err, key)
+		}
+		if got := h.mqoSubpats.Load(); got != 1 {
+			t.Fatalf("mirrored subpats = %d after a refused reply, want 1 from the attach", got)
+		}
 	}
-	if got := h.mqoSubpats.Load(); got != 1 {
-		t.Fatalf("mirrored subpats = %d after a refused reply, want 1 from the attach", got)
+	complete := server.ParseStats([]string{"mqo subpats=2 shared=1 refs=3 maintain=0 saved=0 replays=0 twins=1"})
+	if err := h.storeMQO(complete); err != nil || h.mqoTwins.Load() != 1 {
+		t.Fatalf("a complete mqo line: %v, mirrored twins %d; want twins 1", err, h.mqoTwins.Load())
 	}
 }
 

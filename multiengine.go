@@ -23,8 +23,8 @@ type FanOutStats = fanout.Stats
 
 // mslot is one registered query's evaluation state. The window cells are
 // filled by the scheduler (runIdx), written inside the window by the one
-// pool worker evaluating the slot's unit (next, runN, runErr, buf) and read
-// by the coordinator after the barrier.
+// pool worker evaluating the slot's unit (next, runN, runErr, lastN, buf)
+// and read by the coordinator after the barrier.
 type mslot struct {
 	name      string
 	eng       *core.Engine
@@ -32,6 +32,13 @@ type mslot struct {
 	labels    map[graph.Label]struct{} // edge labels the query mentions
 	buf       fanout.EmissionBuffer    // one segment per evaluated update
 	buffering bool                     // true while evaluating in a window; routes OnMatch to buf
+	keep      bool                     // the slot's or a twin's OnMatch replays buf
+
+	// twin is the earlier member of the slot's unit whose evaluation this
+	// slot copies instead of searching (core.Engine.Twin, DESIGN.md §17):
+	// nil when the slot searches itself. A twin's source is never a twin.
+	twin  *mslot
+	lastN int64 // matches of the slot's latest evaluation, which its twins copy
 
 	// runIdx lists the batch indexes of the window's updates relevant to the
 	// slot, ascending; next counts those evaluated so far. runErr[k] is the
@@ -50,16 +57,18 @@ type mslot struct {
 // member slots sharing its DCG. members[0] is the DCG's owner — an ordinary
 // private engine that maintains and searches in one fused walk, at every
 // member count; the followers were built over the owner's DCG and replay
-// read-only against it. The DCG changes with every tree-label update, so a
-// sub-pattern is the window's unit of work: one worker walks all of its
-// updates in order, owner and followers alike.
+// read-only against it, except the twins, which copy an earlier member's
+// outcome. The DCG changes with every tree-label update, so a sub-pattern
+// is the window's unit of work: one worker walks all of its updates in
+// order, owner and followers alike.
 type subpat struct {
 	key     string   // mqo.KeyOf
 	members []*mslot // registration order; members[0] owns the DCG
+	twins   int      // members that are twins
 
 	// runIdx is the union of the members' runIdx — the window's updates the
-	// unit walks — and evals the number of member evaluations among them,
-	// the key workers claim units by.
+	// unit walks — and evals the number of member searches among them, the
+	// key workers claim units by.
 	runIdx []int32
 	evals  int
 }
@@ -109,7 +118,7 @@ type MultiEngine struct {
 	// on Register/Unregister.
 	byLabel [][]*mslot
 
-	evals   uint64 // engine evaluations run
+	evals   uint64 // engine searches run
 	skipped uint64 // evaluations elided by label-relevance routing
 
 	// one is the batch Insert/Delete/Apply hand to the window scheduler: a
@@ -238,9 +247,10 @@ func (m *MultiEngine) Close() error {
 // spanning tree is canonicalized into a sub-pattern key: the first
 // registration of a shape builds a DCG over the current graph state and
 // owns it, later ones join that DCG as read-only followers without any DCG
-// construction at all. Every query joins its shape: a WorkBudget caps only
-// the query's own matches, never the maintenance its shape depends on.
-// Registering a duplicate name fails.
+// construction at all, and a follower that evaluates exactly as an earlier
+// member does becomes its twin (TwinOf). Every query joins its shape: a
+// WorkBudget caps only the query's own matches, never the maintenance its
+// shape depends on. Registering a duplicate name fails.
 func (m *MultiEngine) Register(name string, q *Query, opt Options) error {
 	if _, dup := m.slots[name]; dup {
 		return fmt.Errorf("turboflux: query %q already registered", name)
@@ -249,16 +259,17 @@ func (m *MultiEngine) Register(name string, q *Query, opt Options) error {
 	copt := core.DefaultOptions()
 	copt.Semantics = opt.Semantics
 	copt.WorkBudget = opt.WorkBudget
-	if s.user != nil {
-		// Inside a window emissions go to the slot's buffer (written only by
-		// the worker evaluating this engine); outside it — the
-		// InitialMatches walk — straight through.
-		copt.OnMatch = func(positive bool, mapping []graph.VertexID) {
-			if s.buffering {
+	// Inside a window emissions go to the slot's buffer (written only by the
+	// worker evaluating this engine) when the slot's or a twin's OnMatch
+	// will replay them; outside it — the InitialMatches walk — straight
+	// through.
+	copt.OnMatch = func(positive bool, mapping []graph.VertexID) {
+		if s.buffering {
+			if s.keep {
 				s.buf.Record(positive, mapping)
-			} else {
-				s.user(positive, mapping)
 			}
+		} else if s.user != nil {
+			s.user(positive, mapping)
 		}
 	}
 	tree, err := core.BuildTree(m.g, q, copt)
@@ -279,8 +290,19 @@ func (m *MultiEngine) Register(name string, q *Query, opt Options) error {
 	if err != nil {
 		return err
 	}
+	for _, t := range sp.members {
+		if t.twin == nil && t.eng.Twin(s.eng) {
+			s.twin = t
+			sp.twins++
+			break
+		}
+	}
 	m.shapes[key] = sp
 	sp.members = append(sp.members, s)
+	s.keep = s.user != nil
+	if s.twin != nil && s.user != nil {
+		s.twin.keep = true
+	}
 	s.sub = sp
 	m.slots[name] = s
 	m.order = append(m.order, s)
@@ -331,7 +353,10 @@ func queryEdgeLabels(q *Query) map[graph.Label]struct{} {
 // the owner of a shared DCG leaves, ownership passes to the next member,
 // which resumes applying the transitions itself: its rootSeen cache never
 // saw the vertices the old owner settled — missing entries just re-probe,
-// and root edges are never nulled. After the last member the DCG is garbage.
+// and root edges are never nulled. When a twin's source leaves, its first
+// twin searches in its place and the others copy that one: their engines
+// are in the source's state, so nothing is rebuilt. After the last member
+// the DCG is garbage.
 func (m *MultiEngine) Unregister(name string) bool {
 	s, ok := m.slots[name]
 	if !ok {
@@ -357,7 +382,49 @@ func (m *MultiEngine) Unregister(name string) bool {
 			break
 		}
 	}
+	if s.twin != nil {
+		sp.twins--
+	}
+	var heir *mslot
+	for _, t := range sp.members {
+		if t.twin != s {
+			continue
+		}
+		if heir == nil {
+			heir, t.twin = t, nil
+			sp.twins--
+		} else {
+			t.twin = heir
+		}
+	}
+	sp.setKeep()
 	return true
+}
+
+// setKeep marks the members whose emissions some OnMatch replays: their
+// own, or a twin's. Unregister recomputes it for the shape it walks;
+// Register sets the new member's and its source's directly.
+func (sp *subpat) setKeep() {
+	for _, s := range sp.members {
+		s.keep = s.user != nil
+	}
+	for _, s := range sp.members {
+		if s.twin != nil && s.user != nil {
+			s.twin.keep = true
+		}
+	}
+}
+
+// TwinOf returns the name of the earlier registration whose evaluation the
+// named query copies: every update, the two report the same matches in the
+// same order, and only the source searches (DESIGN.md §17, Twins). It
+// returns "" when the query searches itself or is not registered. The
+// relation changes only at Register and Unregister.
+func (m *MultiEngine) TwinOf(name string) string {
+	if s, ok := m.slots[name]; ok && s.twin != nil {
+		return s.twin.name
+	}
+	return ""
 }
 
 // Queries returns the registered query names in registration order.
@@ -629,17 +696,19 @@ func (m *MultiEngine) engage(idx int, l Label) {
 			}
 			sp.runIdx = append(sp.runIdx, int32(idx))
 			// A tree-label update transitions the sub-pattern's DCG: the
-			// owner maintains it once and every follower replays. (Other
-			// updates touch no shared state.)
+			// owner maintains it once and every follower but the twins
+			// replays. (Other updates touch no shared state.)
 			if n := len(sp.members) - 1; n > 0 && sp.members[0].eng.TreeRelevant(l) {
 				m.maintEvals++
 				m.savedEvals += uint64(n)
-				m.sharedRelays += uint64(n)
+				m.sharedRelays += uint64(n - sp.twins)
 			}
 		}
-		sp.evals++
+		if s.twin == nil {
+			sp.evals++
+			m.evals++
+		}
 	}
-	m.evals += uint64(len(rel))
 	m.skipped += uint64(len(m.order) - len(rel))
 }
 
@@ -652,8 +721,12 @@ func (m *MultiEngine) engage(idx int, l Label) {
 // post-maintenance state; on a deletion the followers go first, against
 // the still-intact state, the owner then clears, and the followers
 // re-sample their matching orders against the post-clearing DCG, where a
-// private engine would have adjusted. An update that engages only
-// followers (a non-tree label the owner's query lacks) touches no DCG state.
+// private engine would have adjusted. A twin copies its source's outcome
+// once the source has evaluated the update and the DCG is final for it:
+// in member order on an insertion (a source precedes its twins), after the
+// owner on a deletion (the owner may be the source). An update that engages
+// only followers (a non-tree label the owner's query lacks) touches no DCG
+// state.
 //
 //tf:hotpath
 func (sp *subpat) evaluate(m *MultiEngine) {
@@ -662,16 +735,24 @@ func (sp *subpat) evaluate(m *MultiEngine) {
 		u := m.batch[idx]
 		if u.Op == stream.OpInsert {
 			for _, s := range sp.members {
-				s.evaluate(m, idx, u.Edge, true)
+				if s.twin != nil {
+					s.copyTwin(idx, true)
+				} else {
+					s.evaluate(m, idx, u.Edge, true)
+				}
 			}
 			continue
 		}
 		for _, s := range followers {
-			s.evaluate(m, idx, u.Edge, false)
+			if s.twin == nil {
+				s.evaluate(m, idx, u.Edge, false)
+			}
 		}
 		owner.evaluate(m, idx, u.Edge, false)
 		for _, s := range followers {
-			if s.next > 0 && s.runIdx[s.next-1] == idx {
+			if s.twin != nil {
+				s.copyTwin(idx, false)
+			} else if s.next > 0 && s.runIdx[s.next-1] == idx {
 				s.eng.AdjustOrderDeferred()
 			}
 		}
@@ -699,8 +780,26 @@ func (s *mslot) evaluate(m *MultiEngine, idx int32, e Edge, ins bool) {
 	}
 	s.buffering = false
 	s.buf.EndSegment()
+	s.lastN = n
 	s.runN += n
 	s.runErr = append(s.runErr, err)
+}
+
+// copyTwin books the batch update at idx for a twin, if it is the slot's
+// next relevant one: the source has just evaluated it (a twin's relevant
+// updates are its source's), so the twin takes the source's count and
+// error as its own and replays the source's segment after the barrier.
+//
+//tf:hotpath
+func (s *mslot) copyTwin(idx int32, positive bool) {
+	if s.next == len(s.runIdx) || s.runIdx[s.next] != idx {
+		return
+	}
+	src := s.twin
+	s.runErr = append(s.runErr, src.runErr[s.next])
+	s.next++
+	s.runN += src.lastN
+	s.eng.CreditTwin(positive, src.lastN)
 }
 
 // flushWindow executes the scheduled window: one pool dispatch of claim
@@ -733,7 +832,11 @@ func (m *MultiEngine) flushWindow(start, end int, boundary func(i int)) {
 			}
 		}
 		if s.user != nil {
-			s.buf.ReplaySegment(k, s.user)
+			src := s
+			if s.twin != nil {
+				src = s.twin
+			}
+			src.buf.ReplaySegment(k, s.user)
 		}
 		if err := s.runErr[k]; err != nil {
 			m.fail(idx, fmt.Errorf("query %q: %w", s.name, err)) //tf:alloc-ok error path
@@ -816,17 +919,21 @@ func (m *MultiEngine) TotalIntermediateBytes() int64 {
 type MQOStats struct {
 	// SubPatterns counts distinct sub-patterns currently registered;
 	// SharedSubPatterns counts those whose DCG is shared (>= 2 members);
-	// Refs totals the members across all sub-patterns.
+	// Refs totals the members across all sub-patterns; Twins counts the
+	// members that copy an earlier member's evaluation instead of searching
+	// (MultiEngine.TwinOf).
 	SubPatterns       int
 	SharedSubPatterns int
 	Refs              int
+	Twins             int
 	// MaintainRuns counts maintained updates — tree-label updates
 	// evaluated on a shared sub-pattern, each maintained once, by the
 	// owner; SavedEvals counts the follower maintenance evaluations that
 	// deduplicated (a maintained update would otherwise have transitioned
 	// each member's private DCG separately: members − 1 per maintained
 	// update); SharedReplays counts the follower replays that ran against
-	// shared DCGs. SavedEvals/MaintainRuns is the dedup ratio.
+	// shared DCGs, twins excluded: they copy and search nothing.
+	// SavedEvals/MaintainRuns is the dedup ratio.
 	MaintainRuns  uint64
 	SavedEvals    uint64
 	SharedReplays uint64
@@ -843,6 +950,7 @@ func (m *MultiEngine) MQOStats() MQOStats {
 	}
 	for _, sp := range m.shapes { //tf:unordered-ok counting only
 		st.Refs += len(sp.members)
+		st.Twins += sp.twins
 		if len(sp.members) >= 2 {
 			st.SharedSubPatterns++
 		}

@@ -272,3 +272,65 @@ func TestApplyBatchOneEngineWindowAllocs(t *testing.T) {
 		t.Fatalf("%d emissions from queries no vertex can match", emitted)
 	}
 }
+
+// TestMQOTwinAllocs guards twin delivery (DESIGN.md §17, Twins): a twin
+// takes its source's count and replays its source's buffered emissions,
+// so in steady state it adds no allocation to a window — a cycle over a
+// source and its twin allocates exactly what the cycle over the source
+// alone does (the counts map an update with matches returns) — and it
+// receives every match its source does.
+func TestMQOTwinAllocs(t *testing.T) {
+	const nVerts = 20
+	measure := func(twin bool) (allocs float64, delivered map[string]int) {
+		g := NewGraph()
+		for v := VertexID(1); v <= nVerts; v++ {
+			g.EnsureVertex(v, 0)
+		}
+		for v := VertexID(1); v <= nVerts; v++ {
+			g.InsertEdge(v, 0, v%nVerts+1) // resident ring: no bucket ever empties
+		}
+		m := NewMultiEngine(g)
+		t.Cleanup(func() { m.Close() }) //tf:unchecked-ok test teardown
+		m.SetFanOutWorkers(4)
+		delivered = map[string]int{}
+		names := []string{"src"}
+		if twin {
+			names = append(names, "twin")
+		}
+		for _, name := range names {
+			q := NewQuery(3)
+			_ = q.AddEdge(0, 0, 1)
+			_ = q.AddEdge(1, 0, 2)
+			if err := m.Register(name, q, Options{OnMatch: func(bool, []VertexID) { delivered[name]++ }}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if twin && m.TwinOf("twin") != "src" {
+			t.Fatalf("TwinOf(twin) = %q, want src", m.TwinOf("twin"))
+		}
+		var ins, dels []Update
+		for i := VertexID(0); i < 8; i++ {
+			ins = append(ins, Insert(1+i, 0, 3+i))
+			dels = append(dels, Delete(1+i, 0, 3+i))
+		}
+		cycle := func() {
+			for _, b := range [][]Update{ins, dels} {
+				if counts, err := m.ApplyBatch(b); err != nil || len(counts) != len(names) {
+					t.Fatalf("counts=%v err=%v", counts, err)
+				}
+			}
+		}
+		cycle() // warm the buffers, lists and adjacency capacities
+		cycle()
+		return testing.AllocsPerRun(100, cycle), delivered
+	}
+	alone, _ := measure(false)
+	paired, delivered := measure(true)
+	if paired != alone {
+		t.Fatalf("a twin adds allocations: %.2f per insert/delete cycle with it, %.2f without", paired, alone)
+	}
+	if delivered["src"] == 0 || delivered["twin"] != delivered["src"] {
+		t.Fatalf("delivered %v: the twin must receive each of its source's matches", delivered)
+	}
+	t.Logf("%.2f allocations per cycle with or without the twin", alone)
+}

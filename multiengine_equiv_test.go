@@ -55,6 +55,7 @@ type runResult struct {
 	transcript string
 	totals     map[string]int64 // summed per-query counts, non-zero only
 	dcgEdges   map[string]int   // per-query DCG size after the stream
+	matched    map[string]Stats // per-query Positive/NegativeMatches after the stream
 	censored   map[string]bool  // "q<i>@<update>" for every evaluation ErrWorkBudget censored
 	fanout     FanOutStats      // MultiEngine runs only
 	mqo        MQOStats         // MultiEngine runs only
@@ -90,7 +91,9 @@ type refTarget struct {
 func (r *refTarget) register(i int) {
 	name := fmt.Sprintf("q%d", i)
 	q, opt := r.specs[i].build()
-	opt.OnMatch = transcriptHook(&r.b, name)
+	if !r.specs[i].silent {
+		opt.OnMatch = transcriptHook(&r.b, name)
+	}
 	eng, err := NewEngine(r.g.Clone(), q, opt)
 	if err != nil {
 		r.t.Fatal(err)
@@ -134,9 +137,11 @@ func runReference(t *testing.T, specs []parallelQuerySpec, ups []Update, churn [
 	t.Helper()
 	r := &refTarget{t: t, specs: specs, g: NewGraph(), totals: map[string]int64{}, censored: map[string]bool{}}
 	driveStream(r, len(specs), ups, churn)
-	res := runResult{transcript: r.b.String(), totals: r.totals, dcgEdges: map[string]int{}, censored: r.censored}
+	res := runResult{transcript: r.b.String(), totals: r.totals, dcgEdges: map[string]int{}, matched: map[string]Stats{}, censored: r.censored}
 	for k, eng := range r.engs {
-		res.dcgEdges[r.names[k]] = eng.Stats().DCGEdges
+		st := eng.Stats()
+		res.dcgEdges[r.names[k]] = st.DCGEdges
+		res.matched[r.names[k]] = Stats{PositiveMatches: st.PositiveMatches, NegativeMatches: st.NegativeMatches}
 	}
 	return res
 }
@@ -157,7 +162,9 @@ type multiTarget struct {
 func (mt *multiTarget) register(i int) {
 	name := fmt.Sprintf("q%d", i)
 	q, opt := mt.specs[i].build()
-	opt.OnMatch = transcriptHook(&mt.b, name)
+	if !mt.specs[i].silent {
+		opt.OnMatch = transcriptHook(&mt.b, name)
+	}
 	if err := mt.m.Register(name, q, opt); err != nil {
 		mt.t.Fatal(err)
 	}
@@ -226,6 +233,7 @@ func runMulti(t *testing.T, workers, batch int, specs []parallelQuerySpec, ups [
 		transcript: mt.b.String(),
 		totals:     mt.totals,
 		dcgEdges:   map[string]int{},
+		matched:    map[string]Stats{},
 		censored:   mt.censored,
 		fanout:     m.FanOutStats(),
 		mqo:        m.MQOStats(),
@@ -233,14 +241,15 @@ func runMulti(t *testing.T, workers, batch int, specs []parallelQuerySpec, ups [
 	}
 	for name, st := range m.Stats() {
 		res.dcgEdges[name] = st.DCGEdges
+		res.matched[name] = Stats{PositiveMatches: st.PositiveMatches, NegativeMatches: st.NegativeMatches}
 	}
 	return res
 }
 
 // checkEquivalence is the property every suite asserts: under each
 // (workers, batch) configuration MultiEngine's transcript, summed counts,
-// censored (query, update) evaluations and final per-query DCG sizes equal
-// the reference's, byte for byte. each, when non-nil, sees every
+// censored (query, update) evaluations, final per-query DCG sizes and
+// Stats match counters equal the reference's, byte for byte. each, when non-nil, sees every
 // MultiEngine result for extra assertions. It returns the reference's
 // result.
 func checkEquivalence(t *testing.T, specs []parallelQuerySpec, ups []Update, churn []churnStep,
@@ -266,6 +275,9 @@ func checkEquivalence(t *testing.T, specs []parallelQuerySpec, ups []Update, chu
 			for name, n := range want.dcgEdges {
 				if got.dcgEdges[name] != n {
 					t.Fatalf("%s query %s: %d DCG edges != reference %d", cfg, name, got.dcgEdges[name], n)
+				}
+				if got.matched[name] != want.matched[name] {
+					t.Fatalf("%s query %s: Stats matches %+v != reference %+v", cfg, name, got.matched[name], want.matched[name])
 				}
 			}
 			if len(got.censored) != len(want.censored) {

@@ -16,7 +16,9 @@ import (
 // (windows of one) across the registered-query count and the fan-out pool
 // size, in three label mixes: "disjoint", where query i watches its own
 // edge label (label routing pays), "shared", where every query is the same
-// path on label 0 (one shared sub-pattern; routing skips nothing), and
+// path on label 0 under its own work budget, which no update reaches (one
+// shared sub-pattern whose followers replay their searches: a budget of
+// its own keeps a copy from being a twin; routing skips nothing), and
 // "distinct", where every query watches label 0 but has its own
 // spanning-tree shape. Disjoint and shared engage one evaluation unit per
 // update; distinct engages every query's unit, the only mix whose worker
@@ -36,19 +38,21 @@ func BenchmarkFanOutGrid(b *testing.B) {
 	for _, mode := range []string{"disjoint", "shared", "distinct"} {
 		for _, queries := range []int{1, 2, 4, 8, 16} {
 			label := func(int) Label { return 0 }
+			budget := func(int) int64 { return 0 }
 			shape, units := pathQuery, queries
 			switch mode {
 			case "disjoint":
 				label = func(i int) Label { return Label(i % queries) }
 			case "shared":
 				units = 1
+				budget = func(i int) int64 { return 1<<40 + int64(i) }
 			case "distinct":
 				shape = treeQuery
 			}
 			ups := fanOutStream(label)
 			for _, w := range workers {
 				b.Run(fmt.Sprintf("mode=%s/queries=%d/workers=%d", mode, queries, w), func(b *testing.B) {
-					benchFanOutCell(b, func(i int) (*Query, error) { return shape(i, label(i)) }, queries, units, w, ups)
+					benchFanOutCell(b, func(i int) (*Query, error) { return shape(i, label(i)) }, budget, queries, units, w, ups)
 				})
 			}
 		}
@@ -90,9 +94,9 @@ func treeQuery(i int, l Label) (*Query, error) {
 	return q, err
 }
 
-// benchFanOutCell registers queries built by shape, checks they form units
-// sub-patterns, and replays ups.
-func benchFanOutCell(b *testing.B, shape func(int) (*Query, error), queries, units, workers int, ups []Update) {
+// benchFanOutCell registers queries built by shape under their budgets,
+// checks they form units sub-patterns and no twins, and replays ups.
+func benchFanOutCell(b *testing.B, shape func(int) (*Query, error), budget func(int) int64, queries, units, workers int, ups []Update) {
 	warm, timed := ups[:len(ups)/10], ups[len(ups)/10:]
 	lat := stats.NewLatency(0)
 	var evals, skipped, pooled uint64
@@ -108,12 +112,12 @@ func benchFanOutCell(b *testing.B, shape func(int) (*Query, error), queries, uni
 		m.SetFanOutWorkers(workers)
 		for i := 0; i < queries; i++ {
 			q, err := shape(i)
-			if err = errors.Join(err, m.Register(fmt.Sprintf("q%d", i), q, Options{OnMatch: onMatch})); err != nil {
+			if err = errors.Join(err, m.Register(fmt.Sprintf("q%d", i), q, Options{OnMatch: onMatch, WorkBudget: budget(i)})); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if got := m.MQOStats().SubPatterns; got != units {
-			b.Fatalf("%d queries form %d sub-patterns, want %d", queries, got, units)
+		if st := m.MQOStats(); st.SubPatterns != units || st.Twins != 0 {
+			b.Fatalf("%d queries form %d sub-patterns with %d twins, want %d and none", queries, st.SubPatterns, st.Twins, units)
 		}
 		for k, u := range ups {
 			if k == len(warm) {

@@ -3,6 +3,7 @@ package turboflux
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -40,6 +41,78 @@ func mqoOverlapSpecs(rng *rand.Rand) []parallelQuerySpec {
 	return specs
 }
 
+// twinSpecs builds a mix around one base query (DESIGN.md §17, Twins):
+// q0, q1 and q4 are identical and registered together, so q1 and q4 are
+// q0's twins; q0 has no OnMatch, so the twins replay emissions their
+// source buffers for them alone. q2 and q6 are the base under the other
+// semantics (q6 a twin of q2, neither of q0); q3 and q5 share a small work
+// budget (q5 a twin of q3) and q7 has another; q8 adds the same edges in
+// reverse order, so it joins the base's DCG without being a twin. q9 is an
+// unrelated query. The base's edges all carry one label.
+func twinSpecs(rng *rand.Rand) []parallelQuerySpec {
+	l := Label(rng.Intn(3))
+	base := parallelQuerySpec{
+		shape:     1 + rng.Intn(3), // two or three edges, so the order can differ
+		elabels:   [3]Label{l, l, l},
+		anyVertex: true, // with one edge label: matches enough to censor the budgeted copies
+	}
+	other := base
+	other.semantics = 1 - base.semantics
+	if rng.Intn(2) == 1 {
+		base, other = other, base
+	}
+	silent, budget1, budget2, rev := base, base, base, base
+	silent.silent, budget1.budget, budget2.budget, rev.reversed = true, 1, 2, true
+	unrelated := parallelQuerySpec{shape: 0, elabels: [3]Label{Label(rng.Intn(3))}, vlabel: Label(rng.Intn(2))}
+	return []parallelQuerySpec{silent, base, other, budget1, base, budget1, other, budget2, rev, unrelated}
+}
+
+// driftStream is churnStream with 100 edges of label l inserted after its
+// vertex declarations: the explicit path counts of a query over l grow
+// past the drift slack, so matching orders are recomputed mid-stream — by
+// sources and twins alike.
+func driftStream(rng *rand.Rand, waves int, l Label) []Update {
+	const nVerts = 24 // churnStream's declarations
+	ups := churnStream(rng, waves)
+	dense := make([]Update, 100)
+	for i := range dense {
+		dense[i] = Insert(VertexID(1+rng.Intn(nVerts)), l, VertexID(1+rng.Intn(nVerts)))
+	}
+	return slices.Concat(ups[:nVerts], dense, ups[nVerts:])
+}
+
+// twinsAtStart is the twin relation twinSpecs yields when every spec is
+// registered before the stream: query name → its source's name.
+var twinsAtStart = map[string]string{"q1": "q0", "q4": "q0", "q5": "q3", "q6": "q2"}
+
+// checkTwins asserts that m's twin relation is want (query → source; every
+// other query searches itself, except that the queries named in either may
+// also be twins), that MQOStats counts it, and that every twin's engine
+// still evaluates as its source's does — the order state included, which
+// twin-ness fixes at registration.
+func checkTwins(t *testing.T, cfg string, m *MultiEngine, want map[string]string, either ...string) {
+	t.Helper()
+	twins := 0
+	for _, name := range m.Queries() {
+		src := m.TwinOf(name)
+		if src != want[name] && (want[name] != "" || !slices.Contains(either, name)) {
+			t.Fatalf("%s: TwinOf(%s) = %q, want %q", cfg, name, src, want[name])
+		}
+		if src == "" {
+			continue
+		}
+		twins++
+		s, o := m.slots[name].eng, m.slots[src].eng
+		if !slices.Equal(s.MatchingOrder(), o.MatchingOrder()) || !o.Twin(s) {
+			t.Fatalf("%s: twin %s no longer evaluates as its source %s: order %v, source's %v",
+				cfg, name, src, s.MatchingOrder(), o.MatchingOrder())
+		}
+	}
+	if got := m.MQOStats().Twins; got != twins {
+		t.Fatalf("%s: MQOStats.Twins = %d, want %d", cfg, got, twins)
+	}
+}
+
 // TestMQOEquivalence is the acceptance property of the shared-evaluation
 // layer (DESIGN.md §17): for overlapping query mixes and random streams
 // (including mid-stream vertex creation and no-op updates), shared
@@ -51,6 +124,7 @@ func TestMQOEquivalence(t *testing.T) {
 	if testing.Short() {
 		nUpdates = 120
 	}
+	censored := 0 // the twin cases' censored evaluations
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -63,6 +137,21 @@ func TestMQOEquivalence(t *testing.T) {
 				}
 			})
 		})
+		// Twins: identical registrations copy their source's evaluation,
+		// and the copies that differ in semantics, budget or edge order
+		// search for themselves — all byte-identical to the reference.
+		t.Run(fmt.Sprintf("twins/seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			specs := twinSpecs(rng)
+			ups := driftStream(rng, nUpdates/100, specs[0].elabels[0])
+			want := checkEquivalence(t, specs, ups, nil, []int{1, 4}, []int{1, 256}, func(cfg string, got runResult) {
+				checkTwins(t, cfg, got.m, twinsAtStart)
+			})
+			censored += len(want.censored)
+		})
+	}
+	if censored == 0 {
+		t.Fatal("no evaluation was censored: the budgeted twins are not exercised")
 	}
 }
 
@@ -82,6 +171,7 @@ func TestMQOChurnEquivalence(t *testing.T) {
 		waves, nUpdates = 2, 120
 	}
 	ownersChurn := []churnStep{{unregister: []int{0}}, {unregister: []int{1}}, {register: []int{0, 1}}}
+	drifted := 0 // twin-case runs where a copy came back with its own order state
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -92,6 +182,7 @@ func TestMQOChurnEquivalence(t *testing.T) {
 			endsChurn := []churnStep{{unregister: ends}, {register: ends}}
 			// A third copy of the first shape, so that two members outlive q0.
 			three := append([]parallelQuerySpec{specs[0]}, specs...)
+			twins := twinSpecs(rng)
 			for _, st := range []struct {
 				name string
 				ups  []Update
@@ -115,8 +206,47 @@ func TestMQOChurnEquivalence(t *testing.T) {
 						})
 					})
 				}
+				// Twins under churn: q0, the owner and the source of q1 and
+				// q4, leaves mid-stream, and so does q2, a follower and the
+				// source of q6. Their first twins search in their place,
+				// without a rebuild. Both come back after the DCG has moved
+				// on: twins again only if its counts are back where the
+				// members' orders were computed, sources of their own when
+				// the order state drifted.
+				t.Run(st.name+"/twins", func(t *testing.T) {
+					churn := []churnStep{{unregister: []int{0, 2}}, {register: []int{0, 2}}}
+					checkEquivalence(t, twins, st.ups, churn, []int{1, 4}, []int{1, 256}, func(cfg string, got runResult) {
+						checkTwins(t, cfg, got.m, map[string]string{"q4": "q1", "q5": "q3"}, "q0", "q2")
+						if got.m.TwinOf("q0") == "" || got.m.TwinOf("q2") == "" {
+							drifted++
+						}
+					})
+				})
+				// The owner leaves with a follower that is not its twin
+				// between it and its twin: members [q0, q1, q2], q2 q0's
+				// twin, q1 the base under the other semantics. q1 takes the
+				// DCG over and q2, the heir, stays a follower that searches.
+				t.Run(st.name+"/twins-owner-gap", func(t *testing.T) {
+					gap := []parallelQuerySpec{twins[1], twins[2], twins[1]}
+					m := NewMultiEngine(NewGraph())
+					defer m.Close() //tf:unchecked-ok test teardown
+					for i, spec := range gap {
+						q, opt := spec.build()
+						if err := m.Register(fmt.Sprintf("q%d", i), q, opt); err != nil {
+							t.Fatal(err)
+						}
+					}
+					checkTwins(t, "registered", m, map[string]string{"q2": "q0"})
+					churn := []churnStep{{unregister: []int{0}}, {register: []int{0}}}
+					checkEquivalence(t, gap, st.ups, churn, []int{1, 4}, []int{1, 256}, func(cfg string, got runResult) {
+						checkTwins(t, cfg, got.m, map[string]string{}, "q0")
+					})
+				})
 			}
 		})
+	}
+	if drifted == 0 {
+		t.Fatal("every re-registered copy became a twin again: registration after drift is not exercised")
 	}
 }
 

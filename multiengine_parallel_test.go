@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -17,28 +18,32 @@ type parallelQuerySpec struct {
 	anyVertex bool // leave the query vertices unlabeled: every data vertex is a candidate
 	semantics Semantics
 	budget    int64 // Options.WorkBudget
+	reversed  bool  // add the shape's edges last to first
+	silent    bool  // the equivalence suites register it without OnMatch
 }
 
 func (s parallelQuerySpec) build() (*Query, Options) {
 	var q *Query
+	var edges [][3]int // from, elabels index, to
 	switch s.shape {
 	case 0:
 		q = NewQuery(2)
-		_ = q.AddEdge(0, s.elabels[0], 1)
+		edges = [][3]int{{0, 0, 1}}
 	case 1:
 		q = NewQuery(3)
-		_ = q.AddEdge(0, s.elabels[0], 1)
-		_ = q.AddEdge(1, s.elabels[1], 2)
+		edges = [][3]int{{0, 0, 1}, {1, 1, 2}}
 	case 2:
 		q = NewQuery(3)
-		_ = q.AddEdge(0, s.elabels[0], 1)
-		_ = q.AddEdge(1, s.elabels[1], 2)
-		_ = q.AddEdge(2, s.elabels[2], 0)
+		edges = [][3]int{{0, 0, 1}, {1, 1, 2}, {2, 2, 0}}
 	default:
 		q = NewQuery(4)
-		_ = q.AddEdge(0, s.elabels[0], 1)
-		_ = q.AddEdge(0, s.elabels[1], 2)
-		_ = q.AddEdge(0, s.elabels[2], 3)
+		edges = [][3]int{{0, 0, 1}, {0, 1, 2}, {0, 2, 3}}
+	}
+	if s.reversed {
+		slices.Reverse(edges)
+	}
+	for _, e := range edges {
+		_ = q.AddEdge(VertexID(e[0]), s.elabels[e[1]], VertexID(e[2]))
 	}
 	if !s.anyVertex {
 		for v := VertexID(0); v < VertexID(q.NumVertices()); v++ {
