@@ -39,11 +39,6 @@ type DurableMultiOptions struct {
 	// fails the open and leaves the directory fresh. Set at most one of
 	// Bootstrap and BootstrapFrom.
 	BootstrapFrom io.Reader
-
-	// FanOutWorkers sizes the multi-query fan-out worker pool (default
-	// GOMAXPROCS; 1 runs every evaluation inline on the caller). See
-	// MultiEngine.SetFanOutWorkers.
-	FanOutWorkers int
 }
 
 // RecoveryInfo describes what OpenDurableMulti found on disk.
@@ -118,7 +113,6 @@ func OpenDurableMulti(dir string, opt DurableMultiOptions) (*MultiEngine, error)
 		}
 	}
 	m := NewMultiEngine(st.Graph())
-	m.SetFanOutWorkers(opt.FanOutWorkers)
 	m.store = st
 	m.rec = RecoveryInfo{
 		SnapshotLSN:    rec.SnapshotLSN,

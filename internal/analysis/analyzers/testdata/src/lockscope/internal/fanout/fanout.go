@@ -1,12 +1,8 @@
 // Package fanout is the lock-scope fixture's worker-pool stand-in.
 package fanout
 
-// Pool runs tasks.
-type Pool struct{}
+// Pool runs one loop.
+type Pool struct{ loop func() }
 
-// Run executes every task.
-func (p *Pool) Run(tasks []func()) {
-	for _, fn := range tasks {
-		fn()
-	}
-}
+// Run runs the loop on the caller.
+func (p *Pool) Run(k int) { p.loop() }

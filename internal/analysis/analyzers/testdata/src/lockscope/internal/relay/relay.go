@@ -44,9 +44,9 @@ func (r *Relay) Count() int {
 }
 
 // Flush dispatches to the worker pool while locked.
-func (r *Relay) Flush(p *fanout.Pool, tasks []func()) {
+func (r *Relay) Flush(p *fanout.Pool, k int) {
 	r.mu.Lock()
-	p.Run(tasks)
+	p.Run(k)
 	r.mu.Unlock()
 }
 

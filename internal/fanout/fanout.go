@@ -1,7 +1,7 @@
 // Package fanout implements the parallel multi-query fan-out layer: a
-// persistent worker pool that evaluates one window of updates against many
-// engines concurrently, and the per-engine emission buffers that make
-// the parallel window invisible to OnMatch observers.
+// persistent crew of workers that runs a window's claim loop beside the
+// coordinator, and the per-engine emission buffers that make the parallel
+// window invisible to OnMatch observers.
 //
 // The contract (DESIGN.md §11): graph mutation stays serial, engines only
 // read the shared data graph during evaluation (the frozen-graph window,
@@ -21,133 +21,115 @@ import (
 	"turboflux/internal/graph"
 )
 
-// Stats is a snapshot of fan-out counters. Workers, Pooled, Batches,
-// BusyNs and PerWorker are owned by the Pool; Evals and Skipped are
-// owned by the coordinator (MultiEngine) and merged into the snapshot.
+// Stats is a snapshot of fan-out counters. Workers, Pooled, Batches and
+// BusyNs are owned by the Pool; Evals and Skipped are owned by the
+// coordinator (MultiEngine) and merged into the snapshot.
 type Stats struct {
 	// Workers is the configured pool size.
-	Workers int `json:"workers"`
+	Workers int
 	// Evals counts per-engine searches actually run (any mode); a twin's
 	// copy of its source's evaluation (MultiEngine.TwinOf) is not one.
-	Evals uint64 `json:"evals"`
+	Evals uint64
 	// Skipped counts engine evaluations elided by label-relevance
 	// routing: the update's edge label does not occur in the query, so
 	// evaluation would have been a no-op.
-	Skipped uint64 `json:"skipped"`
-	// Pooled counts tasks handed to pool workers (the rest ran inline on
-	// the coordinator goroutine). MultiEngine's tasks are claim loops over
-	// a window's evaluation units, at most one per worker and window.
-	Pooled uint64 `json:"pooled"`
-	// Batches counts parallel fan-out barriers executed: for MultiEngine,
-	// the evaluation windows that handed at least one claim loop to the
-	// pool.
-	Batches uint64 `json:"batches"`
+	Skipped uint64
+	// Pooled counts runs of the loop handed to pool workers (the caller's
+	// own run of it is not one): at most workers − 1 per Run.
+	Pooled uint64
+	// Batches counts parallel barriers: the Runs that handed the loop to
+	// at least one worker.
+	Batches uint64
 	// BusyNs is total worker-goroutine busy time in nanoseconds.
-	BusyNs uint64 `json:"busy_ns"`
-	// PerWorker is the number of tasks each worker executed.
-	PerWorker []uint64 `json:"per_worker"`
+	BusyNs uint64
 }
 
-// task is one unit handed to a worker: run it, then signal the batch
-// barrier.
-type task struct {
-	run func()
-	wg  *sync.WaitGroup
-}
-
-// Pool is a persistent worker pool sized once at construction. Workers
-// start lazily on the first parallel batch, so a pool behind an engine
-// that only ever sees single-relevant-query updates costs nothing.
+// Pool is a persistent crew of workers sized once at construction, all
+// running the one loop it was built with. Workers start lazily on the
+// first parallel Run, so a pool behind an engine whose windows never
+// engage two units costs nothing.
 //
 // Run and Close must not be called concurrently with each other; the
 // pool matches MultiEngine's single-coordinator discipline.
 type Pool struct {
 	workers int
+	loop    func()
 
 	mu      sync.Mutex
-	ch      chan task
+	wake    chan struct{}
 	started bool
 	closed  bool
 
-	// wg is the reusable batch barrier. Reuse across Run calls is safe
-	// because Run is never concurrent with itself: Wait returns only when
-	// the previous batch's count reaches zero, strictly before the next
-	// Add. Owning it here (instead of a per-Run local) keeps the barrier
-	// off the heap: a local WaitGroup escapes through the task channel and
-	// would cost one allocation per parallel update.
+	// wg is the reusable barrier. Reuse across Run calls is safe because
+	// Run is never concurrent with itself: Wait returns only when the
+	// previous Run's count reaches zero, strictly before the next Add.
 	wg sync.WaitGroup
 
-	batches   atomic.Uint64
-	pooled    atomic.Uint64
-	busyNs    atomic.Uint64
-	perWorker []atomic.Uint64
+	batches atomic.Uint64
+	pooled  atomic.Uint64
+	busyNs  atomic.Uint64
 }
 
-// New builds a pool of the given size; n <= 0 means GOMAXPROCS.
-func New(n int) *Pool {
+// New builds a pool of n workers that run loop; n <= 0 means GOMAXPROCS.
+// The loop must divide the work among however many runners enter it, for
+// example by claiming items from a shared atomic cursor.
+func New(n int, loop func()) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: n, perWorker: make([]atomic.Uint64, n)}
+	return &Pool{workers: n, loop: loop}
 }
 
 // Workers returns the configured pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// Run executes every task and returns once all have completed — the
-// fan-out barrier. The first task runs inline on the caller's goroutine
-// (it would otherwise sit idle at the barrier); the rest go to the
-// workers. With a single worker, or after Close, all tasks run inline
-// in order.
-func (p *Pool) Run(tasks []func()) {
-	if len(tasks) == 0 {
-		return
-	}
-	inline := p.workers <= 1 || len(tasks) == 1
-	if !inline {
+// Run runs the loop on the caller and on min(k, workers) − 1 woken
+// workers, and returns once every run has finished — the fan-out
+// barrier. With k <= 1, a single worker, or after Close, the loop runs
+// once, on the caller alone.
+func (p *Pool) Run(k int) {
+	k = min(k, p.workers)
+	if k > 1 {
 		p.mu.Lock()
 		switch {
 		case p.closed:
-			inline = true
+			k = 1
 		case !p.started:
 			p.started = true
-			p.ch = make(chan task) //tf:unbuffered-ok rendezvous handoff; the batch barrier bounds outstanding tasks
-			for i := 0; i < p.workers; i++ {
+			p.wake = make(chan struct{})
+			for range p.workers {
 				//tf:goroutine fanout-worker
-				go p.worker(i)
+				go p.worker()
 			}
 		}
 		p.mu.Unlock()
 	}
-	if inline {
-		for _, fn := range tasks {
-			fn()
-		}
+	if k <= 1 {
+		p.loop()
 		return
 	}
 	p.batches.Add(1)
-	p.pooled.Add(uint64(len(tasks) - 1))
-	p.wg.Add(len(tasks) - 1)
-	for _, fn := range tasks[1:] {
-		p.ch <- task{run: fn, wg: &p.wg}
+	p.pooled.Add(uint64(k - 1))
+	p.wg.Add(k - 1)
+	for range k - 1 {
+		p.wake <- struct{}{}
 	}
-	tasks[0]()
+	p.loop()
 	p.wg.Wait()
 }
 
-func (p *Pool) worker(i int) {
-	for t := range p.ch {
+func (p *Pool) worker() {
+	for range p.wake {
 		t0 := time.Now()
-		t.run()
+		p.loop()
 		p.busyNs.Add(uint64(time.Since(t0).Nanoseconds()))
-		p.perWorker[i].Add(1)
-		t.wg.Done()
+		p.wg.Done()
 	}
 }
 
 // Close releases the worker goroutines. Idempotent. The pool stays
-// usable afterwards: Run degrades to inline execution, so a closed pool
-// behaves exactly like workers=1.
+// usable afterwards: every Run runs the loop on the caller alone, so a
+// closed pool behaves exactly like workers=1.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -156,23 +138,18 @@ func (p *Pool) Close() {
 	}
 	p.closed = true
 	if p.started {
-		close(p.ch)
+		close(p.wake)
 	}
 }
 
 // Stats snapshots the pool-owned counters.
 func (p *Pool) Stats() Stats {
-	s := Stats{
-		Workers:   p.workers,
-		Pooled:    p.pooled.Load(),
-		Batches:   p.batches.Load(),
-		BusyNs:    p.busyNs.Load(),
-		PerWorker: make([]uint64, len(p.perWorker)),
+	return Stats{
+		Workers: p.workers,
+		Pooled:  p.pooled.Load(),
+		Batches: p.batches.Load(),
+		BusyNs:  p.busyNs.Load(),
 	}
-	for i := range p.perWorker {
-		s.PerWorker[i] = p.perWorker[i].Load()
-	}
-	return s
 }
 
 // emissionKeep is the mapping storage, in vertex IDs (256 KB), an

@@ -10,78 +10,95 @@ import (
 	"turboflux/internal/graph"
 )
 
-func TestPoolRunsAllTasks(t *testing.T) {
+// TestPoolRunners: Run(k) runs the loop on max(1, min(k, workers))
+// runners, the caller and min(k, workers) − 1 woken workers, each once.
+func TestPoolRunners(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		p := New(workers)
 		var n atomic.Int64
-		for batch := 0; batch < 10; batch++ {
-			tasks := make([]func(), 0, 7)
-			for i := 0; i < 7; i++ {
-				tasks = append(tasks, func() { n.Add(1) })
+		p := New(workers, func() { n.Add(1) })
+		for _, k := range []int{0, 1, 2, 3, 7, 8, 16} {
+			n.Store(0)
+			p.Run(k)
+			if got, want := n.Load(), int64(max(1, min(k, workers))); got != want {
+				t.Fatalf("workers=%d: Run(%d) ran the loop %d times, want %d", workers, k, got, want)
 			}
-			p.Run(tasks)
 		}
 		p.Close()
-		if got := n.Load(); got != 70 {
-			t.Fatalf("workers=%d: ran %d tasks, want 70", workers, got)
-		}
 	}
 }
 
-func TestPoolBarrier(t *testing.T) {
-	// Every task's effect must be visible to the caller once Run returns.
-	p := New(4)
-	defer p.Close()
+// TestPoolBarrierStress: every run's writes are visible to the caller once
+// Run returns. The runners claim slots from a shared cursor, as
+// MultiEngine's claim loop claims units, and write them without atomics,
+// so the race detector checks the barrier's happens-before edges.
+func TestPoolBarrierStress(t *testing.T) {
 	out := make([]int, 16)
-	for round := 0; round < 50; round++ {
-		tasks := make([]func(), len(out))
-		for i := range out {
-			i := i
-			tasks[i] = func() { out[i] = round + 1 }
+	var cursor atomic.Int32
+	round := 0
+	p := New(4, func() {
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= len(out) {
+				return
+			}
+			out[i] = round + 1
 		}
-		p.Run(tasks)
+	})
+	defer p.Close()
+	for round = 0; round < 50; round++ {
+		cursor.Store(0)
+		p.Run(len(out))
 		for i, v := range out {
 			if v != round+1 {
-				t.Fatalf("round %d: task %d effect not visible after barrier (got %d)", round, i, v)
+				t.Fatalf("round %d: slot %d write not visible after barrier (got %d)", round, i, v)
 			}
 		}
 	}
 }
 
 func TestPoolDefaultSize(t *testing.T) {
-	if got, want := New(0).Workers(), runtime.GOMAXPROCS(0); got != want {
+	if got, want := New(0, func() {}).Workers(), runtime.GOMAXPROCS(0); got != want {
 		t.Fatalf("New(0).Workers() = %d, want GOMAXPROCS %d", got, want)
 	}
 }
 
+// TestPoolCloseIdempotentAndInlineAfter: after Close the caller runs the
+// loop alone, and such a Run is not counted as parallel.
 func TestPoolCloseIdempotentAndInlineAfter(t *testing.T) {
-	p := New(4)
-	ran := false
-	p.Run([]func(){func() {}, func() {}}) // start workers
+	var n atomic.Int64
+	p := New(4, func() { n.Add(1) })
+	p.Run(4) // start workers
 	p.Close()
 	p.Close()
-	p.Run([]func(){func() { ran = true }, func() {}})
-	if !ran {
-		t.Fatal("Run after Close did not execute tasks inline")
+	n.Store(0)
+	p.Run(4)
+	if got := n.Load(); got != 1 {
+		t.Fatalf("Run(4) after Close ran the loop %d times, want once on the caller", got)
+	}
+	if s := p.Stats(); s.Batches != 1 || s.Pooled != 3 {
+		t.Fatalf("Run after Close counted as parallel: batches=%d pooled=%d, want 1 and 3", s.Batches, s.Pooled)
 	}
 }
 
 func TestPoolNeverStartedClose(t *testing.T) {
-	p := New(4)
+	n := 0
+	p := New(4, func() { n++ })
 	p.Close() // must not panic or leak
-	var n int
-	p.Run([]func(){func() { n++ }})
+	p.Run(3)
 	if n != 1 {
-		t.Fatalf("inline run after Close ran %d tasks, want 1", n)
+		t.Fatalf("Run(3) after Close ran the loop %d times, want 1", n)
 	}
 }
 
+// TestPoolStats: a parallel Run pools min(k, workers) − 1 runs and counts
+// one batch; a Run the caller runs alone counts neither.
 func TestPoolStats(t *testing.T) {
-	p := New(2)
+	p := New(2, func() {})
 	defer p.Close()
-	tasks := []func(){func() {}, func() {}, func() {}}
-	p.Run(tasks)
-	p.Run(tasks)
+	p.Run(3)
+	p.Run(2)
+	p.Run(1)
+	p.Run(0)
 	s := p.Stats()
 	if s.Workers != 2 {
 		t.Fatalf("Workers = %d, want 2", s.Workers)
@@ -89,16 +106,32 @@ func TestPoolStats(t *testing.T) {
 	if s.Batches != 2 {
 		t.Fatalf("Batches = %d, want 2", s.Batches)
 	}
-	// One task per batch runs inline on the caller.
-	if s.Pooled != 4 {
-		t.Fatalf("Pooled = %d, want 4", s.Pooled)
+	if s.Pooled != 2 {
+		t.Fatalf("Pooled = %d, want 2", s.Pooled)
 	}
-	var perWorker uint64
-	for _, c := range s.PerWorker {
-		perWorker += c
+	q := New(4, func() {})
+	defer q.Close()
+	q.Run(3)
+	if s := q.Stats(); s.Batches != 1 || s.Pooled != 2 {
+		t.Fatalf("New(4).Run(3): batches=%d pooled=%d, want 1 and 2", s.Batches, s.Pooled)
 	}
-	if perWorker != s.Pooled {
-		t.Fatalf("sum(PerWorker) = %d, want Pooled = %d", perWorker, s.Pooled)
+}
+
+// BenchmarkPoolHandOff measures what one window costs the pool with an
+// empty loop on a 2-worker pool: k=1 is the caller alone, k=2 one hand-off
+// to a woken worker and the barrier.
+func BenchmarkPoolHandOff(b *testing.B) {
+	for _, k := range []int{1, 2} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			p := New(2, func() {})
+			defer p.Close()
+			p.Run(2) // start the workers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				p.Run(k)
+			}
+		})
 	}
 }
 

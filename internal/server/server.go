@@ -102,7 +102,6 @@ func New(opt Options) (*Server, error) {
 			EdgeLabels:    opt.EdgeLabels,
 			Bootstrap:     opt.Bootstrap,
 			BootstrapFrom: opt.BootstrapFrom,
-			FanOutWorkers: opt.FanOutWorkers,
 		})
 		if err != nil {
 			return nil, err
@@ -127,8 +126,8 @@ func New(opt Options) (*Server, error) {
 			}
 		}
 		eng = turboflux.NewMultiEngine(g)
-		eng.SetFanOutWorkers(opt.FanOutWorkers) //tf:actor-ok construction precedes actor start
 	}
+	eng.SetFanOutWorkers(opt.FanOutWorkers) //tf:actor-ok construction precedes actor start
 	// The server keeps the actor and the front end, not the Options: those
 	// hold the bootstrap or its reader, garbage once the store is open. The
 	// front is made first because STATS reads its connection count.

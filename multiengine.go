@@ -131,8 +131,8 @@ type MultiEngine struct {
 	// graph); view is &win while the window holds two or more of them and
 	// nil for a window of one, which has nothing to hide. engaged lists the
 	// window's evaluations in (update, registration) order — the replay
-	// order; units lists the engaged units, which the claim loops (one
-	// prebuilt task per pool worker) take from cursor; runDels holds the
+	// order; units lists the engaged units, which claim takes from cursor
+	// on the coordinator and every worker the pool wakes; runDels holds the
 	// window's deletions, applied to the graph after the barrier
 	// (Algorithm 2: deletions evaluate before removal). batchErrs[k] is the
 	// k-th evaluation error of the batch, raised by the update at
@@ -143,7 +143,6 @@ type MultiEngine struct {
 	engaged     []engagement
 	units       []*subpat
 	cursor      atomic.Int32
-	claims      []func()
 	runDels     []Edge
 	batchCounts map[string]int64
 	batchErrs   []error
@@ -178,28 +177,23 @@ func NewMultiEngine(g0 *Graph) *MultiEngine {
 		slots:  make(map[string]*mslot),
 		shapes: make(map[string]*subpat),
 	}
-	m.setPool(fanout.New(0))
+	m.pool = fanout.New(0, m.claim)
 	return m
 }
 
-// setPool installs p and one claim loop per worker of it: a worker takes
-// the window's units one at a time from the shared cursor until none is
-// left, so a unit has a single evaluator and the output cannot depend on
-// who claimed what.
-func (m *MultiEngine) setPool(p *fanout.Pool) {
-	m.pool = p
-	claim := func() {
-		for {
-			k := int(m.cursor.Add(1)) - 1
-			if k >= len(m.units) {
-				return
-			}
-			m.units[k].evaluate(m)
+// claim is the window's claim loop, the one the pool runs on the caller
+// and on every worker it wakes: take the window's units one at a time from
+// the shared cursor until none is left, so a unit has a single evaluator
+// and the output cannot depend on who claimed what.
+//
+//tf:hotpath
+func (m *MultiEngine) claim() {
+	for {
+		k := int(m.cursor.Add(1)) - 1
+		if k >= len(m.units) {
+			return
 		}
-	}
-	m.claims = m.claims[:0]
-	for range p.Workers() {
-		m.claims = append(m.claims, claim)
+		m.units[k].evaluate(m)
 	}
 }
 
@@ -216,11 +210,8 @@ func (m *MultiEngine) SetFanOutWorkers(n int) {
 		return
 	}
 	m.pool.Close()
-	m.setPool(fanout.New(n))
+	m.pool = fanout.New(n, m.claim)
 }
-
-// FanOutWorkers returns the configured fan-out pool size.
-func (m *MultiEngine) FanOutWorkers() int { return m.pool.Workers() }
 
 // FanOutStats snapshots the fan-out counters.
 func (m *MultiEngine) FanOutStats() FanOutStats {
@@ -802,8 +793,8 @@ func (s *mslot) copyTwin(idx int32, positive bool) {
 	s.eng.CreditTwin(positive, src.lastN)
 }
 
-// flushWindow executes the scheduled window: one pool dispatch of claim
-// loops over the engaged units, largest first, so one slow unit delays the
+// flushWindow executes the scheduled window: one pool Run of the claim
+// loop over the engaged units, largest first, so one slow unit delays the
 // barrier by at most itself (each unit evaluating its updates against the
 // frozen graph), then one ordered replay of the buffered emissions in
 // (update index, registration order) with per-update boundaries
@@ -815,13 +806,9 @@ func (m *MultiEngine) flushWindow(start, end int, boundary func(i int)) {
 	if m.win.Len() > 1 {
 		m.view = &m.win
 	}
-	if len(m.units) == 1 {
-		m.units[0].evaluate(m) // nothing to share out
-	} else {
-		slices.SortFunc(m.units, func(a, b *subpat) int { return b.evals - a.evals })
-		m.cursor.Store(0)
-		m.pool.Run(m.claims[:min(len(m.claims), len(m.units))])
-	}
+	slices.SortFunc(m.units, func(a, b *subpat) int { return b.evals - a.evals })
+	m.cursor.Store(0)
+	m.pool.Run(len(m.units))
 	next := start
 	for _, en := range m.engaged {
 		s, k := en.s, int(en.k)

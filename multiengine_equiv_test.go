@@ -224,8 +224,8 @@ func runMulti(t *testing.T, workers, batch int, specs []parallelQuerySpec, ups [
 	m := NewMultiEngine(NewGraph())
 	defer m.Close() //tf:unchecked-ok test teardown
 	m.SetFanOutWorkers(workers)
-	if got := m.FanOutWorkers(); got != workers {
-		t.Fatalf("FanOutWorkers = %d, want %d", got, workers)
+	if got := m.FanOutStats().Workers; got != workers {
+		t.Fatalf("FanOutStats().Workers = %d, want %d", got, workers)
 	}
 	mt := &multiTarget{t: t, specs: specs, m: m, batch: batch, totals: map[string]int64{}, censored: map[string]bool{}}
 	driveStream(mt, len(specs), ups, churn)

@@ -161,9 +161,6 @@ func TestParallelFanOutStats(t *testing.T) {
 	if fs.Batches == 0 || fs.Pooled == 0 {
 		t.Fatalf("pool idle: batches=%d pooled=%d", fs.Batches, fs.Pooled)
 	}
-	if len(fs.PerWorker) != 4 {
-		t.Fatalf("PerWorker = %v, want 4 entries", fs.PerWorker)
-	}
 }
 
 // TestMultiEngineFanOutErrorEvaluatesAll pins the failure semantics: a
