@@ -57,7 +57,7 @@ func runServerBatchWorkload(t *testing.T, workers, batchSize int, binary bool) (
 		QueueDepth:    256,
 		VertexLabels:  vdict,
 		EdgeLabels:    edict,
-		Bootstrap:     boot,
+		BootstrapFrom: bootText(t, boot),
 		FanOutWorkers: workers,
 	})
 

@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,6 +13,16 @@ import (
 	"turboflux"
 	"turboflux/internal/workload"
 )
+
+// bootText is ups in the text stream format, for Options.BootstrapFrom.
+func bootText(t *testing.T, ups []turboflux.Update) io.Reader {
+	t.Helper()
+	var text bytes.Buffer
+	if err := turboflux.EncodeStream(&text, ups); err != nil {
+		t.Fatal(err)
+	}
+	return &text
+}
 
 // bootHistory is a bootstrap of 1000 labeled vertices on a ring.
 func bootHistory() []turboflux.Update {
@@ -33,22 +41,6 @@ func finalized[T any](obj *T) <-chan struct{} {
 	done := make(chan struct{})
 	runtime.SetFinalizer(obj, func(*T) { close(done) })
 	return done
-}
-
-// newWithBootstrap builds a server from a bootstrap history no one else
-// references; the channel closes when the collector reclaims it.
-//
-//go:noinline
-func newWithBootstrap(t *testing.T, opt Options) (*Server, []<-chan struct{}) {
-	t.Helper()
-	boot := bootHistory()
-	freed := finalized(&boot[0])
-	opt.Bootstrap = boot
-	s, err := New(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, []<-chan struct{}{freed}
 }
 
 // bufferSpy reads the bootstrap text and remembers the first buffer it is
@@ -72,11 +64,7 @@ func (s *bufferSpy) Read(p []byte) (int, error) {
 //go:noinline
 func newWithBootstrapFrom(t *testing.T, opt Options) (*Server, []<-chan struct{}) {
 	t.Helper()
-	var text bytes.Buffer
-	if err := turboflux.EncodeStream(&text, bootHistory()); err != nil {
-		t.Fatal(err)
-	}
-	spy := &bufferSpy{r: &text}
+	spy := &bufferSpy{r: bootText(t, bootHistory())}
 	opt.BootstrapFrom = spy
 	s, err := New(opt)
 	if err != nil {
@@ -87,47 +75,36 @@ func newWithBootstrapFrom(t *testing.T, opt Options) (*Server, []<-chan struct{}
 
 // TestBootstrapNotRetained: once the store is open the bootstrap must be
 // garbage, in memory-only and in durable mode; the server used to keep it
-// reachable through its options copy. From a history that is the decoded
-// slice (48 B an update plus a label slice per declaration — tens of
-// megabytes for a real initial graph); from text it is the reader and
-// the decoder's read buffer. (TestDecodeWindowsNotRetained in
-// internal/stream covers the window and its label scratch.)
+// reachable through its options copy. That is the reader and the decoder's
+// read buffer. (TestDecodeWindowsNotRetained in internal/stream covers the
+// window and its label scratch.)
 func TestBootstrapNotRetained(t *testing.T) {
-	sources := []struct {
-		name  string
-		build func(*testing.T, Options) (*Server, []<-chan struct{})
-	}{
-		{"history", newWithBootstrap},
-		{"text", newWithBootstrapFrom},
-	}
 	for _, mode := range []string{"memory", "durable"} {
-		for _, source := range sources {
-			opt := Options{}
-			if mode == "durable" {
-				opt.DataDir, opt.Fsync = t.TempDir(), "none"
-			}
-			s, freed := source.build(t, opt)
-			deadline := time.Now().Add(5 * time.Second)
-			for _, ch := range freed {
-				for collected := false; !collected; {
-					runtime.GC()
-					select {
-					case <-ch:
-						collected = true
-					default:
-						if time.Now().After(deadline) {
-							t.Fatalf("%s, %s: the bootstrap is still reachable after server.New", mode, source.name)
-						}
-						time.Sleep(5 * time.Millisecond)
+		opt := Options{}
+		if mode == "durable" {
+			opt.DataDir, opt.Fsync = t.TempDir(), "none"
+		}
+		s, freed := newWithBootstrapFrom(t, opt)
+		deadline := time.Now().Add(5 * time.Second)
+		for _, ch := range freed {
+			for collected := false; !collected; {
+				runtime.GC()
+				select {
+				case <-ch:
+					collected = true
+				default:
+					if time.Now().After(deadline) {
+						t.Fatalf("%s: the bootstrap is still reachable after server.New", mode)
 					}
+					time.Sleep(5 * time.Millisecond)
 				}
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			if err := s.Shutdown(ctx); err != nil {
-				t.Errorf("%s, %s: shutdown: %v", mode, source.name, err)
-			}
-			cancel()
 		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("%s: shutdown: %v", mode, err)
+		}
+		cancel()
 	}
 }
 
@@ -148,37 +125,16 @@ func stoppedGraph(t *testing.T, s *Server) []byte {
 	return b.Bytes()
 }
 
-// dirBytes is the concatenation of dir's files in name order: its WAL.
-func dirBytes(t *testing.T, dir string) []byte {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var all []byte
-	for _, e := range entries {
-		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(append(all, e.Name()...), b...)
-	}
-	return all
-}
-
 // TestServerBootstrapFromEquivalence: a server bootstrapped from the text
-// of a generated g0 holds the graph one bootstrapped from its history
-// holds, in memory and in durable mode; durable, both journal the same
-// WAL and recover the same graph — without reading the text again.
+// of a generated g0 holds the same graph in memory and in durable mode,
+// and durable, it recovers that graph without reading the text again.
+// (The root package's TestBootstrapFromEquivalence holds a history and its
+// text to the same WAL.)
 func TestServerBootstrapFromEquivalence(t *testing.T) {
 	g := workload.LSBench(workload.LSBenchConfig{Users: 300, Seed: 7}).Graph
 	var ups []turboflux.Update
 	g.ForEachVertex(func(v turboflux.VertexID) { ups = append(ups, turboflux.DeclareVertex(v, g.Labels(v)...)) })
 	g.ForEachEdge(func(e turboflux.Edge) { ups = append(ups, turboflux.Insert(e.From, e.Label, e.To)) })
-	var text bytes.Buffer
-	if err := turboflux.EncodeStream(&text, ups); err != nil {
-		t.Fatal(err)
-	}
 	start := func(opt Options) *Server {
 		s, err := New(opt)
 		if err != nil {
@@ -187,29 +143,17 @@ func TestServerBootstrapFromEquivalence(t *testing.T) {
 		return s
 	}
 
-	want := stoppedGraph(t, start(Options{Bootstrap: ups}))
-	if got := stoppedGraph(t, start(Options{BootstrapFrom: bytes.NewReader(text.Bytes())})); !bytes.Equal(got, want) {
-		t.Fatal("memory mode: the graphs differ")
+	want := stoppedGraph(t, start(Options{BootstrapFrom: bootText(t, ups)}))
+	dir := t.TempDir()
+	if got := stoppedGraph(t, start(Options{DataDir: dir, Fsync: "none", BootstrapFrom: bootText(t, ups)})); !bytes.Equal(got, want) {
+		t.Fatal("durable mode: the graph differs from memory mode's")
 	}
-
-	fromSlice, fromText := t.TempDir(), t.TempDir()
-	if got := stoppedGraph(t, start(Options{DataDir: fromSlice, Fsync: "none", Bootstrap: ups})); !bytes.Equal(got, want) {
-		t.Fatal("durable mode from the history: the graph differs from memory mode's")
+	s := start(Options{DataDir: dir, Fsync: "none", BootstrapFrom: unreadable{t}})
+	if s.Recovery().Fresh {
+		t.Fatal("the store reopened fresh")
 	}
-	if got := stoppedGraph(t, start(Options{DataDir: fromText, Fsync: "none", BootstrapFrom: bytes.NewReader(text.Bytes())})); !bytes.Equal(got, want) {
-		t.Fatal("durable mode from text: the graph differs")
-	}
-	if !bytes.Equal(dirBytes(t, fromSlice), dirBytes(t, fromText)) {
-		t.Fatal("durable mode: the WAL directories differ")
-	}
-	for _, dir := range []string{fromSlice, fromText} {
-		s := start(Options{DataDir: dir, Fsync: "none", BootstrapFrom: unreadable{t}})
-		if s.Recovery().Fresh {
-			t.Fatalf("%s reopened fresh", dir)
-		}
-		if got := stoppedGraph(t, s); !bytes.Equal(got, want) {
-			t.Fatalf("%s: the recovered graph differs", dir)
-		}
+	if got := stoppedGraph(t, s); !bytes.Equal(got, want) {
+		t.Fatal("the recovered graph differs")
 	}
 }
 
@@ -222,14 +166,10 @@ func (u unreadable) Read([]byte) (int, error) {
 }
 
 // TestServerBootstrapFromErrors: a malformed line fails New by its line in
-// memory mode too, and both sources at once are refused.
+// memory mode too.
 func TestServerBootstrapFromErrors(t *testing.T) {
 	_, err := New(Options{BootstrapFrom: strings.NewReader("v 1 0\n\nx 1\n")})
 	if err == nil || err.Error() != `stream: line 3: unknown op "x"` {
 		t.Fatalf("memory mode: error %v", err)
-	}
-	_, err = New(Options{Bootstrap: []turboflux.Update{turboflux.DeclareVertex(1)}, BootstrapFrom: strings.NewReader("v 1\n")})
-	if err == nil || !strings.Contains(err.Error(), "not both") {
-		t.Fatalf("both sources: error %v", err)
 	}
 }

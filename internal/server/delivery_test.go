@@ -144,7 +144,7 @@ func runConnTranscript(t *testing.T, workers, batch int) {
 		QueueDepth:    64,
 		VertexLabels:  vdict,
 		EdgeLabels:    edict,
-		Bootstrap:     boot,
+		BootstrapFrom: bootText(t, boot),
 		FanOutWorkers: workers,
 	})
 	writer := dialTest(t, addr)

@@ -86,7 +86,7 @@ func runServerE2EDeterminism(t *testing.T, workers int) {
 		QueueDepth:    64,
 		VertexLabels:  vdict,
 		EdgeLabels:    edict,
-		Bootstrap:     boot,
+		BootstrapFrom: bootText(t, boot),
 		FanOutWorkers: workers,
 	})
 
@@ -306,11 +306,11 @@ func TestServerGracefulShutdownDurable(t *testing.T) {
 		turboflux.DeclareVertex(2, 0),
 	}
 	s, err := New(Options{
-		DataDir:      dir,
-		Fsync:        "interval",
-		VertexLabels: vdict,
-		EdgeLabels:   edict,
-		Bootstrap:    boot,
+		DataDir:       dir,
+		Fsync:         "interval",
+		VertexLabels:  vdict,
+		EdgeLabels:    edict,
+		BootstrapFrom: bootText(t, boot),
 	})
 	if err != nil {
 		t.Fatal(err)

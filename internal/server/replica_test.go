@@ -36,16 +36,11 @@ func replDicts() (vd, ed *turboflux.Dict) {
 func leaderOpts(dir string) Options {
 	vd, ed := replDicts()
 	return Options{
-		DataDir:      dir,
-		Fsync:        "interval",
-		VertexLabels: vd,
-		EdgeLabels:   ed,
-		Bootstrap: []turboflux.Update{
-			turboflux.DeclareVertex(1, 0),
-			turboflux.DeclareVertex(2, 0),
-			turboflux.DeclareVertex(3, 0),
-			turboflux.DeclareVertex(4, 0),
-		},
+		DataDir:       dir,
+		Fsync:         "interval",
+		VertexLabels:  vd,
+		EdgeLabels:    ed,
+		BootstrapFrom: strings.NewReader("v 1 0\nv 2 0\nv 3 0\nv 4 0\n"),
 	}
 }
 

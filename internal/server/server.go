@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 
@@ -42,12 +41,10 @@ type Options struct {
 	// dictionaries exactly as for turboflux.OpenDurableMulti.
 	VertexLabels, EdgeLabels *turboflux.Dict
 
-	// Bootstrap is an optional initial-graph history applied (and, in
-	// durable mode, journaled) when the store is fresh.
-	Bootstrap []turboflux.Update
-	// BootstrapFrom is Bootstrap in the text stream format, decoded a
-	// window at a time and read only when the store is fresh (see
-	// turboflux.DurableMultiOptions). Set at most one of the two.
+	// BootstrapFrom is an optional initial-graph history in the text
+	// stream format, read only when the store is fresh: decoded a window
+	// at a time and applied (and, in durable mode, journaled) as it is
+	// read (see turboflux.DurableMultiOptions).
 	BootstrapFrom io.Reader
 
 	// FanOutWorkers sizes the engine's multi-query fan-out worker pool
@@ -86,9 +83,6 @@ func New(opt Options) (*Server, error) {
 	if opt.Follow != "" && opt.DataDir == "" {
 		return nil, errors.New("server: Follow requires DataDir (followers journal the replicated log)")
 	}
-	if opt.Bootstrap != nil && opt.BootstrapFrom != nil {
-		return nil, errors.New("server: set Bootstrap or BootstrapFrom, not both")
-	}
 	var (
 		eng   *turboflux.MultiEngine
 		err   error
@@ -100,7 +94,6 @@ func New(opt Options) (*Server, error) {
 			Fsync:         opt.Fsync,
 			VertexLabels:  opt.VertexLabels,
 			EdgeLabels:    opt.EdgeLabels,
-			Bootstrap:     opt.Bootstrap,
 			BootstrapFrom: opt.BootstrapFrom,
 		})
 		if err != nil {
@@ -115,11 +108,7 @@ func New(opt Options) (*Server, error) {
 		if edict == nil {
 			edict = turboflux.NewDict()
 		}
-		if err := stream.CheckAll(opt.Bootstrap); err != nil {
-			return nil, fmt.Errorf("server: bootstrap %w", err)
-		}
 		g := turboflux.NewGraph()
-		stream.ApplyAll(g, opt.Bootstrap)
 		if opt.BootstrapFrom != nil {
 			if err := stream.ApplyText(g, opt.BootstrapFrom); err != nil {
 				return nil, err

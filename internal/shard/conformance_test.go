@@ -207,7 +207,7 @@ func runConformanceScript(t *testing.T, addr, shardStats string) (replies, pushe
 	return replies, c.pushes
 }
 
-func TestFrontEndConformance(t *testing.T) {
+func TestFrontEndConformanceStress(t *testing.T) {
 	plain := startShardServer(t)
 	coord, _, _ := startCluster(t, 2, Options{})
 
@@ -275,12 +275,12 @@ func labelFrontEnds(t *testing.T, dicts func() (v, e *graph.Dict)) []struct{ nam
 	}
 }
 
-// TestNumericLabelsRefuseDecimalNames runs REGISTER and LABEL against both
+// TestNumericLabelsRefuseDecimalNamesStress runs REGISTER and LABEL against both
 // front ends with numeric dictionaries (-numeric-labels): a decimal label
 // that is none of the pre-interned 0..255 — "300", "007" — is refused with
 // -ERR and interns nothing, so the next label a client interns still gets
 // id 256; other names register as before.
-func TestNumericLabelsRefuseDecimalNames(t *testing.T) {
+func TestNumericLabelsRefuseDecimalNamesStress(t *testing.T) {
 	numeric := func() (v, e *graph.Dict) { return graph.NumericDict(), graph.NumericDict() }
 	for _, fe := range labelFrontEnds(t, numeric) {
 		t.Run(fe.name, func(t *testing.T) {
@@ -315,12 +315,12 @@ func TestNumericLabelsRefuseDecimalNames(t *testing.T) {
 	}
 }
 
-// TestLabelDictionaryFull runs REGISTER and LABEL against both front ends
+// TestLabelDictionaryFullStress runs REGISTER and LABEL against both front ends
 // with vertex dictionaries one name short of graph.MaxLabels: a request
 // that would intern more names than are free is refused with -ERR before
 // anything is interned, and the front end keeps serving. Interning past the
 // bound would panic the process that owns the dictionary.
-func TestLabelDictionaryFull(t *testing.T) {
+func TestLabelDictionaryFullStress(t *testing.T) {
 	nearlyFull := func() (v, e *graph.Dict) {
 		v = graph.NewDict()
 		for i := range graph.MaxLabels - 1 {

@@ -148,11 +148,6 @@ func (r *router) DropConn(id uint64) {
 	}
 }
 
-// release hands a subscription's reservation (STATS subs=) back.
-func (r *router) release(query string) {
-	r.box.Send(rreq{kind: rSubRelease, name: query}) //tf:unchecked-ok reservation dies with the router
-}
-
 // upstream is one (client connection, shard) link. Its client's read loop
 // runs forward; its own goroutine, run, sends the UNSUBSCRIBEs Cancel
 // queues and closes the link.
@@ -171,9 +166,7 @@ type upstream struct {
 	closing bool                     // last Cancel or teardown: nothing more is forwarded
 	dead    bool                     // the link ended on its own
 
-	// Owned by the read loop (forward).
-	kept  []byte   // a filtered run's forwarded lines
-	ended []string // queries whose handles a run ended, to release
+	kept []byte // a filtered run's forwarded lines; owned by the read loop (forward)
 }
 
 // relaySub is the connection's handle on one relayed subscription.
@@ -196,7 +189,7 @@ func (s *relaySub) Finished() bool { return s.ended.Load() }
 func (s *relaySub) Cancel() {
 	u := s.u
 	u.mu.Lock()
-	if u.live[s.query] != s { // ended by the shard or the link's death, and released then
+	if u.live[s.query] != s { // ended by the shard or the link's death
 		u.mu.Unlock()
 		return
 	}
@@ -212,7 +205,6 @@ func (s *relaySub) Cancel() {
 	} else {
 		u.kick()
 	}
-	u.r.release(s.query)
 }
 
 // Subscribe relays the subscription over the connection's upstream to the
@@ -234,7 +226,6 @@ func (r *router) Subscribe(c *server.Conn, name string) (server.Subscription, ui
 		u.settle(name)
 	}
 	if err != nil {
-		r.release(name)
 		return nil, 0, err
 	}
 	sub := &relaySub{u: u, query: name}
@@ -257,9 +248,6 @@ func (r *router) Subscribe(c *server.Conn, name string) (server.Subscription, ui
 	empty := len(u.live) == 0
 	u.mu.Unlock()
 	if err != nil {
-		if held {
-			r.release(name)
-		}
 		if empty {
 			u.retire()
 		}
@@ -390,12 +378,11 @@ func (u *upstream) died() {
 		return
 	}
 	u.dead = true
-	var gone, notify []string
+	var notify []string
 	//tf:unordered-ok each subscription's notice is its own stream's last line
 	for name, s := range u.live {
 		s.ended.Store(true)
 		delete(u.live, name)
-		gone = append(gone, name)
 		if s.confirmed {
 			notify = append(notify, name)
 		}
@@ -408,9 +395,6 @@ func (u *upstream) died() {
 	u.mu.Unlock()
 	for _, q := range notify {
 		u.c.WriteLine("*EVICTED " + q) //tf:unchecked-ok peer may be gone
-	}
-	for _, q := range gone {
-		u.r.release(q)
 	}
 }
 
@@ -438,10 +422,6 @@ func (u *upstream) forward(run []byte, more bool) {
 	u.r.events.Add(events)
 	u.c.WriteFrame(run, nil, !more) //tf:unchecked-ok sticky error; the link keeps draining
 	u.mu.Unlock()
-	for _, q := range u.ended {
-		u.r.release(q)
-	}
-	u.ended = u.ended[:0]
 }
 
 // scan is forward's pass over a run with nothing to drop (u.mu held). A
@@ -508,7 +488,6 @@ func (u *upstream) evicted(name []byte) {
 	}
 	s.ended.Store(true)
 	delete(u.live, s.query)
-	u.ended = append(u.ended, s.query)
 }
 
 // pushQuery returns the query name of a push line whose prefix is skip

@@ -121,18 +121,6 @@ type shardHandle struct {
 	misses  atomic.Int64  // consecutive heartbeat misses
 	pingUs  atomic.Int64  // last successful probe round trip
 
-	// Sub-pattern sharing counters mirrored from the shard's last STATS
-	// probe: the heartbeat goroutine writes, the router's STATS rendering
-	// reads. The coordinator holds no engine of its own, so this mirror is
-	// its only view of shard-side sharing (DESIGN.md §17).
-	mqoSubpats  atomic.Int64
-	mqoShared   atomic.Int64
-	mqoRefs     atomic.Int64
-	mqoMaintain atomic.Uint64
-	mqoSaved    atomic.Uint64
-	mqoReplays  atomic.Uint64
-	mqoTwins    atomic.Int64
-
 	reasonMu sync.Mutex
 	reason   string // first cause of death
 
@@ -174,9 +162,9 @@ func attach(id int, addr string, opt Options) (*shardHandle, error) {
 	return h, nil
 }
 
-// admit reads the shard's STATS at attach: a follower is refused, the
-// shard's sequence number becomes the ack base, and the sharing counters
-// seed the mirror. A payload lacking any of them is refused too.
+// admit reads the shard's STATS at attach: a follower is refused, and the
+// shard's sequence number becomes the ack base. A payload lacking it is
+// refused too.
 func (h *shardHandle) admit() error {
 	st, err := h.hb.Stats()
 	if err != nil {
@@ -193,31 +181,8 @@ func (h *shardHandle) admit() error {
 		}
 		return fmt.Errorf("shard is a read-only follower of %s", leader)
 	}
-	if h.base, err = st.Line("server").Uint("seq"); err != nil {
-		return err
-	}
-	return h.storeMQO(st)
-}
-
-// storeMQO mirrors one STATS probe's sharing counters into the handle's
-// atomics. A probe whose mqo line lacks one stores none of them.
-func (h *shardHandle) storeMQO(st server.StatsPayload) error {
-	l := st.Line("mqo")
-	var v [7]uint64
-	for i, key := range [...]string{"subpats", "shared", "refs", "maintain", "saved", "replays", "twins"} {
-		var err error
-		if v[i], err = l.Uint(key); err != nil {
-			return err
-		}
-	}
-	h.mqoSubpats.Store(int64(v[0]))
-	h.mqoShared.Store(int64(v[1]))
-	h.mqoRefs.Store(int64(v[2]))
-	h.mqoMaintain.Store(v[3])
-	h.mqoSaved.Store(v[4])
-	h.mqoReplays.Store(v[5])
-	h.mqoTwins.Store(int64(v[6]))
-	return nil
+	h.base, err = st.Line("server").Uint("seq")
+	return err
 }
 
 // start launches the fanner and heartbeat goroutines (after the router
@@ -339,9 +304,9 @@ func (h *shardHandle) apply(t *task) (server.Ack, error) {
 // hbMisses consecutive failures. A timed-out probe poisons the prober
 // connection, so later probes fail fast and the misses accumulate —
 // fail-stop, no redial. The probe is a STATS round trip rather than a
-// bare PING: the same request that proves liveness refreshes the
-// handle's mirror of the shard's sharing counters, and a reply lacking one
-// of them is a miss.
+// bare PING because the shard's connection answers PING itself, while
+// STATS is answered by the shard's actor: only the latter proves the
+// shard is still serving. Nothing is read from the reply.
 func (h *shardHandle) heartbeat() {
 	defer h.wg.Done()
 	tick := time.NewTicker(h.hbInterval)
@@ -355,11 +320,7 @@ func (h *shardHandle) heartbeat() {
 				continue
 			}
 			start := time.Now()
-			st, err := h.hb.Stats()
-			if err == nil {
-				err = h.storeMQO(st)
-			}
-			if err != nil {
+			if _, err := h.hb.Stats(); err != nil {
 				if n := h.misses.Add(1); int(n) >= h.hbMisses {
 					h.down(fmt.Errorf("heartbeat: %d consecutive misses: %w", n, err)) //tf:unchecked-ok down-marking is the effect; no caller to report to
 				}

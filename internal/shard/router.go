@@ -22,7 +22,6 @@ const (
 	rQueries
 	rLabel
 	rSubscribe
-	rSubRelease
 	rStats
 	rShardStats
 )
@@ -53,30 +52,25 @@ type rresp struct {
 //
 //tf:actor-owned
 type assignTable struct {
-	byName map[string]*assignment
+	byName map[string]int // owner shard id by query name
 	order  []string
 	counts []int // registered queries per shard id
 }
 
-type assignment struct {
-	shard int
-	subs  int // live coordinator-side subscriptions (STATS)
-}
-
 func newAssignTable(shards int) *assignTable {
 	return &assignTable{
-		byName: make(map[string]*assignment),
+		byName: make(map[string]int),
 		counts: make([]int, shards),
 	}
 }
 
-func (t *assignTable) get(name string) (*assignment, bool) {
-	a, ok := t.byName[name]
-	return a, ok
+func (t *assignTable) get(name string) (int, bool) {
+	shard, ok := t.byName[name]
+	return shard, ok
 }
 
 func (t *assignTable) add(name string, shard int) {
-	t.byName[name] = &assignment{shard: shard}
+	t.byName[name] = shard
 	t.order = append(t.order, name)
 	t.counts[shard]++
 }
@@ -84,12 +78,12 @@ func (t *assignTable) add(name string, shard int) {
 // remove drops a query, rebalancing the owner's load count so the next
 // registration prefers the now-lighter shard.
 func (t *assignTable) remove(name string) {
-	a, ok := t.byName[name]
+	shard, ok := t.byName[name]
 	if !ok {
 		return
 	}
 	delete(t.byName, name)
-	t.counts[a.shard]--
+	t.counts[shard]--
 	for i, n := range t.order {
 		if n == name {
 			t.order = append(t.order[:i], t.order[i+1:]...)
@@ -181,32 +175,27 @@ func (r *router) handle(req rreq) (resp rresp, err error) {
 	case rUnassign:
 		r.table.remove(req.name)
 	case rUnregister:
-		a, ok := r.table.get(req.name)
+		owner, ok := r.table.get(req.name)
 		if !ok {
 			return resp, fmt.Errorf("shard: query %q is not registered", req.name)
 		}
 		r.table.remove(req.name)
-		resp.reg = r.fanTo(a.shard, &task{kind: taskUnregister, name: req.name})
+		resp.reg = r.fanTo(owner, &task{kind: taskUnregister, name: req.name})
 	case rQueries:
 		resp.names = r.table.names()
 	case rLabel:
 		return r.label(req)
 	case rSubscribe:
-		a, ok := r.table.get(req.name)
+		owner, ok := r.table.get(req.name)
 		if !ok {
 			return resp, fmt.Errorf("shard: query %q is not registered", req.name)
 		}
-		h := r.shards[a.shard]
+		h := r.shards[owner]
 		if !h.alive.Load() {
 			return resp, fmt.Errorf("shard: query %q lives on shard %d (%s), which is down: %s",
 				req.name, h.id, h.addr, h.downReason())
 		}
-		a.subs++
 		resp.shard, resp.addr = h.id, h.addr
-	case rSubRelease:
-		if a, ok := r.table.get(req.name); ok && a.subs > 0 {
-			a.subs--
-		}
 	case rStats:
 		resp.lines = r.statsLines()
 	case rShardStats:
@@ -325,10 +314,11 @@ func (r *router) fanTo(shard int, t *task) pending {
 	return pending{n: 1, res: t.res}
 }
 
-// statsLines renders the coordinator STATS payload: the cluster line,
-// the aggregate mqo line (summed over the shards' last-probed sharing
-// counters), one line per shard, then one line per query in
-// registration order.
+// statsLines renders the coordinator STATS payload: the cluster line, one
+// line per shard, then one line per query in registration order. It holds
+// only what the coordinator alone knows — the total order, the placement
+// and the relays; every per-query and sharing counter is in the owning
+// shard's own STATS.
 func (r *router) statsLines() []string {
 	alive := 0
 	for _, h := range r.shards {
@@ -340,23 +330,9 @@ func (r *router) statsLines() []string {
 	lines = append(lines, fmt.Sprintf(
 		"cluster role=coordinator shards=%d alive=%d seq=%d updates=%d events=%d conns=%d",
 		len(r.shards), alive, r.seq, r.seq, r.events.Load(), r.front.Conns()))
-	var mq struct{ subpats, shared, refs, maintain, saved, replays, twins uint64 }
-	for _, h := range r.shards {
-		mq.subpats += uint64(h.mqoSubpats.Load())
-		mq.shared += uint64(h.mqoShared.Load())
-		mq.refs += uint64(h.mqoRefs.Load())
-		mq.maintain += h.mqoMaintain.Load()
-		mq.saved += h.mqoSaved.Load()
-		mq.replays += h.mqoReplays.Load()
-		mq.twins += uint64(h.mqoTwins.Load())
-	}
-	lines = append(lines, fmt.Sprintf(
-		"mqo subpats=%d shared=%d refs=%d maintain=%d saved=%d replays=%d twins=%d",
-		mq.subpats, mq.shared, mq.refs, mq.maintain, mq.saved, mq.replays, mq.twins))
 	lines = r.shardLines(lines)
 	for _, name := range r.table.order {
-		a := r.table.byName[name]
-		lines = append(lines, fmt.Sprintf("query %s shard=%d subs=%d", name, a.shard, a.subs))
+		lines = append(lines, fmt.Sprintf("query %s shard=%d", name, r.table.byName[name]))
 	}
 	return lines
 }
@@ -367,10 +343,9 @@ func (r *router) shardLines(lines []string) []string {
 	for _, h := range r.shards {
 		applied := h.applied.Load()
 		lines = append(lines, fmt.Sprintf(
-			"shard %d addr=%s alive=%t queries=%d seq=%d lag=%d ping_us=%d misses=%d subpats=%d refs=%d saved=%d",
+			"shard %d addr=%s alive=%t queries=%d seq=%d lag=%d ping_us=%d misses=%d",
 			h.id, h.addr, h.alive.Load(), r.table.counts[h.id],
-			h.base+applied, r.seq-applied, h.pingUs.Load(), h.misses.Load(),
-			h.mqoSubpats.Load(), h.mqoRefs.Load(), h.mqoSaved.Load()))
+			h.base+applied, r.seq-applied, h.pingUs.Load(), h.misses.Load()))
 	}
 	return lines
 }

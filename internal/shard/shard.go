@@ -26,8 +26,8 @@
 // per-shard acknowledgments. Every ack is checked against the expected
 // per-shard sequence number (attach base + fanned updates): a gap means
 // the shard diverged (someone wrote to it directly) and the shard is
-// marked down, fail-stop. A heartbeat prober pings each shard and marks
-// it down after consecutive misses.
+// marked down, fail-stop. A heartbeat prober sends each shard STATS, which
+// the shard's actor must serve, and marks it down after consecutive misses.
 //
 // Label dictionaries must agree cluster-wide because updates carry
 // numeric label ids. The coordinator parses every REGISTER pattern

@@ -448,8 +448,10 @@ func TestHeartbeatMarksDeadShardDown(t *testing.T) {
 }
 
 // stubShard answers every STATS with payload and refuses every other
-// request. It returns the stub's address.
-func stubShard(t *testing.T, payload ...string) string {
+// request. It returns the stub's address and a channel that receives one
+// value per STATS answered. The stub never blocks on it: a send finding its
+// 64 slots full is dropped, so a test that stops reading stops no probe.
+func stubShard(t *testing.T, payload ...string) (string, <-chan struct{}) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -457,6 +459,7 @@ func stubShard(t *testing.T, payload ...string) string {
 	}
 	var mu sync.Mutex
 	var conns []net.Conn
+	served := make(chan struct{}, 64)
 	t.Cleanup(func() {
 		ln.Close() //tf:unchecked-ok test cleanup
 		mu.Lock()
@@ -484,27 +487,32 @@ func stubShard(t *testing.T, payload ...string) string {
 						return
 					}
 					reply := "-ERR stub shard\n"
-					if req == "STATS\n" {
+					stats := req == "STATS\n"
+					if stats {
 						reply = fmt.Sprintf("+DATA %d\n%s\n", len(payload), strings.Join(payload, "\n"))
 					}
 					if _, err := nc.Write([]byte(reply)); err != nil {
 						return
 					}
+					if stats {
+						select {
+						case served <- struct{}{}:
+						default:
+						}
+					}
 				}
 			}()
 		}
 	}()
-	return ln.Addr().String()
+	return ln.Addr().String(), served
 }
-
-const stubMQO = "mqo subpats=1 shared=0 refs=1 maintain=0 saved=0 replays=0 twins=0"
 
 // TestAttachRefusesStatsWithoutSeq: the ack base is the shard's STATS seq,
 // so a shard whose payload lacks it is refused at New, naming the key,
 // instead of attaching at base 0 and failing later with a bogus sequence
 // gap.
 func TestAttachRefusesStatsWithoutSeq(t *testing.T) {
-	addr := stubShard(t, "server conns=1 updates=7", stubMQO)
+	addr, _ := stubShard(t, "server conns=1 updates=7")
 	co, err := New(Options{Shards: []string{addr}, RequestTimeout: 5 * time.Second})
 	if err == nil {
 		co.Shutdown(context.Background()) //tf:unchecked-ok the test has failed already
@@ -515,43 +523,60 @@ func TestAttachRefusesStatsWithoutSeq(t *testing.T) {
 	}
 }
 
-// TestMirrorRefusesIncompleteMQO: a STATS reply whose mqo line lacks one of
-// the mirrored counters is refused, naming the key, and leaves the mirror
-// as the last complete reply set it, so the heartbeat counts a miss
-// instead of reporting a zero.
-func TestMirrorRefusesIncompleteMQO(t *testing.T) {
-	addr := stubShard(t, "server conns=1 seq=7", stubMQO)
-	h, err := attach(0, addr, Options{RequestTimeout: 5 * time.Second})
+// TestProbeReadsOnlyLiveness: the coordinator reads a shard's role and
+// seq at attach and nothing else, and nothing at all from a heartbeat's
+// reply, so a shard whose STATS is only a server line attaches and passes
+// every probe. The wait is on the probes the stub answers: the admit's
+// STATS, then four probes — the fourth is sent only once the third's reply
+// was judged.
+func TestProbeReadsOnlyLiveness(t *testing.T) {
+	addr, served := stubShard(t, "server conns=1 seq=7")
+	opt := Options{HeartbeatInterval: 5 * time.Millisecond, HeartbeatMisses: 1}
+	opt.setDefaults()
+	h, err := attach(0, addr, opt)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("attach: %v", err)
 	}
-	defer h.closeClients()
-	if h.base != 7 || h.mqoSubpats.Load() != 1 {
-		t.Fatalf("attach: ack base %d, subpats %d; want the shard's seq 7 and subpats 1", h.base, h.mqoSubpats.Load())
+	if h.base != 7 {
+		t.Fatalf("ack base %d, want the shard's seq 7", h.base)
 	}
-	for _, key := range []string{"replays", "twins"} {
-		line := "mqo subpats=2 shared=1 refs=3 maintain=0 saved=0"
-		if key == "twins" {
-			line += " replays=0"
-		}
-		incomplete := server.ParseStats([]string{line})
-		if err := h.storeMQO(incomplete); err == nil || !strings.Contains(err.Error(), "has no "+key) {
-			t.Fatalf("an mqo line without %s: %v, want an error naming %s", key, err, key)
-		}
-		if got := h.mqoSubpats.Load(); got != 1 {
-			t.Fatalf("mirrored subpats = %d after a refused reply, want 1 from the attach", got)
+	h.start()
+	defer func() {
+		close(h.tasks)
+		close(h.stop)
+		h.wg.Wait()
+		h.closeClients()
+	}()
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < 5; i++ {
+		select {
+		case <-served:
+		case <-timeout:
+			t.Fatalf("the stub answered %d STATS, want the admit's and 4 probes", i)
 		}
 	}
-	complete := server.ParseStats([]string{"mqo subpats=2 shared=1 refs=3 maintain=0 saved=0 replays=0 twins=1"})
-	if err := h.storeMQO(complete); err != nil || h.mqoTwins.Load() != 1 {
-		t.Fatalf("a complete mqo line: %v, mirrored twins %d; want twins 1", err, h.mqoTwins.Load())
+	if !h.alive.Load() || h.misses.Load() != 0 {
+		t.Fatalf("after 3 judged probes: alive=%t misses=%d, want alive with no miss (down: %q)",
+			h.alive.Load(), h.misses.Load(), h.downReason())
 	}
 }
 
+// statKeys returns the keys of a STATS line, in order.
+func statKeys(l server.StatsLine) []string {
+	var keys []string
+	for _, f := range strings.Fields(l.String()) {
+		if k, _, ok := strings.Cut(f, "="); ok {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 // TestCoordinatorStats reads the coordinator's STATS over the Go client:
-// role, totals and placement.
+// role, totals and placement, and no line or key the shards report
+// themselves. A query's subscriber count is its owning shard's.
 func TestCoordinatorStats(t *testing.T) {
-	addr, _, _ := startCluster(t, 2, Options{})
+	addr, shards, _ := startCluster(t, 2, Options{})
 	c := dialTest(t, addr)
 	if err := c.Register("q0", "(a:P)-[:e0]->(b:P)"); err != nil {
 		t.Fatal(err)
@@ -573,14 +598,27 @@ func TestCoordinatorStats(t *testing.T) {
 	if stat(t, cl.Uint, "shards") != 2 || stat(t, cl.Uint, "alive") != 2 || stat(t, cl.Uint, "seq") != 1 {
 		t.Fatalf("cluster line = %s, want shards=2 alive=2 seq=1", cl)
 	}
+	if mqo := st.Lines("mqo"); len(mqo) != 0 {
+		t.Fatalf("coordinator STATS carries %v; sharing counters are the shards'", mqo)
+	}
 	qs := st.Lines("query")
-	if len(qs) != 1 || stat(t, qs[0].Uint, "subs") != 1 || stat(t, qs[0].Uint, "shard") != 0 {
-		t.Fatalf("query lines = %v", qs)
+	if len(qs) != 1 || stat(t, qs[0].Uint, "shard") != 0 || fmt.Sprint(statKeys(qs[0])) != "[shard]" {
+		t.Fatalf("query lines = %v, want q0 with shard=0 only", qs)
 	}
 	for _, s := range st.Lines("shard") {
 		if stat(t, s.Uint, "seq") != 1 || stat(t, s.Uint, "lag") != 0 {
 			t.Fatalf("shard line %s: want seq=1 lag=0", s)
 		}
+		if got := fmt.Sprint(statKeys(s)); got != "[addr alive queries seq lag ping_us misses]" {
+			t.Fatalf("shard line %s: keys %s", s, got)
+		}
+	}
+	ost, err := dialTest(t, shards[0]).Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := ost.Find("query", "q0"); stat(t, q.Uint, "subs") != 1 {
+		t.Fatalf("owning shard's query line %s: want subs=1", q)
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 	"turboflux/internal/server/servertest"
 )
 
-// TestCoordinatorUnsubscribeEndsStream is the coordinator twin of
+// TestCoordinatorUnsubscribeEndsStreamStress is the coordinator twin of
 // internal/server's TestUnsubscribeEndsStream: through two shards, an
 // UNSUBSCRIBE's reply still follows every line of the stream it ends,
 // whether q's upstream closes with it or stays open for r.
-func TestCoordinatorUnsubscribeEndsStream(t *testing.T) {
+func TestCoordinatorUnsubscribeEndsStreamStress(t *testing.T) {
 	shards := []string{startShardServer(t), startShardServer(t)}
 	servertest.UnsubscribeEndsStream(t, func() (server.FrontEnd, error) {
 		return New(Options{Shards: shards})
