@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"turboflux"
+	"turboflux/internal/core"
 	"turboflux/internal/graph"
 	"turboflux/internal/query"
 	"turboflux/internal/stream"
@@ -85,7 +86,7 @@ func loadG0(t *testing.T, in inputs, ups []turboflux.Update) *turboflux.Graph {
 }
 
 // engineTranscript is the reference: what the command prints for ups over
-// g, built directly on one Engine, with none of the command's engine
+// g, built directly on one core.Engine, with none of the command's engine
 // plumbing.
 func engineTranscript(t *testing.T, in inputs, g *turboflux.Graph, ups []turboflux.Update, explain, initial bool) string {
 	t.Helper()
@@ -94,22 +95,25 @@ func engineTranscript(t *testing.T, in inputs, g *turboflux.Graph, ups []turbofl
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	eng, err := turboflux.NewEngine(g, q, turboflux.Options{OnMatch: matchPrinter(&b)})
+	opt := core.DefaultOptions()
+	opt.OnMatch = matchPrinter(&b)
+	eng, err := core.New(g, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if explain {
-		fmt.Fprintln(&b, eng.Explain())
+		fmt.Fprintln(&b, eng.Plan().String())
 	}
 	if initial {
 		fmt.Fprintf(&b, "# initial matches: %d\n", eng.InitialMatches())
 	}
-	if _, err := eng.ApplyBatch(ups); err != nil {
-		t.Fatal(err)
+	for _, u := range ups {
+		if _, err := eng.Apply(u); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st := eng.Stats()
 	fmt.Fprintf(&b, "# stream: %d updates, %d positive, %d negative, DCG %d edges\n",
-		len(ups), st.PositiveMatches, st.NegativeMatches, st.DCGEdges)
+		len(ups), eng.PositiveCount(), eng.NegativeCount(), eng.DCG().NumEdges())
 	return b.String()
 }
 
@@ -136,8 +140,8 @@ func dropDurableLine(t *testing.T, out string) string {
 }
 
 // TestRunDurableRecoverMatchesMemory: the command prints the transcript
-// one Engine prints, and the same one in memory mode, in durable mode on a
-// fresh directory, and — up to the order of one update's matches, which
+// one core.Engine prints, and the same one in memory mode, in durable mode
+// on a fresh directory, and — up to the order of one update's matches, which
 // snapshot recovery normalises — in durable mode stopped halfway and
 // reopened with the second half of the stream.
 func TestRunDurableRecoverMatchesMemory(t *testing.T) {
@@ -155,7 +159,7 @@ func TestRunDurableRecoverMatchesMemory(t *testing.T) {
 		t.Fatalf("no query of the workload reports enough of both kinds of match:\n%.400s", memory)
 	}
 	if want := engineTranscript(t, in, loadG0(t, in, nil), in.ups, false, false); memory != want {
-		t.Fatalf("memory mode differs from Engine:\n%.400s\nvs\n%.400s", memory, want)
+		t.Fatalf("memory mode differs from the reference:\n%.400s\nvs\n%.400s", memory, want)
 	}
 
 	fresh := runOut(t, config{graph: in.g0, query: in.query, stream: in.stream, dataDir: filepath.Join(in.dir, "fresh"), fsync: "none"})
@@ -167,11 +171,11 @@ func TestRunDurableRecoverMatchesMemory(t *testing.T) {
 	half := len(in.ups) / 2
 	first := runOut(t, config{graph: in.g0, query: in.query, stream: in.first, dataDir: dir, fsync: "none"})
 	if got, want := dropDurableLine(t, first), engineTranscript(t, in, loadG0(t, in, nil), in.ups[:half], false, false); got != want {
-		t.Fatalf("first half differs from Engine:\n%.400s\nvs\n%.400s", got, want)
+		t.Fatalf("first half differs from the reference:\n%.400s\nvs\n%.400s", got, want)
 	}
 	// The reopened store recovers from the snapshot the first run's close
 	// wrote, which holds the graph in its canonical binary order: the
-	// reference Engine starts from that order too.
+	// reference engine starts from that order too.
 	second := runOut(t, config{graph: in.g0, query: in.query, stream: in.second, dataDir: dir, fsync: "none"})
 	var snap bytes.Buffer
 	if err := loadG0(t, in, in.ups[:half]).WriteBinary(&snap); err != nil {
@@ -185,7 +189,7 @@ func TestRunDurableRecoverMatchesMemory(t *testing.T) {
 		t.Fatalf("the reopened run began %q", strings.SplitN(second, "\n", 2)[0])
 	}
 	if got, want := dropDurableLine(t, second), engineTranscript(t, in, recovered, in.ups[half:], false, false); got != want {
-		t.Fatalf("reopened second half differs from Engine:\n%.400s\nvs\n%.400s", got, want)
+		t.Fatalf("reopened second half differs from the reference:\n%.400s\nvs\n%.400s", got, want)
 	}
 	got := append(matchLines(first), matchLines(second)...)
 	want := matchLines(memory)
@@ -197,7 +201,7 @@ func TestRunDurableRecoverMatchesMemory(t *testing.T) {
 
 	explained := runOut(t, config{graph: in.g0, query: in.query, stream: in.stream, explain: true, initial: true})
 	if want := engineTranscript(t, in, loadG0(t, in, nil), in.ups, true, true); explained != want {
-		t.Fatalf("-explain -initial differs from Engine:\n%.600s\nvs\n%.600s", explained, want)
+		t.Fatalf("-explain -initial differs from the reference:\n%.600s\nvs\n%.600s", explained, want)
 	}
 }
 

@@ -144,11 +144,11 @@ func referenceDCGEdges(t *testing.T, histories ...[]Update) int {
 			u.Apply(g)
 		}
 	}
-	ref, err := NewEngine(g, durableTestQuery(t), Options{})
+	ref, err := newReference(g, durableTestQuery(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ref.Stats().DCGEdges
+	return ref.DCG().NumEdges()
 }
 
 func TestOpenDurableCompactCycle(t *testing.T) {
@@ -268,24 +268,20 @@ func TestDurableTranscriptEquivalence(t *testing.T) {
 	}
 
 	// uncrashedTranscript replays prefixN surviving updates on a fresh
-	// in-memory Engine, then records the transcript of phase2.
+	// in-memory reference engine, then records the transcript of phase2.
 	uncrashedTranscript := func(prefixN int) string {
 		g := NewGraph()
 		for _, u := range bootstrap {
 			u.Apply(g)
 		}
 		var b strings.Builder
-		ref, err := NewEngine(g, durableTestQuery(t), Options{OnMatch: transcriptRecorder(&b)})
+		ref, err := newReference(g, durableTestQuery(t), Options{OnMatch: transcriptRecorder(&b)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ref.ApplyBatch(phase1[:prefixN]); err != nil {
-			t.Fatal(err)
-		}
+		applyReference(t, ref, phase1[:prefixN])
 		b.Reset()
-		if _, err := ref.ApplyBatch(phase2); err != nil {
-			t.Fatal(err)
-		}
+		applyReference(t, ref, phase2)
 		return b.String()
 	}
 
@@ -379,24 +375,20 @@ func TestDurableSnapshotRecoveryDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Never-crashed reference: a fresh Engine lives through the same
+	// Never-crashed reference: a fresh core.Engine lives through the same
 	// history and then phase2.
 	g := NewGraph()
 	for _, u := range bootstrap {
 		u.Apply(g)
 	}
 	var refB strings.Builder
-	ref, err := NewEngine(g, durableTestQuery(t), Options{OnMatch: transcriptRecorder(&refB)})
+	ref, err := newReference(g, durableTestQuery(t), Options{OnMatch: transcriptRecorder(&refB)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.ApplyBatch(phase1); err != nil {
-		t.Fatal(err)
-	}
+	applyReference(t, ref, phase1)
 	refB.Reset()
-	if _, err := ref.ApplyBatch(phase2); err != nil {
-		t.Fatal(err)
-	}
+	applyReference(t, ref, phase2)
 
 	reopen := func() string {
 		crash := t.TempDir()

@@ -9,7 +9,8 @@ import (
 )
 
 // The basic loop: load g0, register a query, stream updates, get matches.
-func ExampleEngine() {
+// A single query is a MultiEngine with one registration.
+func Example() {
 	const person, account turboflux.Label = 0, 1
 	const owns, pays turboflux.Label = 0, 1
 
@@ -26,14 +27,16 @@ func ExampleEngine() {
 	_ = q.AddEdge(0, owns, 1)
 	_ = q.AddEdge(1, pays, 2)
 
-	eng, _ := turboflux.NewEngine(g, q, turboflux.Options{
-		OnMatch: func(positive bool, m []turboflux.VertexID) {
+	m := turboflux.NewMultiEngine(g)
+	defer m.Close()
+	_ = m.Register("payment", q, turboflux.Options{
+		OnMatch: func(positive bool, mapping []turboflux.VertexID) {
 			fmt.Printf("positive=%v person=%d account=%d payee=%d\n",
-				positive, m[0], m[1], m[2])
+				positive, mapping[0], mapping[1], mapping[2])
 		},
 	})
-	_, _ = eng.Insert(10, pays, 20)
-	_, _ = eng.Delete(10, pays, 20)
+	_, _ = m.Insert(10, pays, 20)
+	_, _ = m.Delete(10, pays, 20)
 	// Output:
 	// positive=true person=1 account=10 payee=20
 	// positive=false person=1 account=10 payee=20
@@ -113,13 +116,16 @@ func Example_fraudDetection() {
 	}
 
 	alerts := 0
-	eng, err := turboflux.NewEngine(g, q, turboflux.Options{
+	m := turboflux.NewMultiEngine(g)
+	defer m.Close()
+	err := m.Register("ring", q, turboflux.Options{
 		Semantics: turboflux.Isomorphism,
-		OnMatch: func(positive bool, m []turboflux.VertexID) {
+		OnMatch: func(positive bool, mapping []turboflux.VertexID) {
 			if positive && alerts < 4 {
 				alerts++
 				fmt.Printf("ALERT: ring %d -> %d -> %d -> %d (customers %d,%d,%d,%d)\n",
-					m[4], m[5], m[6], m[7], m[0], m[1], m[2], m[3])
+					mapping[4], mapping[5], mapping[6], mapping[7],
+					mapping[0], mapping[1], mapping[2], mapping[3])
 			}
 		},
 	})
@@ -134,7 +140,7 @@ func Example_fraudDetection() {
 		if from == to {
 			continue
 		}
-		if _, err := eng.Insert(acct(from), transfer, acct(to)); err != nil {
+		if _, err := m.Insert(acct(from), transfer, acct(to)); err != nil {
 			fmt.Println(err)
 			return
 		}
@@ -146,15 +152,15 @@ func Example_fraudDetection() {
 	fmt.Println("planting fraud ring", ring)
 	for i := range ring {
 		from, to := ring[i], ring[(i+1)%len(ring)]
-		n, err := eng.Insert(acct(from), transfer, acct(to))
+		counts, err := m.Insert(acct(from), transfer, acct(to))
 		if err != nil {
 			fmt.Println(err)
 			return
 		}
-		fmt.Printf("  transfer %d->%d: %d new ring(s) detected\n", acct(from), acct(to), n)
+		fmt.Printf("  transfer %d->%d: %d new ring(s) detected\n", acct(from), acct(to), counts["ring"])
 	}
 
-	st := eng.Stats()
+	st := m.Stats()["ring"]
 	fmt.Printf("done: %d ring alignments over the whole stream, DCG %d edges\n",
 		st.PositiveMatches, st.DCGEdges)
 	// Output:
@@ -195,13 +201,15 @@ func Example_netMonitor() {
 	_ = q.AddEdge(3, ssh, 4)
 
 	alerts := 0
-	eng, err := turboflux.NewEngine(ds.Graph, q, turboflux.Options{
+	m := turboflux.NewMultiEngine(ds.Graph)
+	defer m.Close()
+	err := m.Register("worm", q, turboflux.Options{
 		Semantics: turboflux.Isomorphism,
-		OnMatch: func(positive bool, m []turboflux.VertexID) {
+		OnMatch: func(positive bool, mapping []turboflux.VertexID) {
 			if positive && alerts < 5 {
 				alerts++
 				fmt.Printf("ALERT: possible worm at host %d (spread: %d->%d, %d->%d)\n",
-					m[0], m[1], m[2], m[3], m[4])
+					mapping[0], mapping[1], mapping[2], mapping[3], mapping[4])
 			}
 		},
 	})
@@ -210,12 +218,12 @@ func Example_netMonitor() {
 		return
 	}
 
-	fmt.Printf("baseline: %d pattern instances already in the trace\n", eng.InitialMatches())
-	if _, err := eng.ApplyBatch(ds.Stream); err != nil {
+	fmt.Printf("baseline: %d pattern instances already in the trace\n", m.InitialMatches()["worm"])
+	if _, err := m.ApplyBatch(ds.Stream); err != nil {
 		fmt.Println(err)
 		return
 	}
-	st := eng.Stats()
+	st := m.Stats()["worm"]
 	fmt.Printf("monitored %d flow updates: %d new alerts, DCG %d edges (%.1fKiB used as index)\n",
 		len(ds.Stream), st.PositiveMatches, st.DCGEdges, float64(st.IntermediateBytes)/(1<<10))
 	// Output:
@@ -258,18 +266,20 @@ func Example_socialStream() {
 
 	var pos, neg int
 	var lastMatch []turboflux.VertexID
-	eng, err := turboflux.NewEngine(ds.Graph, q, turboflux.Options{
+	m := turboflux.NewMultiEngine(ds.Graph)
+	defer m.Close()
+	err := m.Register("viral", q, turboflux.Options{
 		Semantics: turboflux.Isomorphism,
-		OnMatch: func(positive bool, m []turboflux.VertexID) {
+		OnMatch: func(positive bool, mapping []turboflux.VertexID) {
 			if positive {
 				pos++
-				lastMatch = append(lastMatch[:0], m...)
+				lastMatch = append(lastMatch[:0], mapping...)
 				if pos <= 3 {
 					fmt.Printf("viral: post %d in channel %d (moderator %d, fans %d & %d)\n",
-						m[2], m[1], m[0], m[3], m[4])
+						mapping[2], mapping[1], mapping[0], mapping[3], mapping[4])
 				}
 			} else if neg++; neg <= 3 {
-				fmt.Printf("cooled off: post %d lost pattern support\n", m[2])
+				fmt.Printf("cooled off: post %d lost pattern support\n", mapping[2])
 			}
 		},
 	})
@@ -278,22 +288,22 @@ func Example_socialStream() {
 		return
 	}
 
-	fmt.Printf("initial viral posts: %d\n", eng.InitialMatches())
-	if _, err := eng.ApplyBatch(ds.Stream); err != nil {
+	fmt.Printf("initial viral posts: %d\n", m.InitialMatches()["viral"])
+	if _, err := m.ApplyBatch(ds.Stream); err != nil {
 		fmt.Println(err)
 		return
 	}
 
 	// A fan retracts their like: the engine reports every pattern instance
 	// the retraction destroys as a negative match.
-	n, err := eng.Delete(lastMatch[3], workload.EdgeLikes, lastMatch[2])
+	counts, err := m.Delete(lastMatch[3], workload.EdgeLikes, lastMatch[2])
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("user %d unliked post %d: %d instance(s) retracted\n", lastMatch[3], lastMatch[2], n)
+	fmt.Printf("user %d unliked post %d: %d instance(s) retracted\n", lastMatch[3], lastMatch[2], counts["viral"])
 
-	st := eng.Stats()
+	st := m.Stats()["viral"]
 	fmt.Printf("replayed %d updates: +%d / -%d pattern changes, DCG %d edges\n",
 		len(ds.Stream), st.PositiveMatches, st.NegativeMatches, st.DCGEdges)
 	// Output:

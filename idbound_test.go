@@ -56,13 +56,4 @@ func TestApplyRefusesVertexIDsPastBound(t *testing.T) {
 	d.Close() //tf:unchecked-ok test cleanup
 	_, err = OpenDurableMulti(t.TempDir(), DurableMultiOptions{Bootstrap: bad})
 	refused("OpenDurableMulti with a bootstrap past the bound", err)
-
-	e, err := NewEngine(NewGraph(), socialQuery(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = e.Apply(Insert(huge, 0, 1))
-	refused("Engine.Apply", err)
-	_, err = e.Insert(1, 0, huge)
-	refused("Engine.Insert", err)
 }

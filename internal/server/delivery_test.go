@@ -35,7 +35,7 @@ func (p *pushCapture) stream() []byte {
 	return append([]byte(nil), p.buf...)
 }
 
-// TestConnTranscriptEmissionOrder pins the per-connection delivery
+// TestConnTranscriptEmissionOrderStress pins the per-connection delivery
 // contract: one connection subscribed to six queries receives exactly the
 // bytes a single-threaded in-process MultiEngine replay renders in OnMatch
 // order — one total order per connection, across queries — for sequential
@@ -44,7 +44,7 @@ func (p *pushCapture) stream() []byte {
 // server renders their bodies once, as mixed3's, and copies them. mixed3
 // is unregistered between two frames, and its first twin renders for the
 // other from then on.
-func TestConnTranscriptEmissionOrder(t *testing.T) {
+func TestConnTranscriptEmissionOrderStress(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, batch := range []int{1, 256} {
 			workers, batch := workers, batch

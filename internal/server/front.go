@@ -13,10 +13,10 @@ import (
 )
 
 // Front is the network front end of one Backend: the listener, the accept
-// loop, the live connection set and the shutdown sequence. Server and
-// shard.Coordinator each own one; the name they construct it with
-// ("server", "shard") prefixes the few error messages the front end words
-// itself.
+// loop, the live connection set and the shutdown sequence. A Server owns
+// one, and shard.New returns one over its router; the name each constructs
+// it with ("server", "shard") prefixes the few error messages the front end
+// words itself.
 type Front struct {
 	name string
 	be   Backend
@@ -174,8 +174,8 @@ func (f *Front) Shutdown(ctx context.Context) error {
 	return ctxErr
 }
 
-// FrontEnd is what RunUntilSignal drives: a *Server or a
-// *shard.Coordinator.
+// FrontEnd is what RunUntilSignal drives: a *Server or a *Front (the
+// shard coordinator's, from shard.New).
 type FrontEnd interface {
 	Listen(addr string) error
 	Addr() net.Addr

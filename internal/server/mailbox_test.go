@@ -23,10 +23,10 @@ func within(t *testing.T, what string, f func()) {
 	}
 }
 
-// TestMailbox pins the contract the engine-owner actor and the shard router
-// share: FIFO handling, a drain of what is queued before shutdown, ErrClosed
-// once stopped, and no lost reply when Call races Stop.
-func TestMailbox(t *testing.T) {
+// TestMailboxStress pins the contract the engine-owner actor and the shard
+// router share: FIFO handling, a drain of what is queued before shutdown,
+// ErrClosed once stopped, and no lost reply when Call races Stop.
+func TestMailboxStress(t *testing.T) {
 	errOdd := errors.New("odd")
 	tests := []struct {
 		name string
@@ -180,9 +180,9 @@ func TestMailbox(t *testing.T) {
 	}
 }
 
-// TestMailboxCallAllocs: Call reuses its reply channels, so a round trip
-// through the mailbox costs no allocation in steady state.
-func TestMailboxCallAllocs(t *testing.T) {
+// TestMailboxCallAllocsStress: Call reuses its reply channels, so a round
+// trip through the mailbox costs no allocation in steady state.
+func TestMailboxCallAllocsStress(t *testing.T) {
 	var b Mailbox[request, response]
 	b.Start(func(request) (response, error) { return response{seq: 1}, nil }, func() {})
 	defer b.Stop()

@@ -1,6 +1,7 @@
 // Package servertest holds the front-end tests that internal/server and
 // internal/shard both run: one body, driven against a plain Server and
-// against a Coordinator, because the two serve through one server.Front.
+// against a shard coordinator, because the two serve through one
+// server.Front.
 package servertest
 
 import (

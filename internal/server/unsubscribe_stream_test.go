@@ -7,10 +7,10 @@ import (
 	"turboflux/internal/server/servertest"
 )
 
-// TestUnsubscribeEndsStream: on a plain server an UNSUBSCRIBE's reply
+// TestUnsubscribeEndsStreamStress: on a plain server an UNSUBSCRIBE's reply
 // follows every line of the stream it ends, however an emitting update
 // races it. The coordinator's twin is in internal/shard.
-func TestUnsubscribeEndsStream(t *testing.T) {
+func TestUnsubscribeEndsStreamStress(t *testing.T) {
 	servertest.UnsubscribeEndsStream(t, func() (server.FrontEnd, error) {
 		return server.New(server.Options{})
 	})

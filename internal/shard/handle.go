@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -203,15 +204,22 @@ func (h *shardHandle) closeClients() {
 }
 
 // down marks the shard dead (fail-stop: it is never revived) and
-// returns the decorated error. Only the first cause is kept.
+// returns the decorated error. Only the first cause is kept, and it is
+// logged to standard error once: STATS shows only alive=false, so the log
+// line is where an operator tells a sequence gap from a heartbeat death.
 func (h *shardHandle) down(cause error) error {
 	h.reasonMu.Lock()
-	if h.reason == "" {
+	first := h.reason == ""
+	if first {
 		h.reason = cause.Error()
 	}
 	h.reasonMu.Unlock()
+	err := fmt.Errorf("shard: shard %d (%s) down: %w", h.id, h.addr, cause)
+	if first {
+		log.Print(err) // before the mark, so whoever sees alive=false finds the line
+	}
 	h.alive.Store(false)
-	return fmt.Errorf("shard: shard %d (%s) down: %w", h.id, h.addr, cause)
+	return err
 }
 
 func (h *shardHandle) downReason() string {

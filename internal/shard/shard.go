@@ -46,10 +46,8 @@
 package shard
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"turboflux"
@@ -67,7 +65,7 @@ const (
 	fannerQueueDepth = 1024
 )
 
-// Options configures a Coordinator.
+// Options configures a coordinator.
 type Options struct {
 	// Shards lists the shard server addresses. At least one is required;
 	// shard ids are positions in this slice.
@@ -108,18 +106,14 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// Coordinator is the cluster front end: it accepts the ordinary line
-// protocol and drives the shard fleet. See the package comment for the
-// architecture and New/Listen/Serve/Shutdown for the lifecycle (a
-// server.Front's, the one a server.Server runs, over the router).
-type Coordinator struct {
-	front *server.Front
-}
-
-// New connects to every shard and starts the router. All shards must be
-// reachable and writable (a follower shard is rejected); their current
-// sequence numbers become the per-shard ack bases for gap detection.
-func New(opt Options) (*Coordinator, error) {
+// New connects to every shard, starts the router and returns the cluster
+// front end: a server.Front over the router, which accepts the ordinary
+// line protocol (Listen/Serve/Shutdown are the ones a server.Server runs;
+// Shutdown stops the router last, draining the task queues into the shards
+// and closing the shard clients). All shards must be reachable and
+// writable (a follower shard is rejected); their current sequence numbers
+// become the per-shard ack bases for gap detection.
+func New(opt Options) (*server.Front, error) {
 	if len(opt.Shards) == 0 {
 		return nil, errors.New("shard: at least one shard address is required")
 	}
@@ -149,23 +143,5 @@ func New(opt Options) (*Coordinator, error) {
 	for _, h := range shards {
 		h.start()
 	}
-	return &Coordinator{front: r.front}, nil
+	return r.front, nil
 }
-
-// Listen binds the client-facing TCP address (":0" picks a free port).
-func (co *Coordinator) Listen(addr string) error { return co.front.Listen(addr) }
-
-// Addr returns the bound listener address (nil before Listen).
-func (co *Coordinator) Addr() net.Addr { return co.front.Addr() }
-
-// Serve accepts client connections until Shutdown. It returns nil on
-// graceful shutdown, or the first fatal accept error.
-func (co *Coordinator) Serve() error { return co.front.Serve() }
-
-// Shutdown stops the coordinator gracefully (server.Front.Shutdown): stop
-// accepting, let in-flight requests finish (the subscription relays close
-// with their connections), then stop the router — which drains the task
-// queues into the shards and closes the shard clients. If ctx expires
-// first, remaining connections are force-closed and shutdown still
-// completes; ctx's error is reported afterwards.
-func (co *Coordinator) Shutdown(ctx context.Context) error { return co.front.Shutdown(ctx) }

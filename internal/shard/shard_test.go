@@ -10,7 +10,9 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"log"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -320,11 +322,50 @@ func TestLabelDictionarySync(t *testing.T) {
 	}
 }
 
+// logLines is the standard logger's output while a test runs.
+type logLines struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *logLines) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+// captureLog sends the standard logger to a buffer until the test ends.
+func captureLog(t *testing.T) *logLines {
+	l := &logLines{}
+	log.SetOutput(l)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	return l
+}
+
+// wantOneDownLine fails unless exactly one shard-death line was logged,
+// naming shard id and containing cause.
+func wantOneDownLine(t *testing.T, l *logLines, id int, cause string) {
+	t.Helper()
+	l.mu.Lock()
+	out := l.b.String()
+	l.mu.Unlock()
+	var lines []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, ") down: ") {
+			lines = append(lines, line)
+		}
+	}
+	if len(lines) != 1 || !strings.Contains(lines[0], fmt.Sprintf("shard: shard %d (", id)) || !strings.Contains(lines[0], cause) {
+		t.Fatalf("logged shard-death lines %q, want one for shard %d naming %q", lines, id, cause)
+	}
+}
+
 // TestSequenceGapMarksShardDown: a write that bypasses the coordinator
 // desynchronizes that shard's sequence; the next fanned update detects
-// the gap and the shard is marked down fail-stop, while the cluster
-// keeps serving from the others.
+// the gap and the shard is marked down fail-stop, with one log line naming
+// the cause, while the cluster keeps serving from the others.
 func TestSequenceGapMarksShardDown(t *testing.T) {
+	logged := captureLog(t)
 	addr, shards, _ := startCluster(t, 2, Options{})
 	c := dialTest(t, addr)
 	if err := c.Register("q0", "(a:P)-[:e0]->(b:P)"); err != nil {
@@ -355,6 +396,7 @@ func TestSequenceGapMarksShardDown(t *testing.T) {
 	if shards := st.Lines("shard"); len(shards) != 2 || stat(t, shards[0].Bool, "alive") || !stat(t, shards[1].Bool, "alive") {
 		t.Fatalf("shard health after gap = %v, want shard 0 down, shard 1 alive", shards)
 	}
+	wantOneDownLine(t, logged, 0, "sequence gap")
 
 	// Queries on the dead shard error on subscribe; the others still work.
 	if _, err := c.Subscribe("q0"); err == nil {
@@ -369,8 +411,10 @@ func TestSequenceGapMarksShardDown(t *testing.T) {
 }
 
 // TestHeartbeatMarksDeadShardDown: killing a shard server trips the
-// heartbeat prober and degrades the cluster instead of wedging it.
+// heartbeat prober, which logs the cause once, and degrades the cluster
+// instead of wedging it.
 func TestHeartbeatMarksDeadShardDown(t *testing.T) {
+	logged := captureLog(t)
 	// Shard 1 is started manually so the test can kill it mid-flight.
 	shard0 := startShardServer(t)
 	s1, err := server.New(server.Options{})
@@ -445,6 +489,7 @@ func TestHeartbeatMarksDeadShardDown(t *testing.T) {
 	if _, err := c.DeclareVertex(1, 0); err != nil {
 		t.Fatalf("update after shard death failed: %v", err)
 	}
+	wantOneDownLine(t, logged, 1, "heartbeat")
 }
 
 // stubShard answers every STATS with payload and refuses every other

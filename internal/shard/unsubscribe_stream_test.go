@@ -8,7 +8,7 @@ import (
 )
 
 // TestCoordinatorUnsubscribeEndsStreamStress is the coordinator twin of
-// internal/server's TestUnsubscribeEndsStream: through two shards, an
+// internal/server's TestUnsubscribeEndsStreamStress: through two shards, an
 // UNSUBSCRIBE's reply still follows every line of the stream it ends,
 // whether q's upstream closes with it or stays open for r.
 func TestCoordinatorUnsubscribeEndsStreamStress(t *testing.T) {

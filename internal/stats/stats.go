@@ -1,6 +1,6 @@
 // Package stats provides the measurement primitives used by the experiment
-// harness: incremental-matching cost timers, intermediate-result size
-// accounting and the selectivity histograms of Appendix C.
+// harness: per-cell summaries of incremental-matching cost and
+// intermediate-result size, and the selectivity histograms of Appendix C.
 package stats
 
 import (
@@ -10,44 +10,6 @@ import (
 	"strings"
 	"time"
 )
-
-// Cost accumulates the elapsed time of incremental subgraph matching,
-// cost(M(Δg, q)) in the paper: the time spent in continuous-matching work,
-// excluding the data-graph update itself.
-type Cost struct {
-	total time.Duration
-	n     int
-	start time.Time
-}
-
-// Start begins timing one update operation.
-func (c *Cost) Start() { c.start = time.Now() }
-
-// Stop ends timing one update operation and accumulates it.
-func (c *Cost) Stop() {
-	c.total += time.Since(c.start)
-	c.n++
-}
-
-// Add accumulates a pre-measured duration for one operation.
-func (c *Cost) Add(d time.Duration) {
-	c.total += d
-	c.n++
-}
-
-// Total returns the accumulated duration.
-func (c *Cost) Total() time.Duration { return c.total }
-
-// Ops returns the number of accumulated operations.
-func (c *Cost) Ops() int { return c.n }
-
-// PerOp returns the mean duration per operation (0 when empty).
-func (c *Cost) PerOp() time.Duration {
-	if c.n == 0 {
-		return 0
-	}
-	return c.total / time.Duration(c.n)
-}
 
 // Summary aggregates per-query results of one experimental cell (e.g. "tree
 // queries of size 6 on LSBench for engine X").

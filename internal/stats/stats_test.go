@@ -7,30 +7,6 @@ import (
 	"time"
 )
 
-func TestCost(t *testing.T) {
-	var c Cost
-	c.Add(10 * time.Millisecond)
-	c.Add(30 * time.Millisecond)
-	if c.Ops() != 2 {
-		t.Fatalf("Ops = %d, want 2", c.Ops())
-	}
-	if c.Total() != 40*time.Millisecond {
-		t.Fatalf("Total = %v", c.Total())
-	}
-	if c.PerOp() != 20*time.Millisecond {
-		t.Fatalf("PerOp = %v", c.PerOp())
-	}
-	var empty Cost
-	if empty.PerOp() != 0 {
-		t.Fatal("empty PerOp must be 0")
-	}
-	c.Start()
-	c.Stop()
-	if c.Ops() != 3 {
-		t.Fatal("Start/Stop must count one op")
-	}
-}
-
 func TestSummary(t *testing.T) {
 	var s Summary
 	s.AddQuery(2*time.Millisecond, 100, 5)

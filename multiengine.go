@@ -99,10 +99,9 @@ type subpat struct {
 // evaluation, so the update stream survives process crashes. One built by
 // NewMultiEngine keeps its state in memory only.
 //
-// MultiEngine is not safe for concurrent use, matching Engine. The
-// network server serializes all access through its engine-owner
-// goroutine (machine-checked by turboflux-vet's actor-confinement
-// analyzer).
+// MultiEngine is not safe for concurrent use. The network server
+// serializes all access through its engine-owner goroutine
+// (machine-checked by turboflux-vet's actor-confinement analyzer).
 //
 //tf:actor-owned
 type MultiEngine struct {
@@ -859,9 +858,10 @@ func (m *MultiEngine) flushWindow(start, end int, boundary func(i int)) {
 // Graph returns the shared data graph. Treat it as read-only.
 func (m *MultiEngine) Graph() *Graph { return m.g }
 
-// Explain renders the named query's execution plan exactly as
-// Engine.Explain does; it returns "" when no query of that name is
-// registered.
+// Explain renders the named query's execution plan — starting vertex,
+// query tree, non-tree edges, matching order with per-label explicit-path
+// counts, and DCG occupancy — for diagnostics; it returns "" when no query
+// of that name is registered.
 func (m *MultiEngine) Explain(name string) string {
 	s, ok := m.slots[name]
 	if !ok {
@@ -883,21 +883,6 @@ func (m *MultiEngine) Stats() map[string]Stats {
 		}
 	}
 	return out
-}
-
-// TotalIntermediateBytes sums the maintained intermediate-result sizes,
-// counting each shared DCG once (at its owner) rather than once per member
-// — the memory actually held, reported by the benchmark as
-// multi.intermediate_bytes.
-func (m *MultiEngine) TotalIntermediateBytes() int64 {
-	var t int64
-	for _, s := range m.order {
-		if s != s.sub.members[0] {
-			continue
-		}
-		t += s.eng.IntermediateSizeBytes()
-	}
-	return t
 }
 
 // MQOStats is a snapshot of the multi-query optimization layer

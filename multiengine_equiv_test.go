@@ -6,12 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"turboflux/internal/core"
 	"turboflux/internal/stream"
 )
 
 // The equivalence suites compare MultiEngine against a reference that
-// shares no code with it: one single-query Engine per spec, each over its
-// own clone of the stream's graph, driven update by update in
+// shares no window scheduling with it: one core.Engine per spec, built by
+// core.New over its own clone of the stream's graph, driven update by update in
 // registration order. Both sides write the same interleaved transcript —
 // `q<i>±[mapping];` per emission, `|<idx>;` after each update — so
 // emission order across queries (registration order within an update) and
@@ -76,13 +77,34 @@ func transcriptHook(b *strings.Builder, name string) func(bool, []VertexID) {
 	}
 }
 
+// newReference builds one query's reference engine over g: the core.Engine
+// a registration wraps, driven directly, without the window scheduler the
+// equivalence suites check.
+func newReference(g *Graph, q *Query, opt Options) (*core.Engine, error) {
+	copt := core.DefaultOptions()
+	copt.Semantics = opt.Semantics
+	copt.OnMatch = opt.OnMatch
+	copt.WorkBudget = opt.WorkBudget
+	return core.New(g, q, copt)
+}
+
+// applyReference applies ups to a reference engine one at a time.
+func applyReference(t *testing.T, eng *core.Engine, ups []Update) {
+	t.Helper()
+	for _, u := range ups {
+		if _, err := eng.Apply(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // refTarget is the reference: independent single-query engines.
 type refTarget struct {
 	t        *testing.T
 	specs    []parallelQuerySpec
 	g        *Graph // the stream applied so far; registrations clone it
 	names    []string
-	engs     []*Engine // parallel to names, registration order
+	engs     []*core.Engine // parallel to names, registration order
 	b        strings.Builder
 	totals   map[string]int64
 	censored map[string]bool
@@ -94,7 +116,7 @@ func (r *refTarget) register(i int) {
 	if !r.specs[i].silent {
 		opt.OnMatch = transcriptHook(&r.b, name)
 	}
-	eng, err := NewEngine(r.g.Clone(), q, opt)
+	eng, err := newReference(r.g.Clone(), q, opt)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -139,9 +161,8 @@ func runReference(t *testing.T, specs []parallelQuerySpec, ups []Update, churn [
 	driveStream(r, len(specs), ups, churn)
 	res := runResult{transcript: r.b.String(), totals: r.totals, dcgEdges: map[string]int{}, matched: map[string]Stats{}, censored: r.censored}
 	for k, eng := range r.engs {
-		st := eng.Stats()
-		res.dcgEdges[r.names[k]] = st.DCGEdges
-		res.matched[r.names[k]] = Stats{PositiveMatches: st.PositiveMatches, NegativeMatches: st.NegativeMatches}
+		res.dcgEdges[r.names[k]] = eng.DCG().NumEdges()
+		res.matched[r.names[k]] = Stats{PositiveMatches: eng.PositiveCount(), NegativeMatches: eng.NegativeCount()}
 	}
 	return res
 }

@@ -2,14 +2,15 @@
 // graph data, implementing Kim et al., "TurboFlux: A Fast Continuous
 // Subgraph Matching System for Streaming Graph Data" (SIGMOD 2018).
 //
-// Given an initial data graph g0, a query graph q and a stream of edge
-// insertions and deletions, an Engine reports the positive matches
-// (M(g_i,q) − M(g_{i−1},q)) of every insertion and the negative matches of
-// every deletion, under graph homomorphism (default) or subgraph
-// isomorphism semantics. Internally the engine maintains the paper's
-// data-centric graph (DCG), a compact intermediate-result index updated by
-// the edge transition model, and answers each update by localized index
-// maintenance plus a DCG-guided backtracking search.
+// Given an initial data graph g0, continuous queries and a stream of edge
+// insertions and deletions, a MultiEngine reports each query's positive
+// matches (M(g_i,q) − M(g_{i−1},q)) for every insertion and its negative
+// matches for every deletion, under graph homomorphism (default) or subgraph
+// isomorphism semantics. A single query is a MultiEngine with one
+// registration. Internally each query maintains the paper's data-centric
+// graph (DCG), a compact intermediate-result index updated by the edge
+// transition model, and answers each update by localized index maintenance
+// plus a DCG-guided backtracking search.
 //
 // # Quick start
 //
@@ -22,20 +23,20 @@
 //	q.AddEdge(0, follows, 1)
 //	q.AddEdge(1, follows, 2)
 //
-//	eng, _ := turboflux.NewEngine(g, q, turboflux.Options{
-//		OnMatch: func(positive bool, m []turboflux.VertexID) {
-//			fmt.Println(positive, m)
+//	m := turboflux.NewMultiEngine(g)
+//	defer m.Close()
+//	m.Register("chain", q, turboflux.Options{
+//		OnMatch: func(positive bool, mapping []turboflux.VertexID) {
+//			fmt.Println(positive, mapping)
 //		},
 //	})
-//	eng.Insert(2, follows, 3)            // reports new matches immediately
+//	m.Insert(2, follows, 3)              // reports new matches immediately
 //
-// After NewEngine the engine owns the data graph: route every mutation
-// through Engine.Insert / Engine.Delete / Engine.Apply.
+// After NewMultiEngine the engine owns the data graph: route every
+// mutation through MultiEngine.Insert / Delete / Apply / ApplyBatch.
 package turboflux
 
 import (
-	"errors"
-	"fmt"
 	"io"
 
 	"turboflux/internal/core"
@@ -117,7 +118,7 @@ const (
 	Isomorphism = core.Isomorphism
 )
 
-// Options configures an Engine.
+// Options configures one query registered on a MultiEngine.
 type Options struct {
 	// Semantics selects homomorphism (default) or isomorphism.
 	Semantics Semantics
@@ -140,80 +141,6 @@ type Options struct {
 // MultiEngine wraps it with the offending query's name.
 var ErrWorkBudget = core.ErrWorkBudget
 
-// Engine is a continuous subgraph matching instance. It is not safe for
-// concurrent use; concurrent callers must serialize access, as the
-// network server does through its engine-owner goroutine
-// (machine-checked by turboflux-vet's actor-confinement analyzer).
-//
-//tf:actor-owned
-type Engine struct {
-	inner *core.Engine
-}
-
-// NewEngine builds a TurboFlux engine over initial graph g0 and query q:
-// it selects the starting query vertex, converts q to a query tree, builds
-// the initial DCG and derives the matching order. The engine takes
-// ownership of g0.
-func NewEngine(g0 *Graph, q *Query, opt Options) (*Engine, error) {
-	copt := core.DefaultOptions()
-	copt.Semantics = opt.Semantics
-	copt.OnMatch = opt.OnMatch
-	copt.WorkBudget = opt.WorkBudget
-	inner, err := core.New(g0, q, copt)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{inner: inner}, nil
-}
-
-// InitialMatches reports every match already present in the initial graph
-// through OnMatch and returns their count. Call it at most once, before
-// streaming updates.
-func (e *Engine) InitialMatches() int64 { return e.inner.InitialMatches() }
-
-// Insert applies an edge insertion and returns the number of positive
-// matches it produced. Duplicate insertions are no-ops.
-func (e *Engine) Insert(from VertexID, l Label, to VertexID) (int64, error) {
-	return e.Apply(Insert(from, l, to))
-}
-
-// Delete applies an edge deletion and returns the number of negative
-// matches it produced. Deleting an absent edge is a no-op.
-func (e *Engine) Delete(from VertexID, l Label, to VertexID) (int64, error) {
-	return e.Apply(Delete(from, l, to))
-}
-
-// Apply applies one stream update. An update naming a vertex ID past
-// 2^28 − 1 is refused with an error and changes nothing.
-func (e *Engine) Apply(u Update) (int64, error) {
-	if err := stream.CheckIDs(u); err != nil {
-		return 0, err
-	}
-	return e.inner.Apply(u)
-}
-
-// ApplyBatch applies a whole batch of updates and returns the total
-// match count. It evaluates every update even when some fail: per-update
-// errors are wrapped as `update i` and aggregated with errors.Join, so a
-// work-budget censor on one update does not silently drop the rest of the
-// batch. Match reporting order is identical to applying the updates one
-// at a time.
-func (e *Engine) ApplyBatch(ups []Update) (int64, error) {
-	var total int64
-	var errs []error
-	for i, u := range ups {
-		n, err := e.Apply(u)
-		total += n
-		if err != nil {
-			errs = append(errs, fmt.Errorf("update %d: %w", i, err)) //tf:alloc-ok error path
-		}
-	}
-	return total, errors.Join(errs...)
-}
-
-// Graph returns the engine's data graph. Treat it as read-only.
-func (e *Engine) Graph() *Graph { return e.inner.Graph() }
-
 // Stats is a snapshot of engine counters.
 type Stats struct {
 	// PositiveMatches and NegativeMatches count matches reported for
@@ -229,20 +156,4 @@ type Stats struct {
 	// classes and list arenas). Queries that share a DCG each report the
 	// whole of it.
 	HeldBytes int64
-}
-
-// Explain renders the engine's execution plan — starting vertex, query
-// tree, non-tree edges, matching order with per-label explicit-path
-// counts, and DCG occupancy — for diagnostics.
-func (e *Engine) Explain() string { return e.inner.Plan().String() }
-
-// Stats returns a snapshot of the engine's counters.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		PositiveMatches:   e.inner.PositiveCount(),
-		NegativeMatches:   e.inner.NegativeCount(),
-		DCGEdges:          e.inner.DCG().NumEdges(),
-		IntermediateBytes: e.inner.IntermediateSizeBytes(),
-		HeldBytes:         e.inner.DCG().HeldBytes(),
-	}
 }

@@ -5,6 +5,18 @@ import (
 	"testing"
 )
 
+// singleQuery registers q as the one query "q" of a MultiEngine over g,
+// closed when the test ends.
+func singleQuery(t *testing.T, g *Graph, q *Query, opt Options) *MultiEngine {
+	t.Helper()
+	m := NewMultiEngine(g)
+	t.Cleanup(func() { m.Close() }) //tf:unchecked-ok test cleanup
+	if err := m.Register("q", q, opt); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestPublicAPIEndToEnd(t *testing.T) {
 	vd, ed := NewDict(), NewDict()
 	person := vd.Intern("Person")
@@ -31,7 +43,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	var events []string
-	eng, err := NewEngine(g, q, Options{
+	eng := singleQuery(t, g, q, Options{
 		OnMatch: func(positive bool, m []VertexID) {
 			if positive {
 				events = append(events, "+")
@@ -40,27 +52,24 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			}
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := eng.InitialMatches(); n != 0 {
+	if n := eng.InitialMatches()["q"]; n != 0 {
 		t.Fatalf("initial = %d", n)
 	}
-	n, err := eng.Insert(2, pays, 3)
+	counts, err := eng.Insert(2, pays, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("insert matches = %d, want 1", n)
+	if counts["q"] != 1 {
+		t.Fatalf("insert matches = %d, want 1", counts["q"])
 	}
-	n, err = eng.Delete(1, owns, 2)
+	counts, err = eng.Delete(1, owns, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("delete matches = %d, want 1", n)
+	if counts["q"] != 1 {
+		t.Fatalf("delete matches = %d, want 1", counts["q"])
 	}
-	st := eng.Stats()
+	st := eng.Stats()["q"]
 	if st.PositiveMatches != 1 || st.NegativeMatches != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -81,18 +90,15 @@ func TestPublicAPIIsomorphism(t *testing.T) {
 	q := NewQuery(3)
 	_ = q.AddEdge(0, 1, 1)
 	_ = q.AddEdge(1, 1, 2)
-	eng, err := NewEngine(g, q, Options{Semantics: Isomorphism})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := singleQuery(t, g, q, Options{Semantics: Isomorphism})
 	// 1 -> 0 closes a 2-cycle: homomorphism would find 0,1,0 and 1,0,1;
 	// isomorphism finds none.
-	n, err := eng.Insert(1, 1, 0)
+	counts, err := eng.Insert(1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
-		t.Fatalf("iso matches = %d, want 0", n)
+	if counts["q"] != 0 {
+		t.Fatalf("iso matches = %d, want 0", counts["q"])
 	}
 }
 
@@ -116,16 +122,13 @@ func TestPublicAPIStreamRoundTrip(t *testing.T) {
 	g := NewGraph()
 	q := NewQuery(2)
 	_ = q.AddEdge(0, 0, 1)
-	eng, err := NewEngine(g, q, Options{})
+	eng := singleQuery(t, g, q, Options{})
+	counts, err := eng.ApplyBatch(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, err := eng.ApplyBatch(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 2 { // one positive for the insert, one negative for the delete
-		t.Fatalf("ApplyBatch total = %d, want 2", total)
+	if counts["q"] != 2 { // one positive for the insert, one negative for the delete
+		t.Fatalf("ApplyBatch total = %d, want 2", counts["q"])
 	}
 }
 
@@ -140,27 +143,18 @@ func TestParseQueryEndToEnd(t *testing.T) {
 	g := NewGraph()
 	g.EnsureVertex(1, person)
 	g.EnsureVertex(2, person)
-	eng, err := NewEngine(g, q, Options{})
+	eng := singleQuery(t, g, q, Options{})
+	counts, err := eng.Insert(1, pays, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := eng.Insert(1, pays, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("matches = %d, want 1", n)
+	if counts["q"] != 1 {
+		t.Fatalf("matches = %d, want 1", counts["q"])
 	}
 	if _, ok := names["a"]; !ok {
 		t.Fatal("names missing a")
 	}
 	if _, _, err := ParseQuery("(a)-[", vd, ed); err == nil {
 		t.Fatal("bad pattern must error")
-	}
-}
-
-func TestNewEngineErrors(t *testing.T) {
-	if _, err := NewEngine(NewGraph(), NewQuery(0), Options{}); err == nil {
-		t.Fatal("invalid query must error")
 	}
 }
