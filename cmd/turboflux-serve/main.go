@@ -8,7 +8,7 @@
 //	turboflux-serve -addr :7687 [-data-dir state/] [-fsync interval]
 //	               [-queue 256] [-slow block|drop|evict]
 //	               [-graph g0.txt] [-numeric-labels]
-//	               [-follow leader:7687]
+//	               [-follow leader:7687] [-cpuprofile cpu.pprof]
 //
 // With -data-dir every accepted update is journaled to a checksummed
 // write-ahead log before it is evaluated or acknowledged, and a restarted
@@ -28,6 +28,9 @@
 // default of 100: its heap is a few large pointer-free arrays, so a tight
 // target costs little CPU and keeps the resident set near the live heap.
 // A GOGC set in the environment overrides it.
+//
+// With -cpuprofile the server writes a CPU profile of its whole run, from
+// start-up to shutdown, and also when it fails to start.
 package main
 
 import (
@@ -37,6 +40,7 @@ import (
 	"net"
 	"os"
 	"runtime/debug"
+	"runtime/pprof"
 	"time"
 
 	"turboflux/internal/graph"
@@ -60,15 +64,32 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout before connections are force-closed")
 	workers := flag.Int("fanout-workers", 0, "multi-query fan-out worker pool size (0 = GOMAXPROCS, 1 = evaluate inline)")
 	follow := flag.String("follow", "", "follower mode: replicate from the leader at this address (requires -data-dir)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
 	flag.Parse()
 
-	if err := run(*addr, *dataDir, *fsync, *graphPath, *slow, *follow, *queue, *workers, *numeric, *drain); err != nil {
+	if err := run(*cpuProfile, *addr, *dataDir, *fsync, *graphPath, *slow, *follow, *queue, *workers, *numeric, *drain); err != nil {
 		fmt.Fprintln(os.Stderr, "turboflux-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataDir, fsync, graphPath, slow, follow string, queue, workers int, numeric bool, drain time.Duration) error {
+func run(cpuProfile, addr, dataDir, fsync, graphPath, slow, follow string, queue, workers int, numeric bool, drain time.Duration) (err error) {
+	if cpuProfile != "" {
+		f, ferr := os.Create(cpuProfile)
+		if ferr != nil {
+			return ferr
+		}
+		if ferr = pprof.StartCPUProfile(f); ferr != nil {
+			f.Close() //tf:unchecked-ok the start error is the one reported
+			return ferr
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
 	policy, err := server.ParseSlowPolicy(slow)
 	if err != nil {
 		return err

@@ -19,10 +19,32 @@ func TestRunReportsMalformedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dataDir := range []string{"", t.TempDir()} {
-		err := run("127.0.0.1:0", dataDir, "none", path, "block", "", 16, 1, false, time.Second)
+		err := run("", "127.0.0.1:0", dataDir, "none", path, "block", "", 16, 1, false, time.Second)
 		if err == nil || !strings.HasPrefix(err.Error(), "loading graph: stream: line 2: ") {
 			t.Errorf("-data-dir %q: err = %v, want loading graph: stream: line 2: …", dataDir, err)
 		}
+	}
+}
+
+// TestRunCPUProfileOnError: -cpuprofile's profile is written even when run
+// fails, here on a malformed graph, and it is gzip-framed as pprof writes
+// it.
+func TestRunCPUProfileOnError(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g0.txt")
+	if err := os.WriteFile(path, []byte("i 1 x 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prof := filepath.Join(dir, "cpu.pprof")
+	if err := run(prof, "127.0.0.1:0", "", "none", path, "block", "", 16, 1, false, time.Second); err == nil {
+		t.Fatal("run() on a malformed graph returned nil")
+	}
+	b, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Fatalf("profile of %d bytes does not start with the gzip magic", len(b))
 	}
 }
 
@@ -36,7 +58,7 @@ func TestRunReportsVertexIDPastBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dataDir := range []string{"", t.TempDir()} {
-		err := run("127.0.0.1:0", dataDir, "none", path, "block", "", 16, 1, false, time.Second)
+		err := run("", "127.0.0.1:0", dataDir, "none", path, "block", "", 16, 1, false, time.Second)
 		if err == nil || !strings.HasPrefix(err.Error(), "loading graph: stream: line 2: stream: vertex id 4000000000 exceeds the maximum") {
 			t.Errorf("-data-dir %q: err = %v, want loading graph: stream: line 2: …", dataDir, err)
 		}
@@ -62,7 +84,7 @@ func TestRunSetsGCTargetAfterLoad(t *testing.T) {
 			os.Unsetenv("GOGC") //tf:unchecked-ok t.Setenv restores it
 		}
 		debug.SetGCPercent(100)
-		if err := run(ln.Addr().String(), "", "none", "", "block", "", 16, 1, false, time.Second); err == nil {
+		if err := run("", ln.Addr().String(), "", "none", "", "block", "", 16, 1, false, time.Second); err == nil {
 			t.Fatal("run() on a taken address returned nil")
 		}
 		if got := debug.SetGCPercent(100); got != tc.want {

@@ -113,6 +113,9 @@ type actor struct {
 	// (built once so batch frames allocate no closures).
 	boundary func(i int)
 
+	// ids is the memo every event body's vertex ids are copied from (emit).
+	ids idMemo
+
 	// Cold state, kept behind the fields emit and the connections' sends
 	// touch on every request. link is a follower's replication link (nil on
 	// a born leader), set before the actor starts and never touched by it:
@@ -208,7 +211,10 @@ func (a *actor) handle(req request) (resp response, err error) {
 		if req.name == "edge" {
 			d = a.edict
 		}
-		if err = qlang.CheckLabel(req.arg, d); err == nil {
+		if err = qlang.CheckLabel(req.arg, d); err == nil && a.role == roleFollower {
+			err = held(req.name, req.arg, d)
+		}
+		if err == nil {
 			resp.label = d.Intern(req.arg)
 		}
 	case reqSubscribe:
@@ -314,10 +320,27 @@ func (l *subList) prune() {
 // subscriber list. Parsing happens here, not in the connection goroutine,
 // because qlang interns labels into the shared dictionaries; a decimal
 // label a numeric dictionary does not hold, or more new labels than a
-// dictionary has room for, is refused before that (qlang.CheckLabels).
+// dictionary has room for, is refused before that (qlang.CheckLabels), and
+// so is, on a follower, a label it does not hold (held).
 func (a *actor) register(name, pattern string) error {
 	if err := qlang.CheckLabels(pattern, a.vdict, a.edict); err != nil {
 		return err
+	}
+	if a.role == roleFollower {
+		vd, ed := graph.NewDict(), graph.NewDict()
+		if _, _, err := qlang.Parse(pattern, vd, ed); err != nil {
+			return err
+		}
+		for _, c := range [...]struct {
+			kind        string
+			named, dict *graph.Dict
+		}{{"vertex", vd, a.vdict}, {"edge", ed, a.edict}} {
+			for i := range c.named.Len() {
+				if err := held(c.kind, c.named.Name(graph.Label(i)), c.dict); err != nil {
+					return err
+				}
+			}
+		}
 	}
 	q, _, err := qlang.Parse(pattern, a.vdict, a.edict)
 	if err != nil {
@@ -332,6 +355,19 @@ func (a *actor) register(name, pattern string) error {
 	if src := a.eng.TwinOf(name); src != "" {
 		l.src = a.subs[src]
 		l.src.twins = append(l.src.twins, l)
+	}
+	return nil
+}
+
+// held refuses a follower's label name that d does not hold. The leader is
+// the one minter of label ids: a follower that interned a new name itself
+// could give it the id the leader gave another name, and then match that
+// name's edges. A follower holds the names it was started with and those
+// of the leader's seed (handleReplSeed); it learns no later one (DESIGN
+// §14).
+func held(kind, name string, d *graph.Dict) error {
+	if _, ok := d.Lookup(name); !ok {
+		return fmt.Errorf("server: read-only follower holds no %s label %q; label names are minted on the leader", kind, name)
 	}
 	return nil
 }
@@ -359,7 +395,9 @@ func (a *actor) untwin(l *subList) {
 // update's emissions — so that update's number is seq+1. A body is
 // rendered once per twin group: a source whose twins have subscribers
 // keeps the update's bodies, and its twins, whose matches come after it in
-// the same order, copy them by position. The per-match step: no
+// the same order, copy them by position. A body's ids are copied from the
+// actor's memo of rendered ids and rendered only on a miss (ids, DESIGN
+// §10 "Render each id once"). The per-match step: no
 // allocation, map lookup, lock or channel operation; consecutive matches
 // of a query share one trip through the policy (flushBurst).
 //
@@ -379,7 +417,7 @@ func (a *actor) emit(l *subList, positive bool, m []graph.VertexID) {
 		}
 		if l.feed {
 			lo := len(l.bodies)
-			l.bodies = appendEventBody(l.bodies, positive, m)
+			l.bodies = a.ids.appendBody(l.bodies, positive, m)
 			l.bodyEnds = append(l.bodyEnds, len(l.bodies))
 			body = l.bodies[lo:]
 		}
@@ -406,7 +444,7 @@ func (a *actor) emit(l *subList, positive bool, m []graph.VertexID) {
 	if body != nil {
 		a.line = append(a.line, body...)
 	} else {
-		a.line = appendEventBody(a.line, positive, m)
+		a.line = a.ids.appendBody(a.line, positive, m)
 	}
 	a.line = append(a.line, '\n')
 	a.ends = append(a.ends, len(a.line))
@@ -484,7 +522,7 @@ func (a *actor) apply(ups []stream.Update) (uint64, map[string]int64, error) {
 	start := time.Now()
 	first := a.seq + 1
 	counts, err := a.eng.ApplyBatchFunc(ups, a.boundary)
-	a.lat.Observe(time.Since(start))
+	a.lat.ObserveN(time.Since(start), len(ups))
 	return first, counts, err
 }
 

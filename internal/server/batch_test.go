@@ -157,9 +157,10 @@ func runServerBatchWorkload(t *testing.T, workers, batchSize int, binary bool) (
 
 // comparableStats filters STATS down to the lines and fields that must be
 // identical between a BATCH run and its per-update equivalent: the server
-// sequencing counters and the per-query match counters. apply_latency is
-// wall-clock timing; the sub lines carry pump-timing-dependent queue
-// depths; the fanout line mixes equivalent fields (evals, skipped) with
+// sequencing counters, the per-query match counters and apply_latency's
+// sample count (one per update however updates group into runs; its
+// quantiles are wall-clock timing). The sub lines carry
+// pump-timing-dependent queue depths; the fanout line mixes equivalent fields (evals, skipped) with
 // ones batching legitimately changes (batches, pooled, busy_ns), so it is
 // reduced to the equivalent fields only when requested. The mqo line is
 // reduced to its structural fields (subpats, shared, refs, twins) — the
@@ -171,7 +172,9 @@ func comparableStats(t *testing.T, st StatsPayload, fanout bool) []string {
 	var out []string
 	for _, l := range st {
 		switch l.Kind {
-		case "apply_latency", "sub":
+		case "sub":
+		case "apply_latency":
+			out = append(out, fmt.Sprintf("apply_latency n=%d", stat(t, l.Uint, "n")))
 		case "mqo":
 			out = append(out, fmt.Sprintf("mqo subpats=%d shared=%d refs=%d twins=%d",
 				stat(t, l.Uint, "subpats"), stat(t, l.Uint, "shared"), stat(t, l.Uint, "refs"), stat(t, l.Uint, "twins")))
@@ -245,5 +248,32 @@ func TestServerBatchEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestApplyLatencyCountsUpdates: the apply-latency reservoir takes one
+// sample per update, so a BATCHB frame of 256 and 4 single lines read
+// n=260, not one sample per run.
+func TestApplyLatencyCountsUpdates(t *testing.T) {
+	_, addr := startServer(t, Options{})
+	c := dialTest(t, addr)
+	ups := make([]turboflux.Update, 256)
+	for i := range ups {
+		ups[i] = turboflux.Insert(turboflux.VertexID(i), 0, turboflux.VertexID(i+1))
+	}
+	if _, err := c.BatchBinary(ups); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 4 {
+		if _, err := c.Insert(turboflux.VertexID(1000+i), 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := stat(t, st.Line("apply_latency").Uint, "n"); n != 260 {
+		t.Fatalf("apply_latency n=%d, want 260: one sample per update", n)
 	}
 }

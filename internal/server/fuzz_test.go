@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -74,7 +75,10 @@ func FuzzParseRequest(f *testing.F) {
 
 // FuzzParseEvent holds the push grammar to its contract from both ends:
 // parseEvent never panics on a '*'-prefixed line of any shape, and what
-// the server renders for an event parses back to that event.
+// the server renders for an event parses back to that event. The actor's
+// memo of rendered ids lives across inputs, as it does across updates, so
+// entries are refilled and collide; it must render what appendEventLine,
+// the stateless reference, renders.
 func FuzzParseEvent(f *testing.F) {
 	// Lines from the e2e transcripts, then malformed shapes.
 	for _, s := range []string{
@@ -98,6 +102,7 @@ func FuzzParseEvent(f *testing.F) {
 	} {
 		f.Add(s, "q", uint64(1), true, []byte{1, 2})
 	}
+	var memo idMemo
 	f.Fuzz(func(t *testing.T, line, query string, seq uint64, positive bool, raw []byte) {
 		if strings.HasPrefix(line, "*") {
 			parseEvent(line) //tf:unchecked-ok only panics matter
@@ -111,6 +116,17 @@ func FuzzParseEvent(f *testing.F) {
 			want.Mapping = append(want.Mapping, turboflux.VertexID(v))
 		}
 		rendered := string(appendEventLine(nil, want.Query, want.Seq, want.Positive, want.Mapping))
+		if got := string(memo.appendBody(appendEventHead(nil, want.Query, want.Seq), want.Positive, want.Mapping)); got != rendered {
+			t.Fatalf("memo rendered %q, want %q", got, rendered)
+		}
+		// The same ids folded onto four per entry, so they evict each other.
+		folded := make([]turboflux.VertexID, len(want.Mapping))
+		for i, v := range want.Mapping {
+			folded[i] = v % (4 * idMemoSize)
+		}
+		if got, ref := memo.appendBody(nil, positive, folded), appendEventBody(nil, positive, folded); !bytes.Equal(got, ref) {
+			t.Fatalf("memo rendered %q for %v, want %q", got, folded, ref)
+		}
 		got, err := parseEvent(rendered)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("parseEvent(%q) = %+v, %v; want %+v", rendered, got, err, want)

@@ -81,7 +81,9 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -329,9 +331,9 @@ func appendEventHead(dst []byte, query string, seq uint64) []byte {
 	return append(dst, ' ')
 }
 
-// appendEventBody renders the sign and the mapping after an event head.
-// This is the actor's per-match formatting, append-based so every match
-// goes into one scratch buffer instead of through fmt.
+// appendEventBody renders the sign and the mapping after an event head:
+// the stateless reference the actor's memo (idMemo.appendBody) renders
+// byte for byte.
 func appendEventBody(dst []byte, positive bool, mapping []graph.VertexID) []byte {
 	if positive {
 		dst = append(dst, '+')
@@ -345,9 +347,62 @@ func appendEventBody(dst []byte, positive bool, mapping []graph.VertexID) []byte
 	return dst
 }
 
+// idMemo is the actor's memo of rendered vertex ids: a direct-mapped table
+// indexed by an id's low bits. The ids of one update's matches repeat —
+// a match shares most of its vertices with its neighbours — so a body is
+// mostly copied rather than rendered. An id's decimal never changes, so an
+// entry is never stale and a collision only evicts (DESIGN §10, "Render
+// each id once").
+type idMemo [idMemoSize]idEntry
+
+// idMemoSize is the memo's entry count: 1024 entries of 16 bytes, 16 KiB.
+const idMemoSize = 1024
+
+// idEntry is one rendered id as one 16-byte block, so a hit is a single
+// move: " <decimal>" from byte 0, its length at byte idLen and the id at
+// idKey (little endian). A rendered id is at least two bytes, so length 0
+// marks an empty entry, which matches no id.
+type idEntry [16]byte
+
+const (
+	idWidth = 11 // the longest rendered id: a space and the 10 digits of a uint32
+	idLen   = 11
+	idKey   = 12
+)
+
+// appendBody renders what appendEventBody renders, byte for byte, taking
+// each id from the memo and filling the entry on a miss. It reserves the
+// widest body once — idWidth bytes an id, and a whole entry for the last
+// one — copies each id's entry whole and advances by the id's length, so a
+// hit costs one block move and no digit arithmetic.
+func (memo *idMemo) appendBody(dst []byte, positive bool, mapping []graph.VertexID) []byte {
+	n := len(dst)
+	need := 1 + idWidth*len(mapping) + len(idEntry{}) - idWidth
+	out := slices.Grow(dst, need)[:n+need]
+	out[n] = '-'
+	if positive {
+		out[n] = '+'
+	}
+	off := n + 1
+	for _, v := range mapping {
+		e := &memo[v%idMemoSize]
+		if e[idLen] == 0 || binary.LittleEndian.Uint32(e[idKey:]) != uint32(v) {
+			e.fill(v)
+		}
+		*(*idEntry)(out[off:]) = *e
+		off += int(e[idLen])
+	}
+	return out[:off]
+}
+
+// fill renders v into e with appendVertex.
+func (e *idEntry) fill(v graph.VertexID) {
+	e[idLen] = byte(len(appendVertex(append(e[:0], ' '), v)))
+	binary.LittleEndian.PutUint32(e[idKey:], uint32(v))
+}
+
 // appendVertex appends v in decimal: strconv.AppendUint's job without its
-// base dispatch, which costs a fifth of the actor's per-match time — vertex
-// ids are most of an event line.
+// base dispatch.
 func appendVertex(dst []byte, v graph.VertexID) []byte {
 	var b [10]byte
 	i := len(b) - 1

@@ -78,7 +78,7 @@ type serveProc struct {
 func startServeProc(t *testing.T, extra ...string) *serveProc {
 	t.Helper()
 	bin := buildServeBin(t)
-	args := append([]string{"-addr", "127.0.0.1:0", "-numeric-labels"}, extra...)
+	args := append([]string{"-addr", "127.0.0.1:0"}, extra...)
 	cmd := exec.Command(bin, args...)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
@@ -149,8 +149,8 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 	const bootLen = 4
 	const pattern = "(a:0)-[:0]->(b:0)"
 
-	leader := startServeProc(t, "-data-dir", leaderDir, "-graph", graphPath)
-	follower := startServeProc(t, "-data-dir", followerDir, "-follow", leader.addr)
+	leader := startServeProc(t, "-numeric-labels", "-data-dir", leaderDir, "-graph", graphPath)
+	follower := startServeProc(t, "-numeric-labels", "-data-dir", followerDir, "-follow", leader.addr)
 
 	cl, err := Dial(leader.addr)
 	if err != nil {
@@ -287,19 +287,31 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 // TestE2EFollowerServesReads checks the fan-out tier shape with real
 // processes: one leader, two followers, all serving the same query; both
 // followers converge on the leader's LSN and answer STATS/read traffic
-// locally while rejecting writes.
+// locally while rejecting writes. It runs with numeric labels, which every
+// process holds from the start, and with named ones, where the followers
+// refuse the name the leader minted after they started.
 func TestE2EFollowerServesReads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e")
 	}
+	for _, numeric := range []bool{true, false} {
+		t.Run(fmt.Sprintf("numeric=%t", numeric), func(t *testing.T) { e2eFollowerServesReads(t, numeric) })
+	}
+}
+
+func e2eFollowerServesReads(t *testing.T, numeric bool) {
 	const updates = 100
 	graphPath := filepath.Join(t.TempDir(), "boot.txt")
 	if err := os.WriteFile(graphPath, []byte("v 1 0\nv 2 0\nv 3 0\nv 4 0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	leader := startServeProc(t, "-data-dir", leaderDirOf(t), "-graph", graphPath)
-	f1 := startServeProc(t, "-data-dir", leaderDirOf(t), "-follow", leader.addr)
-	f2 := startServeProc(t, "-data-dir", leaderDirOf(t), "-follow", leader.addr)
+	var labels []string
+	if numeric {
+		labels = []string{"-numeric-labels"}
+	}
+	leader := startServeProc(t, append(labels, "-data-dir", leaderDirOf(t), "-graph", graphPath)...)
+	f1 := startServeProc(t, append(labels, "-data-dir", leaderDirOf(t), "-follow", leader.addr)...)
+	f2 := startServeProc(t, append(labels, "-data-dir", leaderDirOf(t), "-follow", leader.addr)...)
 
 	cl := dialTest(t, leader.addr)
 	if err := cl.Register("q", "(a:0)-[:0]->(b:0)"); err != nil {
@@ -318,6 +330,15 @@ func TestE2EFollowerServesReads(t *testing.T) {
 		waitForLSN(t, cf, last)
 		if _, err := cf.Insert(1, 0, 2); err == nil || !strings.Contains(err.Error(), "read-only") {
 			t.Fatalf("follower %d accepted a write: err=%v", i, err)
+		}
+		// The leader's REGISTER minted the edge label "0" when it was not
+		// numeric; a follower does not learn it, and must not mint its own.
+		l, err := cf.Label("edge", "0")
+		if numeric && (err != nil || l != 0) {
+			t.Fatalf("follower %d: LABEL edge 0 = %d, %v; want 0", i, l, err)
+		}
+		if !numeric && (err == nil || !strings.Contains(err.Error(), "holds no edge label")) {
+			t.Fatalf("follower %d: LABEL edge 0 of a name it does not hold = %d, %v; want refused", i, l, err)
 		}
 	}
 

@@ -263,6 +263,76 @@ func TestFollowerMirrorsLeaderTranscript(t *testing.T) {
 	}
 }
 
+// TestFollowerRefusesUnheldLabels: a follower interns no label name of its
+// own. The leader's store holds "P" and "knows" in a snapshot, which seeds
+// a follower started with empty dictionaries: REGISTER over those names is
+// accepted there, while LABEL and REGISTER of a name it does not hold are
+// refused and change nothing STATS reports. The leader still mints names.
+func TestFollowerRefusesUnheldLabels(t *testing.T) {
+	leaderDir := t.TempDir()
+	m, err := turboflux.OpenDurableMulti(leaderDir, turboflux.DurableMultiOptions{Fsync: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, knows := m.VertexLabels().Intern("P"), m.EdgeLabels().Intern("knows")
+	for v := turboflux.VertexID(1); v <= 4; v++ {
+		if _, err := m.Apply(turboflux.DeclareVertex(v, p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Apply(turboflux.Insert(1, knows, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, leaderAddr, _ := startReplServer(t, Options{DataDir: leaderDir, Fsync: "interval"})
+	fopt := followerOpts(t.TempDir(), leaderAddr)
+	fopt.VertexLabels, fopt.EdgeLabels = nil, nil
+	_, followerAddr, _ := startReplServer(t, fopt)
+	cf := dialTest(t, followerAddr)
+	waitForLSN(t, cf, 5)
+
+	if l, err := cf.Label("edge", "knows"); err != nil || l != knows {
+		t.Fatalf("follower LABEL edge knows = %d, %v; want the seeded %d", l, err, knows)
+	}
+	if err := cf.Register("q", replPattern); err != nil {
+		t.Fatalf("follower REGISTER over seeded names: %v", err)
+	}
+	before, err := cf.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, refused := range []func() error{
+		func() error { _, err := cf.Label("edge", "likes"); return err },
+		func() error { _, err := cf.Label("vertex", "Q"); return err },
+		func() error { return cf.Register("q2", "(a:P)-[:likes]->(b:P)") },
+		func() error { return cf.Register("q3", "(a:Q)-[:knows]->(b:P)") },
+	} {
+		if err := refused(); err == nil || !strings.Contains(err.Error(), "read-only follower holds no") {
+			t.Fatalf("follower took a label name it does not hold: err=%v", err)
+		}
+	}
+	after, err := cf.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"server", "mqo", "query"} {
+		if b, a := before.Line(kind).String(), after.Line(kind).String(); a != b {
+			t.Fatalf("STATS %s line moved on refused names:\n  before: %s\n  after:  %s", kind, b, a)
+		}
+	}
+	if n := len(after.Lines("query")); n != 1 {
+		t.Fatalf("follower reports %d queries, want 1", n)
+	}
+	if l, err := dialTest(t, leaderAddr).Label("edge", "likes"); err != nil || l != knows+1 {
+		t.Fatalf("leader LABEL edge likes = %d, %v; want %d", l, err, knows+1)
+	}
+}
+
 // TestFollowerRestartCatchup stops a follower mid-stream, keeps writing
 // on the leader, restarts the follower over the same data directory and
 // checks it catches up from its own WAL position with a byte-identical

@@ -44,6 +44,19 @@ func (l *Latency) Observe(d time.Duration) {
 	}
 }
 
+// ObserveN records n operations that took d together as n samples of d/n,
+// so a run of n operations weighs n times at its mean duration rather than
+// once at its total.
+func (l *Latency) ObserveN(d time.Duration, n int) {
+	if n <= 0 {
+		return
+	}
+	per := d / time.Duration(n)
+	for range n {
+		l.Observe(per)
+	}
+}
+
 // Count returns the number of observed operations.
 func (l *Latency) Count() int64 { return l.seen }
 

@@ -55,3 +55,23 @@ func TestLatencyEmptyAndReservoir(t *testing.T) {
 		t.Fatal("default capacity not applied")
 	}
 }
+
+// TestLatencyObserveN: a run of n operations counts n times at its mean,
+// so one long run cannot stand for the tail of many single operations.
+func TestLatencyObserveN(t *testing.T) {
+	l := NewLatency(0)
+	l.ObserveN(256*time.Microsecond, 256)
+	for range 4 {
+		l.Observe(3 * time.Microsecond)
+	}
+	l.ObserveN(time.Second, 0)
+	if l.Count() != 260 {
+		t.Fatalf("Count = %d, want 260", l.Count())
+	}
+	if p := l.Percentile(99); p != 3*time.Microsecond {
+		t.Fatalf("p99 = %v, want the single operations' 3µs", p)
+	}
+	if p := l.Percentile(50); p != time.Microsecond {
+		t.Fatalf("p50 = %v, want the run's mean 1µs", p)
+	}
+}
