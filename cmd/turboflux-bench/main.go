@@ -6,9 +6,13 @@
 //	turboflux-bench -exp fig6 [-users 1500] [-queries 8] [-timeout 5s]
 //	turboflux-bench -exp all
 //	turboflux-bench -list
+//
+// With -cpuprofile the command writes a CPU profile of its whole run, also
+// when the experiment fails.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -18,6 +22,9 @@ import (
 
 	"turboflux/internal/harness"
 )
+
+// errNoExp is run's error for a missing -exp; the command exits 2 on it.
+var errNoExp = errors.New("-exp is required (try -list)")
 
 func main() {
 	cfg := harness.DefaultConfig(os.Stdout)
@@ -35,42 +42,56 @@ func main() {
 	flag.BoolVar(&cfg.Scatter, "scatter", false, "print per-query scatter rows (fig6/fig7)")
 	csvDir := flag.String("csv", "", "also write per-experiment CSV files into this directory")
 	flag.Parse()
-	if *csvDir != "" {
-		cfg.CSV = harness.NewCSVSink(*csvDir)
+
+	if err := run(cfg, *exp, *list, *cpuProfile, *csvDir); err != nil {
+		fmt.Fprintln(os.Stderr, "turboflux-bench:", err)
+		if errors.Is(err, errNoExp) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run lists the experiments or runs one, writing the CPU profile, when
+// asked for, on every path out.
+func run(cfg harness.Config, exp string, list bool, cpuProfile, csvDir string) (err error) {
+	if cpuProfile != "" {
+		f, ferr := os.Create(cpuProfile)
+		if ferr != nil {
+			return ferr
+		}
+		if ferr = pprof.StartCPUProfile(f); ferr != nil {
+			f.Close() //tf:unchecked-ok the start error is the one reported
+			return ferr
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "turboflux-bench:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "turboflux-bench:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	if *list {
+	if list {
 		fmt.Println(strings.Join(harness.Experiments(), "\n"))
-		return
+		return nil
 	}
-	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "turboflux-bench: -exp is required (try -list)")
-		os.Exit(2)
+	if exp == "" {
+		return errNoExp
+	}
+	if csvDir != "" {
+		cfg.CSV = harness.NewCSVSink(csvDir)
 	}
 	start := time.Now()
-	if err := harness.Run(*exp, cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "turboflux-bench:", err)
-		os.Exit(1)
+	if err := harness.Run(exp, cfg); err != nil {
+		return err
 	}
 	if cfg.CSV != nil {
 		if err := cfg.CSV.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "turboflux-bench: writing csv:", err)
-			os.Exit(1)
+			return fmt.Errorf("writing csv: %w", err)
 		}
-		fmt.Fprintf(os.Stdout, "[csv written to %s]\n", *csvDir)
+		fmt.Fprintf(os.Stdout, "[csv written to %s]\n", csvDir)
 	}
-	fmt.Fprintf(os.Stdout, "\n[%s completed in %s]\n", *exp, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stdout, "\n[%s completed in %s]\n", exp, time.Since(start).Round(time.Millisecond))
+	return nil
 }

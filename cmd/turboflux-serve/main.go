@@ -50,7 +50,7 @@ import (
 
 // gcPercent is the collector's target once the graph is loaded: the
 // heap may grow a quarter past the live heap before the next collection
-// (DESIGN §16, "Footprint").
+// (DESIGN §16, "GC headroom").
 const gcPercent = 25
 
 func main() {

@@ -85,20 +85,19 @@ func TestBootstrapNotRetained(t *testing.T) {
 			opt.DataDir, opt.Fsync = t.TempDir(), "none"
 		}
 		s, freed := newWithBootstrapFrom(t, opt)
+		// A poll: a finalizer runs only after a collection finds its
+		// object unreachable, so each round collects before it looks.
 		deadline := time.Now().Add(5 * time.Second)
 		for _, ch := range freed {
-			for collected := false; !collected; {
+			waitUntil(t, time.Until(deadline), mode+": the bootstrap collected after server.New", func() bool {
 				runtime.GC()
 				select {
 				case <-ch:
-					collected = true
+					return true
 				default:
-					if time.Now().After(deadline) {
-						t.Fatalf("%s: the bootstrap is still reachable after server.New", mode)
-					}
-					time.Sleep(5 * time.Millisecond)
+					return false
 				}
-			}
+			})
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		if err := s.Shutdown(ctx); err != nil {

@@ -176,8 +176,9 @@ func TestStatsLeaderFollower(t *testing.T) {
 		t.Fatalf("leader role = %q, %v; want leader", role, err)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	// Polls: each side learns of the link on its own goroutines, and a
+	// client sees what either knows only through its STATS.
+	waitUntil(t, 10*time.Second, "the follower to connect", func() bool {
 		fs, err := cf.Stats()
 		if err != nil {
 			t.Fatal(err)
@@ -186,33 +187,23 @@ func TestStatsLeaderFollower(t *testing.T) {
 			t.Fatalf("follower role = %q, %v; want follower", role, err)
 		}
 		r := fs.Line("replica")
-		if stat(t, r.Bool, "connected") && stat(t, r.Uint, "applied_lsn") >= replBootstrapLen {
-			if leader := stat(t, r.Str, "leader"); leader != leaderAddr {
-				t.Fatalf("follower leader = %q, want %q", leader, leaderAddr)
-			}
-			break
+		if !stat(t, r.Bool, "connected") || stat(t, r.Uint, "applied_lsn") < replBootstrapLen {
+			return false
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never connected: %s", r)
+		if leader := stat(t, r.Str, "leader"); leader != leaderAddr {
+			t.Fatalf("follower leader = %q, want %q", leader, leaderAddr)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return true
+	})
 
 	// The leader sees the follower once the link is up.
-	deadline = time.Now().Add(10 * time.Second)
-	for {
+	waitUntil(t, 10*time.Second, "the leader to see the follower", func() bool {
 		if ls, err = cl.Stats(); err != nil {
 			t.Fatal(err)
 		}
 		fl := ls.Lines("follower")
-		if len(fl) == 1 && stat(t, fl[0].Uint, "applied_lsn") >= replBootstrapLen {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("leader never saw the follower: %v", fl)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return len(fl) == 1 && stat(t, fl[0].Uint, "applied_lsn") >= replBootstrapLen
+	})
 }
 
 // TestParseStatsCoordinator reads the coordinator payload shape from

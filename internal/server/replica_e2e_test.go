@@ -173,6 +173,7 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 		seqMu sync.Mutex
 		seqs  []uint64
 	)
+	received := make(chan struct{}, 1) // a ping after each event the reader records
 	go func() {
 		for ev := range cfSub.Events() {
 			if ev.Evicted {
@@ -181,20 +182,22 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 			seqMu.Lock()
 			seqs = append(seqs, ev.Seq)
 			seqMu.Unlock()
+			select {
+			case received <- struct{}{}:
+			default:
+			}
 		}
 	}()
 
-	// Writer: stream batches into the leader until it dies.
+	// Writer: stream batches into the leader until it dies, sending the
+	// acked LSN once it covers a substantial prefix.
 	const batchSize = 10
-	var (
-		ackMu    sync.Mutex
-		ackedLSN uint64
-	)
+	prefix := make(chan uint64, 1)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		k := 0
-		for {
+		for sent := false; ; {
 			ups := make([]turboflux.Update, batchSize)
 			for i := range ups {
 				ups[i] = e2eUpdate(k)
@@ -204,27 +207,23 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 			if err != nil {
 				return // leader is gone
 			}
-			ackMu.Lock()
-			ackedLSN = ack.FirstSeq + uint64(ack.Applied) - 1
-			ackMu.Unlock()
+			if acked := ack.FirstSeq + uint64(ack.Applied) - 1; !sent && acked >= bootLen+200 {
+				prefix <- acked
+				sent = true
+			}
 		}
 	}()
 
-	// Wait for a substantial acked prefix, then for the follower to
-	// confirm it (lag 0 over the prefix).
-	readAcked := func() uint64 {
-		ackMu.Lock()
-		defer ackMu.Unlock()
-		return ackedLSN
+	// Wait for the acked prefix, then for the follower to confirm it (lag
+	// 0 over the prefix).
+	var confirmed uint64
+	select {
+	case confirmed = <-prefix:
+	case <-writerDone:
+		t.Fatal("the writer stopped before 200 acked updates")
+	case <-time.After(30 * time.Second):
+		t.Fatal("writer never reached 200 acked updates")
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for readAcked() < bootLen+200 {
-		if time.Now().After(deadline) {
-			t.Fatal("writer never reached 200 acked updates")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	confirmed := readAcked()
 	waitForLSN(t, cfCtl, confirmed)
 
 	// SIGKILL the leader mid-stream: the writer is still batching.
@@ -259,19 +258,18 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 	if ack.Seq != lsn+1 {
 		t.Fatalf("post-promote seq = %d, want %d", ack.Seq, lsn+1)
 	}
-	sawResume := false
-	for wait := time.Now().Add(10 * time.Second); time.Now().Before(wait); {
+	sawResume := func() bool {
 		seqMu.Lock()
+		defer seqMu.Unlock()
 		n := len(seqs)
-		sawResume = n > 0 && seqs[n-1] >= ack.Seq
-		seqMu.Unlock()
-		if sawResume {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+		return n > 0 && seqs[n-1] >= ack.Seq
 	}
-	if !sawResume {
-		t.Fatalf("subscriber never saw the post-promote event (seq %d)", ack.Seq)
+	for wait := time.After(10 * time.Second); !sawResume(); {
+		select {
+		case <-received:
+		case <-wait:
+			t.Fatalf("subscriber never saw the post-promote event (seq %d)", ack.Seq)
+		}
 	}
 
 	// No duplicate and no reordered delivery across the promotion.

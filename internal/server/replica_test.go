@@ -165,18 +165,14 @@ func stat[T any](t *testing.T, get func(string) (T, error), key string) T {
 // waitForLSN polls STATS until the server's durable LSN reaches want.
 func waitForLSN(t *testing.T, c *Client, want uint64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
+	// A poll: a server's WAL position reaches a client only through STATS.
+	waitUntil(t, 10*time.Second, fmt.Sprintf("the server to reach LSN %d", want), func() bool {
 		st, err := c.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stat(t, st.Line("wal").Uint, "lsn") >= want {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("server never reached LSN %d", want)
+		return stat(t, st.Line("wal").Uint, "lsn") >= want
+	})
 }
 
 // TestFollowerMirrorsLeaderTranscript is the core replication contract:
@@ -222,17 +218,17 @@ func TestFollowerMirrorsLeaderTranscript(t *testing.T) {
 	// Leader STATS: role, durable position, per-follower lag. The leader
 	// learns the follower's position from an asynchronous acknowledgement,
 	// after the follower's own WAL has it: wait for the value asserted.
+	// It is a poll: that position reaches a client only through STATS.
 	var st StatsPayload
 	var fl StatsLine
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+	waitUntil(t, 10*time.Second, fmt.Sprintf("the leader to see the follower at LSN %d", lastSeq), func() bool {
 		var err error
 		if st, err = cl.Stats(); err != nil {
 			t.Fatal(err)
 		}
-		if fl = st.Line("follower"); stat(t, fl.Uint, "applied_lsn") == lastSeq || time.Now().After(deadline) {
-			break
-		}
-	}
+		fl = st.Line("follower")
+		return stat(t, fl.Uint, "applied_lsn") == lastSeq
+	})
 	if r := st.Line("replica"); stat(t, r.Str, "role") != "leader" || stat(t, r.Uint, "followers") != 1 {
 		t.Fatalf("leader replica line = %s", r)
 	}

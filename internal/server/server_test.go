@@ -75,31 +75,47 @@ func takeEvents(t *testing.T, ob *outbox) []Event {
 	return evs
 }
 
-// parkWriter makes ob look as if its connection's writer were parked and
-// returns a function that waits until the actor is blocked on ob's full
-// queue: a blocking push wakes the parked writer — clearing parked, under
-// ob.mu — right before it waits on ob.drained, and it lets go of ob.mu
-// only inside that wait. Every request's end wakes the writer too, so no
+// parkWriter parks a stand-in for ob's connection writer and returns a
+// function that waits until the actor is blocked on ob's full queue: a
+// blocking push wakes the parked writer — clearing parked and signalling
+// ob.wake, under ob.mu — right before it waits on ob.drained, and it lets
+// go of ob.mu only inside that wait, so the stand-in wakes only once the
+// actor is blocked. Every request's end wakes the writer too, so no
 // request may be in flight when parkWriter is called.
 func parkWriter(t *testing.T, ob *outbox) (awaitBlocked func()) {
 	ob.mu.Lock()
 	ob.parked = true
 	ob.mu.Unlock()
+	woken := make(chan struct{})
+	go func() {
+		ob.mu.Lock()
+		for ob.parked {
+			ob.wake.Wait()
+		}
+		ob.mu.Unlock()
+		close(woken)
+	}()
 	return func() {
 		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			ob.mu.Lock()
-			parked := ob.parked
-			ob.mu.Unlock()
-			if !parked {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("the actor never blocked on the full queue")
-			}
-			time.Sleep(time.Millisecond)
+		select {
+		case <-woken:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the actor never blocked on the full queue")
 		}
+	}
+}
+
+// waitUntil polls cond until it holds and fails t, naming what it waited
+// for, once timeout has passed. It is for state no signal reaches the
+// test from; each caller says which.
+func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after %v waiting for %s", timeout, what)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

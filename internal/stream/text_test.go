@@ -304,7 +304,9 @@ func finalized[T any](obj *T) <-chan struct{} {
 	return done
 }
 
-// awaitCollected runs the collector until every channel is closed.
+// awaitCollected runs the collector until every channel is closed. It is a
+// poll: a finalizer runs only after a collection finds its object
+// unreachable, so each round collects before it looks.
 func awaitCollected(t *testing.T, what map[string]<-chan struct{}) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
