@@ -10,8 +10,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // The prose docs cite code by name in backticks. Those citations go stale
@@ -400,5 +402,91 @@ func TestDesignCitationsCatchStale(t *testing.T) {
 	md := "See DESIGN.md §8 and §99; the paper's §4.1 is not ours.\n"
 	if got, want := strings.Join(staleCitations(md, true, secs), "; "), "`§99`: no heading §99"; got != want {
 		t.Fatalf("stale = %s\nwant    %s", got, want)
+	}
+}
+
+// CHANGES.md is read by people, who need lines they can diff, and line by
+// line by tools that collect its FOUND and MENDED items. So its prose is
+// wrapped at changesWidth runes, each such item stays one line that starts
+// at column 0 with its marker, and no other line starts with a marker.
+
+// changesWidth is the widest prose line CHANGES.md may hold, in runes.
+const changesWidth = 100
+
+var (
+	// changesMarker matches a line that starts with a marker, after
+	// optional indentation and an optional "- ".
+	changesMarker = regexp.MustCompile(`^\s*(?:- )?(?:FOUND|MENDED)`)
+	// changesItem is a FOUND or MENDED item as it must be written.
+	changesItem = regexp.MustCompile(`^- (?:FOUND:|MENDED)`)
+	// changesHeading is an entry's heading: "## PR 53 [simplicity]".
+	changesHeading = regexp.MustCompile(`^## PR (\d+)\b`)
+)
+
+// changesFaults returns the layout faults of a CHANGES.md text as
+// "line N: reason", and the number of entry headings it holds.
+func changesFaults(doc string) (faults []string, entries int) {
+	last := 0
+	for i, line := range strings.Split(doc, "\n") {
+		item := changesItem.MatchString(line)
+		if changesMarker.MatchString(line) && !item {
+			faults = append(faults, fmt.Sprintf("line %d: starts with a marker but is not a column-0 `- FOUND:` or `- MENDED` item", i+1))
+		}
+		n := utf8.RuneCountInString(line)
+		if n > changesWidth && !item && !strings.HasPrefix(line, "|") && len(strings.Fields(line)) > 1 {
+			faults = append(faults, fmt.Sprintf("line %d: %d runes, wider than %d", i+1, n, changesWidth))
+		}
+		if m := changesHeading.FindStringSubmatch(line); m != nil {
+			pr, _ := strconv.Atoi(m[1])
+			if pr <= last {
+				faults = append(faults, fmt.Sprintf("line %d: PR %d follows PR %d", i+1, pr, last))
+			}
+			last, entries = pr, entries+1
+		}
+	}
+	return faults, entries
+}
+
+// TestChangesLayout: CHANGES.md keeps its layout — prose wrapped, FOUND
+// and MENDED items whole, entries in PR order.
+func TestChangesLayout(t *testing.T) {
+	doc, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, entries := changesFaults(string(doc))
+	if entries == 0 {
+		t.Fatal("CHANGES.md has no `## PR <n>` heading: the heading parser is broken")
+	}
+	for _, f := range faults {
+		t.Errorf("CHANGES.md %s", f)
+	}
+}
+
+// TestChangesLayoutCatchesBad: the check is not blind — a wide prose line,
+// a marker that starts a wrapped or indented line, and a heading out of
+// order are each reported, and a clean sample with a wide table row, a
+// wide item and a wide single token is not.
+func TestChangesLayoutCatchesBad(t *testing.T) {
+	wide := strings.Repeat("word ", 20) + "µ" // 101 runes, more bytes
+	clean := "## PR 7: first\n\n" + strings.Repeat("wörd ", 19) + "≈≈≈≈\n" +
+		"| " + wide + " |\n\n- FOUND: " + wide + "\n- MENDED (PR 8: done): " + wide + "\n" +
+		strings.Repeat("→", 150) + "\n\n## PR 8 [simplicity]\n"
+	if faults, entries := changesFaults(clean); len(faults) != 0 || entries != 2 {
+		t.Fatalf("clean sample: %d entries, faults %q", entries, faults)
+	}
+	bad := "## PR 9:\n" + wide + "\nFOUND: no list marker\n  - MENDED (PR 9): indented\n" +
+		"MENDED by the change below\n## PR 9 [simplicity]\n## PR 3:\n"
+	got, _ := changesFaults(bad)
+	want := []string{
+		"line 2: 101 runes, wider than 100",
+		"line 3: starts with a marker but is not a column-0 `- FOUND:` or `- MENDED` item",
+		"line 4: starts with a marker but is not a column-0 `- FOUND:` or `- MENDED` item",
+		"line 5: starts with a marker but is not a column-0 `- FOUND:` or `- MENDED` item",
+		"line 6: PR 9 follows PR 9",
+		"line 7: PR 3 follows PR 9",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("faults:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

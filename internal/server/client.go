@@ -115,16 +115,7 @@ type DialOptions struct {
 }
 
 // Dial connects to a TurboFlux server with the default event buffer.
-func Dial(addr string) (*Client, error) { return DialBuffered(addr, 256) }
-
-// DialBuffered connects with an explicit Events channel capacity
-// (0 = unbuffered, for tests that want the tightest backpressure).
-func DialBuffered(addr string, eventBuf int) (*Client, error) {
-	if eventBuf <= 0 {
-		eventBuf = -1 // DialOptions spells "unbuffered" as negative
-	}
-	return DialWith(addr, DialOptions{EventBuf: eventBuf})
-}
+func Dial(addr string) (*Client, error) { return DialWith(addr, DialOptions{}) }
 
 // DialWith connects with explicit dial and request timeouts.
 func DialWith(addr string, opt DialOptions) (*Client, error) {
@@ -341,31 +332,25 @@ func (c *Client) timedOut() error {
 	return err
 }
 
-// recv waits for the next response line (the caller holds mu).
+// recv waits for the next response line (the caller holds mu): a "+"
+// reply without its prefix, or a "-" reply as an error.
 func (c *Client) recv(deadline <-chan time.Time) (string, error) {
-	select {
-	case m := <-c.resp:
-		if strings.HasPrefix(m.line, "-ERR ") {
-			return "", errors.New(strings.TrimPrefix(m.line, "-ERR "))
-		}
-		if strings.HasPrefix(m.line, "-") {
-			return "", errors.New(strings.TrimPrefix(m.line, "-"))
-		}
-		if !strings.HasPrefix(m.line, "+") {
-			return "", fmt.Errorf("server: unexpected response %q", m.line)
-		}
-		return strings.TrimPrefix(m.line, "+"), nil
-	case <-deadline:
-		return "", c.timedOut()
-	case <-c.dead:
-		if err := c.Err(); err != nil {
-			return "", err
-		}
-		return "", errors.New("server: connection closed")
+	line, err := c.recvLine(deadline)
+	switch {
+	case err != nil:
+		return "", err
+	case strings.HasPrefix(line, "-ERR "):
+		return "", errors.New(strings.TrimPrefix(line, "-ERR "))
+	case strings.HasPrefix(line, "-"):
+		return "", errors.New(strings.TrimPrefix(line, "-"))
+	case !strings.HasPrefix(line, "+"):
+		return "", fmt.Errorf("server: unexpected response %q", line)
 	}
+	return strings.TrimPrefix(line, "+"), nil
 }
 
-// recvLine waits for one raw payload line (STATS body).
+// recvLine waits for one raw line: a reply, or a STATS payload line. A
+// dead connection reports the read loop's error.
 func (c *Client) recvLine(deadline <-chan time.Time) (string, error) {
 	select {
 	case m := <-c.resp:
@@ -373,6 +358,9 @@ func (c *Client) recvLine(deadline <-chan time.Time) (string, error) {
 	case <-deadline:
 		return "", c.timedOut()
 	case <-c.dead:
+		if err := c.Err(); err != nil {
+			return "", err
+		}
 		return "", errors.New("server: connection closed")
 	}
 }

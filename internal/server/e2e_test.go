@@ -105,7 +105,7 @@ func runServerE2EDeterminism(t *testing.T, workers int) {
 		// far past Dial's default 256 buffer (a full channel would block the
 		// read loop and deadlock the writers behind their own event
 		// backlog).
-		c, err := DialBuffered(addr, 1<<19)
+		c, err := DialWith(addr, DialOptions{EventBuf: 1 << 19})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func ShutdownMidBatch(t *testing.T, start func() (server.FrontEnd, error)) {
 		t.Fatal(err)
 	}
 	// A subscriber that never drains.
-	slow, err := server.DialBuffered(addr, 0)
+	slow, err := server.DialWith(addr, server.DialOptions{EventBuf: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

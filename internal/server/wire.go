@@ -216,13 +216,14 @@ func (w *Wire) WriteNames(names []string) error {
 	return w.WriteLine(sb.String())
 }
 
-// WriteData answers STATS and SHARDSTATS: "+DATA <n>", then n lines.
+// WriteData answers STATS and SHARDSTATS: "+DATA <n>", then n lines, as
+// one frame, so no push can split the block.
 func (w *Wire) WriteData(lines []string) error {
-	err := w.WriteLine(fmt.Sprintf("+DATA %d", len(lines)))
-	for i := 0; err == nil && i < len(lines); i++ {
-		err = w.WriteLine(lines[i])
+	b := fmt.Appendf(nil, "+DATA %d\n", len(lines))
+	for _, l := range lines {
+		b = append(append(b, l...), '\n')
 	}
-	return err
+	return w.WriteFrame(nil, b, true)
 }
 
 // WriteAck renders an update acknowledgment: sequence number, total match
