@@ -115,7 +115,7 @@ func run(cpuProfile, addr, dataDir, fsync, graphPath, slow, follow string, queue
 		opt.BootstrapFrom = g0
 	}
 
-	srv, err := server.New(opt)
+	srv, rec, err := server.New(opt)
 	if g0 != nil {
 		g0.Close() //tf:unchecked-ok read-only file
 	}
@@ -130,7 +130,6 @@ func run(cpuProfile, addr, dataDir, fsync, graphPath, slow, follow string, queue
 		debug.SetGCPercent(gcPercent)
 	}
 	if dataDir != "" {
-		rec := srv.Recovery()
 		if rec.Fresh {
 			fmt.Printf("# durable: fresh store in %s (fsync=%s)\n", dataDir, fsync)
 		} else {

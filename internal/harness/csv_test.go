@@ -14,7 +14,7 @@ func TestCSVSink(t *testing.T) {
 	dir := t.TempDir()
 	c := NewCSVSink(dir)
 	var s stats.Summary
-	s.AddQuery(3*time.Millisecond, 1024, 7)
+	s.AddQuery(0, 3*time.Millisecond, 1024, 7)
 	s.AddTimeout()
 	c.AddSummaries("fig6", "tree-3", map[Kind]*stats.Summary{TurboFlux: &s}, []Kind{TurboFlux, SJTree})
 	c.AddSummaries("fig6", "tree-6", map[Kind]*stats.Summary{TurboFlux: &s}, []Kind{TurboFlux})

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 
@@ -146,12 +147,17 @@ func speedupLine(w io.Writer, base Kind, sums map[Kind]*stats.Summary, others []
 			fmt.Fprintf(w, "  %s vs %s: all %s queries censored\n", base, k, k)
 			continue
 		}
-		fmt.Fprintf(w, "  %s vs %s: %.2fx faster", base, k, tf.Speedup(s))
+		faster, smaller, n := tf.Speedup(s)
+		total := len(tf.Costs) + tf.Timeouts
+		if n == 0 {
+			fmt.Fprintf(w, "  %s vs %s: no query of %d finished on both\n", base, k, total)
+			continue
+		}
+		fmt.Fprintf(w, "  %s vs %s: %.2fx faster on %d of %d paired queries", base, k, faster, n, total)
 		// Graphflow keeps no intermediate results: a ratio to its zero
-		// mean size means nothing.
-		if tf.MeanSize() > 0 && s.MeanSize() > 0 {
-			fmt.Fprintf(w, ", %.2fx smaller intermediate results",
-				float64(s.MeanSize())/float64(tf.MeanSize()))
+		// size means nothing.
+		if !math.IsNaN(smaller) {
+			fmt.Fprintf(w, ", %.2fx smaller intermediate results", smaller)
 		}
 		fmt.Fprintln(w)
 	}

@@ -164,13 +164,13 @@ func RunQuery(kind Kind, ds *workload.Dataset, q *query.Graph, cfg RunConfig) Re
 // RunSet replays the stream for every query on one engine and aggregates.
 func RunSet(kind Kind, ds *workload.Dataset, qs []*query.Graph, cfg RunConfig) *stats.Summary {
 	var s stats.Summary
-	for _, q := range qs {
+	for i, q := range qs {
 		r := RunQuery(kind, ds, q, cfg)
 		if r.TimedOut {
 			s.AddTimeout()
 			continue
 		}
-		s.AddQuery(r.Cost, r.PeakSize, r.Matches)
+		s.AddQuery(i, r.Cost, r.PeakSize, r.Matches)
 	}
 	return &s
 }

@@ -8,6 +8,7 @@ import (
 
 	"turboflux/internal/csm"
 	"turboflux/internal/query"
+	"turboflux/internal/stats"
 	"turboflux/internal/stream"
 	"turboflux/internal/workload"
 )
@@ -192,5 +193,39 @@ func TestWithDeletionsHelper(t *testing.T) {
 		if u.Op != stream.OpInsert {
 			t.Fatal("prefixInserts returned a non-insert")
 		}
+	}
+}
+
+// TestSpeedupLinePaired plants summaries whose unpaired means disagree
+// with the paired ratio: TurboFlux finished queries 0–6 of 8, the hard ones
+// 3–6 among them, and SJ-Tree only the easy 0–2. The line must compare the
+// three both finished, and say so.
+func TestSpeedupLinePaired(t *testing.T) {
+	var tf, sj stats.Summary
+	for i := 0; i < 7; i++ {
+		cost, size := time.Millisecond, int64(100)
+		if i >= 3 {
+			cost, size = 100*time.Millisecond, 10_000
+		}
+		tf.AddQuery(i, cost, size, 0)
+	}
+	tf.AddTimeout()
+	for i := 0; i < 3; i++ {
+		sj.AddQuery(i, 4*time.Millisecond, 300, 0)
+	}
+	for i := 3; i < 8; i++ {
+		sj.AddTimeout()
+	}
+	var none stats.Summary
+	none.AddQuery(7, time.Millisecond, 0, 0)
+	for i := 0; i < 7; i++ {
+		none.AddTimeout()
+	}
+	var buf bytes.Buffer
+	speedupLine(&buf, TurboFlux, map[Kind]*stats.Summary{TurboFlux: &tf, SJTree: &sj, Graphflow: &none}, []Kind{SJTree, Graphflow})
+	want := "  TurboFlux vs SJ-Tree: 4.00x faster on 3 of 8 paired queries, 3.00x smaller intermediate results\n" +
+		"  TurboFlux vs Graphflow: no query of 8 finished on both\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("speedup lines:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"turboflux"
@@ -106,8 +105,8 @@ type actor struct {
 	evictions uint64
 	lat       *stats.Latency
 
-	conns    *atomic.Int64 // live connection count, owned by Server
-	closeErr error         // store-close error, read after box.Stop
+	front    *Front // the front end serving this actor (STATS conns=)
+	closeErr error  // store-close error, read after box.Stop
 
 	// boundary is the persistent per-update hook handed to ApplyBatchFunc
 	// (built once so batch frames allocate no closures).
@@ -119,11 +118,11 @@ type actor struct {
 	// Cold state, kept behind the fields emit and the connections' sends
 	// touch on every request. link is a follower's replication link (nil on
 	// a born leader), set before the actor starts and never touched by it:
-	// Promote and Server.Shutdown stop it from their own goroutines.
+	// Promote and Stop end it from their own goroutines.
 	link *replica.Link
 }
 
-func newActor(eng *turboflux.MultiEngine, vdict, edict *turboflux.Dict, policy SlowPolicy, depth int, conns *atomic.Int64) *actor {
+func newActor(eng *turboflux.MultiEngine, vdict, edict *turboflux.Dict, policy SlowPolicy, depth int) *actor {
 	a := &actor{
 		eng:    eng,
 		vdict:  vdict,
@@ -132,7 +131,6 @@ func newActor(eng *turboflux.MultiEngine, vdict, edict *turboflux.Dict, policy S
 		depth:  depth,
 		subs:   make(map[string]*subList),
 		lat:    stats.NewLatency(0),
-		conns:  conns,
 
 		followers: make(map[uint64]*followerHandle),
 		// Acked sequence numbers equal WAL LSNs in durable mode (LSN is 0
@@ -539,7 +537,7 @@ func (a *actor) statsLines() []string {
 	lines := make([]string, 0, 3+len(a.subs)+subCount)
 	lines = append(lines, fmt.Sprintf(
 		"server conns=%d policy=%s queue_cap=%d seq=%d updates=%d events=%d dropped=%d evicted=%d",
-		a.conns.Load(), a.policy, a.depth, a.seq, a.updates, a.events, a.drops, a.evictions))
+		a.front.Conns(), a.policy, a.depth, a.seq, a.updates, a.events, a.drops, a.evictions))
 	qs := a.lat.Quantiles(50, 95, 99)
 	lines = append(lines, fmt.Sprintf("apply_latency n=%d p50_ns=%d p95_ns=%d p99_ns=%d",
 		a.lat.Count(), qs[0].Nanoseconds(), qs[1].Nanoseconds(), qs[2].Nanoseconds()))
@@ -642,8 +640,11 @@ func (a *actor) DropConn(id uint64) {
 }
 
 // Stop ends the mailbox once the connections are gone and returns the
-// store-close error.
+// store-close error. A follower's replication link stops first: its
+// callbacks call into the actor, which must still be running while the
+// link winds down.
 func (a *actor) Stop() error {
+	a.stopLink()
 	a.box.Stop()
 	return a.closeErr
 }

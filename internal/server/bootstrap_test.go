@@ -62,11 +62,11 @@ func (s *bufferSpy) Read(p []byte) (int, error) {
 // buffer the decoder filled from it.
 //
 //go:noinline
-func newWithBootstrapFrom(t *testing.T, opt Options) (*Server, []<-chan struct{}) {
+func newWithBootstrapFrom(t *testing.T, opt Options) (*Front, []<-chan struct{}) {
 	t.Helper()
 	spy := &bufferSpy{r: bootText(t, bootHistory())}
 	opt.BootstrapFrom = spy
-	s, err := New(opt)
+	s, _, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBootstrapNotRetained(t *testing.T) {
 
 // stoppedGraph shuts s down and returns the canonical encoding of its
 // graph, which nothing mutates once the actor has stopped.
-func stoppedGraph(t *testing.T, s *Server) []byte {
+func stoppedGraph(t *testing.T, s *Front) []byte {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -117,7 +117,7 @@ func stoppedGraph(t *testing.T, s *Server) []byte {
 		t.Fatal(err)
 	}
 	var b bytes.Buffer
-	g := s.actor.eng.Graph() //tf:actor-ok the actor has stopped
+	g := s.be.(*actor).eng.Graph() //tf:actor-ok the actor has stopped
 	if err := g.WriteBinary(&b); err != nil {
 		t.Fatal(err)
 	}
@@ -134,21 +134,22 @@ func TestServerBootstrapFromEquivalence(t *testing.T) {
 	var ups []turboflux.Update
 	g.ForEachVertex(func(v turboflux.VertexID) { ups = append(ups, turboflux.DeclareVertex(v, g.Labels(v)...)) })
 	g.ForEachEdge(func(e turboflux.Edge) { ups = append(ups, turboflux.Insert(e.From, e.Label, e.To)) })
-	start := func(opt Options) *Server {
-		s, err := New(opt)
+	start := func(opt Options) (*Front, turboflux.RecoveryInfo) {
+		s, rec, err := New(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return s, rec
 	}
 
-	want := stoppedGraph(t, start(Options{BootstrapFrom: bootText(t, ups)}))
+	mem, _ := start(Options{BootstrapFrom: bootText(t, ups)})
+	want := stoppedGraph(t, mem)
 	dir := t.TempDir()
-	if got := stoppedGraph(t, start(Options{DataDir: dir, Fsync: "none", BootstrapFrom: bootText(t, ups)})); !bytes.Equal(got, want) {
+	if fresh, _ := start(Options{DataDir: dir, Fsync: "none", BootstrapFrom: bootText(t, ups)}); !bytes.Equal(stoppedGraph(t, fresh), want) {
 		t.Fatal("durable mode: the graph differs from memory mode's")
 	}
-	s := start(Options{DataDir: dir, Fsync: "none", BootstrapFrom: unreadable{t}})
-	if s.Recovery().Fresh {
+	s, rec := start(Options{DataDir: dir, Fsync: "none", BootstrapFrom: unreadable{t}})
+	if rec.Fresh {
 		t.Fatal("the store reopened fresh")
 	}
 	if got := stoppedGraph(t, s); !bytes.Equal(got, want) {
@@ -167,7 +168,7 @@ func (u unreadable) Read([]byte) (int, error) {
 // TestServerBootstrapFromErrors: a malformed line fails New by its line in
 // memory mode too.
 func TestServerBootstrapFromErrors(t *testing.T) {
-	_, err := New(Options{BootstrapFrom: strings.NewReader("v 1 0\n\nx 1\n")})
+	_, _, err := New(Options{BootstrapFrom: strings.NewReader("v 1 0\n\nx 1\n")})
 	if err == nil || err.Error() != `stream: line 3: unknown op "x"` {
 		t.Fatalf("memory mode: error %v", err)
 	}

@@ -62,7 +62,7 @@ type Client struct {
 	// and every later request fails fast.
 	reqTimeout time.Duration
 
-	resp   chan respMsg
+	resp   chan string // reply and STATS payload lines
 	events chan Event
 	onPush func(run []byte, more bool) // DialOptions.OnPush
 
@@ -78,10 +78,6 @@ type Client struct {
 	errMu    sync.Mutex
 	readErr  error
 	closeOne sync.Once
-}
-
-type respMsg struct {
-	line string
 }
 
 // DialOptions tunes a client connection. The zero value means no dial
@@ -139,7 +135,7 @@ func newClient(nc net.Conn, opt DialOptions) *Client {
 		nc:         nc,
 		bw:         bufio.NewWriter(nc),
 		reqTimeout: opt.RequestTimeout,
-		resp:       make(chan respMsg), //tf:unbuffered-ok request/response rendezvous; one exchange in flight by design
+		resp:       make(chan string), //tf:unbuffered-ok request/response rendezvous; one exchange in flight by design
 		events:     make(chan Event, eventBuf),
 		onPush:     opt.OnPush,
 		done:       make(chan struct{}),
@@ -230,7 +226,7 @@ func (c *Client) readLoop() {
 			continue
 		}
 		select {
-		case c.resp <- respMsg{line: line}:
+		case c.resp <- line:
 		case <-c.done:
 			return
 		}
@@ -353,8 +349,8 @@ func (c *Client) recv(deadline <-chan time.Time) (string, error) {
 // dead connection reports the read loop's error.
 func (c *Client) recvLine(deadline <-chan time.Time) (string, error) {
 	select {
-	case m := <-c.resp:
-		return m.line, nil
+	case line := <-c.resp:
+		return line, nil
 	case <-deadline:
 		return "", c.timedOut()
 	case <-c.dead:

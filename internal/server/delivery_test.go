@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -286,9 +285,9 @@ func TestResubscribeAfterEviction(t *testing.T) {
 // allocation. The edge reaches the query's DCG but completes no match: an
 // update that reports matches allocates the counts map its ack carries.
 func TestApplyRequestAllocs(t *testing.T) {
-	var conns atomic.Int64
 	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
-		turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64, &conns)
+		turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64)
+	a.front = NewFront("server", a)
 	defer a.eng.Close() //tf:unchecked-ok pool release never fails
 	if _, err := a.handle(request{kind: reqRegister, name: "social", arg: "(a:Person)-[:knows]->(b:Person)"}); err != nil {
 		t.Fatal(err)
@@ -324,9 +323,9 @@ func TestApplyRequestAllocs(t *testing.T) {
 // reused frame to frame. The frame's edges reach the query's DCG but
 // complete no match.
 func TestBatchFrameAllocs(t *testing.T) {
-	var conns atomic.Int64
 	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
-		turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64, &conns)
+		turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64)
+	a.front = NewFront("server", a)
 	defer a.eng.Close() //tf:unchecked-ok pool release never fails
 	if _, err := a.handle(request{kind: reqRegister, name: "social", arg: "(a:Person)-[:knows]->(b:Person)"}); err != nil {
 		t.Fatal(err)
@@ -383,9 +382,9 @@ func TestBatchFrameAllocs(t *testing.T) {
 // has a subscriber, and at the source's UNREGISTER the twins relink to the
 // heir the engine chose.
 func TestTwinGroupLinks(t *testing.T) {
-	var conns atomic.Int64
 	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
-		turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64, &conns)
+		turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64)
+	a.front = NewFront("server", a)
 	defer a.eng.Close() //tf:unchecked-ok pool release never fails
 	do := func(req request) {
 		t.Helper()
@@ -447,9 +446,9 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 // source's body, not in the policy step, not in the hand-over to the
 // writer.
 func TestEmitAllocs(t *testing.T) {
-	var conns atomic.Int64
 	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
-		turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64, &conns)
+		turboflux.NewDict(), turboflux.NewDict(), PolicyBlock, 64)
+	a.front = NewFront("server", a)
 	defer a.eng.Close() //tf:unchecked-ok pool release never fails
 	// The mailbox is not started: this goroutine plays the engine, the
 	// actor and, through take, the connection writer.

@@ -305,7 +305,7 @@ func TestServerGracefulShutdownDurable(t *testing.T) {
 		turboflux.DeclareVertex(1, 0),
 		turboflux.DeclareVertex(2, 0),
 	}
-	s, err := New(Options{
+	s, rec, err := New(Options{
 		DataDir:       dir,
 		Fsync:         "interval",
 		VertexLabels:  vdict,
@@ -315,8 +315,8 @@ func TestServerGracefulShutdownDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Recovery().Fresh {
-		t.Fatalf("recovery = %+v, want fresh", s.Recovery())
+	if !rec.Fresh {
+		t.Fatalf("recovery = %+v, want fresh", rec)
 	}
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -375,7 +375,7 @@ func TestServerGracefulShutdownDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close() //tf:unchecked-ok test cleanup
-	rec := d.Recovery()
+	rec = d.Recovery()
 	if rec.Fresh {
 		t.Fatal("reopen must not be fresh")
 	}

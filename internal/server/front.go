@@ -13,10 +13,10 @@ import (
 )
 
 // Front is the network front end of one Backend: the listener, the accept
-// loop, the live connection set and the shutdown sequence. A Server owns
-// one, and shard.New returns one over its router; the name each constructs
-// it with ("server", "shard") prefixes the few error messages the front end
-// words itself.
+// loop, the live connection set and the shutdown sequence. server.New
+// returns one over its actor and shard.New one over its router; the name
+// each constructs it with ("server", "shard") prefixes the few error
+// messages the front end words itself.
 type Front struct {
 	name string
 	be   Backend
@@ -174,39 +174,30 @@ func (f *Front) Shutdown(ctx context.Context) error {
 	return ctxErr
 }
 
-// FrontEnd is what RunUntilSignal drives: a *Server or a *Front (the
-// shard coordinator's, from shard.New).
-type FrontEnd interface {
-	Listen(addr string) error
-	Addr() net.Addr
-	Serve() error
-	Shutdown(ctx context.Context) error
-}
-
-// RunUntilSignal is the life of a front-end binary once fe is built: bind
+// RunUntilSignal is the life of a front-end binary once f is built: bind
 // addr, report the bound address through ready (the start-up banner), serve
 // until Serve fails or SIGINT/SIGTERM arrives, then shut down,
 // force-closing connections still open after drain. prog prefixes what goes
 // to standard error.
-func RunUntilSignal(prog string, fe FrontEnd, addr string, drain time.Duration, ready func(net.Addr)) error {
+func RunUntilSignal(prog string, f *Front, addr string, drain time.Duration, ready func(net.Addr)) error {
 	shutdown := func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
-		return fe.Shutdown(ctx)
+		return f.Shutdown(ctx)
 	}
-	if err := fe.Listen(addr); err != nil {
+	if err := f.Listen(addr); err != nil {
 		if shutdownErr := shutdown(); shutdownErr != nil {
 			fmt.Fprintf(os.Stderr, "%s: shutdown: %v\n", prog, shutdownErr)
 		}
 		return err
 	}
-	ready(fe.Addr())
+	ready(f.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	serveErr := make(chan error, 1)
 	//tf:goroutine serve-accept-loop
-	go func() { serveErr <- fe.Serve() }()
+	go func() { serveErr <- f.Serve() }()
 
 	select {
 	case err := <-serveErr:

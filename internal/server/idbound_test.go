@@ -85,11 +85,11 @@ func TestVertexIDBound(t *testing.T) {
 func TestVertexIDBoundBootstrap(t *testing.T) {
 	boot := []turboflux.Update{turboflux.Insert(1, 0, 2), turboflux.DeclareVertex(hugeID)}
 	for _, dir := range []string{"", t.TempDir()} {
-		if _, err := New(Options{DataDir: dir, BootstrapFrom: bootText(t, boot)}); err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
+		if _, _, err := New(Options{DataDir: dir, BootstrapFrom: bootText(t, boot)}); err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
 			t.Errorf("data dir %q: New = %v, want the bound's error", dir, err)
 		}
 		src := strings.NewReader("i 1 0 2\ni 3 0 4000000000\n")
-		if _, err := New(Options{DataDir: dir, BootstrapFrom: src}); err == nil || !strings.Contains(err.Error(), "line 2: stream: vertex id 4000000000 exceeds") {
+		if _, _, err := New(Options{DataDir: dir, BootstrapFrom: src}); err == nil || !strings.Contains(err.Error(), "line 2: stream: vertex id 4000000000 exceeds") {
 			t.Errorf("data dir %q: New from text = %v, want the bound's error at line 2", dir, err)
 		}
 	}

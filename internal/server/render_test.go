@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"turboflux"
@@ -79,9 +78,9 @@ func BenchmarkEmitRender(b *testing.B) {
 	}
 	width := len(ids) / len(signs)
 
-	var conns atomic.Int64
 	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
-		graph.NumericDict(), graph.NumericDict(), PolicyBlock, burst, &conns)
+		graph.NumericDict(), graph.NumericDict(), PolicyBlock, burst)
+	a.front = NewFront("server", a)
 	defer a.eng.Close() //tf:unchecked-ok pool release never fails
 	ob := newOutbox()
 	if _, err := a.handle(request{kind: reqRegister, name: "q", arg: emitPattern}); err != nil {

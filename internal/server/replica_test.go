@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,9 +81,9 @@ func replUpdate(k int) turboflux.Update {
 // the test. It returns the server, its dial address and an explicit,
 // idempotent stop, so tests can shut one server down mid-test (follower
 // restart, dead leader).
-func startReplServer(t testing.TB, opt Options) (*Server, string, func()) {
+func startReplServer(t testing.TB, opt Options) (*Front, string, func()) {
 	t.Helper()
-	s, err := New(opt)
+	s, _, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,5 +644,115 @@ func TestReplicateRejectedWithSubscriptions(t *testing.T) {
 	}
 	if !strings.HasPrefix(line, "-ERR") || !strings.Contains(line, "subscriptions") {
 		t.Fatalf("REPLICATE on subscribed conn: %q", line)
+	}
+}
+
+// TestFollowerShutdownMidStreamStress shuts a follower down while the
+// leader keeps writing and the follower keeps streaming events to a
+// subscriber. The follower's Stop ends its replication link before the
+// mailbox, while the actor still runs to serve the link's last callbacks:
+// Shutdown must return nil, leave no goroutine behind and leave a journal
+// that reopens clean, at or behind the leader.
+func TestFollowerShutdownMidStreamStress(t *testing.T) {
+	_, leaderAddr, _ := startReplServer(t, leaderOpts(t.TempDir()))
+	baseline := runtime.NumGoroutine()
+
+	dir := t.TempDir()
+	f, _, err := New(followerOpts(dir, leaderAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- f.Serve() }()
+	cf, err := Dial(f.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cf.Register("q", replPattern); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cf.Subscribe("q"); err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for range cf.Events() {
+		}
+	}()
+
+	cl, err := Dial(leaderAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, wrote := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for k := 0; ; k++ {
+			select {
+			case <-stop:
+				wrote <- nil
+				return
+			default:
+			}
+			if _, err := cl.Apply(replUpdate(k)); err != nil {
+				wrote <- fmt.Errorf("update %d: %w", k, err)
+				return
+			}
+		}
+	}()
+
+	waitUntil(t, 10*time.Second, "the follower to apply LSN 101", func() bool {
+		st, err := cf.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stat(t, st.Line("replica").Uint, "applied_lsn") > 100
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := f.Shutdown(ctx); err != nil {
+		t.Fatalf("follower shutdown: %v", err)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("follower serve: %v", err)
+	}
+	close(stop)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaderLSN := stat(t, st.Line("wal").Uint, "lsn")
+	cl.Close() //tf:unchecked-ok test teardown
+	cf.Close() //tf:unchecked-ok test teardown
+	<-drained
+
+	// Goroutine counts settle asynchronously (the leader's feed and
+	// connection goroutines end after their peers close), so retry.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines leaked: baseline=%d now=%d\n%.4000s", baseline, runtime.NumGoroutine(), buf[:n])
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	d, err := turboflux.OpenDurableMulti(dir, turboflux.DurableMultiOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close() //tf:unchecked-ok test cleanup
+	if rec := d.Recovery(); rec.TruncatedBytes != 0 {
+		t.Fatalf("follower journal reopened with %d torn bytes", rec.TruncatedBytes)
+	}
+	if lsn := d.LSN(); lsn <= 100 || lsn > leaderLSN {
+		t.Fatalf("follower journal at LSN %d, want past 100 and at most the leader's %d", lsn, leaderLSN)
 	}
 }

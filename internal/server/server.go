@@ -1,10 +1,8 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"io"
-	"net"
 
 	"turboflux"
 	"turboflux/internal/replica"
@@ -15,7 +13,7 @@ import (
 // Options.QueueDepth is zero.
 const defaultQueueDepth = 256
 
-// Options configures a Server.
+// Options configures a server (New).
 type Options struct {
 	// QueueDepth is the per-subscriber bounded event queue capacity
 	// (default 256). Together with Slow it defines the slow-consumer
@@ -63,25 +61,20 @@ type Options struct {
 	ReplOptions replica.Options
 }
 
-// Server is the TurboFlux network server: one engine-owner goroutine (the
-// actor) serializing all mutation and evaluation of a shared MultiEngine,
-// an acceptor, and per connection one reader goroutine plus, once it
-// subscribes, one writer goroutine for its pushes. See the package comment
-// for the wire protocol and DESIGN.md §10 for the architecture.
-type Server struct {
-	front *Front // listener, connections, shutdown; serves actor
-	actor *actor
-}
-
 // New builds a server over a fresh in-memory engine, or over the durable
-// store in opt.DataDir. The actor starts immediately; call Shutdown to
-// release it even if Serve is never reached.
-func New(opt Options) (*Server, error) {
+// store in opt.DataDir, and returns its front end with what the store found
+// on disk (the zero RecoveryInfo in memory-only mode). The server is one
+// engine-owner goroutine (the actor) serializing all mutation and
+// evaluation of a shared MultiEngine behind the Front's acceptor and
+// per-connection goroutines; see the package comment for the wire protocol
+// and DESIGN.md §10 for the architecture. The actor starts immediately;
+// call Shutdown to release it even if Serve is never reached.
+func New(opt Options) (*Front, turboflux.RecoveryInfo, error) {
 	if opt.QueueDepth <= 0 {
 		opt.QueueDepth = defaultQueueDepth
 	}
 	if opt.Follow != "" && opt.DataDir == "" {
-		return nil, errors.New("server: Follow requires DataDir (followers journal the replicated log)")
+		return nil, turboflux.RecoveryInfo{}, errors.New("server: Follow requires DataDir (followers journal the replicated log)")
 	}
 	var (
 		eng   *turboflux.MultiEngine
@@ -97,7 +90,7 @@ func New(opt Options) (*Server, error) {
 			BootstrapFrom: opt.BootstrapFrom,
 		})
 		if err != nil {
-			return nil, err
+			return nil, turboflux.RecoveryInfo{}, err
 		}
 		vdict = eng.VertexLabels() //tf:actor-ok construction precedes actor start
 		edict = eng.EdgeLabels()   //tf:actor-ok construction precedes actor start
@@ -111,60 +104,30 @@ func New(opt Options) (*Server, error) {
 		g := turboflux.NewGraph()
 		if opt.BootstrapFrom != nil {
 			if err := stream.ApplyText(g, opt.BootstrapFrom); err != nil {
-				return nil, err
+				return nil, turboflux.RecoveryInfo{}, err
 			}
 		}
 		eng = turboflux.NewMultiEngine(g)
 	}
 	eng.SetFanOutWorkers(opt.FanOutWorkers) //tf:actor-ok construction precedes actor start
-	// The server keeps the actor and the front end, not the Options: those
-	// hold the bootstrap or its reader, garbage once the store is open. The
-	// front is made first because STATS reads its connection count.
-	s := &Server{front: NewFront("server", nil)}
-	s.actor = newActor(eng, vdict, edict, opt.Slow, opt.QueueDepth, &s.front.connCount)
-	s.front.be = s.actor
+	// The actor and the front end keep nothing of the Options: those hold
+	// the bootstrap or its reader, garbage once the store is open.
+	a := newActor(eng, vdict, edict, opt.Slow, opt.QueueDepth)
+	a.front = NewFront("server", a)
 	if opt.Follow != "" {
-		s.actor.role = roleFollower
-		s.actor.leaderAddr = opt.Follow
-		s.actor.link = replica.NewLink(opt.Follow, s.actor.linkCallbacks(), opt.ReplOptions)
+		a.role = roleFollower
+		a.leaderAddr = opt.Follow
+		a.link = replica.NewLink(opt.Follow, a.linkCallbacks(), opt.ReplOptions)
 	}
 	if st := eng.Store(); st != nil { //tf:actor-ok construction precedes actor start
 		// The append tap fires on the actor goroutine (appends happen only
 		// inside apply handlers), so follower feeds stay actor-confined.
-		st.SetTap(s.actor.shipFrames)
+		st.SetTap(a.shipFrames)
 	}
-	s.actor.box.Start(s.actor.handle, s.actor.shutdown)
-	if s.actor.link != nil {
-		s.actor.link.Start()
+	rec := eng.Recovery() //tf:actor-ok construction precedes actor start
+	a.box.Start(a.handle, a.shutdown)
+	if a.link != nil {
+		a.link.Start()
 	}
-	return s, nil
-}
-
-// Recovery returns what a durable-mode server found on disk; the zero
-// value in memory-only mode.
-func (s *Server) Recovery() turboflux.RecoveryInfo {
-	return s.actor.eng.Recovery() //tf:actor-ok recovery info is immutable after open
-}
-
-// Listen binds the TCP address ("host:port"; ":0" picks a free port).
-func (s *Server) Listen(addr string) error { return s.front.Listen(addr) }
-
-// Addr returns the bound listener address (nil before Listen).
-func (s *Server) Addr() net.Addr { return s.front.Addr() }
-
-// Serve accepts connections until Shutdown. It returns nil on graceful
-// shutdown, or the first fatal accept error.
-func (s *Server) Serve() error { return s.front.Serve() }
-
-// Shutdown stops the server gracefully (Front.Shutdown): stop accepting,
-// let in-flight requests finish and the writers flush the outboxes, then
-// stop the actor — which drains the requests already accepted and closes
-// the WAL cleanly. A follower's replication link stops first: its
-// callbacks call into the actor, which must still be running while the
-// link winds down. If ctx expires, remaining connections are force-closed
-// and shutdown still completes; ctx's error is reported after the store is
-// closed.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.actor.stopLink()
-	return s.front.Shutdown(ctx)
+	return a.front, rec, nil
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,9 +15,9 @@ import (
 // and torn down with the test.
 func newTestActor(t *testing.T, policy SlowPolicy, depth int) *actor {
 	t.Helper()
-	var conns atomic.Int64
 	a := newActor(turboflux.NewMultiEngine(turboflux.NewGraph()),
-		turboflux.NewDict(), turboflux.NewDict(), policy, depth, &conns)
+		turboflux.NewDict(), turboflux.NewDict(), policy, depth)
+	a.front = NewFront("server", a)
 	a.box.Start(a.handle, a.shutdown)
 	t.Cleanup(a.box.Stop)
 	return a
@@ -351,7 +350,7 @@ func TestActorPolicyBurst(t *testing.T) {
 
 // startServer is startReplServer for a test that never stops the server
 // itself; it returns the server and its dial address.
-func startServer(t *testing.T, opt Options) (*Server, string) {
+func startServer(t *testing.T, opt Options) (*Front, string) {
 	t.Helper()
 	s, addr, _ := startReplServer(t, opt)
 	return s, addr

@@ -1,7 +1,7 @@
 // Package servertest holds the front-end tests that internal/server and
-// internal/shard both run: one body, driven against a plain Server and
-// against a shard coordinator, because the two serve through one
-// server.Front.
+// internal/shard both run: one body, driven against a plain server and
+// against a shard coordinator, because server.New and shard.New both
+// return a *server.Front.
 package servertest
 
 import (
@@ -25,7 +25,7 @@ import (
 // coordinator's shard servers) must be running before the call, so it is
 // part of the baseline; its slow-consumer setting should be a small
 // PolicyBlock queue, so the batch can stall on the silent subscriber.
-func ShutdownMidBatch(t *testing.T, start func() (server.FrontEnd, error)) {
+func ShutdownMidBatch(t *testing.T, start func() (*server.Front, error)) {
 	baseline := runtime.NumGoroutine()
 
 	fe, err := start()

@@ -21,7 +21,7 @@ import (
 // start the SUBSCRIBE reply names. The rounds run twice — with q the
 // connection's only subscription, then beside r, which on a two-shard
 // coordinator lives on q's shard and keeps their shared upstream open.
-func UnsubscribeEndsStream(t *testing.T, start func() (server.FrontEnd, error)) {
+func UnsubscribeEndsStream(t *testing.T, start func() (*server.Front, error)) {
 	const rounds = 200
 	addr := serve(t, start)
 
@@ -104,7 +104,7 @@ func UnsubscribeEndsStream(t *testing.T, start func() (server.FrontEnd, error)) 
 }
 
 // serve starts the front end on loopback and shuts it down at cleanup.
-func serve(t *testing.T, start func() (server.FrontEnd, error)) string {
+func serve(t *testing.T, start func() (*server.Front, error)) string {
 	t.Helper()
 	fe, err := start()
 	if err != nil {

@@ -12,7 +12,8 @@ import (
 // the actor can stall mid-batch on the silent subscriber's full queue, so
 // Shutdown really does interrupt an in-flight BATCH.
 func TestShutdownMidBatchNoGoroutineLeak(t *testing.T) {
-	servertest.ShutdownMidBatch(t, func() (server.FrontEnd, error) {
-		return server.New(server.Options{QueueDepth: 4, Slow: server.PolicyBlock})
+	servertest.ShutdownMidBatch(t, func() (*server.Front, error) {
+		f, _, err := server.New(server.Options{QueueDepth: 4, Slow: server.PolicyBlock})
+		return f, err
 	})
 }

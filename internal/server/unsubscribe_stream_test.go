@@ -11,7 +11,8 @@ import (
 // follows every line of the stream it ends, however an emitting update
 // races it. The coordinator's twin is in internal/shard.
 func TestUnsubscribeEndsStreamStress(t *testing.T) {
-	servertest.UnsubscribeEndsStream(t, func() (server.FrontEnd, error) {
-		return server.New(server.Options{})
+	servertest.UnsubscribeEndsStream(t, func() (*server.Front, error) {
+		f, _, err := server.New(server.Options{})
+		return f, err
 	})
 }

@@ -2,7 +2,7 @@ package shard
 
 // Front-end conformance: a client cannot tell a coordinator from a single
 // server. One request script runs over a raw socket against a plain
-// server.Server and against a Coordinator over two in-process shards; the
+// server and against a coordinator over two in-process shards; the
 // replies must agree line by line in class (+OK / -ERR / +DATA), +OK
 // payloads and pushed lines (*EVENT, *EVICTED) byte for byte.
 //

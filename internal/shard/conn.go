@@ -111,23 +111,18 @@ var (
 	newline       = []byte{'\n'}
 )
 
-// connRelays is one client connection's upstreams, indexed by shard id.
-// Only that connection's reader goroutine touches it: Subscribe, Cancel
-// and DropConn all run there.
-type connRelays struct {
-	ups []*upstream
-}
-
-// relaysOf returns c's upstream table, making it at c's first SUBSCRIBE.
-func (r *router) relaysOf(c *server.Conn) *connRelays {
+// relaysOf returns c's upstreams, indexed by shard id, making the table at
+// c's first SUBSCRIBE. Only that connection's reader goroutine touches the
+// table's entries: Subscribe, Cancel and DropConn all run there.
+func (r *router) relaysOf(c *server.Conn) []*upstream {
 	r.relayMu.Lock()
 	defer r.relayMu.Unlock()
-	cr := r.relays[c.ID()]
-	if cr == nil {
-		cr = &connRelays{ups: make([]*upstream, len(r.shards))}
-		r.relays[c.ID()] = cr
+	ups := r.relays[c.ID()]
+	if ups == nil {
+		ups = make([]*upstream, len(r.shards))
+		r.relays[c.ID()] = ups
 	}
-	return cr
+	return ups
 }
 
 // DropConn closes the upstreams a gone connection still holds: those
@@ -135,13 +130,10 @@ func (r *router) relaysOf(c *server.Conn) *connRelays {
 // closes.
 func (r *router) DropConn(id uint64) {
 	r.relayMu.Lock()
-	cr := r.relays[id]
+	ups := r.relays[id]
 	delete(r.relays, id)
 	r.relayMu.Unlock()
-	if cr == nil {
-		return
-	}
-	for _, u := range cr.ups {
+	for _, u := range ups {
 		if u != nil {
 			u.close()
 		}
@@ -155,7 +147,7 @@ type upstream struct {
 	r    *router
 	c    *server.Conn
 	h    *shardHandle
-	cr   *connRelays
+	ups  []*upstream // the connection's table (relaysOf), which retire edits
 	cli  *server.Client
 	wake chan struct{} // capacity 1: unsubscribes queued, or closing
 
@@ -215,13 +207,13 @@ func (r *router) Subscribe(c *server.Conn, name string) (server.Subscription, ui
 		return nil, 0, err
 	}
 	h := r.shards[resp.shard]
-	cr := r.relaysOf(c)
-	u := cr.ups[h.id]
+	ups := r.relaysOf(c)
+	u := ups[h.id]
 	if u != nil && u.isDead() {
 		u = nil // its goroutine has evicted what rode it and ended
 	}
 	if u == nil {
-		u, err = r.dialUpstream(c, h, resp.addr, cr)
+		u, err = r.dialUpstream(c, h, resp.addr, ups)
 	} else {
 		u.settle(name)
 	}
@@ -257,12 +249,12 @@ func (r *router) Subscribe(c *server.Conn, name string) (server.Subscription, ui
 }
 
 // dialUpstream opens c's link to shard h and starts its goroutine.
-func (r *router) dialUpstream(c *server.Conn, h *shardHandle, addr string, cr *connRelays) (*upstream, error) {
+func (r *router) dialUpstream(c *server.Conn, h *shardHandle, addr string, ups []*upstream) (*upstream, error) {
 	u := &upstream{
 		r:       r,
 		c:       c,
 		h:       h,
-		cr:      cr,
+		ups:     ups,
 		wake:    make(chan struct{}, 1),
 		live:    make(map[string]*relaySub),
 		pending: make(map[string]chan struct{}),
@@ -276,7 +268,7 @@ func (r *router) dialUpstream(c *server.Conn, h *shardHandle, addr string, cr *c
 		return nil, fmt.Errorf("shard: dialing shard %d (%s): %w", h.id, addr, err)
 	}
 	u.cli = cli
-	cr.ups[h.id] = u
+	ups[h.id] = u
 	c.Go(u.run)
 	return u, nil
 }
@@ -319,8 +311,8 @@ func (u *upstream) close() {
 // SUBSCRIBE to the shard dials anew (reader goroutine only).
 func (u *upstream) retire() {
 	u.close()
-	if u.cr.ups[u.h.id] == u {
-		u.cr.ups[u.h.id] = nil
+	if u.ups[u.h.id] == u {
+		u.ups[u.h.id] = nil
 	}
 }
 

@@ -4,7 +4,11 @@ package shard
 // the subscriptions riding it start, stop and end independently.
 
 import (
+	"bufio"
 	"fmt"
+	"net"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -290,4 +294,123 @@ func TestRelayFilterDropsStaleLinesStress(t *testing.T) {
 	if r.Finished() {
 		t.Fatal("a closing link ended r's handle")
 	}
+}
+
+// TestRelayStalledClientMeetsShardPolicyStress pins where a relayed
+// subscription's slow-consumer policy lives: with the owning shard. The
+// coordinator writes relayed lines on the upstream's read loop and keeps no
+// queue of its own, so the only bound a client that stops reading meets is
+// the shard's queue for the upstream, and the shard's policy (here: evict)
+// ends the subscription. Ingest never waits on that client, and the client
+// still receives a well-formed stream: its SUBSCRIBE reply, events in
+// sequence order, then *EVICTED.
+func TestRelayStalledClientMeetsShardPolicyStress(t *testing.T) {
+	shard := startShardServerWith(t, server.Options{QueueDepth: 256, Slow: server.PolicyEvict})
+	addr, _ := startCoordinator(t, Options{Shards: []string{shard}})
+	admin := dialTest(t, addr)
+	// A long name makes each *EVENT line about 130 bytes.
+	q := "q" + strings.Repeat("x", 99)
+	if err := admin.Register(q, "(a:P)-[:e]->(b:P)"); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := admin.Label("vertex", "P")
+	e, _ := admin.Label("edge", "e")
+	for v := turboflux.VertexID(1); v <= 2; v++ {
+		if _, err := admin.DeclareVertex(v, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Client A subscribes, reads the reply, and then reads nothing. It
+	// keeps the default receive buffer: a few-KB one leaves the sender on
+	// loopback waiting for zero-window probes, which back off to seconds
+	// after a long stall, so A could not read the backlog in time.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() }) //tf:unchecked-ok test cleanup
+	if _, err := fmt.Fprintf(nc, "SUBSCRIBE %s\n", q); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second)) //tf:unchecked-ok a missed deadline fails the reads below
+	br := bufio.NewReader(nc)
+	if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, "+OK") {
+		t.Fatalf("SUBSCRIBE reply %q, %v; want +OK", line, err)
+	}
+
+	// Writer C: each insert completes the one q match and each delete
+	// retracts it, so every update emits one event. A frame's events fit
+	// the shard's queue, which its writer drains between frames until A's
+	// stall reaches it through the socket buffers on the way (several MB on
+	// loopback, some 270 frames): frames of one event would need tens of
+	// thousands of round trips to fill them.
+	frame := make([]turboflux.Update, 256)
+	for i := range frame {
+		if frame[i] = turboflux.Insert(1, e, 2); i%2 == 1 {
+			frame[i] = turboflux.Delete(1, e, 2)
+		}
+	}
+	writer := dialTest(t, addr)
+	probe := dialTest(t, shard)
+	evicted := func() bool {
+		st, err := probe.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stat(t, st.Line("server").Uint, "evicted") >= 1
+	}
+	frames := 0
+	for deadline := time.Now().Add(30 * time.Second); !evicted(); frames++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("no eviction after %d frames", frames)
+		}
+		ack, err := writer.BatchBinary(frame)
+		if err != nil || ack.Applied != len(frame) || ack.Total != int64(len(frame)) {
+			t.Fatalf("frame %d: ack %+v, %v; want %d updates and matches acked", frames, ack, err, len(frame))
+		}
+	}
+
+	// A reads to the end: events in sequence order, then *EVICTED as its
+	// last push, which the reply to a PING sent after it follows.
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second)) //tf:unchecked-ok a missed deadline fails the reads below
+	var events int
+	var last uint64
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("after %d events: %v", events, err)
+		}
+		line = strings.TrimSuffix(line, "\n")
+		if line == "*EVICTED "+q {
+			break
+		}
+		f := strings.Fields(line)
+		if len(f) < 3 || f[0] != "*EVENT" || f[1] != q {
+			t.Fatalf("after %d events: push %.80q, want *EVENT %s", events, line, q)
+		}
+		seq, err := strconv.ParseUint(f[2], 10, 64)
+		if err != nil || seq < last {
+			t.Fatalf("event seq %q after %d", f[2], last)
+		}
+		last = seq
+		events++
+	}
+	if _, err := fmt.Fprintf(nc, "PING\n"); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, "+OK") {
+		t.Fatalf("after *EVICTED: %q, %v; want the PING reply", line, err)
+	}
+	if events == 0 {
+		t.Fatal("the subscription was evicted before its first event")
+	}
+	st, err := admin.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := stat(t, st.Line("cluster").Uint, "events"); n != uint64(events) {
+		t.Fatalf("coordinator STATS events=%d, client received %d", n, events)
+	}
+	t.Logf("%d frames, %d events relayed before the eviction", frames, events)
 }

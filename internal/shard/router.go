@@ -122,7 +122,7 @@ type router struct {
 	events         atomic.Uint64 // relayed match events (STATS)
 
 	relayMu sync.Mutex
-	relays  map[uint64]*connRelays // by connection id
+	relays  map[uint64][]*upstream // by connection id, then shard id
 }
 
 func newRouter(shards []*shardHandle, vdict, edict *turboflux.Dict, opt Options) *router {
@@ -133,7 +133,7 @@ func newRouter(shards []*shardHandle, vdict, edict *turboflux.Dict, opt Options)
 		dialTimeout:    opt.DialTimeout,
 		requestTimeout: opt.RequestTimeout,
 		table:          newAssignTable(len(shards)),
-		relays:         make(map[uint64]*connRelays),
+		relays:         make(map[uint64][]*upstream),
 	}
 }
 

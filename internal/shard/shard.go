@@ -107,12 +107,12 @@ func (o *Options) setDefaults() {
 }
 
 // New connects to every shard, starts the router and returns the cluster
-// front end: a server.Front over the router, which accepts the ordinary
-// line protocol (Listen/Serve/Shutdown are the ones a server.Server runs;
-// Shutdown stops the router last, draining the task queues into the shards
-// and closing the shard clients). All shards must be reachable and
-// writable (a follower shard is rejected); their current sequence numbers
-// become the per-shard ack bases for gap detection.
+// front end: a server.Front over the router, the type server.New returns,
+// which accepts the ordinary line protocol. Its Shutdown stops the router
+// last, draining the task queues into the shards and closing the shard
+// clients. All shards must be reachable and writable (a follower shard is
+// rejected); their current sequence numbers become the per-shard ack bases
+// for gap detection.
 func New(opt Options) (*server.Front, error) {
 	if len(opt.Shards) == 0 {
 		return nil, errors.New("shard: at least one shard address is required")

@@ -2,8 +2,8 @@ package shard
 
 // In-process shard cluster tests: placement, rebalancing, label-dictionary
 // sync, sequence-gap detection, heartbeat death, and transcript
-// equivalence against a single server. Shards are real server.Server
-// instances on loopback; the multi-process variant lives in
+// equivalence against a single server. Shards are real servers
+// (server.New) on loopback; the multi-process variant lives in
 // e2e_test.go.
 
 import (
@@ -31,7 +31,7 @@ func startShardServer(t *testing.T) string {
 
 func startShardServerWith(t *testing.T, opt server.Options) string {
 	t.Helper()
-	s, err := server.New(opt)
+	s, _, err := server.New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +63,14 @@ func startCluster(t *testing.T, n int, opt Options) (addr string, shards []strin
 		shards = append(shards, startShardServer(t))
 	}
 	opt.Shards = shards
+	addr, stop = startCoordinator(t, opt)
+	return addr, shards, stop
+}
+
+// startCoordinator runs a coordinator over opt.Shards and returns its
+// client address and the idempotent stop t.Cleanup also runs.
+func startCoordinator(t *testing.T, opt Options) (addr string, stop func()) {
+	t.Helper()
 	co, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +94,7 @@ func startCluster(t *testing.T, n int, opt Options) (addr string, shards []strin
 		})
 	}
 	t.Cleanup(stop)
-	return co.Addr().String(), shards, stop
+	return co.Addr().String(), stop
 }
 
 func dialTest(t *testing.T, addr string) *server.Client {
@@ -417,7 +425,7 @@ func TestHeartbeatMarksDeadShardDown(t *testing.T) {
 	logged := captureLog(t)
 	// Shard 1 is started manually so the test can kill it mid-flight.
 	shard0 := startShardServer(t)
-	s1, err := server.New(server.Options{})
+	s1, _, err := server.New(server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 func TestCoordinatorShutdownMidBatchNoGoroutineLeakStress(t *testing.T) {
 	slow := server.Options{QueueDepth: 4, Slow: server.PolicyBlock}
 	shards := []string{startShardServerWith(t, slow), startShardServerWith(t, slow)}
-	servertest.ShutdownMidBatch(t, func() (server.FrontEnd, error) {
+	servertest.ShutdownMidBatch(t, func() (*server.Front, error) {
 		return New(Options{Shards: shards})
 	})
 }

@@ -13,7 +13,7 @@ import (
 // whether q's upstream closes with it or stays open for r.
 func TestCoordinatorUnsubscribeEndsStreamStress(t *testing.T) {
 	shards := []string{startShardServer(t), startShardServer(t)}
-	servertest.UnsubscribeEndsStream(t, func() (server.FrontEnd, error) {
+	servertest.UnsubscribeEndsStream(t, func() (*server.Front, error) {
 		return New(Options{Shards: shards})
 	})
 }

@@ -18,10 +18,13 @@ type Summary struct {
 	Sizes    []int64         // per-query peak intermediate-result size (bytes)
 	Matches  []int64         // per-query positive+negative match count
 	Timeouts int             // queries censored at the timeout
+
+	queries []int // per-query position in the cell's query set (Speedup)
 }
 
-// AddQuery records one completed query run.
-func (s *Summary) AddQuery(cost time.Duration, size int64, matches int64) {
+// AddQuery records one completed run of query i of the cell's set.
+func (s *Summary) AddQuery(i int, cost time.Duration, size int64, matches int64) {
+	s.queries = append(s.queries, i)
 	s.Costs = append(s.Costs, cost)
 	s.Sizes = append(s.Sizes, size)
 	s.Matches = append(s.Matches, matches)
@@ -64,14 +67,32 @@ func (s *Summary) TotalMatches() int64 {
 	return t
 }
 
-// Speedup returns the ratio mean(other)/mean(s), i.e. how many times faster
-// s is than other; it returns NaN when s has no completed queries.
-func (s *Summary) Speedup(other *Summary) float64 {
-	a, b := s.MeanCost(), other.MeanCost()
-	if a == 0 {
+// Speedup compares s with other over the n queries both completed: means
+// over different query sets would set one engine's easy queries against
+// the other's hard ones. faster is other's summed cost over s's, smaller
+// other's summed intermediate-result size over s's; a ratio with a zero
+// sum is NaN, as both are when n is 0.
+func (s *Summary) Speedup(other *Summary) (faster, smaller float64, n int) {
+	at := make(map[int]int, len(other.queries))
+	for j, q := range other.queries {
+		at[q] = j
+	}
+	var cost, size [2]float64 // s's, other's
+	for i, q := range s.queries {
+		if j, ok := at[q]; ok {
+			n++
+			cost[0], cost[1] = cost[0]+float64(s.Costs[i]), cost[1]+float64(other.Costs[j])
+			size[0], size[1] = size[0]+float64(s.Sizes[i]), size[1]+float64(other.Sizes[j])
+		}
+	}
+	return ratio(cost[1], cost[0]), ratio(size[1], size[0]), n
+}
+
+func ratio(a, b float64) float64 {
+	if a == 0 || b == 0 {
 		return math.NaN()
 	}
-	return float64(b) / float64(a)
+	return a / b
 }
 
 // Histogram is the Appendix C selectivity histogram: counts of queries

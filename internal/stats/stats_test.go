@@ -9,8 +9,8 @@ import (
 
 func TestSummary(t *testing.T) {
 	var s Summary
-	s.AddQuery(2*time.Millisecond, 100, 5)
-	s.AddQuery(4*time.Millisecond, 300, 7)
+	s.AddQuery(0, 2*time.Millisecond, 100, 5)
+	s.AddQuery(1, 4*time.Millisecond, 300, 7)
 	s.AddTimeout()
 	if s.MeanCost() != 3*time.Millisecond {
 		t.Fatalf("MeanCost = %v", s.MeanCost())
@@ -24,17 +24,32 @@ func TestSummary(t *testing.T) {
 	if s.Timeouts != 1 {
 		t.Fatalf("Timeouts = %d", s.Timeouts)
 	}
-	var slow Summary
-	slow.AddQuery(30*time.Millisecond, 0, 0)
-	if sp := s.Speedup(&slow); sp != 10 {
-		t.Fatalf("Speedup = %v, want 10", sp)
-	}
 	var empty Summary
-	if !math.IsNaN(empty.Speedup(&slow)) {
-		t.Fatal("Speedup of empty summary must be NaN")
-	}
 	if empty.MeanCost() != 0 || empty.MeanSize() != 0 {
 		t.Fatal("empty summary means must be 0")
+	}
+}
+
+// TestSpeedup: the ratios are taken over the queries both summaries
+// completed, never over each one's own set.
+func TestSpeedup(t *testing.T) {
+	var a, b Summary
+	a.AddQuery(0, 1*time.Millisecond, 100, 0)
+	a.AddQuery(1, 2*time.Millisecond, 0, 0)
+	a.AddQuery(3, 900*time.Millisecond, 100, 0) // b censored query 3
+	b.AddQuery(0, 3*time.Millisecond, 250, 0)
+	b.AddQuery(1, 6*time.Millisecond, 50, 0)
+	b.AddQuery(2, 1*time.Millisecond, 0, 0) // a censored query 2
+	if faster, smaller, n := a.Speedup(&b); faster != 3 || smaller != 3 || n != 2 {
+		t.Fatalf("Speedup = %vx faster, %vx smaller on %d, want 3, 3 on 2", faster, smaller, n)
+	}
+	var c Summary
+	c.AddQuery(2, time.Millisecond, 0, 0)
+	if faster, smaller, n := a.Speedup(&c); !math.IsNaN(faster) || !math.IsNaN(smaller) || n != 0 {
+		t.Fatalf("unpaired: Speedup = %v, %v, %d, want NaN, NaN, 0", faster, smaller, n)
+	}
+	if _, smaller, n := b.Speedup(&c); !math.IsNaN(smaller) || n != 1 {
+		t.Fatalf("zero sizes: smaller = %v on %d, want NaN on 1", smaller, n)
 	}
 }
 
