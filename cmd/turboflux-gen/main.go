@@ -36,18 +36,17 @@ func main() {
 	overlap := flag.Float64("overlap", 0.5, "fraction of queries sharing one spanning tree (qtype overlap)")
 	seed := flag.Int64("seed", 1, "generator seed")
 	out := flag.String("out", ".", "output directory")
-	binaryG0 := flag.Bool("binary", false, "write g0 in the compact binary format (g0.tfg)")
 	flag.Parse()
 
 	if err := run(*dataset, *users, *hosts, *triples, *streamFrac, *delRate,
-		*queries, *qtype, *qsize, *overlap, *seed, *out, *binaryG0); err != nil {
+		*queries, *qtype, *qsize, *overlap, *seed, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "turboflux-gen:", err)
 		os.Exit(1)
 	}
 }
 
 func run(dataset string, users, hosts, triples int, streamFrac, delRate float64,
-	queries int, qtype string, qsize int, overlap float64, seed int64, out string, binaryG0 bool) error {
+	queries int, qtype string, qsize int, overlap float64, seed int64, out string) error {
 	var ds *workload.Dataset
 	switch dataset {
 	case "lsbench":
@@ -65,19 +64,7 @@ func run(dataset string, users, hosts, triples int, streamFrac, delRate float64,
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
-	if binaryG0 {
-		f, err := os.Create(filepath.Join(out, "g0.tfg"))
-		if err != nil {
-			return err
-		}
-		if err := ds.Graph.WriteBinary(f); err != nil {
-			f.Close() //tf:unchecked-ok already failing; the write error wins
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	} else if err := writeGraph(filepath.Join(out, "g0.txt"), ds.Graph); err != nil {
+	if err := writeGraph(filepath.Join(out, "g0.txt"), ds.Graph); err != nil {
 		return err
 	}
 	if err := writeUpdates(filepath.Join(out, "stream.txt"), ds.Stream); err != nil {

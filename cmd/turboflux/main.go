@@ -33,7 +33,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"sync/atomic"
 	"syscall"
 
@@ -197,23 +196,13 @@ func applyInterruptible(eng *turboflux.MultiEngine, ups []turboflux.Update, inte
 func openDurable(w io.Writer, c config) (*turboflux.MultiEngine, error) {
 	dopt := turboflux.DurableMultiOptions{Fsync: c.fsync}
 	if c.graph != "" {
-		f, br, binary, err := openGraph(c.graph)
+		f, err := os.Open(c.graph)
 		if err != nil {
 			return nil, fmt.Errorf("loading graph: %w", err)
 		}
 		defer f.Close() //tf:unchecked-ok read-only file
-		if binary {
-			// A binary snapshot is expanded into vertex declarations and
-			// insertions in deterministic (sorted) order, so the journaled
-			// history is reproducible.
-			g, err := graph.ReadBinary(br)
-			if err != nil {
-				return nil, fmt.Errorf("loading graph: %w", err)
-			}
-			dopt.Bootstrap = graphToUpdates(g)
-		} else {
-			dopt.BootstrapFrom = br // decoded as it is journaled
-		}
+		// The text is decoded as it is journaled.
+		dopt.BootstrapFrom = bufio.NewReader(f)
 	}
 	d, err := turboflux.OpenDurableMulti(c.dataDir, dopt)
 	if err != nil {
@@ -249,56 +238,18 @@ func matchPrinter(w io.Writer) func(bool, []turboflux.VertexID) {
 	}
 }
 
-// openGraph opens a graph file, which holds either the text stream format
-// or the compact binary format (sniffed by the "TFG1" magic).
-func openGraph(path string) (f *os.File, br *bufio.Reader, binary bool, err error) {
-	if f, err = os.Open(path); err != nil {
-		return nil, nil, false, err
-	}
-	br = bufio.NewReader(f)
-	magic, err := br.Peek(4)
-	return f, br, err == nil && string(magic) == "TFG1", nil
-}
-
-// loadGraph reads a graph file; a text one is applied a window at a time.
+// loadGraph reads a graph file, applying it a window at a time.
 func loadGraph(path string) (*turboflux.Graph, error) {
-	f, br, binary, err := openGraph(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close() //tf:unchecked-ok read-only file
-	if binary {
-		return graph.ReadBinary(br)
-	}
 	g := turboflux.NewGraph()
-	if err := stream.ApplyText(g, br); err != nil {
+	if err := stream.ApplyText(g, bufio.NewReader(f)); err != nil {
 		return nil, err
 	}
 	return g, nil
-}
-
-func graphToUpdates(g *turboflux.Graph) []turboflux.Update {
-	var verts []turboflux.VertexID
-	g.ForEachVertex(func(v turboflux.VertexID) { verts = append(verts, v) })
-	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
-	ups := make([]turboflux.Update, 0, len(verts)+g.NumEdges())
-	for _, v := range verts {
-		ups = append(ups, turboflux.DeclareVertex(v, g.Labels(v)...))
-	}
-	edges := g.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		if edges[i].Label != edges[j].Label {
-			return edges[i].Label < edges[j].Label
-		}
-		return edges[i].To < edges[j].To
-	})
-	for _, e := range edges {
-		ups = append(ups, turboflux.Insert(e.From, e.Label, e.To))
-	}
-	return ups
 }
 
 func loadQuery(path string) (*turboflux.Query, error) {

@@ -10,10 +10,9 @@ import (
 // servingScope lists the module-relative package paths on the serving /
 // emission path, where every queue must have an explicit bound: the root
 // package hosts the engines the server drives, internal/server fans match
-// events out to subscribers over bounded queues, internal/fanout moves
-// evaluation tasks between the coordinator and the worker pool,
-// internal/replica queues live WAL chunks between the engine-owner actor
-// and per-follower stream pumps, internal/shard queues fan-out tasks
+// events out to subscribers and live WAL chunks out to followers over
+// bounded queues, internal/fanout moves evaluation tasks between the
+// coordinator and the worker pool, internal/shard queues fan-out tasks
 // between the router actor and the per-shard fanners, and
 // cmd/turboflux-serve / cmd/turboflux-shard wire the serving loops
 // together.
@@ -21,7 +20,6 @@ var servingScope = map[string]bool{
 	"":                    true,
 	"internal/server":     true,
 	"internal/fanout":     true,
-	"internal/replica":    true,
 	"internal/shard":      true,
 	"cmd/turboflux-serve": true,
 	"cmd/turboflux-shard": true,

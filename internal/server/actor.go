@@ -12,7 +12,6 @@ import (
 	"turboflux/internal/durable"
 	"turboflux/internal/graph"
 	"turboflux/internal/qlang"
-	"turboflux/internal/replica"
 	"turboflux/internal/stats"
 	"turboflux/internal/stream"
 )
@@ -48,11 +47,11 @@ type request struct {
 	connID uint64
 
 	// Replication payloads.
-	lsn   uint64        // follower applied LSN / acked LSN / chunk first LSN
-	count int           // record count of a replicated chunk
-	data  []byte        // raw snapshot or frame bytes
-	addr  string        // follower's remote address (STATS)
-	state replica.State // follower link state (reqReplStatus)
+	lsn   uint64 // follower applied LSN / acked LSN / chunk first LSN / leader LSN (reqReplStatus)
+	count int    // record count of a replicated chunk
+	data  []byte // raw snapshot or frame bytes
+	addr  string // follower's remote address (STATS)
+	up    bool   // the follower's link is in a session (reqReplStatus)
 }
 
 type response struct {
@@ -63,7 +62,7 @@ type response struct {
 	lines  []string
 	label  graph.Label
 	plan   *durable.Plan // catch-up plan (reqReplicate)
-	feed   *replica.Feed // live-frame feed (reqReplicate)
+	feed   <-chan chunk  // live-frame feed (reqReplicate)
 }
 
 // actor is the engine-owner goroutine (the serving subsystem's core): it
@@ -87,7 +86,8 @@ type actor struct {
 	role       role
 	leaderAddr string // follower mode: the leader's address (STATS)
 	followers  map[uint64]*followerHandle
-	repl       replica.State // follower mode: last reported link state
+	linkUp     bool   // follower mode: the link is in a session
+	leaderLSN  uint64 // follower mode: the newest leader LSN the link has seen
 
 	box Mailbox[request, response] // runs handle and shutdown
 
@@ -119,7 +119,7 @@ type actor struct {
 	// touch on every request. link is a follower's replication link (nil on
 	// a born leader), set before the actor starts and never touched by it:
 	// Promote and Stop end it from their own goroutines.
-	link *replica.Link
+	link *link
 }
 
 func newActor(eng *turboflux.MultiEngine, vdict, edict *turboflux.Dict, policy SlowPolicy, depth int) *actor {
@@ -246,7 +246,7 @@ func (a *actor) handle(req request) (resp response, err error) {
 	case reqReplSeed:
 		resp.seq, err = a.handleReplSeed(req)
 	case reqReplStatus:
-		a.repl = req.state
+		a.linkUp, a.leaderLSN = req.up, req.lsn
 	case reqReplLSN:
 		resp.seq = a.eng.LSN()
 	case reqPromote:
@@ -640,9 +640,9 @@ func (a *actor) DropConn(id uint64) {
 }
 
 // Stop ends the mailbox once the connections are gone and returns the
-// store-close error. A follower's replication link stops first: its
-// callbacks call into the actor, which must still be running while the
-// link winds down.
+// store-close error. A follower's replication link stops first: it
+// applies through the mailbox, which must still be running while the link
+// winds down.
 func (a *actor) Stop() error {
 	a.stopLink()
 	a.box.Stop()

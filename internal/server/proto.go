@@ -27,8 +27,8 @@
 //	REPLICATE <lsn>               become a replication stream: the server
 //	                              ships a snapshot and/or WAL tail for
 //	                              catch-up past <lsn>, then live frames
-//	                              (durable mode only; see internal/replica
-//	                              for the push/ack framing)
+//	                              (durable mode only; see repl.go for
+//	                              the push/ack framing)
 //	PROMOTE                       flip a follower to leader: its link to
 //	                              the old leader stops, its WAL is sealed
 //	                              and synced, and writes are accepted

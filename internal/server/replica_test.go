@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"turboflux"
-	"turboflux/internal/replica"
+	"turboflux/internal/durable"
 )
 
 const replPattern = "(a:P)-[:knows]->(b:P)"
@@ -57,11 +57,6 @@ func followerOpts(dir, leader string) Options {
 		VertexLabels: vd,
 		EdgeLabels:   ed,
 		Follow:       leader,
-		ReplOptions: replica.Options{
-			DialTimeout: time.Second,
-			BackoffMin:  20 * time.Millisecond,
-			BackoffMax:  200 * time.Millisecond,
-		},
 	}
 }
 
@@ -754,5 +749,224 @@ func TestFollowerShutdownMidStreamStress(t *testing.T) {
 	}
 	if lsn := d.LSN(); lsn <= 100 || lsn > leaderLSN {
 		t.Fatalf("follower journal at LSN %d, want past 100 and at most the leader's %d", lsn, leaderLSN)
+	}
+}
+
+// TestReplicateAfterSubscriptionEnded: a connection whose only
+// subscription ended (its query was unregistered) holds no live
+// subscription, so it may turn into a replication stream.
+func TestReplicateAfterSubscriptionEnded(t *testing.T) {
+	_, addr, _ := startReplServer(t, leaderOpts(t.TempDir()))
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()                                     //tf:unchecked-ok test cleanup
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second)) //tf:unchecked-ok test conn
+	br := bufio.NewReader(nc)
+	for _, req := range []string{"REGISTER q " + replPattern, "SUBSCRIBE q", "UNREGISTER q", "REPLICATE 0"} {
+		if _, err := fmt.Fprintf(nc, "%s\n", req); err != nil {
+			t.Fatal(err)
+		}
+		line := "*"
+		for strings.HasPrefix(line, "*") { // skip pushes (*EVICTED q)
+			if line, err = br.ReadString('\n'); err != nil {
+				t.Fatalf("%s: %v", req, err)
+			}
+		}
+		if !strings.HasPrefix(line, "+OK") {
+			t.Fatalf("%s: reply %q", req, line)
+		}
+	}
+}
+
+// readPushes reads a raw replication stream, handing visit each push
+// header and discarding bodies, until visit returns false or the stream
+// ends. It returns the error that ended the stream (nil if visit did). The
+// leader pings an idle stream, so the stream is given 30 s in all, not per
+// read.
+func readPushes(nc net.Conn, br *bufio.Reader, visit func(p replLine) bool) error {
+	nc.SetReadDeadline(time.Now().Add(30 * time.Second)) //tf:unchecked-ok test conn
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			return err
+		}
+		p, err := parseReplLine(strings.TrimSpace(line))
+		if err != nil {
+			return err
+		}
+		var nbytes uint64
+		switch p.word {
+		case snapWord:
+			nbytes = p.n[1]
+		case framesWord:
+			nbytes = p.n[2]
+		}
+		if _, err := io.CopyN(io.Discard, br, int64(nbytes)); err != nil {
+			return err
+		}
+		if !visit(p) {
+			return nil
+		}
+	}
+}
+
+// replicateRaw opens a raw replication stream past after and returns it
+// with the cut LSN the leader answered.
+func replicateRaw(t *testing.T, addr string, after uint64) (net.Conn, *bufio.Reader, uint64) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() }) //tf:unchecked-ok test cleanup
+	if _, err := fmt.Fprintf(nc, "REPLICATE %d\n", after); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second)) //tf:unchecked-ok test conn
+	br := bufio.NewReader(nc)
+	line, err := br.ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cut uint64
+	if _, err := fmt.Sscanf(line, "+OK %d\n", &cut); err != nil {
+		t.Fatalf("REPLICATE %d: reply %q", after, line)
+	}
+	return nc, br, cut
+}
+
+// wideVertex declares vertex 1 — already declared, so applying it changes
+// nothing — with labels 0..1999: a WAL frame of about 4 KB.
+func wideVertex() turboflux.Update {
+	labels := make([]turboflux.Label, 2000)
+	for i := range labels {
+		labels[i] = turboflux.Label(i)
+	}
+	return turboflux.DeclareVertex(1, labels...)
+}
+
+// TestCatchupChunkBounds: catch-up ships the leader's log in contiguous
+// *RFRAMES chunks, each ending once it holds catchupChunkRecords records
+// or catchupChunkBytes bytes. Small edge records reach the record bound
+// first and wide vertex records the byte bound; both are seen.
+func TestCatchupChunkBounds(t *testing.T) {
+	_, addr, _ := startReplServer(t, leaderOpts(t.TempDir()))
+	cl := dialTest(t, addr)
+	ups := make([]turboflux.Update, 3000)
+	for b := 0; b < 3; b++ {
+		for k := range ups {
+			ups[k] = replUpdate(b*len(ups) + k)
+		}
+		if _, err := cl.BatchBinary(ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wide := make([]turboflux.Update, 50)
+	for k := range wide {
+		wide[k] = wideVertex()
+	}
+	for b := 0; b < 4; b++ {
+		if _, err := cl.BatchBinary(wide); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame, err := durable.AppendFrame(nil, wideVertex())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	nc, br, cut := replicateRaw(t, addr, 0)
+	if want := uint64(replBootstrapLen + 3*3000 + 4*50); cut != want {
+		t.Fatalf("cut LSN %d, want %d", cut, want)
+	}
+	var last uint64
+	recordBound, byteBound := false, false
+	err = readPushes(nc, br, func(p replLine) bool {
+		if p.word != framesWord {
+			return true
+		}
+		if p.n[0] != last+1 {
+			t.Fatalf("chunk starts at LSN %d after %d", p.n[0], last)
+		}
+		if p.n[1] > catchupChunkRecords || p.n[2] >= catchupChunkBytes+uint64(len(frame)) {
+			t.Fatalf("chunk of %d records and %d bytes exceeds the catch-up bounds", p.n[1], p.n[2])
+		}
+		recordBound = recordBound || p.n[1] == catchupChunkRecords
+		byteBound = byteBound || p.n[2] >= catchupChunkBytes
+		last = p.n[0] + p.n[1] - 1
+		return last < cut
+	})
+	if err != nil {
+		t.Fatalf("stream ended at LSN %d of %d: %v", last, cut, err)
+	}
+	if !recordBound || !byteBound {
+		t.Fatalf("record bound reached: %t, byte bound reached: %t; want both", recordBound, byteBound)
+	}
+}
+
+// TestFollowerOverrunStress: a follower that stops reading overruns its
+// live queue; the leader cuts it off without stalling its writer, and the
+// follower, once it reads again, finds the stream closed and catches up
+// on a new connection. The writer's request timeout fails the test if
+// shipFrames ever blocks; the reads' deadline fails it if a closed queue
+// never closes the socket.
+func TestFollowerOverrunStress(t *testing.T) {
+	// An overrun takes the bytes the loopback buffers hold for a reader
+	// that stopped reading (on Linux up to tcp_wmem's maximum, 4 MB by
+	// default) and feedDepth chunks of 8 KB more: between 6 and 8 MB on a
+	// host with the default. The writer sends three times that.
+	const overrunBytes = 24 << 20
+	_, addr, _ := startReplServer(t, leaderOpts(t.TempDir()))
+	nc, br, cut := replicateRaw(t, addr, 0)
+
+	w, err := DialWith(addr, DialOptions{RequestTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close() //tf:unchecked-ok test cleanup
+	frame := []turboflux.Update{wideVertex(), wideVertex()}
+	var leaderLSN uint64
+	for sent := 0; sent < overrunBytes; sent += 8 << 10 {
+		ack, err := w.BatchBinary(frame)
+		if err != nil {
+			t.Fatalf("batch after %d bytes: %v", sent, err)
+		}
+		leaderLSN = ack.FirstSeq + uint64(ack.Applied) - 1
+	}
+
+	last := uint64(0)
+	err = readPushes(nc, br, func(p replLine) bool {
+		if p.word == framesWord {
+			if p.n[0] != last+1 {
+				t.Fatalf("chunk starts at LSN %d after %d", p.n[0], last)
+			}
+			last = p.n[0] + p.n[1] - 1
+		}
+		return true
+	})
+	if err != io.EOF {
+		t.Fatalf("overrun stream ended with %v, want EOF", err)
+	}
+	if last < cut || last >= leaderLSN {
+		t.Fatalf("overrun stream ended at LSN %d, want past the cut %d and short of the leader's %d", last, cut, leaderLSN)
+	}
+
+	nc, br, cut = replicateRaw(t, addr, last)
+	if cut != leaderLSN {
+		t.Fatalf("resumed cut LSN %d, want the leader's %d", cut, leaderLSN)
+	}
+	err = readPushes(nc, br, func(p replLine) bool {
+		if p.word == framesWord {
+			if p.n[0] != last+1 {
+				t.Fatalf("resumed chunk starts at LSN %d after %d", p.n[0], last)
+			}
+			last = p.n[0] + p.n[1] - 1
+		}
+		return last < leaderLSN
+	})
+	if err != nil {
+		t.Fatalf("resumed stream ended at LSN %d of %d: %v", last, leaderLSN, err)
 	}
 }

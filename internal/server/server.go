@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"turboflux"
-	"turboflux/internal/replica"
 	"turboflux/internal/stream"
 )
 
@@ -56,9 +55,6 @@ type Options struct {
 	// follower journals every replicated update into its own WAL, serves
 	// queries and subscriptions locally, and rejects writes until PROMOTE.
 	Follow string
-	// ReplOptions tunes the follower's replication-link timing (dial and
-	// read timeouts, reconnect backoff).
-	ReplOptions replica.Options
 }
 
 // New builds a server over a fresh in-memory engine, or over the durable
@@ -117,7 +113,7 @@ func New(opt Options) (*Front, turboflux.RecoveryInfo, error) {
 	if opt.Follow != "" {
 		a.role = roleFollower
 		a.leaderAddr = opt.Follow
-		a.link = replica.NewLink(opt.Follow, a.linkCallbacks(), opt.ReplOptions)
+		a.link = &link{stop: make(chan struct{}), done: make(chan struct{})}
 	}
 	if st := eng.Store(); st != nil { //tf:actor-ok construction precedes actor start
 		// The append tap fires on the actor goroutine (appends happen only
@@ -127,7 +123,8 @@ func New(opt Options) (*Front, turboflux.RecoveryInfo, error) {
 	rec := eng.Recovery() //tf:actor-ok construction precedes actor start
 	a.box.Start(a.handle, a.shutdown)
 	if a.link != nil {
-		a.link.Start()
+		//tf:goroutine replica-link
+		go a.follow()
 	}
 	return a.front, rec, nil
 }
